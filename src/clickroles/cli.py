@@ -134,7 +134,10 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="cross-validation workers for model; other subcommands run on one thread",
+    )
     common.add_argument("--strict", action="store_true", help="abort on malformed input lines")
     common.add_argument("--config", help="key=value file with flag defaults; flags win")
     return common
@@ -292,9 +295,12 @@ def _finish(args, out: _OutputDir, inputs: list[str]) -> None:
 def cmd_ingest(args) -> None:
     out = _OutputDir(args.out)
     stats = ParseStats()
-    table = read_traffic_file(
-        args.clickstream, ParserConfig(strict=args.strict), stats=stats, threads=args.threads
-    )
+    table = read_traffic_file(args.clickstream, ParserConfig(strict=args.strict), stats=stats)
+    if not table:
+        raise DataError(
+            f"{args.clickstream}: no articles with search or navigation inflow "
+            f"in {stats.lines} lines"
+        )
     write_traffic_table(out.file("traffic.tsv"), table)
     write_keyvalues(
         out.file("ingest_stats.txt"),

@@ -9,17 +9,18 @@ outflow counts that the traffic metrics are computed from.
 
 All counts are plain Python ints (arbitrary precision, so 64-bit-scale
 totals are exact) and every aggregation is a commutative integer sum:
-the result is independent of record order and of how the input was
-sharded.
+the result is independent of record order. A dump is read in one
+streaming pass, so memory grows with the number of articles, not with
+the number of lines.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DataError
 from .tableio import iter_lines, read_tsv, write_tsv
@@ -76,7 +77,7 @@ class ParserConfig:
 
 @dataclass
 class ParseStats:
-    """Counters maintained while parsing; additive across shards."""
+    """Counters maintained while parsing."""
 
     lines: int = 0
     records: int = 0
@@ -84,14 +85,6 @@ class ParseStats:
     unknown_rawtype: int = 0
     below_min_count: int = 0
     header_lines: int = 0
-
-    def merge(self, other: "ParseStats") -> None:
-        self.lines += other.lines
-        self.records += other.records
-        self.malformed += other.malformed
-        self.unknown_rawtype += other.unknown_rawtype
-        self.below_min_count += other.below_min_count
-        self.header_lines += other.header_lines
 
 
 @dataclass
@@ -125,16 +118,14 @@ def parse_clickstream(
     lines: Iterable[str],
     config: ParserConfig | None = None,
     stats: ParseStats | None = None,
-    allow_header: bool = True,
 ) -> Iterator[TransitionRecord]:
     """Yield one TransitionRecord per well-formed input line, in order.
 
-    Malformed lines (wrong field count, empty resource, non-integer or
-    negative count) abort with the 1-based line number in strict mode and
-    are tallied and skipped in lenient mode. Unknown raw type tokens are
-    treated the same way, under their own counter. Records with counts
-    below the public dump floor are kept but counted. allow_header is
-    turned off for shards that do not start at the top of the file.
+    Malformed lines (wrong field count, empty resource, or a count that
+    is not ASCII digits only) abort with the 1-based line number in
+    strict mode and are tallied and skipped in lenient mode. Unknown raw
+    type tokens are treated the same way, under their own counter.
+    Records with counts below the public dump floor are kept but counted.
     """
     config = config or ParserConfig()
     if stats is None:
@@ -145,7 +136,7 @@ def parse_clickstream(
         if not line:
             continue
         fields = line.split("\t")
-        if lineno == 1 and allow_header and header_re.match(fields[0]):
+        if lineno == 1 and header_re.match(fields[0]):
             stats.header_lines += 1
             continue
         if len(fields) != 4:
@@ -154,9 +145,11 @@ def parse_clickstream(
             stats.malformed += 1
             continue
         referrer, resource, rawtype, count_text = fields
+        # int() alone would also take "+12", "1_000", " 12 " and
+        # non-ASCII decimal digits
         try:
-            count = int(count_text)
-        except ValueError:
+            count = int(count_text) if count_text.isascii() and count_text.isdigit() else -1
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
             count = -1
         if count < 0 or not resource:
             if config.strict:
@@ -222,84 +215,12 @@ def aggregate_traffic(
     return table
 
 
-def merge_traffic(tables: Sequence[dict[str, ArticleTraffic]], config: AggregateConfig | None = None) -> dict[str, ArticleTraffic]:
-    """Merge shard aggregates (associative + commutative integer sums).
-
-    Shards must have been aggregated with keep_referrer_only so that
-    partial out_nav-only rows survive until the final filter; the
-    configured filter is applied here.
-    """
-    config = config or AggregateConfig()
-    merged: dict[str, ArticleTraffic] = {}
-    for table in tables:
-        for article, traffic in table.items():
-            into = merged.get(article)
-            if into is None:
-                merged[article] = replace(traffic)
-            else:
-                into.in_se += traffic.in_se
-                into.in_nav += traffic.in_nav
-                into.out_nav += traffic.out_nav
-    if not config.keep_referrer_only:
-        merged = {a: t for a, t in merged.items() if t.in_se + t.in_nav > 0}
-    return merged
-
-
-def aggregate_sharded(
-    lines: Iterable[str],
-    parser_config: ParserConfig | None = None,
-    aggregate_config: AggregateConfig | None = None,
-    stats: ParseStats | None = None,
-    threads: int = 1,
-    chunk_lines: int = 200_000,
-) -> dict[str, ArticleTraffic]:
-    """Parse and aggregate in line chunks, optionally on a thread pool.
-
-    Bit-identical to the sequential single-shard path for any thread or
-    chunk count. Strict parsing stays sequential so that abort line
-    numbers refer to the whole input.
-    """
-    parser_config = parser_config or ParserConfig()
-    aggregate_config = aggregate_config or AggregateConfig()
-    if stats is None:
-        stats = ParseStats()
-    if threads <= 1 or parser_config.strict:
-        return aggregate_traffic(parse_clickstream(lines, parser_config, stats), aggregate_config)
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    keep_all = replace(aggregate_config, keep_referrer_only=True)
-
-    def shard(chunk: list[str], is_first: bool) -> tuple[dict[str, ArticleTraffic], ParseStats]:
-        shard_stats = ParseStats()
-        records = parse_clickstream(chunk, parser_config, shard_stats, allow_header=is_first)
-        return aggregate_traffic(records, keep_all), shard_stats
-
-    chunks: list[list[str]] = []
-    current: list[str] = []
-    for line in lines:
-        current.append(line)
-        if len(current) >= chunk_lines:
-            chunks.append(current)
-            current = []
-    if current:
-        chunks.append(current)
-
-    tables: list[dict[str, ArticleTraffic]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(shard, chunk, i == 0) for i, chunk in enumerate(chunks)]
-        for future in futures:
-            table, shard_stats = future.result()
-            tables.append(table)
-            stats.merge(shard_stats)
-    return merge_traffic(tables, aggregate_config)
-
-
 def read_traffic_file(path: str | Path, parser_config: ParserConfig | None = None,
                       aggregate_config: AggregateConfig | None = None,
-                      stats: ParseStats | None = None, threads: int = 1) -> dict[str, ArticleTraffic]:
-    """Parse + aggregate a clickstream dump file (optionally gzipped)."""
-    return aggregate_sharded(iter_lines(path), parser_config, aggregate_config, stats, threads)
+                      stats: ParseStats | None = None) -> dict[str, ArticleTraffic]:
+    """Parse + aggregate a clickstream dump file (optionally gzipped) in
+    one streaming pass."""
+    return aggregate_traffic(parse_clickstream(iter_lines(path), parser_config, stats), aggregate_config)
 
 
 def write_traffic_table(path: str | Path, table: dict[str, ArticleTraffic]) -> None:

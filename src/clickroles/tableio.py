@@ -21,15 +21,22 @@ from .errors import DataError, UsageError
 
 
 def open_text(path: str | Path, mode: str = "rt") -> IO[str]:
-    """Open a text file, transparently decompressing ``.gz`` paths."""
+    """Open a text file, transparently decompressing ``.gz`` paths.
+
+    Reads turn CRLF and lone CR line ends into LF, so a CRLF file yields
+    the same lines as its LF twin, plain or gzipped; writes emit LF.
+    """
     path = Path(path)
-    if not mode.startswith("r"):
+    reading = mode.startswith("r")
+    if not reading:
         path.parent.mkdir(parents=True, exist_ok=True)
     elif not path.exists():
         raise DataError(f"input file not found: {path}")
+    newline = None if reading else ""
     if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, mode.replace("t", "") + "b"), encoding="utf-8")
-    return open(path, mode, encoding="utf-8", newline="")
+        binary = gzip.open(path, mode.replace("t", "") + "b")
+        return io.TextIOWrapper(binary, encoding="utf-8", newline=newline)
+    return open(path, mode, encoding="utf-8", newline=newline)
 
 
 def fmt_value(v: object) -> str:
@@ -51,8 +58,7 @@ def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
 
 def read_tsv(path: str | Path, expect_header: Sequence[str] | None = None) -> tuple[list[str], list[list[str]]]:
     """Read a headered TSV table into (header, rows of strings)."""
-    with open_text(path, "rt") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = list(iter_lines(path))
     if not lines:
         raise DataError(f"empty table: {path}")
     header = lines[0].split("\t")
@@ -86,18 +92,16 @@ def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, dict[str, str]]:
     """
     metadata: dict[str, str] = {}
     rows: list[list[float]] = []
-    with open_text(path, "rt") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            if not line:
-                continue
-            rows.append([float(cell) if cell != "" else math.nan for cell in line.split(",")])
+    for line in iter_lines(path):
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = value.strip()
+            continue
+        if not line:
+            continue
+        rows.append([float(cell) if cell != "" else math.nan for cell in line.split(",")])
     return np.array(rows, dtype=float), metadata
 
 
@@ -109,20 +113,29 @@ def write_keyvalues(path: str | Path, items: dict[str, object]) -> None:
 
 def read_keyvalues(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open_text(path, "rt") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"malformed key=value line in {path}: {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for line in iter_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"malformed key=value line in {path}: {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:
-    """Yield lines (without trailing newline) from a possibly-gzipped file."""
-    with open_text(path, "rt") as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+    """Yield lines (without trailing newline) from a possibly-gzipped file.
+
+    A file that cannot be read to its end (truncated or corrupt gzip,
+    invalid UTF-8, an I/O error) raises DataError as ``path:N: reason``,
+    where N is the last complete line read (0 if none). Decoding runs in
+    blocks of a few KB, so the fault can lie a block past line N.
+    """
+    lineno = 0
+    try:
+        with open_text(path, "rt") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                yield line.rstrip("\n")
+    except (EOFError, UnicodeDecodeError, OSError) as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from exc

@@ -162,7 +162,7 @@ def test_quadrant_shares_partition_and_sum():
 )
 def test_full_dump_population_and_shares():
     started = time.perf_counter()
-    table = read_traffic_file(os.environ["CLICKROLES_DUMP"], threads=8)
+    table = read_traffic_file(os.environ["CLICKROLES_DUMP"])
     elapsed = time.perf_counter() - started
     metrics = metrics_table(table)
     thresholds = corpus_thresholds(metrics)

@@ -5,8 +5,11 @@ synthetic corpus; the tests then assert on exit codes, emitted files,
 manifest completeness, and byte-level determinism of reruns.
 """
 
+import gzip
+import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -139,6 +142,40 @@ class TestExitCodes:
         neither = main(["graph", "--out", str(tmp_path / "g")])
         assert both == 2 and neither == 2
 
+    def ingest_error(self, tmp_path, capsys, dump: Path, *flags: str) -> str:
+        assert main(["ingest", "--clickstream", str(dump), *flags,
+                     "--out", str(tmp_path / "o")]) == 1
+        return capsys.readouterr().err
+
+    def test_truncated_gzip_is_data_error(self, tmp_path, capsys):
+        text = "".join(f"other-search\tArticle_{i}\texternal\t{10 + i}\n" for i in range(5000))
+        whole = gzip.compress(text.encode())
+        dump = tmp_path / "clicks.tsv.gz"
+        dump.write_bytes(whole[: len(whole) // 2])
+        err = self.ingest_error(tmp_path, capsys, dump)
+        assert re.search(rf"{re.escape(str(dump))}:[1-9]\d*: ", err)
+
+    def test_invalid_utf8_is_data_error(self, tmp_path, capsys):
+        # > 8 KB of good lines first, so the bad byte is past the first
+        # decoded block and the reported line is a real one
+        good = b"".join(b"other-search\tA_%d\texternal\t30\n" % i for i in range(2000))
+        dump = tmp_path / "clicks.tsv"
+        dump.write_bytes(good + b"other-search\t\xff\texternal\t30\n")
+        err = self.ingest_error(tmp_path, capsys, dump)
+        found = re.search(rf"{re.escape(str(dump))}:(\d+): ", err)
+        assert found and 1 <= int(found.group(1)) <= 2000
+
+    def test_empty_dump_is_data_error(self, tmp_path, capsys):
+        dump = tmp_path / "clicks.tsv"
+        dump.write_bytes(b"")
+        assert str(dump) in self.ingest_error(tmp_path, capsys, dump)
+
+    def test_non_ascii_count_aborts_strict(self, tmp_path, capsys):
+        dump = tmp_path / "clicks.tsv"
+        dump.write_text("other-search\tA\texternal\t30\nother-search\tB\texternal\t\u0663\u0663\n",
+                        encoding="utf-8")
+        assert "line 2" in self.ingest_error(tmp_path, capsys, dump, "--strict")
+
     def test_bad_overlap_pair_is_usage_error(self, tmp_path, pipeline):
         code = main(["overlap", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),
                      "--pairs", "totalin_se", "--out", str(tmp_path / "o")])
@@ -206,6 +243,24 @@ class TestOutputs:
         stats = read_keyvalues(out / "graph_stats.txt")
         assert stats["edge_source"] == "edge-list"
         assert stats["nodes"] == "3" and stats["edges"] == "3"
+
+    def test_crlf_input_matches_lf(self, tmp_path, pipeline):
+        clicks = pipeline["clickstream"].read_bytes()
+        edges = b"A\tB\nB\tC\nC\tA\nC\tD\n"
+        variants = {
+            "lf.tsv": lambda b: b,
+            "crlf.tsv": lambda b: b.replace(b"\n", b"\r\n"),
+            "crlf.tsv.gz": lambda b: gzip.compress(b.replace(b"\n", b"\r\n")),
+        }
+        outputs = set()
+        for suffix, encode in variants.items():
+            (tmp_path / f"clicks_{suffix}").write_bytes(encode(clicks))
+            (tmp_path / f"edges_{suffix}").write_bytes(encode(edges))
+            ingest, graph = tmp_path / f"ingest_{suffix}", tmp_path / f"graph_{suffix}"
+            assert run("ingest", "--clickstream", tmp_path / f"clicks_{suffix}", "--out", ingest) == 0
+            assert run("graph", "--edges", tmp_path / f"edges_{suffix}", "--out", graph) == 0
+            outputs.add(((ingest / "traffic.tsv").read_bytes(), (graph / "network.tsv").read_bytes()))
+        assert len(outputs) == 1
 
     def test_topics_files(self, pipeline):
         names = {p.name for p in pipeline["topics"].iterdir()}
@@ -453,3 +508,33 @@ class TestReport:
             assert run("report", "--inputs", pipeline["metrics"], pipeline["bins"],
                        "--out", out) == 0
         assert tree_bytes(a) == tree_bytes(b)
+
+
+# ---------------------------------------------------------------------------
+# golden output digests
+
+GOLDEN = Path(__file__).parent / "golden" / "pipeline.sha256"
+# hold the run timestamp and the absolute tmp paths of their inputs
+VOLATILE = {"manifest.json", "run/report/index.json"}
+
+
+def output_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every file under root, keyed by its relative path."""
+    digests = {}
+    for path in sorted(root.rglob("*")):
+        name = path.relative_to(root).as_posix()
+        if path.is_file() and path.name not in VOLATILE and name not in VOLATILE:
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+class TestGolden:
+    def test_pipeline_outputs_match_golden_digests(self, pipeline):
+        actual = output_digests(pipeline["root"])
+        expected = {}
+        for line in GOLDEN.read_text().splitlines():
+            digest, _, name = line.partition("  ")
+            expected[name] = digest
+        if actual != expected:
+            new = "".join(f"{digest}  {name}\n" for name, digest in actual.items())
+            pytest.fail(f"pipeline outputs differ from {GOLDEN}; new digests:\n{new}")
