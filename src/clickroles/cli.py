@@ -252,12 +252,12 @@ def _inject_config(argv: list[str]) -> list[str]:
         key = key.strip()
         value = value.strip()
         if not sep or not key:
-            raise UsageError(f"{path} line {lineno}: expected key=value")
+            raise UsageError(f"{path}:{lineno}: expected key=value")
         if key in _BOOL_KEYS:
             if value.lower() in ("1", "true", "yes"):
                 injected.append(f"--{key}")
             elif value.lower() not in ("0", "false", "no"):
-                raise UsageError(f"{path} line {lineno}: {key} must be true or false")
+                raise UsageError(f"{path}:{lineno}: {key} must be true or false")
         else:
             injected.append(f"--{key}={value}")
     return [argv[0]] + injected + argv[1:]
@@ -407,7 +407,7 @@ def cmd_graph(args) -> None:
         # dump floor appear, so degrees underestimate the true graph
         parse_stats = ParseStats()
         records = parse_clickstream(
-            iter_lines(args.clickstream), ParserConfig(strict=args.strict), parse_stats
+            iter_lines(args.clickstream), ParserConfig(strict=args.strict), parse_stats, args.clickstream
         )
         graph = build_graph(edges_from_clickstream(records), stats)
         source, source_path = "clickstream-approximation", args.clickstream

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError, UsageError
 from .linkgraph import NetworkFeatures
 from .metrics import QUADRANT_ORDER, QuadrantLabel, TrafficMetrics
-from .tableio import fmt_value, open_text, read_tsv, write_tsv
+from .tableio import fmt_value, open_text, read_table, write_tsv
 
 CONTENT_COLUMNS = (
     "article",
@@ -361,30 +361,24 @@ def relative_difference_heatmap(topic_grid: np.ndarray, overall_grid: np.ndarray
 
 
 def read_content_table(path: str | Path) -> dict[str, ContentFeatures]:
-    _, rows = read_tsv(path, expect_header=CONTENT_COLUMNS)
-    out: dict[str, ContentFeatures] = {}
-    for row in rows:
-        if row[0] in out:
-            raise DataError(f"duplicate article in content table: {row[0]!r}")
+    def parse(row: list[str]) -> ContentFeatures:
         counts = [int(v) for v in row[1:7]]
         age, size = float(row[7]), float(row[8])
         if min(counts) < 0 or age < 0 or size < 0:
             raise DataError(f"negative content feature for {row[0]!r}")
-        out[row[0]] = ContentFeatures(row[0], *counts, age, size)
-    return out
+        return ContentFeatures(row[0], *counts, age, size)
+
+    return {c.article: c for c in read_table(path, CONTENT_COLUMNS, parse)}
 
 
 def read_topic_assignments(path: str | Path) -> dict[str, int]:
-    _, rows = read_tsv(path, expect_header=TOPIC_ASSIGNMENT_COLUMNS)
-    out: dict[str, int] = {}
-    for row in rows:
-        if row[0] in out:
-            raise DataError(f"duplicate article in topic assignments: {row[0]!r}")
+    def parse(row: list[str]) -> tuple[str, int]:
         topic_id = int(row[1])
         if topic_id < 0:
             raise DataError(f"negative topic id for {row[0]!r}")
-        out[row[0]] = topic_id
-    return out
+        return row[0], topic_id
+
+    return dict(read_table(path, TOPIC_ASSIGNMENT_COLUMNS, parse))
 
 
 def write_joined_table(path: str | Path, rows: Sequence[ArticleFeatures]) -> None:
@@ -397,36 +391,29 @@ def write_joined_table(path: str | Path, rows: Sequence[ArticleFeatures]) -> Non
 
 
 def read_joined_table(path: str | Path) -> list[ArticleFeatures]:
-    _, raw = read_tsv(path, expect_header=JOINED_COLUMNS)
-    rows: list[ArticleFeatures] = []
-    seen: set[str] = set()
-    for r in raw:
-        if r[0] in seen:
-            raise DataError(f"duplicate article in joined table: {r[0]!r}")
-        seen.add(r[0])
-        rows.append(
-            ArticleFeatures(
-                article=r[0],
-                searchshare=float(r[1]),
-                resistance=float(r[2]),
-                total_views=int(r[3]),
-                quadrant=QuadrantLabel(r[4]),
-                in_degree=int(r[5]),
-                out_degree=int(r[6]),
-                degree=int(r[7]),
-                kcore=int(r[8]),
-                sections=int(r[9]),
-                figures=int(r[10]),
-                lists=int(r[11]),
-                tables=int(r[12]),
-                revisions=int(r[13]),
-                editors=int(r[14]),
-                age=float(r[15]),
-                size=float(r[16]),
-                topic_id=int(r[17]) if r[17] else None,
-            )
+    def parse(r: list[str]) -> ArticleFeatures:
+        return ArticleFeatures(
+            article=r[0],
+            searchshare=float(r[1]),
+            resistance=float(r[2]),
+            total_views=int(r[3]),
+            quadrant=QuadrantLabel(r[4]),
+            in_degree=int(r[5]),
+            out_degree=int(r[6]),
+            degree=int(r[7]),
+            kcore=int(r[8]),
+            sections=int(r[9]),
+            figures=int(r[10]),
+            lists=int(r[11]),
+            tables=int(r[12]),
+            revisions=int(r[13]),
+            editors=int(r[14]),
+            age=float(r[15]),
+            size=float(r[16]),
+            topic_id=int(r[17]) if r[17] else None,
         )
-    return rows
+
+    return read_table(path, JOINED_COLUMNS, parse)
 
 
 def write_group_medians(path: str | Path, table: GroupMedianTable) -> None:

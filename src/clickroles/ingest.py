@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DataError
-from .tableio import iter_lines, read_tsv, write_tsv
+from .tableio import iter_lines, read_table, where, write_tsv
 
 TRAFFIC_COLUMNS = ("article", "in_se", "in_nav", "out_nav", "total_views")
 
@@ -118,13 +118,15 @@ def parse_clickstream(
     lines: Iterable[str],
     config: ParserConfig | None = None,
     stats: ParseStats | None = None,
+    source: str | Path | None = None,
 ) -> Iterator[TransitionRecord]:
     """Yield one TransitionRecord per well-formed input line, in order.
 
     Malformed lines (wrong field count, empty resource, or a count that
-    is not ASCII digits only) abort with the 1-based line number in
-    strict mode and are tallied and skipped in lenient mode. Unknown raw
-    type tokens are treated the same way, under their own counter.
+    is not ASCII digits only) abort in strict mode with the 1-based line
+    number, after the path of the `source` file if given, and are
+    tallied and skipped in lenient mode. Unknown raw type tokens are
+    treated the same way, under their own counter.
     Records with counts below the public dump floor are kept but counted.
     """
     config = config or ParserConfig()
@@ -141,7 +143,7 @@ def parse_clickstream(
             continue
         if len(fields) != 4:
             if config.strict:
-                raise DataError(f"line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
+                raise DataError(f"{where(source, lineno)}: expected 4 tab-separated fields, got {len(fields)}")
             stats.malformed += 1
             continue
         referrer, resource, rawtype, count_text = fields
@@ -153,12 +155,12 @@ def parse_clickstream(
             count = -1
         if count < 0 or not resource:
             if config.strict:
-                raise DataError(f"line {lineno}: malformed record {line!r}")
+                raise DataError(f"{where(source, lineno)}: malformed record {line!r}")
             stats.malformed += 1
             continue
         if rawtype not in config.known_rawtypes:
             if config.strict:
-                raise DataError(f"line {lineno}: unknown type token {rawtype!r}")
+                raise DataError(f"{where(source, lineno)}: unknown type token {rawtype!r}")
             stats.unknown_rawtype += 1
             continue
         if count < PUBLIC_DUMP_MIN_COUNT:
@@ -220,7 +222,7 @@ def read_traffic_file(path: str | Path, parser_config: ParserConfig | None = Non
                       stats: ParseStats | None = None) -> dict[str, ArticleTraffic]:
     """Parse + aggregate a clickstream dump file (optionally gzipped) in
     one streaming pass."""
-    return aggregate_traffic(parse_clickstream(iter_lines(path), parser_config, stats), aggregate_config)
+    return aggregate_traffic(parse_clickstream(iter_lines(path), parser_config, stats, path), aggregate_config)
 
 
 def write_traffic_table(path: str | Path, table: dict[str, ArticleTraffic]) -> None:
@@ -234,14 +236,11 @@ def write_traffic_table(path: str | Path, table: dict[str, ArticleTraffic]) -> N
 
 def read_traffic_table(path: str | Path) -> dict[str, ArticleTraffic]:
     """Read a traffic table written by :func:`write_traffic_table`."""
-    _, rows = read_tsv(path, expect_header=TRAFFIC_COLUMNS)
-    table: dict[str, ArticleTraffic] = {}
-    for row in rows:
-        article = row[0]
-        if article in table:
-            raise DataError(f"duplicate article in traffic table: {article!r}")
-        traffic = ArticleTraffic(article, int(row[1]), int(row[2]), int(row[3]))
+
+    def parse(row: list[str]) -> ArticleTraffic:
+        traffic = ArticleTraffic(row[0], int(row[1]), int(row[2]), int(row[3]))
         if traffic.total_views != int(row[4]):
-            raise DataError(f"inconsistent total_views for {article!r}")
-        table[article] = traffic
-    return table
+            raise DataError(f"inconsistent total_views for {row[0]!r}")
+        return traffic
+
+    return {t.article: t for t in read_table(path, TRAFFIC_COLUMNS, parse)}

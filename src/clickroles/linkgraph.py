@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import ReferrerClass, ReferrerConfig, TransitionRecord, classify_referrer
-from .tableio import iter_lines, read_tsv, write_tsv
+from .tableio import iter_lines, read_table, where, write_tsv
 
 NETWORK_COLUMNS = ("article", "in_degree", "out_degree", "degree", "kcore")
 
@@ -55,8 +55,10 @@ def parse_edges(
     lines: Iterable[str],
     strict: bool = False,
     stats: EdgeStats | None = None,
+    source: str | Path | None = None,
 ) -> Iterator[tuple[str, str]]:
-    """Yield (source, target) title pairs from tab-separated lines."""
+    """Yield (source, target) title pairs from tab-separated lines; a
+    strict-mode error names the `source` file, if given."""
     if stats is None:
         stats = EdgeStats()
     for lineno, line in enumerate(lines, start=1):
@@ -66,7 +68,7 @@ def parse_edges(
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0] or not fields[1]:
             if strict:
-                raise DataError(f"line {lineno}: expected 2 tab-separated titles")
+                raise DataError(f"{where(source, lineno)}: expected 2 tab-separated titles")
             stats.malformed += 1
             continue
         yield fields[0], fields[1]
@@ -114,7 +116,7 @@ def build_graph(edges: Iterable[tuple[str, str]], stats: EdgeStats | None = None
 
 
 def graph_from_file(path: str | Path, strict: bool = False, stats: EdgeStats | None = None) -> LinkGraph:
-    return build_graph(parse_edges(iter_lines(path), strict, stats), stats)
+    return build_graph(parse_edges(iter_lines(path), strict, stats, path), stats)
 
 
 def edges_from_clickstream(
@@ -244,10 +246,9 @@ def write_network_table(path: str | Path, features: list[NetworkFeatures]) -> No
 
 
 def read_network_table(path: str | Path) -> dict[str, NetworkFeatures]:
-    _, rows = read_tsv(path, expect_header=NETWORK_COLUMNS)
-    out: dict[str, NetworkFeatures] = {}
-    for row in rows:
-        if row[0] in out:
-            raise DataError(f"duplicate article in network table: {row[0]!r}")
-        out[row[0]] = NetworkFeatures(row[0], int(row[1]), int(row[2]), int(row[3]), int(row[4]))
-    return out
+    rows = read_table(
+        path,
+        NETWORK_COLUMNS,
+        lambda r: NetworkFeatures(r[0], int(r[1]), int(r[2]), int(r[3]), int(r[4])),
+    )
+    return {f.article: f for f in rows}

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .ingest import ArticleTraffic
-from .tableio import read_tsv, write_keyvalues, write_tsv
+from .tableio import read_table, write_keyvalues, write_tsv
 
 METRICS_COLUMNS = ("article", "searchshare", "resistance", "total_views", "quadrant")
 
@@ -226,16 +226,12 @@ def write_metrics_table(
 
 def read_metrics_table(path: str | Path) -> tuple[list[TrafficMetrics], dict[str, QuadrantLabel]]:
     """Read a metrics table; returns the rows plus article -> quadrant."""
-    _, rows = read_tsv(path, expect_header=METRICS_COLUMNS)
-    metrics: list[TrafficMetrics] = []
-    quadrants: dict[str, QuadrantLabel] = {}
-    for row in rows:
-        article = row[0]
-        if article in quadrants:
-            raise DataError(f"duplicate article in metrics table: {article!r}")
-        metrics.append(TrafficMetrics(article, float(row[1]), float(row[2]), int(row[3])))
-        quadrants[article] = QuadrantLabel(row[4])
-    return metrics, quadrants
+    rows = read_table(
+        path,
+        METRICS_COLUMNS,
+        lambda r: (TrafficMetrics(r[0], float(r[1]), float(r[2]), int(r[3])), QuadrantLabel(r[4])),
+    )
+    return [m for m, _ in rows], {m.article: q for m, q in rows}
 
 
 def write_thresholds(path: str | Path, thresholds: CorpusThresholds) -> None:

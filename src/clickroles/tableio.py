@@ -13,11 +13,13 @@ import gzip
 import io
 import math
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import DataError, UsageError
+
+T = TypeVar("T")
 
 
 def open_text(path: str | Path, mode: str = "rt") -> IO[str]:
@@ -56,18 +58,39 @@ def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
             fh.write("\t".join(fmt_value(v) for v in row) + "\n")
 
 
-def read_tsv(path: str | Path, expect_header: Sequence[str] | None = None) -> tuple[list[str], list[list[str]]]:
-    """Read a headered TSV table into (header, rows of strings)."""
-    lines = list(iter_lines(path))
-    if not lines:
+def read_table(path: str | Path, header: Sequence[str], parse_row: Callable[[list[str]], T]) -> list[T]:
+    """``parse_row(cells)`` of each non-empty data line of a headered TSV
+    table whose first cell is a unique article title.
+
+    A row with the wrong number of cells, a repeated title and a row that
+    parse_row rejects (ValueError from a bad number or label, or
+    DataError) raise DataError as ``path:N: reason``.
+    """
+    lines = iter_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise DataError(f"empty table: {path}")
-    header = lines[0].split("\t")
-    if expect_header is not None and list(header) != list(expect_header):
-        raise DataError(
-            f"unexpected header in {path}: got {header!r}, expected {list(expect_header)!r}"
-        )
-    rows = [ln.split("\t") for ln in lines[1:] if ln != ""]
-    return header, rows
+    got = first.split("\t")
+    if got != list(header):
+        raise DataError(f"unexpected header in {path}: got {got!r}, expected {list(header)!r}")
+    out: list[T] = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise DataError(
+                f"{where(path, lineno)}: expected {len(header)} tab-separated cells, got {len(cells)}"
+            )
+        if cells[0] in seen:
+            raise DataError(f"{where(path, lineno)}: duplicate article {cells[0]!r}")
+        seen.add(cells[0])
+        try:
+            out.append(parse_row(cells))
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{where(path, lineno)}: {exc}") from exc
+    return out
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray, metadata: dict[str, object]) -> None:
@@ -124,6 +147,12 @@ def read_keyvalues(path: str | Path) -> dict[str, str]:
     return out
 
 
+def where(source: str | Path | None, lineno: int) -> str:
+    """Location for an error message: ``path:N`` in a file, ``line N``
+    in lines from nowhere in particular."""
+    return f"line {lineno}" if source is None else f"{source}:{lineno}"
+
+
 def iter_lines(path: str | Path) -> Iterator[str]:
     """Yield lines (without trailing newline) from a possibly-gzipped file.
 
@@ -138,4 +167,4 @@ def iter_lines(path: str | Path) -> Iterator[str]:
             for lineno, line in enumerate(fh, start=1):
                 yield line.rstrip("\n")
     except (EOFError, UnicodeDecodeError, OSError) as exc:
-        raise DataError(f"{path}:{lineno}: {exc}") from exc
+        raise DataError(f"{where(path, lineno)}: {exc}") from exc

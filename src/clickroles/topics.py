@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .features import TOPIC_ASSIGNMENT_COLUMNS
-from .tableio import iter_lines, open_text, write_matrix_csv, write_tsv
+from .tableio import iter_lines, open_text, where, write_matrix_csv, write_tsv
 
 # minimal English function-word list; callers with real corpora should
 # supply their own via the stop word file
@@ -89,14 +89,15 @@ class Corpus:
         return sum(c for doc in self.documents for _, c in doc)
 
 
-def parse_documents(lines: Iterable[str]) -> Iterator[tuple[str, str]]:
-    """Split "article<TAB>text" lines; blank lines are skipped."""
+def parse_documents(lines: Iterable[str], source: str | Path | None = None) -> Iterator[tuple[str, str]]:
+    """Split "article<TAB>text" lines; blank lines are skipped. An error
+    names the `source` file, if given."""
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         article, sep, text = line.partition("\t")
         if not sep or not article:
-            raise DataError(f"line {lineno}: expected article<TAB>text")
+            raise DataError(f"{where(source, lineno)}: expected article<TAB>text")
         yield article, text
 
 
@@ -138,7 +139,7 @@ def build_corpus(
 
 
 def corpus_from_file(path: str | Path, stop_words: Collection[str] = DEFAULT_STOP_WORDS) -> Corpus:
-    return build_corpus(parse_documents(iter_lines(path)), stop_words)
+    return build_corpus(parse_documents(iter_lines(path), path), stop_words)
 
 
 def read_stop_words(path: str | Path) -> frozenset[str]:

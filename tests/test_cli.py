@@ -174,7 +174,60 @@ class TestExitCodes:
         dump = tmp_path / "clicks.tsv"
         dump.write_text("other-search\tA\texternal\t30\nother-search\tB\texternal\t\u0663\u0663\n",
                         encoding="utf-8")
-        assert "line 2" in self.ingest_error(tmp_path, capsys, dump, "--strict")
+        assert f"{dump}:2: " in self.ingest_error(tmp_path, capsys, dump, "--strict")
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--edges", "A\tB\noops\n"),
+        ("--clickstream", "other-search\tA\texternal\t30\noops\n"),
+    ], ids=["edges", "clickstream"])
+    def test_strict_graph_error_names_file(self, tmp_path, capsys, flag, text):
+        source = tmp_path / "in.tsv"
+        source.write_text(text)
+        assert main(["graph", flag, str(source), "--strict", "--out", str(tmp_path / "g")]) == 1
+        assert f"{source}:2: " in capsys.readouterr().err
+
+    def test_bad_document_line_names_file(self, tmp_path, capsys):
+        docs = tmp_path / "documents.tsv"
+        docs.write_text("A\tsome words here\nno tab on this line\n")
+        assert main(["topics", "--documents", str(docs), "--k", "2", "--iterations", "1",
+                     "--out", str(tmp_path / "t")]) == 1
+        assert f"{docs}:2: " in capsys.readouterr().err
+
+    # table -> (subcommand reading it, its flag, a numeric column)
+    TABLE_READERS = {
+        "joined": ("model", "--joined", "in_degree"),
+        "traffic": ("metrics", "--traffic", "in_se"),
+        "metrics": ("features", "--metrics", "total_views"),
+        "network": ("features", "--network", "kcore"),
+        "content": ("features", "--content", "revisions"),
+        "topics": ("features", "--topics", "topic_id"),
+    }
+
+    @pytest.mark.parametrize("table", sorted(TABLE_READERS))
+    @pytest.mark.parametrize("fault", ["bad cell", "short row"])
+    def test_bad_table_row_is_data_error(self, tmp_path, pipeline, capsys, table, fault):
+        sub, flag, column = self.TABLE_READERS[table]
+        inputs = {
+            "--joined": pipeline["features"] / "joined.tsv",
+            "--traffic": pipeline["ingest"] / "traffic.tsv",
+            "--metrics": pipeline["metrics"] / "metrics.tsv",
+            "--network": pipeline["graph"] / "network.tsv",
+            "--content": pipeline["content"],
+            "--topics": pipeline["topics"] / "topics.tsv",
+        }
+        lines = inputs[flag].read_text().splitlines()
+        cells = lines[2].split("\t")
+        if fault == "bad cell":
+            cells[lines[0].split("\t").index(column)] = "x"
+        else:
+            cells = cells[: min(5, len(cells) - 1)]
+        lines[2] = "\t".join(cells)
+        inputs[flag] = tmp_path / f"bad_{table}.tsv"
+        inputs[flag].write_text("\n".join(lines) + "\n")
+        reads = [f for s, f, _ in self.TABLE_READERS.values() if s == sub]
+        argv = [sub, *(a for f in reads for a in (f, str(inputs[f]))), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"{inputs[flag]}:3: " in capsys.readouterr().err
 
     def test_bad_overlap_pair_is_usage_error(self, tmp_path, pipeline):
         code = main(["overlap", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),
@@ -447,7 +500,7 @@ class TestConfigFile:
         code = main(["sample", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),
                      "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "line 1" in capsys.readouterr().err
+        assert f"{cfg}:1: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

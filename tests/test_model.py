@@ -16,6 +16,9 @@ from clickroles.model import (
     GBDTModel,
     InstanceSet,
     NETWORK_FEATURES,
+    Tree,
+    _sigmoid,
+    _TreeBuilder,
     balance,
     binarize_target,
     build_instances,
@@ -308,6 +311,165 @@ class TestTrainGbdt:
         x = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(DataError):
             train_gbdt(x, np.asarray([1, 0, 0, 0, 0]), GBDTConfig(n_trees=1))
+
+
+class ReferenceTreeBuilder:
+    """Per-feature split search that argsorts every column at every node;
+    the oracle for the sorted-once search in train_gbdt."""
+
+    def __init__(self, x, g, h, max_depth, min_leaf):
+        self.x, self.g, self.h = x, g, h
+        self.max_depth, self.min_leaf = max_depth, min_leaf
+        self.nodes: list[list] = []  # [feature, threshold, left, right, value]
+
+    def build(self) -> Tree:
+        self._grow(np.arange(len(self.x)), 0)
+        cols = list(zip(*self.nodes))
+        return Tree(
+            np.asarray(cols[0], dtype=np.int64),
+            np.asarray(cols[1], dtype=float),
+            np.asarray(cols[2], dtype=np.int64),
+            np.asarray(cols[3], dtype=np.int64),
+            np.asarray(cols[4], dtype=float),
+        )
+
+    def _grow(self, idx, depth) -> int:
+        node = len(self.nodes)
+        self.nodes.append([-1, 0.0, -1, -1, 0.0])
+        split = None
+        if depth < self.max_depth and len(idx) >= 2 * self.min_leaf:
+            split = self._best_split(idx)
+        if split is None:
+            self.nodes[node][4] = float(self.g[idx].sum() / (self.h[idx].sum() + 1e-12))
+            return node
+        j, thr = split
+        go_left = self.x[idx, j] <= thr
+        self.nodes[node][:2] = [j, thr]
+        self.nodes[node][2] = self._grow(idx[go_left], depth + 1)
+        self.nodes[node][3] = self._grow(idx[~go_left], depth + 1)
+        return node
+
+    def _best_split(self, idx):
+        g, h = self.g[idx], self.h[idx]
+        g_total, h_total = g.sum(), h.sum()
+        parent = g_total * g_total / (h_total + 1e-12)
+        best_gain, best = 1e-12, None
+        n = len(idx)
+        for j in range(self.x.shape[1]):
+            xs = self.x[idx, j]
+            order = np.argsort(xs, kind="stable")
+            xs_sorted = xs[order]
+            sizes = np.arange(1, n)
+            valid = (
+                (xs_sorted[:-1] < xs_sorted[1:])
+                & (sizes >= self.min_leaf)
+                & (n - sizes >= self.min_leaf)
+            )
+            if not valid.any():
+                continue
+            gl = np.cumsum(g[order])[:-1]
+            hl = np.cumsum(h[order])[:-1]
+            gr, hr = g_total - gl, h_total - hl
+            gain = gl * gl / (hl + 1e-12) + gr * gr / (hr + 1e-12) - parent
+            gain = np.where(valid, gain, -np.inf)
+            pos = int(np.argmax(gain))
+            if gain[pos] > best_gain:
+                best_gain = float(gain[pos])
+                best = (j, float((xs_sorted[pos] + xs_sorted[pos + 1]) / 2.0))
+        return best
+
+
+def reference_trees(x, y, config: GBDTConfig) -> list[Tree]:
+    """train_gbdt's stagewise loop around the reference builder."""
+    scores = np.full(len(y), np.log((y == 1).sum() / (y == 0).sum()))
+    loss = log_loss(scores, y)
+    trees = []
+    for _ in range(config.n_trees):
+        p = _sigmoid(scores)
+        tree = ReferenceTreeBuilder(x, y - p, p * (1.0 - p), config.max_depth, config.min_leaf).build()
+        step = tree.leaf_values(x) * config.learning_rate
+        new_loss = log_loss(scores + step, y)
+        halvings = 0
+        while new_loss > loss and halvings < 60:
+            tree = tree.scale_values(0.5)
+            step *= 0.5
+            new_loss = log_loss(scores + step, y)
+            halvings += 1
+        if new_loss > loss:
+            tree = tree.scale_values(0.0)
+            step *= 0.0
+            new_loss = loss
+        trees.append(tree)
+        scores = scores + step
+        loss = new_loss
+    return trees
+
+
+# 1, the next two doubles above it (whose midpoint rounds up to the larger)
+# and the infinities (midpoints inf and nan) make thresholds that do not
+# fall strictly between the two values they split
+_AWKWARD_VALUES = (-np.inf, 1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0), np.inf)
+
+
+@st.composite
+def split_problems(draw):
+    """(x, y, config): tied rounded columns, constant columns, a one-hot
+    block and awkward values, with min_leaf at 1, n/2 or between."""
+    n = draw(st.integers(4, 40))
+    blocks = []
+    for _ in range(draw(st.integers(0, 2))):
+        blocks.append(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n).map(
+            lambda v: np.round(v, 0)[:, None] / 2)))
+    if draw(st.booleans()):
+        blocks.append(np.full((n, 1), draw(st.floats(-3, 3))))
+    k = draw(st.integers(0, 3))
+    if k:
+        cats = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        blocks.append(np.eye(k)[cats])
+    if draw(st.booleans()):
+        blocks.append(np.asarray(draw(st.lists(st.sampled_from(_AWKWARD_VALUES), min_size=n, max_size=n)))[:, None])
+    if not blocks:
+        blocks.append(np.zeros((n, 1)))
+    x = np.column_stack(blocks)
+    y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    y[:2], y[2:4] = 0, 1
+    min_leaf = draw(st.sampled_from((1, n // 2, draw(st.integers(1, n // 2)))))
+    config = GBDTConfig(n_trees=3, max_depth=draw(st.integers(1, 4)), learning_rate=0.5, min_leaf=min_leaf)
+    return x, y, config
+
+
+class TestSortedOnceSplitSearch:
+    @given(split_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_trees_match_per_feature_argsort(self, problem):
+        x, y, config = problem
+        with np.errstate(invalid="ignore"):  # the midpoint of -inf and inf
+            model = train_gbdt(x, y, config)
+            expected = reference_trees(x, y, config)
+        if model.prior_fallback:
+            assert np.all(x == x[0])
+            return
+        assert len(model.trees) == len(expected)
+        for got, want in zip(model.trees, expected):
+            for field in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+
+    @given(split_problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_row_values_are_leaf_values(self, problem, seed):
+        x, y, config = problem
+        p = np.random.default_rng(seed).uniform(0.05, 0.95, size=len(y))
+        g, h = y - p, p * (1.0 - p)
+        x_by_feature = np.ascontiguousarray(x.T)
+        order = np.argsort(x_by_feature, axis=1, kind="stable")
+        with np.errstate(invalid="ignore"):
+            builder = _TreeBuilder(x_by_feature, order, g, h, config.max_depth, config.min_leaf)
+            tree = builder.build()
+            want = ReferenceTreeBuilder(x, g, h, config.max_depth, config.min_leaf).build()
+        assert np.array_equal(tree.feature, want.feature)
+        assert np.array_equal(tree.threshold, want.threshold, equal_nan=True)
+        assert np.array_equal(tree.value, want.value)
+        assert np.array_equal(builder.row_value, tree.leaf_values(x))
 
 
 class TestStratifiedFolds:
