@@ -66,9 +66,7 @@ from .linkgraph import (
 )
 from .manifest import build_manifest, write_manifest
 from .metrics import (
-    TrafficMetrics,
     correlations,
-    corpus_thresholds,
     group_shares,
     heatmap_grid,
     histogram,
@@ -320,21 +318,19 @@ def cmd_ingest(args) -> None:
 def cmd_metrics(args) -> None:
     out = _OutputDir(args.out)
     traffic = read_traffic_table(args.traffic)
-    metrics = metrics_table(traffic)
-    if not metrics:
+    if not traffic.total_views.any():
         raise DataError(f"no articles with positive inflow in {args.traffic}")
-    thresholds = corpus_thresholds(metrics)
-    write_metrics_table(out.file("metrics.tsv"), metrics, thresholds)
+    metrics, thresholds = metrics_table(traffic)
+    write_metrics_table(out.file("metrics.tsv"), metrics)
     write_thresholds(out.file("thresholds.txt"), thresholds)
-    write_group_shares(out.file("group_shares.tsv"), group_shares(metrics, thresholds))
+    write_group_shares(out.file("group_shares.tsv"), group_shares(metrics))
     if len(metrics) >= 2:
         write_keyvalues(out.file("correlations.txt"), correlations(metrics))
 
-    views = [float(m.total_views) for m in metrics]
     for name in ("searchshare", "resistance"):
-        values = [getattr(m, name) for m in metrics]
+        values = getattr(metrics, name)
         by_articles = histogram(values, None, args.bins)
-        by_views = histogram(values, views, args.bins)
+        by_views = histogram(values, metrics.total_views, args.bins)
         rows = (
             (
                 i,
@@ -352,7 +348,8 @@ def cmd_metrics(args) -> None:
         )
 
     for weighted, name in ((False, "heatmap_articles.csv"), (True, "heatmap_views.csv")):
-        grid = heatmap_grid(metrics, args.grid, weighted=weighted)
+        weights = metrics.total_views if weighted else None
+        grid = heatmap_grid(metrics.resistance, metrics.searchshare, weights, args.grid)
         write_matrix_csv(
             out.file(name),
             grid,
@@ -440,12 +437,12 @@ def _topic_labels(args, topic_ids: set[int]) -> dict[int, str]:
 
 def cmd_features(args) -> None:
     out = _OutputDir(args.out)
-    metrics, quadrants = read_metrics_table(args.metrics)
+    metrics = read_metrics_table(args.metrics)
     network = read_network_table(args.network)
     content = read_content_table(args.content)
     topics = read_topic_assignments(args.topics) if args.topics else None
 
-    joined, jstats = join_features(metrics, quadrants, network, content, topics)
+    joined, jstats = join_features(metrics, network, content, topics)
     write_joined_table(out.file("joined.tsv"), joined)
     write_group_medians(out.file("medians.tsv"), group_medians(joined))
     write_keyvalues(
@@ -460,19 +457,16 @@ def cmd_features(args) -> None:
         labels = _topic_labels(args, assigned_ids)
         write_topic_stats(out.file("topic_stats.tsv"), topic_statistics(joined, labels))
         if args.grid > 0 and assigned_ids:
-            as_metrics = [
-                TrafficMetrics(r.article, r.searchshare, r.resistance, r.total_views)
-                for r in joined
+            columns = [
+                np.array([getattr(r, name) for r in joined])
+                for name in ("resistance", "searchshare", "total_views")
             ]
-            overall = heatmap_grid(as_metrics, args.grid, weighted=True)
+            topic_ids = np.array([-1 if r.topic_id is None else r.topic_id for r in joined])
+            overall = heatmap_grid(*columns, args.grid)
             for tid in sorted(assigned_ids):
-                members = [
-                    TrafficMetrics(r.article, r.searchshare, r.resistance, r.total_views)
-                    for r in joined
-                    if r.topic_id == tid
-                ]
+                members = topic_ids == tid
                 ratio = relative_difference_heatmap(
-                    heatmap_grid(members, args.grid, weighted=True), overall
+                    heatmap_grid(*(c[members] for c in columns), args.grid), overall
                 )
                 write_matrix_csv(
                     out.file(f"ratio_topic_{tid}.csv"),
@@ -573,13 +567,11 @@ def cmd_sample(args) -> None:
     if args.n < 1:
         raise UsageError(f"sample size must be positive, got {args.n}")
     table = read_traffic_table(args.traffic)
-    titles = sorted(table)
-    if args.n > len(titles):
-        raise DataError(f"cannot sample {args.n} articles from {len(titles)}")
+    if args.n > len(table):
+        raise DataError(f"cannot sample {args.n} articles from {len(table)}")
     rng = np.random.default_rng(args.seed)
-    chosen = rng.choice(len(titles), size=args.n, replace=False)
-    subset = {titles[i]: table[titles[i]] for i in sorted(chosen.tolist())}
-    write_traffic_table(out.file("traffic_sample.tsv"), subset)
+    chosen = rng.choice(len(table), size=args.n, replace=False)
+    write_traffic_table(out.file("traffic_sample.tsv"), table.take(np.sort(chosen)))
     _finish(args, out, [args.traffic])
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .linkgraph import NetworkFeatures
-from .metrics import QUADRANT_ORDER, QuadrantLabel, TrafficMetrics
-from .tableio import fmt_value, open_text, read_table, write_tsv
+from .metrics import QUADRANT_ORDER, MetricsTable, QuadrantLabel
+from .tableio import fmt_value, open_text, parse_count, parse_real, read_table, write_tsv
 
 CONTENT_COLUMNS = (
     "article",
@@ -106,57 +106,40 @@ class JoinStats:
 
 
 def join_features(
-    metrics: Sequence[TrafficMetrics],
-    quadrants: Mapping[str, QuadrantLabel],
+    metrics: MetricsTable,
     network: Mapping[str, NetworkFeatures],
     content: Mapping[str, ContentFeatures],
     topics: Mapping[str, int] | None = None,
 ) -> tuple[list[ArticleFeatures], JoinStats]:
-    """Inner join of the required feature families, keyed by title.
+    """Inner join of the required feature families, keyed by title, in
+    title order.
 
     A row survives only if metrics, network, and content all cover the
     article; drop counts per family record what fell out. The topic
     assignment is carried when present but never drops a row (shares
     over the assigned subpopulation are computed downstream).
     """
-    seen: set[str] = set()
-    for m in metrics:
-        if m.article in seen:
-            raise DataError(f"duplicate key in metrics table: {m.article!r}")
-        seen.add(m.article)
-
-    common = {m.article for m in metrics} & network.keys() & content.keys()
+    common = set(metrics.articles) & network.keys() & content.keys()
     stats = JoinStats(kept=len(common))
     stats.dropped["metrics"] = len(metrics) - len(common)
     stats.dropped["network"] = len(network) - len(common)
     stats.dropped["content"] = len(content) - len(common)
 
+    columns = (metrics.searchshare, metrics.resistance, metrics.total_views, metrics.quadrant)
     joined: list[ArticleFeatures] = []
-    for m in sorted(metrics, key=lambda m: m.article):
-        if m.article not in common:
+    for article, searchshare, resistance, total_views, code in zip(
+        metrics.articles, *(c.tolist() for c in columns)
+    ):
+        if article not in common:
             continue
-        net = network[m.article]
-        con = content[m.article]
+        net = network[article]
+        con = content[article]
         joined.append(
             ArticleFeatures(
-                article=m.article,
-                searchshare=m.searchshare,
-                resistance=m.resistance,
-                total_views=m.total_views,
-                quadrant=quadrants[m.article],
-                in_degree=net.in_degree,
-                out_degree=net.out_degree,
-                degree=net.degree,
-                kcore=net.kcore,
-                sections=con.sections,
-                figures=con.figures,
-                lists=con.lists,
-                tables=con.tables,
-                revisions=con.revisions,
-                editors=con.editors,
-                age=con.age,
-                size=con.size,
-                topic_id=None if topics is None else topics.get(m.article),
+                article, searchshare, resistance, total_views, QUADRANT_ORDER[code],
+                net.in_degree, net.out_degree, net.degree, net.kcore,
+                con.sections, con.figures, con.lists, con.tables, con.revisions, con.editors, con.age, con.size,
+                topic_id=None if topics is None else topics.get(article),
             )
         )
     return joined, stats
@@ -362,23 +345,16 @@ def relative_difference_heatmap(topic_grid: np.ndarray, overall_grid: np.ndarray
 
 def read_content_table(path: str | Path) -> dict[str, ContentFeatures]:
     def parse(row: list[str]) -> ContentFeatures:
-        counts = [int(v) for v in row[1:7]]
-        age, size = float(row[7]), float(row[8])
-        if min(counts) < 0 or age < 0 or size < 0:
+        age, size = parse_real(row[7]), parse_real(row[8])
+        if age < 0 or size < 0:
             raise DataError(f"negative content feature for {row[0]!r}")
-        return ContentFeatures(row[0], *counts, age, size)
+        return ContentFeatures(row[0], *(parse_count(v) for v in row[1:7]), age, size)
 
     return {c.article: c for c in read_table(path, CONTENT_COLUMNS, parse)}
 
 
 def read_topic_assignments(path: str | Path) -> dict[str, int]:
-    def parse(row: list[str]) -> tuple[str, int]:
-        topic_id = int(row[1])
-        if topic_id < 0:
-            raise DataError(f"negative topic id for {row[0]!r}")
-        return row[0], topic_id
-
-    return dict(read_table(path, TOPIC_ASSIGNMENT_COLUMNS, parse))
+    return dict(read_table(path, TOPIC_ASSIGNMENT_COLUMNS, lambda row: (row[0], parse_count(row[1]))))
 
 
 def write_joined_table(path: str | Path, rows: Sequence[ArticleFeatures]) -> None:
@@ -393,24 +369,11 @@ def write_joined_table(path: str | Path, rows: Sequence[ArticleFeatures]) -> Non
 def read_joined_table(path: str | Path) -> list[ArticleFeatures]:
     def parse(r: list[str]) -> ArticleFeatures:
         return ArticleFeatures(
-            article=r[0],
-            searchshare=float(r[1]),
-            resistance=float(r[2]),
-            total_views=int(r[3]),
-            quadrant=QuadrantLabel(r[4]),
-            in_degree=int(r[5]),
-            out_degree=int(r[6]),
-            degree=int(r[7]),
-            kcore=int(r[8]),
-            sections=int(r[9]),
-            figures=int(r[10]),
-            lists=int(r[11]),
-            tables=int(r[12]),
-            revisions=int(r[13]),
-            editors=int(r[14]),
-            age=float(r[15]),
-            size=float(r[16]),
-            topic_id=int(r[17]) if r[17] else None,
+            r[0], parse_real(r[1]), parse_real(r[2]), parse_count(r[3]), QuadrantLabel(r[4]),
+            *(parse_count(v) for v in r[5:15]),  # in_degree .. editors
+            age=parse_real(r[15]),
+            size=parse_real(r[16]),
+            topic_id=parse_count(r[17]) if r[17] else None,
         )
 
     return read_table(path, JOINED_COLUMNS, parse)

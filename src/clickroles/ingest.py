@@ -3,27 +3,32 @@
 The input is the public aggregated transition log: tab-separated lines of
 ``referrer<TAB>resource<TAB>type<TAB>count``, where the referrer is either
 another article title or a reserved token (``other-search``,
-``other-empty``, ...). Aggregation produces one ArticleTraffic row per
-article holding the search inflow, navigation inflow, and navigation
-outflow counts that the traffic metrics are computed from.
+``other-empty``, ...). Aggregation produces one TrafficTable: the article
+titles, ascending and unique, and the search inflow, navigation inflow
+and navigation outflow of each as int64 columns aligned with them.
 
-All counts are plain Python ints (arbitrary precision, so 64-bit-scale
-totals are exact) and every aggregation is a commutative integer sum:
-the result is independent of record order. A dump is read in one
-streaming pass, so memory grows with the number of articles, not with
-the number of lines.
+Counts are summed as plain Python ints, a commutative integer sum, so
+the result is independent of record order; the columns are built once
+at the end. Every count and every per-article sum is at most 2**53
+(``tableio.MAX_COUNT``), so each converts to float64 exactly: a larger
+dump count is a malformed line, a larger sum a DataError naming the
+file. A dump is read in one streaming pass, so memory grows with the
+number of articles, not with the number of lines.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import DataError
-from .tableio import iter_lines, read_table, where, write_tsv
+from .tableio import MAX_COUNT, iter_lines, parse_count, read_table, where, write_tsv
 
 TRAFFIC_COLUMNS = ("article", "in_se", "in_nav", "out_nav", "total_views")
 
@@ -87,22 +92,38 @@ class ParseStats:
     header_lines: int = 0
 
 
-@dataclass
-class ArticleTraffic:
-    """Per-article traffic aggregate.
+@dataclass(frozen=True, eq=False)
+class TrafficTable:
+    """Per-article traffic: titles ascending and unique, one int64 count
+    column per flow, row-aligned with the titles.
 
     total_views is definitionally in_se + in_nav: only views arriving by
     search or internal navigation count as page accesses here.
     """
 
-    article: str
-    in_se: int = 0
-    in_nav: int = 0
-    out_nav: int = 0
+    articles: tuple[str, ...]
+    in_se: np.ndarray
+    in_nav: np.ndarray
+    out_nav: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.articles)
 
     @property
-    def total_views(self) -> int:
+    def total_views(self) -> np.ndarray:
         return self.in_se + self.in_nav
+
+    def take(self, rows: np.ndarray) -> TrafficTable:
+        """The table of the rows at the ascending positions `rows`."""
+        articles = tuple(self.articles[i] for i in rows.tolist())
+        return TrafficTable(articles, self.in_se[rows], self.in_nav[rows], self.out_nav[rows])
+
+
+def traffic_table(rows: Iterable[tuple[str, int, int, int]]) -> TrafficTable:
+    """The table of (article, in_se, in_nav, out_nav) rows with unique
+    titles and counts within MAX_COUNT, in any order."""
+    articles, *counts = list(zip(*sorted(rows))) or [(), (), (), ()]
+    return TrafficTable(tuple(articles), *(np.array(c, dtype=np.int64) for c in counts))
 
 
 @dataclass(frozen=True)
@@ -123,9 +144,9 @@ def parse_clickstream(
     """Yield one TransitionRecord per well-formed input line, in order.
 
     Malformed lines (wrong field count, empty resource, or a count that
-    is not ASCII digits only) abort in strict mode with the 1-based line
-    number, after the path of the `source` file if given, and are
-    tallied and skipped in lenient mode. Unknown raw type tokens are
+    is not ASCII digits only or exceeds MAX_COUNT) abort in strict mode
+    with the 1-based line number, after the path of the `source` file if
+    given, and are tallied and skipped in lenient mode. Unknown raw type tokens are
     treated the same way, under their own counter.
     Records with counts below the public dump floor are kept but counted.
     """
@@ -147,11 +168,9 @@ def parse_clickstream(
             stats.malformed += 1
             continue
         referrer, resource, rawtype, count_text = fields
-        # int() alone would also take "+12", "1_000", " 12 " and
-        # non-ASCII decimal digits
         try:
-            count = int(count_text) if count_text.isascii() and count_text.isdigit() else -1
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            count = parse_count(count_text)
+        except ValueError:
             count = -1
         if count < 0 or not resource:
             if config.strict:
@@ -187,60 +206,58 @@ def classify_referrer(record: TransitionRecord, config: ReferrerConfig | None = 
 def aggregate_traffic(
     records: Iterable[TransitionRecord],
     config: AggregateConfig | None = None,
-) -> dict[str, ArticleTraffic]:
+    source: str | Path | None = None,
+) -> TrafficTable:
     """Aggregate classified transition records into per-article traffic.
 
     Search-engine records add to the resource's in_se; internal-article
     records add to the resource's in_nav and to the referrer's out_nav.
     Missing/other-external/other records carry no in-counts. Articles
-    with zero inflow are dropped unless keep_referrer_only is set.
+    with zero inflow are dropped unless keep_referrer_only is set. An
+    article whose inflow or outflow exceeds MAX_COUNT raises DataError,
+    after the path of the `source` file if given.
     """
     config = config or AggregateConfig()
-    table: dict[str, ArticleTraffic] = {}
-
-    def row(article: str) -> ArticleTraffic:
-        traffic = table.get(article)
-        if traffic is None:
-            traffic = table[article] = ArticleTraffic(article)
-        return traffic
-
+    sums: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0, 0])  # in_se, in_nav, out_nav
     for record in records:
         cls = classify_referrer(record, config.referrers)
         if cls is ReferrerClass.SEARCH_ENGINE:
-            row(record.resource).in_se += record.count
+            sums[record.resource][0] += record.count
         elif cls is ReferrerClass.INTERNAL_ARTICLE:
-            row(record.resource).in_nav += record.count
-            row(record.referrer).out_nav += record.count
+            sums[record.resource][1] += record.count
+            sums[record.referrer][2] += record.count
 
-    if not config.keep_referrer_only:
-        table = {a: t for a, t in table.items() if t.in_se + t.in_nav > 0}
-    return table
+    rows = [(a, *c) for a, c in sums.items() if config.keep_referrer_only or c[0] + c[1] > 0]
+    for article, in_se, in_nav, out_nav in rows:
+        if max(in_se + in_nav, out_nav) > MAX_COUNT:
+            prefix = "" if source is None else f"{source}: "
+            raise DataError(f"{prefix}traffic of {article!r} exceeds 2**53 views")
+    return traffic_table(rows)
 
 
 def read_traffic_file(path: str | Path, parser_config: ParserConfig | None = None,
                       aggregate_config: AggregateConfig | None = None,
-                      stats: ParseStats | None = None) -> dict[str, ArticleTraffic]:
+                      stats: ParseStats | None = None) -> TrafficTable:
     """Parse + aggregate a clickstream dump file (optionally gzipped) in
     one streaming pass."""
-    return aggregate_traffic(parse_clickstream(iter_lines(path), parser_config, stats, path), aggregate_config)
+    records = parse_clickstream(iter_lines(path), parser_config, stats, path)
+    return aggregate_traffic(records, aggregate_config, path)
 
 
-def write_traffic_table(path: str | Path, table: dict[str, ArticleTraffic]) -> None:
-    """Write the per-article traffic table, sorted by article title."""
-    rows = (
-        (t.article, t.in_se, t.in_nav, t.out_nav, t.total_views)
-        for t in (table[a] for a in sorted(table))
-    )
-    write_tsv(path, TRAFFIC_COLUMNS, rows)
+def write_traffic_table(path: str | Path, table: TrafficTable) -> None:
+    """Write the per-article traffic table, one row per article in title
+    order."""
+    columns = (table.in_se, table.in_nav, table.out_nav, table.total_views)
+    write_tsv(path, TRAFFIC_COLUMNS, zip(table.articles, *(c.tolist() for c in columns)))
 
 
-def read_traffic_table(path: str | Path) -> dict[str, ArticleTraffic]:
+def read_traffic_table(path: str | Path) -> TrafficTable:
     """Read a traffic table written by :func:`write_traffic_table`."""
 
-    def parse(row: list[str]) -> ArticleTraffic:
-        traffic = ArticleTraffic(row[0], int(row[1]), int(row[2]), int(row[3]))
-        if traffic.total_views != int(row[4]):
+    def parse(row: list[str]) -> tuple[str, int, int, int]:
+        in_se, in_nav, out_nav, total_views = (parse_count(v) for v in row[1:])
+        if in_se + in_nav != total_views:
             raise DataError(f"inconsistent total_views for {row[0]!r}")
-        return traffic
+        return row[0], in_se, in_nav, out_nav
 
-    return {t.article: t for t in read_table(path, TRAFFIC_COLUMNS, parse)}
+    return traffic_table(read_table(path, TRAFFIC_COLUMNS, parse))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import ReferrerClass, ReferrerConfig, TransitionRecord, classify_referrer
-from .tableio import iter_lines, read_table, where, write_tsv
+from .tableio import iter_lines, parse_count, read_table, where, write_tsv
 
 NETWORK_COLUMNS = ("article", "in_degree", "out_degree", "degree", "kcore")
 
@@ -249,6 +249,6 @@ def read_network_table(path: str | Path) -> dict[str, NetworkFeatures]:
     rows = read_table(
         path,
         NETWORK_COLUMNS,
-        lambda r: NetworkFeatures(r[0], int(r[1]), int(r[2]), int(r[3]), int(r[4])),
+        lambda r: NetworkFeatures(r[0], *(parse_count(v) for v in r[1:])),
     )
     return {f.article: f for f in rows}

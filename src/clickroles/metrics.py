@@ -12,6 +12,13 @@ corpus-wide unweighted means of the two metrics. "Above mean" is a
 strict inequality; values exactly at the mean fall on the at-or-below
 side (the convention is fixed here for reproducibility; ties at the
 mean are measure-zero in practice).
+
+A MetricsTable holds the article titles, ascending and unique, and
+row-aligned columns: searchshare and resistance (float64), total_views
+(int64) and a quadrant code (the index into QUADRANT_ORDER). Every
+metric is computed on whole columns. Since every count is at most 2**53
+(``tableio.MAX_COUNT``), int64 -> float64 is exact and each column
+quotient equals the correctly rounded quotient of the integers.
 """
 
 from __future__ import annotations
@@ -19,13 +26,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .ingest import ArticleTraffic
-from .tableio import read_table, write_keyvalues, write_tsv
+from .ingest import TrafficTable
+from .tableio import parse_count, parse_real, read_table, write_keyvalues, write_tsv
 
 METRICS_COLUMNS = ("article", "searchshare", "resistance", "total_views", "quadrant")
 
@@ -45,12 +51,16 @@ QUADRANT_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class TrafficMetrics:
-    article: str
-    searchshare: float
-    resistance: float
-    total_views: int
+@dataclass(frozen=True, eq=False)
+class MetricsTable:
+    articles: tuple[str, ...]
+    searchshare: np.ndarray
+    resistance: np.ndarray
+    total_views: np.ndarray
+    quadrant: np.ndarray  # index into QUADRANT_ORDER
+
+    def __len__(self) -> int:
+        return len(self.articles)
 
 
 @dataclass(frozen=True)
@@ -59,179 +69,157 @@ class CorpusThresholds:
     mean_resistance: float
 
 
-def compute_searchshare(traffic: ArticleTraffic) -> float:
-    inflow = traffic.in_se + traffic.in_nav
-    if inflow <= 0:
-        raise DataError(f"searchshare undefined for zero-inflow article {traffic.article!r}")
-    return traffic.in_se / inflow
+def metrics_table(traffic: TrafficTable) -> tuple[MetricsTable, CorpusThresholds]:
+    """Metrics and role of every article with positive inflow, in title
+    order, and the corpus thresholds the roles were assigned by.
 
-
-def compute_resistance(traffic: ArticleTraffic) -> float:
-    """1 - outflow/inflow, clamped into [0, 1].
-
-    Clamping matters: a few articles forward more traffic than they
-    receive (several links opened from one view), which would otherwise
-    push the raw value negative.
+    Resistance is clamped into [0, 1]: a few articles forward more
+    traffic than they receive (several links opened from one view),
+    which would otherwise push the raw value negative.
     """
-    inflow = traffic.in_se + traffic.in_nav
-    if inflow <= 0:
-        raise DataError(f"resistance undefined for zero-inflow article {traffic.article!r}")
-    raw = 1.0 - traffic.out_nav / inflow
-    return min(1.0, max(0.0, raw))
+    kept = traffic.take(np.flatnonzero(traffic.total_views > 0))
+    inflow = kept.total_views
+    searchshare = kept.in_se / inflow
+    resistance = np.clip(1.0 - kept.out_nav / inflow, 0.0, 1.0)
+    thresholds = corpus_thresholds(searchshare, resistance)
+    quadrant = assign_quadrants(searchshare, resistance, thresholds)
+    return MetricsTable(kept.articles, searchshare, resistance, inflow, quadrant), thresholds
 
 
-def metrics_table(traffic: dict[str, ArticleTraffic] | Iterable[ArticleTraffic]) -> list[TrafficMetrics]:
-    """Compute metrics for every article with positive inflow, sorted by
-    title for deterministic downstream output."""
-    rows = traffic.values() if isinstance(traffic, dict) else traffic
-    out = [
-        TrafficMetrics(t.article, compute_searchshare(t), compute_resistance(t), t.total_views)
-        for t in sorted(rows, key=lambda t: t.article)
-        if t.in_se + t.in_nav > 0
-    ]
-    return out
-
-
-def corpus_thresholds(metrics: Sequence[TrafficMetrics]) -> CorpusThresholds:
-    """Unweighted arithmetic means over the article population."""
-    if not metrics:
+def corpus_thresholds(searchshare: np.ndarray, resistance: np.ndarray) -> CorpusThresholds:
+    """Unweighted arithmetic means over the article population, each a
+    sequential sum (np.sum adds pairwise and can differ in the last bit)."""
+    n = len(searchshare)
+    if not n:
         raise DataError("cannot compute thresholds of an empty metrics table")
-    n = len(metrics)
     return CorpusThresholds(
-        mean_searchshare=sum(m.searchshare for m in metrics) / n,
-        mean_resistance=sum(m.resistance for m in metrics) / n,
+        mean_searchshare=sum(searchshare.tolist()) / n,
+        mean_resistance=sum(resistance.tolist()) / n,
     )
 
 
-def assign_quadrant(metrics: TrafficMetrics, thresholds: CorpusThresholds) -> QuadrantLabel:
-    above_ss = metrics.searchshare > thresholds.mean_searchshare
-    above_res = metrics.resistance > thresholds.mean_resistance
-    if above_ss:
-        return QuadrantLabel.SEARCH_EXIT if above_res else QuadrantLabel.SEARCH_RELAY
-    return QuadrantLabel.NAV_EXIT if above_res else QuadrantLabel.NAV_RELAY
+def assign_quadrants(
+    searchshare: np.ndarray, resistance: np.ndarray, thresholds: CorpusThresholds
+) -> np.ndarray:
+    """Quadrant code per row: the index of its role in QUADRANT_ORDER."""
+    above_ss = searchshare > thresholds.mean_searchshare
+    above_res = resistance > thresholds.mean_resistance
+    # search-exit 0, search-relay 1, nav-relay 2, nav-exit 3
+    return np.where(above_ss, 1 - above_res, 2 + above_res).astype(np.int8)
 
 
-def group_shares(
-    metrics: Sequence[TrafficMetrics], thresholds: CorpusThresholds
-) -> dict[QuadrantLabel, tuple[float, float]]:
+def group_shares(metrics: MetricsTable) -> dict[QuadrantLabel, tuple[float, float]]:
     """Percentage of articles and of received views per role group.
 
     The four groups partition the table, so each percentage column sums
-    to 100 up to rounding.
+    to 100 up to rounding. View totals are exact Python-int sums.
     """
-    if not metrics:
-        raise DataError("cannot compute group shares of an empty metrics table")
-    article_counts = {label: 0 for label in QUADRANT_ORDER}
-    view_counts = {label: 0 for label in QUADRANT_ORDER}
-    total_views = 0
-    for m in metrics:
-        label = assign_quadrant(m, thresholds)
-        article_counts[label] += 1
-        view_counts[label] += m.total_views
-        total_views += m.total_views
     n = len(metrics)
+    if not n:
+        raise DataError("cannot compute group shares of an empty metrics table")
+    in_group = [metrics.quadrant == code for code in range(len(QUADRANT_ORDER))]
+    article_counts = [int(np.count_nonzero(rows)) for rows in in_group]
+    view_counts = [sum(metrics.total_views[rows].tolist()) for rows in in_group]
+    total_views = sum(view_counts)
     return {
         label: (
-            100.0 * article_counts[label] / n,
-            100.0 * view_counts[label] / total_views if total_views else 0.0,
+            100.0 * article_counts[code] / n,
+            100.0 * view_counts[code] / total_views if total_views else 0.0,
         )
-        for label in QUADRANT_ORDER
+        for code, label in enumerate(QUADRANT_ORDER)
     }
 
 
-def _bin_index(value: float, bins: int) -> int:
-    # Equal-width bins over [0,1]; the last bin is right-closed so 1.0
-    # lands in bin bins-1.
-    return min(int(value * bins), bins - 1)
+def _bins(values: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-width bin index over [0, 1] per value; the last bin is
+    right-closed so 1.0 lands in bin bins-1."""
+    values = np.asarray(values, dtype=float)
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        raise DataError(f"histogram value outside [0,1]: {values[outside][0].item()!r}")
+    return np.minimum((values * bins).astype(np.int64), bins - 1)
 
 
 def histogram(
-    values: Sequence[float],
-    weights: Sequence[float] | None = None,
+    values: np.ndarray,
+    weights: np.ndarray | None = None,
     bins: int = 100,
 ) -> np.ndarray:
     """Equal-width histogram over [0, 1]; weighted variant sums weights
-    per bin instead of counting."""
+    per bin, in input order, instead of counting."""
     if bins < 1:
         raise UsageError(f"bin count must be >= 1, got {bins}")
     if weights is not None and len(weights) != len(values):
         raise UsageError("values and weights must have equal length")
-    out = np.zeros(bins, dtype=float)
-    for i, v in enumerate(values):
-        if not 0.0 <= v <= 1.0:
-            raise DataError(f"histogram value outside [0,1]: {v!r}")
-        out[_bin_index(v, bins)] += 1.0 if weights is None else weights[i]
-    return out
+    return np.bincount(_bins(values, bins), weights, minlength=bins).astype(float)
 
 
 def heatmap_grid(
-    metrics: Sequence[TrafficMetrics],
+    resistance: np.ndarray,
+    searchshare: np.ndarray,
+    weights: np.ndarray | None = None,
     grid_size: int = 50,
-    weighted: bool = False,
 ) -> np.ndarray:
     """Bin articles by (resistance, searchshare) into a grid_size x
     grid_size grid; rows index resistance bins, columns searchshare bins,
-    both ascending. Cells hold article counts, or view sums when
-    weighted. Raw values: any log scaling for display happens elsewhere.
+    both ascending. Cells hold article counts, or the sums of `weights`
+    (views) added in input order. Raw values: any log scaling for display
+    happens elsewhere.
     """
     if grid_size < 1:
         raise UsageError(f"grid size must be >= 1, got {grid_size}")
-    grid = np.zeros((grid_size, grid_size), dtype=float)
-    for m in metrics:
-        r = _bin_index(m.resistance, grid_size)
-        s = _bin_index(m.searchshare, grid_size)
-        grid[r, s] += m.total_views if weighted else 1.0
-    return grid
+    cells = _bins(resistance, grid_size) * grid_size + _bins(searchshare, grid_size)
+    grid = np.bincount(cells, weights, minlength=grid_size * grid_size)
+    return grid.astype(float).reshape(grid_size, grid_size)
 
 
-def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks with ties sharing their average rank; each NaN is a
+    group of its own."""
     arr = np.asarray(values, dtype=float)
     order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr), dtype=float)
     sorted_vals = arr[order]
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [len(arr)])) - 1
+    ranks = np.empty(len(arr), dtype=float)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
-def correlations(metrics: Sequence[TrafficMetrics]) -> dict[str, float]:
+def correlations(metrics: MetricsTable) -> dict[str, float]:
     """Unweighted pearson and spearman correlations between searchshare
     and resistance over the article population."""
     if len(metrics) < 2:
         raise DataError("need at least two articles for correlations")
-    ss = np.array([m.searchshare for m in metrics])
-    res = np.array([m.resistance for m in metrics])
+    ss, res = metrics.searchshare, metrics.resistance
     pearson = float(np.corrcoef(ss, res)[0, 1])
     spearman = float(np.corrcoef(average_ranks(ss), average_ranks(res))[0, 1])
     return {"pearson": pearson, "spearman": spearman}
 
 
-def write_metrics_table(
-    path: str | Path,
-    metrics: Sequence[TrafficMetrics],
-    thresholds: CorpusThresholds,
-) -> None:
-    rows = (
-        (m.article, m.searchshare, m.resistance, m.total_views, assign_quadrant(m, thresholds).value)
-        for m in metrics
-    )
-    write_tsv(path, METRICS_COLUMNS, rows)
+def write_metrics_table(path: str | Path, metrics: MetricsTable) -> None:
+    labels = [QUADRANT_ORDER[code].value for code in metrics.quadrant.tolist()]
+    columns = (metrics.searchshare, metrics.resistance, metrics.total_views)
+    write_tsv(path, METRICS_COLUMNS, zip(metrics.articles, *(c.tolist() for c in columns), labels))
 
 
-def read_metrics_table(path: str | Path) -> tuple[list[TrafficMetrics], dict[str, QuadrantLabel]]:
-    """Read a metrics table; returns the rows plus article -> quadrant."""
-    rows = read_table(
-        path,
-        METRICS_COLUMNS,
-        lambda r: (TrafficMetrics(r[0], float(r[1]), float(r[2]), int(r[3])), QuadrantLabel(r[4])),
+def read_metrics_table(path: str | Path) -> MetricsTable:
+    """Read a metrics table written by :func:`write_metrics_table`."""
+
+    def parse(r: list[str]) -> tuple[str, float, float, int, int]:
+        quadrant = QUADRANT_ORDER.index(QuadrantLabel(r[4]))
+        return r[0], parse_real(r[1]), parse_real(r[2]), parse_count(r[3]), quadrant
+
+    rows = sorted(read_table(path, METRICS_COLUMNS, parse))
+    articles, ss, res, views, quadrant = list(zip(*rows)) or [()] * 5
+    return MetricsTable(
+        tuple(articles),
+        np.array(ss, dtype=float),
+        np.array(res, dtype=float),
+        np.array(views, dtype=np.int64),
+        np.array(quadrant, dtype=np.int8),
     )
-    return [m for m, _ in rows], {m.article: q for m, q in rows}
 
 
 def write_thresholds(path: str | Path, thresholds: CorpusThresholds) -> None:

@@ -5,6 +5,9 @@ an unweighted cumulative set overlap; top-weighting is deliberately not
 applied, since the curve is read at explicit depths rather than
 summarized into one score. Rankings are total orders: ties on the key
 value break by ascending article title so every curve is reproducible.
+A ranking is one stable argsort of a negated int64 column of the
+TrafficTable (counts at most 2**53, so negation cannot overflow); the
+table is in title order, so ties keep title order.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError, UsageError
-from .ingest import ArticleTraffic
+from .ingest import TrafficTable
 from .tableio import open_text
 
 RANKING_KEYS = ("total", "in_se", "in_nav", "out_nav")
@@ -35,25 +40,14 @@ class OverlapCurve:
     points: tuple[tuple[int, float], ...]
 
 
-def _key_value(traffic: ArticleTraffic, key: str) -> int:
-    if key == "total":
-        return traffic.total_views
-    if key == "in_se":
-        return traffic.in_se
-    if key == "in_nav":
-        return traffic.in_nav
-    if key == "out_nav":
-        return traffic.out_nav
-    raise UsageError(f"unknown ranking key {key!r}; expected one of {RANKING_KEYS}")
-
-
-def rank_articles(traffic: dict[str, ArticleTraffic], key: str) -> Ranking:
+def rank_articles(traffic: TrafficTable, key: str) -> Ranking:
     """Rank all articles descending by the traffic key, ties broken by
     ascending title. Zero-valued articles stay in, at the tail."""
     if key not in RANKING_KEYS:
         raise UsageError(f"unknown ranking key {key!r}; expected one of {RANKING_KEYS}")
-    ordered = sorted(traffic.values(), key=lambda t: (-_key_value(t, key), t.article))
-    return Ranking(key, tuple(t.article for t in ordered))
+    column = traffic.total_views if key == "total" else getattr(traffic, key)
+    order = np.argsort(-column, kind="stable")
+    return Ranking(key, tuple(traffic.articles[i] for i in order.tolist()))
 
 
 def cumulative_overlap(a: Ranking, b: Ranking, ks: list[int]) -> OverlapCurve:

@@ -21,6 +21,29 @@ from .errors import DataError, UsageError
 
 T = TypeVar("T")
 
+# Largest count or per-article sum: up to 2**53 every int64 converts to
+# float64 exactly, so column-wise quotients equal the integer ones.
+MAX_COUNT = 2**53
+
+
+def parse_count(text: str) -> int:
+    """A count cell: ASCII digits only (int() alone would also take "+12",
+    "1_000", " 12 " and non-ASCII digits), at most MAX_COUNT; else ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"count {text!r} is not ASCII digits")
+    value = int(text)  # ValueError past sys.get_int_max_str_digits() digits
+    if value > MAX_COUNT:
+        raise ValueError(f"count {value} exceeds 2**53")
+    return value
+
+
+def parse_real(text: str) -> float:
+    """A finite float cell; ValueError on NaN, infinities and non-numbers."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"value {text!r} is not finite")
+    return value
+
 
 def open_text(path: str | Path, mode: str = "rt") -> IO[str]:
     """Open a text file, transparently decompressing ``.gz`` paths.

@@ -26,15 +26,9 @@ import numpy as np
 import pytest
 
 from clickroles.features import ArticleFeatures, binned_quartiles
-from clickroles.ingest import ArticleTraffic, read_traffic_file
+from clickroles.ingest import TrafficTable, read_traffic_file, traffic_table
 from clickroles.linkgraph import build_graph, kcore_decomposition
-from clickroles.metrics import (
-    compute_resistance,
-    compute_searchshare,
-    corpus_thresholds,
-    group_shares,
-    metrics_table,
-)
+from clickroles.metrics import group_shares, metrics_table
 from clickroles.model import (
     GBDTConfig,
     InstanceSet,
@@ -60,37 +54,38 @@ def verdict(number: int, ok: bool, detail: str) -> None:
 
 def test_metric_properties_at_scale():
     rng = random.Random(2024)
-    records = []
-    for _ in range(100_000):
+    rows = []
+    scales = []
+    for i in range(100_000):
         in_se = rng.randrange(0, 1_000_000)
         in_nav = rng.randrange(0, 1_000_000)
         if in_se + in_nav == 0:
             in_nav = 1
         out_nav = rng.randrange(0, 2 * (in_se + in_nav))
-        records.append((ArticleTraffic("a", in_se, in_nav, out_nav), rng.randrange(2, 1000)))
+        rows.append((f"a{i:06d}", in_se, in_nav, out_nav))
+        scales.append(rng.randrange(2, 1000))
 
     started = time.perf_counter()
-    violations = 0
-    for traffic, scale in records:
-        ss = compute_searchshare(traffic)
-        rs = compute_resistance(traffic)
-        scaled = ArticleTraffic(
-            "a", traffic.in_se * scale, traffic.in_nav * scale, traffic.out_nav * scale
-        )
-        if not (
-            0.0 <= ss <= 1.0
-            and 0.0 <= rs <= 1.0
-            and traffic.total_views == traffic.in_se + traffic.in_nav
-            and compute_searchshare(scaled) == ss
-            and compute_resistance(scaled) == rs
-        ):
-            violations += 1
+    table = traffic_table(rows)
+    scale = np.array(scales, dtype=np.int64)
+    scaled = TrafficTable(table.articles, table.in_se * scale, table.in_nav * scale, table.out_nav * scale)
+    metrics, _ = metrics_table(table)
+    scaled_metrics, _ = metrics_table(scaled)
+    ss, rs = metrics.searchshare, metrics.resistance
+    holds = (
+        (0.0 <= ss) & (ss <= 1.0)
+        & (0.0 <= rs) & (rs <= 1.0)
+        & (metrics.total_views == table.in_se + table.in_nav)
+        & (scaled_metrics.searchshare == ss)
+        & (scaled_metrics.resistance == rs)
+    )
+    violations = len(rows) - int(np.count_nonzero(holds))
     elapsed = time.perf_counter() - started
 
     verdict(
         1,
         violations == 0 and elapsed < 1.0,
-        f"metric bounds/scale-invariance: {len(records)} records, "
+        f"metric bounds/scale-invariance: {len(rows)} records, "
         f"{violations} violations, {elapsed:.2f}s (limit 1s)",
     )
 
@@ -101,19 +96,19 @@ def test_metric_properties_at_scale():
 
 def test_resistance_clamping_is_exact():
     rng = random.Random(7)
-    checked = 0
-    bad = 0
-    for _ in range(100_000):
+    rows = []
+    expected = []
+    for i in range(100_000):
         inflow = rng.randrange(1, 10_000)
         in_se = rng.randrange(0, inflow + 1)
         out_nav = rng.randrange(0, 10 * inflow + 1)
-        traffic = ArticleTraffic("a", in_se, inflow - in_se, out_nav)
+        rows.append((f"a{i:06d}", in_se, inflow - in_se, out_nav))
         raw = 1.0 - out_nav / inflow
-        value = compute_resistance(traffic)
-        expected = 0.0 if raw < 0.0 else raw
-        checked += 1
-        if value != expected:
-            bad += 1
+        expected.append(0.0 if raw < 0.0 else raw)
+    metrics, _ = metrics_table(traffic_table(rows))
+    values = metrics.resistance.tolist()
+    checked = len(values)
+    bad = sum(value != want for value, want in zip(values, expected)) + abs(len(expected) - checked)
     negatives = "outflow up to 10x inflow"
     verdict(2, bad == 0, f"clamping: {checked} records ({negatives}), {bad} mismatches")
 
@@ -127,18 +122,15 @@ def test_quadrant_shares_partition_and_sum():
     corpora = 0
     for seed, size in ((1, 100), (2, 997), (3, 5000), (4, 64), (5, 2500)):
         rng = random.Random(seed)
-        traffic = {}
+        rows = []
         for i in range(size):
             in_se = rng.randrange(0, 10_000)
             in_nav = rng.randrange(0, 10_000)
             if in_se + in_nav == 0:
                 in_se = 1
-            traffic[f"a{i}"] = ArticleTraffic(
-                f"a{i}", in_se, in_nav, rng.randrange(0, 15_000)
-            )
-        metrics = metrics_table(traffic)
-        thresholds = corpus_thresholds(metrics)
-        shares = group_shares(metrics, thresholds)
+            rows.append((f"a{i}", in_se, in_nav, rng.randrange(0, 15_000)))
+        metrics, _ = metrics_table(traffic_table(rows))
+        shares = group_shares(metrics)
         assert len(shares) == 4
         article_total = sum(a for a, _ in shares.values())
         view_total = sum(v for _, v in shares.values())
@@ -164,9 +156,8 @@ def test_full_dump_population_and_shares():
     started = time.perf_counter()
     table = read_traffic_file(os.environ["CLICKROLES_DUMP"])
     elapsed = time.perf_counter() - started
-    metrics = metrics_table(table)
-    thresholds = corpus_thresholds(metrics)
-    shares = group_shares(metrics, thresholds)
+    metrics, thresholds = metrics_table(table)
+    shares = group_shares(metrics)
 
     by_label = {label.value: pair for label, pair in shares.items()}
     expected = {
@@ -180,8 +171,8 @@ def test_full_dump_population_and_shares():
         for name in expected
         for i in (0, 1)
     )
-    total_views = sum(m.total_views for m in metrics)
-    search_views = sum(t.in_se for t in table.values())
+    total_views = sum(metrics.total_views.tolist())
+    search_views = sum(table.in_se.tolist())
     split = 100.0 * search_views / total_views
 
     ok = (

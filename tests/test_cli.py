@@ -196,17 +196,37 @@ class TestExitCodes:
     # table -> (subcommand reading it, its flag, a numeric column)
     TABLE_READERS = {
         "joined": ("model", "--joined", "in_degree"),
-        "traffic": ("metrics", "--traffic", "in_se"),
+        "traffic": ("metrics", "--traffic", "out_nav"),
         "metrics": ("features", "--metrics", "total_views"),
         "network": ("features", "--network", "kcore"),
         "content": ("features", "--content", "revisions"),
         "topics": ("features", "--topics", "topic_id"),
     }
 
+    # a fault's replacement for the numeric cell; "short row" cuts the row
+    CELL_FAULTS = {"bad cell": "x", "underscore count": "1_000", "spaced count": " 5 ",
+                   "count above 2**53": str(2**53 + 1)}
+
     @pytest.mark.parametrize("table", sorted(TABLE_READERS))
-    @pytest.mark.parametrize("fault", ["bad cell", "short row"])
+    @pytest.mark.parametrize("fault", ["bad cell", "short row", "underscore count", "spaced count",
+                                       "count above 2**53"])
     def test_bad_table_row_is_data_error(self, tmp_path, pipeline, capsys, table, fault):
         sub, flag, column = self.TABLE_READERS[table]
+        self.assert_bad_row(tmp_path, pipeline, capsys, sub, flag, column, self.CELL_FAULTS.get(fault))
+
+    # (subcommand, flag, float column, value)
+    @pytest.mark.parametrize("sub, flag, column, value", [
+        ("features", "--content", "age", "nan"),
+        ("features", "--content", "size", "inf"),
+        ("features", "--metrics", "searchshare", "nan"),
+        ("model", "--joined", "resistance", "-inf"),
+    ], ids=["content-age-nan", "content-size-inf", "metrics-nan", "joined-inf"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, pipeline, capsys, sub, flag, column, value):
+        self.assert_bad_row(tmp_path, pipeline, capsys, sub, flag, column, value)
+
+    def assert_bad_row(self, tmp_path, pipeline, capsys, sub, flag, column, value):
+        """Run `sub` with the table of `flag` broken on line 3: its `column`
+        cell set to `value`, or the row cut short if value is None."""
         inputs = {
             "--joined": pipeline["features"] / "joined.tsv",
             "--traffic": pipeline["ingest"] / "traffic.tsv",
@@ -217,17 +237,31 @@ class TestExitCodes:
         }
         lines = inputs[flag].read_text().splitlines()
         cells = lines[2].split("\t")
-        if fault == "bad cell":
-            cells[lines[0].split("\t").index(column)] = "x"
+        if value is not None:
+            cells[lines[0].split("\t").index(column)] = value
         else:
             cells = cells[: min(5, len(cells) - 1)]
         lines[2] = "\t".join(cells)
-        inputs[flag] = tmp_path / f"bad_{table}.tsv"
+        inputs[flag] = tmp_path / f"bad_{flag[2:]}.tsv"
         inputs[flag].write_text("\n".join(lines) + "\n")
         reads = [f for s, f, _ in self.TABLE_READERS.values() if s == sub]
         argv = [sub, *(a for f in reads for a in (f, str(inputs[f]))), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert f"{inputs[flag]}:3: " in capsys.readouterr().err
+
+    def test_count_above_bound_in_dump(self, tmp_path, capsys):
+        dump = tmp_path / "clicks.tsv"
+        dump.write_text(f"other-search\tA\texternal\t30\nother-search\tB\texternal\t{2**53 + 1}\n")
+        assert f"{dump}:2: " in self.ingest_error(tmp_path, capsys, dump, "--strict")
+        # lenient: the line is malformed, skipped and counted
+        assert main(["ingest", "--clickstream", str(dump), "--out", str(tmp_path / "ok")]) == 0
+        assert read_keyvalues(tmp_path / "ok" / "ingest_stats.txt")["malformed"] == "1"
+
+    def test_sum_above_bound_in_dump(self, tmp_path, capsys):
+        dump = tmp_path / "clicks.tsv"
+        dump.write_text(f"other-search\tA\texternal\t{2**53}\nB\tA\tlink\t1\n")
+        err = self.ingest_error(tmp_path, capsys, dump)
+        assert f"{dump}: " in err and "'A'" in err
 
     def test_bad_overlap_pair_is_usage_error(self, tmp_path, pipeline):
         code = main(["overlap", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),

@@ -26,7 +26,7 @@ from clickroles.features import (
     write_joined_table,
 )
 from clickroles.linkgraph import NetworkFeatures
-from clickroles.metrics import QuadrantLabel, TrafficMetrics
+from clickroles.metrics import QUADRANT_ORDER, MetricsTable, QuadrantLabel, read_metrics_table
 
 
 def make_row(article="A", **overrides) -> ArticleFeatures:
@@ -55,41 +55,53 @@ def make_row(article="A", **overrides) -> ArticleFeatures:
 
 
 def make_inputs(titles_m, titles_n, titles_c):
-    metrics = [TrafficMetrics(t, 0.5, 0.5, 10) for t in titles_m]
-    quadrants = {t: QuadrantLabel.NAV_RELAY for t in titles_m}
+    titles = tuple(sorted(titles_m))
+    n = len(titles)
+    nav_relay = QUADRANT_ORDER.index(QuadrantLabel.NAV_RELAY)
+    metrics = MetricsTable(
+        titles, np.full(n, 0.5), np.full(n, 0.5), np.full(n, 10, dtype=np.int64), np.full(n, nav_relay, dtype=np.int8)
+    )
     network = {t: NetworkFeatures(t, 1, 2, 3, 1) for t in titles_n}
     content = {t: ContentFeatures(t, 1, 0, 0, 0, 5, 2, 1.0, 10.0) for t in titles_c}
-    return metrics, quadrants, network, content
+    return metrics, network, content
 
 
 class TestJoin:
     def test_disjoint_keys_empty(self):
-        metrics, quadrants, network, content = make_inputs(["A"], ["B"], ["C"])
-        joined, stats = join_features(metrics, quadrants, network, content)
+        metrics, network, content = make_inputs(["A"], ["B"], ["C"])
+        joined, stats = join_features(metrics, network, content)
         assert joined == []
         assert stats.kept == 0
         assert stats.dropped == {"metrics": 1, "network": 1, "content": 1}
 
     def test_single_row(self):
-        metrics, quadrants, network, content = make_inputs(["A"], ["A"], ["A"])
-        joined, stats = join_features(metrics, quadrants, network, content)
+        metrics, network, content = make_inputs(["A"], ["A"], ["A"])
+        joined, stats = join_features(metrics, network, content)
         assert len(joined) == 1
         assert stats.kept == 1
         row = joined[0]
         assert (row.article, row.in_degree, row.revisions) == ("A", 1, 5)
         assert row.topic_id is None
+        # plain Python numbers, so the joined table writes them as such
+        assert (type(row.searchshare), type(row.total_views)) == (float, int)
+        assert row.quadrant is QuadrantLabel.NAV_RELAY
 
     def test_topic_carried_but_optional(self):
-        metrics, quadrants, network, content = make_inputs(["A", "B"], ["A", "B"], ["A", "B"])
-        joined, _ = join_features(metrics, quadrants, network, content, topics={"A": 3})
+        metrics, network, content = make_inputs(["A", "B"], ["A", "B"], ["A", "B"])
+        joined, _ = join_features(metrics, network, content, topics={"A": 3})
         by_title = {r.article: r for r in joined}
         assert by_title["A"].topic_id == 3
         assert by_title["B"].topic_id is None
 
-    def test_duplicate_metric_key(self):
-        metrics, quadrants, network, content = make_inputs(["A", "A"], ["A"], ["A"])
+    def test_duplicate_metric_key(self, tmp_path):
+        # titles are unique by construction of the table, checked on read
+        path = tmp_path / "metrics.tsv"
+        path.write_text(
+            "article\tsearchshare\tresistance\ttotal_views\tquadrant\n"
+            "A\t0.5\t0.5\t10\tnav-relay\nA\t0.5\t0.5\t10\tnav-relay\n"
+        )
         with pytest.raises(DataError, match="'A'"):
-            join_features(metrics, quadrants, network, content)
+            read_metrics_table(path)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_against_nested_loop_join(self, seed):
@@ -97,28 +109,31 @@ class TestJoin:
         pool = [f"T{i:02d}" for i in range(30)]
         pick = lambda: [t for t in pool if rng.random() < 0.6]
         titles_m, titles_n, titles_c = pick(), pick(), pick()
-        metrics, quadrants, network, content = make_inputs(titles_m, titles_n, titles_c)
+        metrics, network, content = make_inputs(titles_m, titles_n, titles_c)
 
         expected = []
-        for m in metrics:
-            net_hits = [n for k, n in network.items() if k == m.article]
-            con_hits = [c for k, c in content.items() if k == m.article]
+        for article in metrics.articles:
+            net_hits = [n for k, n in network.items() if k == article]
+            con_hits = [c for k, c in content.items() if k == article]
             for net in net_hits:
                 for con in con_hits:
-                    expected.append((m.article, net.in_degree, con.revisions))
+                    expected.append((article, net.in_degree, con.revisions))
         expected.sort()
 
-        joined, stats = join_features(metrics, quadrants, network, content)
+        joined, stats = join_features(metrics, network, content)
         got = sorted((r.article, r.in_degree, r.revisions) for r in joined)
         assert got == expected
         assert stats.kept == len(expected)
         assert stats.dropped["metrics"] == len(titles_m) - len(expected)
 
-    def test_output_sorted_by_title(self):
-        metrics, quadrants, network, content = make_inputs(
-            ["C", "A", "B"], ["A", "B", "C"], ["B", "C", "A"]
+    def test_output_sorted_by_title(self, tmp_path):
+        path = tmp_path / "metrics.tsv"
+        path.write_text(
+            "article\tsearchshare\tresistance\ttotal_views\tquadrant\n"
+            + "".join(f"{t}\t0.5\t0.5\t10\tnav-relay\n" for t in "CAB")
         )
-        joined, _ = join_features(metrics, quadrants, network, content)
+        _, network, content = make_inputs([], ["A", "B", "C"], ["B", "C", "A"])
+        joined, _ = join_features(read_metrics_table(path), network, content)
         assert [r.article for r in joined] == ["A", "B", "C"]
 
 

@@ -1,5 +1,6 @@
 import gzip
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from clickroles.errors import DataError
 from clickroles.ingest import (
     AggregateConfig,
-    ArticleTraffic,
     ParseStats,
     ParserConfig,
     ReferrerClass,
@@ -20,10 +20,24 @@ from clickroles.ingest import (
     read_traffic_table,
     write_traffic_table,
 )
+from clickroles.tableio import MAX_COUNT
 
 
 def parse_all(lines, config=None, stats=None):
     return list(parse_clickstream(lines, config, stats))
+
+
+def rows(table):
+    """article -> (in_se, in_nav, out_nav, total_views) of a TrafficTable."""
+    columns = (table.in_se, table.in_nav, table.out_nav, table.total_views)
+    return dict(zip(table.articles, zip(*(c.tolist() for c in columns))))
+
+
+def assert_well_formed(table):
+    """Titles ascending and unique, every column int64 and row-aligned."""
+    assert list(table.articles) == sorted(set(table.articles))
+    for column in (table.in_se, table.in_nav, table.out_nav):
+        assert column.dtype == np.int64 and column.shape == (len(table),)
 
 
 class TestParse:
@@ -49,7 +63,8 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "count",
-        ["-5", "3.5", "ten", "", "1_000", "+12", " 12 ", "12\r", "\u0663\u0663", "\uff11\uff12", "1" * 5000],
+        ["-5", "3.5", "ten", "", "1_000", "+12", " 12 ", "12\r", "\u0663\u0663", "\uff11\uff12", "1" * 5000,
+         str(2**53 + 1)],
     )
     def test_bad_count_always_malformed(self, count):
         stats = ParseStats()
@@ -57,6 +72,10 @@ class TestParse:
         assert stats.malformed == 1
         with pytest.raises(DataError):
             parse_all([f"a\tb\tlink\t{count}"], ParserConfig(strict=True))
+
+    def test_count_bound_is_inclusive(self):
+        recs = parse_all([f"a\tb\tlink\t{MAX_COUNT}", f"a\tb\tlink\t{'0' * 20}{MAX_COUNT}"])
+        assert [r.count for r in recs] == [2**53, 2**53]
 
     def test_empty_resource_malformed(self):
         stats = ParseStats()
@@ -122,27 +141,42 @@ class TestAggregate:
             TransitionRecord("A", "B", "link", 10),
         ]
         table = aggregate_traffic(records)
-        assert table["A"].in_se == 30 and table["A"].in_nav == 0 and table["A"].out_nav == 10
-        assert table["A"].total_views == 30
-        assert table["B"].in_nav == 10 and table["B"].total_views == 10
+        assert rows(table) == {"A": (30, 0, 10, 30), "B": (0, 10, 0, 10)}
+        assert_well_formed(table)
 
     def test_all_missing_gives_empty_map(self):
         records = [TransitionRecord("other-empty", "A", "other", 50)]
-        assert aggregate_traffic(records) == {}
+        table = aggregate_traffic(records)
+        assert len(table) == 0
+        assert_well_formed(table)
 
     def test_referrer_only_article_dropped_by_default(self):
         records = [TransitionRecord("R", "B", "link", 5)]
         table = aggregate_traffic(records)
-        assert "R" not in table and table["B"].in_nav == 5
+        assert rows(table) == {"B": (0, 5, 0, 5)}
 
     def test_referrer_only_article_kept_with_flag(self):
         records = [TransitionRecord("R", "B", "link", 5)]
         table = aggregate_traffic(records, AggregateConfig(keep_referrer_only=True))
-        assert table["R"].out_nav == 5 and table["R"].total_views == 0
+        assert rows(table)["R"] == (0, 0, 5, 0)
 
     def test_other_external_contributes_nothing(self):
         records = [TransitionRecord("other-external", "A", "external", 40)]
-        assert aggregate_traffic(records) == {}
+        assert len(aggregate_traffic(records)) == 0
+
+    def test_sum_above_bound_names_source(self):
+        records = [
+            TransitionRecord("other-search", "A", "external", MAX_COUNT),
+            TransitionRecord("B", "A", "link", 1),
+        ]
+        with pytest.raises(DataError, match="^dump.tsv: .*'A'"):
+            aggregate_traffic(records, source="dump.tsv")
+        # outflow alone, on an article with no inflow, is bounded too
+        records = [TransitionRecord("R", "B", "link", MAX_COUNT), TransitionRecord("R", "C", "link", 1)]
+        with pytest.raises(DataError, match="'R'"):
+            aggregate_traffic(records, AggregateConfig(keep_referrer_only=True))
+        records = [TransitionRecord("other-search", "A", "external", MAX_COUNT)]
+        assert rows(aggregate_traffic(records))["A"] == (MAX_COUNT, 0, 0, MAX_COUNT)
 
 
 records_strategy = st.lists(
@@ -163,25 +197,22 @@ class TestAggregateProperties:
     def test_order_independence(self, records, seed):
         shuffled = list(records)
         seed.shuffle(shuffled)
-        assert aggregate_traffic(records) == aggregate_traffic(shuffled)
+        assert rows(aggregate_traffic(records)) == rows(aggregate_traffic(shuffled))
 
     @given(records=records_strategy)
     @settings(max_examples=60)
     def test_conservation_with_referrers_kept(self, records):
         table = aggregate_traffic(records, AggregateConfig(keep_referrer_only=True))
-        assert sum(t.in_nav for t in table.values()) == sum(t.out_nav for t in table.values())
+        assert table.in_nav.sum() == table.out_nav.sum()
 
     @given(records=records_strategy, extra=records_strategy)
     @settings(max_examples=40)
     def test_monotonicity(self, records, extra):
         config = AggregateConfig(keep_referrer_only=True)
-        before = aggregate_traffic(records, config)
-        after = aggregate_traffic(records + extra, config)
-        for article, t in before.items():
-            grown = after[article]
-            assert grown.in_se >= t.in_se
-            assert grown.in_nav >= t.in_nav
-            assert grown.out_nav >= t.out_nav
+        before = rows(aggregate_traffic(records, config))
+        after = rows(aggregate_traffic(records + extra, config))
+        for article, counts in before.items():
+            assert all(grown >= was for grown, was in zip(after[article], counts))
 
 
 class TestStreaming:
@@ -196,20 +227,21 @@ class TestStreaming:
     def test_fusion_equals_two_phase(self):
         streamed = aggregate_traffic(parse_clickstream(iter(self.lines())))
         materialized = aggregate_traffic(parse_all(self.lines()))
-        assert streamed == materialized
+        assert rows(streamed) == rows(materialized)
 
     def test_gzip_roundtrip(self, tmp_path):
         path = tmp_path / "clicks.tsv.gz"
         with gzip.open(path, "wt") as fh:
             fh.write("\n".join(self.lines()) + "\n")
         table = read_traffic_file(path)
-        assert table["A"].in_se == 30
+        assert rows(table)["A"] == (30, 0, 10, 30)
 
     def test_traffic_table_roundtrip(self, tmp_path):
         table = aggregate_traffic(parse_all(self.lines()), AggregateConfig(keep_referrer_only=True))
         path = tmp_path / "traffic.tsv"
         write_traffic_table(path, table)
-        assert read_traffic_table(path) == table
+        back = read_traffic_table(path)
+        assert back.articles == table.articles and rows(back) == rows(table)
 
     def test_duplicate_article_rejected_on_read(self, tmp_path):
         path = tmp_path / "traffic.tsv"
@@ -218,3 +250,58 @@ class TestStreaming:
         )
         with pytest.raises(DataError, match="duplicate"):
             read_traffic_table(path)
+
+    def test_read_sorts_by_title(self, tmp_path):
+        path = tmp_path / "traffic.tsv"
+        path.write_text("article\tin_se\tin_nav\tout_nav\ttotal_views\nB\t1\t0\t0\t1\nA\t2\t3\t4\t5\n")
+        table = read_traffic_table(path)
+        assert rows(table) == {"A": (2, 3, 4, 5), "B": (1, 0, 0, 1)}
+        assert_well_formed(table)
+
+    @pytest.mark.parametrize("cells", ["1_000\t0\t0\t1000", " 5 \t0\t0\t5", f"{2**53 + 1}\t0\t0\t{2**53 + 1}",
+                                       "3\t2\t0\t6"], ids=["underscore", "spaced", "above 2**53", "inconsistent total"])
+    def test_bad_counts_rejected_on_read(self, tmp_path, cells):
+        path = tmp_path / "traffic.tsv"
+        path.write_text(f"article\tin_se\tin_nav\tout_nav\ttotal_views\nA\t1\t0\t0\t1\nB\t{cells}\n")
+        with pytest.raises(DataError, match=f"^{path}:3: "):
+            read_traffic_table(path)
+
+
+titles = st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                 min_size=1, max_size=6)
+dump_lines = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(["other-search", "other-empty", "other-external"]), titles),
+        titles,
+        st.sampled_from(["link", "external", "other"]),
+        st.integers(min_value=0, max_value=2**40),
+    ),
+    max_size=40,
+)
+
+
+class TestRoundTrip:
+    @given(lines=dump_lines, keep=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_aggregate_write_read(self, tmp_path_factory, lines, keep):
+        # a real header first, so no later line is taken for one
+        text = ["prev\tcurr\ttype\tn"] + [f"{r}\t{a}\t{t}\t{c}" for r, a, t, c in lines]
+        table = aggregate_traffic(parse_clickstream(text), AggregateConfig(keep_referrer_only=keep))
+        assert_well_formed(table)
+        path = tmp_path_factory.mktemp("roundtrip") / "traffic.tsv"
+        write_traffic_table(path, table)
+        back = read_traffic_table(path)
+        assert_well_formed(back)
+        assert back.articles == table.articles
+        for name in ("in_se", "in_nav", "out_nav"):
+            assert getattr(back, name).tolist() == getattr(table, name).tolist()
+        # and against a per-record Python sum
+        expected = {}
+        for referrer, article, rawtype, count in lines:
+            if referrer == "other-search":
+                expected.setdefault(article, [0, 0, 0])[0] += count
+            elif referrer not in ("other-empty", "other-external") and rawtype == "link":
+                expected.setdefault(article, [0, 0, 0])[1] += count
+                expected.setdefault(referrer, [0, 0, 0])[2] += count
+        expected = {a: (*c, c[0] + c[1]) for a, c in expected.items() if keep or c[0] + c[1] > 0}
+        assert rows(back) == expected

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
-from clickroles.ingest import ArticleTraffic
+from clickroles.ingest import traffic_table
 from clickroles.overlap import (
     OverlapCurve,
     Ranking,
@@ -15,38 +15,57 @@ from clickroles.overlap import (
 )
 
 
-def traffic(article, total=0, in_se=0, in_nav=0, out_nav=0):
-    # total_views is derived, so encode the desired total in in_se
-    return ArticleTraffic(article, in_se=in_se or total, in_nav=in_nav, out_nav=out_nav)
+def traffic(*rows):
+    """TrafficTable of (article, in_se, in_nav, out_nav) rows."""
+    return traffic_table(rows)
+
+
+def reference_ranking(rows, key):
+    """Sort by (-value, title): the per-row ranking the argsort replaces."""
+    index = {"in_se": 1, "in_nav": 2, "out_nav": 3}
+
+    def value(row):
+        return row[1] + row[2] if key == "total" else row[index[key]]
+
+    return tuple(r[0] for r in sorted(rows, key=lambda r: (-value(r), r[0])))
 
 
 class TestRanking:
     def test_descending_by_key(self):
-        table = {"A": traffic("A", total=5), "B": traffic("B", total=9)}
-        assert rank_articles(table, "total").articles == ("B", "A")
+        assert rank_articles(traffic(("A", 5, 0, 0), ("B", 9, 0, 0)), "total").articles == ("B", "A")
 
     def test_tie_broken_by_title(self):
-        table = {"B": traffic("B", total=5), "A": traffic("A", total=5)}
-        assert rank_articles(table, "total").articles == ("A", "B")
+        assert rank_articles(traffic(("B", 5, 0, 0), ("A", 0, 5, 0)), "total").articles == ("A", "B")
 
     def test_input_order_irrelevant(self):
-        items = [traffic(f"A{i}", total=i % 3) for i in range(10)]
-        forward = rank_articles({t.article: t for t in items}, "total")
-        backward = rank_articles({t.article: t for t in reversed(items)}, "total")
+        items = [(f"A{i}", i % 3, 0, 0) for i in range(10)]
+        forward = rank_articles(traffic(*items), "total")
+        backward = rank_articles(traffic(*reversed(items)), "total")
         assert forward == backward
 
     def test_zero_valued_articles_at_tail(self):
-        table = {"A": traffic("A", total=0), "B": traffic("B", total=3)}
-        assert rank_articles(table, "total").articles == ("B", "A")
+        assert rank_articles(traffic(("A", 0, 0, 0), ("B", 3, 0, 0)), "total").articles == ("B", "A")
 
     def test_all_four_keys(self):
-        table = {"A": ArticleTraffic("A", in_se=1, in_nav=4, out_nav=9)}
+        table = traffic(("A", 1, 4, 9))
         for key in ("total", "in_se", "in_nav", "out_nav"):
             assert rank_articles(table, key).articles == ("A",)
 
     def test_unknown_key(self):
         with pytest.raises(UsageError):
-            rank_articles({}, "pagerank")
+            rank_articles(traffic(), "pagerank")
+
+    @given(
+        counts=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), st.one_of(st.integers(0, 5), st.just(2**53))),
+            max_size=40,
+        ),
+        key=st.sampled_from(["total", "in_se", "in_nav", "out_nav"]),
+    )
+    @settings(max_examples=100)
+    def test_matches_sorted_reference(self, counts, key):
+        rows = [(f"T{i:02d}", *c) for i, c in enumerate(counts)]
+        assert rank_articles(traffic(*reversed(rows)), key).articles == reference_ranking(rows, key)
 
 
 def brute_force_overlap(a, b, k):
