@@ -329,8 +329,8 @@ def cmd_metrics(args) -> None:
 
     for name in ("searchshare", "resistance"):
         values = getattr(metrics, name)
-        by_articles = histogram(values, None, args.bins)
-        by_views = histogram(values, metrics.total_views, args.bins)
+        by_articles = histogram(values, None, args.bins).tolist()
+        by_views = histogram(values, metrics.total_views, args.bins).tolist()
         rows = (
             (
                 i,
@@ -407,6 +407,7 @@ def cmd_graph(args) -> None:
             iter_lines(args.clickstream), ParserConfig(strict=args.strict), parse_stats, args.clickstream
         )
         graph = build_graph(edges_from_clickstream(records), stats)
+        stats.malformed = parse_stats.malformed + parse_stats.unknown_rawtype
         source, source_path = "clickstream-approximation", args.clickstream
     write_network_table(out.file("network.tsv"), network_features(graph))
     write_keyvalues(

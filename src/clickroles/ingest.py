@@ -7,13 +7,19 @@ another article title or a reserved token (``other-search``,
 titles, ascending and unique, and the search inflow, navigation inflow
 and navigation outflow of each as int64 columns aligned with them.
 
+A dump is read in one streaming pass, shared by ``ingest`` and
+``graph --clickstream``: parse_clickstream yields plain ``(referrer,
+resource, rawtype, count)`` tuples, and each referrer is classified by
+one dict lookup in ReferrerConfig.token_classes, so no Python function
+is called per record and memory grows with the number of articles, not
+with the number of lines.
+
 Counts are summed as plain Python ints, a commutative integer sum, so
 the result is independent of record order; the columns are built once
 at the end. Every count and every per-article sum is at most 2**53
 (``tableio.MAX_COUNT``), so each converts to float64 exactly: a larger
 dump count is a malformed line, a larger sum a DataError naming the
-file. A dump is read in one streaming pass, so memory grows with the
-number of articles, not with the number of lines.
+file.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,9 +52,9 @@ class ReferrerClass(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
-    """One (referrer, resource) transition row from the dump."""
+class TransitionRecord(NamedTuple):
+    """One (referrer, resource) transition row from the dump; equal to
+    the plain tuple that parse_clickstream yields for it."""
 
     referrer: str
     resource: str
@@ -62,14 +68,23 @@ class ReferrerConfig:
 
     The reserved tokens vary across dump releases, so they are
     configuration rather than code. Defaults match the 2016-08 release.
-    Classification precedence: reserved token first, then the ``link``
-    raw type, then OTHER.
+    Classification precedence: reserved token first (search, then
+    missing, then external), then the ``link`` raw type, then OTHER.
     """
 
     search_tokens: frozenset[str] = frozenset({"other-search"})
     missing_tokens: frozenset[str] = frozenset({"other-empty"})
     external_tokens: frozenset[str] = frozenset({"other-external"})
     internal_rawtype: str = "link"
+
+    def token_classes(self) -> dict[str, ReferrerClass]:
+        """Reserved token -> class: the referrer rule's first step as a
+        map, looked up once per record. A referrer not in it is an
+        internal article if its raw type is internal_rawtype, else OTHER."""
+        classes = dict.fromkeys(self.external_tokens, ReferrerClass.OTHER_EXTERNAL)
+        classes.update(dict.fromkeys(self.missing_tokens, ReferrerClass.MISSING))
+        classes.update(dict.fromkeys(self.search_tokens, ReferrerClass.SEARCH_ENGINE))
+        return classes
 
 
 @dataclass(frozen=True)
@@ -140,8 +155,9 @@ def parse_clickstream(
     config: ParserConfig | None = None,
     stats: ParseStats | None = None,
     source: str | Path | None = None,
-) -> Iterator[TransitionRecord]:
-    """Yield one TransitionRecord per well-formed input line, in order.
+) -> Iterator[tuple[str, str, str, int]]:
+    """Yield one plain ``(referrer, resource, rawtype, count)`` tuple per
+    well-formed input line, in order.
 
     Malformed lines (wrong field count, empty resource, or a count that
     is not ASCII digits only or exceeds MAX_COUNT) abort in strict mode
@@ -149,62 +165,73 @@ def parse_clickstream(
     given, and are tallied and skipped in lenient mode. Unknown raw type tokens are
     treated the same way, under their own counter.
     Records with counts below the public dump floor are kept but counted.
+    The counters are added to `stats` when the pass ends, however it
+    ends: exhausted, closed early or aborted.
     """
     config = config or ParserConfig()
     if stats is None:
         stats = ParseStats()
-    header_re = re.compile(config.header_pattern)
-    for lineno, line in enumerate(lines, start=1):
-        stats.lines += 1
-        if not line:
-            continue
-        fields = line.split("\t")
-        if lineno == 1 and header_re.match(fields[0]):
-            stats.header_lines += 1
-            continue
-        if len(fields) != 4:
-            if config.strict:
-                raise DataError(f"{where(source, lineno)}: expected 4 tab-separated fields, got {len(fields)}")
-            stats.malformed += 1
-            continue
-        referrer, resource, rawtype, count_text = fields
-        try:
-            count = parse_count(count_text)
-        except ValueError:
-            count = -1
-        if count < 0 or not resource:
-            if config.strict:
-                raise DataError(f"{where(source, lineno)}: malformed record {line!r}")
-            stats.malformed += 1
-            continue
-        if rawtype not in config.known_rawtypes:
-            if config.strict:
-                raise DataError(f"{where(source, lineno)}: unknown type token {rawtype!r}")
-            stats.unknown_rawtype += 1
-            continue
-        if count < PUBLIC_DUMP_MIN_COUNT:
-            stats.below_min_count += 1
-        stats.records += 1
-        yield TransitionRecord(referrer, resource, rawtype, count)
+    is_header = re.compile(config.header_pattern).match
+    known_rawtypes = config.known_rawtypes
+    lineno = records = malformed = unknown_rawtype = below_min_count = header_lines = 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            fields = line.split("\t")
+            if lineno == 1 and line and is_header(fields[0]):
+                header_lines += 1
+                continue
+            if len(fields) != 4:
+                if not line:
+                    continue
+                if config.strict:
+                    raise DataError(f"{where(source, lineno)}: expected 4 tab-separated fields, got {len(fields)}")
+                malformed += 1
+                continue
+            referrer, resource, rawtype, count_text = fields
+            # tableio.parse_count's rule, inline: ASCII digits, at most
+            # MAX_COUNT (int() fails past sys.get_int_max_str_digits())
+            try:
+                count = int(count_text) if count_text.isascii() and count_text.isdigit() else -1
+            except ValueError:
+                count = -1
+            if count < 0 or count > MAX_COUNT or not resource:
+                if config.strict:
+                    raise DataError(f"{where(source, lineno)}: malformed record {line!r}")
+                malformed += 1
+                continue
+            if rawtype not in known_rawtypes:
+                if config.strict:
+                    raise DataError(f"{where(source, lineno)}: unknown type token {rawtype!r}")
+                unknown_rawtype += 1
+                continue
+            if count < PUBLIC_DUMP_MIN_COUNT:
+                below_min_count += 1
+            records += 1
+            yield referrer, resource, rawtype, count
+    finally:
+        stats.lines += lineno
+        stats.records += records
+        stats.malformed += malformed
+        stats.unknown_rawtype += unknown_rawtype
+        stats.below_min_count += below_min_count
+        stats.header_lines += header_lines
 
 
-def classify_referrer(record: TransitionRecord, config: ReferrerConfig | None = None) -> ReferrerClass:
-    """Classify a record's referrer. Total and deterministic: exactly one
-    class per record, a pure function of (referrer, rawtype, config)."""
+def classify_referrer(record: tuple[str, str, str, int], config: ReferrerConfig | None = None) -> ReferrerClass:
+    """Classify a record's referrer by ReferrerConfig.token_classes and
+    the internal raw type. Total and deterministic: exactly one class per
+    record, a pure function of (referrer, rawtype, config)."""
     config = config or ReferrerConfig()
-    if record.referrer in config.search_tokens:
-        return ReferrerClass.SEARCH_ENGINE
-    if record.referrer in config.missing_tokens:
-        return ReferrerClass.MISSING
-    if record.referrer in config.external_tokens:
-        return ReferrerClass.OTHER_EXTERNAL
-    if record.rawtype == config.internal_rawtype:
-        return ReferrerClass.INTERNAL_ARTICLE
-    return ReferrerClass.OTHER
+    referrer, _, rawtype, _ = record
+    cls = config.token_classes().get(referrer)
+    if cls is None:
+        internal = rawtype == config.internal_rawtype
+        cls = ReferrerClass.INTERNAL_ARTICLE if internal else ReferrerClass.OTHER
+    return cls
 
 
 def aggregate_traffic(
-    records: Iterable[TransitionRecord],
+    records: Iterable[tuple[str, str, str, int]],
     config: AggregateConfig | None = None,
     source: str | Path | None = None,
 ) -> TrafficTable:
@@ -218,14 +245,18 @@ def aggregate_traffic(
     after the path of the `source` file if given.
     """
     config = config or AggregateConfig()
+    token_classes = config.referrers.token_classes()
+    internal_rawtype = config.referrers.internal_rawtype
+    search_engine = ReferrerClass.SEARCH_ENGINE
     sums: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0, 0])  # in_se, in_nav, out_nav
-    for record in records:
-        cls = classify_referrer(record, config.referrers)
-        if cls is ReferrerClass.SEARCH_ENGINE:
-            sums[record.resource][0] += record.count
-        elif cls is ReferrerClass.INTERNAL_ARTICLE:
-            sums[record.resource][1] += record.count
-            sums[record.referrer][2] += record.count
+    for referrer, resource, rawtype, count in records:
+        cls = token_classes.get(referrer)
+        if cls is None:
+            if rawtype == internal_rawtype:  # an internal article
+                sums[resource][1] += count
+                sums[referrer][2] += count
+        elif cls is search_engine:
+            sums[resource][0] += count
 
     rows = [(a, *c) for a, c in sums.items() if config.keep_referrer_only or c[0] + c[1] > 0]
     for article, in_se, in_nav, out_nav in rows:

@@ -205,11 +205,18 @@ def write_metrics_table(path: str | Path, metrics: MetricsTable) -> None:
 
 
 def read_metrics_table(path: str | Path) -> MetricsTable:
-    """Read a metrics table written by :func:`write_metrics_table`."""
+    """Read a metrics table written by :func:`write_metrics_table`;
+    searchshare and resistance must lie in [0, 1]."""
+
+    def ratio(name: str, text: str) -> float:
+        value = parse_real(text)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} {value!r} outside [0, 1]")
+        return value
 
     def parse(r: list[str]) -> tuple[str, float, float, int, int]:
         quadrant = QUADRANT_ORDER.index(QuadrantLabel(r[4]))
-        return r[0], parse_real(r[1]), parse_real(r[2]), parse_count(r[3]), quadrant
+        return r[0], ratio("searchshare", r[1]), ratio("resistance", r[2]), parse_count(r[3]), quadrant
 
     rows = sorted(read_table(path, METRICS_COLUMNS, parse))
     articles, ss, res, views, quadrant = list(zip(*rows)) or [()] * 5

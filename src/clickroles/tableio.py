@@ -25,6 +25,9 @@ T = TypeVar("T")
 # float64 exactly, so column-wise quotients equal the integer ones.
 MAX_COUNT = 2**53
 
+# Characters per read of iter_lines: the chunk size of io.TextIOWrapper.
+READ_BLOCK = 8192
+
 
 def parse_count(text: str) -> int:
     """A count cell: ASCII digits only (int() alone would also take "+12",
@@ -179,15 +182,26 @@ def where(source: str | Path | None, lineno: int) -> str:
 def iter_lines(path: str | Path) -> Iterator[str]:
     """Yield lines (without trailing newline) from a possibly-gzipped file.
 
-    A file that cannot be read to its end (truncated or corrupt gzip,
-    invalid UTF-8, an I/O error) raises DataError as ``path:N: reason``,
-    where N is the last complete line read (0 if none). Decoding runs in
-    blocks of a few KB, so the fault can lie a block past line N.
+    The text is read and split in blocks of READ_BLOCK characters, so no
+    per-line call is made. A file that cannot be read to its end
+    (truncated or corrupt gzip, invalid UTF-8, an I/O error) raises
+    DataError as ``path:N: reason``, where N is the last complete line
+    read (0 if none); the fault can lie a block past line N.
     """
     lineno = 0
     try:
         with open_text(path, "rt") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                yield line.rstrip("\n")
+            head: list[str] = []  # the pieces of a line not ended yet
+            while block := fh.read(READ_BLOCK):
+                lines = block.split("\n")
+                if len(lines) > 1:
+                    head.append(lines[0])
+                    lines[0] = "".join(head)
+                    head = []
+                head.append(lines.pop())
+                yield from lines
+                lineno += len(lines)
+            if last := "".join(head):
+                yield last
     except (EOFError, UnicodeDecodeError, OSError) as exc:
         raise DataError(f"{where(path, lineno)}: {exc}") from exc

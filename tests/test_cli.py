@@ -219,8 +219,11 @@ class TestExitCodes:
         ("features", "--content", "age", "nan"),
         ("features", "--content", "size", "inf"),
         ("features", "--metrics", "searchshare", "nan"),
+        ("features", "--metrics", "searchshare", "1.5"),
+        ("features", "--metrics", "resistance", "-0.1"),
         ("model", "--joined", "resistance", "-inf"),
-    ], ids=["content-age-nan", "content-size-inf", "metrics-nan", "joined-inf"])
+    ], ids=["content-age-nan", "content-size-inf", "metrics-nan", "metrics-searchshare-above-1",
+            "metrics-resistance-below-0", "joined-inf"])
     def test_non_finite_cell_is_data_error(self, tmp_path, pipeline, capsys, sub, flag, column, value):
         self.assert_bad_row(tmp_path, pipeline, capsys, sub, flag, column, value)
 
@@ -304,6 +307,14 @@ class TestOutputs:
         assert len(rows) == 50
         assert sum(int(r[3]) for r in rows) == 50  # every article in some bin
 
+    def test_histogram_views_are_plain_numbers(self, pipeline):
+        for directory in ("metrics", "report"):
+            for name in ("histogram_searchshare.tsv", "histogram_resistance.tsv"):
+                lines = (pipeline[directory] / name).read_text().splitlines()
+                column = lines[0].split("\t").index("views")
+                for line in lines[1:]:
+                    float(line.split("\t")[column])  # not np.float64(...)
+
     def test_overlap_default_pairs(self, pipeline):
         names = sorted(p.name for p in pipeline["overlap"].iterdir() if p.suffix == ".csv")
         assert len(names) == 6  # all unordered key pairs
@@ -321,6 +332,17 @@ class TestOutputs:
         assert stats["edge_source"] == "clickstream-approximation"
         assert int(stats["nodes"]) == 50
         assert int(stats["edges"]) > 0
+
+    def test_graph_from_clickstream_counts_skipped_lines(self, tmp_path):
+        dump = tmp_path / "clicks.tsv"
+        dump.write_text("other-search\tA\texternal\t30\nA\tB\tlink\t20\nA\tB\t7\n"
+                        "B\tC\tlink\tmany\nB\tC\tweird\t15\n")
+        assert run("ingest", "--clickstream", dump, "--out", tmp_path / "i") == 0
+        ingest = read_keyvalues(tmp_path / "i" / "ingest_stats.txt")
+        assert (ingest["malformed"], ingest["unknown_rawtype"]) == ("2", "1")
+        assert run("graph", "--clickstream", dump, "--out", tmp_path / "g") == 0
+        graph = read_keyvalues(tmp_path / "g" / "graph_stats.txt")
+        assert (graph["edges"], graph["malformed"]) == ("1", "3")
 
     def test_graph_from_edge_list(self, tmp_path, pipeline):
         edges = tmp_path / "edges.tsv"

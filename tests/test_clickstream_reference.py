@@ -1,0 +1,241 @@
+"""The single clickstream pass against the per-record reference.
+
+The reference below is the straightforward form of the same rules: one
+frozen record object per line, stats attributes bumped per line, the
+referrer classified per record through the enum chain, and a node-id
+closure called per edge endpoint. The pipeline's pass must give the same
+traffic tables, ParseStats, graphs, EdgeStats and error texts on every
+drawn dump.
+"""
+
+from __future__ import annotations
+
+import re
+from collections import defaultdict
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clickroles.errors import DataError
+from clickroles.ingest import (
+    PUBLIC_DUMP_MIN_COUNT,
+    AggregateConfig,
+    ParserConfig,
+    ParseStats,
+    ReferrerClass,
+    ReferrerConfig,
+    aggregate_traffic,
+    classify_referrer,
+    parse_clickstream,
+    traffic_table,
+)
+from clickroles.linkgraph import EdgeStats, LinkGraph, build_graph, edges_from_clickstream
+from clickroles.tableio import MAX_COUNT, parse_count, where
+
+
+@dataclass(frozen=True)
+class Record:
+    referrer: str
+    resource: str
+    rawtype: str
+    count: int
+
+
+def reference_parse(lines, config, stats, source=None):
+    header_re = re.compile(config.header_pattern)
+    for lineno, line in enumerate(lines, start=1):
+        stats.lines += 1
+        if not line:
+            continue
+        fields = line.split("\t")
+        if lineno == 1 and header_re.match(fields[0]):
+            stats.header_lines += 1
+            continue
+        if len(fields) != 4:
+            if config.strict:
+                raise DataError(f"{where(source, lineno)}: expected 4 tab-separated fields, got {len(fields)}")
+            stats.malformed += 1
+            continue
+        referrer, resource, rawtype, count_text = fields
+        try:
+            count = parse_count(count_text)
+        except ValueError:
+            count = -1
+        if count < 0 or not resource:
+            if config.strict:
+                raise DataError(f"{where(source, lineno)}: malformed record {line!r}")
+            stats.malformed += 1
+            continue
+        if rawtype not in config.known_rawtypes:
+            if config.strict:
+                raise DataError(f"{where(source, lineno)}: unknown type token {rawtype!r}")
+            stats.unknown_rawtype += 1
+            continue
+        if count < PUBLIC_DUMP_MIN_COUNT:
+            stats.below_min_count += 1
+        stats.records += 1
+        yield Record(referrer, resource, rawtype, count)
+
+
+def reference_classify(record, config):
+    if record.referrer in config.search_tokens:
+        return ReferrerClass.SEARCH_ENGINE
+    if record.referrer in config.missing_tokens:
+        return ReferrerClass.MISSING
+    if record.referrer in config.external_tokens:
+        return ReferrerClass.OTHER_EXTERNAL
+    if record.rawtype == config.internal_rawtype:
+        return ReferrerClass.INTERNAL_ARTICLE
+    return ReferrerClass.OTHER
+
+
+def reference_aggregate(records, config, source=None):
+    sums = defaultdict(lambda: [0, 0, 0])  # in_se, in_nav, out_nav
+    for record in records:
+        cls = reference_classify(record, config.referrers)
+        if cls is ReferrerClass.SEARCH_ENGINE:
+            sums[record.resource][0] += record.count
+        elif cls is ReferrerClass.INTERNAL_ARTICLE:
+            sums[record.resource][1] += record.count
+            sums[record.referrer][2] += record.count
+    rows = [(a, *c) for a, c in sums.items() if config.keep_referrer_only or c[0] + c[1] > 0]
+    for article, in_se, in_nav, out_nav in rows:
+        if max(in_se + in_nav, out_nav) > MAX_COUNT:
+            prefix = "" if source is None else f"{source}: "
+            raise DataError(f"{prefix}traffic of {article!r} exceeds 2**53 views")
+    return traffic_table(rows)
+
+
+def reference_edges(records, config):
+    for record in records:
+        if reference_classify(record, config) is ReferrerClass.INTERNAL_ARTICLE:
+            yield record.referrer, record.resource
+
+
+def reference_build_graph(edges, stats):
+    titles, index = [], {}
+
+    def node_id(title):
+        i = index.get(title)
+        if i is None:
+            i = index[title] = len(titles)
+            titles.append(title)
+        return i
+
+    src_list, dst_list = [], []
+    for source, target in edges:
+        s = node_id(source)
+        t = node_id(target)
+        if s == t:
+            stats.self_loops += 1
+            continue
+        src_list.append(s)
+        dst_list.append(t)
+    n = len(titles)
+    if not src_list:
+        return LinkGraph(titles, index, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    keys = np.unique(np.asarray(src_list, dtype=np.int64) * np.int64(n) + np.asarray(dst_list, dtype=np.int64))
+    stats.duplicates += len(src_list) - len(keys)
+    stats.edges = len(keys)
+    return LinkGraph(titles, index, keys // n, keys % n)
+
+
+def outcome(run):
+    """run()'s result, or the text of the DataError it raised."""
+    try:
+        return run()
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def table_key(table):
+    if isinstance(table, str):
+        return table
+    columns = (table.in_se, table.in_nav, table.out_nav)
+    return table.articles, [(c.dtype, c.tolist()) for c in columns]
+
+
+def graph_key(graph):
+    if isinstance(graph, str):
+        return graph
+    return graph.titles, graph.index, graph.sources.dtype, graph.sources.tolist(), graph.targets.tolist()
+
+
+TOKENS = ["other-search", "other-empty", "other-external", "other-internal", "special-search", "gone"]
+TITLES = ["A", "B", "C", "D", "prev", "referer"]
+token_sets = st.frozensets(st.sampled_from(TOKENS), max_size=3)
+referrer_configs = st.one_of(
+    st.just(ReferrerConfig()),
+    st.builds(
+        ReferrerConfig,
+        search_tokens=token_sets,
+        missing_tokens=token_sets,
+        external_tokens=token_sets,
+        internal_rawtype=st.sampled_from(["link", "external", "other"]),
+    ),
+)
+counts = st.one_of(
+    st.integers(min_value=0, max_value=40).map(str),
+    st.sampled_from([str(MAX_COUNT), str(MAX_COUNT + 1), "0" * 20 + "17", "-5", "1_000", " 12", "x", "",
+                     "٣٣", "1" * 5000]),
+)
+records = st.builds(
+    "\t".join,
+    st.tuples(
+        st.sampled_from(TOKENS + TITLES),
+        st.sampled_from(TITLES + [""]),
+        st.sampled_from(["link", "external", "other", "weird"]),
+        counts,
+    ),
+)
+odd_lines = st.one_of(
+    st.just(""),
+    st.sampled_from(["prev\tcurr\ttype\tn", "referrer\tA\tlink\t20", "prev-x\tB\tlink\t12"]),
+    st.builds("\t".join, st.lists(st.sampled_from(TITLES + ["link", "20"]), min_size=1, max_size=6)),
+)
+dumps = st.lists(st.one_of(records, records, records, odd_lines), max_size=30)
+
+
+class TestAgainstReference:
+    @given(lines=dumps, referrers=referrer_configs, keep=st.booleans(), strict=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_tables_graphs_stats_and_errors(self, lines, referrers, keep, strict):
+        parser = ParserConfig(strict=strict)
+        aggregate = AggregateConfig(referrers=referrers, keep_referrer_only=keep)
+
+        stats, expected_stats = ParseStats(), ParseStats()
+        table = outcome(lambda: aggregate_traffic(parse_clickstream(lines, parser, stats, "d.tsv"),
+                                                  aggregate, "d.tsv"))
+        expected = outcome(lambda: reference_aggregate(reference_parse(lines, parser, expected_stats, "d.tsv"),
+                                                       aggregate, "d.tsv"))
+        assert table_key(table) == table_key(expected)
+        assert stats == expected_stats
+
+        stats, expected_stats = ParseStats(), ParseStats()
+        edge_stats, expected_edge_stats = EdgeStats(), EdgeStats()
+        graph = outcome(lambda: build_graph(
+            edges_from_clickstream(parse_clickstream(lines, parser, stats, "d.tsv"), referrers), edge_stats))
+        expected = outcome(lambda: reference_build_graph(
+            reference_edges(reference_parse(lines, parser, expected_stats, "d.tsv"), referrers),
+            expected_edge_stats))
+        assert graph_key(graph) == graph_key(expected)
+        assert (stats, edge_stats) == (expected_stats, expected_edge_stats)
+
+    @given(lines=dumps, referrers=referrer_configs)
+    @settings(max_examples=200, deadline=None)
+    def test_records_and_classes(self, lines, referrers):
+        expected = list(reference_parse(lines, ParserConfig(), ParseStats()))
+        got = list(parse_clickstream(lines))
+        assert got == [(r.referrer, r.resource, r.rawtype, r.count) for r in expected]
+        assert all(type(record) is tuple for record in got)
+        assert [classify_referrer(r, referrers) for r in got] == [reference_classify(r, referrers) for r in expected]
+
+    def test_stats_written_when_the_pass_is_closed_early(self):
+        lines = ["prev\tcurr\ttype\tn", "other-search\tA\texternal\t5", "", "A\tB\tlink\t20", "bad"]
+        stats = ParseStats()
+        records = parse_clickstream(lines, stats=stats)
+        next(records)
+        records.close()
+        assert stats == ParseStats(lines=2, records=1, below_min_count=1, header_lines=1)

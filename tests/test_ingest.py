@@ -75,7 +75,7 @@ class TestParse:
 
     def test_count_bound_is_inclusive(self):
         recs = parse_all([f"a\tb\tlink\t{MAX_COUNT}", f"a\tb\tlink\t{'0' * 20}{MAX_COUNT}"])
-        assert [r.count for r in recs] == [2**53, 2**53]
+        assert [count for *_, count in recs] == [2**53, 2**53]
 
     def test_empty_resource_malformed(self):
         stats = ParseStats()
@@ -104,7 +104,7 @@ class TestParse:
     def test_input_order_preserved(self):
         lines = [f"other-search\tA{i}\texternal\t{10 + i}" for i in range(5)]
         recs = parse_all(lines)
-        assert [r.resource for r in recs] == [f"A{i}" for i in range(5)]
+        assert [resource for _, resource, _, _ in recs] == [f"A{i}" for i in range(5)]
 
 
 class TestClassify:
