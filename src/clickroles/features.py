@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError, UsageError
 from .linkgraph import NetworkFeatures
 from .metrics import QUADRANT_ORDER, MetricsTable, QuadrantLabel
-from .tableio import fmt_value, open_text, parse_count, parse_real, read_table, write_tsv
+from .tableio import fmt_value, open_text, parse_count, parse_ratio, parse_real, read_table, write_tsv
 
 CONTENT_COLUMNS = (
     "article",
@@ -367,9 +367,13 @@ def write_joined_table(path: str | Path, rows: Sequence[ArticleFeatures]) -> Non
 
 
 def read_joined_table(path: str | Path) -> list[ArticleFeatures]:
+    """Read a table written by :func:`write_joined_table`; searchshare
+    and resistance must lie in [0, 1]."""
+
     def parse(r: list[str]) -> ArticleFeatures:
         return ArticleFeatures(
-            r[0], parse_real(r[1]), parse_real(r[2]), parse_count(r[3]), QuadrantLabel(r[4]),
+            r[0], parse_ratio("searchshare", r[1]), parse_ratio("resistance", r[2]),
+            parse_count(r[3]), QuadrantLabel(r[4]),
             *(parse_count(v) for v in r[5:15]),  # in_degree .. editors
             age=parse_real(r[15]),
             size=parse_real(r[16]),

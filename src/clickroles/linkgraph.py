@@ -8,9 +8,11 @@ takes its edges from the dump's internal transitions, read by the same
 single pass as ``ingest`` and classified by the same referrer map.
 
 The k-core index is computed on the undirected projection (an edge
-exists if either direction exists), by bucket peeling in increasing
-degree order: when a node is peeled its remaining degree is final and
-equals its core number.
+exists if either direction exists) by level-wise frontier peeling over
+an int32 CSR adjacency (int64 when the node count does not fit): at
+level k every live node of degree <= k has core k, and each round peels
+one frontier and looks only at its neighbours, so a round costs the
+frontier's edges, not the node count.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def build_graph(edges: Iterable[tuple[str, str]], stats: EdgeStats | None = None
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """np.unique(keys) of an int64 array by one sort, which on large
+    """np.unique(keys) of an integer array by one sort, which on large
     arrays numpy 2.x runs many times faster than np.unique."""
     keys = np.sort(keys)
     first = np.ones(len(keys), dtype=bool)
@@ -166,69 +168,53 @@ def undirected_projection(graph: LinkGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kcore_decomposition(graph: LinkGraph) -> np.ndarray:
-    """Core number per node id on the undirected projection.
+    """Core number per node id (int64) on the undirected projection.
 
-    Bucket peeling: process nodes in increasing current degree; peeling a
-    node decrements the degrees of its not-yet-peeled neighbours and
-    keeps the degree ordering intact via swaps, one edge touch per
-    endpoint overall.
+    Level-wise frontier peel (the core definition of Batagelj & Zaversnik,
+    peeled a level at a time). Node ids and the CSR neighbour array are
+    int32, or int64 when the node count does not fit. At level k (the
+    larger of the last level and the least live degree) every live node
+    of degree <= k gets core k: a round peels the frontier, takes one off
+    a live node's degree per peeled neighbour, and makes the next
+    frontier of just those neighbours now at degree <= k. A round thus
+    costs O(edges of the frontier), not O(n); over the whole peel each
+    edge is gathered at most twice, and the live set is compacted once
+    per level.
     """
     n = graph.node_count
+    ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     lo, hi = undirected_projection(graph)
-    deg_arr = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-
-    # CSR adjacency of the projection, as plain lists for the peel loop
-    heads = np.concatenate([lo, hi])
-    tails = np.concatenate([hi, lo])
+    heads = np.concatenate([lo, hi], dtype=ids)
+    tails = np.concatenate([hi, lo], dtype=ids)
+    del lo, hi
+    degree = np.bincount(heads, minlength=n)
     order = np.argsort(heads, kind="stable")
-    neighbors = tails[order].tolist()
+    neighbors = tails[order]
+    del heads, tails, order
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=n), out=offsets[1:])
-    offsets = offsets.tolist()
+    np.cumsum(degree, out=offsets[1:])
 
-    deg = deg_arr.tolist()
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    max_deg = max(deg)
-
-    # vert: nodes sorted by degree; pos[v]: index of v in vert;
-    # bin_start[d]: first index in vert with degree >= d
-    counts = [0] * (max_deg + 1)
-    for d in deg:
-        counts[d] += 1
-    bin_start = [0] * (max_deg + 2)
-    for d in range(max_deg + 1):
-        bin_start[d + 1] = bin_start[d] + counts[d]
-    fill = bin_start[:-1].copy()
-    vert = [0] * n
-    pos = [0] * n
-    for v in range(n):
-        p = fill[deg[v]]
-        vert[p] = v
-        pos[v] = p
-        fill[deg[v]] += 1
-
-    for i in range(n):
-        v = vert[i]
-        dv = deg[v]
-        for j in range(offsets[v], offsets[v + 1]):
-            u = neighbors[j]
-            du = deg[u]
-            if du > dv:
-                # swap u with the first node of its degree bucket, then
-                # shrink the bucket so u drops into the one below
-                pu = pos[u]
-                pw = bin_start[du]
-                w = vert[pw]
-                if u != w:
-                    vert[pu] = w
-                    vert[pw] = u
-                    pos[w] = pu
-                    pos[u] = pw
-                bin_start[du] += 1
-                deg[u] = du - 1
-
-    return np.asarray(deg, dtype=np.int64)
+    deg = degree.astype(ids)  # degree among live nodes
+    core = np.full(n, -1, dtype=np.int64)  # -1 while live
+    live = np.arange(n, dtype=ids)
+    k = 0
+    while len(live):
+        live_deg = deg[live]
+        k = max(k, int(live_deg.min()))
+        frontier = live[live_deg <= k]
+        while len(frontier):
+            core[frontier] = k
+            # the frontier's CSR slices, gathered as one index array
+            starts = offsets[frontier]
+            lengths = degree[frontier]
+            ends = np.cumsum(lengths)
+            slots = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+            touched = neighbors[slots]
+            touched = touched[core[touched] < 0]
+            np.subtract.at(deg, touched, 1)
+            frontier = sorted_unique(touched[deg[touched] <= k])
+        live = live[core[live] < 0]
+    return core
 
 
 @dataclass(frozen=True)

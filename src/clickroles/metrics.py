@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .ingest import TrafficTable
-from .tableio import parse_count, parse_real, read_table, write_keyvalues, write_tsv
+from .tableio import parse_count, parse_ratio, read_table, write_keyvalues, write_tsv
 
 METRICS_COLUMNS = ("article", "searchshare", "resistance", "total_views", "quadrant")
 
@@ -208,15 +208,10 @@ def read_metrics_table(path: str | Path) -> MetricsTable:
     """Read a metrics table written by :func:`write_metrics_table`;
     searchshare and resistance must lie in [0, 1]."""
 
-    def ratio(name: str, text: str) -> float:
-        value = parse_real(text)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} {value!r} outside [0, 1]")
-        return value
-
     def parse(r: list[str]) -> tuple[str, float, float, int, int]:
         quadrant = QUADRANT_ORDER.index(QuadrantLabel(r[4]))
-        return r[0], ratio("searchshare", r[1]), ratio("resistance", r[2]), parse_count(r[3]), quadrant
+        searchshare, resistance = parse_ratio("searchshare", r[1]), parse_ratio("resistance", r[2])
+        return r[0], searchshare, resistance, parse_count(r[3]), quadrant
 
     rows = sorted(read_table(path, METRICS_COLUMNS, parse))
     articles, ss, res, views, quadrant = list(zip(*rows)) or [()] * 5

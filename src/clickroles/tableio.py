@@ -48,6 +48,14 @@ def parse_real(text: str) -> float:
     return value
 
 
+def parse_ratio(name: str, text: str) -> float:
+    """A ratio cell named `name`: finite and in [0, 1]; else ValueError."""
+    value = parse_real(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value!r} outside [0, 1]")
+    return value
+
+
 def open_text(path: str | Path, mode: str = "rt") -> IO[str]:
     """Open a text file, transparently decompressing ``.gz`` paths.
 

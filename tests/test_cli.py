@@ -227,9 +227,15 @@ class TestExitCodes:
     def test_non_finite_cell_is_data_error(self, tmp_path, pipeline, capsys, sub, flag, column, value):
         self.assert_bad_row(tmp_path, pipeline, capsys, sub, flag, column, value)
 
+    @pytest.mark.parametrize("sub", ["bins", "model"])
+    def test_joined_ratio_outside_unit_interval(self, tmp_path, pipeline, capsys, sub):
+        err = self.assert_bad_row(tmp_path, pipeline, capsys, sub, "--joined", "searchshare", "1.5")
+        assert f"{tmp_path / 'bad_joined.tsv'}:3: searchshare 1.5 outside [0, 1]" in err
+
     def assert_bad_row(self, tmp_path, pipeline, capsys, sub, flag, column, value):
         """Run `sub` with the table of `flag` broken on line 3: its `column`
-        cell set to `value`, or the row cut short if value is None."""
+        cell set to `value`, or the row cut short if value is None; returns
+        the error output."""
         inputs = {
             "--joined": pipeline["features"] / "joined.tsv",
             "--traffic": pipeline["ingest"] / "traffic.tsv",
@@ -247,10 +253,12 @@ class TestExitCodes:
         lines[2] = "\t".join(cells)
         inputs[flag] = tmp_path / f"bad_{flag[2:]}.tsv"
         inputs[flag].write_text("\n".join(lines) + "\n")
-        reads = [f for s, f, _ in self.TABLE_READERS.values() if s == sub]
+        reads = [f for s, f, _ in self.TABLE_READERS.values() if s == sub] or [flag]
         argv = [sub, *(a for f in reads for a in (f, str(inputs[f]))), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
-        assert f"{inputs[flag]}:3: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{inputs[flag]}:3: " in err
+        return err
 
     def test_count_above_bound_in_dump(self, tmp_path, capsys):
         dump = tmp_path / "clicks.tsv"

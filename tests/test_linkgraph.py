@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from clickroles.errors import DataError
 from clickroles.ingest import TransitionRecord
 from clickroles.linkgraph import (
     EdgeStats,
+    LinkGraph,
     build_graph,
     degrees,
     edges_from_clickstream,
@@ -58,6 +60,88 @@ def peeling_core_oracle(n: int, und_edges: set[frozenset[int]]) -> list[int]:
         for v in alive:
             core[v] = k
     return core
+
+
+def reference_kcore(graph: LinkGraph) -> list[int]:
+    """Core numbers by Batagelj-Zaversnik bucket peeling, one node at a
+    time in increasing current degree, on plain lists."""
+    n = graph.node_count
+    lo, hi = undirected_projection(graph)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(lo.tolist(), hi.tolist()):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    deg = [len(a) for a in adjacency]
+    if n == 0:
+        return []
+    max_deg = max(deg)
+
+    # vert: nodes sorted by degree; pos[v]: index of v in vert;
+    # bin_start[d]: first index in vert with degree >= d
+    counts = [0] * (max_deg + 1)
+    for d in deg:
+        counts[d] += 1
+    bin_start = [0] * (max_deg + 2)
+    for d in range(max_deg + 1):
+        bin_start[d + 1] = bin_start[d] + counts[d]
+    fill = bin_start[:-1].copy()
+    vert = [0] * n
+    pos = [0] * n
+    for v in range(n):
+        p = fill[deg[v]]
+        vert[p] = v
+        pos[v] = p
+        fill[deg[v]] += 1
+
+    for i in range(n):
+        v = vert[i]
+        dv = deg[v]
+        for u in adjacency[v]:
+            du = deg[u]
+            if du > dv:
+                # swap u with the first node of its degree bucket, then
+                # shrink the bucket so u drops into the one below
+                pu = pos[u]
+                pw = bin_start[du]
+                w = vert[pw]
+                if u != w:
+                    vert[pu] = w
+                    vert[pw] = u
+                    pos[w] = pu
+                    pos[u] = pw
+                bin_start[du] += 1
+                deg[u] = du - 1
+    return deg
+
+
+@st.composite
+def edge_streams(draw) -> list[tuple[str, str]]:
+    """Title pairs built from disjoint cliques, stars, self-loop-only
+    nodes and random blocks, plus cross edges, duplicates and
+    antiparallel copies, in a drawn order; may be empty."""
+    pairs: list[tuple[int, int]] = []
+    base = 0
+    parts = st.tuples(st.sampled_from(["clique", "star", "loops", "random"]), st.integers(1, 9))
+    for kind, size in draw(st.lists(parts, max_size=6)):
+        nodes = range(base, base + size)
+        base += size
+        if kind == "clique":
+            pairs += [(a, b) for a in nodes for b in nodes if a < b]
+        elif kind == "star":
+            pairs += [(nodes[0], leaf) for leaf in nodes[1:]]
+        elif kind == "loops":
+            pairs += [(v, v) for v in nodes]
+        else:
+            node = st.sampled_from(nodes)
+            pairs += draw(st.lists(st.tuples(node, node), max_size=3 * size))
+    if base:
+        node = st.integers(0, base - 1)
+        pairs += draw(st.lists(st.tuples(node, node), max_size=base))
+    if pairs:
+        copies = draw(st.lists(st.tuples(st.integers(0, len(pairs) - 1), st.booleans()), max_size=10))
+        pairs += [pairs[i][::-1] if flip else pairs[i] for i, flip in copies]
+    order = draw(st.permutations(range(len(pairs))))
+    return [(f"N{pairs[i][0]}", f"N{pairs[i][1]}") for i in order]
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int]]:
@@ -270,6 +354,33 @@ class TestKCore:
             assert core1[a] == core2[b]
             assert in1[a] == in2[b]
             assert out1[a] == out2[b]
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_streams())
+    def test_equals_bucket_peel(self, pairs):
+        g = build_graph(pairs)
+        core = kcore_decomposition(g)
+        assert core.dtype == np.int64
+        assert core.tolist() == reference_kcore(g)
+
+    def test_long_path_is_linear(self):
+        # a path peels two nodes per round, n/2 rounds at level 1; a
+        # round that rescans every node would take ~20 s here
+        n = 100_000
+        ids = np.arange(n, dtype=np.int64)
+        g = LinkGraph([f"N{i}" for i in range(n)], {}, ids[:-1], ids[1:])
+        start = time.perf_counter()
+        core = kcore_decomposition(g)
+        elapsed = time.perf_counter() - start
+        assert core.tolist() == [1] * n
+        assert elapsed < 5.0
+
+    def test_large_clique(self):
+        n = 300
+        src, dst = np.triu_indices(n, 1)
+        g = LinkGraph([f"N{i}" for i in range(n)], {}, src.astype(np.int64), dst.astype(np.int64))
+        assert kcore_decomposition(g).tolist() == [n - 1] * n
 
 
 class TestNetworkTable:

@@ -1,9 +1,11 @@
-"""Block-wise line reading against the file object's own line iteration."""
+"""Block-wise line reading against the file object's own line iteration,
+and the ratio cell rule."""
 
 import gzip
 import io
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,3 +32,18 @@ class TestIterLines:
         path = tmp_path / "long.txt"
         path.write_text("x" * 100_000 + "\nshort\n" + "y" * 20_000)
         assert list(iter_lines(path)) == ["x" * 100_000, "short", "y" * 20_000]
+
+
+class TestParseRatio:
+    def test_bounds_inclusive(self):
+        assert [tableio.parse_ratio("r", t) for t in ("0", "0.0", "-0.0", "0.25", "1", "1.0")] == [
+            0.0, 0.0, -0.0, 0.25, 1.0, 1.0]
+
+    def test_rejects_outside_and_non_finite(self):
+        for text in ("1.5", "-0.1", "1.0000000000000002", "nan", "inf", "-inf", "x", ""):
+            with pytest.raises(ValueError):
+                tableio.parse_ratio("searchshare", text)
+
+    def test_message_names_column(self):
+        with pytest.raises(ValueError, match=r"^searchshare 1\.5 outside \[0, 1\]$"):
+            tableio.parse_ratio("searchshare", "1.5")
