@@ -88,7 +88,7 @@ from .model import (
     write_eval_report,
 )
 from .overlap import RANKING_KEYS, cumulative_overlap, default_ks, rank_articles, write_curve
-from .tableio import fmt_value, iter_lines, read_keyvalues, write_keyvalues, write_matrix_csv, write_tsv
+from .tableio import fmt_value, iter_lines, parse_count, read_keyvalues, write_keyvalues, write_matrix_csv, write_tsv
 from .topics import (
     DEFAULT_STOP_WORDS,
     DEFAULT_TOPIC_LABELS,
@@ -428,7 +428,7 @@ def _topic_labels(args, topic_ids: set[int]) -> dict[int, str]:
     if args.labels:
         raw = read_keyvalues(args.labels)
         try:
-            return {int(k): v for k, v in raw.items()}
+            return {parse_count(k): v for k, v in raw.items()}
         except ValueError:
             raise UsageError(f"{args.labels}: keys must be integer topic ids")
     if topic_ids and topic_ids == set(range(20)):
@@ -454,17 +454,14 @@ def cmd_features(args) -> None:
     inputs = [args.metrics, args.network, args.content]
     if topics is not None:
         inputs.append(args.topics)
-        assigned_ids = {r.topic_id for r in joined if r.topic_id is not None}
-        labels = _topic_labels(args, assigned_ids)
+        topic_ids = joined["topic_id"]
+        assigned_ids = sorted(set(topic_ids[topic_ids >= 0].tolist()))
+        labels = _topic_labels(args, set(assigned_ids))
         write_topic_stats(out.file("topic_stats.tsv"), topic_statistics(joined, labels))
         if args.grid > 0 and assigned_ids:
-            columns = [
-                np.array([getattr(r, name) for r in joined])
-                for name in ("resistance", "searchshare", "total_views")
-            ]
-            topic_ids = np.array([-1 if r.topic_id is None else r.topic_id for r in joined])
+            columns = [joined[name] for name in ("resistance", "searchshare", "total_views")]
             overall = heatmap_grid(*columns, args.grid)
-            for tid in sorted(assigned_ids):
+            for tid in assigned_ids:
                 members = topic_ids == tid
                 ratio = relative_difference_heatmap(
                     heatmap_grid(*(c[members] for c in columns), args.grid), overall
@@ -482,14 +479,15 @@ def cmd_features(args) -> None:
 
 def cmd_bins(args) -> None:
     out = _OutputDir(args.out)
-    rows = read_joined_table(args.joined)
+    table = read_joined_table(args.joined)
     suffix = ""
     if args.topic is not None:
-        rows = [r for r in rows if r.topic_id == args.topic]
+        # -1 marks a row without a topic, so it matches no --topic
+        table = table.take(np.flatnonzero((table["topic_id"] == args.topic) & (args.topic >= 0)))
         suffix = f"_topic{args.topic}"
-        if not rows:
+        if not len(table):
             raise DataError(f"no rows assigned to topic {args.topic}")
-    result = binned_quartiles(rows, args.bin_feature, args.target, args.bins)
+    result = binned_quartiles(table, args.bin_feature, args.target, args.bins)
     write_bin_table(out.file(f"bins_{args.bin_feature}_{args.target}{suffix}.csv"), result)
     _finish(args, out, [args.joined])
 
@@ -526,8 +524,7 @@ def cmd_topics(args) -> None:
 
 def cmd_model(args) -> None:
     out = _OutputDir(args.out)
-    rows = read_joined_table(args.joined)
-    instances, dropped = build_instances(rows, args.task, args.threshold)
+    instances, dropped = build_instances(read_joined_table(args.joined), args.task, args.threshold)
     has_topics = any(n.startswith("topic_") for n in instances.feature_names)
     if args.groups:
         groups = [g.strip() for g in args.groups.split(",")]

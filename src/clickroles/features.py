@@ -4,34 +4,28 @@ Brings the per-article tables together (traffic metrics, link-network
 degrees, content/edit counts, topic assignment) and computes the three
 descriptive views used downstream: medians per traffic role, quartile
 curves over equal-count feature bins, and per-topic share statistics.
+
+The network, content, topic-assignment and joined tables are each a
+``tableio.ColumnTable``, sorted by title on read: counts are int64,
+ratios, ``age`` and ``size`` float64, ``quadrant`` the index into
+QUADRANT_ORDER and ``topic_id`` -1 for no topic. Every view works on
+whole columns; medians and quartiles sort stably, so equal values (0.0
+and -0.0 among them) keep title order.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .linkgraph import NetworkFeatures
-from .metrics import QUADRANT_ORDER, MetricsTable, QuadrantLabel
-from .tableio import fmt_value, open_text, parse_count, parse_ratio, parse_real, read_table, write_tsv
-
-CONTENT_COLUMNS = (
-    "article",
-    "sections",
-    "figures",
-    "lists",
-    "tables",
-    "revisions",
-    "editors",
-    "age",
-    "size",
-)
-TOPIC_ASSIGNMENT_COLUMNS = ("article", "topic_id", "weight")
+from .metrics import METRICS_DTYPES, QUADRANT_ORDER, MetricsTable, QuadrantLabel
+from .tableio import ColumnTable, fmt_value, open_text, parse_count, parse_ratio, parse_real, read_columns, write_tsv
 
 # bin/median features in reporting order: network block, then content/edit
 DEFAULT_MEDIAN_FEATURES = (
@@ -50,53 +44,23 @@ DEFAULT_MEDIAN_FEATURES = (
 )
 OVERALL_COLUMN = "overall"
 
+CONTENT_COLUMNS = ("article", *DEFAULT_MEDIAN_FEATURES[4:])
+CONTENT_DTYPES = {**dict.fromkeys(CONTENT_COLUMNS[1:], np.int64), "age": float, "size": float}
+TOPIC_ASSIGNMENT_COLUMNS = ("article", "topic_id", "weight")
+JOINED_DTYPES = {
+    **METRICS_DTYPES, **dict.fromkeys(DEFAULT_MEDIAN_FEATURES, np.int64), **CONTENT_DTYPES, "topic_id": np.int64
+}
+JOINED_COLUMNS = ("article", *JOINED_DTYPES)
 
-@dataclass(frozen=True)
-class ContentFeatures:
-    article: str
-    sections: int
-    figures: int
-    lists: int
-    tables: int
-    revisions: int
-    editors: int
-    age: float
-    size: float
+# the columns a median, bin or target may name
+NUMERIC_FEATURES = ("searchshare", "resistance", "total_views") + DEFAULT_MEDIAN_FEATURES
 
 
-@dataclass(frozen=True)
-class ArticleFeatures:
-    article: str
-    searchshare: float
-    resistance: float
-    total_views: int
-    quadrant: QuadrantLabel
-    in_degree: int
-    out_degree: int
-    degree: int
-    kcore: int
-    sections: int
-    figures: int
-    lists: int
-    tables: int
-    revisions: int
-    editors: int
-    age: float
-    size: float
-    topic_id: int | None
-
-
-JOINED_COLUMNS = tuple(f.name for f in dataclass_fields(ArticleFeatures))
-
-_NUMERIC_FIELDS = frozenset(
-    ("searchshare", "resistance", "total_views") + DEFAULT_MEDIAN_FEATURES
-)
-
-
-def feature_value(row: ArticleFeatures, name: str) -> float:
-    if name not in _NUMERIC_FIELDS:
+def feature_column(table: ColumnTable, name: str) -> np.ndarray:
+    """Column `name` as float64; UsageError unless it is numeric."""
+    if name not in NUMERIC_FEATURES:
         raise UsageError(f"unknown feature {name!r}")
-    return float(getattr(row, name))
+    return table[name].astype(float)
 
 
 @dataclass
@@ -105,70 +69,74 @@ class JoinStats:
     dropped: dict[str, int] = field(default_factory=dict)
 
 
+def _member(articles: Sequence[str], titles: set[str]) -> np.ndarray:
+    return np.fromiter((a in titles for a in articles), dtype=bool, count=len(articles))
+
+
 def join_features(
     metrics: MetricsTable,
-    network: Mapping[str, NetworkFeatures],
-    content: Mapping[str, ContentFeatures],
-    topics: Mapping[str, int] | None = None,
-) -> tuple[list[ArticleFeatures], JoinStats]:
+    network: ColumnTable,
+    content: ColumnTable,
+    topics: ColumnTable | None = None,
+) -> tuple[ColumnTable, JoinStats]:
     """Inner join of the required feature families, keyed by title, in
     title order.
 
     A row survives only if metrics, network, and content all cover the
     article; drop counts per family record what fell out. The topic
     assignment is carried when present but never drops a row (shares
-    over the assigned subpopulation are computed downstream).
+    over the assigned subpopulation are computed downstream). Every
+    table is in title order, so each one's rows of the common titles
+    line up.
     """
-    common = set(metrics.articles) & network.keys() & content.keys()
+    common = set(metrics.articles).intersection(network.articles, content.articles)
     stats = JoinStats(kept=len(common))
     stats.dropped["metrics"] = len(metrics) - len(common)
     stats.dropped["network"] = len(network) - len(common)
     stats.dropped["content"] = len(content) - len(common)
 
-    columns = (metrics.searchshare, metrics.resistance, metrics.total_views, metrics.quadrant)
-    joined: list[ArticleFeatures] = []
-    for article, searchshare, resistance, total_views, code in zip(
-        metrics.articles, *(c.tolist() for c in columns)
-    ):
-        if article not in common:
-            continue
-        net = network[article]
-        con = content[article]
-        joined.append(
-            ArticleFeatures(
-                article, searchshare, resistance, total_views, QUADRANT_ORDER[code],
-                net.in_degree, net.out_degree, net.degree, net.kcore,
-                con.sections, con.figures, con.lists, con.tables, con.revisions, con.editors, con.age, con.size,
-                topic_id=None if topics is None else topics.get(article),
-            )
-        )
-    return joined, stats
+    in_metrics = _member(metrics.articles, common)
+    articles = tuple(compress(metrics.articles, in_metrics.tolist()))
+    columns = {
+        "searchshare": metrics.searchshare[in_metrics],
+        "resistance": metrics.resistance[in_metrics],
+        "total_views": metrics.total_views[in_metrics],
+        "quadrant": metrics.quadrant[in_metrics],
+    }
+    for table in (network, content):
+        rows = _member(table.articles, common)
+        columns.update((name, column[rows]) for name, column in table.columns.items())
+    topic_id = np.full(len(articles), -1, dtype=np.int64)
+    if topics is not None:
+        topic_id[_member(articles, set(topics.articles))] = topics["topic_id"][_member(topics.articles, common)]
+    columns["topic_id"] = topic_id
+    return ColumnTable(articles, {name: columns[name] for name in JOINED_COLUMNS[1:]}), stats
 
 
 def median(values: Sequence[float]) -> float:
     """Median with the even-size rule: mean of the two central values."""
-    if not values:
-        raise DataError("median of empty sequence")
-    s = sorted(values)
+    s = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
     m = len(s)
+    if not m:
+        raise DataError("median of empty sequence")
     if m % 2:
-        return float(s[m // 2])
+        return s[m // 2]
     return (s[m // 2 - 1] + s[m // 2]) / 2.0
 
 
 def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     """(Q1, Q2, Q3) by linear interpolation between order statistics."""
-    if not values:
-        raise DataError("quartiles of empty sequence")
-    s = sorted(values)
+    s = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
     m = len(s)
+    if not m:
+        raise DataError("quartiles of empty sequence")
 
     def at(q: float) -> float:
         h = q * (m - 1)
         i = int(h)
         frac = h - i
         if frac == 0.0 or i + 1 >= m:
-            return float(s[i])
+            return s[i]
         return s[i] + frac * (s[i + 1] - s[i])
 
     return at(0.25), at(0.5), at(0.75)
@@ -183,29 +151,19 @@ class GroupMedianTable:
 
 
 def group_medians(
-    rows: Sequence[ArticleFeatures],
+    table: ColumnTable,
     features: Sequence[str] = DEFAULT_MEDIAN_FEATURES,
 ) -> GroupMedianTable:
     """Median of each feature per traffic role, plus the overall column."""
-    for name in features:
-        if name not in _NUMERIC_FIELDS:
-            raise UsageError(f"unknown feature {name!r}")
-    by_group: dict[str, list[ArticleFeatures]] = {q.value: [] for q in QUADRANT_ORDER}
-    for row in rows:
-        by_group[row.quadrant.value].append(row)
-
-    columns = tuple(q.value for q in QUADRANT_ORDER) + (OVERALL_COLUMN,)
+    values_of = {name: feature_column(table, name) for name in features}
+    groups = [(q.value, table["quadrant"] == code) for code, q in enumerate(QUADRANT_ORDER)]
+    columns = tuple(label for label, _ in groups) + (OVERALL_COLUMN,)
     values: dict[str, dict[str, float | None]] = {}
-    for name in features:
-        per_column: dict[str, float | None] = {}
-        for q in QUADRANT_ORDER:
-            members = by_group[q.value]
-            per_column[q.value] = (
-                median([feature_value(r, name) for r in members]) if members else None
-            )
-        per_column[OVERALL_COLUMN] = (
-            median([feature_value(r, name) for r in rows]) if rows else None
-        )
+    for name, column in values_of.items():
+        per_column = {
+            label: median(column[rows]) if rows.any() else None for label, rows in groups
+        }
+        per_column[OVERALL_COLUMN] = median(column) if len(column) else None
         values[name] = per_column
     return GroupMedianTable(tuple(features), columns, values)
 
@@ -229,26 +187,27 @@ class BinnedQuartiles:
 
 
 def binned_quartiles(
-    rows: Sequence[ArticleFeatures],
+    table: ColumnTable,
     bin_feature: str,
     target: str,
     bins: int = 25,
 ) -> BinnedQuartiles:
     """Quartiles of `target` over `bins` equal-count bins of `bin_feature`.
 
-    Rows are sorted by (feature value, title) so ties split
-    deterministically; with a remainder r, the first r bins hold one
-    extra row.
+    Rows are ordered by (feature value, title) so ties split
+    deterministically: a stable sort of the title-ordered feature column.
+    With a remainder r, the first r bins hold one extra row.
     """
     if bins < 1:
         raise UsageError(f"bins must be positive, got {bins}")
-    if len(rows) < bins:
-        raise DataError(f"{len(rows)} articles cannot fill {bins} bins")
-    ordered = sorted(rows, key=lambda r: (feature_value(r, bin_feature), r.article))
-    targets = [feature_value(r, target) for r in ordered]
-    keys = [feature_value(r, bin_feature) for r in ordered]
+    if len(table) < bins:
+        raise DataError(f"{len(table)} articles cannot fill {bins} bins")
+    keys = feature_column(table, bin_feature)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order].tolist()
+    targets = feature_column(table, target)[order]
 
-    base, rem = divmod(len(ordered), bins)
+    base, rem = divmod(len(table), bins)
     summaries: list[BinSummary] = []
     start = 0
     for index in range(bins):
@@ -277,38 +236,39 @@ class TopicStats:
 
 
 def topic_statistics(
-    rows: Sequence[ArticleFeatures],
+    table: ColumnTable,
     labels: Mapping[int, str] | None = None,
 ) -> list[TopicStats]:
     """Per-topic article/view shares and content medians.
 
     Shares are percentages of the topic-assigned subpopulation (rows
-    with no topic are outside the denominator).
+    with no topic are outside the denominator). View totals are exact
+    Python-int sums.
     """
-    assigned = [r for r in rows if r.topic_id is not None]
+    topic_id = table["topic_id"]
+    has_topic = topic_id >= 0
+    assigned = int(np.count_nonzero(has_topic))
     if not assigned:
         return []
-    total_views = sum(r.total_views for r in assigned)
-    by_topic: dict[int, list[ArticleFeatures]] = {}
-    for row in assigned:
-        by_topic.setdefault(row.topic_id, []).append(row)
+    total_views = sum(table["total_views"][has_topic].tolist())
 
     out: list[TopicStats] = []
-    for topic_id in sorted(by_topic):
-        members = by_topic[topic_id]
-        views = sum(r.total_views for r in members)
+    for tid in sorted(set(topic_id[has_topic].tolist())):
+        members = topic_id == tid
+        count = int(np.count_nonzero(members))
+        views = sum(table["total_views"][members].tolist())
         out.append(
             TopicStats(
-                topic_id=topic_id,
-                label=(labels or {}).get(topic_id, f"topic-{topic_id}"),
-                articles=len(members),
-                article_pct=100.0 * len(members) / len(assigned),
+                topic_id=tid,
+                label=(labels or {}).get(tid, f"topic-{tid}"),
+                articles=count,
+                article_pct=100.0 * count / assigned,
                 views=views,
                 view_pct=100.0 * views / total_views if total_views else 0.0,
-                median_age=median([r.age for r in members]),
-                median_editors=median([float(r.editors) for r in members]),
-                median_revisions=median([float(r.revisions) for r in members]),
-                median_size=median([r.size for r in members]),
+                median_age=median(table["age"][members]),
+                median_editors=median(table["editors"][members]),
+                median_revisions=median(table["revisions"][members]),
+                median_size=median(table["size"][members]),
             )
         )
     return out
@@ -343,44 +303,45 @@ def relative_difference_heatmap(topic_grid: np.ndarray, overall_grid: np.ndarray
 # file formats
 
 
-def read_content_table(path: str | Path) -> dict[str, ContentFeatures]:
-    def parse(row: list[str]) -> ContentFeatures:
+def read_content_table(path: str | Path) -> ColumnTable:
+    def parse(row: list[str]) -> tuple:
         age, size = parse_real(row[7]), parse_real(row[8])
         if age < 0 or size < 0:
             raise DataError(f"negative content feature for {row[0]!r}")
-        return ContentFeatures(row[0], *(parse_count(v) for v in row[1:7]), age, size)
+        return (row[0], *(parse_count(v) for v in row[1:7]), age, size)
 
-    return {c.article: c for c in read_table(path, CONTENT_COLUMNS, parse)}
-
-
-def read_topic_assignments(path: str | Path) -> dict[str, int]:
-    return dict(read_table(path, TOPIC_ASSIGNMENT_COLUMNS, lambda row: (row[0], parse_count(row[1]))))
+    return read_columns(path, CONTENT_COLUMNS, parse, CONTENT_DTYPES)
 
 
-def write_joined_table(path: str | Path, rows: Sequence[ArticleFeatures]) -> None:
-    def cells(r: ArticleFeatures):
-        for name in JOINED_COLUMNS:
-            v = getattr(r, name)
-            yield v.value if isinstance(v, QuadrantLabel) else v
+def read_topic_assignments(path: str | Path) -> ColumnTable:
+    """The ``topic_id`` column of a topic assignment table; the weight
+    is not read."""
+    return read_columns(
+        path, TOPIC_ASSIGNMENT_COLUMNS, lambda row: (row[0], parse_count(row[1])), {"topic_id": np.int64}
+    )
 
-    write_tsv(path, JOINED_COLUMNS, (tuple(cells(r)) for r in rows))
+
+def write_joined_table(path: str | Path, table: ColumnTable) -> None:
+    cells = {name: table[name].tolist() for name in JOINED_COLUMNS[1:]}
+    cells["quadrant"] = [QUADRANT_ORDER[code].value for code in cells["quadrant"]]
+    cells["topic_id"] = [tid if tid >= 0 else None for tid in cells["topic_id"]]
+    write_tsv(path, JOINED_COLUMNS, zip(table.articles, *cells.values()))
 
 
-def read_joined_table(path: str | Path) -> list[ArticleFeatures]:
-    """Read a table written by :func:`write_joined_table`; searchshare
-    and resistance must lie in [0, 1]."""
+def read_joined_table(path: str | Path) -> ColumnTable:
+    """Read a table written by :func:`write_joined_table`, in title
+    order; searchshare and resistance must lie in [0, 1]."""
 
-    def parse(r: list[str]) -> ArticleFeatures:
-        return ArticleFeatures(
+    def parse(r: list[str]) -> tuple:
+        return (
             r[0], parse_ratio("searchshare", r[1]), parse_ratio("resistance", r[2]),
-            parse_count(r[3]), QuadrantLabel(r[4]),
+            parse_count(r[3]), QUADRANT_ORDER.index(QuadrantLabel(r[4])),
             *(parse_count(v) for v in r[5:15]),  # in_degree .. editors
-            age=parse_real(r[15]),
-            size=parse_real(r[16]),
-            topic_id=parse_count(r[17]) if r[17] else None,
+            parse_real(r[15]), parse_real(r[16]),
+            parse_count(r[17]) if r[17] else -1,
         )
 
-    return read_table(path, JOINED_COLUMNS, parse)
+    return read_columns(path, JOINED_COLUMNS, parse, JOINED_DTYPES)
 
 
 def write_group_medians(path: str | Path, table: GroupMedianTable) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import ReferrerConfig
-from .tableio import iter_lines, parse_count, read_table, where, write_tsv
+from .tableio import ColumnTable, iter_lines, parse_count, read_columns, where, write_tsv
 
 NETWORK_COLUMNS = ("article", "in_degree", "out_degree", "degree", "kcore")
 
@@ -217,36 +217,25 @@ def kcore_decomposition(graph: LinkGraph) -> np.ndarray:
     return core
 
 
-@dataclass(frozen=True)
-class NetworkFeatures:
-    article: str
-    in_degree: int
-    out_degree: int
-    degree: int
-    kcore: int
-
-
-def network_features(graph: LinkGraph) -> list[NetworkFeatures]:
+def network_features(graph: LinkGraph) -> ColumnTable:
+    """Degrees and core number per article, in title order."""
     in_deg, out_deg, deg = degrees(graph)
     core = kcore_decomposition(graph)
-    return [
-        NetworkFeatures(title, int(in_deg[i]), int(out_deg[i]), int(deg[i]), int(core[i]))
-        for i, title in enumerate(graph.titles)
-    ]
+    titles = graph.titles
+    order = np.array(sorted(range(len(titles)), key=titles.__getitem__), dtype=np.int64)
+    columns = dict(zip(NETWORK_COLUMNS[1:], (in_deg, out_deg, deg, core)))
+    return ColumnTable(tuple(titles[i] for i in order.tolist()), {k: v[order] for k, v in columns.items()})
 
 
-def write_network_table(path: str | Path, features: list[NetworkFeatures]) -> None:
-    rows = (
-        (f.article, f.in_degree, f.out_degree, f.degree, f.kcore)
-        for f in sorted(features, key=lambda f: f.article)
-    )
-    write_tsv(path, NETWORK_COLUMNS, rows)
+def write_network_table(path: str | Path, features: ColumnTable) -> None:
+    cells = (features[name].tolist() for name in NETWORK_COLUMNS[1:])
+    write_tsv(path, NETWORK_COLUMNS, zip(features.articles, *cells))
 
 
-def read_network_table(path: str | Path) -> dict[str, NetworkFeatures]:
-    rows = read_table(
+def read_network_table(path: str | Path) -> ColumnTable:
+    return read_columns(
         path,
         NETWORK_COLUMNS,
-        lambda r: NetworkFeatures(r[0], *(parse_count(v) for v in r[1:])),
+        lambda r: (r[0], *(parse_count(v) for v in r[1:])),
+        dict.fromkeys(NETWORK_COLUMNS[1:], np.int64),
     )
-    return {f.article: f for f in rows}

@@ -31,9 +31,10 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .ingest import TrafficTable
-from .tableio import parse_count, parse_ratio, read_table, write_keyvalues, write_tsv
+from .tableio import parse_count, parse_ratio, read_columns, write_keyvalues, write_tsv
 
 METRICS_COLUMNS = ("article", "searchshare", "resistance", "total_views", "quadrant")
+METRICS_DTYPES = {"searchshare": float, "resistance": float, "total_views": np.int64, "quadrant": np.int8}
 
 
 class QuadrantLabel(enum.Enum):
@@ -205,23 +206,20 @@ def write_metrics_table(path: str | Path, metrics: MetricsTable) -> None:
 
 
 def read_metrics_table(path: str | Path) -> MetricsTable:
-    """Read a metrics table written by :func:`write_metrics_table`;
-    searchshare and resistance must lie in [0, 1]."""
+    """Read a metrics table written by :func:`write_metrics_table`, in
+    title order; searchshare and resistance must lie in [0, 1] and
+    total_views must be positive."""
 
     def parse(r: list[str]) -> tuple[str, float, float, int, int]:
         quadrant = QUADRANT_ORDER.index(QuadrantLabel(r[4]))
         searchshare, resistance = parse_ratio("searchshare", r[1]), parse_ratio("resistance", r[2])
-        return r[0], searchshare, resistance, parse_count(r[3]), quadrant
+        total_views = parse_count(r[3])
+        if not total_views:
+            raise ValueError("total_views 0: metrics need positive inflow")
+        return r[0], searchshare, resistance, total_views, quadrant
 
-    rows = sorted(read_table(path, METRICS_COLUMNS, parse))
-    articles, ss, res, views, quadrant = list(zip(*rows)) or [()] * 5
-    return MetricsTable(
-        tuple(articles),
-        np.array(ss, dtype=float),
-        np.array(res, dtype=float),
-        np.array(views, dtype=np.int64),
-        np.array(quadrant, dtype=np.int8),
-    )
+    columns = read_columns(path, METRICS_COLUMNS, parse, METRICS_DTYPES)
+    return MetricsTable(columns.articles, *columns.columns.values())
 
 
 def write_thresholds(path: str | Path, thresholds: CorpusThresholds) -> None:

@@ -1,10 +1,12 @@
 """Gradient-boosted tree classification of traffic roles.
 
-Binary targets come from thresholding searchshare (above = search
-dominated) or resistance (at or below = relay). The classifier is a
-stagewise ensemble of axis-aligned regression trees fit to logistic-loss
-gradients with Newton leaf values. Split search is exact greedy over
-sorted unique feature values on columns sorted once per training set
+An instance set stacks the joined table's feature columns, plus a
+one-hot of the topic ids present. Binary targets come from thresholding
+searchshare (above = search dominated) or resistance (at or below =
+relay). The classifier is a stagewise ensemble of axis-aligned
+regression trees fit to logistic-loss gradients with Newton leaf
+values. Split search is exact greedy over sorted unique feature values
+on columns sorted once per training set
 (the pre-sorted column blocks of XGBoost, Chen & Guestrin 2016, §4.1):
 every node keeps its rows in each feature's order, splits that order
 stably into its children, and scores all features' candidate
@@ -27,9 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, UsageError
-from .features import ArticleFeatures
 from .metrics import average_ranks
-from .tableio import open_text
+from .tableio import ColumnTable, open_text
 
 SEARCHSHARE_THRESHOLD = 0.66
 RESISTANCE_THRESHOLD = 0.88
@@ -84,38 +85,32 @@ class InstanceSet:
 
 
 def build_instances(
-    rows: Sequence[ArticleFeatures],
+    table: ColumnTable,
     task: str,
     threshold: float | None = None,
-    k_topics: int | None = None,
 ) -> tuple[InstanceSet, int]:
-    """Labeled instances from joined feature rows.
+    """Labeled instances from a joined feature table.
 
     The vector is network + content/edit features plus a one-hot of the
-    dominant topic. Rows without a topic assignment are excluded (the
-    count comes back alongside); with no topics anywhere the vector
-    simply has no topic block.
+    dominant topic, one column ``topic_<id>`` per distinct id present,
+    ascending. Rows without a topic assignment are excluded (the count
+    comes back alongside); with no topics anywhere the vector simply has
+    no topic block.
     """
-    if k_topics is None:
-        ids = [r.topic_id for r in rows if r.topic_id is not None]
-        k_topics = max(ids) + 1 if ids else 0
-    kept = [r for r in rows if r.topic_id is not None] if k_topics else list(rows)
-    dropped = len(rows) - len(kept)
+    topic_id = table["topic_id"]
+    ids = sorted(set(topic_id[topic_id >= 0].tolist()))
+    rows = np.flatnonzero(topic_id >= 0) if ids else np.arange(len(table))
+    dropped = len(table) - len(rows)
 
     base = NETWORK_FEATURES + CONTENT_EDIT_FEATURES
-    names = base + tuple(f"topic_{i}" for i in range(k_topics))
-    x = np.zeros((len(kept), len(names)), dtype=float)
-    for i, r in enumerate(kept):
-        for j, name in enumerate(base):
-            x[i, j] = float(getattr(r, name))
-        if k_topics:
-            if not 0 <= r.topic_id < k_topics:
-                raise DataError(f"topic id {r.topic_id} out of range for {r.article!r}")
-            x[i, len(base) + r.topic_id] = 1.0
-
-    metric = [r.searchshare if task == "searchshare" else r.resistance for r in kept]
-    y = binarize_target(metric, task, threshold)
-    return InstanceSet(tuple(r.article for r in kept), names, x, y), dropped
+    names = base + tuple(f"topic_{i}" for i in ids)
+    x = np.empty((len(rows), len(names)))
+    for j, name in enumerate(base):
+        x[:, j] = table[name][rows]
+    x[:, len(base) :] = topic_id[rows, None] == np.array(ids, dtype=np.int64)
+    metric = table["searchshare" if task == "searchshare" else "resistance"]
+    y = binarize_target(metric[rows], task, threshold)
+    return InstanceSet(tuple(table.articles[i] for i in rows.tolist()), names, x, y), dropped
 
 
 def select_group(instances: InstanceSet, group: str) -> InstanceSet:

@@ -1,5 +1,6 @@
 """Shared file helpers: gzip-transparent text IO, TSV tables, CSV
-matrices with ``#`` metadata header lines, and key=value files.
+matrices with ``#`` metadata header lines, and key=value files; and
+ColumnTable, the one in-memory form of a per-article feature table.
 
 All writers produce byte-deterministic output for identical inputs:
 floats are serialized with ``repr`` (shortest round-trip form), rows are
@@ -12,8 +13,10 @@ from __future__ import annotations
 import gzip
 import io
 import math
+from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -125,6 +128,46 @@ def read_table(path: str | Path, header: Sequence[str], parse_row: Callable[[lis
         except (ValueError, DataError) as exc:
             raise DataError(f"{where(path, lineno)}: {exc}") from exc
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnTable:
+    """Per-article table: the titles, ascending and unique, and one
+    row-aligned numpy column per field, in field order."""
+
+    articles: tuple[str, ...]
+    columns: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.articles)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def take(self, rows: np.ndarray) -> ColumnTable:
+        """The rows at ascending indices `rows`, so titles stay sorted."""
+        return ColumnTable(
+            tuple(self.articles[i] for i in rows.tolist()),
+            {name: column[rows] for name, column in self.columns.items()},
+        )
+
+
+def read_columns(
+    path: str | Path,
+    header: Sequence[str],
+    parse_row: Callable[[list[str]], tuple],
+    dtypes: Mapping[str, object],
+) -> ColumnTable:
+    """:func:`read_table` sorted by title, as a ColumnTable: parse_row
+    returns (title, *cells), one cell per `dtypes` entry, which names the
+    column and gives its numpy dtype."""
+    rows = read_table(path, header, parse_row)
+    rows.sort(key=itemgetter(0))
+    articles, *cells = zip(*rows) if rows else [()] * (1 + len(dtypes))
+    return ColumnTable(
+        articles,
+        {name: np.array(column, dtype=dtype) for (name, dtype), column in zip(dtypes.items(), cells)},
+    )
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray, metadata: dict[str, object]) -> None:

@@ -1,0 +1,68 @@
+"""Joined feature rows as plain dicts, for tests: build a ColumnTable
+from them and read one back, so per-row reference code can be checked
+against the column operations."""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from clickroles.features import JOINED_COLUMNS, JOINED_DTYPES
+from clickroles.metrics import QUADRANT_ORDER, QuadrantLabel
+from clickroles.tableio import ColumnTable, fmt_value
+
+ROW_DEFAULTS = dict(
+    searchshare=0.5,
+    resistance=0.5,
+    total_views=100,
+    quadrant=QuadrantLabel.NAV_RELAY,
+    in_degree=1,
+    out_degree=1,
+    degree=2,
+    kcore=1,
+    sections=1,
+    figures=0,
+    lists=0,
+    tables=0,
+    revisions=5,
+    editors=2,
+    age=1.0,
+    size=10.0,
+    topic_id=None,
+)
+
+
+def make_row(article: str = "A", **overrides) -> dict:
+    return {"article": article, **ROW_DEFAULTS, **overrides}
+
+
+def make_table(rows: Iterable[dict]) -> ColumnTable:
+    """The joined table of `rows`, sorted by title."""
+    rows = sorted(rows, key=lambda r: r["article"])
+    columns = {}
+    for name, dtype in JOINED_DTYPES.items():
+        cells = [r[name] for r in rows]
+        if name == "quadrant":
+            cells = [QUADRANT_ORDER.index(QuadrantLabel(q)) for q in cells]
+        elif name == "topic_id":
+            cells = [-1 if t is None else t for t in cells]
+        columns[name] = np.array(cells, dtype=dtype)
+    return ColumnTable(tuple(r["article"] for r in rows), columns)
+
+
+def table_rows(table: ColumnTable) -> list[dict]:
+    """The rows of a joined table as dicts of Python values."""
+    cells = {name: table[name].tolist() for name in JOINED_COLUMNS[1:]}
+    cells["quadrant"] = [QUADRANT_ORDER[q] for q in cells["quadrant"]]
+    cells["topic_id"] = [None if t < 0 else t for t in cells["topic_id"]]
+    return [dict(zip(JOINED_COLUMNS, values)) for values in zip(table.articles, *cells.values())]
+
+
+def joined_tsv(rows: Iterable[dict]) -> str:
+    """`rows` as joined.tsv text, in the order given."""
+    lines = ["\t".join(JOINED_COLUMNS)]
+    for r in rows:
+        values = [QuadrantLabel(r[k]).value if k == "quadrant" else r[k] for k in JOINED_COLUMNS]
+        lines.append("\t".join(fmt_value(v) for v in values))
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from clickroles.features import ArticleFeatures, binned_quartiles
+from clickroles.features import binned_quartiles
 from clickroles.ingest import TrafficTable, read_traffic_file, traffic_table
 from clickroles.linkgraph import build_graph, kcore_decomposition
 from clickroles.metrics import group_shares, metrics_table
@@ -40,6 +40,7 @@ from clickroles.model import (
 )
 from clickroles.overlap import Ranking, cumulative_overlap
 from clickroles.topics import build_corpus, fit_lda
+from feature_rows import make_row, make_table
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -297,15 +298,6 @@ def test_kcore_matches_iterative_deletion():
 # 6. binned quartiles equal naive sorted quantiles
 
 
-def make_feature_row(article: str, kcore: float, searchshare: float) -> ArticleFeatures:
-    return ArticleFeatures(
-        article=article, searchshare=searchshare, resistance=0.5, total_views=10,
-        quadrant="search-exit", in_degree=0, out_degree=0, degree=0, kcore=kcore,
-        sections=0, figures=0, lists=0, tables=0, revisions=0, editors=0,
-        age=0, size=0, topic_id=None,
-    )
-
-
 def naive_quantile(sorted_values: list[float], q: float) -> float:
     h = q * (len(sorted_values) - 1)
     lo = math.floor(h)
@@ -316,23 +308,23 @@ def naive_quantile(sorted_values: list[float], q: float) -> float:
 def test_binned_quartiles_match_naive_quantiles():
     rng = random.Random(123)
     rows = [
-        make_feature_row(
+        make_row(
             f"a{i:05d}",
-            float(rng.randrange(0, 60)),  # heavy ties across bin boundaries
-            rng.random(),
+            kcore=rng.randrange(0, 60),  # heavy ties across bin boundaries
+            searchshare=rng.random(),
         )
         for i in range(10_000)
     ]
     bins = 25
-    result = binned_quartiles(rows, "kcore", "searchshare", bins)
+    result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins)
 
-    ordered = sorted(rows, key=lambda r: (r.kcore, r.article))
+    ordered = sorted(rows, key=lambda r: (r["kcore"], r["article"]))
     base, extra = divmod(len(ordered), bins)
     worst = 0.0
     start = 0
     for index, summary in enumerate(result.bins):
         size = base + (1 if index < extra else 0)
-        chunk = sorted(r.searchshare for r in ordered[start : start + size])
+        chunk = sorted(r["searchshare"] for r in ordered[start : start + size])
         start += size
         for q, got in ((0.25, summary.q1), (0.5, summary.q2), (0.75, summary.q3)):
             worst = max(worst, abs(got - naive_quantile(chunk, q)))
@@ -520,12 +512,12 @@ REFERENCE_AUCS = {
 def test_corpus_scale_auc_reference_targets():
     from clickroles.features import read_joined_table
 
-    rows = read_joined_table(os.environ["CLICKROLES_JOINED"])
+    table = read_joined_table(os.environ["CLICKROLES_JOINED"])
     config = GBDTConfig()
     lines = []
     worst = 0.0
     for (task, group), target in REFERENCE_AUCS.items():
-        instances, _ = build_instances(rows, task)
+        instances, _ = build_instances(table, task)
         mean = cross_validate(instances, group, config, n_folds=10, task=task).mean_auc
         worst = max(worst, abs(mean - target))
         lines.append(f"{task}/{group}={mean:.3f} (target {target:.2f})")

@@ -232,6 +232,28 @@ class TestExitCodes:
         err = self.assert_bad_row(tmp_path, pipeline, capsys, sub, "--joined", "searchshare", "1.5")
         assert f"{tmp_path / 'bad_joined.tsv'}:3: searchshare 1.5 outside [0, 1]" in err
 
+    def test_metrics_zero_views_is_data_error(self, tmp_path, pipeline, capsys):
+        # metrics exist only for articles with positive inflow
+        err = self.assert_bad_row(tmp_path, pipeline, capsys, "features", "--metrics", "total_views", "0")
+        assert f"{tmp_path / 'bad_metrics.tsv'}:3: total_views 0" in err
+
+    def test_labels_keys_follow_the_count_rule(self, tmp_path, pipeline, capsys):
+        def features(labels: str) -> int:
+            (tmp_path / "labels.txt").write_text(labels)
+            return run(
+                "features", "--metrics", pipeline["metrics"] / "metrics.tsv",
+                "--network", pipeline["graph"] / "network.tsv", "--content", pipeline["content"],
+                "--topics", pipeline["topics"] / "topics.tsv", "--labels", tmp_path / "labels.txt",
+                "--grid", 0, "--out", tmp_path / "f",
+            )
+
+        assert features("1=Sports\n") == 0
+        stats = (tmp_path / "f" / "topic_stats.tsv").read_text().splitlines()
+        assert [line.split("\t")[1] for line in stats[1:]] == ["topic-0", "Sports"]
+        # "1_0" would be topic 10 to int()
+        assert features("1_0=Sports\n") == 2
+        assert "keys must be integer topic ids" in capsys.readouterr().err
+
     def assert_bad_row(self, tmp_path, pipeline, capsys, sub, flag, column, value):
         """Run `sub` with the table of `flag` broken on line 3: its `column`
         cell set to `value`, or the row cut short if value is None; returns

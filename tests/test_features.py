@@ -1,6 +1,14 @@
-"""Feature joining, medians, equal-count bins, topic stats, ratio grids."""
+"""Feature joining, medians, equal-count bins, topic stats, ratio grids.
+
+The per-row reference implementations below (``ref_*``) are the row-by-row
+forms of the column operations; hypothesis tests require exactly equal
+results, signed zeros included, on drawn tables read from unsorted files.
+"""
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +17,13 @@ from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
 from clickroles.features import (
-    ArticleFeatures,
-    ContentFeatures,
+    CONTENT_COLUMNS,
+    DEFAULT_MEDIAN_FEATURES,
+    JOINED_COLUMNS,
+    NUMERIC_FEATURES,
+    TopicStats,
     binned_quartiles,
-    feature_value,
+    feature_column,
     group_medians,
     join_features,
     median,
@@ -25,33 +36,10 @@ from clickroles.features import (
     write_bin_table,
     write_joined_table,
 )
-from clickroles.linkgraph import NetworkFeatures
-from clickroles.metrics import QUADRANT_ORDER, MetricsTable, QuadrantLabel, read_metrics_table
-
-
-def make_row(article="A", **overrides) -> ArticleFeatures:
-    values = dict(
-        article=article,
-        searchshare=0.5,
-        resistance=0.5,
-        total_views=100,
-        quadrant=QuadrantLabel.NAV_RELAY,
-        in_degree=1,
-        out_degree=1,
-        degree=2,
-        kcore=1,
-        sections=1,
-        figures=0,
-        lists=0,
-        tables=0,
-        revisions=5,
-        editors=2,
-        age=1.0,
-        size=10.0,
-        topic_id=None,
-    )
-    values.update(overrides)
-    return ArticleFeatures(**values)
+from clickroles.linkgraph import NETWORK_COLUMNS, read_network_table
+from clickroles.metrics import METRICS_COLUMNS, QUADRANT_ORDER, MetricsTable, QuadrantLabel, read_metrics_table
+from clickroles.tableio import ColumnTable, fmt_value
+from feature_rows import joined_tsv, make_row, make_table, table_rows
 
 
 def make_inputs(titles_m, titles_n, titles_c):
@@ -61,16 +49,159 @@ def make_inputs(titles_m, titles_n, titles_c):
     metrics = MetricsTable(
         titles, np.full(n, 0.5), np.full(n, 0.5), np.full(n, 10, dtype=np.int64), np.full(n, nav_relay, dtype=np.int8)
     )
-    network = {t: NetworkFeatures(t, 1, 2, 3, 1) for t in titles_n}
-    content = {t: ContentFeatures(t, 1, 0, 0, 0, 5, 2, 1.0, 10.0) for t in titles_c}
+
+    def table(titles, **values):
+        titles = tuple(sorted(titles))
+        return ColumnTable(titles, {k: np.full(len(titles), v) for k, v in values.items()})
+
+    network = table(titles_n, in_degree=1, out_degree=2, degree=3, kcore=1)
+    content = table(titles_c, sections=1, figures=0, lists=0, tables=0, revisions=5, editors=2, age=1.0, size=10.0)
     return metrics, network, content
+
+
+# ---------------------------------------------------------------------------
+# per-row references
+
+
+def ref_median(values):
+    s = sorted(values)
+    m = len(s)
+    if m % 2:
+        return float(s[m // 2])
+    return (s[m // 2 - 1] + s[m // 2]) / 2.0
+
+
+def ref_quartiles(values):
+    s = sorted(values)
+    m = len(s)
+
+    def at(q):
+        h = q * (m - 1)
+        i = int(h)
+        frac = h - i
+        if frac == 0.0 or i + 1 >= m:
+            return float(s[i])
+        return s[i] + frac * (s[i + 1] - s[i])
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def ref_join(metrics, network, content, topics):
+    """Per-row inner join of title -> cells dicts, in title order, and
+    the drop counts per family."""
+    common = metrics.keys() & network.keys() & content.keys()
+    joined = []
+    for article in sorted(metrics):
+        if article in common:
+            topic_id = None if topics is None else topics.get(article)
+            cells = (article, *metrics[article], *network[article], *content[article], topic_id)
+            joined.append(dict(zip(JOINED_COLUMNS, cells)))
+    dropped = {"metrics": len(metrics), "network": len(network), "content": len(content)}
+    return joined, {k: v - len(common) for k, v in dropped.items()}
+
+
+def ref_group_medians(rows, features):
+    by_group = {q.value: [] for q in QUADRANT_ORDER}
+    for row in rows:
+        by_group[row["quadrant"].value].append(row)
+    values = {}
+    for name in features:
+        per_column = {
+            group: ref_median([float(r[name]) for r in members]) if members else None
+            for group, members in by_group.items()
+        }
+        per_column["overall"] = ref_median([float(r[name]) for r in rows]) if rows else None
+        values[name] = per_column
+    return values
+
+
+def ref_binned_quartiles(rows, bin_feature, target, bins):
+    ordered = sorted(rows, key=lambda r: (float(r[bin_feature]), r["article"]))
+    base, rem = divmod(len(ordered), bins)
+    out, start = [], 0
+    for index in range(bins):
+        stop = start + base + (1 if index < rem else 0)
+        chunk = ordered[start:stop]
+        q1, q2, q3 = ref_quartiles([float(r[target]) for r in chunk])
+        low, high = float(chunk[0][bin_feature]), float(chunk[-1][bin_feature])
+        out.append((index, stop - start, low, high, q1, q2, q3))
+        start = stop
+    return out
+
+
+def ref_topic_statistics(rows, labels=None):
+    assigned = [r for r in rows if r["topic_id"] is not None]
+    if not assigned:
+        return []
+    total_views = sum(r["total_views"] for r in assigned)
+    by_topic = {}
+    for row in assigned:
+        by_topic.setdefault(row["topic_id"], []).append(row)
+    out = []
+    for topic_id in sorted(by_topic):
+        members = by_topic[topic_id]
+        views = sum(r["total_views"] for r in members)
+        out.append(
+            TopicStats(
+                topic_id=topic_id,
+                label=(labels or {}).get(topic_id, f"topic-{topic_id}"),
+                articles=len(members),
+                article_pct=100.0 * len(members) / len(assigned),
+                views=views,
+                view_pct=100.0 * views / total_views if total_views else 0.0,
+                median_age=ref_median([r["age"] for r in members]),
+                median_editors=ref_median([float(r["editors"]) for r in members]),
+                median_revisions=ref_median([float(r["revisions"]) for r in members]),
+                median_size=ref_median([r["size"] for r in members]),
+            )
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# drawn tables: few distinct values, so ties are common; both zeros appear
+
+TITLES = st.text(alphabet="abAB_\u00e91", min_size=1, max_size=3)
+COUNT = st.integers(0, 3)
+RATIO = st.sampled_from([-0.0, 0.0, 0.25, 1.0]) | st.floats(0, 1)
+REAL = st.sampled_from([-0.0, 0.0, 0.5, 2.0]) | st.floats(0, 10)
+ROW_CELLS = st.fixed_dictionaries({
+    "searchshare": RATIO,
+    "resistance": RATIO,
+    "total_views": st.integers(0, 50),
+    **{name: COUNT for name in DEFAULT_MEDIAN_FEATURES[:10]},
+    "age": REAL,
+    "size": REAL,
+    "topic_id": st.none() | st.integers(0, 3),
+})
+
+
+@st.composite
+def joined_rows(draw, min_size=0):
+    """Rows in drawn (unsorted) title order, over a drawn subset of the
+    quadrants, so some groups are empty."""
+    titles = draw(st.lists(TITLES, min_size=min_size, max_size=25, unique=True))
+    quadrants = draw(st.lists(st.sampled_from(QUADRANT_ORDER), min_size=1, max_size=4, unique=True))
+    return [make_row(t, quadrant=draw(st.sampled_from(quadrants)), **draw(ROW_CELLS)) for t in titles]
+
+
+def read_back(rows) -> ColumnTable:
+    """`rows` written to joined.tsv in the order given, then read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "joined.tsv"
+        path.write_text(joined_tsv(rows), encoding="utf-8")
+        return read_joined_table(path)
+
+
+def by_title(rows):
+    return sorted(rows, key=lambda r: r["article"])
 
 
 class TestJoin:
     def test_disjoint_keys_empty(self):
         metrics, network, content = make_inputs(["A"], ["B"], ["C"])
         joined, stats = join_features(metrics, network, content)
-        assert joined == []
+        assert len(joined) == 0 and joined.articles == ()
         assert stats.kept == 0
         assert stats.dropped == {"metrics": 1, "network": 1, "content": 1}
 
@@ -79,19 +210,19 @@ class TestJoin:
         joined, stats = join_features(metrics, network, content)
         assert len(joined) == 1
         assert stats.kept == 1
-        row = joined[0]
-        assert (row.article, row.in_degree, row.revisions) == ("A", 1, 5)
-        assert row.topic_id is None
-        # plain Python numbers, so the joined table writes them as such
-        assert (type(row.searchshare), type(row.total_views)) == (float, int)
-        assert row.quadrant is QuadrantLabel.NAV_RELAY
+        (row,) = table_rows(joined)
+        assert (row["article"], row["in_degree"], row["revisions"]) == ("A", 1, 5)
+        assert row["topic_id"] is None
+        assert tuple(joined.columns) == JOINED_COLUMNS[1:]
+        assert (joined["searchshare"].dtype, joined["total_views"].dtype) == (np.float64, np.int64)
+        assert (joined["quadrant"].dtype, joined["topic_id"].dtype) == (np.int8, np.int64)
+        assert row["quadrant"] is QuadrantLabel.NAV_RELAY
 
     def test_topic_carried_but_optional(self):
         metrics, network, content = make_inputs(["A", "B"], ["A", "B"], ["A", "B"])
-        joined, _ = join_features(metrics, network, content, topics={"A": 3})
-        by_title = {r.article: r for r in joined}
-        assert by_title["A"].topic_id == 3
-        assert by_title["B"].topic_id is None
+        topics = ColumnTable(("A",), {"topic_id": np.array([3])})
+        joined, _ = join_features(metrics, network, content, topics)
+        assert joined["topic_id"].tolist() == [3, -1]
 
     def test_duplicate_metric_key(self, tmp_path):
         # titles are unique by construction of the table, checked on read
@@ -113,15 +244,15 @@ class TestJoin:
 
         expected = []
         for article in metrics.articles:
-            net_hits = [n for k, n in network.items() if k == article]
-            con_hits = [c for k, c in content.items() if k == article]
+            net_hits = [n for k, n in zip(network.articles, network["in_degree"].tolist()) if k == article]
+            con_hits = [c for k, c in zip(content.articles, content["revisions"].tolist()) if k == article]
             for net in net_hits:
                 for con in con_hits:
-                    expected.append((article, net.in_degree, con.revisions))
+                    expected.append((article, net, con))
         expected.sort()
 
         joined, stats = join_features(metrics, network, content)
-        got = sorted((r.article, r.in_degree, r.revisions) for r in joined)
+        got = sorted(zip(joined.articles, joined["in_degree"].tolist(), joined["revisions"].tolist()))
         assert got == expected
         assert stats.kept == len(expected)
         assert stats.dropped["metrics"] == len(titles_m) - len(expected)
@@ -134,7 +265,45 @@ class TestJoin:
         )
         _, network, content = make_inputs([], ["A", "B", "C"], ["B", "C", "A"])
         joined, _ = join_features(read_metrics_table(path), network, content)
-        assert [r.article for r in joined] == ["A", "B", "C"]
+        assert joined.articles == ("A", "B", "C")
+
+    @given(
+        st.dictionaries(TITLES, st.tuples(RATIO, RATIO, st.integers(1, 50), st.sampled_from(QUADRANT_ORDER))),
+        st.dictionaries(TITLES, st.tuples(COUNT, COUNT, COUNT, COUNT)),
+        st.dictionaries(TITLES, st.tuples(*[COUNT] * 6, REAL, REAL)),
+        st.none() | st.dictionaries(TITLES, COUNT),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_join(self, metrics, network, content, topics, rng):
+        """Tables read from files in shuffled title order join exactly as
+        the per-row join of their cells."""
+        tables = {
+            "metrics": (METRICS_COLUMNS, metrics),
+            "network": (NETWORK_COLUMNS, network),
+            "content": (CONTENT_COLUMNS, content),
+            "topics": (("article", "topic_id", "weight"), {t: (k, 0.5) for t, k in (topics or {}).items()}),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, (header, cells) in tables.items():
+                rows = [(t, *c) for t, c in cells.items()]
+                rng.shuffle(rows)
+                text = "".join(
+                    "\t".join(fmt_value(v.value if isinstance(v, QuadrantLabel) else v) for v in row) + "\n"
+                    for row in rows
+                )
+                paths[name] = Path(tmp) / f"{name}.tsv"
+                paths[name].write_text("\t".join(header) + "\n" + text, encoding="utf-8")
+            joined, stats = join_features(
+                read_metrics_table(paths["metrics"]),
+                read_network_table(paths["network"]),
+                read_content_table(paths["content"]),
+                None if topics is None else read_topic_assignments(paths["topics"]),
+            )
+        expected, dropped = ref_join(metrics, network, content, topics)
+        assert repr(table_rows(joined)) == repr(expected)
+        assert (stats.kept, stats.dropped) == (len(expected), dropped)
 
 
 class TestMedian:
@@ -156,6 +325,11 @@ class TestMedian:
     def test_duplication_invariant(self, values):
         assert median(values) == pytest.approx(median(values * 2), abs=1e-9)
 
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    def test_matches_sorted_reference(self, values):
+        # equal values keep their order, so the sign of a zero median does too
+        assert repr(median(values)) == repr(ref_median(values))
+
 
 class TestGroupMedians:
     def test_per_group_and_overall(self):
@@ -164,7 +338,7 @@ class TestGroupMedians:
             make_row("B", quadrant=QuadrantLabel.SEARCH_EXIT, kcore=20),
             make_row("C", quadrant=QuadrantLabel.NAV_RELAY, kcore=50),
         ]
-        table = group_medians(rows, ["kcore"])
+        table = group_medians(make_table(rows), ["kcore"])
         cell = table.values["kcore"]
         assert cell["search-exit"] == 15.0
         assert cell["nav-relay"] == 50.0
@@ -172,7 +346,7 @@ class TestGroupMedians:
 
     def test_empty_group_absent(self):
         rows = [make_row("A", quadrant=QuadrantLabel.NAV_EXIT)]
-        table = group_medians(rows, ["age"])
+        table = group_medians(make_table(rows), ["age"])
         assert table.values["age"]["search-relay"] is None
         assert table.values["age"]["nav-exit"] == 1.0
 
@@ -189,16 +363,20 @@ class TestGroupMedians:
             )
             for i in range(31)
         ]
-        doubled = rows + [
-            ArticleFeatures(**{**r.__dict__, "article": r.article + "#2"}) for r in rows
-        ]
-        t1 = group_medians(rows, ["kcore", "age"])
-        t2 = group_medians(doubled, ["kcore", "age"])
+        doubled = rows + [{**r, "article": r["article"] + "#2"} for r in rows]
+        t1 = group_medians(make_table(rows), ["kcore", "age"])
+        t2 = group_medians(make_table(doubled), ["kcore", "age"])
         assert t1.values == t2.values
 
     def test_unknown_feature(self):
         with pytest.raises(UsageError):
-            group_medians([make_row()], ["pagerank"])
+            group_medians(make_table([make_row()]), ["pagerank"])
+
+    @given(joined_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_row_reference(self, rows):
+        table = group_medians(read_back(rows), NUMERIC_FEATURES)
+        assert repr(table.values) == repr(ref_group_medians(by_title(rows), NUMERIC_FEATURES))
 
 
 class TestQuartiles:
@@ -215,34 +393,38 @@ class TestQuartiles:
         q1, q2, q3 = quartiles(values)
         assert q1 <= q2 <= q3
 
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    def test_matches_sorted_reference(self, values):
+        assert repr(quartiles(values)) == repr(ref_quartiles(values))
+
 
 class TestBinnedQuartiles:
     def test_four_articles_two_bins(self):
         rows = [make_row(f"A{i}", kcore=i, searchshare=i / 10) for i in range(4)]
-        result = binned_quartiles(rows, "kcore", "searchshare", bins=2)
+        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=2)
         assert [b.count for b in result.bins] == [2, 2]
         assert result.bins[0].feature_low == 0.0
         assert result.bins[1].feature_high == 3.0
 
     def test_constant_target(self):
         rows = [make_row(f"A{i}", kcore=i) for i in range(10)]
-        result = binned_quartiles(rows, "kcore", "searchshare", bins=5)
+        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=5)
         for b in result.bins:
             assert b.q1 == b.q2 == b.q3 == 0.5
 
     def test_remainder_goes_to_first_bins(self):
         rows = [make_row(f"A{i}", kcore=i) for i in range(10)]
-        result = binned_quartiles(rows, "kcore", "searchshare", bins=3)
+        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=3)
         assert [b.count for b in result.bins] == [4, 3, 3]
 
     def test_too_few_articles(self):
         with pytest.raises(DataError):
-            binned_quartiles([make_row()], "kcore", "searchshare", bins=2)
+            binned_quartiles(make_table([make_row()]), "kcore", "searchshare", bins=2)
 
     def test_tie_break_by_title(self):
         # equal kcore everywhere: bin membership decided by title order
         rows = [make_row(f"A{i}", kcore=7, searchshare=i / 10) for i in range(4)]
-        result = binned_quartiles(rows, "kcore", "searchshare", bins=2)
+        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=2)
         assert result.bins[0].q2 == pytest.approx(0.05)
         assert result.bins[1].q2 == pytest.approx(0.25)
 
@@ -257,13 +439,13 @@ class TestBinnedQuartiles:
             )
             for i in range(n)
         ]
-        result = binned_quartiles(rows, "kcore", "searchshare", bins=bins)
-        ordered = sorted(rows, key=lambda r: (r.kcore, r.article))
+        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=bins)
+        ordered = sorted(rows, key=lambda r: (r["kcore"], r["article"]))
         base, rem = divmod(n, bins)
         start = 0
         for b in result.bins:
             size = base + (1 if b.index < rem else 0)
-            chunk = [r.searchshare for r in ordered[start : start + size]]
+            chunk = [r["searchshare"] for r in ordered[start : start + size]]
             assert b.count == size
             assert b.q1 == pytest.approx(np.percentile(chunk, 25), abs=1e-12)
             assert b.q2 == pytest.approx(np.percentile(chunk, 50), abs=1e-12)
@@ -277,7 +459,7 @@ class TestBinnedQuartiles:
     @settings(max_examples=50, deadline=None)
     def test_partition_properties(self, data, bins):
         rows = [make_row(f"A{i:03d}", kcore=k, searchshare=s) for i, (k, s) in enumerate(data)]
-        result = binned_quartiles(rows, "kcore", "searchshare", bins=bins)
+        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=bins)
         counts = [b.count for b in result.bins]
         assert sum(counts) == len(rows)
         assert max(counts) - min(counts) <= 1
@@ -285,11 +467,24 @@ class TestBinnedQuartiles:
             assert b.q1 <= b.q2 <= b.q3
             assert b.feature_low <= b.feature_high
 
+    @given(
+        joined_rows(min_size=1),
+        st.sampled_from(["age", "size", "kcore", "searchshare"]),
+        st.sampled_from(["searchshare", "age", "total_views"]),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_row_reference(self, rows, bin_feature, target, bins):
+        bins = min(bins, len(rows))
+        result = binned_quartiles(read_back(rows), bin_feature, target, bins)
+        got = [(b.index, b.count, b.feature_low, b.feature_high, b.q1, b.q2, b.q3) for b in result.bins]
+        assert repr(got) == repr(ref_binned_quartiles(by_title(rows), bin_feature, target, bins))
+
 
 class TestTopicStatistics:
     def test_single_topic(self):
         rows = [make_row("A", topic_id=0), make_row("B", topic_id=0)]
-        (stats,) = topic_statistics(rows)
+        (stats,) = topic_statistics(make_table(rows))
         assert stats.article_pct == 100.0
         assert stats.view_pct == 100.0
 
@@ -298,7 +493,7 @@ class TestTopicStatistics:
             make_row("A", topic_id=0, total_views=30),
             make_row("B", topic_id=1, total_views=10),
         ]
-        s0, s1 = topic_statistics(rows)
+        s0, s1 = topic_statistics(make_table(rows))
         assert (s0.view_pct, s1.view_pct) == (75.0, 25.0)
         assert s0.article_pct == 50.0
 
@@ -307,7 +502,7 @@ class TestTopicStatistics:
             make_row("A", topic_id=0, total_views=30),
             make_row("B", topic_id=None, total_views=1000),
         ]
-        (stats,) = topic_statistics(rows)
+        (stats,) = topic_statistics(make_table(rows))
         assert stats.article_pct == 100.0
         assert stats.view_pct == 100.0
 
@@ -316,7 +511,7 @@ class TestTopicStatistics:
             make_row("A", topic_id=2, age=4.0),
             make_row("B", topic_id=2, age=6.0),
         ]
-        (stats,) = topic_statistics(rows, labels={2: "Sports"})
+        (stats,) = topic_statistics(make_table(rows), labels={2: "Sports"})
         assert stats.label == "Sports"
         assert stats.median_age == 5.0
 
@@ -330,9 +525,16 @@ class TestTopicStatistics:
             )
             for i in range(100)
         ]
-        stats = topic_statistics(rows)
+        stats = topic_statistics(make_table(rows))
         assert sum(s.article_pct for s in stats) == pytest.approx(100.0, abs=1e-9)
         assert sum(s.view_pct for s in stats) == pytest.approx(100.0, abs=1e-9)
+
+    @given(joined_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_row_reference(self, rows):
+        labels = {1: "Sports"}
+        got = topic_statistics(read_back(rows), labels)
+        assert repr(got) == repr(ref_topic_statistics(by_title(rows), labels))
 
 
 class TestRelativeDifference:
@@ -382,8 +584,9 @@ class TestFileFormats:
             "A\t3\t1\t0\t2\t40\t7\t5.5\t12.25\n"
         )
         table = read_content_table(path)
-        assert table["A"].age == 5.5
-        assert table["A"].tables == 2
+        assert table.articles == ("A",)
+        assert table["age"].tolist() == [5.5]
+        assert table["tables"].tolist() == [2]
 
         bad = tmp_path / "bad.tsv"
         bad.write_text(
@@ -395,8 +598,10 @@ class TestFileFormats:
 
     def test_topic_assignments(self, tmp_path):
         path = tmp_path / "topics.tsv"
-        path.write_text("article\ttopic_id\tweight\nA\t3\t0.9\nB\t0\t0.5\n")
-        assert read_topic_assignments(path) == {"A": 3, "B": 0}
+        path.write_text("article\ttopic_id\tweight\nB\t0\t0.5\nA\t3\t0.9\n")
+        table = read_topic_assignments(path)
+        assert table.articles == ("A", "B")
+        assert table["topic_id"].tolist() == [3, 0]
 
     def test_joined_roundtrip(self, tmp_path):
         rows = [
@@ -404,12 +609,13 @@ class TestFileFormats:
             make_row("B", topic_id=None),
         ]
         path = tmp_path / "joined.tsv"
-        write_joined_table(path, rows)
-        assert read_joined_table(path) == rows
+        write_joined_table(path, make_table(rows))
+        assert table_rows(read_joined_table(path)) == rows
+        assert path.read_text() == joined_tsv(rows)
 
     def test_bin_table_format(self, tmp_path):
         rows = [make_row(f"A{i}", kcore=i, searchshare=i / 10) for i in range(4)]
-        result = binned_quartiles(rows, "kcore", "searchshare", bins=2)
+        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=2)
         path = tmp_path / "bins.csv"
         write_bin_table(path, result)
         text = path.read_text().splitlines()
@@ -420,7 +626,9 @@ class TestFileFormats:
 
 class TestFeatureValue:
     def test_lookup_and_rejection(self):
-        row = make_row(kcore=9)
-        assert feature_value(row, "kcore") == 9.0
-        with pytest.raises(UsageError):
-            feature_value(row, "article")
+        table = make_table([make_row(kcore=9)])
+        column = feature_column(table, "kcore")
+        assert column.dtype == np.float64 and column.tolist() == [9.0]
+        for name in ("article", "quadrant", "topic_id"):
+            with pytest.raises(UsageError):
+                feature_column(table, name)

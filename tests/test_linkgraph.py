@@ -387,14 +387,20 @@ class TestNetworkTable:
     def test_features_and_roundtrip(self, tmp_path):
         g = build_graph([("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")])
         feats = network_features(g)
-        by_title = {f.article: f for f in feats}
-        assert by_title["C"].out_degree == 2
-        assert by_title["C"].kcore == 2
-        assert by_title["D"].kcore == 1
+        assert feats.articles == ("A", "B", "C", "D")
+        assert feats["out_degree"].tolist() == [1, 1, 2, 0]
+        assert feats["kcore"].tolist() == [2, 2, 2, 1]
         path = tmp_path / "network.tsv"
         write_network_table(path, feats)
         back = read_network_table(path)
-        assert back == by_title
+        assert back.articles == feats.articles
+        assert {k: v.tolist() for k, v in back.columns.items()} == {k: v.tolist() for k, v in feats.columns.items()}
+
+    def test_rows_in_title_order(self):
+        # node ids follow first appearance; the table follows the titles
+        feats = network_features(build_graph([("C", "A"), ("B", "C")]))
+        assert feats.articles == ("A", "B", "C")
+        assert feats["in_degree"].tolist() == [1, 0, 1]
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "network.tsv"

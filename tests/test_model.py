@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
-from clickroles.features import ArticleFeatures
-from clickroles.metrics import QuadrantLabel
 from clickroles.model import (
     CONTENT_EDIT_FEATURES,
     GBDTConfig,
     GBDTModel,
     InstanceSet,
     NETWORK_FEATURES,
+    TASKS,
     Tree,
     _sigmoid,
     _TreeBuilder,
@@ -32,6 +31,7 @@ from clickroles.model import (
     train_gbdt,
     write_eval_report,
 )
+from feature_rows import make_row, make_table
 
 
 def pair_count_auc_exact(scores, labels) -> float:
@@ -63,29 +63,21 @@ def stage_losses(model: GBDTModel, x, y) -> list[float]:
     return losses
 
 
-def make_row(article="A", **overrides) -> ArticleFeatures:
-    values = dict(
-        article=article,
-        searchshare=0.5,
-        resistance=0.5,
-        total_views=100,
-        quadrant=QuadrantLabel.NAV_RELAY,
-        in_degree=1,
-        out_degree=1,
-        degree=2,
-        kcore=1,
-        sections=1,
-        figures=0,
-        lists=0,
-        tables=0,
-        revisions=5,
-        editors=2,
-        age=1.0,
-        size=10.0,
-        topic_id=None,
-    )
-    values.update(overrides)
-    return ArticleFeatures(**values)
+def ref_build_instances(rows, task, threshold=None):
+    """Per-row reference: rows with a topic (all rows when none has
+    one), each cell filled in turn, one-hot over the distinct ids."""
+    ids = sorted({r["topic_id"] for r in rows if r["topic_id"] is not None})
+    kept = [r for r in rows if r["topic_id"] is not None] if ids else list(rows)
+    base = NETWORK_FEATURES + CONTENT_EDIT_FEATURES
+    names = base + tuple(f"topic_{i}" for i in ids)
+    x = np.zeros((len(kept), len(names)), dtype=float)
+    for i, r in enumerate(kept):
+        for j, name in enumerate(base):
+            x[i, j] = float(r[name])
+        if ids:
+            x[i, len(base) + ids.index(r["topic_id"])] = 1.0
+    y = binarize_target([r[task] for r in kept], task, threshold)
+    return tuple(r["article"] for r in kept), names, x, y, len(rows) - len(kept)
 
 
 class TestBinarize:
@@ -113,7 +105,7 @@ class TestBuildInstances:
             make_row("A", searchshare=0.9, in_degree=7, revisions=42, topic_id=1),
             make_row("B", searchshare=0.1, topic_id=0),
         ]
-        inst, dropped = build_instances(rows, "searchshare")
+        inst, dropped = build_instances(make_table(rows), "searchshare")
         assert dropped == 0
         assert inst.feature_names[:3] == NETWORK_FEATURES
         assert inst.feature_names[3:11] == CONTENT_EDIT_FEATURES
@@ -127,21 +119,56 @@ class TestBuildInstances:
 
     def test_rows_without_topic_dropped(self):
         rows = [make_row("A", topic_id=0), make_row("B", topic_id=None)]
-        inst, dropped = build_instances(rows, "searchshare")
+        inst, dropped = build_instances(make_table(rows), "searchshare")
         assert dropped == 1
         assert inst.articles == ("A",)
 
     def test_no_topics_at_all(self):
         rows = [make_row("A"), make_row("B")]
-        inst, dropped = build_instances(rows, "resistance")
+        inst, dropped = build_instances(make_table(rows), "resistance")
         assert dropped == 0
         assert all(not n.startswith("topic_") for n in inst.feature_names)
+
+    def test_sparse_topic_ids_one_column_each(self):
+        # the one-hot spans the ids present, not 0 .. the largest id
+        rows = [make_row(f"R{i}", topic_id=tid) for i, tid in enumerate([0, 100000, 0, 100000])]
+        inst, _ = build_instances(make_table(rows), "searchshare")
+        assert inst.feature_names[11:] == ("topic_0", "topic_100000")
+        assert inst.x.shape == (4, 13)
+        assert inst.x[:, 11:].tolist() == [[1.0, 0.0], [0.0, 1.0]] * 2
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.none() | st.sampled_from([0, 3, 7, 2**53]),
+                st.floats(0, 1),
+                st.integers(0, 2**53),
+                st.floats(0, 1e6),
+            ),
+            max_size=30,
+        ),
+        st.sampled_from(TASKS),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_fill(self, cells, task, rng):
+        rows = [
+            make_row(f"R{i:02d}", topic_id=tid, searchshare=ratio, resistance=ratio, kcore=count, size=size)
+            for i, (tid, ratio, count, size) in enumerate(cells)
+        ]
+        rng.shuffle(rows)
+        inst, dropped = build_instances(make_table(rows), task)
+        ordered = sorted(rows, key=lambda r: r["article"])
+        articles, names, x, y, ref_dropped = ref_build_instances(ordered, task)
+        assert (inst.articles, inst.feature_names, dropped) == (articles, names, ref_dropped)
+        assert inst.x.dtype == np.float64 and inst.x.shape == x.shape
+        assert np.array_equal(inst.x, x) and np.array_equal(inst.y, y)
 
 
 class TestSelectGroup:
     def make(self):
         rows = [make_row(f"R{i}", topic_id=i % 3) for i in range(6)]
-        inst, _ = build_instances(rows, "searchshare")
+        inst, _ = build_instances(make_table(rows), "searchshare")
         return inst
 
     def test_groups(self):
@@ -157,7 +184,7 @@ class TestSelectGroup:
 
     def test_topic_group_without_topics(self):
         rows = [make_row("A"), make_row("B")]
-        inst, _ = build_instances(rows, "searchshare")
+        inst, _ = build_instances(make_table(rows), "searchshare")
         with pytest.raises(UsageError):
             select_group(inst, "topic")
 
