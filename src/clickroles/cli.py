@@ -318,7 +318,7 @@ def cmd_ingest(args) -> None:
 def cmd_metrics(args) -> None:
     out = _OutputDir(args.out)
     traffic = read_traffic_table(args.traffic)
-    if not traffic.total_views.any():
+    if not traffic["total_views"].any():
         raise DataError(f"no articles with positive inflow in {args.traffic}")
     metrics, thresholds = metrics_table(traffic)
     write_metrics_table(out.file("metrics.tsv"), metrics)
@@ -328,9 +328,8 @@ def cmd_metrics(args) -> None:
         write_keyvalues(out.file("correlations.txt"), correlations(metrics))
 
     for name in ("searchshare", "resistance"):
-        values = getattr(metrics, name)
-        by_articles = histogram(values, None, args.bins).tolist()
-        by_views = histogram(values, metrics.total_views, args.bins).tolist()
+        by_articles = histogram(metrics[name], None, args.bins).tolist()
+        by_views = histogram(metrics[name], metrics["total_views"], args.bins).tolist()
         rows = (
             (
                 i,
@@ -348,8 +347,8 @@ def cmd_metrics(args) -> None:
         )
 
     for weighted, name in ((False, "heatmap_articles.csv"), (True, "heatmap_views.csv")):
-        weights = metrics.total_views if weighted else None
-        grid = heatmap_grid(metrics.resistance, metrics.searchshare, weights, args.grid)
+        weights = metrics["total_views"] if weighted else None
+        grid = heatmap_grid(metrics["resistance"], metrics["searchshare"], weights, args.grid)
         write_matrix_csv(
             out.file(name),
             grid,
@@ -494,6 +493,8 @@ def cmd_bins(args) -> None:
 
 def cmd_topics(args) -> None:
     out = _OutputDir(args.out)
+    if args.top_words < 1:
+        raise UsageError(f"--top-words must be positive, got {args.top_words}")
     stop_words = read_stop_words(args.stopwords) if args.stopwords else DEFAULT_STOP_WORDS
     corpus = corpus_from_file(args.documents, stop_words)
     model = fit_lda(
@@ -524,13 +525,6 @@ def cmd_topics(args) -> None:
 
 def cmd_model(args) -> None:
     out = _OutputDir(args.out)
-    instances, dropped = build_instances(read_joined_table(args.joined), args.task, args.threshold)
-    has_topics = any(n.startswith("topic_") for n in instances.feature_names)
-    if args.groups:
-        groups = [g.strip() for g in args.groups.split(",")]
-    else:
-        groups = list(FEATURE_GROUPS) if has_topics else ["network", "content-edit"]
-
     config = GBDTConfig(
         n_trees=args.trees,
         max_depth=args.depth,
@@ -538,6 +532,12 @@ def cmd_model(args) -> None:
         min_leaf=args.min_leaf,
         seed=args.seed,
     )
+    instances, dropped = build_instances(read_joined_table(args.joined), args.task, args.threshold)
+    has_topics = any(n.startswith("topic_") for n in instances.feature_names)
+    if args.groups:
+        groups = [g.strip() for g in args.groups.split(",")]
+    else:
+        groups = list(FEATURE_GROUPS) if has_topics else ["network", "content-edit"]
     reports = [
         cross_validate(instances, group, config, args.folds, task=args.task, threads=args.threads)
         for group in groups

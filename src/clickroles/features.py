@@ -5,8 +5,8 @@ degrees, content/edit counts, topic assignment) and computes the three
 descriptive views used downstream: medians per traffic role, quartile
 curves over equal-count feature bins, and per-topic share statistics.
 
-The network, content, topic-assignment and joined tables are each a
-``tableio.ColumnTable``, sorted by title on read: counts are int64,
+The metrics, network, content, topic-assignment and joined tables are
+each a ``tableio.ColumnTable``, sorted by title on read: counts are int64,
 ratios, ``age`` and ``size`` float64, ``quadrant`` the index into
 QUADRANT_ORDER and ``topic_id`` -1 for no topic. Every view works on
 whole columns; medians and quartiles sort stably, so equal values (0.0
@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .metrics import METRICS_DTYPES, QUADRANT_ORDER, MetricsTable, QuadrantLabel
-from .tableio import ColumnTable, fmt_value, open_text, parse_count, parse_ratio, parse_real, read_columns, write_tsv
+from .metrics import METRICS_DTYPES, QUADRANT_LABELS, QUADRANT_ORDER, quadrant_code
+from .tableio import (
+    ColumnTable, fmt_value, open_text, parse_count, parse_ratio, parse_real, read_columns, write_columns, write_tsv
+)
 
 # bin/median features in reporting order: network block, then content/edit
 DEFAULT_MEDIAN_FEATURES = (
@@ -74,7 +75,7 @@ def _member(articles: Sequence[str], titles: set[str]) -> np.ndarray:
 
 
 def join_features(
-    metrics: MetricsTable,
+    metrics: ColumnTable,
     network: ColumnTable,
     content: ColumnTable,
     topics: ColumnTable | None = None,
@@ -91,19 +92,10 @@ def join_features(
     """
     common = set(metrics.articles).intersection(network.articles, content.articles)
     stats = JoinStats(kept=len(common))
-    stats.dropped["metrics"] = len(metrics) - len(common)
-    stats.dropped["network"] = len(network) - len(common)
-    stats.dropped["content"] = len(content) - len(common)
-
-    in_metrics = _member(metrics.articles, common)
-    articles = tuple(compress(metrics.articles, in_metrics.tolist()))
-    columns = {
-        "searchshare": metrics.searchshare[in_metrics],
-        "resistance": metrics.resistance[in_metrics],
-        "total_views": metrics.total_views[in_metrics],
-        "quadrant": metrics.quadrant[in_metrics],
-    }
-    for table in (network, content):
+    articles = tuple(sorted(common))
+    columns = {}
+    for family, table in (("metrics", metrics), ("network", network), ("content", content)):
+        stats.dropped[family] = len(table) - len(common)
         rows = _member(table.articles, common)
         columns.update((name, column[rows]) for name, column in table.columns.items())
     topic_id = np.full(len(articles), -1, dtype=np.int64)
@@ -314,18 +306,21 @@ def read_content_table(path: str | Path) -> ColumnTable:
 
 
 def read_topic_assignments(path: str | Path) -> ColumnTable:
-    """The ``topic_id`` column of a topic assignment table; the weight
-    is not read."""
+    """A topic assignment table: the topic_id column and the weight, a
+    theta entry in [0, 1]."""
     return read_columns(
-        path, TOPIC_ASSIGNMENT_COLUMNS, lambda row: (row[0], parse_count(row[1])), {"topic_id": np.int64}
+        path,
+        TOPIC_ASSIGNMENT_COLUMNS,
+        lambda row: (row[0], parse_count(row[1]), parse_ratio("weight", row[2])),
+        {"topic_id": np.int64, "weight": float},
     )
 
 
 def write_joined_table(path: str | Path, table: ColumnTable) -> None:
-    cells = {name: table[name].tolist() for name in JOINED_COLUMNS[1:]}
-    cells["quadrant"] = [QUADRANT_ORDER[code].value for code in cells["quadrant"]]
-    cells["topic_id"] = [tid if tid >= 0 else None for tid in cells["topic_id"]]
-    write_tsv(path, JOINED_COLUMNS, zip(table.articles, *cells.values()))
+    write_columns(
+        path, JOINED_COLUMNS, table,
+        quadrant=QUADRANT_LABELS.__getitem__, topic_id=lambda tid: tid if tid >= 0 else None,
+    )
 
 
 def read_joined_table(path: str | Path) -> ColumnTable:
@@ -335,7 +330,7 @@ def read_joined_table(path: str | Path) -> ColumnTable:
     def parse(r: list[str]) -> tuple:
         return (
             r[0], parse_ratio("searchshare", r[1]), parse_ratio("resistance", r[2]),
-            parse_count(r[3]), QUADRANT_ORDER.index(QuadrantLabel(r[4])),
+            parse_count(r[3]), quadrant_code(r[4]),
             *(parse_count(v) for v in r[5:15]),  # in_degree .. editors
             parse_real(r[15]), parse_real(r[16]),
             parse_count(r[17]) if r[17] else -1,

@@ -3,9 +3,12 @@
 The input is the public aggregated transition log: tab-separated lines of
 ``referrer<TAB>resource<TAB>type<TAB>count``, where the referrer is either
 another article title or a reserved token (``other-search``,
-``other-empty``, ...). Aggregation produces one TrafficTable: the article
-titles, ascending and unique, and the search inflow, navigation inflow
-and navigation outflow of each as int64 columns aligned with them.
+``other-empty``, ...). Aggregation produces the traffic table, a
+``tableio.ColumnTable``: the article titles, ascending and unique, and
+the int64 columns of TRAFFIC_DTYPES aligned with them: the search
+inflow, navigation inflow and navigation outflow of each, and
+total_views. total_views is definitionally in_se + in_nav: only views
+arriving by search or internal navigation count as page accesses here.
 
 A dump is read in one streaming pass, shared by ``ingest`` and
 ``graph --clickstream``: parse_clickstream yields plain ``(referrer,
@@ -34,9 +37,10 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .tableio import MAX_COUNT, iter_lines, parse_count, read_table, where, write_tsv
+from .tableio import MAX_COUNT, ColumnTable, column_table, iter_lines, parse_count, read_columns, where, write_columns
 
 TRAFFIC_COLUMNS = ("article", "in_se", "in_nav", "out_nav", "total_views")
+TRAFFIC_DTYPES = dict.fromkeys(TRAFFIC_COLUMNS[1:], np.int64)
 
 # Pair-count floor of the compliant public dump (pairs occurring fewer
 # times are withheld at the source). Records below it are flagged, not
@@ -105,40 +109,6 @@ class ParseStats:
     unknown_rawtype: int = 0
     below_min_count: int = 0
     header_lines: int = 0
-
-
-@dataclass(frozen=True, eq=False)
-class TrafficTable:
-    """Per-article traffic: titles ascending and unique, one int64 count
-    column per flow, row-aligned with the titles.
-
-    total_views is definitionally in_se + in_nav: only views arriving by
-    search or internal navigation count as page accesses here.
-    """
-
-    articles: tuple[str, ...]
-    in_se: np.ndarray
-    in_nav: np.ndarray
-    out_nav: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.articles)
-
-    @property
-    def total_views(self) -> np.ndarray:
-        return self.in_se + self.in_nav
-
-    def take(self, rows: np.ndarray) -> TrafficTable:
-        """The table of the rows at the ascending positions `rows`."""
-        articles = tuple(self.articles[i] for i in rows.tolist())
-        return TrafficTable(articles, self.in_se[rows], self.in_nav[rows], self.out_nav[rows])
-
-
-def traffic_table(rows: Iterable[tuple[str, int, int, int]]) -> TrafficTable:
-    """The table of (article, in_se, in_nav, out_nav) rows with unique
-    titles and counts within MAX_COUNT, in any order."""
-    articles, *counts = list(zip(*sorted(rows))) or [(), (), (), ()]
-    return TrafficTable(tuple(articles), *(np.array(c, dtype=np.int64) for c in counts))
 
 
 @dataclass(frozen=True)
@@ -234,7 +204,7 @@ def aggregate_traffic(
     records: Iterable[tuple[str, str, str, int]],
     config: AggregateConfig | None = None,
     source: str | Path | None = None,
-) -> TrafficTable:
+) -> ColumnTable:
     """Aggregate classified transition records into per-article traffic.
 
     Search-engine records add to the resource's in_se; internal-article
@@ -258,37 +228,37 @@ def aggregate_traffic(
         elif cls is search_engine:
             sums[resource][0] += count
 
-    rows = [(a, *c) for a, c in sums.items() if config.keep_referrer_only or c[0] + c[1] > 0]
-    for article, in_se, in_nav, out_nav in rows:
-        if max(in_se + in_nav, out_nav) > MAX_COUNT:
+    rows = [(a, *c, c[0] + c[1]) for a, c in sums.items() if config.keep_referrer_only or c[0] + c[1] > 0]
+    for article, _, _, out_nav, total_views in rows:
+        if max(total_views, out_nav) > MAX_COUNT:
             prefix = "" if source is None else f"{source}: "
             raise DataError(f"{prefix}traffic of {article!r} exceeds 2**53 views")
-    return traffic_table(rows)
+    return column_table(rows, TRAFFIC_DTYPES)
 
 
 def read_traffic_file(path: str | Path, parser_config: ParserConfig | None = None,
                       aggregate_config: AggregateConfig | None = None,
-                      stats: ParseStats | None = None) -> TrafficTable:
+                      stats: ParseStats | None = None) -> ColumnTable:
     """Parse + aggregate a clickstream dump file (optionally gzipped) in
     one streaming pass."""
     records = parse_clickstream(iter_lines(path), parser_config, stats, path)
     return aggregate_traffic(records, aggregate_config, path)
 
 
-def write_traffic_table(path: str | Path, table: TrafficTable) -> None:
+def write_traffic_table(path: str | Path, table: ColumnTable) -> None:
     """Write the per-article traffic table, one row per article in title
     order."""
-    columns = (table.in_se, table.in_nav, table.out_nav, table.total_views)
-    write_tsv(path, TRAFFIC_COLUMNS, zip(table.articles, *(c.tolist() for c in columns)))
+    write_columns(path, TRAFFIC_COLUMNS, table)
 
 
-def read_traffic_table(path: str | Path) -> TrafficTable:
-    """Read a traffic table written by :func:`write_traffic_table`."""
+def read_traffic_table(path: str | Path) -> ColumnTable:
+    """Read a traffic table written by :func:`write_traffic_table`;
+    total_views must equal in_se + in_nav."""
 
-    def parse(row: list[str]) -> tuple[str, int, int, int]:
+    def parse(row: list[str]) -> tuple[str, int, int, int, int]:
         in_se, in_nav, out_nav, total_views = (parse_count(v) for v in row[1:])
         if in_se + in_nav != total_views:
             raise DataError(f"inconsistent total_views for {row[0]!r}")
-        return row[0], in_se, in_nav, out_nav
+        return row[0], in_se, in_nav, out_nav, total_views
 
-    return traffic_table(read_table(path, TRAFFIC_COLUMNS, parse))
+    return read_columns(path, TRAFFIC_COLUMNS, parse, TRAFFIC_DTYPES)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import ReferrerConfig
-from .tableio import ColumnTable, iter_lines, parse_count, read_columns, where, write_tsv
+from .tableio import ColumnTable, iter_lines, parse_count, read_columns, where, write_columns
 
 NETWORK_COLUMNS = ("article", "in_degree", "out_degree", "degree", "kcore")
 
@@ -228,8 +228,7 @@ def network_features(graph: LinkGraph) -> ColumnTable:
 
 
 def write_network_table(path: str | Path, features: ColumnTable) -> None:
-    cells = (features[name].tolist() for name in NETWORK_COLUMNS[1:])
-    write_tsv(path, NETWORK_COLUMNS, zip(features.articles, *cells))
+    write_columns(path, NETWORK_COLUMNS, features)
 
 
 def read_network_table(path: str | Path) -> ColumnTable:

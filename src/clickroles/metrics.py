@@ -13,12 +13,14 @@ strict inequality; values exactly at the mean fall on the at-or-below
 side (the convention is fixed here for reproducibility; ties at the
 mean are measure-zero in practice).
 
-A MetricsTable holds the article titles, ascending and unique, and
-row-aligned columns: searchshare and resistance (float64), total_views
-(int64) and a quadrant code (the index into QUADRANT_ORDER). Every
-metric is computed on whole columns. Since every count is at most 2**53
-(``tableio.MAX_COUNT``), int64 -> float64 is exact and each column
-quotient equals the correctly rounded quotient of the integers.
+The metrics table is a ``tableio.ColumnTable``: the article titles,
+ascending and unique, and the row-aligned columns of METRICS_DTYPES:
+searchshare and resistance (float64), total_views (int64) and a
+quadrant code (the index into QUADRANT_ORDER, written as its label).
+Every metric is computed on whole columns of the traffic table. Since
+every count is at most 2**53 (``tableio.MAX_COUNT``), int64 -> float64
+is exact and each column quotient equals the correctly rounded quotient
+of the integers.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
-from .ingest import TrafficTable
-from .tableio import parse_count, parse_ratio, read_columns, write_keyvalues, write_tsv
+from .tableio import ColumnTable, parse_count, parse_ratio, read_columns, write_columns, write_keyvalues, write_tsv
 
 METRICS_COLUMNS = ("article", "searchshare", "resistance", "total_views", "quadrant")
 METRICS_DTYPES = {"searchshare": float, "resistance": float, "total_views": np.int64, "quadrant": np.int8}
@@ -52,16 +53,13 @@ QUADRANT_ORDER = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class MetricsTable:
-    articles: tuple[str, ...]
-    searchshare: np.ndarray
-    resistance: np.ndarray
-    total_views: np.ndarray
-    quadrant: np.ndarray  # index into QUADRANT_ORDER
+# the label cell written for each quadrant code
+QUADRANT_LABELS = tuple(label.value for label in QUADRANT_ORDER)
 
-    def __len__(self) -> int:
-        return len(self.articles)
+
+def quadrant_code(cell: str) -> int:
+    """The quadrant code of a label cell; ValueError on an unknown label."""
+    return QUADRANT_ORDER.index(QuadrantLabel(cell))
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class CorpusThresholds:
     mean_resistance: float
 
 
-def metrics_table(traffic: TrafficTable) -> tuple[MetricsTable, CorpusThresholds]:
+def metrics_table(traffic: ColumnTable) -> tuple[ColumnTable, CorpusThresholds]:
     """Metrics and role of every article with positive inflow, in title
     order, and the corpus thresholds the roles were assigned by.
 
@@ -78,13 +76,14 @@ def metrics_table(traffic: TrafficTable) -> tuple[MetricsTable, CorpusThresholds
     traffic than they receive (several links opened from one view),
     which would otherwise push the raw value negative.
     """
-    kept = traffic.take(np.flatnonzero(traffic.total_views > 0))
-    inflow = kept.total_views
-    searchshare = kept.in_se / inflow
-    resistance = np.clip(1.0 - kept.out_nav / inflow, 0.0, 1.0)
+    kept = traffic.take(np.flatnonzero(traffic["total_views"] > 0))
+    inflow = kept["total_views"]
+    searchshare = kept["in_se"] / inflow
+    resistance = np.clip(1.0 - kept["out_nav"] / inflow, 0.0, 1.0)
     thresholds = corpus_thresholds(searchshare, resistance)
     quadrant = assign_quadrants(searchshare, resistance, thresholds)
-    return MetricsTable(kept.articles, searchshare, resistance, inflow, quadrant), thresholds
+    columns = dict(zip(METRICS_DTYPES, (searchshare, resistance, inflow, quadrant)))
+    return ColumnTable(kept.articles, columns), thresholds
 
 
 def corpus_thresholds(searchshare: np.ndarray, resistance: np.ndarray) -> CorpusThresholds:
@@ -109,7 +108,7 @@ def assign_quadrants(
     return np.where(above_ss, 1 - above_res, 2 + above_res).astype(np.int8)
 
 
-def group_shares(metrics: MetricsTable) -> dict[QuadrantLabel, tuple[float, float]]:
+def group_shares(metrics: ColumnTable) -> dict[QuadrantLabel, tuple[float, float]]:
     """Percentage of articles and of received views per role group.
 
     The four groups partition the table, so each percentage column sums
@@ -118,9 +117,9 @@ def group_shares(metrics: MetricsTable) -> dict[QuadrantLabel, tuple[float, floa
     n = len(metrics)
     if not n:
         raise DataError("cannot compute group shares of an empty metrics table")
-    in_group = [metrics.quadrant == code for code in range(len(QUADRANT_ORDER))]
+    in_group = [metrics["quadrant"] == code for code in range(len(QUADRANT_ORDER))]
     article_counts = [int(np.count_nonzero(rows)) for rows in in_group]
-    view_counts = [sum(metrics.total_views[rows].tolist()) for rows in in_group]
+    view_counts = [sum(metrics["total_views"][rows].tolist()) for rows in in_group]
     total_views = sum(view_counts)
     return {
         label: (
@@ -188,38 +187,35 @@ def average_ranks(values) -> np.ndarray:
     return ranks
 
 
-def correlations(metrics: MetricsTable) -> dict[str, float]:
+def correlations(metrics: ColumnTable) -> dict[str, float]:
     """Unweighted pearson and spearman correlations between searchshare
     and resistance over the article population."""
     if len(metrics) < 2:
         raise DataError("need at least two articles for correlations")
-    ss, res = metrics.searchshare, metrics.resistance
+    ss, res = metrics["searchshare"], metrics["resistance"]
     pearson = float(np.corrcoef(ss, res)[0, 1])
     spearman = float(np.corrcoef(average_ranks(ss), average_ranks(res))[0, 1])
     return {"pearson": pearson, "spearman": spearman}
 
 
-def write_metrics_table(path: str | Path, metrics: MetricsTable) -> None:
-    labels = [QUADRANT_ORDER[code].value for code in metrics.quadrant.tolist()]
-    columns = (metrics.searchshare, metrics.resistance, metrics.total_views)
-    write_tsv(path, METRICS_COLUMNS, zip(metrics.articles, *(c.tolist() for c in columns), labels))
+def write_metrics_table(path: str | Path, metrics: ColumnTable) -> None:
+    write_columns(path, METRICS_COLUMNS, metrics, quadrant=QUADRANT_LABELS.__getitem__)
 
 
-def read_metrics_table(path: str | Path) -> MetricsTable:
+def read_metrics_table(path: str | Path) -> ColumnTable:
     """Read a metrics table written by :func:`write_metrics_table`, in
     title order; searchshare and resistance must lie in [0, 1] and
     total_views must be positive."""
 
     def parse(r: list[str]) -> tuple[str, float, float, int, int]:
-        quadrant = QUADRANT_ORDER.index(QuadrantLabel(r[4]))
+        quadrant = quadrant_code(r[4])
         searchshare, resistance = parse_ratio("searchshare", r[1]), parse_ratio("resistance", r[2])
         total_views = parse_count(r[3])
         if not total_views:
             raise ValueError("total_views 0: metrics need positive inflow")
         return r[0], searchshare, resistance, total_views, quadrant
 
-    columns = read_columns(path, METRICS_COLUMNS, parse, METRICS_DTYPES)
-    return MetricsTable(columns.articles, *columns.columns.values())
+    return read_columns(path, METRICS_COLUMNS, parse, METRICS_DTYPES)
 
 
 def write_thresholds(path: str | Path, thresholds: CorpusThresholds) -> None:

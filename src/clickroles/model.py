@@ -21,6 +21,7 @@ seeded downsampling, scored by rank-statistic ROC AUC.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -198,6 +199,16 @@ class GBDTConfig:
     min_leaf: int = 20
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise UsageError(f"tree count must be >= 1, got {self.n_trees}")
+        if self.max_depth < 0:
+            raise UsageError(f"depth must be >= 0, got {self.max_depth}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise UsageError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if self.min_leaf < 1:
+            raise UsageError(f"min leaf size must be >= 1, got {self.min_leaf}")
+
 
 @dataclass(frozen=True)
 class GBDTModel:
@@ -322,8 +333,7 @@ class _TreeBuilder:
         rows; only positions leaving min_leaf rows on both sides are scored.
         Ties go to the lowest feature, then the lowest threshold.
         """
-        least = max(self.min_leaf, 1)
-        lo, hi = least - 1, len(idx) - least
+        lo, hi = self.min_leaf - 1, len(idx) - self.min_leaf
         xv = np.take_along_axis(self.x_by_feature, order, axis=1)
         boundary = xv[:, lo:hi] < xv[:, lo + 1 : hi + 1]
         if not boundary.any():
@@ -466,6 +476,8 @@ def cross_validate(
     keeps its natural class mix. Fold results are merged in fold order,
     so any thread count reproduces the sequential report.
     """
+    if threads < 1:
+        raise UsageError(f"threads must be >= 1, got {threads}")
     subset = select_group(instances, group)
     folds = stratified_folds(subset.y, n_folds, config.seed)
     all_idx = np.arange(len(subset.y))

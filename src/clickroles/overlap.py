@@ -6,7 +6,7 @@ applied, since the curve is read at explicit depths rather than
 summarized into one score. Rankings are total orders: ties on the key
 value break by ascending article title so every curve is reproducible.
 A ranking is one stable argsort of a negated int64 column of the
-TrafficTable (counts at most 2**53, so negation cannot overflow); the
+traffic table (counts at most 2**53, so negation cannot overflow); the
 table is in title order, so ties keep title order.
 """
 
@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
-from .ingest import TrafficTable
-from .tableio import open_text
+from .tableio import ColumnTable, open_text
 
 RANKING_KEYS = ("total", "in_se", "in_nav", "out_nav")
 
@@ -40,13 +39,12 @@ class OverlapCurve:
     points: tuple[tuple[int, float], ...]
 
 
-def rank_articles(traffic: TrafficTable, key: str) -> Ranking:
+def rank_articles(traffic: ColumnTable, key: str) -> Ranking:
     """Rank all articles descending by the traffic key, ties broken by
     ascending title. Zero-valued articles stay in, at the tail."""
     if key not in RANKING_KEYS:
         raise UsageError(f"unknown ranking key {key!r}; expected one of {RANKING_KEYS}")
-    column = traffic.total_views if key == "total" else getattr(traffic, key)
-    order = np.argsort(-column, kind="stable")
+    order = np.argsort(-traffic["total_views" if key == "total" else key], kind="stable")
     return Ranking(key, tuple(traffic.articles[i] for i in order.tolist()))
 
 

@@ -1,6 +1,7 @@
 """Shared file helpers: gzip-transparent text IO, TSV tables, CSV
 matrices with ``#`` metadata header lines, and key=value files; and
-ColumnTable, the one in-memory form of a per-article feature table.
+ColumnTable, the one in-memory form of every per-article table
+(traffic, metrics, network, content, topic assignment and joined).
 
 All writers produce byte-deterministic output for identical inputs:
 floats are serialized with ``repr`` (shortest round-trip form), rows are
@@ -152,22 +153,41 @@ class ColumnTable:
         )
 
 
+def column_table(rows: Iterable[tuple], dtypes: Mapping[str, object]) -> ColumnTable:
+    """The ColumnTable of (title, *cells) rows with unique titles, in any
+    order: sorted by title, one column per `dtypes` entry, which names
+    the column and gives its numpy dtype."""
+    rows = sorted(rows, key=itemgetter(0))
+    articles, *cells = zip(*rows) if rows else [()] * (1 + len(dtypes))
+    return ColumnTable(
+        articles,
+        {name: np.array(column, dtype=dtype) for (name, dtype), column in zip(dtypes.items(), cells)},
+    )
+
+
 def read_columns(
     path: str | Path,
     header: Sequence[str],
     parse_row: Callable[[list[str]], tuple],
     dtypes: Mapping[str, object],
 ) -> ColumnTable:
-    """:func:`read_table` sorted by title, as a ColumnTable: parse_row
-    returns (title, *cells), one cell per `dtypes` entry, which names the
-    column and gives its numpy dtype."""
-    rows = read_table(path, header, parse_row)
-    rows.sort(key=itemgetter(0))
-    articles, *cells = zip(*rows) if rows else [()] * (1 + len(dtypes))
-    return ColumnTable(
-        articles,
-        {name: np.array(column, dtype=dtype) for (name, dtype), column in zip(dtypes.items(), cells)},
-    )
+    """:func:`read_table` as a :func:`column_table`: parse_row returns
+    (title, *cells), one cell per `dtypes` entry."""
+    return column_table(read_table(path, header, parse_row), dtypes)
+
+
+def write_columns(
+    path: str | Path, header: Sequence[str], table: ColumnTable, **formats: Callable[[object], object]
+) -> None:
+    """Write `table` as a TSV table: the title, then the columns named by
+    header[1:], one row per article in table order. `formats` maps a
+    column name to a function of each of its values giving the cell
+    written for it (by default the value itself)."""
+    cells = []
+    for name in header[1:]:
+        values = table[name].tolist()
+        cells.append(list(map(formats[name], values)) if name in formats else values)
+    write_tsv(path, header, zip(table.articles, *cells))
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray, metadata: dict[str, object]) -> None:

@@ -14,6 +14,7 @@ generator, so a run is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,18 +174,22 @@ def fit_lda(
 ) -> TopicModel:
     """Collapsed Gibbs fit; deterministic for a given seed.
 
-    alpha defaults to 50/k. `on_iteration(i, topic_word, doc_topic)` is
-    called after each sweep with the live count matrices (read-only use).
+    alpha defaults to 50/k; alpha and beta must be positive and finite.
+    `on_iteration(i, topic_word, doc_topic)` is called after each sweep
+    with the live count matrices (read-only use).
     """
     if k < 2:
         raise UsageError(f"k must be at least 2, got {k}")
     if iterations < 1:
         raise UsageError(f"iterations must be positive, got {iterations}")
+    if alpha is None:
+        alpha = 50.0 / k
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{name} must be positive and finite, got {value}")
     v = len(corpus.vocabulary)
     if k > v:
         raise DataError(f"k={k} exceeds vocabulary size {v}")
-    if alpha is None:
-        alpha = 50.0 / k
 
     # flatten to token instances; the count matrices live as plain lists
     # (the sweep is a tight scalar loop)
@@ -271,58 +276,13 @@ def dominant_topic(model: TopicModel, article: str) -> int:
     return dominant_from_row(model.theta[d])
 
 
-def fold_in(
-    model: TopicModel,
-    tokens: Sequence[str],
-    sweeps: int = 25,
-    seed: int = 0,
-) -> np.ndarray:
-    """theta row for an unseen document, sampled with frozen phi.
-
-    Tokens outside the fitted vocabulary are ignored.
-    """
-    token_ids = {t: i for i, t in enumerate(model.vocabulary)}
-    words = [token_ids[t] for t in tokens if t in token_ids]
-    k, alpha = model.k, model.alpha
-    if not words:
-        return np.full(k, 1.0 / k)
-
-    rng = np.random.default_rng(seed)
-    phi = model.phi
-    nd = [0] * k
-    u = rng.random(len(words)).tolist()
-    z = []
-    for i, w in enumerate(words):
-        t = min(int(u[i] * k), k - 1)
-        z.append(t)
-        nd[t] += 1
-    for _ in range(sweeps):
-        u = rng.random(len(words)).tolist()
-        for i, w in enumerate(words):
-            t = z[i]
-            nd[t] -= 1
-            total = 0.0
-            weights = []
-            for kk in range(k):
-                wgt = (nd[kk] + alpha) * phi[kk, w]
-                total += wgt
-                weights.append(total)
-            r = u[i] * total
-            t = 0
-            while weights[t] < r:
-                t += 1
-            z[i] = t
-            nd[t] += 1
-    return (np.asarray(nd, dtype=float) + alpha) / (len(words) + k * alpha)
-
-
 def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
     """The n highest-phi tokens of a topic, ties broken by token id."""
     v = len(model.vocabulary)
     if not 0 <= topic < model.k:
         raise UsageError(f"topic {topic} out of range for k={model.k}")
-    if n > v:
-        raise UsageError(f"n={n} exceeds vocabulary size {v}")
+    if not 1 <= n <= v:
+        raise UsageError(f"n={n} outside 1..{v}, the vocabulary size")
     row = model.phi[topic]
     order = np.lexsort((np.arange(v), -row))
     return [model.vocabulary[i] for i in order[:n]]

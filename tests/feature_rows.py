@@ -1,6 +1,7 @@
-"""Joined feature rows as plain dicts, for tests: build a ColumnTable
-from them and read one back, so per-row reference code can be checked
-against the column operations."""
+"""Table rows for tests: joined feature rows as plain dicts, to build a
+ColumnTable from and read one back, so per-row reference code can be
+checked against the column operations; and traffic tables built from
+(article, in_se, in_nav, out_nav) tuples."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ from typing import Iterable
 import numpy as np
 
 from clickroles.features import JOINED_COLUMNS, JOINED_DTYPES
+from clickroles.ingest import TRAFFIC_DTYPES
 from clickroles.metrics import QUADRANT_ORDER, QuadrantLabel
-from clickroles.tableio import ColumnTable, fmt_value
+from clickroles.tableio import ColumnTable, column_table, fmt_value
 
 ROW_DEFAULTS = dict(
     searchshare=0.5,
@@ -31,6 +33,12 @@ ROW_DEFAULTS = dict(
     size=10.0,
     topic_id=None,
 )
+
+
+def traffic_of(rows: Iterable[tuple[str, int, int, int]]) -> ColumnTable:
+    """The traffic table of (article, in_se, in_nav, out_nav) rows with
+    unique titles, in any order; total_views is in_se + in_nav."""
+    return column_table(((a, se, nav, out, se + nav) for a, se, nav, out in rows), TRAFFIC_DTYPES)
 
 
 def make_row(article: str = "A", **overrides) -> dict:

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from clickroles.features import binned_quartiles
-from clickroles.ingest import TrafficTable, read_traffic_file, traffic_table
+from clickroles.ingest import TRAFFIC_DTYPES, read_traffic_file
 from clickroles.linkgraph import build_graph, kcore_decomposition
 from clickroles.metrics import group_shares, metrics_table
 from clickroles.model import (
@@ -39,8 +39,9 @@ from clickroles.model import (
     train_gbdt,
 )
 from clickroles.overlap import Ranking, cumulative_overlap
+from clickroles.tableio import ColumnTable
 from clickroles.topics import build_corpus, fit_lda
-from feature_rows import make_row, make_table
+from feature_rows import make_row, make_table, traffic_of
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -67,18 +68,18 @@ def test_metric_properties_at_scale():
         scales.append(rng.randrange(2, 1000))
 
     started = time.perf_counter()
-    table = traffic_table(rows)
+    table = traffic_of(rows)
     scale = np.array(scales, dtype=np.int64)
-    scaled = TrafficTable(table.articles, table.in_se * scale, table.in_nav * scale, table.out_nav * scale)
+    scaled = ColumnTable(table.articles, {name: table[name] * scale for name in TRAFFIC_DTYPES})
     metrics, _ = metrics_table(table)
     scaled_metrics, _ = metrics_table(scaled)
-    ss, rs = metrics.searchshare, metrics.resistance
+    ss, rs = metrics["searchshare"], metrics["resistance"]
     holds = (
         (0.0 <= ss) & (ss <= 1.0)
         & (0.0 <= rs) & (rs <= 1.0)
-        & (metrics.total_views == table.in_se + table.in_nav)
-        & (scaled_metrics.searchshare == ss)
-        & (scaled_metrics.resistance == rs)
+        & (metrics["total_views"] == table["in_se"] + table["in_nav"])
+        & (scaled_metrics["searchshare"] == ss)
+        & (scaled_metrics["resistance"] == rs)
     )
     violations = len(rows) - int(np.count_nonzero(holds))
     elapsed = time.perf_counter() - started
@@ -106,8 +107,8 @@ def test_resistance_clamping_is_exact():
         rows.append((f"a{i:06d}", in_se, inflow - in_se, out_nav))
         raw = 1.0 - out_nav / inflow
         expected.append(0.0 if raw < 0.0 else raw)
-    metrics, _ = metrics_table(traffic_table(rows))
-    values = metrics.resistance.tolist()
+    metrics, _ = metrics_table(traffic_of(rows))
+    values = metrics["resistance"].tolist()
     checked = len(values)
     bad = sum(value != want for value, want in zip(values, expected)) + abs(len(expected) - checked)
     negatives = "outflow up to 10x inflow"
@@ -130,7 +131,7 @@ def test_quadrant_shares_partition_and_sum():
             if in_se + in_nav == 0:
                 in_se = 1
             rows.append((f"a{i}", in_se, in_nav, rng.randrange(0, 15_000)))
-        metrics, _ = metrics_table(traffic_table(rows))
+        metrics, _ = metrics_table(traffic_of(rows))
         shares = group_shares(metrics)
         assert len(shares) == 4
         article_total = sum(a for a, _ in shares.values())
@@ -172,8 +173,8 @@ def test_full_dump_population_and_shares():
         for name in expected
         for i in (0, 1)
     )
-    total_views = sum(metrics.total_views.tolist())
-    search_views = sum(table.in_se.tolist())
+    total_views = sum(metrics["total_views"].tolist())
+    search_views = sum(table["in_se"].tolist())
     split = 100.0 * search_views / total_views
 
     ok = (

@@ -222,8 +222,10 @@ class TestExitCodes:
         ("features", "--metrics", "searchshare", "1.5"),
         ("features", "--metrics", "resistance", "-0.1"),
         ("model", "--joined", "resistance", "-inf"),
+        ("features", "--topics", "weight", "abc"),
+        ("features", "--topics", "weight", "1.5"),
     ], ids=["content-age-nan", "content-size-inf", "metrics-nan", "metrics-searchshare-above-1",
-            "metrics-resistance-below-0", "joined-inf"])
+            "metrics-resistance-below-0", "joined-inf", "topics-weight-not-a-number", "topics-weight-above-1"])
     def test_non_finite_cell_is_data_error(self, tmp_path, pipeline, capsys, sub, flag, column, value):
         self.assert_bad_row(tmp_path, pipeline, capsys, sub, flag, column, value)
 
@@ -305,6 +307,23 @@ class TestExitCodes:
         code = main(["overlap", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),
                      "--depths", "1,two", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "-1"), ("--beta", "-0.5"), ("--top-words", "-2")])
+    def test_bad_topic_setting_is_usage_error(self, tmp_path, pipeline, capsys, flag, value):
+        code = run("topics", "--documents", pipeline["documents"], "--k", 2, "--iterations", 1,
+                   flag, value, "--out", tmp_path / "t")
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trees", "-2"), ("--rate", "0"), ("--rate", "-1"), ("--depth", "-1"), ("--min-leaf", "-5"),
+        ("--threads", "0"),
+    ])
+    def test_bad_model_setting_is_usage_error(self, tmp_path, pipeline, capsys, flag, value):
+        code = run("model", "--joined", pipeline["features"] / "joined.tsv", "--trees", 2, "--folds", 2,
+                   "--min-leaf", 2, flag, value, "--out", tmp_path / "m")
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from clickroles.ingest import (
     aggregate_traffic,
     classify_referrer,
     parse_clickstream,
-    traffic_table,
 )
 from clickroles.linkgraph import EdgeStats, LinkGraph, build_graph, edges_from_clickstream
 from clickroles.tableio import MAX_COUNT, parse_count, where
+from feature_rows import traffic_of
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def reference_aggregate(records, config, source=None):
         if max(in_se + in_nav, out_nav) > MAX_COUNT:
             prefix = "" if source is None else f"{source}: "
             raise DataError(f"{prefix}traffic of {article!r} exceeds 2**53 views")
-    return traffic_table(rows)
+    return traffic_of(rows)
 
 
 def reference_edges(records, config):
@@ -153,8 +153,7 @@ def outcome(run):
 def table_key(table):
     if isinstance(table, str):
         return table
-    columns = (table.in_se, table.in_nav, table.out_nav)
-    return table.articles, [(c.dtype, c.tolist()) for c in columns]
+    return table.articles, [(name, c.dtype, c.tolist()) for name, c in table.columns.items()]
 
 
 def graph_key(graph):

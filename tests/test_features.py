@@ -37,23 +37,18 @@ from clickroles.features import (
     write_joined_table,
 )
 from clickroles.linkgraph import NETWORK_COLUMNS, read_network_table
-from clickroles.metrics import METRICS_COLUMNS, QUADRANT_ORDER, MetricsTable, QuadrantLabel, read_metrics_table
+from clickroles.metrics import METRICS_COLUMNS, QUADRANT_ORDER, QuadrantLabel, read_metrics_table
 from clickroles.tableio import ColumnTable, fmt_value
 from feature_rows import joined_tsv, make_row, make_table, table_rows
 
 
 def make_inputs(titles_m, titles_n, titles_c):
-    titles = tuple(sorted(titles_m))
-    n = len(titles)
-    nav_relay = QUADRANT_ORDER.index(QuadrantLabel.NAV_RELAY)
-    metrics = MetricsTable(
-        titles, np.full(n, 0.5), np.full(n, 0.5), np.full(n, 10, dtype=np.int64), np.full(n, nav_relay, dtype=np.int8)
-    )
-
     def table(titles, **values):
         titles = tuple(sorted(titles))
         return ColumnTable(titles, {k: np.full(len(titles), v) for k, v in values.items()})
 
+    nav_relay = np.int8(QUADRANT_ORDER.index(QuadrantLabel.NAV_RELAY))
+    metrics = table(titles_m, searchshare=0.5, resistance=0.5, total_views=10, quadrant=nav_relay)
     network = table(titles_n, in_degree=1, out_degree=2, degree=3, kcore=1)
     content = table(titles_c, sections=1, figures=0, lists=0, tables=0, revisions=5, editors=2, age=1.0, size=10.0)
     return metrics, network, content

@@ -12,6 +12,7 @@ from clickroles.ingest import (
     ParserConfig,
     ReferrerClass,
     ReferrerConfig,
+    TRAFFIC_DTYPES,
     TransitionRecord,
     aggregate_traffic,
     classify_referrer,
@@ -28,16 +29,18 @@ def parse_all(lines, config=None, stats=None):
 
 
 def rows(table):
-    """article -> (in_se, in_nav, out_nav, total_views) of a TrafficTable."""
-    columns = (table.in_se, table.in_nav, table.out_nav, table.total_views)
-    return dict(zip(table.articles, zip(*(c.tolist() for c in columns))))
+    """article -> (in_se, in_nav, out_nav, total_views) of a traffic table."""
+    return dict(zip(table.articles, zip(*(table[name].tolist() for name in TRAFFIC_DTYPES))))
 
 
 def assert_well_formed(table):
-    """Titles ascending and unique, every column int64 and row-aligned."""
+    """Titles ascending and unique, the TRAFFIC_DTYPES columns in order,
+    each int64 and row-aligned, and total_views = in_se + in_nav."""
     assert list(table.articles) == sorted(set(table.articles))
-    for column in (table.in_se, table.in_nav, table.out_nav):
+    assert list(table.columns) == list(TRAFFIC_DTYPES)
+    for column in table.columns.values():
         assert column.dtype == np.int64 and column.shape == (len(table),)
+    assert (table["total_views"] == table["in_se"] + table["in_nav"]).all()
 
 
 class TestParse:
@@ -203,7 +206,7 @@ class TestAggregateProperties:
     @settings(max_examples=60)
     def test_conservation_with_referrers_kept(self, records):
         table = aggregate_traffic(records, AggregateConfig(keep_referrer_only=True))
-        assert table.in_nav.sum() == table.out_nav.sum()
+        assert table["in_nav"].sum() == table["out_nav"].sum()
 
     @given(records=records_strategy, extra=records_strategy)
     @settings(max_examples=40)
@@ -293,8 +296,8 @@ class TestRoundTrip:
         back = read_traffic_table(path)
         assert_well_formed(back)
         assert back.articles == table.articles
-        for name in ("in_se", "in_nav", "out_nav"):
-            assert getattr(back, name).tolist() == getattr(table, name).tolist()
+        for name in TRAFFIC_DTYPES:
+            assert back[name].tolist() == table[name].tolist()
         # and against a per-record Python sum
         expected = {}
         for referrer, article, rawtype, count in lines:

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
-from clickroles.ingest import traffic_table
 from clickroles.metrics import (
-    CorpusThresholds,
-    MetricsTable,
+    METRICS_DTYPES,
     QUADRANT_ORDER,
+    CorpusThresholds,
     QuadrantLabel,
     assign_quadrants,
     average_ranks,
@@ -23,6 +22,8 @@ from clickroles.metrics import (
     read_metrics_table,
     write_metrics_table,
 )
+from clickroles.tableio import ColumnTable
+from feature_rows import traffic_of
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +115,18 @@ def reference_average_ranks(values):
 
 
 def table(*rows):
-    """TrafficTable of (article, in_se, in_nav, out_nav) rows."""
-    return traffic_table(rows)
+    """The traffic table of (article, in_se, in_nav, out_nav) rows."""
+    return traffic_of(rows)
 
 
 def one(in_se=0, in_nav=0, out_nav=0):
     """searchshare and resistance of a one-article table."""
     metrics, _ = metrics_table(table(("A", in_se, in_nav, out_nav)))
-    return metrics.searchshare[0].item(), metrics.resistance[0].item()
+    return metrics["searchshare"][0].item(), metrics["resistance"][0].item()
 
 
 def make_metrics(rows, thresholds=None):
-    """MetricsTable of (searchshare, resistance, total_views) rows, titled
+    """Metrics table of (searchshare, resistance, total_views) rows, titled
     A0000, A0001, ..., with quadrants assigned
     at the rows' own means unless thresholds are given."""
     ss = np.array([r[0] for r in rows], dtype=float)
@@ -133,7 +134,8 @@ def make_metrics(rows, thresholds=None):
     views = np.array([r[2] for r in rows], dtype=np.int64)
     thresholds = thresholds or corpus_thresholds(ss, res)
     articles = tuple(f"A{i:04d}" for i in range(len(rows)))
-    return MetricsTable(articles, ss, res, views, assign_quadrants(ss, res, thresholds))
+    quadrant = assign_quadrants(ss, res, thresholds)
+    return ColumnTable(articles, dict(zip(METRICS_DTYPES, (ss, res, views, quadrant))))
 
 
 def labels(codes):
@@ -179,9 +181,9 @@ class TestMetricProperties:
     @given(c=counts)
     def test_ranges_and_total(self, c):
         metrics, _ = metrics_table(table(("A", *c)))
-        assert 0.0 <= metrics.searchshare[0] <= 1.0
-        assert 0.0 <= metrics.resistance[0] <= 1.0
-        assert metrics.total_views.tolist() == [c[0] + c[1]]
+        assert 0.0 <= metrics["searchshare"][0] <= 1.0
+        assert 0.0 <= metrics["resistance"][0] <= 1.0
+        assert metrics["total_views"].tolist() == [c[0] + c[1]]
 
     @given(c=counts)
     def test_share_complement(self, c):
@@ -257,8 +259,8 @@ class TestQuadrants:
         shares = group_shares(metrics)
         assert sum(pct for pct, _ in shares.values()) == pytest.approx(100.0, abs=0.1)
         assert sum(pct for _, pct in shares.values()) == pytest.approx(100.0, abs=0.1)
-        assert len(metrics.quadrant) == len(rows)
-        assert set(labels(metrics.quadrant)) <= set(QUADRANT_ORDER)
+        assert len(metrics["quadrant"]) == len(rows)
+        assert set(labels(metrics["quadrant"])) <= set(QUADRANT_ORDER)
 
 
 class TestHistogram:
@@ -317,8 +319,8 @@ def naive_grid(rows, grid_size, weighted):
 
 def grid_of(rows, grid_size, weighted=False):
     metrics = make_metrics(rows)
-    weights = metrics.total_views if weighted else None
-    return heatmap_grid(metrics.resistance, metrics.searchshare, weights, grid_size)
+    weights = metrics["total_views"] if weighted else None
+    return heatmap_grid(metrics["resistance"], metrics["searchshare"], weights, grid_size)
 
 
 class TestHeatmap:
@@ -378,7 +380,7 @@ class TestTableRoundtrip:
     def test_metrics_table_sorted_and_filtered(self):
         metrics, _ = metrics_table(table(("B", 3, 1, 2), ("A", 0, 10, 0), ("Z", 0, 0, 9)))
         assert metrics.articles == ("A", "B")
-        assert metrics.searchshare[1] == 0.75
+        assert metrics["searchshare"][1] == 0.75
 
     def test_write_read_roundtrip(self, tmp_path):
         metrics = make_metrics([(0.75, 0.5, 4), (0.0, 1.0, 10)])
@@ -386,8 +388,9 @@ class TestTableRoundtrip:
         write_metrics_table(path, metrics)
         loaded = read_metrics_table(path)
         assert loaded.articles == metrics.articles
-        for name in ("searchshare", "resistance", "total_views", "quadrant"):
-            got, want = getattr(loaded, name), getattr(metrics, name)
+        assert list(loaded.columns) == list(METRICS_DTYPES)
+        for name, want in metrics.columns.items():
+            got = loaded[name]
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_read_sorts_by_title(self, tmp_path):
@@ -398,8 +401,8 @@ class TestTableRoundtrip:
         )
         loaded = read_metrics_table(path)
         assert loaded.articles == ("A", "B")
-        assert loaded.total_views.tolist() == [4, 3]
-        assert labels(loaded.quadrant) == [QuadrantLabel.SEARCH_EXIT, QuadrantLabel.NAV_EXIT]
+        assert loaded["total_views"].tolist() == [4, 3]
+        assert labels(loaded["quadrant"]) == [QuadrantLabel.SEARCH_EXIT, QuadrantLabel.NAV_EXIT]
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +428,25 @@ class TestColumnarEqualsReference:
         want, want_thresholds = reference_metrics(rows)
         assert thresholds == want_thresholds
         assert metrics.articles == tuple(w[0] for w in want)
-        assert metrics.searchshare.tolist() == [w[1] for w in want]
-        assert metrics.resistance.tolist() == [w[2] for w in want]
-        assert metrics.total_views.tolist() == [w[3] for w in want]
-        assert labels(metrics.quadrant) == [w[4] for w in want]
+        assert metrics["searchshare"].tolist() == [w[1] for w in want]
+        assert metrics["resistance"].tolist() == [w[2] for w in want]
+        assert metrics["total_views"].tolist() == [w[3] for w in want]
+        assert labels(metrics["quadrant"]) == [w[4] for w in want]
         assert group_shares(metrics) == reference_group_shares([w[1:] for w in want])
 
     @given(rows=traffic_rows, bins=st.sampled_from([1, 2, 3, 4, 5, 10, 50, 100]))
     @settings(max_examples=200)
     def test_histograms_and_heatmaps(self, rows, bins):
         metrics, _ = metrics_table(table(*rows))
-        views = metrics.total_views.tolist()
-        for column in (metrics.searchshare, metrics.resistance):
+        views = metrics["total_views"].tolist()
+        for column in (metrics["searchshare"], metrics["resistance"]):
             values = column.tolist()
             assert np.array_equal(histogram(column, None, bins), reference_histogram(values, None, bins))
-            got = histogram(column, metrics.total_views, bins)
+            got = histogram(column, metrics["total_views"], bins)
             assert np.array_equal(got, reference_histogram(values, [float(v) for v in views], bins))
-        triples = list(zip(metrics.searchshare.tolist(), metrics.resistance.tolist(), views))
-        for weights, weighted in ((None, False), (metrics.total_views, True)):
-            got = heatmap_grid(metrics.resistance, metrics.searchshare, weights, bins)
+        triples = list(zip(metrics["searchshare"].tolist(), metrics["resistance"].tolist(), views))
+        for weights, weighted in ((None, False), (metrics["total_views"], True)):
+            got = heatmap_grid(metrics["resistance"], metrics["searchshare"], weights, bins)
             assert np.array_equal(got, reference_heatmap(triples, bins, weighted))
 
     @given(

@@ -256,6 +256,16 @@ class TestRocAuc:
         assert roc_auc(expped, labels) == pytest.approx(base, abs=1e-12)
 
 
+class TestGbdtConfig:
+    @pytest.mark.parametrize("setting", [
+        {"n_trees": 0}, {"max_depth": -1}, {"learning_rate": 0.0}, {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")}, {"min_leaf": 0},
+    ], ids=str)
+    def test_bad_setting_is_usage_error(self, setting):
+        with pytest.raises(UsageError):
+            GBDTConfig(**setting)
+
+
 class TestTrainGbdt:
     def test_separable_training_auc(self):
         x, y = separable_data(500, seed=1)

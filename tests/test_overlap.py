@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
-from clickroles.ingest import traffic_table
 from clickroles.overlap import (
     OverlapCurve,
     Ranking,
@@ -13,11 +12,12 @@ from clickroles.overlap import (
     default_ks,
     rank_articles,
 )
+from feature_rows import traffic_of
 
 
 def traffic(*rows):
-    """TrafficTable of (article, in_se, in_nav, out_nav) rows."""
-    return traffic_table(rows)
+    """The traffic table of (article, in_se, in_nav, out_nav) rows."""
+    return traffic_of(rows)
 
 
 def reference_ranking(rows, key):

@@ -16,7 +16,6 @@ from clickroles.topics import (
     dominant_from_row,
     dominant_topic,
     fit_lda,
-    fold_in,
     parse_documents,
     tokenize,
     top_words,
@@ -121,6 +120,9 @@ class TestFitLda:
             fit_lda(corpus, k=2, iterations=0)
         with pytest.raises(DataError, match="vocabulary"):
             fit_lda(corpus, k=10, iterations=5)
+        for hyper in ({"alpha": -1.0}, {"alpha": 0.0}, {"beta": -0.5}, {"beta": float("nan")}):
+            with pytest.raises(UsageError):
+                fit_lda(corpus, k=2, iterations=5, **hyper)
 
     def test_normalization_and_positivity(self):
         corpus, _ = planted_corpus(docs_per_topic=10, tokens_per_doc=12)
@@ -211,6 +213,8 @@ class TestTopWords:
         with pytest.raises(UsageError):
             top_words(model, 0, len(model.vocabulary) + 1)
         with pytest.raises(UsageError):
+            top_words(model, 0, 0)
+        with pytest.raises(UsageError):
             top_words(model, 5, 2)
 
 
@@ -229,23 +233,6 @@ def TopicsDummy(model, row):
         phi,
         model.theta,
     )
-
-
-class TestFoldIn:
-    def test_matches_planted_topic(self):
-        corpus, planted = planted_corpus()
-        model = fit_lda(corpus, k=2, iterations=50, seed=11)
-        topic0_doc = ["alphaaa", "alphaab", "alphaac"] * 5
-        topic_of_t0 = dominant_topic(model, "doc-0-0")
-        row = fold_in(model, topic0_doc, sweeps=20, seed=3)
-        assert dominant_from_row(row) == topic_of_t0
-        assert row.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_unknown_tokens_uniform(self):
-        corpus, _ = planted_corpus(docs_per_topic=4, tokens_per_doc=6)
-        model = fit_lda(corpus, k=2, iterations=3, seed=0)
-        row = fold_in(model, ["neverseen", "alsonew"])
-        np.testing.assert_allclose(row, [0.5, 0.5])
 
 
 class TestOutputs:
