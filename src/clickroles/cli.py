@@ -49,7 +49,6 @@ from .features import (
 )
 from .ingest import (
     ParseStats,
-    ParserConfig,
     parse_clickstream,
     read_traffic_file,
     read_traffic_table,
@@ -128,10 +127,18 @@ class _OutputDir:
         return self.path / name
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds are non-negative, so the count rule."""
+    try:
+        return parse_count(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer up to 2**53, got {text!r}")
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    common.add_argument("--seed", type=_seed, default=0, help="seed for all randomness (>= 0)")
     common.add_argument(
         "--threads", type=int, default=1,
         help="cross-validation workers for model; other subcommands run on one thread",
@@ -293,7 +300,7 @@ def _finish(args, out: _OutputDir, inputs: list[str]) -> None:
 def cmd_ingest(args) -> None:
     out = _OutputDir(args.out)
     stats = ParseStats()
-    table = read_traffic_file(args.clickstream, ParserConfig(strict=args.strict), stats=stats)
+    table = read_traffic_file(args.clickstream, args.strict, stats)
     if not table:
         raise DataError(
             f"{args.clickstream}: no articles with search or navigation inflow "
@@ -402,9 +409,7 @@ def cmd_graph(args) -> None:
         # traveled-link approximation: only transitions at or above the
         # dump floor appear, so degrees underestimate the true graph
         parse_stats = ParseStats()
-        records = parse_clickstream(
-            iter_lines(args.clickstream), ParserConfig(strict=args.strict), parse_stats, args.clickstream
-        )
+        records = parse_clickstream(iter_lines(args.clickstream), args.strict, parse_stats, args.clickstream)
         graph = build_graph(edges_from_clickstream(records), stats)
         stats.malformed = parse_stats.malformed + parse_stats.unknown_rawtype
         source, source_path = "clickstream-approximation", args.clickstream
@@ -437,6 +442,8 @@ def _topic_labels(args, topic_ids: set[int]) -> dict[int, str]:
 
 def cmd_features(args) -> None:
     out = _OutputDir(args.out)
+    if args.grid < 0:
+        raise UsageError(f"--grid must be >= 0 (0 disables the ratio grids), got {args.grid}")
     metrics = read_metrics_table(args.metrics)
     network = read_network_table(args.network)
     content = read_content_table(args.content)

@@ -10,12 +10,18 @@ inflow, navigation inflow and navigation outflow of each, and
 total_views. total_views is definitionally in_se + in_nav: only views
 arriving by search or internal navigation count as page accesses here.
 
+The referrer rule is fixed by the 2016-08 dump: a referrer in
+SEARCH_TOKENS (``other-search``) is a search engine, the other
+RESERVED_TOKENS (``other-empty``, ``other-external``) carry no
+in-counts, and any other referrer is an internal article if the raw
+type is INTERNAL_RAWTYPE (``link``), else it carries no in-counts.
+
 A dump is read in one streaming pass, shared by ``ingest`` and
 ``graph --clickstream``: parse_clickstream yields plain ``(referrer,
 resource, rawtype, count)`` tuples, and each referrer is classified by
-one dict lookup in ReferrerConfig.token_classes, so no Python function
-is called per record and memory grows with the number of articles, not
-with the number of lines.
+set lookups in those constants, so no Python function is called per
+record and memory grows with the number of articles, not with the
+number of lines.
 
 Counts are summed as plain Python ints, a commutative integer sum, so
 the result is independent of record order; the columns are built once
@@ -27,12 +33,11 @@ file.
 
 from __future__ import annotations
 
-import enum
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -47,56 +52,13 @@ TRAFFIC_DTYPES = dict.fromkeys(TRAFFIC_COLUMNS[1:], np.int64)
 # dropped.
 PUBLIC_DUMP_MIN_COUNT = 10
 
-
-class ReferrerClass(enum.Enum):
-    SEARCH_ENGINE = "search-engine"
-    INTERNAL_ARTICLE = "internal-article"
-    OTHER_EXTERNAL = "other-external"
-    MISSING = "missing"
-    OTHER = "other"
-
-
-class TransitionRecord(NamedTuple):
-    """One (referrer, resource) transition row from the dump; equal to
-    the plain tuple that parse_clickstream yields for it."""
-
-    referrer: str
-    resource: str
-    rawtype: str
-    count: int
-
-
-@dataclass(frozen=True)
-class ReferrerConfig:
-    """Mapping from reserved referrer tokens and raw types to classes.
-
-    The reserved tokens vary across dump releases, so they are
-    configuration rather than code. Defaults match the 2016-08 release.
-    Classification precedence: reserved token first (search, then
-    missing, then external), then the ``link`` raw type, then OTHER.
-    """
-
-    search_tokens: frozenset[str] = frozenset({"other-search"})
-    missing_tokens: frozenset[str] = frozenset({"other-empty"})
-    external_tokens: frozenset[str] = frozenset({"other-external"})
-    internal_rawtype: str = "link"
-
-    def token_classes(self) -> dict[str, ReferrerClass]:
-        """Reserved token -> class: the referrer rule's first step as a
-        map, looked up once per record. A referrer not in it is an
-        internal article if its raw type is internal_rawtype, else OTHER."""
-        classes = dict.fromkeys(self.external_tokens, ReferrerClass.OTHER_EXTERNAL)
-        classes.update(dict.fromkeys(self.missing_tokens, ReferrerClass.MISSING))
-        classes.update(dict.fromkeys(self.search_tokens, ReferrerClass.SEARCH_ENGINE))
-        return classes
-
-
-@dataclass(frozen=True)
-class ParserConfig:
-    strict: bool = False
-    known_rawtypes: frozenset[str] = frozenset({"link", "external", "other"})
-    # One leading header line matching this pattern is tolerated.
-    header_pattern: str = r"^(prev|referr?er)\b"
+# The referrer rule of the 2016-08 release (see the module docstring).
+SEARCH_TOKENS = frozenset({"other-search"})
+RESERVED_TOKENS = SEARCH_TOKENS | {"other-empty", "other-external"}
+INTERNAL_RAWTYPE = "link"
+KNOWN_RAWTYPES = frozenset({INTERNAL_RAWTYPE, "external", "other"})
+# One leading header line matching this pattern is tolerated.
+HEADER_PATTERN = re.compile(r"^(prev|referr?er)\b")
 
 
 @dataclass
@@ -111,18 +73,9 @@ class ParseStats:
     header_lines: int = 0
 
 
-@dataclass(frozen=True)
-class AggregateConfig:
-    referrers: ReferrerConfig = field(default_factory=ReferrerConfig)
-    # Articles seen only as referrers (out_nav > 0, zero inflow) fall
-    # outside the studied population; keeping them is only useful for
-    # flow-conservation checks.
-    keep_referrer_only: bool = False
-
-
 def parse_clickstream(
     lines: Iterable[str],
-    config: ParserConfig | None = None,
+    strict: bool = False,
     stats: ParseStats | None = None,
     source: str | Path | None = None,
 ) -> Iterator[tuple[str, str, str, int]]:
@@ -132,17 +85,18 @@ def parse_clickstream(
     Malformed lines (wrong field count, empty resource, or a count that
     is not ASCII digits only or exceeds MAX_COUNT) abort in strict mode
     with the 1-based line number, after the path of the `source` file if
-    given, and are tallied and skipped in lenient mode. Unknown raw type tokens are
-    treated the same way, under their own counter.
+    given, and are tallied and skipped in lenient mode. A raw type
+    outside KNOWN_RAWTYPES (``link``, ``external``, ``other``) is treated
+    the same way, under its own counter. One leading line matching
+    HEADER_PATTERN is skipped as a header.
     Records with counts below the public dump floor are kept but counted.
     The counters are added to `stats` when the pass ends, however it
     ends: exhausted, closed early or aborted.
     """
-    config = config or ParserConfig()
     if stats is None:
         stats = ParseStats()
-    is_header = re.compile(config.header_pattern).match
-    known_rawtypes = config.known_rawtypes
+    is_header = HEADER_PATTERN.match
+    known_rawtypes = KNOWN_RAWTYPES
     lineno = records = malformed = unknown_rawtype = below_min_count = header_lines = 0
     try:
         for lineno, line in enumerate(lines, start=1):
@@ -153,7 +107,7 @@ def parse_clickstream(
             if len(fields) != 4:
                 if not line:
                     continue
-                if config.strict:
+                if strict:
                     raise DataError(f"{where(source, lineno)}: expected 4 tab-separated fields, got {len(fields)}")
                 malformed += 1
                 continue
@@ -165,12 +119,12 @@ def parse_clickstream(
             except ValueError:
                 count = -1
             if count < 0 or count > MAX_COUNT or not resource:
-                if config.strict:
+                if strict:
                     raise DataError(f"{where(source, lineno)}: malformed record {line!r}")
                 malformed += 1
                 continue
             if rawtype not in known_rawtypes:
-                if config.strict:
+                if strict:
                     raise DataError(f"{where(source, lineno)}: unknown type token {rawtype!r}")
                 unknown_rawtype += 1
                 continue
@@ -187,48 +141,33 @@ def parse_clickstream(
         stats.header_lines += header_lines
 
 
-def classify_referrer(record: tuple[str, str, str, int], config: ReferrerConfig | None = None) -> ReferrerClass:
-    """Classify a record's referrer by ReferrerConfig.token_classes and
-    the internal raw type. Total and deterministic: exactly one class per
-    record, a pure function of (referrer, rawtype, config)."""
-    config = config or ReferrerConfig()
-    referrer, _, rawtype, _ = record
-    cls = config.token_classes().get(referrer)
-    if cls is None:
-        internal = rawtype == config.internal_rawtype
-        cls = ReferrerClass.INTERNAL_ARTICLE if internal else ReferrerClass.OTHER
-    return cls
-
-
 def aggregate_traffic(
     records: Iterable[tuple[str, str, str, int]],
-    config: AggregateConfig | None = None,
     source: str | Path | None = None,
 ) -> ColumnTable:
-    """Aggregate classified transition records into per-article traffic.
+    """Aggregate transition records into per-article traffic by the
+    module's referrer rule.
 
-    Search-engine records add to the resource's in_se; internal-article
+    Search-token records add to the resource's in_se; internal-article
     records add to the resource's in_nav and to the referrer's out_nav.
-    Missing/other-external/other records carry no in-counts. Articles
-    with zero inflow are dropped unless keep_referrer_only is set. An
-    article whose inflow or outflow exceeds MAX_COUNT raises DataError,
-    after the path of the `source` file if given.
+    Other records carry no in-counts. Articles with zero inflow (seen
+    only as referrers) fall outside the studied population and are
+    dropped. An article whose inflow or outflow exceeds MAX_COUNT raises
+    DataError, after the path of the `source` file if given.
     """
-    config = config or AggregateConfig()
-    token_classes = config.referrers.token_classes()
-    internal_rawtype = config.referrers.internal_rawtype
-    search_engine = ReferrerClass.SEARCH_ENGINE
+    search_tokens = SEARCH_TOKENS
+    reserved_tokens = RESERVED_TOKENS
+    internal_rawtype = INTERNAL_RAWTYPE
     sums: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0, 0])  # in_se, in_nav, out_nav
     for referrer, resource, rawtype, count in records:
-        cls = token_classes.get(referrer)
-        if cls is None:
-            if rawtype == internal_rawtype:  # an internal article
-                sums[resource][1] += count
-                sums[referrer][2] += count
-        elif cls is search_engine:
-            sums[resource][0] += count
+        if referrer in reserved_tokens:
+            if referrer in search_tokens:
+                sums[resource][0] += count
+        elif rawtype == internal_rawtype:  # an internal article
+            sums[resource][1] += count
+            sums[referrer][2] += count
 
-    rows = [(a, *c, c[0] + c[1]) for a, c in sums.items() if config.keep_referrer_only or c[0] + c[1] > 0]
+    rows = [(a, *c, c[0] + c[1]) for a, c in sums.items() if c[0] + c[1] > 0]
     for article, _, _, out_nav, total_views in rows:
         if max(total_views, out_nav) > MAX_COUNT:
             prefix = "" if source is None else f"{source}: "
@@ -236,13 +175,10 @@ def aggregate_traffic(
     return column_table(rows, TRAFFIC_DTYPES)
 
 
-def read_traffic_file(path: str | Path, parser_config: ParserConfig | None = None,
-                      aggregate_config: AggregateConfig | None = None,
-                      stats: ParseStats | None = None) -> ColumnTable:
+def read_traffic_file(path: str | Path, strict: bool = False, stats: ParseStats | None = None) -> ColumnTable:
     """Parse + aggregate a clickstream dump file (optionally gzipped) in
     one streaming pass."""
-    records = parse_clickstream(iter_lines(path), parser_config, stats, path)
-    return aggregate_traffic(records, aggregate_config, path)
+    return aggregate_traffic(parse_clickstream(iter_lines(path), strict, stats, path), path)
 
 
 def write_traffic_table(path: str | Path, table: ColumnTable) -> None:

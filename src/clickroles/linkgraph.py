@@ -5,7 +5,7 @@ deduplicated and stripped of self-loops at build time, then held as a
 pair of sorted int64 arrays (compressed form, a few bytes per edge, so
 hundred-million-edge graphs fit in memory). ``graph --clickstream``
 takes its edges from the dump's internal transitions, read by the same
-single pass as ``ingest`` and classified by the same referrer map.
+single pass as ``ingest`` and classified by the same referrer rule.
 
 The k-core index is computed on the undirected projection (an edge
 exists if either direction exists) by level-wise frontier peeling over
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .ingest import ReferrerConfig
+from .ingest import INTERNAL_RAWTYPE, RESERVED_TOKENS
 from .tableio import ColumnTable, iter_lines, parse_count, read_columns, where, write_columns
 
 NETWORK_COLUMNS = ("article", "in_degree", "out_degree", "degree", "kcore")
@@ -129,22 +129,19 @@ def graph_from_file(path: str | Path, strict: bool = False, stats: EdgeStats | N
     return build_graph(parse_edges(iter_lines(path), strict, stats, path), stats)
 
 
-def edges_from_clickstream(
-    records: Iterable[tuple[str, str, str, int]],
-    referrers: ReferrerConfig | None = None,
-) -> Iterator[tuple[str, str]]:
+def edges_from_clickstream(records: Iterable[tuple[str, str, str, int]]) -> Iterator[tuple[str, str]]:
     """Approximate link edges from internal-navigation transitions: the
-    records whose referrer is no reserved token and whose raw type is the
-    internal one (the referrer rule of ingest.classify_referrer).
+    records whose referrer is not one of ingest.RESERVED_TOKENS
+    (``other-search``, ``other-empty``, ``other-external``) and whose raw
+    type is ``link``, the internal-article rule of ingest.aggregate_traffic.
 
     Underestimates the true link graph (only traveled links at least the
     dump floor appear); outputs derived from it are labeled accordingly.
     """
-    referrers = referrers or ReferrerConfig()
-    token_classes = referrers.token_classes()
-    internal_rawtype = referrers.internal_rawtype
+    reserved_tokens = RESERVED_TOKENS
+    internal_rawtype = INTERNAL_RAWTYPE
     for referrer, resource, rawtype, _ in records:
-        if rawtype == internal_rawtype and referrer not in token_classes:
+        if rawtype == internal_rawtype and referrer not in reserved_tokens:
             yield referrer, resource
 
 

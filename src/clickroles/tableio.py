@@ -233,12 +233,12 @@ def write_keyvalues(path: str | Path, items: dict[str, object]) -> None:
 
 def read_keyvalues(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for line in iter_lines(path):
+    for lineno, line in enumerate(iter_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"malformed key=value line in {path}: {line!r}")
+            raise DataError(f"{where(path, lineno)}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out

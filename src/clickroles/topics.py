@@ -90,37 +90,48 @@ class Corpus:
         return sum(c for doc in self.documents for _, c in doc)
 
 
-def parse_documents(lines: Iterable[str], source: str | Path | None = None) -> Iterator[tuple[str, str]]:
-    """Split "article<TAB>text" lines; blank lines are skipped. An error
-    names the `source` file, if given."""
+def parse_documents(lines: Iterable[str], source: str | Path | None = None) -> Iterator[tuple[int, str, str]]:
+    """Split "article<TAB>text" lines into (line number, article, text);
+    blank lines are skipped. An error names the `source` file, if given."""
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         article, sep, text = line.partition("\t")
         if not sep or not article:
             raise DataError(f"{where(source, lineno)}: expected article<TAB>text")
-        yield article, text
+        yield lineno, article, text
 
 
 def build_corpus(
     texts: Iterable[tuple[str, str]],
     stop_words: Collection[str] = DEFAULT_STOP_WORDS,
 ) -> Corpus:
-    """Bag-of-words corpus with a first-appearance vocabulary order.
+    """build_numbered_corpus of (article, text) pairs, numbered from 1."""
+    return build_numbered_corpus(((n, a, t) for n, (a, t) in enumerate(texts, start=1)), stop_words)
+
+
+def build_numbered_corpus(
+    documents: Iterable[tuple[int, str, str]],
+    stop_words: Collection[str] = DEFAULT_STOP_WORDS,
+    source: str | Path | None = None,
+) -> Corpus:
+    """Bag-of-words corpus with a first-appearance vocabulary order, from
+    (line number, article, text) documents.
 
     Documents that tokenize to nothing are kept (zero-length) and
-    flagged in `empty_articles`.
+    flagged in `empty_articles`. A repeated article or an empty corpus
+    raises DataError naming the `source` file, if given.
     """
     articles: list[str] = []
     vocab: list[str] = []
     token_ids: dict[str, int] = {}
-    documents: list[tuple[tuple[int, int], ...]] = []
+    docs: list[tuple[tuple[int, int], ...]] = []
     empty: list[str] = []
     seen: set[str] = set()
 
-    for article, text in texts:
+    for lineno, article, text in documents:
         if article in seen:
-            raise DataError(f"duplicate article in corpus: {article!r}")
+            raise DataError(f"{where(source, lineno)}: duplicate article {article!r}")
         seen.add(article)
         counts: dict[int, int] = {}
         for token in tokenize(text, stop_words):
@@ -130,17 +141,17 @@ def build_corpus(
                 vocab.append(token)
             counts[tid] = counts.get(tid, 0) + 1
         articles.append(article)
-        documents.append(tuple(sorted(counts.items())))
+        docs.append(tuple(sorted(counts.items())))
         if not counts:
             empty.append(article)
 
     if not articles:
-        raise DataError("empty corpus")
-    return Corpus(tuple(articles), tuple(vocab), tuple(documents), tuple(empty))
+        raise DataError("empty corpus" if source is None else f"{source}: empty corpus")
+    return Corpus(tuple(articles), tuple(vocab), tuple(docs), tuple(empty))
 
 
 def corpus_from_file(path: str | Path, stop_words: Collection[str] = DEFAULT_STOP_WORDS) -> Corpus:
-    return build_corpus(parse_documents(iter_lines(path), path), stop_words)
+    return build_numbered_corpus(parse_documents(iter_lines(path), path), stop_words, path)
 
 
 def read_stop_words(path: str | Path) -> frozenset[str]:

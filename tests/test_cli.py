@@ -193,6 +193,45 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t")]) == 1
         assert f"{docs}:2: " in capsys.readouterr().err
 
+    def test_duplicate_document_names_file_and_line(self, tmp_path, capsys):
+        docs = tmp_path / "documents.tsv"
+        docs.write_text("A\tsome words here\n\nB\tmore words\nA\tagain\n")
+        assert main(["topics", "--documents", str(docs), "--k", "2", "--iterations", "1",
+                     "--out", str(tmp_path / "t")]) == 1
+        assert f"{docs}:4: duplicate article 'A'" in capsys.readouterr().err
+
+    def test_empty_corpus_names_file(self, tmp_path, capsys):
+        docs = tmp_path / "documents.tsv"
+        docs.write_text("")
+        assert main(["topics", "--documents", str(docs), "--k", "2", "--iterations", "1",
+                     "--out", str(tmp_path / "t")]) == 1
+        assert f"{docs}: empty corpus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["sample", "topics"])
+    def test_negative_seed_is_usage_error(self, tmp_path, pipeline, capsys, sub):
+        args = {"sample": ["--traffic", pipeline["ingest"] / "traffic.tsv", "--n", 5],
+                "topics": ["--documents", pipeline["documents"], "--k", 2, "--iterations", 1]}[sub]
+        assert run(sub, *args, "--seed", -3, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "non-negative" in err and "Traceback" not in err
+
+    def features_run(self, tmp_path, pipeline, *flags) -> int:
+        return run(
+            "features", "--metrics", pipeline["metrics"] / "metrics.tsv",
+            "--network", pipeline["graph"] / "network.tsv", "--content", pipeline["content"],
+            "--topics", pipeline["topics"] / "topics.tsv", *flags, "--out", tmp_path / "f",
+        )
+
+    def test_negative_feature_grid_is_usage_error(self, tmp_path, pipeline, capsys):
+        assert self.features_run(tmp_path, pipeline, "--grid", -5) == 2
+        assert "--grid must be >= 0" in capsys.readouterr().err
+
+    def test_malformed_labels_line_names_file_and_line(self, tmp_path, pipeline, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("# topic names\n0=Sports\nno equals sign\n")
+        assert self.features_run(tmp_path, pipeline, "--labels", labels) == 1
+        assert f"{labels}:3: " in capsys.readouterr().err
+
     # table -> (subcommand reading it, its flag, a numeric column)
     TABLE_READERS = {
         "joined": ("model", "--joined", "in_degree"),

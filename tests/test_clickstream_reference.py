@@ -2,10 +2,11 @@
 
 The reference below is the straightforward form of the same rules: one
 frozen record object per line, stats attributes bumped per line, the
-referrer classified per record through the enum chain, and a node-id
-closure called per edge endpoint. The pipeline's pass must give the same
-traffic tables, ParseStats, graphs, EdgeStats and error texts on every
-drawn dump.
+referrer classified per record through an if-chain over its own literal
+token sets (not the module's constants, so a wrong constant fails here),
+and a node-id closure called per edge endpoint. The pipeline's pass must
+give the same traffic tables, ParseStats, graphs, EdgeStats and error
+texts on every drawn dump.
 """
 
 from __future__ import annotations
@@ -19,17 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError
-from clickroles.ingest import (
-    PUBLIC_DUMP_MIN_COUNT,
-    AggregateConfig,
-    ParserConfig,
-    ParseStats,
-    ReferrerClass,
-    ReferrerConfig,
-    aggregate_traffic,
-    classify_referrer,
-    parse_clickstream,
-)
+from clickroles.ingest import PUBLIC_DUMP_MIN_COUNT, ParseStats, aggregate_traffic, parse_clickstream
 from clickroles.linkgraph import EdgeStats, LinkGraph, build_graph, edges_from_clickstream
 from clickroles.tableio import MAX_COUNT, parse_count, where
 from feature_rows import traffic_of
@@ -43,18 +34,26 @@ class Record:
     count: int
 
 
-def reference_parse(lines, config, stats, source=None):
-    header_re = re.compile(config.header_pattern)
+# the 2016-08 dump's referrer rule
+SEARCH = {"other-search"}
+MISSING = {"other-empty"}
+EXTERNAL = {"other-external"}
+INTERNAL_RAWTYPE = "link"
+KNOWN_RAWTYPES = {"link", "external", "other"}
+HEADER = re.compile(r"^(prev|referr?er)\b")
+
+
+def reference_parse(lines, strict, stats, source=None):
     for lineno, line in enumerate(lines, start=1):
         stats.lines += 1
         if not line:
             continue
         fields = line.split("\t")
-        if lineno == 1 and header_re.match(fields[0]):
+        if lineno == 1 and HEADER.match(fields[0]):
             stats.header_lines += 1
             continue
         if len(fields) != 4:
-            if config.strict:
+            if strict:
                 raise DataError(f"{where(source, lineno)}: expected 4 tab-separated fields, got {len(fields)}")
             stats.malformed += 1
             continue
@@ -64,12 +63,12 @@ def reference_parse(lines, config, stats, source=None):
         except ValueError:
             count = -1
         if count < 0 or not resource:
-            if config.strict:
+            if strict:
                 raise DataError(f"{where(source, lineno)}: malformed record {line!r}")
             stats.malformed += 1
             continue
-        if rawtype not in config.known_rawtypes:
-            if config.strict:
+        if rawtype not in KNOWN_RAWTYPES:
+            if strict:
                 raise DataError(f"{where(source, lineno)}: unknown type token {rawtype!r}")
             stats.unknown_rawtype += 1
             continue
@@ -79,28 +78,28 @@ def reference_parse(lines, config, stats, source=None):
         yield Record(referrer, resource, rawtype, count)
 
 
-def reference_classify(record, config):
-    if record.referrer in config.search_tokens:
-        return ReferrerClass.SEARCH_ENGINE
-    if record.referrer in config.missing_tokens:
-        return ReferrerClass.MISSING
-    if record.referrer in config.external_tokens:
-        return ReferrerClass.OTHER_EXTERNAL
-    if record.rawtype == config.internal_rawtype:
-        return ReferrerClass.INTERNAL_ARTICLE
-    return ReferrerClass.OTHER
+def reference_classify(record):
+    if record.referrer in SEARCH:
+        return "search-engine"
+    if record.referrer in MISSING:
+        return "missing"
+    if record.referrer in EXTERNAL:
+        return "other-external"
+    if record.rawtype == INTERNAL_RAWTYPE:
+        return "internal-article"
+    return "other"
 
 
-def reference_aggregate(records, config, source=None):
+def reference_aggregate(records, source=None):
     sums = defaultdict(lambda: [0, 0, 0])  # in_se, in_nav, out_nav
     for record in records:
-        cls = reference_classify(record, config.referrers)
-        if cls is ReferrerClass.SEARCH_ENGINE:
+        cls = reference_classify(record)
+        if cls == "search-engine":
             sums[record.resource][0] += record.count
-        elif cls is ReferrerClass.INTERNAL_ARTICLE:
+        elif cls == "internal-article":
             sums[record.resource][1] += record.count
             sums[record.referrer][2] += record.count
-    rows = [(a, *c) for a, c in sums.items() if config.keep_referrer_only or c[0] + c[1] > 0]
+    rows = [(a, *c) for a, c in sums.items() if c[0] + c[1] > 0]
     for article, in_se, in_nav, out_nav in rows:
         if max(in_se + in_nav, out_nav) > MAX_COUNT:
             prefix = "" if source is None else f"{source}: "
@@ -108,9 +107,9 @@ def reference_aggregate(records, config, source=None):
     return traffic_of(rows)
 
 
-def reference_edges(records, config):
+def reference_edges(records):
     for record in records:
-        if reference_classify(record, config) is ReferrerClass.INTERNAL_ARTICLE:
+        if reference_classify(record) == "internal-article":
             yield record.referrer, record.resource
 
 
@@ -164,17 +163,6 @@ def graph_key(graph):
 
 TOKENS = ["other-search", "other-empty", "other-external", "other-internal", "special-search", "gone"]
 TITLES = ["A", "B", "C", "D", "prev", "referer"]
-token_sets = st.frozensets(st.sampled_from(TOKENS), max_size=3)
-referrer_configs = st.one_of(
-    st.just(ReferrerConfig()),
-    st.builds(
-        ReferrerConfig,
-        search_tokens=token_sets,
-        missing_tokens=token_sets,
-        external_tokens=token_sets,
-        internal_rawtype=st.sampled_from(["link", "external", "other"]),
-    ),
-)
 counts = st.one_of(
     st.integers(min_value=0, max_value=40).map(str),
     st.sampled_from([str(MAX_COUNT), str(MAX_COUNT + 1), "0" * 20 + "17", "-5", "1_000", " 12", "x", "",
@@ -198,38 +186,36 @@ dumps = st.lists(st.one_of(records, records, records, odd_lines), max_size=30)
 
 
 class TestAgainstReference:
-    @given(lines=dumps, referrers=referrer_configs, keep=st.booleans(), strict=st.booleans())
+    @given(lines=dumps, strict=st.booleans())
     @settings(max_examples=400, deadline=None)
-    def test_tables_graphs_stats_and_errors(self, lines, referrers, keep, strict):
-        parser = ParserConfig(strict=strict)
-        aggregate = AggregateConfig(referrers=referrers, keep_referrer_only=keep)
-
+    def test_tables_graphs_stats_and_errors(self, lines, strict):
         stats, expected_stats = ParseStats(), ParseStats()
-        table = outcome(lambda: aggregate_traffic(parse_clickstream(lines, parser, stats, "d.tsv"),
-                                                  aggregate, "d.tsv"))
-        expected = outcome(lambda: reference_aggregate(reference_parse(lines, parser, expected_stats, "d.tsv"),
-                                                       aggregate, "d.tsv"))
+        table = outcome(lambda: aggregate_traffic(parse_clickstream(lines, strict, stats, "d.tsv"), "d.tsv"))
+        expected = outcome(lambda: reference_aggregate(reference_parse(lines, strict, expected_stats, "d.tsv"),
+                                                       "d.tsv"))
         assert table_key(table) == table_key(expected)
         assert stats == expected_stats
 
         stats, expected_stats = ParseStats(), ParseStats()
         edge_stats, expected_edge_stats = EdgeStats(), EdgeStats()
         graph = outcome(lambda: build_graph(
-            edges_from_clickstream(parse_clickstream(lines, parser, stats, "d.tsv"), referrers), edge_stats))
+            edges_from_clickstream(parse_clickstream(lines, strict, stats, "d.tsv")), edge_stats))
         expected = outcome(lambda: reference_build_graph(
-            reference_edges(reference_parse(lines, parser, expected_stats, "d.tsv"), referrers),
-            expected_edge_stats))
+            reference_edges(reference_parse(lines, strict, expected_stats, "d.tsv")), expected_edge_stats))
         assert graph_key(graph) == graph_key(expected)
         assert (stats, edge_stats) == (expected_stats, expected_edge_stats)
 
-    @given(lines=dumps, referrers=referrer_configs)
+    @given(lines=dumps)
     @settings(max_examples=200, deadline=None)
-    def test_records_and_classes(self, lines, referrers):
-        expected = list(reference_parse(lines, ParserConfig(), ParseStats()))
+    def test_records_and_classes(self, lines):
+        expected = list(reference_parse(lines, False, ParseStats()))
         got = list(parse_clickstream(lines))
         assert got == [(r.referrer, r.resource, r.rawtype, r.count) for r in expected]
         assert all(type(record) is tuple for record in got)
-        assert [classify_referrer(r, referrers) for r in got] == [reference_classify(r, referrers) for r in expected]
+        # each record's class, as what it adds to the traffic table alone
+        assert [table_key(outcome(lambda: aggregate_traffic([r]))) for r in got] == [
+            table_key(outcome(lambda: reference_aggregate([r]))) for r in expected
+        ]
 
     def test_stats_written_when_the_pass_is_closed_early(self):
         lines = ["prev\tcurr\ttype\tn", "other-search\tA\texternal\t5", "", "A\tB\tlink\t20", "bad"]

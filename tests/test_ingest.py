@@ -7,15 +7,9 @@ from hypothesis import strategies as st
 
 from clickroles.errors import DataError
 from clickroles.ingest import (
-    AggregateConfig,
     ParseStats,
-    ParserConfig,
-    ReferrerClass,
-    ReferrerConfig,
     TRAFFIC_DTYPES,
-    TransitionRecord,
     aggregate_traffic,
-    classify_referrer,
     parse_clickstream,
     read_traffic_file,
     read_traffic_table,
@@ -24,8 +18,8 @@ from clickroles.ingest import (
 from clickroles.tableio import MAX_COUNT
 
 
-def parse_all(lines, config=None, stats=None):
-    return list(parse_clickstream(lines, config, stats))
+def parse_all(lines, strict=False, stats=None):
+    return list(parse_clickstream(lines, strict, stats))
 
 
 def rows(table):
@@ -46,7 +40,7 @@ def assert_well_formed(table):
 class TestParse:
     def test_well_formed_line(self):
         recs = parse_all(["other-search\tRio_de_Janeiro\texternal\t1000"])
-        assert recs == [TransitionRecord("other-search", "Rio_de_Janeiro", "external", 1000)]
+        assert recs == [("other-search", "Rio_de_Janeiro", "external", 1000)]
 
     def test_three_fields_skipped_lenient(self):
         stats = ParseStats()
@@ -62,7 +56,7 @@ class TestParse:
     def test_strict_aborts_with_line_number(self):
         lines = ["a\tb\tlink\t20", "bad line"]
         with pytest.raises(DataError, match="line 2"):
-            parse_all(lines, ParserConfig(strict=True))
+            parse_all(lines, strict=True)
 
     @pytest.mark.parametrize(
         "count",
@@ -74,7 +68,7 @@ class TestParse:
         assert parse_all([f"a\tb\tlink\t{count}"], stats=stats) == []
         assert stats.malformed == 1
         with pytest.raises(DataError):
-            parse_all([f"a\tb\tlink\t{count}"], ParserConfig(strict=True))
+            parse_all([f"a\tb\tlink\t{count}"], strict=True)
 
     def test_count_bound_is_inclusive(self):
         recs = parse_all([f"a\tb\tlink\t{MAX_COUNT}", f"a\tb\tlink\t{'0' * 20}{MAX_COUNT}"])
@@ -96,7 +90,7 @@ class TestParse:
         assert parse_all(["a\tb\tweird\t30"], stats=stats) == []
         assert stats.unknown_rawtype == 1 and stats.malformed == 0
         with pytest.raises(DataError, match="line 1"):
-            parse_all(["a\tb\tweird\t30"], ParserConfig(strict=True))
+            parse_all(["a\tb\tweird\t30"], strict=True)
 
     def test_header_line_tolerated_once(self):
         stats = ParseStats()
@@ -111,84 +105,81 @@ class TestParse:
 
 
 class TestClassify:
+    """The referrer rule, seen in what one record adds to the table."""
+
     @pytest.mark.parametrize(
-        "referrer,rawtype,expected",
+        "referrer,rawtype,role",
         [
-            ("other-search", "external", ReferrerClass.SEARCH_ENGINE),
-            ("Hanging_Gardens_of_Babylon", "link", ReferrerClass.INTERNAL_ARTICLE),
-            ("other-empty", "other", ReferrerClass.MISSING),
-            ("other-external", "external", ReferrerClass.OTHER_EXTERNAL),
-            ("other-internal", "other", ReferrerClass.OTHER),
-            ("other-other", "other", ReferrerClass.OTHER),
+            ("other-search", "external", "search"),
+            ("Hanging_Gardens_of_Babylon", "link", "navigation"),
+            ("other-empty", "other", "none"),
+            ("other-external", "external", "none"),
+            ("other-internal", "other", "none"),
+            ("other-other", "other", "none"),
+            ("Hanging_Gardens_of_Babylon", "external", "none"),
+            ("Hanging_Gardens_of_Babylon", "other", "none"),
         ],
     )
-    def test_default_mapping(self, referrer, rawtype, expected):
-        record = TransitionRecord(referrer, "X", rawtype, 10)
-        assert classify_referrer(record) is expected
+    def test_referrer_rule(self, referrer, rawtype, role):
+        expected = {
+            "search": {"X": (10, 0, 0, 10)},
+            "navigation": {"X": (0, 10, 0, 10)},
+            "none": {},
+        }[role]
+        assert rows(aggregate_traffic([(referrer, "X", rawtype, 10)])) == expected
 
     def test_reserved_token_beats_rawtype(self):
-        record = TransitionRecord("other-search", "X", "link", 10)
-        assert classify_referrer(record) is ReferrerClass.SEARCH_ENGINE
-
-    def test_config_override(self):
-        config = ReferrerConfig(search_tokens=frozenset({"special-search"}))
-        record = TransitionRecord("special-search", "X", "external", 10)
-        assert classify_referrer(record, config) is ReferrerClass.SEARCH_ENGINE
-        assert classify_referrer(TransitionRecord("other-search", "X", "external", 10), config) is ReferrerClass.OTHER
+        assert rows(aggregate_traffic([("other-search", "X", "link", 10)])) == {"X": (10, 0, 0, 10)}
+        for token in ("other-empty", "other-external"):
+            assert rows(aggregate_traffic([(token, "X", "link", 10)])) == {}
 
 
 class TestAggregate:
     def test_update_rules(self):
         records = [
-            TransitionRecord("other-search", "A", "external", 30),
-            TransitionRecord("A", "B", "link", 10),
+            ("other-search", "A", "external", 30),
+            ("A", "B", "link", 10),
         ]
         table = aggregate_traffic(records)
         assert rows(table) == {"A": (30, 0, 10, 30), "B": (0, 10, 0, 10)}
         assert_well_formed(table)
 
     def test_all_missing_gives_empty_map(self):
-        records = [TransitionRecord("other-empty", "A", "other", 50)]
+        records = [("other-empty", "A", "other", 50)]
         table = aggregate_traffic(records)
         assert len(table) == 0
         assert_well_formed(table)
 
     def test_referrer_only_article_dropped_by_default(self):
-        records = [TransitionRecord("R", "B", "link", 5)]
+        records = [("R", "B", "link", 5)]
         table = aggregate_traffic(records)
         assert rows(table) == {"B": (0, 5, 0, 5)}
 
-    def test_referrer_only_article_kept_with_flag(self):
-        records = [TransitionRecord("R", "B", "link", 5)]
-        table = aggregate_traffic(records, AggregateConfig(keep_referrer_only=True))
-        assert rows(table)["R"] == (0, 0, 5, 0)
-
     def test_other_external_contributes_nothing(self):
-        records = [TransitionRecord("other-external", "A", "external", 40)]
+        records = [("other-external", "A", "external", 40)]
         assert len(aggregate_traffic(records)) == 0
 
     def test_sum_above_bound_names_source(self):
         records = [
-            TransitionRecord("other-search", "A", "external", MAX_COUNT),
-            TransitionRecord("B", "A", "link", 1),
+            ("other-search", "A", "external", MAX_COUNT),
+            ("B", "A", "link", 1),
         ]
         with pytest.raises(DataError, match="^dump.tsv: .*'A'"):
             aggregate_traffic(records, source="dump.tsv")
-        # outflow alone, on an article with no inflow, is bounded too
-        records = [TransitionRecord("R", "B", "link", MAX_COUNT), TransitionRecord("R", "C", "link", 1)]
+        # outflow is bounded too, on an article with little inflow
+        records = [("other-search", "R", "external", 1), ("R", "B", "link", MAX_COUNT), ("R", "C", "link", 1)]
         with pytest.raises(DataError, match="'R'"):
-            aggregate_traffic(records, AggregateConfig(keep_referrer_only=True))
-        records = [TransitionRecord("other-search", "A", "external", MAX_COUNT)]
+            aggregate_traffic(records)
+        records = [("other-search", "A", "external", MAX_COUNT)]
         assert rows(aggregate_traffic(records))["A"] == (MAX_COUNT, 0, 0, MAX_COUNT)
 
 
 records_strategy = st.lists(
-    st.builds(
-        TransitionRecord,
-        referrer=st.sampled_from(["other-search", "other-empty", "other-external", "A", "B", "C", "D"]),
-        resource=st.sampled_from(["A", "B", "C", "D", "E"]),
-        rawtype=st.sampled_from(["link", "external", "other"]),
-        count=st.integers(min_value=0, max_value=1000),
+    st.tuples(
+        st.sampled_from(["other-search", "other-empty", "other-external", "A", "B", "C", "D"]),
+        st.sampled_from(["A", "B", "C", "D", "E"]),
+        st.sampled_from(["link", "external", "other"]),
+        st.integers(min_value=0, max_value=1000),
     ),
     max_size=40,
 )
@@ -202,18 +193,11 @@ class TestAggregateProperties:
         seed.shuffle(shuffled)
         assert rows(aggregate_traffic(records)) == rows(aggregate_traffic(shuffled))
 
-    @given(records=records_strategy)
-    @settings(max_examples=60)
-    def test_conservation_with_referrers_kept(self, records):
-        table = aggregate_traffic(records, AggregateConfig(keep_referrer_only=True))
-        assert table["in_nav"].sum() == table["out_nav"].sum()
-
     @given(records=records_strategy, extra=records_strategy)
     @settings(max_examples=40)
     def test_monotonicity(self, records, extra):
-        config = AggregateConfig(keep_referrer_only=True)
-        before = rows(aggregate_traffic(records, config))
-        after = rows(aggregate_traffic(records + extra, config))
+        before = rows(aggregate_traffic(records))
+        after = rows(aggregate_traffic(records + extra))
         for article, counts in before.items():
             assert all(grown >= was for grown, was in zip(after[article], counts))
 
@@ -240,7 +224,7 @@ class TestStreaming:
         assert rows(table)["A"] == (30, 0, 10, 30)
 
     def test_traffic_table_roundtrip(self, tmp_path):
-        table = aggregate_traffic(parse_all(self.lines()), AggregateConfig(keep_referrer_only=True))
+        table = aggregate_traffic(parse_all(self.lines()))
         path = tmp_path / "traffic.tsv"
         write_traffic_table(path, table)
         back = read_traffic_table(path)
@@ -284,12 +268,12 @@ dump_lines = st.lists(
 
 
 class TestRoundTrip:
-    @given(lines=dump_lines, keep=st.booleans())
+    @given(lines=dump_lines)
     @settings(max_examples=150, deadline=None)
-    def test_parse_aggregate_write_read(self, tmp_path_factory, lines, keep):
+    def test_parse_aggregate_write_read(self, tmp_path_factory, lines):
         # a real header first, so no later line is taken for one
         text = ["prev\tcurr\ttype\tn"] + [f"{r}\t{a}\t{t}\t{c}" for r, a, t, c in lines]
-        table = aggregate_traffic(parse_clickstream(text), AggregateConfig(keep_referrer_only=keep))
+        table = aggregate_traffic(parse_clickstream(text))
         assert_well_formed(table)
         path = tmp_path_factory.mktemp("roundtrip") / "traffic.tsv"
         write_traffic_table(path, table)
@@ -306,5 +290,5 @@ class TestRoundTrip:
             elif referrer not in ("other-empty", "other-external") and rawtype == "link":
                 expected.setdefault(article, [0, 0, 0])[1] += count
                 expected.setdefault(referrer, [0, 0, 0])[2] += count
-        expected = {a: (*c, c[0] + c[1]) for a, c in expected.items() if keep or c[0] + c[1] > 0}
+        expected = {a: (*c, c[0] + c[1]) for a, c in expected.items() if c[0] + c[1] > 0}
         assert rows(back) == expected

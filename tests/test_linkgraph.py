@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError
-from clickroles.ingest import TransitionRecord
 from clickroles.linkgraph import (
     EdgeStats,
     LinkGraph,
@@ -204,10 +203,11 @@ class TestParseEdges:
 class TestClickstreamEdges:
     def test_only_internal_transitions(self):
         records = [
-            TransitionRecord("A", "B", "link", 15),
-            TransitionRecord("other-search", "B", "external", 90),
-            TransitionRecord("other-empty", "C", "external", 12),
-            TransitionRecord("B", "C", "link", 11),
+            ("A", "B", "link", 15),
+            ("other-search", "B", "external", 90),
+            ("other-empty", "C", "external", 12),
+            ("other-search", "D", "link", 20),
+            ("B", "C", "link", 11),
         ]
         assert list(edges_from_clickstream(records)) == [("A", "B"), ("B", "C")]
 

@@ -106,7 +106,7 @@ class TestBuildCorpus:
 
     def test_parse_documents(self):
         lines = ["A\tsome text", "", "B\tmore"]
-        assert list(parse_documents(lines)) == [("A", "some text"), ("B", "more")]
+        assert list(parse_documents(lines)) == [(1, "A", "some text"), (3, "B", "more")]
         with pytest.raises(DataError, match="line 1"):
             list(parse_documents(["no tab here"]))
 
