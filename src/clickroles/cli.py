@@ -23,9 +23,9 @@ explicit flags override.
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
+from dataclasses import asdict
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -87,7 +87,9 @@ from .model import (
     write_eval_report,
 )
 from .overlap import RANKING_KEYS, cumulative_overlap, default_ks, rank_articles, write_curve
-from .tableio import fmt_value, iter_lines, parse_count, read_keyvalues, write_keyvalues, write_matrix_csv, write_tsv
+from .tableio import (
+    iter_lines, make_dir, parse_count, read_keyvalues, write_json, write_keyvalues, write_matrix_csv, write_rows
+)
 from .topics import (
     DEFAULT_STOP_WORDS,
     DEFAULT_TOPIC_LABELS,
@@ -307,23 +309,15 @@ def cmd_ingest(args) -> None:
             f"in {stats.lines} lines"
         )
     write_traffic_table(out.file("traffic.tsv"), table)
-    write_keyvalues(
-        out.file("ingest_stats.txt"),
-        {
-            "articles": len(table),
-            "lines": stats.lines,
-            "records": stats.records,
-            "malformed": stats.malformed,
-            "unknown_rawtype": stats.unknown_rawtype,
-            "below_min_count": stats.below_min_count,
-            "header_lines": stats.header_lines,
-        },
-    )
+    write_keyvalues(out.file("ingest_stats.txt"), {"articles": len(table), **asdict(stats)})
     _finish(args, out, [args.clickstream])
 
 
 def cmd_metrics(args) -> None:
     out = _OutputDir(args.out)
+    for flag, value in (("--bins", args.bins), ("--grid", args.grid)):
+        if value < 1:
+            raise UsageError(f"{flag} must be positive, got {value}")
     traffic = read_traffic_table(args.traffic)
     if not traffic["total_views"].any():
         raise DataError(f"no articles with positive inflow in {args.traffic}")
@@ -338,20 +332,9 @@ def cmd_metrics(args) -> None:
         by_articles = histogram(metrics[name], None, args.bins).tolist()
         by_views = histogram(metrics[name], metrics["total_views"], args.bins).tolist()
         rows = (
-            (
-                i,
-                fmt_value(i / args.bins),
-                fmt_value((i + 1) / args.bins),
-                int(by_articles[i]),
-                fmt_value(by_views[i]),
-            )
-            for i in range(args.bins)
+            (i, i / args.bins, (i + 1) / args.bins, int(by_articles[i]), by_views[i]) for i in range(args.bins)
         )
-        write_tsv(
-            out.file(f"histogram_{name}.tsv"),
-            ("bin", "low", "high", "articles", "views"),
-            rows,
-        )
+        write_rows(out.file(f"histogram_{name}.tsv"), rows, ("bin", "low", "high", "articles", "views"))
 
     for weighted, name in ((False, "heatmap_articles.csv"), (True, "heatmap_views.csv")):
         weights = metrics["total_views"] if weighted else None
@@ -377,12 +360,17 @@ def _parse_pairs(arg: str | None) -> list[tuple[str, str]]:
         a, sep, b = item.partition(":")
         if not sep:
             raise UsageError(f"ranking pair {item!r} must be key:key")
-        pairs.append((a.strip(), b.strip()))
+        pair = (a.strip(), b.strip())
+        for key in pair:
+            if key not in RANKING_KEYS:
+                raise UsageError(f"unknown ranking key {key!r} in pair {item!r}; expected one of {RANKING_KEYS}")
+        pairs.append(pair)
     return pairs
 
 
 def cmd_overlap(args) -> None:
     out = _OutputDir(args.out)
+    pairs = _parse_pairs(args.pairs)
     traffic = read_traffic_table(args.traffic)
     if args.depths is not None:
         try:
@@ -391,7 +379,7 @@ def cmd_overlap(args) -> None:
             raise UsageError(f"--depths must be a comma list of integers: {args.depths!r}")
     else:
         ks = default_ks(len(traffic))
-    for a, b in _parse_pairs(args.pairs):
+    for a, b in pairs:
         curve = cumulative_overlap(rank_articles(traffic, a), rank_articles(traffic, b), ks)
         write_curve(out.file(f"overlap_{a}_{b}.csv"), curve)
     _finish(args, out, [args.traffic])
@@ -428,22 +416,18 @@ def cmd_graph(args) -> None:
     _finish(args, out, [source_path])
 
 
-def _topic_labels(args, topic_ids: set[int]) -> dict[int, str]:
-    if args.labels:
-        raw = read_keyvalues(args.labels)
-        try:
-            return {parse_count(k): v for k, v in raw.items()}
-        except ValueError:
-            raise UsageError(f"{args.labels}: keys must be integer topic ids")
-    if topic_ids and topic_ids == set(range(20)):
-        return dict(enumerate(DEFAULT_TOPIC_LABELS))
-    return {}
+def _read_labels(path: str) -> dict[int, str]:
+    try:
+        return {parse_count(k): v for k, v in read_keyvalues(path).items()}
+    except ValueError:
+        raise UsageError(f"{path}: keys must be integer topic ids")
 
 
 def cmd_features(args) -> None:
     out = _OutputDir(args.out)
     if args.grid < 0:
         raise UsageError(f"--grid must be >= 0 (0 disables the ratio grids), got {args.grid}")
+    labels = _read_labels(args.labels) if args.labels else None
     metrics = read_metrics_table(args.metrics)
     network = read_network_table(args.network)
     content = read_content_table(args.content)
@@ -462,7 +446,8 @@ def cmd_features(args) -> None:
         inputs.append(args.topics)
         topic_ids = joined["topic_id"]
         assigned_ids = sorted(set(topic_ids[topic_ids >= 0].tolist()))
-        labels = _topic_labels(args, set(assigned_ids))
+        if labels is None:
+            labels = dict(enumerate(DEFAULT_TOPIC_LABELS)) if assigned_ids == list(range(20)) else {}
         write_topic_stats(out.file("topic_stats.tsv"), topic_statistics(joined, labels))
         if args.grid > 0 and assigned_ids:
             columns = [joined[name] for name in ("resistance", "searchshare", "total_views")]
@@ -619,6 +604,8 @@ def cmd_report(args) -> None:
         d = Path(directory)
         if not d.is_dir():
             raise DataError(f"not a directory: {directory}")
+        if d.resolve() == out.path.resolve():
+            continue  # a rerun's own earlier bundle
         for entry in sorted(p.name for p in d.iterdir() if p.is_file()):
             kind = _report_kind(entry)
             if kind is None:
@@ -637,15 +624,13 @@ def cmd_report(args) -> None:
             "run ingest/metrics/overlap/graph/features/bins/topics/model first"
         )
 
-    out.path.mkdir(parents=True, exist_ok=True)
+    make_dir(out.path)
     index = []
     for name in sorted(found):
         src, kind, source_dir = found[name]
         shutil.copyfile(src, out.file(name))
         index.append({"file": name, "kind": kind, "source": str(source_dir)})
-    with open(out.file("index.json"), "wt", encoding="utf-8") as fh:
-        json.dump({"files": index}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out.file("index.json"), {"files": index})
     _finish(args, out, [str(src) for src, _, _ in (found[n] for n in sorted(found))])
 
 

@@ -15,8 +15,7 @@ and -0.0 among them) keep title order.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,9 +23,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .metrics import METRICS_DTYPES, QUADRANT_LABELS, QUADRANT_ORDER, quadrant_code
-from .tableio import (
-    ColumnTable, fmt_value, open_text, parse_count, parse_ratio, parse_real, read_columns, write_columns, write_tsv
-)
+from .tableio import ColumnTable, parse_count, parse_ratio, parse_real, read_columns, write_columns, write_rows
 
 # bin/median features in reporting order: network block, then content/edit
 DEFAULT_MEDIAN_FEATURES = (
@@ -340,61 +337,16 @@ def read_joined_table(path: str | Path) -> ColumnTable:
 
 
 def write_group_medians(path: str | Path, table: GroupMedianTable) -> None:
-    rows = (
-        (name, *(fmt_value(table.values[name][col]) for col in table.columns))
-        for name in table.features
-    )
-    write_tsv(path, ("feature", *table.columns), rows)
+    rows = ((name, *(table.values[name][col] for col in table.columns)) for name in table.features)
+    write_rows(path, rows, ("feature", *table.columns))
 
 
 def write_bin_table(path: str | Path, result: BinnedQuartiles) -> None:
     """Quartile curve as CSV with "#" metadata lines."""
-    with open_text(path, "wt") as fh:
-        fh.write(f"# bin_feature={result.bin_feature}\n")
-        fh.write(f"# target={result.target}\n")
-        fh.write(f"# bins={len(result.bins)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("bin", "count", "feature_low", "feature_high", "q1", "q2", "q3"))
-        for b in result.bins:
-            writer.writerow(
-                (
-                    b.index,
-                    b.count,
-                    fmt_value(b.feature_low),
-                    fmt_value(b.feature_high),
-                    fmt_value(b.q1),
-                    fmt_value(b.q2),
-                    fmt_value(b.q3),
-                )
-            )
+    header = ("bin", "count", "feature_low", "feature_high", "q1", "q2", "q3")
+    metadata = {"bin_feature": result.bin_feature, "target": result.target, "bins": len(result.bins)}
+    write_rows(path, map(astuple, result.bins), header, metadata, sep=",")
 
 
 def write_topic_stats(path: str | Path, stats: Sequence[TopicStats]) -> None:
-    columns = (
-        "topic_id",
-        "label",
-        "articles",
-        "article_pct",
-        "views",
-        "view_pct",
-        "median_age",
-        "median_editors",
-        "median_revisions",
-        "median_size",
-    )
-    rows = (
-        (
-            s.topic_id,
-            s.label,
-            s.articles,
-            fmt_value(s.article_pct),
-            s.views,
-            fmt_value(s.view_pct),
-            fmt_value(s.median_age),
-            fmt_value(s.median_editors),
-            fmt_value(s.median_revisions),
-            fmt_value(s.median_size),
-        )
-        for s in stats
-    )
-    write_tsv(path, columns, rows)
+    write_rows(path, map(astuple, stats), [f.name for f in fields(TopicStats)])

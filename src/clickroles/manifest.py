@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 from . import __version__
 from .errors import DataError
+from .tableio import write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -65,12 +66,9 @@ def build_manifest(
 
 def write_manifest(out_dir: str | Path, manifest: RunManifest) -> Path:
     path = Path(out_dir) / MANIFEST_NAME
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = asdict(manifest)
     doc["outputs"] = list(manifest.outputs)
-    with open(path, "wt", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
     return path
 
 

@@ -26,13 +26,13 @@ of the integers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .tableio import ColumnTable, parse_count, parse_ratio, read_columns, write_columns, write_keyvalues, write_tsv
+from .tableio import ColumnTable, parse_count, parse_ratio, read_columns, write_columns, write_keyvalues, write_rows
 
 METRICS_COLUMNS = ("article", "searchshare", "resistance", "total_views", "quadrant")
 METRICS_DTYPES = {"searchshare": float, "resistance": float, "total_views": np.int64, "quadrant": np.int8}
@@ -219,13 +219,7 @@ def read_metrics_table(path: str | Path) -> ColumnTable:
 
 
 def write_thresholds(path: str | Path, thresholds: CorpusThresholds) -> None:
-    write_keyvalues(
-        path,
-        {
-            "mean_searchshare": thresholds.mean_searchshare,
-            "mean_resistance": thresholds.mean_resistance,
-        },
-    )
+    write_keyvalues(path, asdict(thresholds))
 
 
 def write_group_shares(path: str | Path, shares: dict[QuadrantLabel, tuple[float, float]]) -> None:
@@ -234,4 +228,4 @@ def write_group_shares(path: str | Path, shares: dict[QuadrantLabel, tuple[float
         (label.value, f"{shares[label][0]:.1f}", f"{shares[label][1]:.1f}")
         for label in QUADRANT_ORDER
     ]
-    write_tsv(path, ("group", "article_pct", "view_pct"), rows)
+    write_rows(path, rows, ("group", "article_pct", "view_pct"))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .metrics import average_ranks
-from .tableio import ColumnTable, open_text
+from .tableio import ColumnTable, open_text, write_json, write_rows
 
 SEARCHSHARE_THRESHOLD = 0.66
 RESISTANCE_THRESHOLD = 0.88
@@ -529,9 +529,7 @@ def save_model(path: str | Path, model: GBDTModel) -> None:
             for t in model.trees
         ],
     }
-    with open_text(path, "wt") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path: str | Path) -> GBDTModel:
@@ -561,9 +559,9 @@ def load_model(path: str | Path) -> GBDTModel:
 
 def write_eval_report(path: str | Path, reports: Sequence[EvalReport]) -> None:
     """CSV with one row per fold and a summary row per report."""
-    with open_text(path, "wt") as fh:
-        fh.write("task,feature_group,fold,auc\n")
-        for r in reports:
-            for f, auc in enumerate(r.fold_aucs):
-                fh.write(f"{r.task},{r.feature_group},{f},{auc!r}\n")
-            fh.write(f"{r.task},{r.feature_group},mean,{r.mean_auc!r}\n")
+    rows = (
+        (r.task, r.feature_group, fold, auc)
+        for r in reports
+        for fold, auc in (*enumerate(r.fold_aucs), ("mean", r.mean_auc))
+    )
+    write_rows(path, rows, ("task", "feature_group", "fold", "auc"), sep=",")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
-from .tableio import ColumnTable, open_text
+from .tableio import ColumnTable, write_rows
 
 RANKING_KEYS = ("total", "in_se", "in_nav", "out_nav")
 
@@ -110,9 +110,5 @@ def default_ks(n: int) -> list[int]:
 
 
 def write_curve(path: str | Path, curve: OverlapCurve) -> None:
-    with open_text(path, "wt") as fh:
-        fh.write(f"# ranking_a={curve.ranking_a}\n")
-        fh.write(f"# ranking_b={curve.ranking_b}\n")
-        fh.write("k,overlap\n")
-        for k, value in curve.points:
-            fh.write(f"{k},{value!r}\n")
+    metadata = {"ranking_a": curve.ranking_a, "ranking_b": curve.ranking_b}
+    write_rows(path, curve.points, ("k", "overlap"), metadata, sep=",")

@@ -1,18 +1,23 @@
-"""Shared file helpers: gzip-transparent text IO, TSV tables, CSV
-matrices with ``#`` metadata header lines, and key=value files; and
-ColumnTable, the one in-memory form of every per-article table
-(traffic, metrics, network, content, topic assignment and joined).
+"""Shared file helpers: gzip-transparent text IO, the one row writer and
+the one JSON writer, the readers of their tables, and ColumnTable, the
+one in-memory form of every per-article table (traffic, metrics,
+network, content, topic assignment and joined).
 
-All writers produce byte-deterministic output for identical inputs:
-floats are serialized with ``repr`` (shortest round-trip form), rows are
-emitted in the order given by the caller, and no timestamps appear in
-any data file.
+Every output file of a subcommand is written by :func:`write_rows` (TSV
+and CSV tables, matrices, key=value files, word lists; optional
+``# key=value`` metadata lines first) or :func:`write_json` (models,
+manifests, the report index). Output is byte-deterministic for
+identical inputs: every cell goes through :func:`fmt_value`, so floats
+are serialized with ``repr`` (shortest round-trip form) and NaN as an
+empty cell; rows are emitted in the order given by the caller; JSON
+keys are sorted; and no timestamps appear in any data file.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import json
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -69,7 +74,7 @@ def open_text(path: str | Path, mode: str = "rt") -> IO[str]:
     path = Path(path)
     reading = mode.startswith("r")
     if not reading:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_dir(path.parent)
     elif not path.exists():
         raise DataError(f"input file not found: {path}")
     newline = None if reading else ""
@@ -77,6 +82,15 @@ def open_text(path: str | Path, mode: str = "rt") -> IO[str]:
         binary = gzip.open(path, mode.replace("t", "") + "b")
         return io.TextIOWrapper(binary, encoding="utf-8", newline=newline)
     return open(path, mode, encoding="utf-8", newline=newline)
+
+
+def make_dir(path: Path) -> None:
+    """Create directory `path` and its parents; DataError naming the path
+    if that fails (a part of it is a file, no permission)."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {path}: {exc.strerror}") from exc
 
 
 def fmt_value(v: object) -> str:
@@ -89,11 +103,31 @@ def fmt_value(v: object) -> str:
     return str(v)
 
 
-def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+def write_rows(
+    path: str | Path,
+    rows: Iterable[Iterable[object]],
+    header: Sequence[str] | None = None,
+    metadata: Mapping[str, object] | None = None,
+    sep: str = "\t",
+) -> None:
+    """Write one ``# key=value`` line per `metadata` entry, then the
+    `header` line, then one line per row: its :func:`fmt_value` cells
+    joined by `sep`. Rows are consumed one at a time, so a generator
+    keeps only one row in memory."""
     with open_text(path, "wt") as fh:
-        fh.write("\t".join(header) + "\n")
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key}={fmt_value(value)}\n")
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
         for row in rows:
-            fh.write("\t".join(fmt_value(v) for v in row) + "\n")
+            fh.write(sep.join(map(fmt_value, row)) + "\n")
+
+
+def write_json(path: str | Path, doc: object) -> None:
+    """Write `doc` as JSON: one-space indent, sorted keys, final newline."""
+    with open_text(path, "wt") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def read_table(path: str | Path, header: Sequence[str], parse_row: Callable[[list[str]], T]) -> list[T]:
@@ -187,7 +221,7 @@ def write_columns(
     for name in header[1:]:
         values = table[name].tolist()
         cells.append(list(map(formats[name], values)) if name in formats else values)
-    write_tsv(path, header, zip(table.articles, *cells))
+    write_rows(path, zip(table.articles, *cells), header)
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray, metadata: dict[str, object]) -> None:
@@ -195,14 +229,10 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, metadata: dict[str, o
 
     NaN cells are emitted empty (masked values are absent, never numbers).
     """
-    mat = np.asarray(matrix)
+    mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2:
         raise UsageError(f"matrix must be 2-D, got {mat.ndim}-D")
-    with open_text(path, "wt") as fh:
-        for key, value in metadata.items():
-            fh.write(f"# {key}={value}\n")
-        for row in mat:
-            fh.write(",".join(fmt_value(float(v)) for v in row) + "\n")
+    write_rows(path, (row.tolist() for row in mat), metadata=metadata, sep=",")
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, dict[str, str]]:
@@ -225,10 +255,8 @@ def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, dict[str, str]]:
     return np.array(rows, dtype=float), metadata
 
 
-def write_keyvalues(path: str | Path, items: dict[str, object]) -> None:
-    with open_text(path, "wt") as fh:
-        for key, value in items.items():
-            fh.write(f"{key}={fmt_value(value)}\n")
+def write_keyvalues(path: str | Path, items: Mapping[str, object]) -> None:
+    write_rows(path, items.items(), sep="=")
 
 
 def read_keyvalues(path: str | Path) -> dict[str, str]:

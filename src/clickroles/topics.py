@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .features import TOPIC_ASSIGNMENT_COLUMNS
-from .tableio import iter_lines, open_text, where, write_matrix_csv, write_tsv
+from .tableio import iter_lines, where, write_matrix_csv, write_rows
 
 # minimal English function-word list; callers with real corpora should
 # supply their own via the stop word file
@@ -313,7 +313,7 @@ def write_assignments(path: str | Path, model: TopicModel) -> None:
         (article, t, weight)
         for article, (t, weight) in sorted(assignments(model).items())
     )
-    write_tsv(path, TOPIC_ASSIGNMENT_COLUMNS, rows)
+    write_rows(path, rows, TOPIC_ASSIGNMENT_COLUMNS)
 
 
 def _model_metadata(model: TopicModel) -> dict[str, object]:
@@ -340,8 +340,12 @@ def write_top_words(
     n: int = 10,
     labels: Sequence[str] | None = None,
 ) -> None:
-    with open_text(path, "wt") as fh:
-        for topic in range(model.k):
-            label = labels[topic] if labels and topic < len(labels) else f"topic-{topic}"
-            words = " ".join(top_words(model, topic, min(n, len(model.vocabulary))))
-            fh.write(f"{topic}\t{label}\t{words}\n")
+    rows = (
+        (
+            topic,
+            labels[topic] if labels and topic < len(labels) else f"topic-{topic}",
+            " ".join(top_words(model, topic, min(n, len(model.vocabulary)))),
+        )
+        for topic in range(model.k)
+    )
+    write_rows(path, rows)

@@ -279,21 +279,22 @@ class TestExitCodes:
         assert f"{tmp_path / 'bad_metrics.tsv'}:3: total_views 0" in err
 
     def test_labels_keys_follow_the_count_rule(self, tmp_path, pipeline, capsys):
-        def features(labels: str) -> int:
+        def features(labels: str, out: str = "f") -> int:
             (tmp_path / "labels.txt").write_text(labels)
             return run(
                 "features", "--metrics", pipeline["metrics"] / "metrics.tsv",
                 "--network", pipeline["graph"] / "network.tsv", "--content", pipeline["content"],
                 "--topics", pipeline["topics"] / "topics.tsv", "--labels", tmp_path / "labels.txt",
-                "--grid", 0, "--out", tmp_path / "f",
+                "--grid", 0, "--out", tmp_path / out,
             )
 
         assert features("1=Sports\n") == 0
         stats = (tmp_path / "f" / "topic_stats.tsv").read_text().splitlines()
         assert [line.split("\t")[1] for line in stats[1:]] == ["topic-0", "Sports"]
         # "1_0" would be topic 10 to int()
-        assert features("1_0=Sports\n") == 2
+        assert features("1_0=Sports\n", out="g") == 2
         assert "keys must be integer topic ids" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def assert_bad_row(self, tmp_path, pipeline, capsys, sub, flag, column, value):
         """Run `sub` with the table of `flag` broken on line 3: its `column`
@@ -341,6 +342,39 @@ class TestExitCodes:
         code = main(["overlap", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),
                      "--pairs", "totalin_se", "--out", str(tmp_path / "o")])
         assert code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_overlap_key_writes_nothing(self, tmp_path, pipeline, capsys):
+        # the valid first pair must not be written before the bad second one is seen
+        code = run("overlap", "--traffic", pipeline["ingest"] / "traffic.tsv",
+                   "--pairs", "total:in_se,total:bogus", "--out", tmp_path / "o")
+        assert code == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--bins", 0), ("--grid", 0), ("--grid", -1)])
+    def test_bad_metrics_size_writes_nothing(self, tmp_path, pipeline, capsys, flag, value):
+        code = run("metrics", "--traffic", pipeline["ingest"] / "traffic.tsv", flag, value,
+                   "--out", tmp_path / "m")
+        assert code == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("sub", ["sample", "ingest"])
+    def test_uncreatable_out_is_data_error(self, tmp_path, pipeline, capsys, sub):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        if sub == "sample":  # --out is the file itself
+            out = blocker
+            args = ["--traffic", pipeline["ingest"] / "traffic.tsv", "--n", 5]
+        else:  # --out lies under the file
+            out = blocker / "sub"
+            args = ["--clickstream", pipeline["clickstream"]]
+        assert run(sub, *args, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "a regular file\n"
 
     def test_bad_depths_is_usage_error(self, tmp_path, pipeline):
         code = main(["overlap", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),
@@ -698,6 +732,15 @@ class TestReport:
         code = main(["report", "--inputs", str(tmp_path / "ghost"),
                      "--out", str(tmp_path / "r")])
         assert code == 1
+
+    def test_rerun_with_own_out_among_inputs(self, tmp_path, pipeline):
+        out = tmp_path / "r"
+        assert run("report", "--inputs", pipeline["metrics"], pipeline["bins"], "--out", out) == 0
+        first = tree_bytes(out)
+        # listed first, the earlier bundle would be the source of every copy
+        assert run("report", "--inputs", out, pipeline["metrics"], pipeline["bins"], "--out", out) == 0
+        assert "index.json" in first and "metrics.tsv" in first
+        assert tree_bytes(out) == first
 
     def test_rerun_is_stable(self, tmp_path, pipeline):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
-from clickroles.overlap import (
-    OverlapCurve,
-    Ranking,
-    cumulative_overlap,
-    default_ks,
-    rank_articles,
-)
+from clickroles.overlap import Ranking, cumulative_overlap, default_ks, rank_articles
 from feature_rows import traffic_of
 
 
