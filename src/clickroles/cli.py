@@ -26,7 +26,6 @@ import argparse
 import shutil
 import sys
 from dataclasses import asdict
-from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,7 @@ from .linkgraph import (
     read_network_table,
     write_network_table,
 )
-from .manifest import build_manifest, write_manifest
+from .manifest import MANIFEST_NAME, build_manifest, read_manifest, write_manifest
 from .metrics import (
     correlations,
     group_shares,
@@ -118,14 +117,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _OutputDir:
-    """Tracks every file a subcommand emits, for the manifest."""
+    """Tracks every file a subcommand emits, with its kind, for the manifest."""
 
     def __init__(self, path: str):
         self.path = Path(path)
-        self.names: list[str] = []
+        self.kinds: dict[str, str | None] = {}
 
-    def file(self, name: str) -> Path:
-        self.names.append(name)
+    def file(self, name: str, kind: str | None = None) -> Path:
+        """The path to write output `name` to; `kind` names what it holds
+        for report, and None marks a run diagnostic that report leaves out."""
+        if not self.kinds:
+            # an earlier run's manifest must not outlive a rerun that fails partway
+            try:
+                (self.path / MANIFEST_NAME).unlink()
+            except (FileNotFoundError, NotADirectoryError):
+                pass
+        self.kinds[name] = kind
         return self.path / name
 
 
@@ -291,7 +298,7 @@ def _finish(args, out: _OutputDir, inputs: list[str]) -> None:
         for k, v in vars(args).items()
         if k not in ("func", "subcommand", "out", "config", "seed")
     }
-    manifest = build_manifest(args.subcommand, config, inputs, out.names, seed=args.seed)
+    manifest = build_manifest(args.subcommand, config, inputs, out.kinds, seed=args.seed)
     write_manifest(out.path, manifest)
 
 
@@ -308,7 +315,7 @@ def cmd_ingest(args) -> None:
             f"{args.clickstream}: no articles with search or navigation inflow "
             f"in {stats.lines} lines"
         )
-    write_traffic_table(out.file("traffic.tsv"), table)
+    write_traffic_table(out.file("traffic.tsv", "traffic_table"), table)
     write_keyvalues(out.file("ingest_stats.txt"), {"articles": len(table), **asdict(stats)})
     _finish(args, out, [args.clickstream])
 
@@ -322,11 +329,11 @@ def cmd_metrics(args) -> None:
     if not traffic["total_views"].any():
         raise DataError(f"no articles with positive inflow in {args.traffic}")
     metrics, thresholds = metrics_table(traffic)
-    write_metrics_table(out.file("metrics.tsv"), metrics)
-    write_thresholds(out.file("thresholds.txt"), thresholds)
-    write_group_shares(out.file("group_shares.tsv"), group_shares(metrics))
+    write_metrics_table(out.file("metrics.tsv", "metrics_table"), metrics)
+    write_thresholds(out.file("thresholds.txt", "thresholds"), thresholds)
+    write_group_shares(out.file("group_shares.tsv", "group_shares"), group_shares(metrics))
     if len(metrics) >= 2:
-        write_keyvalues(out.file("correlations.txt"), correlations(metrics))
+        write_keyvalues(out.file("correlations.txt", "correlations"), correlations(metrics))
 
     for name in ("searchshare", "resistance"):
         by_articles = histogram(metrics[name], None, args.bins).tolist()
@@ -334,13 +341,13 @@ def cmd_metrics(args) -> None:
         rows = (
             (i, i / args.bins, (i + 1) / args.bins, int(by_articles[i]), by_views[i]) for i in range(args.bins)
         )
-        write_rows(out.file(f"histogram_{name}.tsv"), rows, ("bin", "low", "high", "articles", "views"))
+        write_rows(out.file(f"histogram_{name}.tsv", "histogram"), rows, ("bin", "low", "high", "articles", "views"))
 
     for weighted, name in ((False, "heatmap_articles.csv"), (True, "heatmap_views.csv")):
         weights = metrics["total_views"] if weighted else None
         grid = heatmap_grid(metrics["resistance"], metrics["searchshare"], weights, args.grid)
         write_matrix_csv(
-            out.file(name),
+            out.file(name, "heatmap"),
             grid,
             {"rows": "resistance", "cols": "searchshare", "grid": args.grid,
              "weighted": "views" if weighted else "articles"},
@@ -381,7 +388,7 @@ def cmd_overlap(args) -> None:
         ks = default_ks(len(traffic))
     for a, b in pairs:
         curve = cumulative_overlap(rank_articles(traffic, a), rank_articles(traffic, b), ks)
-        write_curve(out.file(f"overlap_{a}_{b}.csv"), curve)
+        write_curve(out.file(f"overlap_{a}_{b}.csv", "overlap_curve"), curve)
     _finish(args, out, [args.traffic])
 
 
@@ -401,7 +408,7 @@ def cmd_graph(args) -> None:
         graph = build_graph(edges_from_clickstream(records), stats)
         stats.malformed = parse_stats.malformed + parse_stats.unknown_rawtype
         source, source_path = "clickstream-approximation", args.clickstream
-    write_network_table(out.file("network.tsv"), network_features(graph))
+    write_network_table(out.file("network.tsv", "network_table"), network_features(graph))
     write_keyvalues(
         out.file("graph_stats.txt"),
         {
@@ -434,8 +441,8 @@ def cmd_features(args) -> None:
     topics = read_topic_assignments(args.topics) if args.topics else None
 
     joined, jstats = join_features(metrics, network, content, topics)
-    write_joined_table(out.file("joined.tsv"), joined)
-    write_group_medians(out.file("medians.tsv"), group_medians(joined))
+    write_joined_table(out.file("joined.tsv", "joined_table"), joined)
+    write_group_medians(out.file("medians.tsv", "median_table"), group_medians(joined))
     write_keyvalues(
         out.file("join_stats.txt"),
         {"kept": jstats.kept, **{f"dropped_{k}": v for k, v in sorted(jstats.dropped.items())}},
@@ -448,7 +455,7 @@ def cmd_features(args) -> None:
         assigned_ids = sorted(set(topic_ids[topic_ids >= 0].tolist()))
         if labels is None:
             labels = dict(enumerate(DEFAULT_TOPIC_LABELS)) if assigned_ids == list(range(20)) else {}
-        write_topic_stats(out.file("topic_stats.tsv"), topic_statistics(joined, labels))
+        write_topic_stats(out.file("topic_stats.tsv", "topic_statistics"), topic_statistics(joined, labels))
         if args.grid > 0 and assigned_ids:
             columns = [joined[name] for name in ("resistance", "searchshare", "total_views")]
             overall = heatmap_grid(*columns, args.grid)
@@ -458,7 +465,7 @@ def cmd_features(args) -> None:
                     heatmap_grid(*(c[members] for c in columns), args.grid), overall
                 )
                 write_matrix_csv(
-                    out.file(f"ratio_topic_{tid}.csv"),
+                    out.file(f"ratio_topic_{tid}.csv", "ratio_heatmap"),
                     ratio,
                     {"topic_id": tid, "label": labels.get(tid, f"topic-{tid}"),
                      "rows": "resistance", "cols": "searchshare", "grid": args.grid},
@@ -479,7 +486,7 @@ def cmd_bins(args) -> None:
         if not len(table):
             raise DataError(f"no rows assigned to topic {args.topic}")
     result = binned_quartiles(table, args.bin_feature, args.target, args.bins)
-    write_bin_table(out.file(f"bins_{args.bin_feature}_{args.target}{suffix}.csv"), result)
+    write_bin_table(out.file(f"bins_{args.bin_feature}_{args.target}{suffix}.csv", "binned_quartiles"), result)
     _finish(args, out, [args.joined])
 
 
@@ -497,11 +504,11 @@ def cmd_topics(args) -> None:
         iterations=args.iterations,
         seed=args.seed,
     )
-    write_assignments(out.file("topics.tsv"), model)
-    write_phi(out.file("phi.csv"), model)
-    write_theta(out.file("theta.csv"), model)
+    write_assignments(out.file("topics.tsv", "topic_assignments"), model)
+    write_phi(out.file("phi.csv", "topic_word_matrix"), model)
+    write_theta(out.file("theta.csv", "document_topic_matrix"), model)
     labels = DEFAULT_TOPIC_LABELS if args.k == len(DEFAULT_TOPIC_LABELS) else None
-    write_top_words(out.file("top_words.txt"), model, n=args.top_words, labels=labels)
+    write_top_words(out.file("top_words.txt", "top_words"), model, n=args.top_words, labels=labels)
     write_keyvalues(
         out.file("corpus_stats.txt"),
         {
@@ -534,12 +541,12 @@ def cmd_model(args) -> None:
         cross_validate(instances, group, config, args.folds, task=args.task, threads=args.threads)
         for group in groups
     ]
-    write_eval_report(out.file("eval.csv"), reports)
+    write_eval_report(out.file("eval.csv", "eval_report"), reports)
     for group in groups:
         # fold balance seeds are [seed, 0..folds-1]; stay clear of them
         subset = balance(select_group(instances, group), seed=[args.seed, args.folds])
         final = train_gbdt(subset.x, subset.y, config, subset.feature_names)
-        save_model(out.file(f"model_{group}.json"), final)
+        save_model(out.file(f"model_{group}.json", "model"), final)
     write_keyvalues(
         out.file("model_stats.txt"),
         {
@@ -561,40 +568,8 @@ def cmd_sample(args) -> None:
         raise DataError(f"cannot sample {args.n} articles from {len(table)}")
     rng = np.random.default_rng(args.seed)
     chosen = rng.choice(len(table), size=args.n, replace=False)
-    write_traffic_table(out.file("traffic_sample.tsv"), table.take(np.sort(chosen)))
+    write_traffic_table(out.file("traffic_sample.tsv", "traffic_table"), table.take(np.sort(chosen)))
     _finish(args, out, [args.traffic])
-
-
-_REPORT_KINDS = (
-    ("traffic.tsv", "traffic_table"),
-    ("traffic_sample.tsv", "traffic_table"),
-    ("metrics.tsv", "metrics_table"),
-    ("thresholds.txt", "thresholds"),
-    ("group_shares.tsv", "group_shares"),
-    ("correlations.txt", "correlations"),
-    ("histogram_*.tsv", "histogram"),
-    ("heatmap_*.csv", "heatmap"),
-    ("overlap_*.csv", "overlap_curve"),
-    ("network.tsv", "network_table"),
-    ("joined.tsv", "joined_table"),
-    ("medians.tsv", "median_table"),
-    ("topic_stats.tsv", "topic_statistics"),
-    ("ratio_topic_*.csv", "ratio_heatmap"),
-    ("bins_*.csv", "binned_quartiles"),
-    ("topics.tsv", "topic_assignments"),
-    ("phi.csv", "topic_word_matrix"),
-    ("theta.csv", "document_topic_matrix"),
-    ("top_words.txt", "top_words"),
-    ("eval.csv", "eval_report"),
-    ("model_*.json", "model"),
-)
-
-
-def _report_kind(name: str) -> str | None:
-    for pattern, kind in _REPORT_KINDS:
-        if fnmatch(name, pattern):
-            return kind
-    return None
 
 
 def cmd_report(args) -> None:
@@ -606,18 +581,19 @@ def cmd_report(args) -> None:
             raise DataError(f"not a directory: {directory}")
         if d.resolve() == out.path.resolve():
             continue  # a rerun's own earlier bundle
-        for entry in sorted(p.name for p in d.iterdir() if p.is_file()):
-            kind = _report_kind(entry)
+        for name, kind in read_manifest(d).outputs.items():
+            src = d / name
+            if not src.is_file():
+                raise DataError(f"{src}: listed in {d / MANIFEST_NAME} but missing")
             if kind is None:
                 continue
-            src = d / entry
-            if entry in found:
-                if src.read_bytes() != found[entry][0].read_bytes():
+            if name in found:
+                if src.read_bytes() != found[name][0].read_bytes():
                     raise DataError(
-                        f"conflicting files named {entry!r} in {found[entry][2]} and {directory}"
+                        f"conflicting files named {name!r} in {found[name][2]} and {directory}"
                     )
                 continue
-            found[entry] = (src, kind, directory)
+            found[name] = (src, kind, directory)
     if not found:
         raise DataError(
             "no pipeline outputs found under the given directories; "
@@ -628,7 +604,7 @@ def cmd_report(args) -> None:
     index = []
     for name in sorted(found):
         src, kind, source_dir = found[name]
-        shutil.copyfile(src, out.file(name))
+        shutil.copyfile(src, out.file(name, kind))
         index.append({"file": name, "kind": kind, "source": str(source_dir)})
     write_json(out.file("index.json"), {"files": index})
     _finish(args, out, [str(src) for src, _, _ in (found[n] for n in sorted(found))])

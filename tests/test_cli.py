@@ -556,14 +556,19 @@ class TestManifests:
     def test_round_trip(self, tmp_path):
         source = tmp_path / "in.tsv"
         source.write_text("x\n")
-        manifest = build_manifest("demo", {"bins": 3}, [source], ["a.tsv"], seed=5)
+        outputs = {"b_stats.txt": None, "a.tsv": "demo_table"}
+        manifest = build_manifest("demo", {"bins": 3}, [source], outputs, seed=5)
         write_manifest(tmp_path, manifest)
         back = read_manifest(tmp_path)
         assert back == manifest
+        assert list(back.outputs) == ["a.tsv", "b_stats.txt"]
+        assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == {
+            "a.tsv": "demo_table", "b_stats.txt": None,
+        }
 
     def test_missing_input_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            build_manifest("demo", {}, [tmp_path / "absent"], [])
+            build_manifest("demo", {}, [tmp_path / "absent"], {})
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
@@ -578,6 +583,59 @@ class TestManifests:
             assert list(manifest.outputs) == actual, name
             assert manifest.subcommand == name
             assert manifest.seed == 0
+
+    def test_diagnostics_have_no_kind(self, pipeline):
+        for name, diagnostic in (("ingest", "ingest_stats.txt"), ("graph", "graph_stats.txt"),
+                                 ("features", "join_stats.txt"), ("topics", "corpus_stats.txt"),
+                                 ("model", "model_stats.txt"), ("report", "index.json")):
+            outputs = read_manifest(pipeline[name]).outputs
+            assert outputs[diagnostic] is None, name
+            assert all(kind for n, kind in outputs.items() if n != diagnostic), name
+
+    @pytest.mark.parametrize("text", [
+        b'{"subcommand": "metrics", "outp',  # truncated
+        b'{"subcommand": "\xff"}',
+        b"{}",
+        b"[]",
+        b'{"subcommand": "metrics", "version": "x", "seed": 0, "config": {}, "inputs": {}, '
+        b'"outputs": ["metrics.tsv"], "created": "x"}',  # the list form of earlier versions
+        b'{"subcommand": "metrics", "version": "x", "seed": 0, "config": {}, "inputs": {}, '
+        b'"outputs": {"../metrics.tsv": "metrics_table"}, "created": "x"}',
+    ], ids=["truncated", "invalid-utf8", "empty-object", "not-an-object", "outputs-list", "outputs-path"])
+    def test_bad_manifest_is_data_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "manifest.json").write_bytes(text)
+        with pytest.raises(DataError, match=re.escape(str(bad / "manifest.json"))):
+            read_manifest(bad)
+        code = main(["report", "--inputs", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert f"{bad / 'manifest.json'}: " in capsys.readouterr().err
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, pipeline, monkeypatch, capsys):
+        out = tmp_path / "m"
+        traffic = pipeline["ingest"] / "traffic.tsv"
+        assert run("metrics", "--traffic", traffic, "--out", out) == 0
+        assert (out / "manifest.json").exists()
+
+        def fail(path, thresholds):
+            raise DataError(f"cannot write {path}")
+
+        monkeypatch.setattr("clickroles.cli.write_thresholds", fail)
+        assert run("metrics", "--traffic", traffic, "--out", out) == 1
+        assert "thresholds.txt" in capsys.readouterr().err
+        assert (out / "metrics.tsv").exists()  # written before the failure
+        assert not (out / "manifest.json").exists()
+        code = main(["report", "--inputs", str(out), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert str(out) in capsys.readouterr().err
+
+    def test_usage_error_keeps_manifest(self, tmp_path, pipeline):
+        out = tmp_path / "m"
+        traffic = pipeline["ingest"] / "traffic.tsv"
+        assert run("metrics", "--traffic", traffic, "--out", out) == 0
+        assert run("metrics", "--traffic", traffic, "--bins", 0, "--out", out) == 2
+        assert read_manifest(out).subcommand == "metrics"
 
     def test_inputs_are_hashed(self, pipeline):
         manifest = read_manifest(pipeline["ingest"])
@@ -692,9 +750,11 @@ class TestReport:
         assert names == sorted(names)
         for e in index["files"]:
             assert (pipeline["report"] / e["file"]).exists()
-            assert e["kind"]
+            assert e["kind"] == read_manifest(e["source"]).outputs[e["file"]]
         bundled = {p.name for p in pipeline["report"].iterdir()}
         assert bundled == set(names) | {"index.json", "manifest.json"}
+        kinds = read_manifest(pipeline["report"]).outputs
+        assert kinds == {**{e["file"]: e["kind"] for e in index["files"]}, "index.json": None}
 
     def test_run_stats_left_out(self, pipeline):
         bundled = {p.name for p in pipeline["report"].iterdir()}
@@ -716,17 +776,51 @@ class TestReport:
         clone = tmp_path / "clone"
         clone.mkdir()
         (clone / "metrics.tsv").write_text("article\tdifferent\n")
+        write_manifest(clone, build_manifest("metrics", {}, [], {"metrics.tsv": "metrics_table"}))
         code = main(["report", "--inputs", str(pipeline["metrics"]), str(clone),
                      "--out", str(tmp_path / "r")])
         assert code == 1
         assert "metrics.tsv" in capsys.readouterr().err
 
     def test_empty_inputs_rejected(self, tmp_path, capsys):
-        empty = tmp_path / "empty"
+        empty = tmp_path / "empty"  # of deliverables: it holds one run diagnostic
         empty.mkdir()
+        (empty / "graph_stats.txt").write_text("nodes=1\n")
+        write_manifest(empty, build_manifest("graph", {}, [], {"graph_stats.txt": None}))
         code = main(["report", "--inputs", str(empty), "--out", str(tmp_path / "r")])
         assert code == 1
         assert "ingest" in capsys.readouterr().err
+
+    def test_input_without_manifest_rejected(self, tmp_path, pipeline, capsys):
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        (copy / "traffic.tsv").write_bytes((pipeline["ingest"] / "traffic.tsv").read_bytes())
+        code = main(["report", "--inputs", str(pipeline["metrics"]), str(copy),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert str(copy) in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_missing_listed_file_rejected(self, tmp_path, pipeline, capsys):
+        damaged = tmp_path / "damaged"
+        damaged.mkdir()
+        for p in pipeline["metrics"].iterdir():
+            (damaged / p.name).write_bytes(p.read_bytes())
+        (damaged / "heatmap_views.csv").unlink()
+        code = main(["report", "--inputs", str(damaged), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert str(damaged / "heatmap_views.csv") in capsys.readouterr().err
+
+    def test_narrowed_rerun_bundles_only_listed_files(self, tmp_path, pipeline):
+        out, bundle = tmp_path / "o", tmp_path / "r"
+        traffic = pipeline["ingest"] / "traffic.tsv"
+        assert run("overlap", "--traffic", traffic, "--out", out) == 0
+        assert len(list(out.glob("overlap_*.csv"))) == 6
+        assert run("overlap", "--traffic", traffic, "--pairs", "total:in_se", "--out", out) == 0
+        assert list(read_manifest(out).outputs) == ["overlap_total_in_se.csv"]
+        assert run("report", "--inputs", out, "--out", bundle) == 0
+        bundled = {p.name for p in bundle.iterdir()}
+        assert bundled == {"overlap_total_in_se.csv", "index.json", "manifest.json"}
 
     def test_missing_directory_rejected(self, tmp_path):
         code = main(["report", "--inputs", str(tmp_path / "ghost"),
