@@ -119,21 +119,36 @@ class _Parser(argparse.ArgumentParser):
 class _OutputDir:
     """Tracks every file a subcommand emits, with its kind, for the manifest."""
 
-    def __init__(self, path: str):
-        self.path = Path(path)
+    def __init__(self, args):
+        self.path = Path(args.out)
         self.kinds: dict[str, str | None] = {}
+        # a file named on the command line is an input; clearing never removes it
+        self.inputs = {Path(v).resolve() for v in vars(args).values() if isinstance(v, (str, Path))}
 
     def file(self, name: str, kind: str | None = None) -> Path:
         """The path to write output `name` to; `kind` names what it holds
         for report, and None marks a run diagnostic that report leaves out."""
         if not self.kinds:
-            # an earlier run's manifest must not outlive a rerun that fails partway
-            try:
-                (self.path / MANIFEST_NAME).unlink()
-            except (FileNotFoundError, NotADirectoryError):
-                pass
+            self._clear()
         self.kinds[name] = kind
         return self.path / name
+
+    def _clear(self) -> None:
+        """Remove the files an earlier run's manifest lists, then the
+        manifest: a rerun leaves none of the earlier run's outputs beside
+        its own, and a rerun that fails partway leaves no manifest. An
+        unreadable manifest is removed alone; unlisted files stay."""
+        try:
+            listed = [self.path / name for name in read_manifest(self.path).outputs]
+        except DataError:
+            listed = []
+        for path in [*listed, self.path / MANIFEST_NAME]:
+            if path.resolve() in self.inputs:
+                continue
+            try:
+                path.unlink()
+            except (FileNotFoundError, NotADirectoryError):
+                pass
 
 
 def _seed(text: str) -> int:
@@ -307,7 +322,7 @@ def _finish(args, out: _OutputDir, inputs: list[str]) -> None:
 
 
 def cmd_ingest(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     stats = ParseStats()
     table = read_traffic_file(args.clickstream, args.strict, stats)
     if not table:
@@ -321,7 +336,7 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_metrics(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     for flag, value in (("--bins", args.bins), ("--grid", args.grid)):
         if value < 1:
             raise UsageError(f"{flag} must be positive, got {value}")
@@ -376,7 +391,7 @@ def _parse_pairs(arg: str | None) -> list[tuple[str, str]]:
 
 
 def cmd_overlap(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     pairs = _parse_pairs(args.pairs)
     traffic = read_traffic_table(args.traffic)
     if args.depths is not None:
@@ -393,13 +408,13 @@ def cmd_overlap(args) -> None:
 
 
 def cmd_graph(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     if bool(args.edges) == bool(args.clickstream):
         raise UsageError("exactly one of --edges or --clickstream is required")
     stats = EdgeStats()
     if args.edges:
         graph = graph_from_file(args.edges, strict=args.strict, stats=stats)
-        source, source_path = "edge-list", args.edges
+        source, source_path, lines = "edge-list", args.edges, stats.lines
     else:
         # traveled-link approximation: only transitions at or above the
         # dump floor appear, so degrees underestimate the true graph
@@ -407,7 +422,9 @@ def cmd_graph(args) -> None:
         records = parse_clickstream(iter_lines(args.clickstream), args.strict, parse_stats, args.clickstream)
         graph = build_graph(edges_from_clickstream(records), stats)
         stats.malformed = parse_stats.malformed + parse_stats.unknown_rawtype
-        source, source_path = "clickstream-approximation", args.clickstream
+        source, source_path, lines = "clickstream-approximation", args.clickstream, parse_stats.lines
+    if not graph.node_count:
+        raise DataError(f"{source_path}: no edges in {lines} lines")
     write_network_table(out.file("network.tsv", "network_table"), network_features(graph))
     write_keyvalues(
         out.file("graph_stats.txt"),
@@ -431,7 +448,7 @@ def _read_labels(path: str) -> dict[int, str]:
 
 
 def cmd_features(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     if args.grid < 0:
         raise UsageError(f"--grid must be >= 0 (0 disables the ratio grids), got {args.grid}")
     labels = _read_labels(args.labels) if args.labels else None
@@ -476,7 +493,7 @@ def cmd_features(args) -> None:
 
 
 def cmd_bins(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     table = read_joined_table(args.joined)
     suffix = ""
     if args.topic is not None:
@@ -491,7 +508,7 @@ def cmd_bins(args) -> None:
 
 
 def cmd_topics(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     if args.top_words < 1:
         raise UsageError(f"--top-words must be positive, got {args.top_words}")
     stop_words = read_stop_words(args.stopwords) if args.stopwords else DEFAULT_STOP_WORDS
@@ -523,7 +540,7 @@ def cmd_topics(args) -> None:
 
 
 def cmd_model(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     config = GBDTConfig(
         n_trees=args.trees,
         max_depth=args.depth,
@@ -560,7 +577,7 @@ def cmd_model(args) -> None:
 
 
 def cmd_sample(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     if args.n < 1:
         raise UsageError(f"sample size must be positive, got {args.n}")
     table = read_traffic_table(args.traffic)
@@ -573,7 +590,7 @@ def cmd_sample(args) -> None:
 
 
 def cmd_report(args) -> None:
-    out = _OutputDir(args.out)
+    out = _OutputDir(args)
     found: dict[str, tuple[Path, str, str]] = {}  # name -> (source path, kind, source dir)
     for directory in args.inputs:
         d = Path(directory)

@@ -1,22 +1,25 @@
 """Directed article link network: construction, degrees, k-core.
 
-Nodes get dense integer ids in order of first appearance; edges are
-deduplicated and stripped of self-loops at build time, then held as a
-pair of sorted int64 arrays (compressed form, a few bytes per edge, so
-hundred-million-edge graphs fit in memory). ``graph --clickstream``
-takes its edges from the dump's internal transitions, read by the same
-single pass as ``ingest`` and classified by the same referrer rule.
+Nodes get dense int32 ids (NODE_ID) in order of first appearance; edges
+are deduplicated and stripped of self-loops at build time, then held as
+a pair of sorted int32 arrays, 8 bytes per edge. The ids are collected
+as C ints, and the int64 pair keys are built, sorted and deduplicated
+in place, so at most one int64 key array is alive at a time.
+``graph --clickstream`` takes its edges from the dump's internal
+transitions, read by the same single pass as ``ingest`` and classified
+by the same referrer rule.
 
 The k-core index is computed on the undirected projection (an edge
 exists if either direction exists) by level-wise frontier peeling over
-an int32 CSR adjacency (int64 when the node count does not fit): at
-level k every live node of degree <= k has core k, and each round peels
-one frontier and looks only at its neighbours, so a round costs the
-frontier's edges, not the node count.
+an int32 CSR adjacency, placed from the projection's sorted pairs with
+one argsort: at level k every live node of degree <= k has core k, and
+each round peels one frontier and looks only at its neighbours, so a
+round costs the frontier's edges, not the node count.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -28,6 +31,8 @@ from .ingest import INTERNAL_RAWTYPE, RESERVED_TOKENS
 from .tableio import ColumnTable, iter_lines, parse_count, read_columns, where, write_columns
 
 NETWORK_COLUMNS = ("article", "in_degree", "out_degree", "degree", "kcore")
+NODE_ID = np.int32  # node id dtype, from the edge stream to the last k-core round
+_PACK_BLOCK = 1 << 16  # values moved per step by sorted_unique's in-place pack
 
 
 @dataclass
@@ -43,7 +48,7 @@ class EdgeStats:
 class LinkGraph:
     titles: list[str]
     index: dict[str, int]
-    sources: np.ndarray  # int64, lexicographically sorted with targets
+    sources: np.ndarray  # NODE_ID, lexicographically sorted with targets
     targets: np.ndarray
 
     @property
@@ -83,14 +88,19 @@ def build_graph(edges: Iterable[tuple[str, str]], stats: EdgeStats | None = None
 
     Node ids are assigned by first appearance in the edge stream (source
     before target within a pair), so the id assignment is deterministic
-    for a given stream.
+    for a given stream. Ids are collected as C ints, 4 bytes a pair end,
+    and the pair keys are built, sorted and deduplicated in one int64
+    array once the stream has ended. Past 2**31 - 1 titles the append
+    raises OverflowError; the title dict alone would then outgrow memory.
     """
     if stats is None:
         stats = EdgeStats()
     index: dict[str, int] = {}
     get = index.get
-    src_list: list[int] = []
-    dst_list: list[int] = []
+    src = array("i")  # C int, 4 bytes: NODE_ID
+    dst = array("i")
+    add_src = src.append
+    add_dst = dst.append
     for source, target in edges:
         s = get(source)
         if s is None:
@@ -101,28 +111,53 @@ def build_graph(edges: Iterable[tuple[str, str]], stats: EdgeStats | None = None
         if s == t:
             stats.self_loops += 1
             continue
-        src_list.append(s)
-        dst_list.append(t)
+        add_src(s)
+        add_dst(t)
 
     titles = list(index)  # insertion order is id order
     n = len(titles)
-    if not src_list:
-        return LinkGraph(titles, index, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    src = np.asarray(src_list, dtype=np.int64)
-    dst = np.asarray(dst_list, dtype=np.int64)
-    keys = sorted_unique(src * np.int64(n) + dst)
-    stats.duplicates += len(src) - len(keys)
+    pairs = len(src)
+    keys = _pair_keys(np.frombuffer(src, NODE_ID), np.frombuffer(dst, NODE_ID), n)
+    del src, dst, add_src, add_dst  # the bound appends hold the arrays too
+    keys = sorted_unique(keys)
+    stats.duplicates += pairs - len(keys)
     stats.edges = len(keys)
-    return LinkGraph(titles, index, keys // n, keys % n)
+    return LinkGraph(titles, index, *_split_keys(keys, n))
+
+
+def _pair_keys(heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray:
+    """heads * n + tails as one new int64 array, built in place."""
+    keys = heads.astype(np.int64)
+    keys *= n
+    keys += tails
+    return keys
+
+
+def _split_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys // n, keys % n) as NODE_ID arrays, with no int64 temporary."""
+    heads = np.empty(len(keys), dtype=NODE_ID)
+    tails = np.empty(len(keys), dtype=NODE_ID)
+    np.divmod(keys, n, out=(heads, tails), casting="unsafe")
+    return heads, tails
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """np.unique(keys) of an integer array by one sort, which on large
-    arrays numpy 2.x runs many times faster than np.unique."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+    """np.unique(keys) of an integer array, in place: sorts `keys`, moves
+    its distinct values to the front and returns that prefix, a view of
+    `keys`, so no second array of its size is made. One sort, which on
+    large arrays numpy 2.x runs many times faster than np.unique."""
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    size = 0
+    for start in range(0, len(keys), _PACK_BLOCK):
+        # the block is copied out before any write, and writes land at or
+        # before `start`, so no value is overwritten before it is read
+        block = keys[start : start + _PACK_BLOCK][first[start : start + _PACK_BLOCK]]
+        keys[size : size + len(block)] = block
+        size += len(block)
+    return keys[:size]
 
 
 def graph_from_file(path: str | Path, strict: bool = False, stats: EdgeStats | None = None) -> LinkGraph:
@@ -154,14 +189,14 @@ def degrees(graph: LinkGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def undirected_projection(graph: LinkGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Unique undirected edges (u < v) of the graph."""
+    """Unique undirected edges (u < v) of the graph as NODE_ID arrays,
+    sorted by (u, v); int64 edge arrays are cast."""
     n = graph.node_count
-    if graph.edge_count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lo = np.minimum(graph.sources, graph.targets)
     hi = np.maximum(graph.sources, graph.targets)
-    keys = sorted_unique(lo * np.int64(n) + hi)
-    return keys // n, keys % n
+    keys = _pair_keys(lo, hi, n)
+    del lo, hi
+    return _split_keys(sorted_unique(keys), n)
 
 
 def kcore_decomposition(graph: LinkGraph) -> np.ndarray:
@@ -169,31 +204,43 @@ def kcore_decomposition(graph: LinkGraph) -> np.ndarray:
 
     Level-wise frontier peel (the core definition of Batagelj & Zaversnik,
     peeled a level at a time). Node ids and the CSR neighbour array are
-    int32, or int64 when the node count does not fit. At level k (the
-    larger of the last level and the least live degree) every live node
-    of degree <= k gets core k: a round peels the frontier, takes one off
-    a live node's degree per peeled neighbour, and makes the next
-    frontier of just those neighbours now at degree <= k. A round thus
-    costs O(edges of the frontier), not O(n); over the whole peel each
-    edge is gathered at most twice, and the live set is compacted once
-    per level.
+    NODE_ID; the CSR is placed from the projection's pairs, already
+    grouped by their lower end, and one argsort groups them by the upper
+    end. The order of neighbours within a node's slice does not change
+    any core number.
+
+    At level k (the larger of the last level and the least live degree)
+    every live node of degree <= k gets core k: a round peels the
+    frontier, takes one off a live node's degree per peeled neighbour,
+    and makes the next frontier of just those neighbours now at degree
+    <= k. A round thus costs O(edges of the frontier), not O(n); over the
+    whole peel each edge is gathered at most twice, and the live set is
+    compacted once per level.
     """
     n = graph.node_count
-    ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     lo, hi = undirected_projection(graph)
-    heads = np.concatenate([lo, hi], dtype=ids)
-    tails = np.concatenate([hi, lo], dtype=ids)
-    del lo, hi
-    degree = np.bincount(heads, minlength=n)
-    order = np.argsort(heads, kind="stable")
-    neighbors = tails[order]
-    del heads, tails, order
+    # CSR: node v's slice holds its neighbours below v, then those above.
+    # The pairs are grouped by lo, so the ones above are `hi` as it
+    # stands; the ones below take one argsort of `hi`.
+    upper = np.bincount(lo, minlength=n)  # neighbours above each node
+    lower = np.bincount(hi, minlength=n)
+    degree = lower + upper
+    below = lo[np.argsort(hi)]
+    del lo
+    is_upper = np.repeat(np.tile([False, True], n), np.stack([lower, upper], axis=1).ravel())
+    del lower, upper
+    neighbors = np.empty(len(is_upper), dtype=NODE_ID)
+    neighbors[is_upper] = hi
+    del hi
+    np.logical_not(is_upper, out=is_upper)
+    neighbors[is_upper] = below
+    del below, is_upper
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=offsets[1:])
 
-    deg = degree.astype(ids)  # degree among live nodes
+    deg = degree.astype(NODE_ID)  # degree among live nodes
     core = np.full(n, -1, dtype=np.int64)  # -1 while live
-    live = np.arange(n, dtype=ids)
+    live = np.arange(n, dtype=NODE_ID)
     k = 0
     while len(live):
         live_deg = deg[live]

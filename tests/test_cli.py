@@ -186,6 +186,19 @@ class TestExitCodes:
         assert main(["graph", flag, str(source), "--strict", "--out", str(tmp_path / "g")]) == 1
         assert f"{source}:2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text, lines", [
+        ("--edges", "", 0),
+        ("--edges", "A B\nA\t\n\tB\n", 3),
+        ("--clickstream", "other-search\tA\texternal\t30\nother-empty\tB\texternal\t12\n", 2),
+    ], ids=["empty-edge-list", "all-malformed-edge-list", "dump-without-links"])
+    def test_graph_without_nodes_is_data_error(self, tmp_path, capsys, flag, text, lines):
+        source = tmp_path / "in.tsv"
+        source.write_text(text)
+        out = tmp_path / "g"
+        assert main(["graph", flag, str(source), "--out", str(out)]) == 1
+        assert f"{source}: no edges in {lines} lines" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_document_line_names_file(self, tmp_path, capsys):
         docs = tmp_path / "documents.tsv"
         docs.write_text("A\tsome words here\nno tab on this line\n")
@@ -635,6 +648,31 @@ class TestManifests:
         traffic = pipeline["ingest"] / "traffic.tsv"
         assert run("metrics", "--traffic", traffic, "--out", out) == 0
         assert run("metrics", "--traffic", traffic, "--bins", 0, "--out", out) == 2
+        assert read_manifest(out).subcommand == "metrics"
+
+    def test_rerun_removes_listed_outputs_only(self, tmp_path, pipeline):
+        out = tmp_path / "o"
+        traffic = pipeline["ingest"] / "traffic.tsv"
+        assert run("overlap", "--traffic", traffic, "--out", out) == 0
+        (out / "notes.txt").write_text("kept\n")
+        assert run("overlap", "--traffic", traffic, "--pairs", "total:in_se", "--out", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt", "overlap_total_in_se.csv"]
+
+    def test_rerun_over_unreadable_manifest_removes_only_it(self, tmp_path, pipeline):
+        out = tmp_path / "o"
+        traffic = pipeline["ingest"] / "traffic.tsv"
+        assert run("overlap", "--traffic", traffic, "--out", out) == 0
+        (out / "manifest.json").write_text("{")
+        assert run("overlap", "--traffic", traffic, "--pairs", "total:in_se", "--out", out) == 0
+        assert len(list(out.glob("overlap_*.csv"))) == 6
+        assert list(read_manifest(out).outputs) == ["overlap_total_in_se.csv"]
+
+    def test_rerun_keeps_listed_file_named_as_input(self, tmp_path, pipeline):
+        out = tmp_path / "o"
+        assert run("ingest", "--clickstream", pipeline["clickstream"], "--out", out) == 0
+        assert run("metrics", "--traffic", out / "traffic.tsv", "--out", out) == 0
+        assert (out / "traffic.tsv").exists()
+        assert not (out / "ingest_stats.txt").exists()
         assert read_manifest(out).subcommand == "metrics"
 
     def test_inputs_are_hashed(self, pipeline):

@@ -134,11 +134,11 @@ def reference_build_graph(edges, stats):
         dst_list.append(t)
     n = len(titles)
     if not src_list:
-        return LinkGraph(titles, index, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return LinkGraph(titles, index, np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
     keys = np.unique(np.asarray(src_list, dtype=np.int64) * np.int64(n) + np.asarray(dst_list, dtype=np.int64))
     stats.duplicates += len(src_list) - len(keys)
     stats.edges = len(keys)
-    return LinkGraph(titles, index, keys // n, keys % n)
+    return LinkGraph(titles, index, (keys // n).astype(np.int32), (keys % n).astype(np.int32))
 
 
 def outcome(run):
@@ -158,7 +158,8 @@ def table_key(table):
 def graph_key(graph):
     if isinstance(graph, str):
         return graph
-    return graph.titles, graph.index, graph.sources.dtype, graph.sources.tolist(), graph.targets.tolist()
+    return (graph.titles, graph.index, graph.sources.dtype, graph.targets.dtype, graph.sources.tolist(),
+            graph.targets.tolist())
 
 
 TOKENS = ["other-search", "other-empty", "other-external", "other-internal", "special-search", "gone"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,53 @@ class TestKCore:
         src, dst = np.triu_indices(n, 1)
         g = LinkGraph([f"N{i}" for i in range(n)], {}, src.astype(np.int64), dst.astype(np.int64))
         assert kcore_decomposition(g).tolist() == [n - 1] * n
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the most memory it held at once above what was
+    allocated before the call, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peak bytes per edge of the graph build and the k-core, on a seeded
+    heavy-tailed stream of 300k pairs (161,675 distinct edges). The
+    int64 pipeline took 53.1 B per pair and 41.0 B per edge, the int32
+    one takes 20.1 and 23.0; the build bound also fails (24.6) if the id
+    arrays outlive the key build."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(0)
+        n, m = 20_000, 300_000
+        s = rng.integers(0, n, m)
+        t = (s + 1 + rng.zipf(1.5, m) % (n - 1)) % n
+        return [(f"N{a}", f"N{b}") for a, b in zip(s.tolist(), t.tolist())]
+
+    def test_build_graph_peak_per_pair(self, pairs):
+        g, peak = traced_peak(build_graph, pairs)
+        assert g.edge_count == 161_675
+        assert g.sources.dtype == g.targets.dtype == np.int32
+        assert peak / len(pairs) < 23
+
+    def test_kcore_peak_per_edge(self, pairs):
+        g = build_graph(pairs)
+        core, peak = traced_peak(kcore_decomposition, g)
+        assert core.tolist() == reference_kcore(g)
+        assert peak / g.edge_count < 27
+
+    def test_projection_is_int32_for_int64_graphs(self):
+        ids = np.arange(4, dtype=np.int64)
+        g = LinkGraph([f"N{i}" for i in range(4)], {}, ids[[1, 2, 3]], ids[[0, 1, 0]])
+        lo, hi = undirected_projection(g)
+        assert lo.dtype == hi.dtype == np.int32
+        assert list(zip(lo.tolist(), hi.tolist())) == [(0, 1), (0, 3), (1, 2)]
 
 
 class TestNetworkTable:
