@@ -10,13 +10,37 @@ with all counts excluding the token being resampled. phi and theta are
 point estimates from the final counts with Dirichlet smoothing. The
 sampler is sequential by design; all randomness comes from one seeded
 generator, so a run is reproducible bit for bit.
+
+The sweep keeps the integer counts as plain lists, topic-word stored
+word-major (n_wk[w] is one token's row of k counts), and three float
+factor caches beside them, each cell reset from its count whenever that
+count changes: a_d[k] = n_dk + alpha (built once per document visit),
+b_wk[w][k] = n_kw + beta and den[k] = n_k + V*beta. a and b come from
+tables indexed by count, so equal counts share one float. A token's
+draw is then C-level iteration over the caches:
+
+    weights = accumulate(map(truediv, map(mul, a_d, b_w), den))
+    t = bisect_left(weights, u * weights[-1])
+
+and gives the same topic, bit for bit, as a scalar loop over k that
+adds each weight to a running total and walks to the first total at
+or above u * total:
+  - each weight is ((n_dk+alpha) * (n_kw+beta)) / (n_k+V*beta) on the
+    same operands in the same operation order;
+  - accumulate starts from the first weight, and 0.0 + w0 == w0;
+  - the running totals never decrease, so bisect_left returns the first
+    index whose total is >= u * total, as the walk does, weights that
+    underflow to 0 (equal neighbouring totals) included.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul, truediv
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -185,9 +209,11 @@ def fit_lda(
 ) -> TopicModel:
     """Collapsed Gibbs fit; deterministic for a given seed.
 
-    alpha defaults to 50/k; alpha and beta must be positive and finite.
-    `on_iteration(i, topic_word, doc_topic)` is called after each sweep
-    with the live count matrices (read-only use).
+    alpha defaults to 50/k; alpha and beta must be positive and finite,
+    and small enough that k*alpha, V*beta and the sum of the k sampling
+    weights stay finite. `on_iteration(i, word_topic, doc_topic)` is
+    called after each sweep with the live count matrices, word-major
+    V x k and D x k (read-only use).
     """
     if k < 2:
         raise UsageError(f"k must be at least 2, got {k}")
@@ -214,7 +240,7 @@ def fit_lda(
 
     rng = np.random.default_rng(seed)
     n_dk = [[0] * k for _ in range(d_count)]
-    n_kw = [[0] * v for _ in range(k)]
+    n_wk = [[0] * k for _ in range(v)]
     n_k = [0] * k
     z: list[list[int]] = []
 
@@ -228,43 +254,68 @@ def fit_lda(
             pos += 1
             zd.append(t)
             nd[t] += 1
-            n_kw[t][w] += 1
+            n_wk[w][t] += 1
             n_k[t] += 1
         z.append(zd)
+    del init_u
 
+    max_len = max(map(len, docs))
+    max_freq = max(map(sum, n_wk))
+    # n_kw <= n_k, so a weight is at most n_dk + alpha and the k weights
+    # sum to at most max_len + k*alpha (doubled for rounding); the product
+    # (n_dk+alpha)*(n_kw+beta) is formed before the division
     vbeta = v * beta
+    if not math.isfinite(2 * (max_len + k * alpha)):
+        raise UsageError(f"alpha={alpha} is too large: k*alpha overflows for k={k}")
+    if not math.isfinite(vbeta):
+        raise UsageError(f"beta={beta} is too large: V*beta overflows for V={v}")
+    if not math.isfinite((max_len + alpha) * (max_freq + beta)):
+        raise UsageError(f"alpha={alpha} and beta={beta} are too large: the sampling weights overflow")
+
+    # float factor caches, each cell reset from its int count when that
+    # count changes; cells with equal counts share one float of a_of/b_of
+    a_of = [c + alpha for c in range(max_len + 1)]
+    b_of = [c + beta for c in range(max_freq + 1)]
+    b_wk = [[b_of[c] for c in row] for row in n_wk]
+    den = [c + vbeta for c in n_k]
     for it in range(iterations):
-        u_iter = rng.random(total).tolist()
-        pos = 0
+        u_iter = iter(rng.random(total).tolist())
         for d, doc in enumerate(docs):
             nd = n_dk[d]
+            a_d = [a_of[c] for c in nd]
             zd = z[d]
-            for i, w in enumerate(doc):
+            for i, (w, u) in enumerate(zip(doc, u_iter)):
                 t = zd[i]
-                nd[t] -= 1
-                n_kw[t][w] -= 1
-                n_k[t] -= 1
+                nw = n_wk[w]
+                b_w = b_wk[w]
+                c = nd[t] - 1
+                nd[t] = c
+                a_d[t] = a_of[c]
+                c = nw[t] - 1
+                nw[t] = c
+                b_w[t] = b_of[c]
+                c = n_k[t] - 1
+                n_k[t] = c
+                den[t] = c + vbeta
 
-                total_weight = 0.0
-                weights = []
-                for kk in range(k):
-                    wgt = (nd[kk] + alpha) * (n_kw[kk][w] + beta) / (n_k[kk] + vbeta)
-                    total_weight += wgt
-                    weights.append(total_weight)
-                r = u_iter[pos] * total_weight
-                pos += 1
-                t = 0
-                while weights[t] < r:
-                    t += 1
+                weights = list(accumulate(map(truediv, map(mul, a_d, b_w), den)))
+                t = bisect_left(weights, u * weights[-1])
 
                 zd[i] = t
-                nd[t] += 1
-                n_kw[t][w] += 1
-                n_k[t] += 1
+                c = nd[t] + 1
+                nd[t] = c
+                a_d[t] = a_of[c]
+                c = nw[t] + 1
+                nw[t] = c
+                b_w[t] = b_of[c]
+                c = n_k[t] + 1
+                n_k[t] = c
+                den[t] = c + vbeta
+        del u_iter  # free this sweep's uniforms before the next sweep draws
         if on_iteration is not None:
-            on_iteration(it, n_kw, n_dk)
+            on_iteration(it, n_wk, n_dk)
 
-    phi = (np.asarray(n_kw, dtype=float) + beta) / (
+    phi = (np.asarray(n_wk, dtype=float).T + beta) / (
         np.asarray(n_k, dtype=float)[:, None] + vbeta
     )
     doc_len = np.asarray([len(doc) for doc in docs], dtype=float)

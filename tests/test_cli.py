@@ -401,6 +401,15 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--alpha", "1e308"), ("--beta", "1e307")])
+    def test_overflowing_topic_setting_writes_nothing(self, tmp_path, pipeline, capsys, flag, value):
+        # k*alpha or V*beta is inf: every weight would be 0 or nan, and phi or theta all 0.0
+        code = run("topics", "--documents", pipeline["documents"], "--k", 3, "--iterations", 1,
+                   flag, value, "--out", tmp_path / "t")
+        assert code == 2
+        assert f"error: {flag[2:]}={float(value)} is too large" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--trees", "-2"), ("--rate", "0"), ("--rate", "-1"), ("--depth", "-1"), ("--min-leaf", "-5"),
         ("--threads", "0"),

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
 from clickroles.features import read_topic_assignments
 from clickroles.tableio import read_matrix_csv
 from clickroles.topics import (
     Corpus,
+    IterationHook,
+    TopicModel,
     build_corpus,
     dominant_from_row,
     dominant_topic,
@@ -56,6 +61,107 @@ def permutation_accuracy(assigned: list[int], planted: list[int], k: int) -> flo
         hits = sum(1 for a, p in zip(assigned, planted) if perm[a] == p)
         best = max(best, hits / len(planted))
     return best
+
+
+def reference_fit_lda(
+    corpus: Corpus,
+    k: int = 20,
+    alpha: float | None = None,
+    beta: float = 0.01,
+    iterations: int = 1000,
+    seed: int = 0,
+    on_iteration: IterationHook | None = None,
+) -> TopicModel:
+    """The scalar collapsed Gibbs sweep fit_lda replaced, kept as its oracle:
+    every weight and running sum is formed one at a time in a Python loop.
+
+    alpha defaults to 50/k; alpha and beta must be positive and finite.
+    `on_iteration(i, topic_word, doc_topic)` is called after each sweep
+    with the live count matrices, k x V and D x k (read-only use).
+    """
+    if k < 2:
+        raise UsageError(f"k must be at least 2, got {k}")
+    if iterations < 1:
+        raise UsageError(f"iterations must be positive, got {iterations}")
+    if alpha is None:
+        alpha = 50.0 / k
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{name} must be positive and finite, got {value}")
+    v = len(corpus.vocabulary)
+    if k > v:
+        raise DataError(f"k={k} exceeds vocabulary size {v}")
+
+    # flatten to token instances; the count matrices live as plain lists
+    # (the sweep is a tight scalar loop)
+    docs: list[list[int]] = [
+        [tid for tid, cnt in doc for _ in range(cnt)] for doc in corpus.documents
+    ]
+    d_count = len(docs)
+    total = sum(len(doc) for doc in docs)
+    if total == 0:
+        raise DataError("corpus has no tokens after stop word removal")
+
+    rng = np.random.default_rng(seed)
+    n_dk = [[0] * k for _ in range(d_count)]
+    n_kw = [[0] * v for _ in range(k)]
+    n_k = [0] * k
+    z: list[list[int]] = []
+
+    init_u = rng.random(total).tolist()
+    pos = 0
+    for d, doc in enumerate(docs):
+        zd = []
+        nd = n_dk[d]
+        for w in doc:
+            t = min(int(init_u[pos] * k), k - 1)
+            pos += 1
+            zd.append(t)
+            nd[t] += 1
+            n_kw[t][w] += 1
+            n_k[t] += 1
+        z.append(zd)
+
+    vbeta = v * beta
+    for it in range(iterations):
+        u_iter = rng.random(total).tolist()
+        pos = 0
+        for d, doc in enumerate(docs):
+            nd = n_dk[d]
+            zd = z[d]
+            for i, w in enumerate(doc):
+                t = zd[i]
+                nd[t] -= 1
+                n_kw[t][w] -= 1
+                n_k[t] -= 1
+
+                total_weight = 0.0
+                weights = []
+                for kk in range(k):
+                    wgt = (nd[kk] + alpha) * (n_kw[kk][w] + beta) / (n_k[kk] + vbeta)
+                    total_weight += wgt
+                    weights.append(total_weight)
+                r = u_iter[pos] * total_weight
+                pos += 1
+                t = 0
+                while weights[t] < r:
+                    t += 1
+
+                zd[i] = t
+                nd[t] += 1
+                n_kw[t][w] += 1
+                n_k[t] += 1
+        if on_iteration is not None:
+            on_iteration(it, n_kw, n_dk)
+
+    phi = (np.asarray(n_kw, dtype=float) + beta) / (
+        np.asarray(n_k, dtype=float)[:, None] + vbeta
+    )
+    doc_len = np.asarray([len(doc) for doc in docs], dtype=float)
+    theta = (np.asarray(n_dk, dtype=float) + alpha) / (doc_len[:, None] + k * alpha)
+    return TopicModel(
+        k, alpha, beta, iterations, seed, corpus.articles, corpus.vocabulary, phi, theta
+    )
 
 
 class TestTokenize:
@@ -145,13 +251,26 @@ class TestFitLda:
         m2 = fit_lda(corpus, k=2, iterations=15, seed=8)
         assert not np.array_equal(m1.theta, m2.theta)
 
+    def test_overflowing_hyperparameters_rejected(self):
+        corpus = build_corpus([("A", "cat dog bird cat")], stop_words=frozenset())
+        for hyper, name in (
+            ({"alpha": 1e308}, "alpha"),  # k*alpha is inf
+            ({"beta": 1e308}, "beta"),  # V*beta is inf
+            ({"alpha": 1e200, "beta": 1e200}, "sampling weights overflow"),  # a weight's product is inf
+        ):
+            with pytest.raises(UsageError, match=name):
+                fit_lda(corpus, k=2, iterations=1, **hyper)
+
     def test_count_conservation_every_iteration(self):
         corpus, _ = planted_corpus(docs_per_topic=6, tokens_per_doc=8)
         total = corpus.total_tokens
         calls = []
 
-        def check(it, topic_word, doc_topic):
-            assert sum(map(sum, topic_word)) == total
+        def check(it, word_topic, doc_topic):
+            assert len(word_topic) == len(corpus.vocabulary)
+            topic_totals = [sum(col) for col in zip(*word_topic)]
+            assert topic_totals == [sum(col) for col in zip(*doc_topic)]
+            assert sum(topic_totals) == total
             assert sum(map(sum, doc_topic)) == total
             calls.append(it)
 
@@ -170,6 +289,55 @@ class TestFitLda:
         )
         model = fit_lda(corpus, k=2, iterations=5, seed=0)
         np.testing.assert_allclose(model.theta[0], [0.5, 0.5], atol=1e-12)
+
+
+@st.composite
+def lda_cases(draw):
+    """A small corpus (zero-length documents allowed) and a fit setting."""
+    v = draw(st.integers(2, 6))
+    documents = draw(st.lists(
+        st.dictionaries(st.integers(0, v - 1), st.integers(1, 4), max_size=v), min_size=1, max_size=5,
+    ).filter(lambda docs: any(docs)))
+    corpus = Corpus(
+        tuple(f"doc{d}" for d in range(len(documents))),
+        tuple(f"w{i}" for i in range(v)),
+        tuple(tuple(sorted(doc.items())) for doc in documents),
+        tuple(f"doc{d}" for d, doc in enumerate(documents) if not doc),
+    )
+    setting = {
+        "k": draw(st.integers(2, v)),
+        "alpha": draw(st.sampled_from([None, 0.1])),
+        # a tiny beta makes weights that vanish beside the running sum, and
+        # the smallest subnormal makes weights (even every weight) exactly 0
+        "beta": draw(st.sampled_from([5e-324, 1e-300, 1e-20]) | st.floats(1e-300, 10.0)),
+        "iterations": draw(st.integers(1, 4)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    return corpus, setting
+
+
+class TestReferenceSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(lda_cases())
+    @example((  # a single document; the once-seen words' weights are a few
+        # subnormal steps, so u * total often lands exactly on a running total
+        build_corpus([("A", "cat dog cat bird dog cat mouse")], stop_words=frozenset()),
+        {"k": 3, "alpha": 0.1, "beta": 5e-324, "iterations": 3, "seed": 0},
+    ))
+    @example((  # a zero-length document between two others, and tiny beta
+        build_corpus([("A", "cat dog"), ("B", "the"), ("C", "dog dog bird")], stop_words={"the"}),
+        {"k": 2, "alpha": 0.1, "beta": 1e-300, "iterations": 3, "seed": 1},
+    ))
+    def test_bit_identical_to_reference(self, case):
+        corpus, setting = case
+        ours, theirs = [], []
+        model = fit_lda(corpus, **setting, on_iteration=lambda i, wt, dt: ours.append(
+            ([list(col) for col in zip(*wt)], [row[:] for row in dt])))
+        expected = reference_fit_lda(corpus, **setting, on_iteration=lambda i, tw, dt: theirs.append(
+            ([row[:] for row in tw], [row[:] for row in dt])))
+        assert ours == theirs
+        assert np.array_equal(model.phi, expected.phi)
+        assert np.array_equal(model.theta, expected.theta)
 
 
 class TestDominant:
