@@ -393,17 +393,21 @@ def _parse_pairs(arg: str | None) -> list[tuple[str, str]]:
 def cmd_overlap(args) -> None:
     out = _OutputDir(args)
     pairs = _parse_pairs(args.pairs)
+    try:
+        ks = None if args.depths is None else [int(k) for k in args.depths.split(",")]
+    except ValueError:
+        raise UsageError(f"--depths must be a comma list of integers: {args.depths!r}")
     traffic = read_traffic_table(args.traffic)
-    if args.depths is not None:
-        try:
-            ks = [int(k) for k in args.depths.split(",")]
-        except ValueError:
-            raise UsageError(f"--depths must be a comma list of integers: {args.depths!r}")
-    else:
-        ks = default_ks(len(traffic))
-    for a, b in pairs:
-        curve = cumulative_overlap(rank_articles(traffic, a), rank_articles(traffic, b), ks)
-        write_curve(out.file(f"overlap_{a}_{b}.csv", "overlap_curve"), curve)
+    if not len(traffic):
+        raise DataError(f"no articles to rank in {args.traffic}")
+    ks = ks or default_ks(len(traffic))
+    rankings = {key: rank_articles(traffic, key) for key in dict.fromkeys(key for pair in pairs for key in pair)}
+    try:
+        curves = [cumulative_overlap(rankings[a], rankings[b], ks) for a, b in pairs]
+    except DataError as exc:
+        raise DataError(f"{args.traffic}: {exc}") from exc
+    for curve in curves:
+        write_curve(out.file(f"overlap_{curve.ranking_a}_{curve.ranking_b}.csv", "overlap_curve"), curve)
     _finish(args, out, [args.traffic])
 
 

@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, UsageError
-from .metrics import METRICS_DTYPES, QUADRANT_LABELS, QUADRANT_ORDER, quadrant_code
-from .tableio import ColumnTable, parse_count, parse_ratio, parse_real, read_columns, write_columns, write_rows
+from .metrics import METRICS_DTYPES, METRICS_KINDS, QUADRANT_LABELS, QUADRANT_ORDER
+from .tableio import COUNT, REAL, ColumnTable, optional, ratio, read_columns, write_columns, write_rows
 
 # bin/median features in reporting order: network block, then content/edit
 DEFAULT_MEDIAN_FEATURES = (
@@ -293,24 +293,19 @@ def relative_difference_heatmap(topic_grid: np.ndarray, overall_grid: np.ndarray
 
 
 def read_content_table(path: str | Path) -> ColumnTable:
-    def parse(row: list[str]) -> tuple:
-        age, size = parse_real(row[7]), parse_real(row[8])
-        if age < 0 or size < 0:
-            raise DataError(f"negative content feature for {row[0]!r}")
-        return (row[0], *(parse_count(v) for v in row[1:7]), age, size)
-
-    return read_columns(path, CONTENT_COLUMNS, parse, CONTENT_DTYPES)
+    """A content table: six counts, then age and size, not negative."""
+    return read_columns(
+        path,
+        CONTENT_COLUMNS,
+        [COUNT] * 6 + [REAL] * 2,
+        (lambda c: (c["age"] < 0) | (c["size"] < 0), lambda title: f"negative content feature for {title!r}"),
+    )
 
 
 def read_topic_assignments(path: str | Path) -> ColumnTable:
     """A topic assignment table: the topic_id column and the weight, a
     theta entry in [0, 1]."""
-    return read_columns(
-        path,
-        TOPIC_ASSIGNMENT_COLUMNS,
-        lambda row: (row[0], parse_count(row[1]), parse_ratio("weight", row[2])),
-        {"topic_id": np.int64, "weight": float},
-    )
+    return read_columns(path, TOPIC_ASSIGNMENT_COLUMNS, [COUNT, ratio("weight")])
 
 
 def write_joined_table(path: str | Path, table: ColumnTable) -> None:
@@ -322,18 +317,10 @@ def write_joined_table(path: str | Path, table: ColumnTable) -> None:
 
 def read_joined_table(path: str | Path) -> ColumnTable:
     """Read a table written by :func:`write_joined_table`, in title
-    order; searchshare and resistance must lie in [0, 1]."""
-
-    def parse(r: list[str]) -> tuple:
-        return (
-            r[0], parse_ratio("searchshare", r[1]), parse_ratio("resistance", r[2]),
-            parse_count(r[3]), quadrant_code(r[4]),
-            *(parse_count(v) for v in r[5:15]),  # in_degree .. editors
-            parse_real(r[15]), parse_real(r[16]),
-            parse_count(r[17]) if r[17] else -1,
-        )
-
-    return read_columns(path, JOINED_COLUMNS, parse, JOINED_DTYPES)
+    order; searchshare and resistance must lie in [0, 1], and an empty
+    topic_id is -1."""
+    kinds = (*METRICS_KINDS, *[COUNT] * 10, REAL, REAL, optional(COUNT, -1))  # in_degree .. editors are counts
+    return read_columns(path, JOINED_COLUMNS, kinds)
 
 
 def write_group_medians(path: str | Path, table: GroupMedianTable) -> None:

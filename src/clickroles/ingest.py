@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .tableio import MAX_COUNT, ColumnTable, column_table, iter_lines, parse_count, read_columns, where, write_columns
+from .tableio import COUNT, MAX_COUNT, ColumnTable, column_table, iter_lines, read_columns, where, write_columns
 
 TRAFFIC_COLUMNS = ("article", "in_se", "in_nav", "out_nav", "total_views")
 TRAFFIC_DTYPES = dict.fromkeys(TRAFFIC_COLUMNS[1:], np.int64)
@@ -190,11 +190,9 @@ def write_traffic_table(path: str | Path, table: ColumnTable) -> None:
 def read_traffic_table(path: str | Path) -> ColumnTable:
     """Read a traffic table written by :func:`write_traffic_table`;
     total_views must equal in_se + in_nav."""
-
-    def parse(row: list[str]) -> tuple[str, int, int, int, int]:
-        in_se, in_nav, out_nav, total_views = (parse_count(v) for v in row[1:])
-        if in_se + in_nav != total_views:
-            raise DataError(f"inconsistent total_views for {row[0]!r}")
-        return row[0], in_se, in_nav, out_nav, total_views
-
-    return read_columns(path, TRAFFIC_COLUMNS, parse, TRAFFIC_DTYPES)
+    return read_columns(
+        path,
+        TRAFFIC_COLUMNS,
+        [COUNT] * 4,
+        (lambda c: c["in_se"] + c["in_nav"] != c["total_views"], lambda title: f"inconsistent total_views for {title!r}"),
+    )

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
-from .tableio import ColumnTable, parse_count, parse_ratio, read_columns, write_columns, write_keyvalues, write_rows
+from .tableio import COUNT, ColumnTable, labels, ratio, read_columns, write_columns, write_keyvalues, write_rows
 
 METRICS_COLUMNS = ("article", "searchshare", "resistance", "total_views", "quadrant")
 METRICS_DTYPES = {"searchshare": float, "resistance": float, "total_views": np.int64, "quadrant": np.int8}
@@ -60,6 +60,10 @@ QUADRANT_LABELS = tuple(label.value for label in QUADRANT_ORDER)
 def quadrant_code(cell: str) -> int:
     """The quadrant code of a label cell; ValueError on an unknown label."""
     return QUADRANT_ORDER.index(QuadrantLabel(cell))
+
+
+# the cell kinds of METRICS_COLUMNS[1:]
+METRICS_KINDS = (ratio("searchshare"), ratio("resistance"), COUNT, labels(quadrant_code, QUADRANT_LABELS))
 
 
 @dataclass(frozen=True)
@@ -206,16 +210,12 @@ def read_metrics_table(path: str | Path) -> ColumnTable:
     """Read a metrics table written by :func:`write_metrics_table`, in
     title order; searchshare and resistance must lie in [0, 1] and
     total_views must be positive."""
-
-    def parse(r: list[str]) -> tuple[str, float, float, int, int]:
-        quadrant = quadrant_code(r[4])
-        searchshare, resistance = parse_ratio("searchshare", r[1]), parse_ratio("resistance", r[2])
-        total_views = parse_count(r[3])
-        if not total_views:
-            raise ValueError("total_views 0: metrics need positive inflow")
-        return r[0], searchshare, resistance, total_views, quadrant
-
-    return read_columns(path, METRICS_COLUMNS, parse, METRICS_DTYPES)
+    return read_columns(
+        path,
+        METRICS_COLUMNS,
+        METRICS_KINDS,
+        (lambda c: c["total_views"] == 0, lambda _: "total_views 0: metrics need positive inflow"),
+    )
 
 
 def write_thresholds(path: str | Path, thresholds: CorpusThresholds) -> None:

@@ -5,9 +5,16 @@ an unweighted cumulative set overlap; top-weighting is deliberately not
 applied, since the curve is read at explicit depths rather than
 summarized into one score. Rankings are total orders: ties on the key
 value break by ascending article title so every curve is reproducible.
-A ranking is one stable argsort of a negated int64 column of the
-traffic table (counts at most 2**53, so negation cannot overflow); the
-table is in title order, so ties keep title order.
+A ranking is the row order of one stable argsort of a negated int64
+column of the traffic table (counts at most 2**53, so negation cannot
+overflow); the table is in title order, so ties keep title order.
+
+A row is in both top-k sets exactly when the later of its two rank
+positions is below k, so with pos_a and pos_b the 0-based positions of
+each row, one ``common = cumsum(bincount(maximum(pos_a, pos_b)))`` gives
+|top_k(A) n top_k(B)| as common[k - 1] for every depth at once. The
+counts are exact integers, so each overlap is the correctly rounded
+quotient of two ints.
 """
 
 from __future__ import annotations
@@ -23,13 +30,15 @@ from .tableio import ColumnTable, write_rows
 RANKING_KEYS = ("total", "in_se", "in_nav", "out_nav")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
+    """The rows of one table, best first by `key`."""
+
     key: str
-    articles: tuple[str, ...]
+    order: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.articles)
+        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -40,20 +49,16 @@ class OverlapCurve:
 
 
 def rank_articles(traffic: ColumnTable, key: str) -> Ranking:
-    """Rank all articles descending by the traffic key, ties broken by
+    """Rank all rows descending by the traffic key, ties broken by
     ascending title. Zero-valued articles stay in, at the tail."""
     if key not in RANKING_KEYS:
         raise UsageError(f"unknown ranking key {key!r}; expected one of {RANKING_KEYS}")
-    order = np.argsort(-traffic["total_views" if key == "total" else key], kind="stable")
-    return Ranking(key, tuple(traffic.articles[i] for i in order.tolist()))
+    return Ranking(key, np.argsort(-traffic["total_views" if key == "total" else key], kind="stable"))
 
 
 def cumulative_overlap(a: Ranking, b: Ranking, ks: list[int]) -> OverlapCurve:
-    """Overlap |top_k(a) n top_k(b)| / k at each requested depth.
-
-    Single incremental pass: at each depth the newly revealed article of
-    each ranking is checked against the set revealed so far by the other.
-    """
+    """Overlap |top_k(a) n top_k(b)| / k at each requested depth, for two
+    rankings of the rows of one table (see the module docstring)."""
     if not ks:
         raise UsageError("at least one depth k is required")
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
@@ -64,30 +69,13 @@ def cumulative_overlap(a: Ranking, b: Ranking, ks: list[int]) -> OverlapCurve:
     if ks[-1] > limit:
         raise DataError(f"depth {ks[-1]} exceeds ranking length {limit}")
 
-    seen_a: set[str] = set()
-    seen_b: set[str] = set()
-    common = 0
-    points: list[tuple[int, float]] = []
-    want = iter(ks)
-    next_k = next(want)
-    for depth in range(1, ks[-1] + 1):
-        article_a = a.articles[depth - 1]
-        article_b = b.articles[depth - 1]
-        if article_a == article_b:
-            common += 1
-        else:
-            if article_a in seen_b:
-                common += 1
-            if article_b in seen_a:
-                common += 1
-        seen_a.add(article_a)
-        seen_b.add(article_b)
-        if depth == next_k:
-            points.append((depth, common / depth))
-            next_k = next(want, None)
-            if next_k is None:
-                break
-    return OverlapCurve(a.key, b.key, tuple(points))
+    positions = []
+    for ranking in (a, b):
+        position = np.empty(len(ranking), dtype=np.int64)
+        position[ranking.order] = np.arange(len(ranking))
+        positions.append(position)
+    common = np.cumsum(np.bincount(np.maximum(*positions))).tolist()
+    return OverlapCurve(a.key, b.key, tuple((k, common[k - 1] / k) for k in ks))
 
 
 def default_ks(n: int) -> list[int]:

@@ -7,10 +7,19 @@ Every output file of a subcommand is written by :func:`write_rows` (TSV
 and CSV tables, matrices, key=value files, word lists; optional
 ``# key=value`` metadata lines first) or :func:`write_json` (models,
 manifests, the report index). Output is byte-deterministic for
-identical inputs: every cell goes through :func:`fmt_value`, so floats
-are serialized with ``repr`` (shortest round-trip form) and NaN as an
-empty cell; rows are emitted in the order given by the caller; JSON
-keys are sorted; and no timestamps appear in any data file.
+identical inputs: every cell is written as :func:`fmt_value` gives it,
+so floats are serialized with ``repr`` (shortest round-trip form) and
+NaN as an empty cell; rows are emitted in the order given by the
+caller; JSON keys are sorted; and no timestamps appear in any data file.
+
+Every per-article table is read by :func:`read_columns`, ROW_BLOCK
+lines at a time: a block is split in one go and each column converted
+at once by its CellKind (counts, reals, ratios, labels), whose scalar
+parser (:func:`parse_count`, :func:`parse_real`, :func:`parse_ratio`, a
+label code) is the one definition of the cell rule and its message. A
+block that fails any check is read again row by row, so the DataError
+names its first bad row in file order, with the reason the scalar rules
+give for that row.
 """
 
 from __future__ import annotations
@@ -20,22 +29,27 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import itemgetter, lt
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, UsageError
 
-T = TypeVar("T")
-
 # Largest count or per-article sum: up to 2**53 every int64 converts to
 # float64 exactly, so column-wise quotients equal the integer ones.
 MAX_COUNT = 2**53
 
+# Digits of MAX_COUNT: a longer count cell is read by parse_count alone.
+COUNT_DIGITS = len(str(MAX_COUNT))
+
 # Characters per read of iter_lines: the chunk size of io.TextIOWrapper.
 READ_BLOCK = 8192
+
+# Rows per block of read_columns and write_columns: bounds the cells alive at once.
+ROW_BLOCK = 1024
 
 
 def parse_count(text: str) -> int:
@@ -130,41 +144,6 @@ def write_json(path: str | Path, doc: object) -> None:
         fh.write("\n")
 
 
-def read_table(path: str | Path, header: Sequence[str], parse_row: Callable[[list[str]], T]) -> list[T]:
-    """``parse_row(cells)`` of each non-empty data line of a headered TSV
-    table whose first cell is a unique article title.
-
-    A row with the wrong number of cells, a repeated title and a row that
-    parse_row rejects (ValueError from a bad number or label, or
-    DataError) raise DataError as ``path:N: reason``.
-    """
-    lines = iter_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise DataError(f"empty table: {path}")
-    got = first.split("\t")
-    if got != list(header):
-        raise DataError(f"unexpected header in {path}: got {got!r}, expected {list(header)!r}")
-    out: list[T] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=2):
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise DataError(
-                f"{where(path, lineno)}: expected {len(header)} tab-separated cells, got {len(cells)}"
-            )
-        if cells[0] in seen:
-            raise DataError(f"{where(path, lineno)}: duplicate article {cells[0]!r}")
-        seen.add(cells[0])
-        try:
-            out.append(parse_row(cells))
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{where(path, lineno)}: {exc}") from exc
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ColumnTable:
     """Per-article table: the titles, ascending and unique, and one
@@ -199,15 +178,188 @@ def column_table(rows: Iterable[tuple], dtypes: Mapping[str, object]) -> ColumnT
     )
 
 
-def read_columns(
+@dataclass(frozen=True)
+class CellKind:
+    """The rule of one column's cells, two ways. `parse` reads one cell,
+    giving its value or raising ValueError with the reason: it is the
+    rule's one definition. `convert` reads a whole column at C speed,
+    giving its values as a `dtype` array, or None if some cell may break
+    the rule; the column then goes through `parse` a cell at a time."""
+
+    parse: Callable[[str], object]
+    convert: Callable[[list[str]], np.ndarray | None]
+    dtype: object
+
+
+def _counts(cells: list[str]) -> np.ndarray | None:
+    # Every cell ASCII digits, none empty or longer than MAX_COUNT: then
+    # numpy's integer text parse, twice as fast as int() per cell, reads
+    # each as parse_count does, and no value overflows int64.
+    joined = "".join(cells)
+    if not (joined.isascii() and joined.isdigit()) or "" in cells or max(map(len, cells)) > COUNT_DIGITS:
+        return None
+    values = np.fromstring(" ".join(cells), np.int64, sep=" ")
+    return values if (values <= MAX_COUNT).all() else None
+
+
+def _reals(cells: list[str]) -> np.ndarray | None:
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+COUNT = CellKind(parse_count, _counts, np.int64)
+REAL = CellKind(parse_real, _reals, np.float64)
+
+
+def ratio(name: str) -> CellKind:
+    """The kind of the ratio column `name` (see parse_ratio)."""
+
+    def convert(cells: list[str]) -> np.ndarray | None:
+        values = _reals(cells)
+        return values if values is not None and ((values >= 0.0) & (values <= 1.0)).all() else None
+
+    return CellKind(lambda cell: parse_ratio(name, cell), convert, np.float64)
+
+
+def labels(parse: Callable[[str], int], names: Sequence[str]) -> CellKind:
+    """The kind of a label cell whose code is its index in `names`;
+    parse(names[i]) must be i, and parse must reject any other cell."""
+    codes = {name: code for code, name in enumerate(names)}
+
+    def convert(cells: list[str]) -> np.ndarray | None:
+        try:
+            return np.fromiter(map(codes.__getitem__, cells), np.int8, len(cells))
+        except KeyError:
+            return None
+
+    return CellKind(parse, convert, np.int8)
+
+
+def optional(kind: CellKind, missing: object) -> CellKind:
+    """`kind`, with `missing` as the value of an empty cell."""
+
+    def convert(cells: list[str]) -> np.ndarray | None:
+        present = np.fromiter(map(bool, cells), bool, len(cells))
+        values = np.full(len(cells), missing, kind.dtype)
+        if present.any():
+            given = kind.convert(list(filter(None, cells)))
+            if given is None:
+                return None
+            values[present] = given
+        return values
+
+    return CellKind(lambda cell: kind.parse(cell) if cell else missing, convert, kind.dtype)
+
+
+# A row rule: (bad, reason). bad maps the columns of some rows, by name,
+# to the mask of the rows that break the rule; reason(title) says why.
+RowRule = tuple[Callable[[Mapping[str, np.ndarray]], np.ndarray], Callable[[str], str]]
+
+
+def read_columns(path: str | Path, header: Sequence[str], kinds: Sequence[CellKind], *rules: RowRule) -> ColumnTable:
+    """The ColumnTable of a headered TSV table: the first column holds
+    unique article titles, column header[i] cells of kinds[i - 1], and
+    every row keeps every rule.
+
+    Data lines are read ROW_BLOCK at a time, empty lines skipped, and a
+    block is split in one go and converted a column at a time (see
+    CellKind). A block that fails a check is read again row by row, and
+    its first bad row in file order raises DataError as ``path:N:
+    reason``; the reason is a wrong number of cells, a repeated title,
+    the first cell its kind's parse rejects, or the first rule broken.
+    Titles are sorted only if they do not already ascend.
+    """
+    lines = iter_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise DataError(f"empty table: {path}")
+    got = first.split("\t")
+    if got != list(header):
+        raise DataError(f"unexpected header in {path}: got {got!r}, expected {list(header)!r}")
+    titles: list[str] = []
+    parts = [[np.empty(0, kind.dtype)] for kind in kinds]
+    seen: set[str] | None = None  # every title so far, once the titles stop ascending
+    lineno = 1
+    while block := list(islice(lines, ROW_BLOCK)):
+        start, lineno = lineno + 1, lineno + len(block)
+        if not (rows := list(filter(None, block))):
+            continue
+        try:
+            new, columns = _convert_block(rows, header, kinds, rules)
+        except ValueError:
+            raise _block_error(path, block, start, header, kinds, rules, set(titles)) from None
+        if seen is None and not _ascending(titles[-1:] + new):
+            seen = set(titles)
+        if seen is not None:
+            seen.update(new)
+            if len(seen) < len(titles) + len(new):
+                raise _block_error(path, block, start, header, kinds, rules, set(titles))
+        titles += new
+        for part, values in zip(parts, columns.values()):
+            part.append(values)
+    columns = {name: np.concatenate(part) for name, part in zip(header[1:], parts)}
+    if seen is not None:
+        order = sorted(range(len(titles)), key=titles.__getitem__)
+        titles = list(map(titles.__getitem__, order))
+        rows = np.array(order, dtype=np.intp)
+        columns = {name: values[rows] for name, values in columns.items()}
+    return ColumnTable(tuple(titles), columns)
+
+
+def _ascending(titles: list[str]) -> bool:
+    return all(map(lt, titles, islice(titles, 1, None)))
+
+
+def _convert_block(
+    rows: list[str], header: Sequence[str], kinds: Sequence[CellKind], rules: Sequence[RowRule]
+) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The titles and the columns, by name, of the non-empty lines `rows`.
+    A row that breaks a check raises ValueError; for one row, its message
+    is the reason: a wrong number of cells, else the first cell its
+    kind's parse rejects, else the first rule broken."""
+    width = len(header)
+    if (tabs := set(map(str.count, rows, repeat("\t")))) != {width - 1}:
+        raise ValueError(f"expected {width} tab-separated cells, got {min(tabs - {width - 1}) + 1}")
+    cells = "\t".join(rows).split("\t")
+    titles = cells[::width]
+    columns = {}
+    for i, (name, kind) in enumerate(zip(header[1:], kinds), start=1):
+        column = cells[i::width]
+        values = kind.convert(column)
+        columns[name] = np.array(list(map(kind.parse, column)), kind.dtype) if values is None else values
+    for bad, reason in rules:
+        if (broken := bad(columns)).any():
+            raise ValueError(reason(titles[broken.argmax()]))
+    return titles, columns
+
+
+def _block_error(
     path: str | Path,
+    block: list[str],
+    start: int,
     header: Sequence[str],
-    parse_row: Callable[[list[str]], tuple],
-    dtypes: Mapping[str, object],
-) -> ColumnTable:
-    """:func:`read_table` as a :func:`column_table`: parse_row returns
-    (title, *cells), one cell per `dtypes` entry."""
-    return column_table(read_table(path, header, parse_row), dtypes)
+    kinds: Sequence[CellKind],
+    rules: Sequence[RowRule],
+    seen: set[str],
+) -> DataError:
+    """The DataError of the first bad row of `block`, whose lines are
+    numbered from `start` and follow rows with the titles `seen`: each
+    row is converted alone, after the check for a repeated title."""
+    for lineno, line in enumerate(block, start):
+        if not line:
+            continue
+        title = line.split("\t", 1)[0]
+        try:
+            if line.count("\t") == len(header) - 1 and title in seen:
+                raise ValueError(f"duplicate article {title!r}")
+            _convert_block([line], header, kinds, rules)
+        except ValueError as exc:
+            return DataError(f"{where(path, lineno)}: {exc}")
+        seen.add(title)
+    raise AssertionError(f"{path}: the block from line {start} was rejected, but none of its rows is bad")
 
 
 def write_columns(
@@ -216,12 +368,32 @@ def write_columns(
     """Write `table` as a TSV table: the title, then the columns named by
     header[1:], one row per article in table order. `formats` maps a
     column name to a function of each of its values giving the cell
-    written for it (by default the value itself)."""
-    cells = []
-    for name in header[1:]:
-        values = table[name].tolist()
-        cells.append(list(map(formats[name], values)) if name in formats else values)
-    write_rows(path, zip(table.articles, *cells), header)
+    written for it (by default the value itself). The rows are turned
+    into text ROW_BLOCK at a time, a column at once, each cell as
+    :func:`fmt_value` would."""
+
+    def blocks() -> Iterator[tuple[str]]:
+        for start in range(0, len(table), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            cells = [_column_text(table[name][rows], formats.get(name)) for name in header[1:]]
+            # one "row" of one cell per block: its lines, which write_rows writes as they are
+            yield ("\n".join(map("\t".join, zip(table.articles[rows], *cells))),)
+
+    write_rows(path, blocks(), header)
+
+
+def _column_text(column: np.ndarray, fmt: Callable[[object], object] | None) -> list[str]:
+    """The cells :func:`fmt_value` writes for `column`, or for `fmt` of
+    each of its values."""
+    values = column.tolist()
+    if fmt is not None:
+        return list(map(fmt_value, map(fmt, values)))
+    if column.dtype.kind != "f":
+        return list(map(str, values))
+    text = list(map(float.__repr__, values))
+    for row in np.flatnonzero(np.isnan(column)).tolist():
+        text[row] = ""
+    return text
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray, metadata: dict[str, object]) -> None:

@@ -200,7 +200,7 @@ def test_full_dump_population_and_shares():
 
 def test_overlap_matches_set_intersection_everywhere():
     rng = random.Random(41)
-    universe = [f"t{i:04d}" for i in range(1500)]
+    rows = range(1500)  # the rows of one table; a ranking orders all of them
     n = 1000
     ks = list(range(1, n + 1))
 
@@ -208,14 +208,14 @@ def test_overlap_matches_set_intersection_everywhere():
     mismatches = 0
     pairs = 0
     for pair_index in range(100):
-        a = tuple(rng.sample(universe, n))
-        b = tuple(rng.sample(universe, n))
-        curve = cumulative_overlap(Ranking("a", a), Ranking("b", b), ks)
+        a = tuple(rng.sample(rows, len(rows)))
+        b = tuple(rng.sample(rows, len(rows)))
+        curve = cumulative_overlap(Ranking("a", np.array(a)), Ranking("b", np.array(b)), ks)
 
         pos_a = {t: i for i, t in enumerate(a)}
-        common = [t for t in b if t in pos_a]
-        pa = np.array([pos_a[t] for t in common], dtype=np.int64)
-        pb = np.array([b.index(t) for t in common], dtype=np.int64)
+        pos_b = {t: i for i, t in enumerate(b)}
+        pa = np.array([pos_a[t] for t in rows], dtype=np.int64)
+        pb = np.array([pos_b[t] for t in rows], dtype=np.int64)
         for k, value in curve.points:
             count = int(np.count_nonzero((pa < k) & (pb < k)))
             if value != count / k:

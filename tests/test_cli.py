@@ -394,6 +394,22 @@ class TestExitCodes:
                      "--depths", "1,two", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_header_only_traffic_overlap_is_data_error(self, tmp_path, capsys):
+        # nothing to rank is bad data, as it is for metrics, not a usage error
+        traffic = tmp_path / "traffic.tsv"
+        traffic.write_text("article\tin_se\tin_nav\tout_nav\ttotal_views\n")
+        assert run("overlap", "--traffic", traffic, "--out", tmp_path / "o") == 1
+        assert f"error: no articles to rank in {traffic}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_depth_beyond_ranking_names_traffic_file(self, tmp_path, pipeline, capsys):
+        traffic = pipeline["ingest"] / "traffic.tsv"
+        n = len(traffic.read_text().splitlines()) - 1
+        code = run("overlap", "--traffic", traffic, "--depths", f"1,{n + 1}", "--out", tmp_path / "o")
+        assert code == 1
+        assert f"error: {traffic}: depth {n + 1} exceeds ranking length {n}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag, value", [("--alpha", "-1"), ("--beta", "-0.5"), ("--top-words", "-2")])
     def test_bad_topic_setting_is_usage_error(self, tmp_path, pipeline, capsys, flag, value):
         code = run("topics", "--documents", pipeline["documents"], "--k", 2, "--iterations", 1,

@@ -1,5 +1,10 @@
+"""Rankings as row orders against a per-row sort, and the rank-position
+overlap curve against brute-force set intersection and against the
+incremental set walk it replaced (reference_cumulative_overlap)."""
+
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +19,11 @@ def traffic(*rows):
     return traffic_of(rows)
 
 
+def ranked(table, key):
+    """The titles of `table` in the order rank_articles gives by `key`."""
+    return tuple(table.articles[i] for i in rank_articles(table, key).order.tolist())
+
+
 def reference_ranking(rows, key):
     """Sort by (-value, title): the per-row ranking the argsort replaces."""
     index = {"in_se": 1, "in_nav": 2, "out_nav": 3}
@@ -24,26 +34,61 @@ def reference_ranking(rows, key):
     return tuple(r[0] for r in sorted(rows, key=lambda r: (-value(r), r[0])))
 
 
+def reference_cumulative_overlap(a, b, ks):
+    """The overlap points of the title rankings `a` and `b` at depths
+    `ks` by the incremental set walk that cumulative_overlap replaced:
+    at each depth the newly revealed article of each ranking is checked
+    against the set revealed so far by the other."""
+    seen_a: set[str] = set()
+    seen_b: set[str] = set()
+    common = 0
+    points: list[tuple[int, float]] = []
+    want = iter(ks)
+    next_k = next(want)
+    for depth in range(1, ks[-1] + 1):
+        article_a = a[depth - 1]
+        article_b = b[depth - 1]
+        if article_a == article_b:
+            common += 1
+        else:
+            if article_a in seen_b:
+                common += 1
+            if article_b in seen_a:
+                common += 1
+        seen_a.add(article_a)
+        seen_b.add(article_b)
+        if depth == next_k:
+            points.append((depth, common / depth))
+            next_k = next(want, None)
+            if next_k is None:
+                break
+    return tuple(points)
+
+
+def ranking(key, order):
+    return Ranking(key, np.array(order, dtype=np.int64))
+
+
 class TestRanking:
     def test_descending_by_key(self):
-        assert rank_articles(traffic(("A", 5, 0, 0), ("B", 9, 0, 0)), "total").articles == ("B", "A")
+        assert ranked(traffic(("A", 5, 0, 0), ("B", 9, 0, 0)), "total") == ("B", "A")
 
     def test_tie_broken_by_title(self):
-        assert rank_articles(traffic(("B", 5, 0, 0), ("A", 0, 5, 0)), "total").articles == ("A", "B")
+        assert ranked(traffic(("B", 5, 0, 0), ("A", 0, 5, 0)), "total") == ("A", "B")
 
     def test_input_order_irrelevant(self):
         items = [(f"A{i}", i % 3, 0, 0) for i in range(10)]
         forward = rank_articles(traffic(*items), "total")
         backward = rank_articles(traffic(*reversed(items)), "total")
-        assert forward == backward
+        assert forward.order.tolist() == backward.order.tolist()
 
     def test_zero_valued_articles_at_tail(self):
-        assert rank_articles(traffic(("A", 0, 0, 0), ("B", 3, 0, 0)), "total").articles == ("B", "A")
+        assert ranked(traffic(("A", 0, 0, 0), ("B", 3, 0, 0)), "total") == ("B", "A")
 
     def test_all_four_keys(self):
         table = traffic(("A", 1, 4, 9))
         for key in ("total", "in_se", "in_nav", "out_nav"):
-            assert rank_articles(table, key).articles == ("A",)
+            assert ranked(table, key) == ("A",)
 
     def test_unknown_key(self):
         with pytest.raises(UsageError):
@@ -59,7 +104,7 @@ class TestRanking:
     @settings(max_examples=100)
     def test_matches_sorted_reference(self, counts, key):
         rows = [(f"T{i:02d}", *c) for i, c in enumerate(counts)]
-        assert rank_articles(traffic(*reversed(rows)), key).articles == reference_ranking(rows, key)
+        assert ranked(traffic(*reversed(rows)), key) == reference_ranking(rows, key)
 
 
 def brute_force_overlap(a, b, k):
@@ -68,29 +113,30 @@ def brute_force_overlap(a, b, k):
 
 class TestCumulativeOverlap:
     def test_identical_rankings(self):
-        r = Ranking("total", tuple("abcdef"))
+        r = ranking("total", range(6))
         curve = cumulative_overlap(r, r, [1, 3, 6])
         assert [v for _, v in curve.points] == [1.0, 1.0, 1.0]
 
     def test_disjoint_rankings(self):
-        a = Ranking("total", ("a", "b", "c"))
-        b = Ranking("in_se", ("x", "y", "z"))
+        a = ranking("total", [0, 1, 2, 3, 4, 5])
+        b = ranking("in_se", [3, 4, 5, 0, 1, 2])
         curve = cumulative_overlap(a, b, [1, 2, 3])
         assert [v for _, v in curve.points] == [0.0, 0.0, 0.0]
 
     def test_hand_example(self):
-        a = Ranking("total", ("a", "b", "c"))
-        b = Ranking("in_se", ("b", "a", "d"))
+        # rows a, b, c, d: a ranks a b c d, b ranks b a d c
+        a = ranking("total", [0, 1, 2, 3])
+        b = ranking("in_se", [1, 0, 3, 2])
         curve = cumulative_overlap(a, b, [3])
         assert curve.points == ((3, 2 / 3),)
 
     def test_k_beyond_length_is_domain_error(self):
-        a = Ranking("total", ("a", "b"))
-        with pytest.raises(DataError):
+        a = ranking("total", [0, 1])
+        with pytest.raises(DataError, match="^depth 3 exceeds ranking length 2$"):
             cumulative_overlap(a, a, [3])
 
     def test_non_increasing_ks_rejected(self):
-        a = Ranking("total", ("a", "b", "c"))
+        a = ranking("total", [0, 1, 2])
         with pytest.raises(UsageError):
             cumulative_overlap(a, a, [2, 2])
 
@@ -98,31 +144,45 @@ class TestCumulativeOverlap:
         rng = random.Random(11)
         for _ in range(30):
             n = rng.randint(1, 120)
-            universe = [f"A{i}" for i in range(n + rng.randint(0, 40))]
-            a = Ranking("total", tuple(rng.sample(universe, n)))
-            b = Ranking("in_nav", tuple(rng.sample(universe, n)))
+            rows = range(n + rng.randint(0, 40))
+            a = tuple(rng.sample(rows, len(rows)))
+            b = tuple(rng.sample(rows, len(rows)))
             ks = sorted(rng.sample(range(1, n + 1), min(n, 12)))
-            curve = cumulative_overlap(a, b, ks)
+            curve = cumulative_overlap(ranking("total", a), ranking("in_nav", b), ks)
             for k, value in curve.points:
-                assert value == brute_force_overlap(a.articles, b.articles, k)
+                assert value == brute_force_overlap(a, b, k)
 
     @given(data=st.data())
     @settings(max_examples=40)
     def test_symmetry_and_bounds(self, data):
         n = data.draw(st.integers(min_value=1, max_value=50))
-        universe = list(range(80))
+        rows = range(80)
         rng = random.Random(data.draw(st.integers(0, 2**30)))
-        a = Ranking("total", tuple(str(x) for x in rng.sample(universe, n)))
-        b = Ranking("in_se", tuple(str(x) for x in rng.sample(universe, n)))
+        a = tuple(rng.sample(rows, len(rows)))
+        b = tuple(rng.sample(rows, len(rows)))
         ks = list(range(1, n + 1))
-        ab = cumulative_overlap(a, b, ks)
-        ba = cumulative_overlap(b, a, ks)
+        ab = cumulative_overlap(ranking("total", a), ranking("in_se", b), ks)
+        ba = cumulative_overlap(ranking("in_se", b), ranking("total", a), ks)
         assert [v for _, v in ab.points] == [v for _, v in ba.points]
         for _, v in ab.points:
             assert 0.0 <= v <= 1.0
         # full-depth sanity: overlap(n) is the plain set overlap
-        full = len(set(a.articles) & set(b.articles)) / n
+        full = len(set(a[:n]) & set(b[:n])) / n
         assert ab.points[-1][1] == full
+
+    @given(
+        counts=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60),
+        keys=st.sampled_from([(a, b) for a in ("total", "in_se", "in_nav", "out_nav")
+                              for b in ("total", "in_se", "in_nav", "out_nav")]),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_matches_reference_walk_on_tied_rankings(self, counts, keys, data):
+        table = traffic(*((f"T{i:02d}", *c) for i, c in enumerate(counts)))
+        ks = sorted(data.draw(st.sets(st.integers(1, len(counts)), min_size=1)))
+        curve = cumulative_overlap(rank_articles(table, keys[0]), rank_articles(table, keys[1]), ks)
+        assert curve.points == reference_cumulative_overlap(ranked(table, keys[0]), ranked(table, keys[1]), ks)
+        assert all(type(v) is float for _, v in curve.points)
 
 
 class TestDefaultKs:

@@ -1,5 +1,7 @@
 """Block-wise line reading against the file object's own line iteration,
-the ratio cell rule, and the exact bytes of the two output writers."""
+the ratio cell rule, the exact bytes of the two output writers, and the
+block-wise table reader: its column kinds against their scalar cell
+parsers, its line numbers across block boundaries and its peak memory."""
 
 import gzip
 import io
@@ -14,7 +16,10 @@ from hypothesis import strategies as st
 
 from clickroles import tableio
 from clickroles.errors import DataError, UsageError
+from clickroles.ingest import TRAFFIC_COLUMNS, TRAFFIC_DTYPES, read_traffic_table, write_traffic_table
+from clickroles.metrics import QUADRANT_LABELS, quadrant_code
 from clickroles.tableio import iter_lines
+from test_linkgraph import traced_peak
 
 # "\u2028" and "\x85" end lines for str.splitlines but not for files
 pieces = st.sampled_from(["a", "b", "\t", "é", "\u2028", "\x85", "\n", "\r", "\r\n"])
@@ -88,3 +93,162 @@ class TestWriters:
         blocker.write_text("")
         with pytest.raises(DataError, match=f"^cannot create output directory {re.escape(str(blocker))}: "):
             tableio.write_rows(blocker / "t.tsv", [(1,)])
+
+
+def scalar_column(kind, cells):
+    """(values, None), or (None, (row, reason)) for the first cell that
+    kind.parse rejects: the cell-by-cell rule that read_columns must keep."""
+    values = []
+    for row, cell in enumerate(cells):
+        try:
+            values.append(kind.parse(cell))
+        except ValueError as exc:
+            return None, (row, str(exc))
+    return values, None
+
+
+KINDS = {
+    "count": tableio.COUNT,
+    "real": tableio.REAL,
+    "ratio": tableio.ratio("weight"),
+    "quadrant": tableio.labels(quadrant_code, QUADRANT_LABELS),
+    "optional count": tableio.optional(tableio.COUNT, -1),
+}
+SPECIAL_CELLS = ["1_000", " 5 ", "+1", "٣", "", "nan", "-inf", "1e400", "-0.0", str(2**53), str(2**53 + 1),
+                 "1" * 4301, "0" * 4300 + "1", "0" * 30 + "7", "0", "1", "0.5", "search-exit", "nav-relay", "Nav-relay", "x"]
+cells = st.one_of(
+    st.sampled_from(SPECIAL_CELLS),
+    st.integers(0, 2**54).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(st.sampled_from("0123456789+-._e n٣²"), max_size=6),
+)
+
+
+# cells each kind takes, so whole columns of them are drawn too
+GOOD_CELLS = {
+    "count": st.integers(0, 2**53).map(str),
+    "real": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    "ratio": st.floats(0, 1).map(repr),
+    "quadrant": st.sampled_from(QUADRANT_LABELS),
+    "optional count": st.one_of(st.just(""), st.integers(0, 2**53).map(str)),
+}
+
+
+def same(a, b):
+    """Equal values, telling -0.0 from 0.0."""
+    return list(map(repr, a)) == list(map(repr, b))
+
+
+def draw_column(data, name):
+    return data.draw(st.one_of(st.lists(cells, min_size=1, max_size=12),
+                               st.lists(GOOD_CELLS[name], min_size=1, max_size=12)))
+
+
+class TestColumnKinds:
+    """Each kind's column conversion takes exactly what its scalar parse
+    takes, with the same values, and read_columns reports the first bad
+    cell with that parse's own message."""
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_convert_agrees_with_parse(self, name, data):
+        kind = KINDS[name]
+        column = draw_column(data, name)
+        values, fault = scalar_column(kind, column)
+        converted = kind.convert(column)
+        if converted is not None:
+            assert fault is None and converted.dtype == kind.dtype and same(converted.tolist(), values)
+
+    @pytest.mark.parametrize("name, column", [
+        ("count", ["0", "12", str(2**53)]),
+        ("real", ["-0.0", "1e308", "0.1"]),
+        ("ratio", ["0", "-0.0", "1.0"]),
+        ("quadrant", list(QUADRANT_LABELS)),
+        ("optional count", ["", "3", ""]),
+    ])
+    def test_plain_columns_convert_at_once(self, name, column):
+        assert same(KINDS[name].convert(column).tolist(), scalar_column(KINDS[name], column)[0])
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reader_reports_first_bad_cell(self, tmp_path_factory, name, data):
+        kind = KINDS[name]
+        column = draw_column(data, name)
+        path = tmp_path_factory.mktemp("kinds") / "table.tsv"
+        path.write_text("article\tv\n" + "".join(f"A{i:02d}\t{cell}\n" for i, cell in enumerate(column)))
+        values, fault = scalar_column(kind, column)
+        with mock.patch.object(tableio, "ROW_BLOCK", 5):
+            if fault is None:
+                assert same(tableio.read_columns(path, ("article", "v"), [kind])["v"].tolist(), values)
+            else:
+                with pytest.raises(DataError) as exc:
+                    tableio.read_columns(path, ("article", "v"), [kind])
+                assert str(exc.value) == f"{path}:{fault[0] + 2}: {fault[1]}"
+
+
+TRAFFIC_ROWS = [f"A{i}\t{i}\t1\t0\t{i + 1}" for i in range(8)]
+
+
+class TestBlocks:
+    """Rows read in blocks of ROW_BLOCK lines report the same line as a
+    row-by-row read, wherever the block boundaries fall."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 100])
+    @pytest.mark.parametrize("row, fault, reason", [
+        # in blocks of 3, rows 2 and 5 (lines 5 and 8) open a block
+        (2, "A2\tx\t1\t0\t3", "count 'x' is not ASCII digits"),
+        (2, "A0\t2\t1\t0\t3", "duplicate article 'A0'"),
+        (2, "A2\t2\t1\t0", "expected 5 tab-separated cells, got 4"),
+        (2, "A2\t2\t1\t0\t5", "inconsistent total_views for 'A2'"),
+        (5, "A5\t5\t1\t0\t6\tx", "expected 5 tab-separated cells, got 6"),
+        (6, "A2\t6\t1\t0\t7", "duplicate article 'A2'"),
+    ])
+    def test_first_bad_row_line(self, tmp_path, block, row, fault, reason):
+        rows = TRAFFIC_ROWS.copy()
+        rows[row] = fault
+        rows.insert(1, "")  # an empty line 3, skipped but counted: row i >= 1 is on line i + 3
+        path = tmp_path / "traffic.tsv"
+        path.write_text("\t".join(TRAFFIC_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(tableio, "ROW_BLOCK", block), pytest.raises(DataError) as exc:
+            read_traffic_table(path)
+        assert str(exc.value) == f"{path}:{row + 3}: {reason}"
+
+    @pytest.mark.parametrize("block", [2, 100])
+    def test_rows_that_realign_in_a_block_are_caught(self, tmp_path, block):
+        # six cells, then four: the block has 5 cells a row on average,
+        # and split as one, its rows would read as A and B, both valid
+        path = tmp_path / "traffic.tsv"
+        path.write_text("\t".join(TRAFFIC_COLUMNS) + "\nA\t1\t1\t0\t2\tB\n1\t2\t0\t3\n")
+        with mock.patch.object(tableio, "ROW_BLOCK", block), \
+                pytest.raises(DataError, match=r":2: expected 5 tab-separated cells, got 6$"):
+            read_traffic_table(path)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 100])
+    def test_unsorted_rows_come_back_sorted(self, tmp_path, block):
+        rows = TRAFFIC_ROWS[4:] + TRAFFIC_ROWS[:4]
+        path = tmp_path / "traffic.tsv"
+        path.write_text("\t".join(TRAFFIC_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(tableio, "ROW_BLOCK", block):
+            table = read_traffic_table(path)
+        assert table.articles == tuple(f"A{i}" for i in range(8))
+        assert table["in_se"].tolist() == list(range(8))
+        # a repeat of a title from an earlier block, after the titles stopped ascending
+        path.write_text(path.read_text() + "A5\t5\t1\t0\t6\n")
+        with mock.patch.object(tableio, "ROW_BLOCK", block), pytest.raises(DataError, match=r":10: duplicate"):
+            read_traffic_table(path)
+
+
+def test_traffic_table_read_peak_per_row(tmp_path):
+    """Reading a 40k-row traffic table holds at most 200 B a row at once
+    (the row-at-a-time reader took 273 B)."""
+    rng = np.random.default_rng(0)
+    n = 40_000
+    in_se, in_nav, out_nav = rng.integers(0, 10**6, (3, n))
+    rows = ((f"Article_{i:06d}", a, b, c, a + b) for i, (a, b, c) in enumerate(zip(in_se, in_nav, out_nav)))
+    path = tmp_path / "traffic.tsv"
+    write_traffic_table(path, tableio.column_table(rows, TRAFFIC_DTYPES))
+    table, peak = traced_peak(read_traffic_table, path)
+    assert len(table) == n and table["total_views"].tolist() == (in_se + in_nav).tolist()
+    assert peak / n <= 200
