@@ -6,11 +6,13 @@ descriptive views used downstream: medians per traffic role, quartile
 curves over equal-count feature bins, and per-topic share statistics.
 
 The metrics, network, content, topic-assignment and joined tables are
-each a ``tableio.ColumnTable``, sorted by title on read: counts are int64,
-ratios, ``age`` and ``size`` float64, ``quadrant`` the index into
-QUADRANT_ORDER and ``topic_id`` -1 for no topic. Every view works on
-whole columns; medians and quartiles sort stably, so equal values (0.0
-and -0.0 among them) keep title order.
+each a ``tableio.ColumnTable``, sorted by title on read, and each is
+declared once as a schema (METRICS, NETWORK, CONTENT, TOPIC_ASSIGNMENT,
+JOINED) that its reader and writer share: counts are int64, ratios,
+``age`` and ``size`` float64, ``quadrant`` the index into
+QUADRANT_ORDER and ``topic_id`` -1 for no topic, an empty cell on disk.
+Every view works on whole columns; medians and quartiles sort stably,
+so equal values (0.0 and -0.0 among them) keep title order.
 """
 
 from __future__ import annotations
@@ -22,33 +24,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, UsageError
-from .metrics import METRICS_DTYPES, METRICS_KINDS, QUADRANT_LABELS, QUADRANT_ORDER
+from .linkgraph import NETWORK
+from .metrics import METRICS, QUADRANT_ORDER
 from .tableio import COUNT, REAL, ColumnTable, optional, ratio, read_columns, write_columns, write_rows
 
-# bin/median features in reporting order: network block, then content/edit
-DEFAULT_MEDIAN_FEATURES = (
-    "in_degree",
-    "out_degree",
-    "degree",
-    "kcore",
-    "sections",
-    "figures",
-    "lists",
-    "tables",
-    "revisions",
-    "editors",
-    "age",
-    "size",
-)
-OVERALL_COLUMN = "overall"
-
-CONTENT_COLUMNS = ("article", *DEFAULT_MEDIAN_FEATURES[4:])
-CONTENT_DTYPES = {**dict.fromkeys(CONTENT_COLUMNS[1:], np.int64), "age": float, "size": float}
-TOPIC_ASSIGNMENT_COLUMNS = ("article", "topic_id", "weight")
-JOINED_DTYPES = {
-    **METRICS_DTYPES, **dict.fromkeys(DEFAULT_MEDIAN_FEATURES, np.int64), **CONTENT_DTYPES, "topic_id": np.int64
+CONTENT = {
+    **dict.fromkeys(("sections", "figures", "lists", "tables", "revisions", "editors"), COUNT),
+    "age": REAL,
+    "size": REAL,
 }
-JOINED_COLUMNS = ("article", *JOINED_DTYPES)
+TOPIC_ASSIGNMENT = {"topic_id": COUNT, "weight": ratio("weight")}
+JOINED = {**METRICS, **NETWORK, **CONTENT, "topic_id": optional(COUNT, -1)}
+
+# bin/median features in reporting order: network block, then content/edit
+DEFAULT_MEDIAN_FEATURES = (*NETWORK, *CONTENT)
+OVERALL_COLUMN = "overall"
 
 # the columns a median, bin or target may name
 NUMERIC_FEATURES = ("searchshare", "resistance", "total_views") + DEFAULT_MEDIAN_FEATURES
@@ -99,7 +89,7 @@ def join_features(
     if topics is not None:
         topic_id[_member(articles, set(topics.articles))] = topics["topic_id"][_member(topics.articles, common)]
     columns["topic_id"] = topic_id
-    return ColumnTable(articles, {name: columns[name] for name in JOINED_COLUMNS[1:]}), stats
+    return ColumnTable(articles, {name: columns[name] for name in JOINED}), stats
 
 
 def median(values: Sequence[float]) -> float:
@@ -296,8 +286,7 @@ def read_content_table(path: str | Path) -> ColumnTable:
     """A content table: six counts, then age and size, not negative."""
     return read_columns(
         path,
-        CONTENT_COLUMNS,
-        [COUNT] * 6 + [REAL] * 2,
+        CONTENT,
         (lambda c: (c["age"] < 0) | (c["size"] < 0), lambda title: f"negative content feature for {title!r}"),
     )
 
@@ -305,22 +294,18 @@ def read_content_table(path: str | Path) -> ColumnTable:
 def read_topic_assignments(path: str | Path) -> ColumnTable:
     """A topic assignment table: the topic_id column and the weight, a
     theta entry in [0, 1]."""
-    return read_columns(path, TOPIC_ASSIGNMENT_COLUMNS, [COUNT, ratio("weight")])
+    return read_columns(path, TOPIC_ASSIGNMENT)
 
 
 def write_joined_table(path: str | Path, table: ColumnTable) -> None:
-    write_columns(
-        path, JOINED_COLUMNS, table,
-        quadrant=QUADRANT_LABELS.__getitem__, topic_id=lambda tid: tid if tid >= 0 else None,
-    )
+    write_columns(path, JOINED, table)
 
 
 def read_joined_table(path: str | Path) -> ColumnTable:
     """Read a table written by :func:`write_joined_table`, in title
     order; searchshare and resistance must lie in [0, 1], and an empty
     topic_id is -1."""
-    kinds = (*METRICS_KINDS, *[COUNT] * 10, REAL, REAL, optional(COUNT, -1))  # in_degree .. editors are counts
-    return read_columns(path, JOINED_COLUMNS, kinds)
+    return read_columns(path, JOINED)
 
 
 def write_group_medians(path: str | Path, table: GroupMedianTable) -> None:

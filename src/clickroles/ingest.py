@@ -5,8 +5,8 @@ The input is the public aggregated transition log: tab-separated lines of
 another article title or a reserved token (``other-search``,
 ``other-empty``, ...). Aggregation produces the traffic table, a
 ``tableio.ColumnTable``: the article titles, ascending and unique, and
-the int64 columns of TRAFFIC_DTYPES aligned with them: the search
-inflow, navigation inflow and navigation outflow of each, and
+the int64 count columns of the TRAFFIC schema aligned with them: the
+search inflow, navigation inflow and navigation outflow of each, and
 total_views. total_views is definitionally in_se + in_nav: only views
 arriving by search or internal navigation count as page accesses here.
 
@@ -39,13 +39,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import DataError
 from .tableio import COUNT, MAX_COUNT, ColumnTable, column_table, iter_lines, read_columns, where, write_columns
 
-TRAFFIC_COLUMNS = ("article", "in_se", "in_nav", "out_nav", "total_views")
-TRAFFIC_DTYPES = dict.fromkeys(TRAFFIC_COLUMNS[1:], np.int64)
+TRAFFIC = dict.fromkeys(("in_se", "in_nav", "out_nav", "total_views"), COUNT)
 
 # Pair-count floor of the compliant public dump (pairs occurring fewer
 # times are withheld at the source). Records below it are flagged, not
@@ -172,7 +169,7 @@ def aggregate_traffic(
         if max(total_views, out_nav) > MAX_COUNT:
             prefix = "" if source is None else f"{source}: "
             raise DataError(f"{prefix}traffic of {article!r} exceeds 2**53 views")
-    return column_table(rows, TRAFFIC_DTYPES)
+    return column_table(rows, TRAFFIC)
 
 
 def read_traffic_file(path: str | Path, strict: bool = False, stats: ParseStats | None = None) -> ColumnTable:
@@ -184,7 +181,7 @@ def read_traffic_file(path: str | Path, strict: bool = False, stats: ParseStats 
 def write_traffic_table(path: str | Path, table: ColumnTable) -> None:
     """Write the per-article traffic table, one row per article in title
     order."""
-    write_columns(path, TRAFFIC_COLUMNS, table)
+    write_columns(path, TRAFFIC, table)
 
 
 def read_traffic_table(path: str | Path) -> ColumnTable:
@@ -192,7 +189,6 @@ def read_traffic_table(path: str | Path) -> ColumnTable:
     total_views must equal in_se + in_nav."""
     return read_columns(
         path,
-        TRAFFIC_COLUMNS,
-        [COUNT] * 4,
+        TRAFFIC,
         (lambda c: c["in_se"] + c["in_nav"] != c["total_views"], lambda title: f"inconsistent total_views for {title!r}"),
     )

@@ -32,7 +32,7 @@ from .errors import DataError
 from .ingest import INTERNAL_RAWTYPE, RESERVED_TOKENS
 from .tableio import COUNT, ColumnTable, iter_lines, read_columns, where, write_columns
 
-NETWORK_COLUMNS = ("article", "in_degree", "out_degree", "degree", "kcore")
+NETWORK = dict.fromkeys(("in_degree", "out_degree", "degree", "kcore"), COUNT)
 NODE_ID = np.int32  # node id dtype, from the edge stream to the last k-core round
 _PACK_BLOCK = 1 << 16  # values moved per step by sorted_unique's in-place pack
 # Edge pairs whose ids build_graph holds in lists at once: from 1 << 10
@@ -43,7 +43,6 @@ ID_BATCH = 1 << 8
 @dataclass
 class EdgeStats:
     lines: int = 0
-    edges: int = 0
     malformed: int = 0
     self_loops: int = 0
     duplicates: int = 0
@@ -51,8 +50,7 @@ class EdgeStats:
 
 @dataclass
 class LinkGraph:
-    titles: list[str]
-    index: dict[str, int]
+    titles: list[str]  # by node id
     sources: np.ndarray  # NODE_ID, lexicographically sorted with targets
     targets: np.ndarray
 
@@ -136,8 +134,7 @@ def build_graph(edges: Iterable[tuple[str, str]], stats: EdgeStats | None = None
     del src, dst
     keys = sorted_unique(keys)
     stats.duplicates += pairs - len(keys)
-    stats.edges = len(keys)
-    return LinkGraph(titles, index, *_split_keys(keys, n))
+    return LinkGraph(titles, *_split_keys(keys, n))
 
 
 def _pair_keys(heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray:
@@ -282,13 +279,13 @@ def network_features(graph: LinkGraph) -> ColumnTable:
     core = kcore_decomposition(graph)
     titles = graph.titles
     order = np.array(sorted(range(len(titles)), key=titles.__getitem__), dtype=np.int64)
-    columns = dict(zip(NETWORK_COLUMNS[1:], (in_deg, out_deg, deg, core)))
+    columns = dict(zip(NETWORK, (in_deg, out_deg, deg, core)))
     return ColumnTable(tuple(titles[i] for i in order.tolist()), {k: v[order] for k, v in columns.items()})
 
 
 def write_network_table(path: str | Path, features: ColumnTable) -> None:
-    write_columns(path, NETWORK_COLUMNS, features)
+    write_columns(path, NETWORK, features)
 
 
 def read_network_table(path: str | Path) -> ColumnTable:
-    return read_columns(path, NETWORK_COLUMNS, [COUNT] * 4)
+    return read_columns(path, NETWORK)

@@ -14,9 +14,10 @@ side (the convention is fixed here for reproducibility; ties at the
 mean are measure-zero in practice).
 
 The metrics table is a ``tableio.ColumnTable``: the article titles,
-ascending and unique, and the row-aligned columns of METRICS_DTYPES:
-searchshare and resistance (float64), total_views (int64) and a
-quadrant code (the index into QUADRANT_ORDER, written as its label).
+ascending and unique, and the row-aligned columns of the METRICS
+schema: searchshare and resistance (float64 ratios), total_views (an
+int64 count) and a quadrant code (the int8 index into QUADRANT_ORDER,
+written as its label).
 Every metric is computed on whole columns of the traffic table. Since
 every count is at most 2**53 (``tableio.MAX_COUNT``), int64 -> float64
 is exact and each column quotient equals the correctly rounded quotient
@@ -33,10 +34,6 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .tableio import COUNT, ColumnTable, labels, ratio, read_columns, write_columns, write_keyvalues, write_rows
-
-METRICS_COLUMNS = ("article", "searchshare", "resistance", "total_views", "quadrant")
-METRICS_DTYPES = {"searchshare": float, "resistance": float, "total_views": np.int64, "quadrant": np.int8}
-
 
 class QuadrantLabel(enum.Enum):
     SEARCH_EXIT = "search-exit"
@@ -62,8 +59,12 @@ def quadrant_code(cell: str) -> int:
     return QUADRANT_ORDER.index(QuadrantLabel(cell))
 
 
-# the cell kinds of METRICS_COLUMNS[1:]
-METRICS_KINDS = (ratio("searchshare"), ratio("resistance"), COUNT, labels(quadrant_code, QUADRANT_LABELS))
+METRICS = {
+    "searchshare": ratio("searchshare"),
+    "resistance": ratio("resistance"),
+    "total_views": COUNT,
+    "quadrant": labels(quadrant_code, QUADRANT_LABELS),
+}
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def metrics_table(traffic: ColumnTable) -> tuple[ColumnTable, CorpusThresholds]:
     resistance = np.clip(1.0 - kept["out_nav"] / inflow, 0.0, 1.0)
     thresholds = corpus_thresholds(searchshare, resistance)
     quadrant = assign_quadrants(searchshare, resistance, thresholds)
-    columns = dict(zip(METRICS_DTYPES, (searchshare, resistance, inflow, quadrant)))
+    columns = dict(zip(METRICS, (searchshare, resistance, inflow, quadrant)))
     return ColumnTable(kept.articles, columns), thresholds
 
 
@@ -203,7 +204,7 @@ def correlations(metrics: ColumnTable) -> dict[str, float]:
 
 
 def write_metrics_table(path: str | Path, metrics: ColumnTable) -> None:
-    write_columns(path, METRICS_COLUMNS, metrics, quadrant=QUADRANT_LABELS.__getitem__)
+    write_columns(path, METRICS, metrics)
 
 
 def read_metrics_table(path: str | Path) -> ColumnTable:
@@ -212,8 +213,7 @@ def read_metrics_table(path: str | Path) -> ColumnTable:
     total_views must be positive."""
     return read_columns(
         path,
-        METRICS_COLUMNS,
-        METRICS_KINDS,
+        METRICS,
         (lambda c: c["total_views"] == 0, lambda _: "total_views 0: metrics need positive inflow"),
     )
 

@@ -76,13 +76,12 @@ def binarize_target(values: Sequence[float], task: str, threshold: float | None 
 
 @dataclass(frozen=True)
 class InstanceSet:
-    articles: tuple[str, ...]
     feature_names: tuple[str, ...]
     x: np.ndarray  # n x d, float
     y: np.ndarray  # n, int8 in {0, 1}
 
     def __len__(self) -> int:
-        return len(self.articles)
+        return len(self.y)
 
 
 def build_instances(
@@ -111,7 +110,7 @@ def build_instances(
     x[:, len(base) :] = topic_id[rows, None] == np.array(ids, dtype=np.int64)
     metric = table["searchshare" if task == "searchshare" else "resistance"]
     y = binarize_target(metric[rows], task, threshold)
-    return InstanceSet(tuple(table.articles[i] for i in rows.tolist()), names, x, y), dropped
+    return InstanceSet(names, x, y), dropped
 
 
 def select_group(instances: InstanceSet, group: str) -> InstanceSet:
@@ -129,9 +128,7 @@ def select_group(instances: InstanceSet, group: str) -> InstanceSet:
     if not wanted:
         raise UsageError(f"no {group!r} features present in the instance set")
     cols = [instances.feature_names.index(n) for n in wanted]
-    return InstanceSet(
-        instances.articles, tuple(wanted), instances.x[:, cols], instances.y
-    )
+    return InstanceSet(tuple(wanted), instances.x[:, cols], instances.y)
 
 
 def balance(instances: InstanceSet, seed) -> InstanceSet:
@@ -151,12 +148,7 @@ def balance(instances: InstanceSet, seed) -> InstanceSet:
     elif len(neg) > len(pos):
         neg = rng.choice(neg, size=len(pos), replace=False)
     keep = np.sort(np.concatenate([pos, neg]))
-    return InstanceSet(
-        tuple(instances.articles[i] for i in keep),
-        instances.feature_names,
-        instances.x[keep],
-        instances.y[keep],
-    )
+    return InstanceSet(instances.feature_names, instances.x[keep], instances.y[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +479,7 @@ def cross_validate(
         train_mask = np.ones(len(subset.y), dtype=bool)
         train_mask[test_idx] = False
         train_idx = all_idx[train_mask]
-        train = InstanceSet(
-            tuple(subset.articles[i] for i in train_idx),
-            subset.feature_names,
-            subset.x[train_idx],
-            subset.y[train_idx],
-        )
+        train = InstanceSet(subset.feature_names, subset.x[train_idx], subset.y[train_idx])
         train = balance(train, seed=[config.seed, f])
         model = train_gbdt(train.x, train.y, config, subset.feature_names)
         scores = model.decision_scores(subset.x[test_idx])

@@ -12,14 +12,19 @@ so floats are serialized with ``repr`` (shortest round-trip form) and
 NaN as an empty cell; rows are emitted in the order given by the
 caller; JSON keys are sorted; and no timestamps appear in any data file.
 
-Every per-article table is read by :func:`read_columns`, ROW_BLOCK
-lines at a time: a block is split in one go and each column converted
-at once by its CellKind (counts, reals, ratios, labels), whose scalar
-parser (:func:`parse_count`, :func:`parse_real`, :func:`parse_ratio`, a
-label code) is the one definition of the cell rule and its message. A
-block that fails any check is read again row by row, so the DataError
-names its first bad row in file order, with the reason the scalar rules
-give for that row.
+Every per-article table is declared once, as a Schema mapping each
+column after ``article`` to its CellKind (counts, reals, ratios, labels,
+optional cells), and that one declaration drives its reader
+:func:`read_columns`, its writer :func:`write_columns` and its row
+constructor :func:`column_table`. The reader takes ROW_BLOCK lines at a
+time: a block is split in one go and each column converted at once by
+its kind, whose scalar parser (:func:`parse_count`, :func:`parse_real`,
+:func:`parse_ratio`, a label code) is the one definition of the cell
+rule and its message. A block that fails any check is read again row by
+row, so the DataError names its first bad row in file order, with the
+reason the scalar rules give for that row. The writer writes each
+column as its kind's text gives it: the cells :func:`fmt_value` would
+write, a label as its name and a missing value as an empty cell.
 """
 
 from __future__ import annotations
@@ -166,29 +171,37 @@ class ColumnTable:
         )
 
 
-def column_table(rows: Iterable[tuple], dtypes: Mapping[str, object]) -> ColumnTable:
-    """The ColumnTable of (title, *cells) rows with unique titles, in any
-    order: sorted by title, one column per `dtypes` entry, which names
-    the column and gives its numpy dtype."""
-    rows = sorted(rows, key=itemgetter(0))
-    articles, *cells = zip(*rows) if rows else [()] * (1 + len(dtypes))
-    return ColumnTable(
-        articles,
-        {name: np.array(column, dtype=dtype) for (name, dtype), column in zip(dtypes.items(), cells)},
-    )
-
-
 @dataclass(frozen=True)
 class CellKind:
-    """The rule of one column's cells, two ways. `parse` reads one cell,
-    giving its value or raising ValueError with the reason: it is the
-    rule's one definition. `convert` reads a whole column at C speed,
-    giving its values as a `dtype` array, or None if some cell may break
-    the rule; the column then goes through `parse` a cell at a time."""
+    """The rule of one column's cells, two ways, and their text. `parse`
+    reads one cell, giving its value or raising ValueError with the
+    reason: it is the rule's one definition. `convert` reads a whole
+    column at C speed, giving its values as a `dtype` array, or None if
+    some cell may break the rule; the column then goes through `parse` a
+    cell at a time. `text` maps a `dtype` column to the cells written for
+    it, each of which `parse` reads back as its value."""
 
     parse: Callable[[str], object]
     convert: Callable[[list[str]], np.ndarray | None]
     dtype: object
+    text: Callable[[np.ndarray], list[str]]
+
+
+# A table's declaration: its columns after "article", in file order,
+# each with the kind of its cells.
+Schema = Mapping[str, CellKind]
+
+
+def column_table(rows: Iterable[tuple], schema: Schema) -> ColumnTable:
+    """The ColumnTable of (title, *cells) rows with unique titles, in any
+    order: sorted by title, one column of its kind's dtype per `schema`
+    entry."""
+    rows = sorted(rows, key=itemgetter(0))
+    articles, *cells = zip(*rows) if rows else [()] * (1 + len(schema))
+    return ColumnTable(
+        articles,
+        {name: np.array(column, dtype=kind.dtype) for (name, kind), column in zip(schema.items(), cells)},
+    )
 
 
 def _counts(cells: list[str]) -> np.ndarray | None:
@@ -210,8 +223,16 @@ def _reals(cells: list[str]) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-COUNT = CellKind(parse_count, _counts, np.int64)
-REAL = CellKind(parse_real, _reals, np.float64)
+def _reals_text(column: np.ndarray) -> list[str]:
+    # shortest round-trip repr; NaN an empty cell, as fmt_value writes it
+    text = list(map(float.__repr__, column.tolist()))
+    for row in np.flatnonzero(np.isnan(column)).tolist():
+        text[row] = ""
+    return text
+
+
+COUNT = CellKind(parse_count, _counts, np.int64, lambda column: list(map(str, column.tolist())))
+REAL = CellKind(parse_real, _reals, np.float64, _reals_text)
 
 
 def ratio(name: str) -> CellKind:
@@ -221,7 +242,7 @@ def ratio(name: str) -> CellKind:
         values = _reals(cells)
         return values if values is not None and ((values >= 0.0) & (values <= 1.0)).all() else None
 
-    return CellKind(lambda cell: parse_ratio(name, cell), convert, np.float64)
+    return CellKind(lambda cell: parse_ratio(name, cell), convert, np.float64, _reals_text)
 
 
 def labels(parse: Callable[[str], int], names: Sequence[str]) -> CellKind:
@@ -235,11 +256,12 @@ def labels(parse: Callable[[str], int], names: Sequence[str]) -> CellKind:
         except KeyError:
             return None
 
-    return CellKind(parse, convert, np.int8)
+    return CellKind(parse, convert, np.int8, lambda column: list(map(names.__getitem__, column.tolist())))
 
 
 def optional(kind: CellKind, missing: object) -> CellKind:
-    """`kind`, with `missing` as the value of an empty cell."""
+    """`kind`, with `missing` as the value of an empty cell, and an empty
+    cell written for it."""
 
     def convert(cells: list[str]) -> np.ndarray | None:
         present = np.fromiter(map(bool, cells), bool, len(cells))
@@ -251,7 +273,13 @@ def optional(kind: CellKind, missing: object) -> CellKind:
             values[present] = given
         return values
 
-    return CellKind(lambda cell: kind.parse(cell) if cell else missing, convert, kind.dtype)
+    def text(column: np.ndarray) -> list[str]:
+        cells = kind.text(column)
+        for row in np.flatnonzero(column == missing).tolist():
+            cells[row] = ""
+        return cells
+
+    return CellKind(lambda cell: kind.parse(cell) if cell else missing, convert, kind.dtype, text)
 
 
 # A row rule: (bad, reason). bad maps the columns of some rows, by name,
@@ -259,9 +287,10 @@ def optional(kind: CellKind, missing: object) -> CellKind:
 RowRule = tuple[Callable[[Mapping[str, np.ndarray]], np.ndarray], Callable[[str], str]]
 
 
-def read_columns(path: str | Path, header: Sequence[str], kinds: Sequence[CellKind], *rules: RowRule) -> ColumnTable:
-    """The ColumnTable of a headered TSV table: the first column holds
-    unique article titles, column header[i] cells of kinds[i - 1], and
+def read_columns(path: str | Path, schema: Schema, *rules: RowRule) -> ColumnTable:
+    """The ColumnTable of a headered TSV table of `schema`: the header is
+    ``article`` and the schema's column names, the first column holds
+    unique article titles, every other column cells of its kind, and
     every row keeps every rule.
 
     Data lines are read ROW_BLOCK at a time, empty lines skipped, and a
@@ -272,15 +301,16 @@ def read_columns(path: str | Path, header: Sequence[str], kinds: Sequence[CellKi
     the first cell its kind's parse rejects, or the first rule broken.
     Titles are sorted only if they do not already ascend.
     """
+    header = ["article", *schema]
     lines = iter_lines(path)
     first = next(lines, None)
     if first is None:
         raise DataError(f"empty table: {path}")
     got = first.split("\t")
-    if got != list(header):
-        raise DataError(f"unexpected header in {path}: got {got!r}, expected {list(header)!r}")
+    if got != header:
+        raise DataError(f"unexpected header in {path}: got {got!r}, expected {header!r}")
     titles: list[str] = []
-    parts = [[np.empty(0, kind.dtype)] for kind in kinds]
+    parts = {name: [np.empty(0, kind.dtype)] for name, kind in schema.items()}
     seen: set[str] | None = None  # every title so far, once the titles stop ascending
     lineno = 1
     while block := list(islice(lines, ROW_BLOCK)):
@@ -288,19 +318,19 @@ def read_columns(path: str | Path, header: Sequence[str], kinds: Sequence[CellKi
         if not (rows := list(filter(None, block))):
             continue
         try:
-            new, columns = _convert_block(rows, header, kinds, rules)
+            new, columns = _convert_block(rows, schema, rules)
         except ValueError:
-            raise _block_error(path, block, start, header, kinds, rules, set(titles)) from None
+            raise _block_error(path, block, start, schema, rules, set(titles)) from None
         if seen is None and not _ascending(titles[-1:] + new):
             seen = set(titles)
         if seen is not None:
             seen.update(new)
             if len(seen) < len(titles) + len(new):
-                raise _block_error(path, block, start, header, kinds, rules, set(titles))
+                raise _block_error(path, block, start, schema, rules, set(titles))
         titles += new
-        for part, values in zip(parts, columns.values()):
-            part.append(values)
-    columns = {name: np.concatenate(part) for name, part in zip(header[1:], parts)}
+        for name, values in columns.items():
+            parts[name].append(values)
+    columns = {name: np.concatenate(part) for name, part in parts.items()}
     if seen is not None:
         order = sorted(range(len(titles)), key=titles.__getitem__)
         titles = list(map(titles.__getitem__, order))
@@ -313,20 +343,18 @@ def _ascending(titles: list[str]) -> bool:
     return all(map(lt, titles, islice(titles, 1, None)))
 
 
-def _convert_block(
-    rows: list[str], header: Sequence[str], kinds: Sequence[CellKind], rules: Sequence[RowRule]
-) -> tuple[list[str], dict[str, np.ndarray]]:
+def _convert_block(rows: list[str], schema: Schema, rules: Sequence[RowRule]) -> tuple[list[str], dict[str, np.ndarray]]:
     """The titles and the columns, by name, of the non-empty lines `rows`.
     A row that breaks a check raises ValueError; for one row, its message
     is the reason: a wrong number of cells, else the first cell its
     kind's parse rejects, else the first rule broken."""
-    width = len(header)
+    width = 1 + len(schema)
     if (tabs := set(map(str.count, rows, repeat("\t")))) != {width - 1}:
         raise ValueError(f"expected {width} tab-separated cells, got {min(tabs - {width - 1}) + 1}")
     cells = "\t".join(rows).split("\t")
     titles = cells[::width]
     columns = {}
-    for i, (name, kind) in enumerate(zip(header[1:], kinds), start=1):
+    for i, (name, kind) in enumerate(schema.items(), start=1):
         column = cells[i::width]
         values = kind.convert(column)
         columns[name] = np.array(list(map(kind.parse, column)), kind.dtype) if values is None else values
@@ -337,13 +365,7 @@ def _convert_block(
 
 
 def _block_error(
-    path: str | Path,
-    block: list[str],
-    start: int,
-    header: Sequence[str],
-    kinds: Sequence[CellKind],
-    rules: Sequence[RowRule],
-    seen: set[str],
+    path: str | Path, block: list[str], start: int, schema: Schema, rules: Sequence[RowRule], seen: set[str]
 ) -> DataError:
     """The DataError of the first bad row of `block`, whose lines are
     numbered from `start` and follow rows with the titles `seen`: each
@@ -353,47 +375,29 @@ def _block_error(
             continue
         title = line.split("\t", 1)[0]
         try:
-            if line.count("\t") == len(header) - 1 and title in seen:
+            if line.count("\t") == len(schema) and title in seen:
                 raise ValueError(f"duplicate article {title!r}")
-            _convert_block([line], header, kinds, rules)
+            _convert_block([line], schema, rules)
         except ValueError as exc:
             return DataError(f"{where(path, lineno)}: {exc}")
         seen.add(title)
     raise AssertionError(f"{path}: the block from line {start} was rejected, but none of its rows is bad")
 
 
-def write_columns(
-    path: str | Path, header: Sequence[str], table: ColumnTable, **formats: Callable[[object], object]
-) -> None:
-    """Write `table` as a TSV table: the title, then the columns named by
-    header[1:], one row per article in table order. `formats` maps a
-    column name to a function of each of its values giving the cell
-    written for it (by default the value itself). The rows are turned
-    into text ROW_BLOCK at a time, a column at once, each cell as
-    :func:`fmt_value` would."""
+def write_columns(path: str | Path, schema: Schema, table: ColumnTable) -> None:
+    """Write `table` as a TSV table of `schema`: the header, then one row
+    per article in table order, the title and then each schema column's
+    cells as its kind's text gives them. The rows are turned into text
+    ROW_BLOCK at a time, a column at once."""
 
     def blocks() -> Iterator[tuple[str]]:
         for start in range(0, len(table), ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
-            cells = [_column_text(table[name][rows], formats.get(name)) for name in header[1:]]
+            cells = [kind.text(table[name][rows]) for name, kind in schema.items()]
             # one "row" of one cell per block: its lines, which write_rows writes as they are
             yield ("\n".join(map("\t".join, zip(table.articles[rows], *cells))),)
 
-    write_rows(path, blocks(), header)
-
-
-def _column_text(column: np.ndarray, fmt: Callable[[object], object] | None) -> list[str]:
-    """The cells :func:`fmt_value` writes for `column`, or for `fmt` of
-    each of its values."""
-    values = column.tolist()
-    if fmt is not None:
-        return list(map(fmt_value, map(fmt, values)))
-    if column.dtype.kind != "f":
-        return list(map(str, values))
-    text = list(map(float.__repr__, values))
-    for row in np.flatnonzero(np.isnan(column)).tolist():
-        text[row] = ""
-    return text
+    write_rows(path, blocks(), ("article", *schema))
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray, metadata: dict[str, object]) -> None:

@@ -47,8 +47,8 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, UsageError
-from .features import TOPIC_ASSIGNMENT_COLUMNS
-from .tableio import iter_lines, where, write_matrix_csv, write_rows
+from .features import TOPIC_ASSIGNMENT
+from .tableio import column_table, iter_lines, where, write_columns, write_matrix_csv, write_rows
 
 # minimal English function-word list; callers with real corpora should
 # supply their own via the stop word file
@@ -350,21 +350,13 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
     return [model.vocabulary[i] for i in order[:n]]
 
 
-def assignments(model: TopicModel) -> dict[str, tuple[int, float]]:
-    """article -> (dominant topic, that topic's theta weight)."""
-    out: dict[str, tuple[int, float]] = {}
-    for d, article in enumerate(model.articles):
-        t = dominant_from_row(model.theta[d])
-        out[article] = (t, float(model.theta[d, t]))
-    return out
-
-
 def write_assignments(path: str | Path, model: TopicModel) -> None:
-    rows = (
-        (article, t, weight)
-        for article, (t, weight) in sorted(assignments(model).items())
-    )
-    write_rows(path, rows, TOPIC_ASSIGNMENT_COLUMNS)
+    """Each article's dominant topic (ties to the lowest id) and that
+    topic's theta weight, in title order."""
+    topic = model.theta.argmax(axis=1)
+    weight = np.take_along_axis(model.theta, topic[:, None], axis=1)[:, 0]
+    rows = zip(model.articles, topic.tolist(), weight.tolist())
+    write_columns(path, TOPIC_ASSIGNMENT, column_table(rows, TOPIC_ASSIGNMENT))
 
 
 def _model_metadata(model: TopicModel) -> dict[str, object]:

@@ -9,8 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
-from clickroles.features import JOINED_COLUMNS, JOINED_DTYPES
-from clickroles.ingest import TRAFFIC_DTYPES
+from clickroles.features import JOINED
+from clickroles.ingest import TRAFFIC
 from clickroles.metrics import QUADRANT_ORDER, QuadrantLabel
 from clickroles.tableio import ColumnTable, column_table, fmt_value
 
@@ -38,7 +38,7 @@ ROW_DEFAULTS = dict(
 def traffic_of(rows: Iterable[tuple[str, int, int, int]]) -> ColumnTable:
     """The traffic table of (article, in_se, in_nav, out_nav) rows with
     unique titles, in any order; total_views is in_se + in_nav."""
-    return column_table(((a, se, nav, out, se + nav) for a, se, nav, out in rows), TRAFFIC_DTYPES)
+    return column_table(((a, se, nav, out, se + nav) for a, se, nav, out in rows), TRAFFIC)
 
 
 def make_row(article: str = "A", **overrides) -> dict:
@@ -49,28 +49,29 @@ def make_table(rows: Iterable[dict]) -> ColumnTable:
     """The joined table of `rows`, sorted by title."""
     rows = sorted(rows, key=lambda r: r["article"])
     columns = {}
-    for name, dtype in JOINED_DTYPES.items():
+    for name, kind in JOINED.items():
         cells = [r[name] for r in rows]
         if name == "quadrant":
             cells = [QUADRANT_ORDER.index(QuadrantLabel(q)) for q in cells]
         elif name == "topic_id":
             cells = [-1 if t is None else t for t in cells]
-        columns[name] = np.array(cells, dtype=dtype)
+        columns[name] = np.array(cells, dtype=kind.dtype)
     return ColumnTable(tuple(r["article"] for r in rows), columns)
 
 
 def table_rows(table: ColumnTable) -> list[dict]:
     """The rows of a joined table as dicts of Python values."""
-    cells = {name: table[name].tolist() for name in JOINED_COLUMNS[1:]}
+    cells = {name: table[name].tolist() for name in JOINED}
     cells["quadrant"] = [QUADRANT_ORDER[q] for q in cells["quadrant"]]
     cells["topic_id"] = [None if t < 0 else t for t in cells["topic_id"]]
-    return [dict(zip(JOINED_COLUMNS, values)) for values in zip(table.articles, *cells.values())]
+    return [dict(zip(("article", *JOINED), values)) for values in zip(table.articles, *cells.values())]
 
 
 def joined_tsv(rows: Iterable[dict]) -> str:
     """`rows` as joined.tsv text, in the order given."""
-    lines = ["\t".join(JOINED_COLUMNS)]
+    columns = ("article", *JOINED)
+    lines = ["\t".join(columns)]
     for r in rows:
-        values = [QuadrantLabel(r[k]).value if k == "quadrant" else r[k] for k in JOINED_COLUMNS]
+        values = [QuadrantLabel(r[k]).value if k == "quadrant" else r[k] for k in columns]
         lines.append("\t".join(fmt_value(v) for v in values))
     return "\n".join(lines) + "\n"

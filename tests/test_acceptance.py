@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from clickroles.features import binned_quartiles
-from clickroles.ingest import TRAFFIC_DTYPES, read_traffic_file
+from clickroles.ingest import TRAFFIC, read_traffic_file
 from clickroles.linkgraph import build_graph, kcore_decomposition
 from clickroles.metrics import group_shares, metrics_table
 from clickroles.model import (
@@ -70,7 +70,7 @@ def test_metric_properties_at_scale():
     started = time.perf_counter()
     table = traffic_of(rows)
     scale = np.array(scales, dtype=np.int64)
-    scaled = ColumnTable(table.articles, {name: table[name] * scale for name in TRAFFIC_DTYPES})
+    scaled = ColumnTable(table.articles, {name: table[name] * scale for name in TRAFFIC})
     metrics, _ = metrics_table(table)
     scaled_metrics, _ = metrics_table(scaled)
     ss, rs = metrics["searchshare"], metrics["resistance"]
@@ -394,7 +394,7 @@ def test_classifier_sanity(tmp_path):
     n = 10_000
     y = np.tile(np.array([0, 1], dtype=np.int8), n // 2)
     x = rng.standard_normal((n, 2)) + 2.5 * y[:, None]
-    instances = InstanceSet(tuple(f"a{i}" for i in range(n)), ("f0", "f1"), x, y)
+    instances = InstanceSet(("f0", "f1"), x, y)
     config = GBDTConfig(n_trees=30, max_depth=3, learning_rate=0.3, min_leaf=20, seed=0)
 
     separable = cross_validate(instances, "all", config, n_folds=10).mean_auc
@@ -403,7 +403,7 @@ def test_classifier_sanity(tmp_path):
     noise_means = []
     for rep in range(10):
         permuted = np.random.default_rng(100 + rep).permutation(y).astype(np.int8)
-        shuffled = InstanceSet(instances.articles, instances.feature_names, x, permuted)
+        shuffled = InstanceSet(instances.feature_names, x, permuted)
         noise_means.append(cross_validate(shuffled, "all", noise_config, n_folds=5).mean_auc)
     noise = sum(noise_means) / len(noise_means)
 

@@ -134,11 +134,10 @@ def reference_build_graph(edges, stats):
         dst_list.append(t)
     n = len(titles)
     if not src_list:
-        return LinkGraph(titles, index, np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
+        return LinkGraph(titles, np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
     keys = np.unique(np.asarray(src_list, dtype=np.int64) * np.int64(n) + np.asarray(dst_list, dtype=np.int64))
     stats.duplicates += len(src_list) - len(keys)
-    stats.edges = len(keys)
-    return LinkGraph(titles, index, (keys // n).astype(np.int32), (keys % n).astype(np.int32))
+    return LinkGraph(titles, (keys // n).astype(np.int32), (keys % n).astype(np.int32))
 
 
 def outcome(run):
@@ -158,7 +157,7 @@ def table_key(table):
 def graph_key(graph):
     if isinstance(graph, str):
         return graph
-    return (graph.titles, graph.index, graph.sources.dtype, graph.targets.dtype, graph.sources.tolist(),
+    return (graph.titles, graph.sources.dtype, graph.targets.dtype, graph.sources.tolist(),
             graph.targets.tolist())
 
 

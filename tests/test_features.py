@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
 from clickroles.features import (
-    CONTENT_COLUMNS,
+    CONTENT,
     DEFAULT_MEDIAN_FEATURES,
-    JOINED_COLUMNS,
+    JOINED,
     NUMERIC_FEATURES,
+    TOPIC_ASSIGNMENT,
     TopicStats,
     binned_quartiles,
     feature_column,
@@ -36,8 +37,8 @@ from clickroles.features import (
     write_bin_table,
     write_joined_table,
 )
-from clickroles.linkgraph import NETWORK_COLUMNS, read_network_table
-from clickroles.metrics import METRICS_COLUMNS, QUADRANT_ORDER, QuadrantLabel, read_metrics_table
+from clickroles.linkgraph import NETWORK, read_network_table
+from clickroles.metrics import METRICS, QUADRANT_ORDER, QuadrantLabel, read_metrics_table
 from clickroles.tableio import ColumnTable, fmt_value
 from feature_rows import joined_tsv, make_row, make_table, table_rows
 
@@ -90,7 +91,7 @@ def ref_join(metrics, network, content, topics):
         if article in common:
             topic_id = None if topics is None else topics.get(article)
             cells = (article, *metrics[article], *network[article], *content[article], topic_id)
-            joined.append(dict(zip(JOINED_COLUMNS, cells)))
+            joined.append(dict(zip(("article", *JOINED), cells)))
     dropped = {"metrics": len(metrics), "network": len(network), "content": len(content)}
     return joined, {k: v - len(common) for k, v in dropped.items()}
 
@@ -208,7 +209,7 @@ class TestJoin:
         (row,) = table_rows(joined)
         assert (row["article"], row["in_degree"], row["revisions"]) == ("A", 1, 5)
         assert row["topic_id"] is None
-        assert tuple(joined.columns) == JOINED_COLUMNS[1:]
+        assert tuple(joined.columns) == tuple(JOINED)
         assert (joined["searchshare"].dtype, joined["total_views"].dtype) == (np.float64, np.int64)
         assert (joined["quadrant"].dtype, joined["topic_id"].dtype) == (np.int8, np.int64)
         assert row["quadrant"] is QuadrantLabel.NAV_RELAY
@@ -274,14 +275,14 @@ class TestJoin:
         """Tables read from files in shuffled title order join exactly as
         the per-row join of their cells."""
         tables = {
-            "metrics": (METRICS_COLUMNS, metrics),
-            "network": (NETWORK_COLUMNS, network),
-            "content": (CONTENT_COLUMNS, content),
-            "topics": (("article", "topic_id", "weight"), {t: (k, 0.5) for t, k in (topics or {}).items()}),
+            "metrics": (METRICS, metrics),
+            "network": (NETWORK, network),
+            "content": (CONTENT, content),
+            "topics": (TOPIC_ASSIGNMENT, {t: (k, 0.5) for t, k in (topics or {}).items()}),
         }
         with tempfile.TemporaryDirectory() as tmp:
             paths = {}
-            for name, (header, cells) in tables.items():
+            for name, (schema, cells) in tables.items():
                 rows = [(t, *c) for t, c in cells.items()]
                 rng.shuffle(rows)
                 text = "".join(
@@ -289,7 +290,7 @@ class TestJoin:
                     for row in rows
                 )
                 paths[name] = Path(tmp) / f"{name}.tsv"
-                paths[name].write_text("\t".join(header) + "\n" + text, encoding="utf-8")
+                paths[name].write_text("\t".join(("article", *schema)) + "\n" + text, encoding="utf-8")
             joined, stats = join_features(
                 read_metrics_table(paths["metrics"]),
                 read_network_table(paths["network"]),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from clickroles.errors import DataError
 from clickroles.ingest import (
     ParseStats,
-    TRAFFIC_DTYPES,
+    TRAFFIC,
     aggregate_traffic,
     parse_clickstream,
     read_traffic_file,
@@ -24,14 +24,14 @@ def parse_all(lines, strict=False, stats=None):
 
 def rows(table):
     """article -> (in_se, in_nav, out_nav, total_views) of a traffic table."""
-    return dict(zip(table.articles, zip(*(table[name].tolist() for name in TRAFFIC_DTYPES))))
+    return dict(zip(table.articles, zip(*(table[name].tolist() for name in TRAFFIC))))
 
 
 def assert_well_formed(table):
-    """Titles ascending and unique, the TRAFFIC_DTYPES columns in order,
+    """Titles ascending and unique, the TRAFFIC schema columns in order,
     each int64 and row-aligned, and total_views = in_se + in_nav."""
     assert list(table.articles) == sorted(set(table.articles))
-    assert list(table.columns) == list(TRAFFIC_DTYPES)
+    assert list(table.columns) == list(TRAFFIC)
     for column in table.columns.values():
         assert column.dtype == np.int64 and column.shape == (len(table),)
     assert (table["total_views"] == table["in_se"] + table["in_nav"]).all()
@@ -280,7 +280,7 @@ class TestRoundTrip:
         back = read_traffic_table(path)
         assert_well_formed(back)
         assert back.articles == table.articles
-        for name in TRAFFIC_DTYPES:
+        for name in TRAFFIC:
             assert back[name].tolist() == table[name].tolist()
         # and against a per-record Python sum
         expected = {}

@@ -28,6 +28,11 @@ from clickroles.linkgraph import (
 )
 
 
+def node_ids(graph: LinkGraph) -> dict[str, int]:
+    """title -> node id: a graph's titles are listed by id."""
+    return {title: i for i, title in enumerate(graph.titles)}
+
+
 def dense_degree_oracle(n: int, edges: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
     """In/out degrees as column/row sums of a dense 0-1 adjacency matrix."""
     mat = np.zeros((n, n), dtype=np.int64)
@@ -168,7 +173,7 @@ class TestBuild:
     def test_first_appearance_ids(self):
         g = build_graph([("C", "A"), ("B", "C")])
         assert g.titles == ["C", "A", "B"]
-        assert g.index == {"C": 0, "A": 1, "B": 2}
+        assert node_ids(g) == {"C": 0, "A": 1, "B": 2}
 
     def test_edge_arrays_sorted(self):
         g = build_graph([("B", "A"), ("A", "B"), ("A", "C")])
@@ -234,14 +239,15 @@ class TestDegrees:
         edges = random_graph(rng, n, p)
         titles = [f"N{i:03d}" for i in range(n)]
         g = build_graph((titles[s], titles[t]) for s, t in edges)
-        ids = [g.index[t] for t in titles if t in g.index]
+        index = node_ids(g)
+        ids = [index[t] for t in titles if t in index]
         in_oracle, out_oracle = dense_degree_oracle(n, edges)
         in_deg, out_deg, deg = degrees(g)
         for i, title in enumerate(titles):
-            if title not in g.index:
+            if title not in index:
                 assert in_oracle[i] == 0 and out_oracle[i] == 0
                 continue
-            v = g.index[title]
+            v = index[title]
             assert in_deg[v] == in_oracle[i]
             assert out_deg[v] == out_oracle[i]
             assert deg[v] == in_oracle[i] + out_oracle[i]
@@ -274,7 +280,7 @@ class TestKCore:
         core = kcore_decomposition(g)
         expect = {"A": 3, "B": 3, "C": 3, "D": 3, "E": 1, "F": 1}
         for title, k in expect.items():
-            assert core[g.index[title]] == k
+            assert core[node_ids(g)[title]] == k
 
     @pytest.mark.parametrize("seed", range(6))
     def test_against_iterative_deletion(self, seed):
@@ -288,7 +294,8 @@ class TestKCore:
         g = build_graph((titles[s], titles[t]) for s, t in edges)
         und = {frozenset((s, t)) for s, t in edges}
         # re-index the oracle's node ids to graph ids
-        remap = {i: g.index[titles[i]] for i in range(n) if titles[i] in g.index}
+        index = node_ids(g)
+        remap = {i: index[titles[i]] for i in range(n) if titles[i] in index}
         oracle_full = peeling_core_oracle(n, und)
         core = kcore_decomposition(g)
         for i, expected in enumerate(oracle_full):
@@ -323,8 +330,9 @@ class TestKCore:
             kept = [e for i, e in enumerate(edges) if i != drop]
             g_less = build_graph((titles[s], titles[t]) for s, t in kept)
             core_less = kcore_decomposition(g_less)
-            for title in g_less.titles:
-                assert core_less[g_less.index[title]] <= core_full[g_full.index[title]]
+            full_ids = node_ids(g_full)
+            for v, title in enumerate(g_less.titles):
+                assert core_less[v] <= core_full[full_ids[title]]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -345,13 +353,14 @@ class TestKCore:
         core2 = kcore_decomposition(g2)
         in1, out1, _ = degrees(g1)
         in2, out2, _ = degrees(g2)
-        for title in g1.titles:
-            if title not in g2.index:
+        ids2 = node_ids(g2)
+        for a, title in enumerate(g1.titles):
+            if title not in ids2:
                 # a node appearing only in self-loops can vanish only if
                 # every mention was a self-loop; degrees must be 0 then
-                assert in1[g1.index[title]] == out1[g1.index[title]] == 0
+                assert in1[a] == out1[a] == 0
                 continue
-            a, b = g1.index[title], g2.index[title]
+            b = ids2[title]
             assert core1[a] == core2[b]
             assert in1[a] == in2[b]
             assert out1[a] == out2[b]
@@ -370,7 +379,7 @@ class TestKCore:
         # round that rescans every node would take ~20 s here
         n = 100_000
         ids = np.arange(n, dtype=np.int64)
-        g = LinkGraph([f"N{i}" for i in range(n)], {}, ids[:-1], ids[1:])
+        g = LinkGraph([f"N{i}" for i in range(n)], ids[:-1], ids[1:])
         start = time.perf_counter()
         core = kcore_decomposition(g)
         elapsed = time.perf_counter() - start
@@ -380,7 +389,7 @@ class TestKCore:
     def test_large_clique(self):
         n = 300
         src, dst = np.triu_indices(n, 1)
-        g = LinkGraph([f"N{i}" for i in range(n)], {}, src.astype(np.int64), dst.astype(np.int64))
+        g = LinkGraph([f"N{i}" for i in range(n)], src.astype(np.int64), dst.astype(np.int64))
         assert kcore_decomposition(g).tolist() == [n - 1] * n
 
 
@@ -425,7 +434,7 @@ class TestMemory:
 
     def test_projection_is_int32_for_int64_graphs(self):
         ids = np.arange(4, dtype=np.int64)
-        g = LinkGraph([f"N{i}" for i in range(4)], {}, ids[[1, 2, 3]], ids[[0, 1, 0]])
+        g = LinkGraph([f"N{i}" for i in range(4)], ids[[1, 2, 3]], ids[[0, 1, 0]])
         lo, hi = undirected_projection(g)
         assert lo.dtype == hi.dtype == np.int32
         assert list(zip(lo.tolist(), hi.tolist())) == [(0, 1), (0, 3), (1, 2)]

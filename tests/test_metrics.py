@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
 from clickroles.metrics import (
-    METRICS_DTYPES,
+    METRICS,
     QUADRANT_ORDER,
     CorpusThresholds,
     QuadrantLabel,
@@ -135,7 +135,7 @@ def make_metrics(rows, thresholds=None):
     thresholds = thresholds or corpus_thresholds(ss, res)
     articles = tuple(f"A{i:04d}" for i in range(len(rows)))
     quadrant = assign_quadrants(ss, res, thresholds)
-    return ColumnTable(articles, dict(zip(METRICS_DTYPES, (ss, res, views, quadrant))))
+    return ColumnTable(articles, dict(zip(METRICS, (ss, res, views, quadrant))))
 
 
 def labels(codes):
@@ -388,7 +388,7 @@ class TestTableRoundtrip:
         write_metrics_table(path, metrics)
         loaded = read_metrics_table(path)
         assert loaded.articles == metrics.articles
-        assert list(loaded.columns) == list(METRICS_DTYPES)
+        assert list(loaded.columns) == list(METRICS)
         for name, want in metrics.columns.items():
             got = loaded[name]
             assert got.dtype == want.dtype and got.tolist() == want.tolist()

@@ -77,7 +77,7 @@ def ref_build_instances(rows, task, threshold=None):
         if ids:
             x[i, len(base) + ids.index(r["topic_id"])] = 1.0
     y = binarize_target([r[task] for r in kept], task, threshold)
-    return tuple(r["article"] for r in kept), names, x, y, len(rows) - len(kept)
+    return names, x, y, len(rows) - len(kept)
 
 
 class TestBinarize:
@@ -118,10 +118,12 @@ class TestBuildInstances:
         assert inst.y.tolist() == [1, 0]
 
     def test_rows_without_topic_dropped(self):
-        rows = [make_row("A", topic_id=0), make_row("B", topic_id=None)]
+        rows = [make_row("A", topic_id=0, in_degree=3), make_row("B", topic_id=None, in_degree=5)]
         inst, dropped = build_instances(make_table(rows), "searchshare")
-        assert dropped == 1
-        assert inst.articles == ("A",)
+        assert dropped == 1 and len(inst) == 1
+        _, x, y, _ = ref_build_instances(rows[:1], "searchshare")
+        assert np.array_equal(inst.x, x) and np.array_equal(inst.y, y)
+        assert inst.x[0, inst.feature_names.index("in_degree")] == 3
 
     def test_no_topics_at_all(self):
         rows = [make_row("A"), make_row("B")]
@@ -159,8 +161,8 @@ class TestBuildInstances:
         rng.shuffle(rows)
         inst, dropped = build_instances(make_table(rows), task)
         ordered = sorted(rows, key=lambda r: r["article"])
-        articles, names, x, y, ref_dropped = ref_build_instances(ordered, task)
-        assert (inst.articles, inst.feature_names, dropped) == (articles, names, ref_dropped)
+        names, x, y, ref_dropped = ref_build_instances(ordered, task)
+        assert (len(inst), inst.feature_names, dropped) == (len(y), names, ref_dropped)
         assert inst.x.dtype == np.float64 and inst.x.shape == x.shape
         assert np.array_equal(inst.x, x) and np.array_equal(inst.y, y)
 
@@ -191,10 +193,10 @@ class TestSelectGroup:
 
 class TestBalance:
     def make(self, n_pos, n_neg):
+        # x is each row's index, so the rows kept can be read off x
         x = np.arange(float(n_pos + n_neg))[:, None]
         y = np.asarray([1] * n_pos + [0] * n_neg, dtype=np.int8)
-        arts = tuple(f"A{i}" for i in range(n_pos + n_neg))
-        return InstanceSet(arts, ("f0",), x, y)
+        return InstanceSet(("f0",), x, y)
 
     def test_downsamples_majority(self):
         out = balance(self.make(100, 40), seed=0)
@@ -204,14 +206,14 @@ class TestBalance:
     def test_already_balanced_unchanged(self):
         inst = self.make(30, 30)
         out = balance(inst, seed=5)
-        assert out.articles == inst.articles
-        assert np.array_equal(out.x, inst.x)
+        assert np.array_equal(out.x, inst.x) and np.array_equal(out.y, inst.y)
 
     def test_same_seed_same_sample(self):
         inst = self.make(80, 20)
         a = balance(inst, seed=9)
         b = balance(inst, seed=9)
-        assert a.articles == b.articles
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert np.array_equal(a.y, inst.y[a.x[:, 0].astype(int)])
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
@@ -536,7 +538,6 @@ class TestStratifiedFolds:
 
 def instance_set_from_arrays(x, y) -> InstanceSet:
     return InstanceSet(
-        tuple(f"A{i}" for i in range(len(y))),
         tuple(f"f{j}" for j in range(x.shape[1])),
         np.asarray(x, dtype=float),
         np.asarray(y, dtype=np.int8),

@@ -1,7 +1,9 @@
 """Block-wise line reading against the file object's own line iteration,
-the ratio cell rule, the exact bytes of the two output writers, and the
-block-wise table reader: its column kinds against their scalar cell
-parsers, its line numbers across block boundaries and its peak memory."""
+the ratio cell rule, the exact bytes of the two output writers, the
+column kinds (their column conversion and their cell text against their
+scalar cell parsers), every table schema's write-then-read round trip,
+and the block-wise table reader: its line numbers across block
+boundaries and its peak memory."""
 
 import gzip
 import io
@@ -16,8 +18,10 @@ from hypothesis import strategies as st
 
 from clickroles import tableio
 from clickroles.errors import DataError, UsageError
-from clickroles.ingest import TRAFFIC_COLUMNS, TRAFFIC_DTYPES, read_traffic_table, write_traffic_table
-from clickroles.metrics import QUADRANT_LABELS, quadrant_code
+from clickroles.features import CONTENT, JOINED, TOPIC_ASSIGNMENT
+from clickroles.ingest import TRAFFIC, read_traffic_table, write_traffic_table
+from clickroles.linkgraph import NETWORK
+from clickroles.metrics import METRICS, QUADRANT_LABELS, quadrant_code
 from clickroles.tableio import iter_lines
 from test_linkgraph import traced_peak
 
@@ -181,13 +185,102 @@ class TestColumnKinds:
         values, fault = scalar_column(kind, column)
         with mock.patch.object(tableio, "ROW_BLOCK", 5):
             if fault is None:
-                assert same(tableio.read_columns(path, ("article", "v"), [kind])["v"].tolist(), values)
+                assert same(tableio.read_columns(path, {"v": kind})["v"].tolist(), values)
             else:
                 with pytest.raises(DataError) as exc:
-                    tableio.read_columns(path, ("article", "v"), [kind])
+                    tableio.read_columns(path, {"v": kind})
                 assert str(exc.value) == f"{path}:{fault[0] + 2}: {fault[1]}"
 
 
+# values of each kind, whose text the kind must read back
+COUNTS = st.one_of(st.sampled_from([0, 1, 2**53 - 1, 2**53]), st.integers(0, 2**53))
+REALS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308]), st.floats(allow_nan=False, allow_infinity=False))
+RATIOS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0, 1))
+QUADRANT_CODES = st.sampled_from(range(len(QUADRANT_LABELS)))
+TOPIC_IDS = st.one_of(st.just(-1), COUNTS)  # -1: no topic, written as an empty cell
+VALUES = {"count": COUNTS, "real": REALS, "ratio": RATIOS, "quadrant": QUADRANT_CODES, "optional count": TOPIC_IDS}
+
+
+class TestCellText:
+    """Each kind's text writes the cells fmt_value writes for its values,
+    a label as its name and a missing value as an empty cell, and its
+    parse reads each of them back as the value written."""
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_reads_text_back(self, name, data):
+        kind = KINDS[name]
+        column = np.array(data.draw(st.lists(VALUES[name], max_size=12)), kind.dtype)
+        cells = kind.text(column)
+        assert len(cells) == len(column)
+        assert same(list(map(kind.parse, cells)), column.tolist())
+        if len(cells):  # and the column conversion takes the written cells at once
+            assert same(kind.convert(cells).tolist(), column.tolist())
+
+    @pytest.mark.parametrize("name, values, cells", [
+        ("count", [0, 7, 2**53], ["0", "7", str(2**53)]),
+        ("real", [-0.0, 0.1, 1e-20, math.nan], ["-0.0", "0.1", "1e-20", ""]),
+        ("ratio", [0.0, -0.0, 1.0, math.nan], ["0.0", "-0.0", "1.0", ""]),
+        ("quadrant", [0, 1, 2, 3], list(QUADRANT_LABELS)),
+        ("optional count", [-1, 0, 3, -1, 2**53], ["", "0", "3", "", str(2**53)]),
+    ])
+    def test_exact_cells(self, name, values, cells):
+        kind = KINDS[name]
+        assert kind.text(np.array(values, kind.dtype)) == cells
+        if name in ("count", "real", "ratio"):
+            assert cells == list(map(tableio.fmt_value, values))
+
+
+SCHEMAS = {
+    "traffic": TRAFFIC,
+    "metrics": METRICS,
+    "network": NETWORK,
+    "content": CONTENT,
+    "topic assignment": TOPIC_ASSIGNMENT,
+    "joined": JOINED,
+}
+# titles: any text but a tab or a line end
+TITLES = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+def column_values(name, kind):
+    """The values of the schema column `name` of `kind`."""
+    if name in ("searchshare", "resistance", "weight"):
+        return RATIOS
+    if name == "quadrant":
+        return QUADRANT_CODES
+    if kind not in (tableio.COUNT, tableio.REAL):
+        return TOPIC_IDS  # the joined table's optional topic_id
+    return COUNTS if kind is tableio.COUNT else REALS
+
+
+class TestSchemas:
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_read_after_write(self, tmp_path_factory, name, data):
+        """read_columns gives back the titles, columns and dtypes that
+        write_columns wrote, across block boundaries."""
+        schema = SCHEMAS[name]
+        titles = sorted(data.draw(st.sets(TITLES, max_size=8)))
+        n = len(titles)
+        table = tableio.ColumnTable(tuple(titles), {
+            column: np.array(data.draw(st.lists(column_values(column, kind), min_size=n, max_size=n)), kind.dtype)
+            for column, kind in schema.items()
+        })
+        path = tmp_path_factory.mktemp("schemas") / "table.tsv"
+        with mock.patch.object(tableio, "ROW_BLOCK", 3):
+            tableio.write_columns(path, schema, table)
+            back = tableio.read_columns(path, schema)
+        assert back.articles == table.articles
+        assert list(back.columns) == list(schema)
+        for column in schema:
+            assert back[column].dtype == table[column].dtype
+            assert same(back[column].tolist(), table[column].tolist())
+
+
+TRAFFIC_HEADER = "\t".join(("article", *TRAFFIC))
 TRAFFIC_ROWS = [f"A{i}\t{i}\t1\t0\t{i + 1}" for i in range(8)]
 
 
@@ -210,7 +303,7 @@ class TestBlocks:
         rows[row] = fault
         rows.insert(1, "")  # an empty line 3, skipped but counted: row i >= 1 is on line i + 3
         path = tmp_path / "traffic.tsv"
-        path.write_text("\t".join(TRAFFIC_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        path.write_text(TRAFFIC_HEADER + "\n" + "\n".join(rows) + "\n")
         with mock.patch.object(tableio, "ROW_BLOCK", block), pytest.raises(DataError) as exc:
             read_traffic_table(path)
         assert str(exc.value) == f"{path}:{row + 3}: {reason}"
@@ -220,7 +313,7 @@ class TestBlocks:
         # six cells, then four: the block has 5 cells a row on average,
         # and split as one, its rows would read as A and B, both valid
         path = tmp_path / "traffic.tsv"
-        path.write_text("\t".join(TRAFFIC_COLUMNS) + "\nA\t1\t1\t0\t2\tB\n1\t2\t0\t3\n")
+        path.write_text(TRAFFIC_HEADER + "\nA\t1\t1\t0\t2\tB\n1\t2\t0\t3\n")
         with mock.patch.object(tableio, "ROW_BLOCK", block), \
                 pytest.raises(DataError, match=r":2: expected 5 tab-separated cells, got 6$"):
             read_traffic_table(path)
@@ -229,7 +322,7 @@ class TestBlocks:
     def test_unsorted_rows_come_back_sorted(self, tmp_path, block):
         rows = TRAFFIC_ROWS[4:] + TRAFFIC_ROWS[:4]
         path = tmp_path / "traffic.tsv"
-        path.write_text("\t".join(TRAFFIC_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        path.write_text(TRAFFIC_HEADER + "\n" + "\n".join(rows) + "\n")
         with mock.patch.object(tableio, "ROW_BLOCK", block):
             table = read_traffic_table(path)
         assert table.articles == tuple(f"A{i}" for i in range(8))
@@ -248,7 +341,7 @@ def test_traffic_table_read_peak_per_row(tmp_path):
     in_se, in_nav, out_nav = rng.integers(0, 10**6, (3, n))
     rows = ((f"Article_{i:06d}", a, b, c, a + b) for i, (a, b, c) in enumerate(zip(in_se, in_nav, out_nav)))
     path = tmp_path / "traffic.tsv"
-    write_traffic_table(path, tableio.column_table(rows, TRAFFIC_DTYPES))
+    write_traffic_table(path, tableio.column_table(rows, TRAFFIC))
     table, peak = traced_peak(read_traffic_table, path)
     assert len(table) == n and table["total_views"].tolist() == (in_se + in_nav).tolist()
     assert peak / n <= 200
