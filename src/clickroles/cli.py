@@ -14,10 +14,11 @@ One command, ten subcommands, wiring the pipeline end to end:
     sample    traffic table -> seeded uniform article sample
     report    earlier output dirs -> one plot-ready bundle with an index
 
-Every subcommand takes --out and writes its files plus a manifest
-there. Exit codes: 0 success, 1 bad data, 2 bad usage. All randomness
-comes from --seed; a --config file supplies key=value defaults that
-explicit flags override.
+Every subcommand takes --out and writes its files there; `main` then
+writes the manifest, which hashes the files its input-file flags name
+(the flags of type _Input). Exit codes: 0 success, 1 bad data, 2 bad
+usage. All randomness comes from --seed; a --config file supplies
+key=value defaults that explicit flags override.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ from .model import (
 )
 from .overlap import RANKING_KEYS, cumulative_overlap, default_ks, rank_articles, write_curve
 from .tableio import (
-    iter_lines, make_dir, parse_count, read_keyvalues, write_json, write_keyvalues, write_matrix_csv, write_rows
+    iter_lines, make_dir, oserror_as_data, parse_count, read_keyvalues, write_json, write_keyvalues, write_matrix_csv,
+    write_rows,
 )
 from .topics import (
     DEFAULT_STOP_WORDS,
@@ -116,14 +118,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
+class _Input(str):
+    """The type of a flag that names an input file: the manifest hashes it,
+    and a rerun's clearing of --out never removes it."""
+
+
 class _OutputDir:
-    """Tracks every file a subcommand emits, with its kind, for the manifest."""
+    """Tracks every file a subcommand emits, with its kind, and the run's
+    input files, for the manifest."""
 
     def __init__(self, args):
         self.path = Path(args.out)
         self.kinds: dict[str, str | None] = {}
-        # a file named on the command line is an input; clearing never removes it
-        self.inputs = {Path(v).resolve() for v in vars(args).values() if isinstance(v, (str, Path))}
+        # the input-file flags' values in flag order; report sets its bundled files
+        self.inputs: list[str] = [v for v in vars(args).values() if isinstance(v, _Input)]
 
     def file(self, name: str, kind: str | None = None) -> Path:
         """The path to write output `name` to; `kind` names what it holds
@@ -142,13 +150,15 @@ class _OutputDir:
             listed = [self.path / name for name in read_manifest(self.path).outputs]
         except DataError:
             listed = []
+        inputs = {Path(p).resolve() for p in self.inputs}
         for path in [*listed, self.path / MANIFEST_NAME]:
-            if path.resolve() in self.inputs:
+            if path.resolve() in inputs:
                 continue
-            try:
-                path.unlink()
-            except (FileNotFoundError, NotADirectoryError):
-                pass
+            with oserror_as_data(f"cannot remove {path}"):
+                try:
+                    path.unlink()
+                except (FileNotFoundError, NotADirectoryError):
+                    pass
 
 
 def _seed(text: str) -> int:
@@ -179,17 +189,17 @@ def build_parser() -> _Parser:
     common = [_common_flags()]
 
     p = sub.add_parser("ingest", parents=common, help="aggregate a clickstream dump")
-    p.add_argument("--clickstream", required=True, help="transition log (TSV, may be .gz)")
+    p.add_argument("--clickstream", required=True, type=_Input, help="transition log (TSV, may be .gz)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("metrics", parents=common, help="per-article metrics and role shares")
-    p.add_argument("--traffic", required=True, help="traffic table from ingest")
+    p.add_argument("--traffic", required=True, type=_Input, help="traffic table from ingest")
     p.add_argument("--bins", type=int, default=50, help="histogram bin count")
     p.add_argument("--grid", type=int, default=50, help="heatmap grid size")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("overlap", parents=common, help="rank-overlap curves")
-    p.add_argument("--traffic", required=True)
+    p.add_argument("--traffic", required=True, type=_Input)
     p.add_argument(
         "--pairs",
         default=None,
@@ -200,21 +210,22 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("graph", parents=common, help="link-graph degrees and k-core")
-    p.add_argument("--edges", help="edge list file (source<TAB>target, may be .gz)")
-    p.add_argument("--clickstream", help="approximate edges from internal transitions")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--edges", type=_Input, help="edge list file (source<TAB>target, may be .gz)")
+    source.add_argument("--clickstream", type=_Input, help="approximate edges from internal transitions")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("features", parents=common, help="join tables; medians and topic stats")
-    p.add_argument("--metrics", required=True)
-    p.add_argument("--network", required=True)
-    p.add_argument("--content", required=True)
-    p.add_argument("--topics", help="topic assignment table (optional)")
-    p.add_argument("--labels", help="id=label file for topic display names")
+    p.add_argument("--metrics", required=True, type=_Input)
+    p.add_argument("--network", required=True, type=_Input)
+    p.add_argument("--content", required=True, type=_Input)
+    p.add_argument("--topics", type=_Input, help="topic assignment table (optional)")
+    p.add_argument("--labels", type=_Input, help="id=label file for topic display names")
     p.add_argument("--grid", type=int, default=50, help="ratio-grid size; 0 disables")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("bins", parents=common, help="quartiles over equal-count feature bins")
-    p.add_argument("--joined", required=True)
+    p.add_argument("--joined", required=True, type=_Input)
     p.add_argument("--bin-feature", default="kcore")
     p.add_argument("--target", default="searchshare")
     p.add_argument("--bins", type=int, default=25)
@@ -222,8 +233,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bins)
 
     p = sub.add_parser("topics", parents=common, help="fit a topic model over article texts")
-    p.add_argument("--documents", required=True, help='lines of "article<TAB>text"')
-    p.add_argument("--stopwords", help="stop word list, one per line")
+    p.add_argument("--documents", required=True, type=_Input, help='lines of "article<TAB>text"')
+    p.add_argument("--stopwords", type=_Input, help="stop word list, one per line")
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--alpha", type=float, default=None, help="default 50/k")
     p.add_argument("--beta", type=float, default=0.01)
@@ -232,7 +243,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_topics)
 
     p = sub.add_parser("model", parents=common, help="cross-validated role classifiers")
-    p.add_argument("--joined", required=True)
+    p.add_argument("--joined", required=True, type=_Input)
     p.add_argument("--task", choices=("searchshare", "resistance"), default="searchshare")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--groups", default=None, help="comma list from: " + ", ".join(FEATURE_GROUPS))
@@ -244,7 +255,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("sample", parents=common, help="seeded uniform article sample")
-    p.add_argument("--traffic", required=True)
+    p.add_argument("--traffic", required=True, type=_Input)
     p.add_argument("--n", type=int, default=50000)
     p.set_defaults(func=cmd_sample)
 
@@ -297,7 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _inject_config(argv)
         args = build_parser().parse_args(argv)
-        args.func(args)
+        out = _OutputDir(args)
+        args.func(args, out)
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand", "out", "config", "seed")}
+        write_manifest(out.path, build_manifest(args.subcommand, config, out.inputs, out.kinds, seed=args.seed))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -307,22 +321,11 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _finish(args, out: _OutputDir, inputs: list[str]) -> None:
-    config = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k not in ("func", "subcommand", "out", "config", "seed")
-    }
-    manifest = build_manifest(args.subcommand, config, inputs, out.kinds, seed=args.seed)
-    write_manifest(out.path, manifest)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_ingest(args) -> None:
-    out = _OutputDir(args)
+def cmd_ingest(args, out: _OutputDir) -> None:
     stats = ParseStats()
     table = read_traffic_file(args.clickstream, args.strict, stats)
     if not table:
@@ -332,11 +335,9 @@ def cmd_ingest(args) -> None:
         )
     write_traffic_table(out.file("traffic.tsv", "traffic_table"), table)
     write_keyvalues(out.file("ingest_stats.txt"), {"articles": len(table), **asdict(stats)})
-    _finish(args, out, [args.clickstream])
 
 
-def cmd_metrics(args) -> None:
-    out = _OutputDir(args)
+def cmd_metrics(args, out: _OutputDir) -> None:
     for flag, value in (("--bins", args.bins), ("--grid", args.grid)):
         if value < 1:
             raise UsageError(f"{flag} must be positive, got {value}")
@@ -367,7 +368,6 @@ def cmd_metrics(args) -> None:
             {"rows": "resistance", "cols": "searchshare", "grid": args.grid,
              "weighted": "views" if weighted else "articles"},
         )
-    _finish(args, out, [args.traffic])
 
 
 def _parse_pairs(arg: str | None) -> list[tuple[str, str]]:
@@ -390,8 +390,7 @@ def _parse_pairs(arg: str | None) -> list[tuple[str, str]]:
     return pairs
 
 
-def cmd_overlap(args) -> None:
-    out = _OutputDir(args)
+def cmd_overlap(args, out: _OutputDir) -> None:
     pairs = _parse_pairs(args.pairs)
     try:
         ks = None if args.depths is None else [int(k) for k in args.depths.split(",")]
@@ -408,15 +407,11 @@ def cmd_overlap(args) -> None:
         raise DataError(f"{args.traffic}: {exc}") from exc
     for curve in curves:
         write_curve(out.file(f"overlap_{curve.ranking_a}_{curve.ranking_b}.csv", "overlap_curve"), curve)
-    _finish(args, out, [args.traffic])
 
 
-def cmd_graph(args) -> None:
-    out = _OutputDir(args)
-    if bool(args.edges) == bool(args.clickstream):
-        raise UsageError("exactly one of --edges or --clickstream is required")
+def cmd_graph(args, out: _OutputDir) -> None:
     stats = EdgeStats()
-    if args.edges:
+    if args.edges is not None:
         graph = graph_from_file(args.edges, strict=args.strict, stats=stats)
         source, source_path, lines = "edge-list", args.edges, stats.lines
     else:
@@ -441,25 +436,16 @@ def cmd_graph(args) -> None:
             "malformed": stats.malformed,
         },
     )
-    _finish(args, out, [source_path])
 
 
-def _read_labels(path: str) -> dict[int, str]:
-    try:
-        return {parse_count(k): v for k, v in read_keyvalues(path).items()}
-    except ValueError:
-        raise UsageError(f"{path}: keys must be integer topic ids")
-
-
-def cmd_features(args) -> None:
-    out = _OutputDir(args)
+def cmd_features(args, out: _OutputDir) -> None:
     if args.grid < 0:
         raise UsageError(f"--grid must be >= 0 (0 disables the ratio grids), got {args.grid}")
-    labels = _read_labels(args.labels) if args.labels else None
+    labels = read_keyvalues(args.labels, parse_count) if args.labels is not None else None
     metrics = read_metrics_table(args.metrics)
     network = read_network_table(args.network)
     content = read_content_table(args.content)
-    topics = read_topic_assignments(args.topics) if args.topics else None
+    topics = read_topic_assignments(args.topics) if args.topics is not None else None
 
     joined, jstats = join_features(metrics, network, content, topics)
     write_joined_table(out.file("joined.tsv", "joined_table"), joined)
@@ -469,9 +455,7 @@ def cmd_features(args) -> None:
         {"kept": jstats.kept, **{f"dropped_{k}": v for k, v in sorted(jstats.dropped.items())}},
     )
 
-    inputs = [args.metrics, args.network, args.content]
     if topics is not None:
-        inputs.append(args.topics)
         topic_ids = joined["topic_id"]
         assigned_ids = sorted(set(topic_ids[topic_ids >= 0].tolist()))
         if labels is None:
@@ -491,13 +475,9 @@ def cmd_features(args) -> None:
                     {"topic_id": tid, "label": labels.get(tid, f"topic-{tid}"),
                      "rows": "resistance", "cols": "searchshare", "grid": args.grid},
                 )
-    if args.labels:
-        inputs.append(args.labels)
-    _finish(args, out, inputs)
 
 
-def cmd_bins(args) -> None:
-    out = _OutputDir(args)
+def cmd_bins(args, out: _OutputDir) -> None:
     table = read_joined_table(args.joined)
     suffix = ""
     if args.topic is not None:
@@ -508,14 +488,12 @@ def cmd_bins(args) -> None:
             raise DataError(f"no rows assigned to topic {args.topic}")
     result = binned_quartiles(table, args.bin_feature, args.target, args.bins)
     write_bin_table(out.file(f"bins_{args.bin_feature}_{args.target}{suffix}.csv", "binned_quartiles"), result)
-    _finish(args, out, [args.joined])
 
 
-def cmd_topics(args) -> None:
-    out = _OutputDir(args)
+def cmd_topics(args, out: _OutputDir) -> None:
     if args.top_words < 1:
         raise UsageError(f"--top-words must be positive, got {args.top_words}")
-    stop_words = read_stop_words(args.stopwords) if args.stopwords else DEFAULT_STOP_WORDS
+    stop_words = read_stop_words(args.stopwords) if args.stopwords is not None else DEFAULT_STOP_WORDS
     corpus = corpus_from_file(args.documents, stop_words)
     model = fit_lda(
         corpus,
@@ -539,12 +517,9 @@ def cmd_topics(args) -> None:
             "empty_documents": len(corpus.empty_articles),
         },
     )
-    inputs = [args.documents] + ([args.stopwords] if args.stopwords else [])
-    _finish(args, out, inputs)
 
 
-def cmd_model(args) -> None:
-    out = _OutputDir(args)
+def cmd_model(args, out: _OutputDir) -> None:
     config = GBDTConfig(
         n_trees=args.trees,
         max_depth=args.depth,
@@ -577,11 +552,9 @@ def cmd_model(args) -> None:
             "negatives": int(len(instances) - instances.y.sum()),
         },
     )
-    _finish(args, out, [args.joined])
 
 
-def cmd_sample(args) -> None:
-    out = _OutputDir(args)
+def cmd_sample(args, out: _OutputDir) -> None:
     if args.n < 1:
         raise UsageError(f"sample size must be positive, got {args.n}")
     table = read_traffic_table(args.traffic)
@@ -590,11 +563,9 @@ def cmd_sample(args) -> None:
     rng = np.random.default_rng(args.seed)
     chosen = rng.choice(len(table), size=args.n, replace=False)
     write_traffic_table(out.file("traffic_sample.tsv", "traffic_table"), table.take(np.sort(chosen)))
-    _finish(args, out, [args.traffic])
 
 
-def cmd_report(args) -> None:
-    out = _OutputDir(args)
+def cmd_report(args, out: _OutputDir) -> None:
     found: dict[str, tuple[Path, str, str]] = {}  # name -> (source path, kind, source dir)
     for directory in args.inputs:
         d = Path(directory)
@@ -621,14 +592,16 @@ def cmd_report(args) -> None:
             "run ingest/metrics/overlap/graph/features/bins/topics/model first"
         )
 
+    out.inputs = [str(found[name][0]) for name in sorted(found)]
     make_dir(out.path)
     index = []
     for name in sorted(found):
         src, kind, source_dir = found[name]
-        shutil.copyfile(src, out.file(name, kind))
+        dest = out.file(name, kind)
+        with oserror_as_data(f"cannot copy {src} to {dest}"):
+            shutil.copyfile(src, dest)
         index.append({"file": name, "kind": kind, "source": str(source_dir)})
     write_json(out.file("index.json"), {"files": index})
-    _finish(args, out, [str(src) for src, _, _ in (found[n] for n in sorted(found))])
 
 
 if __name__ == "__main__":

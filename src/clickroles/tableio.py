@@ -33,6 +33,7 @@ import gzip
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter, lt
@@ -106,10 +107,18 @@ def open_text(path: str | Path, mode: str = "rt") -> IO[str]:
 def make_dir(path: Path) -> None:
     """Create directory `path` and its parents; DataError naming the path
     if that fails (a part of it is a file, no permission)."""
-    try:
+    with oserror_as_data(f"cannot create output directory {path}"):
         path.mkdir(parents=True, exist_ok=True)
+
+
+@contextmanager
+def oserror_as_data(what: str) -> Iterator[None]:
+    """Turn an OSError in the block (a full disk, no permission) into
+    DataError ``what: reason``."""
+    try:
+        yield
     except OSError as exc:
-        raise DataError(f"cannot create output directory {path}: {exc.strerror}") from exc
+        raise DataError(f"{what}: {exc.strerror or exc}") from exc
 
 
 def fmt_value(v: object) -> str:
@@ -132,8 +141,8 @@ def write_rows(
     """Write one ``# key=value`` line per `metadata` entry, then the
     `header` line, then one line per row: its :func:`fmt_value` cells
     joined by `sep`. Rows are consumed one at a time, so a generator
-    keeps only one row in memory."""
-    with open_text(path, "wt") as fh:
+    keeps only one row in memory. A failed write is DataError naming `path`."""
+    with oserror_as_data(f"cannot write {path}"), open_text(path, "wt") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={fmt_value(value)}\n")
         if header is not None:
@@ -143,8 +152,9 @@ def write_rows(
 
 
 def write_json(path: str | Path, doc: object) -> None:
-    """Write `doc` as JSON: one-space indent, sorted keys, final newline."""
-    with open_text(path, "wt") as fh:
+    """Write `doc` as JSON: one-space indent, sorted keys, final newline.
+    A failed write is DataError naming `path`."""
+    with oserror_as_data(f"cannot write {path}"), open_text(path, "wt") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -435,16 +445,22 @@ def write_keyvalues(path: str | Path, items: Mapping[str, object]) -> None:
     write_rows(path, items.items(), sep="=")
 
 
-def read_keyvalues(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def read_keyvalues(path: str | Path, key: Callable[[str], object] = str) -> dict:
+    """The key=value lines of `path`, each key read by `key`; a line
+    without ``=``, or a key that `key` rejects with ValueError, is
+    DataError ``path:N: reason``."""
+    out: dict = {}
     for lineno, line in enumerate(iter_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise DataError(f"{where(path, lineno)}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        name, _, value = line.partition("=")
+        try:
+            out[key(name.strip())] = value.strip()
+        except ValueError as exc:
+            raise DataError(f"{where(path, lineno)}: {exc}") from None
     return out
 
 

@@ -126,14 +126,6 @@ def parse_documents(lines: Iterable[str], source: str | Path | None = None) -> I
         yield lineno, article, text
 
 
-def build_corpus(
-    texts: Iterable[tuple[str, str]],
-    stop_words: Collection[str] = DEFAULT_STOP_WORDS,
-) -> Corpus:
-    """build_numbered_corpus of (article, text) pairs, numbered from 1."""
-    return build_numbered_corpus(((n, a, t) for n, (a, t) in enumerate(texts, start=1)), stop_words)
-
-
 def build_numbered_corpus(
     documents: Iterable[tuple[int, str, str]],
     stop_words: Collection[str] = DEFAULT_STOP_WORDS,
@@ -323,19 +315,6 @@ def fit_lda(
     return TopicModel(
         k, alpha, beta, iterations, seed, corpus.articles, corpus.vocabulary, phi, theta
     )
-
-
-def dominant_from_row(row: np.ndarray) -> int:
-    """Argmax topic id; ties go to the lowest id."""
-    return int(np.argmax(row))
-
-
-def dominant_topic(model: TopicModel, article: str) -> int:
-    try:
-        d = model.articles.index(article)
-    except ValueError:
-        raise DataError(f"article not in fitted corpus: {article!r}") from None
-    return dominant_from_row(model.theta[d])
 
 
 def top_words(model: TopicModel, topic: int, n: int) -> list[str]:

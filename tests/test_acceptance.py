@@ -40,7 +40,7 @@ from clickroles.model import (
 )
 from clickroles.overlap import Ranking, cumulative_overlap
 from clickroles.tableio import ColumnTable
-from clickroles.topics import build_corpus, fit_lda
+from clickroles.topics import build_numbered_corpus, fit_lda, parse_documents
 from feature_rows import make_row, make_table, traffic_of
 
 
@@ -443,10 +443,10 @@ def test_topic_recovery_on_planted_corpus():
     )
     planted = [i % 2 for i in range(500)]
     texts = [
-        (f"doc{i:03d}", " ".join(rng.choices(vocabularies[topic], k=40)))
+        f"doc{i:03d}\t" + " ".join(rng.choices(vocabularies[topic], k=40))
         for i, topic in enumerate(planted)
     ]
-    corpus = build_corpus(texts, stop_words=frozenset())
+    corpus = build_numbered_corpus(parse_documents(texts), frozenset())
     lengths = [sum(c for _, c in doc) for doc in corpus.documents]
     total = corpus.total_tokens
 

@@ -304,9 +304,9 @@ class TestExitCodes:
         assert features("1=Sports\n") == 0
         stats = (tmp_path / "f" / "topic_stats.tsv").read_text().splitlines()
         assert [line.split("\t")[1] for line in stats[1:]] == ["topic-0", "Sports"]
-        # "1_0" would be topic 10 to int()
-        assert features("1_0=Sports\n", out="g") == 2
-        assert "keys must be integer topic ids" in capsys.readouterr().err
+        # "1_0" would be topic 10 to int(); a bad labels file is bad data
+        assert features("# names\n1_0=Sports\n", out="g") == 1
+        assert f"{tmp_path / 'labels.txt'}:2: count '1_0' is not ASCII digits" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
     def assert_bad_row(self, tmp_path, pipeline, capsys, sub, flag, column, value):
@@ -388,6 +388,36 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot create output directory {out}: ")
         assert "Traceback" not in err
         assert blocker.read_text() == "a regular file\n"
+
+    # (subcommand, output name linked to a full device): the row writer,
+    # report's copy and the JSON writer
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("sub, name", [("metrics", "metrics.tsv"), ("report", "metrics.tsv"),
+                                           ("report", "index.json")])
+    def test_failed_write_is_data_error(self, tmp_path, pipeline, capsys, sub, name):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        args = {"metrics": ["--traffic", pipeline["ingest"] / "traffic.tsv"],
+                "report": ["--inputs", pipeline["metrics"]]}[sub]
+        assert run(sub, *args, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert str(out / name) in err and "No space left on device" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_failed_clearing_is_data_error(self, tmp_path, pipeline, capsys):
+        out = tmp_path / "o"
+        traffic = pipeline["ingest"] / "traffic.tsv"
+        assert run("overlap", "--traffic", traffic, "--out", out) == 0
+        listed = out / "overlap_total_in_se.csv"
+        listed.unlink()
+        listed.mkdir()  # a directory now: unlink cannot remove it
+        assert run("overlap", "--traffic", traffic, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"cannot remove {listed}: " in err and "Traceback" not in err
+        listed.rmdir()
+        assert run("overlap", "--traffic", traffic, "--out", out) == 0
 
     def test_bad_depths_is_usage_error(self, tmp_path, pipeline):
         code = main(["overlap", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),
@@ -704,6 +734,51 @@ class TestManifests:
         manifest = read_manifest(pipeline["ingest"])
         digest = next(iter(manifest.inputs.values()))
         assert len(digest) == 64 and int(digest, 16) >= 0
+
+    def test_inputs_are_the_input_flags_in_flag_order(self, tmp_path, pipeline, monkeypatch):
+        # manifest.json sorts its keys, so the order is seen where it is built
+        built = []
+
+        def spy(subcommand, config, inputs, outputs, seed=None):
+            built.append(list(map(str, inputs)))
+            return build_manifest(subcommand, config, inputs, outputs, seed=seed)
+
+        monkeypatch.setattr("clickroles.cli.build_manifest", spy)
+        p = pipeline
+        traffic, joined = p["ingest"] / "traffic.tsv", p["features"] / "joined.tsv"
+        tables = [p["metrics"] / "metrics.tsv", p["graph"] / "network.tsv", p["content"]]
+        expected = {
+            p["ingest"]: [p["clickstream"]],
+            p["metrics"]: [traffic],
+            p["overlap"]: [traffic],
+            p["sample"]: [traffic],
+            p["graph"]: [p["clickstream"]],
+            p["topics"]: [p["documents"]],
+            p["features"]: [*tables, p["topics"] / "topics.tsv"],
+            p["bins"]: [joined],
+            p["model"]: [joined],
+        }
+        edges, stopwords, labels = tmp_path / "edges.tsv", tmp_path / "stop.txt", tmp_path / "labels.txt"
+        edges.write_text("A\tB\nB\tC\n")
+        stopwords.write_text("alphaaa\n")
+        labels.write_text("0=Sports\n")
+        fresh = {tmp_path / "g": [edges], tmp_path / "t": [p["documents"], stopwords],
+                 tmp_path / "f": [*tables, p["topics"] / "topics.tsv", labels], tmp_path / "f0": tables}
+        assert run("graph", "--edges", edges, "--out", tmp_path / "g") == 0
+        assert run("topics", "--stopwords", stopwords, "--documents", p["documents"],
+                   "--k", 2, "--iterations", 2, "--out", tmp_path / "t") == 0
+        # given in another order than the flags are declared in
+        assert run("features", "--labels", labels, "--topics", p["topics"] / "topics.tsv",
+                   "--content", p["content"], "--network", tables[1], "--metrics", tables[0],
+                   "--grid", 0, "--out", tmp_path / "f") == 0
+        assert run("features", "--metrics", tables[0], "--network", tables[1], "--content", p["content"],
+                   "--out", tmp_path / "f0") == 0
+        assert built == [list(map(str, inputs)) for inputs in fresh.values()]
+        for directory, inputs in {**expected, **fresh}.items():
+            assert sorted(read_manifest(directory).inputs) == sorted(map(str, inputs)), directory
+        index = json.loads((p["report"] / "index.json").read_text())["files"]
+        bundled = [str(Path(e["source"]) / e["file"]) for e in index]
+        assert sorted(read_manifest(p["report"]).inputs) == sorted(bundled)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from clickroles.topics import (
     Corpus,
     IterationHook,
     TopicModel,
-    build_corpus,
-    dominant_from_row,
-    dominant_topic,
+    build_numbered_corpus,
     fit_lda,
     parse_documents,
     tokenize,
@@ -49,9 +47,9 @@ def planted_corpus(
     for t in range(k):
         for d in range(docs_per_topic):
             words = rng.choice(vocabs[t], size=tokens_per_doc)
-            texts.append((f"doc-{t}-{d}", " ".join(words)))
+            texts.append(f"doc-{t}-{d}\t" + " ".join(words))
             planted.append(t)
-    corpus = build_corpus(texts, stop_words=frozenset())
+    corpus = build_numbered_corpus(parse_documents(texts), frozenset())
     return corpus, planted
 
 
@@ -179,11 +177,11 @@ class TestTokenize:
 class TestBuildCorpus:
     def test_hand_counted_fixture(self):
         texts = [
-            ("A", "apple banana apple"),
-            ("B", "banana cherry"),
-            ("C", "apple apple apple cherry"),
+            "A\tapple banana apple",
+            "B\tbanana cherry",
+            "C\tapple apple apple cherry",
         ]
-        corpus = build_corpus(texts, stop_words=frozenset())
+        corpus = build_numbered_corpus(parse_documents(texts), frozenset())
         assert corpus.vocabulary == ("apple", "banana", "cherry")
         assert corpus.documents[0] == ((0, 2), (1, 1))
         assert corpus.documents[1] == ((1, 1), (2, 1))
@@ -191,23 +189,21 @@ class TestBuildCorpus:
         assert corpus.total_tokens == 9
 
     def test_stop_word_only_document_flagged(self):
-        corpus = build_corpus([("A", "the the the"), ("B", "cat")], stop_words={"the"})
+        corpus = build_numbered_corpus(parse_documents(["A\tthe the the", "B\tcat"]), {"the"})
         assert corpus.articles == ("A", "B")
         assert corpus.documents[0] == ()
         assert corpus.empty_articles == ("A",)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            build_corpus([])
+            build_numbered_corpus([])
 
     def test_duplicate_article(self):
         with pytest.raises(DataError, match="duplicate"):
-            build_corpus([("A", "x y"), ("A", "z w")], stop_words=frozenset())
+            build_numbered_corpus(parse_documents(["A\tx y", "A\tz w"]), frozenset())
 
     def test_vocabulary_first_appearance(self):
-        corpus = build_corpus(
-            [("A", "zebra apple"), ("B", "apple mango")], stop_words=frozenset()
-        )
+        corpus = build_numbered_corpus(parse_documents(["A\tzebra apple", "B\tapple mango"]), frozenset())
         assert corpus.vocabulary == ("zebra", "apple", "mango")
 
     def test_parse_documents(self):
@@ -219,7 +215,7 @@ class TestBuildCorpus:
 
 class TestFitLda:
     def test_validation(self):
-        corpus = build_corpus([("A", "cat dog bird")], stop_words=frozenset())
+        corpus = build_numbered_corpus(parse_documents(["A\tcat dog bird"]), frozenset())
         with pytest.raises(UsageError):
             fit_lda(corpus, k=1, iterations=5)
         with pytest.raises(UsageError):
@@ -252,7 +248,7 @@ class TestFitLda:
         assert not np.array_equal(m1.theta, m2.theta)
 
     def test_overflowing_hyperparameters_rejected(self):
-        corpus = build_corpus([("A", "cat dog bird cat")], stop_words=frozenset())
+        corpus = build_numbered_corpus(parse_documents(["A\tcat dog bird cat"]), frozenset())
         for hyper, name in (
             ({"alpha": 1e308}, "alpha"),  # k*alpha is inf
             ({"beta": 1e308}, "beta"),  # V*beta is inf
@@ -280,13 +276,11 @@ class TestFitLda:
     def test_planted_recovery(self):
         corpus, planted = planted_corpus()
         model = fit_lda(corpus, k=2, iterations=50, seed=11)
-        assigned = [dominant_topic(model, a) for a in corpus.articles]
+        assigned = model.theta.argmax(axis=1).tolist()
         assert permutation_accuracy(assigned, planted, 2) >= 0.9
 
     def test_empty_document_gets_uniform_theta(self):
-        corpus = build_corpus(
-            [("A", "the the"), ("B", "cat dog cat dog mouse")], stop_words={"the"}
-        )
+        corpus = build_numbered_corpus(parse_documents(["A\tthe the", "B\tcat dog cat dog mouse"]), {"the"})
         model = fit_lda(corpus, k=2, iterations=5, seed=0)
         np.testing.assert_allclose(model.theta[0], [0.5, 0.5], atol=1e-12)
 
@@ -321,11 +315,11 @@ class TestReferenceSweep:
     @given(lda_cases())
     @example((  # a single document; the once-seen words' weights are a few
         # subnormal steps, so u * total often lands exactly on a running total
-        build_corpus([("A", "cat dog cat bird dog cat mouse")], stop_words=frozenset()),
+        build_numbered_corpus(parse_documents(["A\tcat dog cat bird dog cat mouse"]), frozenset()),
         {"k": 3, "alpha": 0.1, "beta": 5e-324, "iterations": 3, "seed": 0},
     ))
     @example((  # a zero-length document between two others, and tiny beta
-        build_corpus([("A", "cat dog"), ("B", "the"), ("C", "dog dog bird")], stop_words={"the"}),
+        build_numbered_corpus(parse_documents(["A\tcat dog", "B\tthe", "C\tdog dog bird"]), {"the"}),
         {"k": 2, "alpha": 0.1, "beta": 1e-300, "iterations": 3, "seed": 1},
     ))
     def test_bit_identical_to_reference(self, case):
@@ -341,19 +335,21 @@ class TestReferenceSweep:
 
 
 class TestDominant:
-    def test_argmax(self):
-        assert dominant_from_row(np.array([0.7, 0.3])) == 0
-        assert dominant_from_row(np.array([0.3, 0.7])) == 1
+    """The topic write_assignments gives each article, from its theta row."""
 
-    def test_tie_lowest_id(self):
-        assert dominant_from_row(np.array([0.5, 0.5])) == 0
-        assert dominant_from_row(np.array([0.2, 0.4, 0.4])) == 1
+    def assigned(self, tmp_path, theta: list[list[float]]) -> list[int]:
+        k = len(theta[0])
+        articles = tuple(f"doc{d}" for d in range(len(theta)))
+        model = TopicModel(k, 0.1, 0.01, 1, 0, articles, ("w",), np.ones((k, 1)), np.array(theta))
+        write_assignments(tmp_path / "topics.tsv", model)
+        return read_topic_assignments(tmp_path / "topics.tsv")["topic_id"].tolist()
 
-    def test_unknown_article(self):
-        corpus, _ = planted_corpus(docs_per_topic=4, tokens_per_doc=6)
-        model = fit_lda(corpus, k=2, iterations=3, seed=0)
-        with pytest.raises(DataError):
-            dominant_topic(model, "nope")
+    def test_argmax(self, tmp_path):
+        assert self.assigned(tmp_path, [[0.7, 0.3], [0.3, 0.7]]) == [0, 1]
+
+    def test_tie_lowest_id(self, tmp_path):
+        assert self.assigned(tmp_path, [[0.5, 0.5]]) == [0]
+        assert self.assigned(tmp_path, [[0.2, 0.4, 0.4]]) == [1]
 
 
 class TestTopWords:
@@ -411,7 +407,8 @@ class TestOutputs:
         write_assignments(path, model)
         back = read_topic_assignments(path)
         assert back.articles == tuple(sorted(corpus.articles))
-        assert back["topic_id"][back.articles.index("doc-0-0")] == dominant_topic(model, "doc-0-0")
+        row = model.theta[model.articles.index("doc-0-0")]
+        assert back["topic_id"][back.articles.index("doc-0-0")] == row.argmax()
 
     def test_phi_matrix_roundtrip(self, tmp_path):
         corpus, _ = planted_corpus(docs_per_topic=5, tokens_per_doc=8)
