@@ -16,9 +16,11 @@ One command, ten subcommands, wiring the pipeline end to end:
 
 Every subcommand takes --out and writes its files there; `main` then
 writes the manifest, which hashes the files its input-file flags name
-(the flags of type _Input). Exit codes: 0 success, 1 bad data, 2 bad
-usage. All randomness comes from --seed; a --config file supplies
-key=value defaults that explicit flags override.
+(the flags of type _Input). Each flag's declaration is where its value
+is checked, and the manifest records exactly the flags a subcommand
+declares. Exit codes: 0 success, 1 bad data, 2 bad usage. All
+randomness comes from --seed, which only topics, model and sample take;
+the other manifests record a null seed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import shutil
 import sys
 from dataclasses import asdict
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +106,6 @@ from .topics import (
     write_top_words,
 )
 
-# flags that take no value; config-file entries for them are true/false
-_BOOL_KEYS = frozenset({"strict"})
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports problems as UsageError instead of exiting."""
@@ -121,6 +121,11 @@ class _Parser(argparse.ArgumentParser):
 class _Input(str):
     """The type of a flag that names an input file: the manifest hashes it,
     and a rerun's clearing of --out never removes it."""
+
+    def __new__(cls, text: str):
+        if not text:
+            raise argparse.ArgumentTypeError("must name a file")
+        return super().__new__(cls, text)
 
 
 class _OutputDir:
@@ -161,70 +166,102 @@ class _OutputDir:
                     pass
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy seeds are non-negative, so the count rule."""
-    try:
-        return parse_count(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer up to 2**53, got {text!r}")
+def _count(low: int):
+    """The type of a flag whose value is a count (the tableio.parse_count
+    rule) of at least `low`."""
+
+    def convert(text: str) -> int:
+        try:
+            value = parse_count(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer from {low} to 2**53, got {text!r}")
+
+    return convert
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=_seed, default=0, help="seed for all randomness (>= 0)")
-    common.add_argument(
-        "--threads", type=int, default=1,
-        help="cross-validation workers for model; other subcommands run on one thread",
-    )
-    common.add_argument("--strict", action="store_true", help="abort on malformed input lines")
-    common.add_argument("--config", help="key=value file with flag defaults; flags win")
-    return common
+def _comma_list(item, what: str):
+    """The type of a flag whose value is a comma list, each element (spaces
+    stripped) converted by `item`, which raises ValueError if it is not
+    `what`."""
+
+    def convert(text: str) -> list:
+        values = []
+        for part in text.split(","):
+            try:
+                values.append(item(part.strip()))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"{part!r} is not {what}") from None
+        return values
+
+    return convert
+
+
+def _ranking_pair(text: str) -> tuple[str, str]:
+    a, sep, b = text.partition(":")
+    pair = (a.strip(), b.strip())
+    if not sep or not set(pair) <= set(RANKING_KEYS):
+        raise ValueError
+    return pair
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="clickroles", description=__doc__)
     top.add_argument("--version", action="version", version=f"clickroles {__version__}")
     sub = top.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    common = [_common_flags()]
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="cross-validation workers for model; other subcommands run on one thread",
+    )
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true", help="abort on malformed input lines")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_count(0), default=0, help="seed for all randomness")
 
-    p = sub.add_parser("ingest", parents=common, help="aggregate a clickstream dump")
+    p = sub.add_parser("ingest", parents=[common, strict], help="aggregate a clickstream dump")
     p.add_argument("--clickstream", required=True, type=_Input, help="transition log (TSV, may be .gz)")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("metrics", parents=common, help="per-article metrics and role shares")
+    p = sub.add_parser("metrics", parents=[common], help="per-article metrics and role shares")
     p.add_argument("--traffic", required=True, type=_Input, help="traffic table from ingest")
-    p.add_argument("--bins", type=int, default=50, help="histogram bin count")
-    p.add_argument("--grid", type=int, default=50, help="heatmap grid size")
+    p.add_argument("--bins", type=_count(1), default=50, help="histogram bin count")
+    p.add_argument("--grid", type=_count(1), default=50, help="heatmap grid size")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("overlap", parents=common, help="rank-overlap curves")
+    p = sub.add_parser("overlap", parents=[common], help="rank-overlap curves")
     p.add_argument("--traffic", required=True, type=_Input)
     p.add_argument(
         "--pairs",
-        default=None,
-        help="comma list of key:key ranking pairs (default: all pairs of "
-        + "/".join(RANKING_KEYS) + ")",
+        type=_comma_list(_ranking_pair, "key:key with keys from " + ", ".join(RANKING_KEYS)),
+        default=list(combinations(RANKING_KEYS, 2)),
+        help="comma list of key:key ranking pairs (default: all pairs of " + "/".join(RANKING_KEYS) + ")",
     )
-    p.add_argument("--depths", default=None, help="comma list of depths k (default: log schedule)")
+    p.add_argument(
+        "--depths", type=_comma_list(int, "an integer"), default=None,
+        help="comma list of depths k (default: log schedule)",
+    )
     p.set_defaults(func=cmd_overlap)
 
-    p = sub.add_parser("graph", parents=common, help="link-graph degrees and k-core")
+    p = sub.add_parser("graph", parents=[common, strict], help="link-graph degrees and k-core")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--edges", type=_Input, help="edge list file (source<TAB>target, may be .gz)")
     source.add_argument("--clickstream", type=_Input, help="approximate edges from internal transitions")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("features", parents=common, help="join tables; medians and topic stats")
+    p = sub.add_parser("features", parents=[common], help="join tables; medians and topic stats")
     p.add_argument("--metrics", required=True, type=_Input)
     p.add_argument("--network", required=True, type=_Input)
     p.add_argument("--content", required=True, type=_Input)
     p.add_argument("--topics", type=_Input, help="topic assignment table (optional)")
     p.add_argument("--labels", type=_Input, help="id=label file for topic display names")
-    p.add_argument("--grid", type=int, default=50, help="ratio-grid size; 0 disables")
+    p.add_argument("--grid", type=_count(0), default=50, help="ratio-grid size; 0 disables")
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("bins", parents=common, help="quartiles over equal-count feature bins")
+    p = sub.add_parser("bins", parents=[common], help="quartiles over equal-count feature bins")
     p.add_argument("--joined", required=True, type=_Input)
     p.add_argument("--bin-feature", default="kcore")
     p.add_argument("--target", default="searchshare")
@@ -232,21 +269,24 @@ def build_parser() -> _Parser:
     p.add_argument("--topic", type=int, default=None, help="restrict to one topic id")
     p.set_defaults(func=cmd_bins)
 
-    p = sub.add_parser("topics", parents=common, help="fit a topic model over article texts")
+    p = sub.add_parser("topics", parents=[common, seeded], help="fit a topic model over article texts")
     p.add_argument("--documents", required=True, type=_Input, help='lines of "article<TAB>text"')
     p.add_argument("--stopwords", type=_Input, help="stop word list, one per line")
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--alpha", type=float, default=None, help="default 50/k")
     p.add_argument("--beta", type=float, default=0.01)
     p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--top-words", type=int, default=10)
+    p.add_argument("--top-words", type=_count(1), default=10)
     p.set_defaults(func=cmd_topics)
 
-    p = sub.add_parser("model", parents=common, help="cross-validated role classifiers")
+    p = sub.add_parser("model", parents=[common, seeded], help="cross-validated role classifiers")
     p.add_argument("--joined", required=True, type=_Input)
     p.add_argument("--task", choices=("searchshare", "resistance"), default="searchshare")
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--groups", default=None, help="comma list from: " + ", ".join(FEATURE_GROUPS))
+    p.add_argument(
+        "--groups", type=_comma_list(str, "a group name"), default=None,
+        help="comma list from: " + ", ".join(FEATURE_GROUPS),
+    )
     p.add_argument("--trees", type=int, default=200)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--rate", type=float, default=0.1)
@@ -254,64 +294,26 @@ def build_parser() -> _Parser:
     p.add_argument("--folds", type=int, default=10)
     p.set_defaults(func=cmd_model)
 
-    p = sub.add_parser("sample", parents=common, help="seeded uniform article sample")
+    p = sub.add_parser("sample", parents=[common, seeded], help="seeded uniform article sample")
     p.add_argument("--traffic", required=True, type=_Input)
-    p.add_argument("--n", type=int, default=50000)
+    p.add_argument("--n", type=_count(1), default=50000)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("report", parents=common, help="bundle outputs into one indexed directory")
+    p = sub.add_parser("report", parents=[common], help="bundle outputs into one indexed directory")
     p.add_argument("--inputs", nargs="+", required=True, help="output directories of earlier runs")
     p.set_defaults(func=cmd_report)
 
     return top
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Insert config-file entries as flags right after the subcommand.
-
-    Later occurrences win in argparse, so explicit flags override the
-    injected ones.
-    """
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            break
-    if path is None or not argv or argv[0].startswith("-"):
-        return argv
-
-    injected: list[str] = []
-    for lineno, line in enumerate(iter_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not key:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        if key in _BOOL_KEYS:
-            if value.lower() in ("1", "true", "yes"):
-                injected.append(f"--{key}")
-            elif value.lower() not in ("0", "false", "no"):
-                raise UsageError(f"{path}:{lineno}: {key} must be true or false")
-        else:
-            injected.append(f"--{key}={value}")
-    return [argv[0]] + injected + argv[1:]
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _inject_config(argv)
         args = build_parser().parse_args(argv)
         out = _OutputDir(args)
         args.func(args, out)
-        config = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand", "out", "config", "seed")}
-        write_manifest(out.path, build_manifest(args.subcommand, config, out.inputs, out.kinds, seed=args.seed))
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand", "out")}
+        seed = config.pop("seed", None)
+        write_manifest(out.path, build_manifest(args.subcommand, config, out.inputs, out.kinds, seed=seed))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -338,9 +340,6 @@ def cmd_ingest(args, out: _OutputDir) -> None:
 
 
 def cmd_metrics(args, out: _OutputDir) -> None:
-    for flag, value in (("--bins", args.bins), ("--grid", args.grid)):
-        if value < 1:
-            raise UsageError(f"{flag} must be positive, got {value}")
     traffic = read_traffic_table(args.traffic)
     if not traffic["total_views"].any():
         raise DataError(f"no articles with positive inflow in {args.traffic}")
@@ -370,39 +369,14 @@ def cmd_metrics(args, out: _OutputDir) -> None:
         )
 
 
-def _parse_pairs(arg: str | None) -> list[tuple[str, str]]:
-    if arg is None:
-        return [
-            (a, b)
-            for i, a in enumerate(RANKING_KEYS)
-            for b in RANKING_KEYS[i + 1 :]
-        ]
-    pairs = []
-    for item in arg.split(","):
-        a, sep, b = item.partition(":")
-        if not sep:
-            raise UsageError(f"ranking pair {item!r} must be key:key")
-        pair = (a.strip(), b.strip())
-        for key in pair:
-            if key not in RANKING_KEYS:
-                raise UsageError(f"unknown ranking key {key!r} in pair {item!r}; expected one of {RANKING_KEYS}")
-        pairs.append(pair)
-    return pairs
-
-
 def cmd_overlap(args, out: _OutputDir) -> None:
-    pairs = _parse_pairs(args.pairs)
-    try:
-        ks = None if args.depths is None else [int(k) for k in args.depths.split(",")]
-    except ValueError:
-        raise UsageError(f"--depths must be a comma list of integers: {args.depths!r}")
     traffic = read_traffic_table(args.traffic)
     if not len(traffic):
         raise DataError(f"no articles to rank in {args.traffic}")
-    ks = ks or default_ks(len(traffic))
-    rankings = {key: rank_articles(traffic, key) for key in dict.fromkeys(key for pair in pairs for key in pair)}
+    ks = args.depths or default_ks(len(traffic))
+    rankings = {key: rank_articles(traffic, key) for key in dict.fromkeys(key for pair in args.pairs for key in pair)}
     try:
-        curves = [cumulative_overlap(rankings[a], rankings[b], ks) for a, b in pairs]
+        curves = [cumulative_overlap(rankings[a], rankings[b], ks) for a, b in args.pairs]
     except DataError as exc:
         raise DataError(f"{args.traffic}: {exc}") from exc
     for curve in curves:
@@ -439,8 +413,6 @@ def cmd_graph(args, out: _OutputDir) -> None:
 
 
 def cmd_features(args, out: _OutputDir) -> None:
-    if args.grid < 0:
-        raise UsageError(f"--grid must be >= 0 (0 disables the ratio grids), got {args.grid}")
     labels = read_keyvalues(args.labels, parse_count) if args.labels is not None else None
     metrics = read_metrics_table(args.metrics)
     network = read_network_table(args.network)
@@ -491,8 +463,6 @@ def cmd_bins(args, out: _OutputDir) -> None:
 
 
 def cmd_topics(args, out: _OutputDir) -> None:
-    if args.top_words < 1:
-        raise UsageError(f"--top-words must be positive, got {args.top_words}")
     stop_words = read_stop_words(args.stopwords) if args.stopwords is not None else DEFAULT_STOP_WORDS
     corpus = corpus_from_file(args.documents, stop_words)
     model = fit_lda(
@@ -529,10 +499,7 @@ def cmd_model(args, out: _OutputDir) -> None:
     )
     instances, dropped = build_instances(read_joined_table(args.joined), args.task, args.threshold)
     has_topics = any(n.startswith("topic_") for n in instances.feature_names)
-    if args.groups:
-        groups = [g.strip() for g in args.groups.split(",")]
-    else:
-        groups = list(FEATURE_GROUPS) if has_topics else ["network", "content-edit"]
+    groups = args.groups or (list(FEATURE_GROUPS) if has_topics else ["network", "content-edit"])
     reports = [
         cross_validate(instances, group, config, args.folds, task=args.task, threads=args.threads)
         for group in groups
@@ -555,8 +522,6 @@ def cmd_model(args, out: _OutputDir) -> None:
 
 
 def cmd_sample(args, out: _OutputDir) -> None:
-    if args.n < 1:
-        raise UsageError(f"sample size must be positive, got {args.n}")
     table = read_traffic_table(args.traffic)
     if args.n > len(table):
         raise DataError(f"cannot sample {args.n} articles from {len(table)}")

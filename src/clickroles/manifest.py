@@ -1,7 +1,9 @@
 """Run manifests.
 
 Every command writes exactly one manifest.json into its output
-directory: which subcommand ran, the resolved configuration, sha256
+directory: which subcommand ran, its ``--seed`` (null for a subcommand
+without one, which has no randomness), the resolved configuration (the
+value of every other flag it declares but ``--out``), sha256
 digests of the input files as raw bytes, and every file it emitted,
 mapped to the kind the subcommand gave it where it wrote the file (null
 for a run diagnostic such as ``ingest_stats.txt``). ``report`` bundles

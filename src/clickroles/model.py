@@ -446,7 +446,6 @@ def stratified_folds(y: np.ndarray, n_folds: int = 10, seed=0) -> list[np.ndarra
 class EvalReport:
     task: str
     feature_group: str
-    seed: int
     fold_aucs: tuple[float, ...]
 
     @property
@@ -490,7 +489,7 @@ def cross_validate(
             aucs = tuple(pool.map(run_fold, range(n_folds)))
     else:
         aucs = tuple(run_fold(f) for f in range(n_folds))
-    return EvalReport(task, group, config.seed, aucs)
+    return EvalReport(task, group, aucs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,22 @@ synthetic corpus; the tests then assert on exit codes, emitted files,
 manifest completeness, and byte-level determinism of reruns.
 """
 
+import argparse
 import gzip
 import hashlib
 import json
 import random
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from clickroles.cli import main
+from clickroles.cli import build_parser, main
 from clickroles.errors import DataError
 from clickroles.manifest import build_manifest, read_manifest, write_manifest
 from clickroles.model import load_model
+from clickroles.overlap import RANKING_KEYS
 from clickroles.tableio import read_keyvalues
 
 import numpy as np
@@ -58,6 +61,12 @@ def make_inputs(root: Path) -> dict[str, Path]:
 
 def run(*argv: object) -> int:
     return main([str(a) for a in argv])
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name."""
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +235,7 @@ class TestExitCodes:
                 "topics": ["--documents", pipeline["documents"], "--k", 2, "--iterations", 1]}[sub]
         assert run(sub, *args, "--seed", -3, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
-        assert "--seed" in err and "non-negative" in err and "Traceback" not in err
+        assert "argument --seed: " in err and "Traceback" not in err
 
     def features_run(self, tmp_path, pipeline, *flags) -> int:
         return run(
@@ -237,7 +246,7 @@ class TestExitCodes:
 
     def test_negative_feature_grid_is_usage_error(self, tmp_path, pipeline, capsys):
         assert self.features_run(tmp_path, pipeline, "--grid", -5) == 2
-        assert "--grid must be >= 0" in capsys.readouterr().err
+        assert "argument --grid: " in capsys.readouterr().err
 
     def test_malformed_labels_line_names_file_and_line(self, tmp_path, pipeline, capsys):
         labels = tmp_path / "labels.txt"
@@ -362,7 +371,7 @@ class TestExitCodes:
         code = run("overlap", "--traffic", pipeline["ingest"] / "traffic.tsv",
                    "--pairs", "total:in_se,total:bogus", "--out", tmp_path / "o")
         assert code == 2
-        assert "'bogus'" in capsys.readouterr().err
+        assert "argument --pairs: 'total:bogus'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, value", [("--bins", 0), ("--grid", 0), ("--grid", -1)])
@@ -370,7 +379,7 @@ class TestExitCodes:
         code = run("metrics", "--traffic", pipeline["ingest"] / "traffic.tsv", flag, value,
                    "--out", tmp_path / "m")
         assert code == 2
-        assert f"{flag} must be positive" in capsys.readouterr().err
+        assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("sub", ["sample", "ingest"])
@@ -465,6 +474,42 @@ class TestExitCodes:
                    "--min-leaf", 2, flag, value, "--out", tmp_path / "m")
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    # (subcommand, its required input flags, a flag, a value its type rejects)
+    @pytest.mark.parametrize("sub, inputs, flag, value", [
+        ("metrics", ["--traffic"], "--bins", "0"),
+        ("metrics", ["--traffic"], "--grid", "0"),
+        ("features", ["--metrics", "--network", "--content"], "--grid", "-1"),
+        ("topics", ["--documents"], "--top-words", "0"),
+        ("sample", ["--traffic"], "--n", "0"),
+        ("sample", ["--traffic"], "--seed", "-1"),
+        ("overlap", ["--traffic"], "--pairs", "total:bogus"),
+        ("overlap", ["--traffic"], "--depths", "1,two"),
+    ], ids=["metrics-bins", "metrics-grid", "features-grid", "topics-top-words", "sample-n", "sample-seed",
+            "overlap-pairs", "overlap-depths"])
+    def test_bad_setting_is_rejected_before_any_read(self, tmp_path, capsys, sub, inputs, flag, value):
+        # no input exists: a check made after the first read would be exit 1, "input file not found"
+        missing = [a for f in inputs for a in (f, tmp_path / "missing.tsv")]
+        assert run(sub, *missing, flag, value, "--out", tmp_path / "o") == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["metrics", "--traffic", "t.tsv", "--seed", "1"], "--seed"),
+        (["model", "--joined", "j.tsv", "--strict"], "--strict"),
+        (["sample", "--traffic", "t.tsv", "--config", "x"], "--config"),
+    ], ids=["metrics-seed", "model-strict", "sample-config"])
+    def test_undeclared_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--stopwords", "--documents"])
+    def test_empty_input_value_is_usage_error(self, tmp_path, pipeline, capsys, flag):
+        inputs = {"--stopwords": ["--documents", pipeline["documents"], "--stopwords", ""],
+                  "--documents": ["--documents", ""]}[flag]
+        assert run("topics", *inputs, "--out", tmp_path / "t") == 2
+        assert f"argument {flag}: must name a file" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +695,19 @@ class TestManifests:
             actual = sorted(p.name for p in directory.iterdir() if p.name != "manifest.json")
             assert list(manifest.outputs) == actual, name
             assert manifest.subcommand == name
-            assert manifest.seed == 0
+
+    def test_config_is_the_declared_flags(self, tmp_path, pipeline):
+        for name, parser in subcommand_parsers().items():
+            manifest = read_manifest(pipeline[name])
+            declared = {a.dest for a in parser._actions if a.dest != "help"}
+            assert set(manifest.config) == declared - {"out", "seed"}, name
+            assert manifest.seed == (0 if name in ("topics", "model", "sample") else None), name
+        assert read_manifest(pipeline["overlap"]).config["pairs"] == [list(p) for p in combinations(RANKING_KEYS, 2)]
+        assert run("overlap", "--traffic", pipeline["ingest"] / "traffic.tsv", "--pairs", "total:in_se, in_nav:out_nav",
+                   "--depths", "1,2", "--out", tmp_path / "o") == 0
+        config = read_manifest(tmp_path / "o").config
+        assert config["pairs"] == [["total", "in_se"], ["in_nav", "out_nav"]] and config["depths"] == [1, 2]
+        assert read_manifest(pipeline["model"]).config["groups"] is None
 
     def test_diagnostics_have_no_kind(self, pipeline):
         for name, diagnostic in (("ingest", "ingest_stats.txt"), ("graph", "graph_stats.txt"),
@@ -815,6 +872,7 @@ class TestDeterminism:
             assert run("model", "--joined", joined, "--groups", "network",
                        "--trees", 10, "--folds", 3, "--min-leaf", 2, "--out", out) == 0
         assert tree_bytes(a) == tree_bytes(b)
+        assert read_manifest(a).config["groups"] == ["network"]
 
     def test_thread_count_does_not_change_outputs(self, tmp_path, pipeline):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -832,49 +890,6 @@ class TestDeterminism:
         assert run("model", "--joined", joined, "--groups", "all", "--trees", 10,
                    "--folds", 3, "--min-leaf", 2, "--threads", 4, "--out", b) == 0
         assert (a / "eval.csv").read_bytes() == (b / "eval.csv").read_bytes()
-
-
-# ---------------------------------------------------------------------------
-# config files
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path, pipeline):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# sampling defaults\nseed=5\nn=12\n")
-        out = tmp_path / "o"
-        assert run("sample", "--traffic", pipeline["ingest"] / "traffic.tsv",
-                   "--config", cfg, "--out", out) == 0
-        manifest = read_manifest(out)
-        assert manifest.seed == 5
-        assert manifest.config["n"] == 12
-
-    def test_explicit_flag_wins(self, tmp_path, pipeline):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=5\nn=12\n")
-        out = tmp_path / "o"
-        assert run("sample", "--traffic", pipeline["ingest"] / "traffic.tsv",
-                   "--config", cfg, "--seed", 9, "--n", 7, "--out", out) == 0
-        manifest = read_manifest(out)
-        assert manifest.seed == 9
-        assert manifest.config["n"] == 7
-
-    def test_boolean_key(self, tmp_path):
-        bad = tmp_path / "bad.tsv"
-        bad.write_text("only-two\tfields\n")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("strict=true\n")
-        code = main(["ingest", "--clickstream", str(bad),
-                     "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 1  # strict parsing aborts on the malformed line
-
-    def test_malformed_config_line(self, tmp_path, pipeline, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("no equals sign\n")
-        code = main(["sample", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),
-                     "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert f"{cfg}:1: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
