@@ -16,9 +16,11 @@ One command, ten subcommands, wiring the pipeline end to end:
 
 Every subcommand takes --out and writes its files there; `main` then
 writes the manifest, which hashes the files its input-file flags name
-(the flags of type _Input). Each flag's declaration is where its value
-is checked, and the manifest records exactly the flags a subcommand
-declares. Exit codes: 0 success, 1 bad data, 2 bad usage. All
+(the flags of type _Input). Each flag's declaration checks its value,
+by its type or its choices, as the command line is parsed: a bad value
+is a usage error before any input is read, and the library takes the
+settings it is given as valid. The manifest records exactly the flags a
+subcommand declares. Exit codes: 0 success, 1 bad data, 2 bad usage. All
 randomness comes from --seed, which only topics, model and sample take;
 the other manifests record a null seed.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
@@ -37,6 +40,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError, UsageError
 from .features import (
+    NUMERIC_FEATURES,
     binned_quartiles,
     group_medians,
     join_features,
@@ -80,6 +84,7 @@ from .metrics import (
 )
 from .model import (
     FEATURE_GROUPS,
+    TASKS,
     GBDTConfig,
     balance,
     build_instances,
@@ -91,8 +96,8 @@ from .model import (
 )
 from .overlap import RANKING_KEYS, cumulative_overlap, default_ks, rank_articles, write_curve
 from .tableio import (
-    iter_lines, make_dir, oserror_as_data, parse_count, read_keyvalues, write_json, write_keyvalues, write_matrix_csv,
-    write_rows,
+    iter_lines, make_dir, oserror_as_data, parse_count, parse_real, read_keyvalues, write_json, write_keyvalues,
+    write_matrix_csv, write_rows,
 )
 from .topics import (
     DEFAULT_STOP_WORDS,
@@ -166,45 +171,53 @@ class _OutputDir:
                     pass
 
 
-def _count(low: int):
-    """The type of a flag whose value is a count (the tableio.parse_count
-    rule) of at least `low`."""
+def _checked(parse, accept, what: str):
+    """The type of a flag whose value `parse` converts (raising ValueError
+    if it cannot) to a value that `accept` holds for; `what` names such
+    values in the error for any other."""
 
-    def convert(text: str) -> int:
+    def convert(text: str):
         try:
-            value = parse_count(text)
-            if value >= low:
+            value = parse(text)
+            if accept(value):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"must be an integer from {low} to 2**53, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
 
     return convert
 
 
-def _comma_list(item, what: str):
-    """The type of a flag whose value is a comma list, each element (spaces
-    stripped) converted by `item`, which raises ValueError if it is not
-    `what`."""
+def _count(low: int):
+    """The type of a flag whose value is a count (the tableio.parse_count
+    rule) of at least `low`."""
+    return _checked(parse_count, lambda value: value >= low, f"an integer from {low} to 2**53")
+
+
+def _comma_list(item):
+    """The type of a flag whose value is a comma list of distinct elements,
+    each (spaces stripped) checked by the flag type `item`."""
 
     def convert(text: str) -> list:
         values = []
-        for part in text.split(","):
-            try:
-                values.append(item(part.strip()))
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"{part!r} is not {what}") from None
+        for part in map(str.strip, text.split(",")):
+            value = item(part)
+            if value in values:
+                raise argparse.ArgumentTypeError(f"{part!r} is given twice")
+            values.append(value)
         return values
 
     return convert
 
 
-def _ranking_pair(text: str) -> tuple[str, str]:
-    a, sep, b = text.partition(":")
-    pair = (a.strip(), b.strip())
-    if not sep or not set(pair) <= set(RANKING_KEYS):
-        raise ValueError
-    return pair
+@contextmanager
+def _about(path: str):
+    """Prefix a DataError raised inside with `path`, the input file whose
+    data it concerns."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -214,13 +227,14 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument(
-        "--threads", type=int, default=1,
+        "--threads", type=_count(1), default=1,
         help="cross-validation workers for model; other subcommands run on one thread",
     )
     strict = argparse.ArgumentParser(add_help=False)
     strict.add_argument("--strict", action="store_true", help="abort on malformed input lines")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_count(0), default=0, help="seed for all randomness")
+    positive = _checked(parse_real, lambda value: value > 0, "a positive finite number")
 
     p = sub.add_parser("ingest", parents=[common, strict], help="aggregate a clickstream dump")
     p.add_argument("--clickstream", required=True, type=_Input, help="transition log (TSV, may be .gz)")
@@ -236,13 +250,17 @@ def build_parser() -> _Parser:
     p.add_argument("--traffic", required=True, type=_Input)
     p.add_argument(
         "--pairs",
-        type=_comma_list(_ranking_pair, "key:key with keys from " + ", ".join(RANKING_KEYS)),
+        type=_comma_list(_checked(
+            lambda text: tuple(map(str.strip, text.split(":"))),
+            lambda pair: len(pair) == 2 and set(pair) <= set(RANKING_KEYS),
+            "key:key with keys from " + ", ".join(RANKING_KEYS),
+        )),
         default=list(combinations(RANKING_KEYS, 2)),
         help="comma list of key:key ranking pairs (default: all pairs of " + "/".join(RANKING_KEYS) + ")",
     )
     p.add_argument(
-        "--depths", type=_comma_list(int, "an integer"), default=None,
-        help="comma list of depths k (default: log schedule)",
+        "--depths", type=_checked(_comma_list(_count(1)), lambda ks: ks == sorted(ks), "strictly increasing"),
+        default=None, help="comma list of depths k (default: log schedule)",
     )
     p.set_defaults(func=cmd_overlap)
 
@@ -263,35 +281,38 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bins", parents=[common], help="quartiles over equal-count feature bins")
     p.add_argument("--joined", required=True, type=_Input)
-    p.add_argument("--bin-feature", default="kcore")
-    p.add_argument("--target", default="searchshare")
-    p.add_argument("--bins", type=int, default=25)
-    p.add_argument("--topic", type=int, default=None, help="restrict to one topic id")
+    p.add_argument("--bin-feature", choices=NUMERIC_FEATURES, default="kcore", metavar="FEATURE")
+    p.add_argument("--target", choices=NUMERIC_FEATURES, default="searchshare", metavar="FEATURE")
+    p.add_argument("--bins", type=_count(1), default=25)
+    p.add_argument("--topic", type=_count(0), default=None, help="restrict to one topic id")
     p.set_defaults(func=cmd_bins)
 
     p = sub.add_parser("topics", parents=[common, seeded], help="fit a topic model over article texts")
     p.add_argument("--documents", required=True, type=_Input, help='lines of "article<TAB>text"')
     p.add_argument("--stopwords", type=_Input, help="stop word list, one per line")
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=None, help="default 50/k")
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--k", type=_count(2), default=20)
+    p.add_argument("--alpha", type=positive, default=None, help="default 50/k")
+    p.add_argument("--beta", type=positive, default=0.01)
+    p.add_argument("--iterations", type=_count(1), default=1000)
     p.add_argument("--top-words", type=_count(1), default=10)
     p.set_defaults(func=cmd_topics)
 
     p = sub.add_parser("model", parents=[common, seeded], help="cross-validated role classifiers")
     p.add_argument("--joined", required=True, type=_Input)
-    p.add_argument("--task", choices=("searchshare", "resistance"), default="searchshare")
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--task", choices=TASKS, default="searchshare")
     p.add_argument(
-        "--groups", type=_comma_list(str, "a group name"), default=None,
-        help="comma list from: " + ", ".join(FEATURE_GROUPS),
+        "--threshold", type=_checked(parse_real, lambda value: 0 <= value <= 1, "a number from 0 to 1"), default=None,
     )
-    p.add_argument("--trees", type=int, default=200)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--rate", type=float, default=0.1)
-    p.add_argument("--min-leaf", type=int, default=20)
-    p.add_argument("--folds", type=int, default=10)
+    groups = ", ".join(FEATURE_GROUPS)
+    p.add_argument(
+        "--groups", type=_comma_list(_checked(str, FEATURE_GROUPS.__contains__, "one of " + groups)), default=None,
+        help="comma list from: " + groups,
+    )
+    p.add_argument("--trees", type=_count(1), default=200)
+    p.add_argument("--depth", type=_count(0), default=4)
+    p.add_argument("--rate", type=positive, default=0.1)
+    p.add_argument("--min-leaf", type=_count(1), default=20)
+    p.add_argument("--folds", type=_count(2), default=10)
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("sample", parents=[common, seeded], help="seeded uniform article sample")
@@ -375,10 +396,8 @@ def cmd_overlap(args, out: _OutputDir) -> None:
         raise DataError(f"no articles to rank in {args.traffic}")
     ks = args.depths or default_ks(len(traffic))
     rankings = {key: rank_articles(traffic, key) for key in dict.fromkeys(key for pair in args.pairs for key in pair)}
-    try:
+    with _about(args.traffic):
         curves = [cumulative_overlap(rankings[a], rankings[b], ks) for a, b in args.pairs]
-    except DataError as exc:
-        raise DataError(f"{args.traffic}: {exc}") from exc
     for curve in curves:
         write_curve(out.file(f"overlap_{curve.ranking_a}_{curve.ranking_b}.csv", "overlap_curve"), curve)
 
@@ -452,27 +471,29 @@ def cmd_features(args, out: _OutputDir) -> None:
 def cmd_bins(args, out: _OutputDir) -> None:
     table = read_joined_table(args.joined)
     suffix = ""
-    if args.topic is not None:
-        # -1 marks a row without a topic, so it matches no --topic
-        table = table.take(np.flatnonzero((table["topic_id"] == args.topic) & (args.topic >= 0)))
-        suffix = f"_topic{args.topic}"
-        if not len(table):
-            raise DataError(f"no rows assigned to topic {args.topic}")
-    result = binned_quartiles(table, args.bin_feature, args.target, args.bins)
+    with _about(args.joined):
+        if args.topic is not None:
+            # -1 marks a row without a topic, and --topic is at least 0
+            table = table.take(np.flatnonzero(table["topic_id"] == args.topic))
+            suffix = f"_topic{args.topic}"
+            if not len(table):
+                raise DataError(f"no rows assigned to topic {args.topic}")
+        result = binned_quartiles(table, args.bin_feature, args.target, args.bins)
     write_bin_table(out.file(f"bins_{args.bin_feature}_{args.target}{suffix}.csv", "binned_quartiles"), result)
 
 
 def cmd_topics(args, out: _OutputDir) -> None:
     stop_words = read_stop_words(args.stopwords) if args.stopwords is not None else DEFAULT_STOP_WORDS
     corpus = corpus_from_file(args.documents, stop_words)
-    model = fit_lda(
-        corpus,
-        k=args.k,
-        alpha=args.alpha,
-        beta=args.beta,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
+    with _about(args.documents):
+        model = fit_lda(
+            corpus,
+            k=args.k,
+            alpha=args.alpha,
+            beta=args.beta,
+            iterations=args.iterations,
+            seed=args.seed,
+        )
     write_assignments(out.file("topics.tsv", "topic_assignments"), model)
     write_phi(out.file("phi.csv", "topic_word_matrix"), model)
     write_theta(out.file("theta.csv", "document_topic_matrix"), model)
@@ -500,10 +521,11 @@ def cmd_model(args, out: _OutputDir) -> None:
     instances, dropped = build_instances(read_joined_table(args.joined), args.task, args.threshold)
     has_topics = any(n.startswith("topic_") for n in instances.feature_names)
     groups = args.groups or (list(FEATURE_GROUPS) if has_topics else ["network", "content-edit"])
-    reports = [
-        cross_validate(instances, group, config, args.folds, task=args.task, threads=args.threads)
-        for group in groups
-    ]
+    with _about(args.joined):
+        reports = [
+            cross_validate(instances, group, config, args.folds, task=args.task, threads=args.threads)
+            for group in groups
+        ]
     write_eval_report(out.file("eval.csv", "eval_report"), reports)
     for group in groups:
         # fold balance seeds are [seed, 0..folds-1]; stay clear of them
@@ -524,7 +546,7 @@ def cmd_model(args, out: _OutputDir) -> None:
 def cmd_sample(args, out: _OutputDir) -> None:
     table = read_traffic_table(args.traffic)
     if args.n > len(table):
-        raise DataError(f"cannot sample {args.n} articles from {len(table)}")
+        raise DataError(f"{args.traffic}: cannot sample {args.n} articles from {len(table)}")
     rng = np.random.default_rng(args.seed)
     chosen = rng.choice(len(table), size=args.n, replace=False)
     write_traffic_table(out.file("traffic_sample.tsv", "traffic_table"), table.take(np.sort(chosen)))

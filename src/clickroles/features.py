@@ -45,9 +45,7 @@ NUMERIC_FEATURES = ("searchshare", "resistance", "total_views") + DEFAULT_MEDIAN
 
 
 def feature_column(table: ColumnTable, name: str) -> np.ndarray:
-    """Column `name` as float64; UsageError unless it is numeric."""
-    if name not in NUMERIC_FEATURES:
-        raise UsageError(f"unknown feature {name!r}")
+    """Column `name`, one of NUMERIC_FEATURES, as float64."""
     return table[name].astype(float)
 
 
@@ -177,8 +175,6 @@ def binned_quartiles(
     deterministically: a stable sort of the title-ordered feature column.
     With a remainder r, the first r bins hold one extra row.
     """
-    if bins < 1:
-        raise UsageError(f"bins must be positive, got {bins}")
     if len(table) < bins:
         raise DataError(f"{len(table)} articles cannot fill {bins} bins")
     keys = feature_column(table, bin_feature)

@@ -152,8 +152,6 @@ def histogram(
 ) -> np.ndarray:
     """Equal-width histogram over [0, 1]; weighted variant sums weights
     per bin, in input order, instead of counting."""
-    if bins < 1:
-        raise UsageError(f"bin count must be >= 1, got {bins}")
     if weights is not None and len(weights) != len(values):
         raise UsageError("values and weights must have equal length")
     return np.bincount(_bins(values, bins), weights, minlength=bins).astype(float)
@@ -171,8 +169,6 @@ def heatmap_grid(
     (views) added in input order. Raw values: any log scaling for display
     happens elsewhere.
     """
-    if grid_size < 1:
-        raise UsageError(f"grid size must be >= 1, got {grid_size}")
     cells = _bins(resistance, grid_size) * grid_size + _bins(searchshare, grid_size)
     grid = np.bincount(cells, weights, minlength=grid_size * grid_size)
     return grid.astype(float).reshape(grid_size, grid_size)

@@ -21,7 +21,6 @@ seeded downsampling, scored by rank-statistic ROC AUC.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,12 +61,8 @@ def binarize_target(values: Sequence[float], task: str, threshold: float | None 
     dominated). resistance: 1 iff value <= threshold (boundary counts as
     relay).
     """
-    if task not in TASKS:
-        raise UsageError(f"unknown task {task!r}; expected one of {TASKS}")
     if threshold is None:
         threshold = SEARCHSHARE_THRESHOLD if task == "searchshare" else RESISTANCE_THRESHOLD
-    if not 0.0 <= threshold <= 1.0:
-        raise UsageError(f"threshold must lie in [0, 1], got {threshold}")
     arr = np.asarray(values, dtype=float)
     if task == "searchshare":
         return (arr > threshold).astype(np.int8)
@@ -115,8 +110,6 @@ def build_instances(
 
 def select_group(instances: InstanceSet, group: str) -> InstanceSet:
     """Column subset for one of the named feature groups."""
-    if group not in FEATURE_GROUPS:
-        raise UsageError(f"unknown feature group {group!r}; expected one of {FEATURE_GROUPS}")
     if group == "network":
         wanted = [n for n in instances.feature_names if n in NETWORK_FEATURES]
     elif group == "content-edit":
@@ -190,16 +183,6 @@ class GBDTConfig:
     learning_rate: float = 0.1
     min_leaf: int = 20
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise UsageError(f"tree count must be >= 1, got {self.n_trees}")
-        if self.max_depth < 0:
-            raise UsageError(f"depth must be >= 0, got {self.max_depth}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise UsageError(f"learning rate must be positive and finite, got {self.learning_rate}")
-        if self.min_leaf < 1:
-            raise UsageError(f"min leaf size must be >= 1, got {self.min_leaf}")
 
 
 @dataclass(frozen=True)
@@ -427,8 +410,6 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 def stratified_folds(y: np.ndarray, n_folds: int = 10, seed=0) -> list[np.ndarray]:
     """Seeded stratified partition: per-class shuffle, round-robin deal."""
-    if n_folds < 2:
-        raise UsageError(f"need at least 2 folds, got {n_folds}")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(n_folds)]
     for cls in (0, 1):
@@ -467,8 +448,6 @@ def cross_validate(
     keeps its natural class mix. Fold results are merged in fold order,
     so any thread count reproduces the sequential report.
     """
-    if threads < 1:
-        raise UsageError(f"threads must be >= 1, got {threads}")
     subset = select_group(instances, group)
     folds = stratified_folds(subset.y, n_folds, config.seed)
     all_idx = np.arange(len(subset.y))

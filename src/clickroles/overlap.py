@@ -51,20 +51,13 @@ class OverlapCurve:
 def rank_articles(traffic: ColumnTable, key: str) -> Ranking:
     """Rank all rows descending by the traffic key, ties broken by
     ascending title. Zero-valued articles stay in, at the tail."""
-    if key not in RANKING_KEYS:
-        raise UsageError(f"unknown ranking key {key!r}; expected one of {RANKING_KEYS}")
     return Ranking(key, np.argsort(-traffic["total_views" if key == "total" else key], kind="stable"))
 
 
 def cumulative_overlap(a: Ranking, b: Ranking, ks: list[int]) -> OverlapCurve:
-    """Overlap |top_k(a) n top_k(b)| / k at each requested depth, for two
+    """Overlap |top_k(a) n top_k(b)| / k at each depth of `ks`, a
+    non-empty, strictly increasing list of positive depths, for two
     rankings of the rows of one table (see the module docstring)."""
-    if not ks:
-        raise UsageError("at least one depth k is required")
-    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-        raise UsageError("depths must be strictly increasing")
-    if ks[0] < 1:
-        raise UsageError("depths must be positive")
     limit = min(len(a), len(b))
     if ks[-1] > limit:
         raise DataError(f"depth {ks[-1]} exceeds ranking length {limit}")

@@ -201,21 +201,14 @@ def fit_lda(
 ) -> TopicModel:
     """Collapsed Gibbs fit; deterministic for a given seed.
 
-    alpha defaults to 50/k; alpha and beta must be positive and finite,
-    and small enough that k*alpha, V*beta and the sum of the k sampling
-    weights stay finite. `on_iteration(i, word_topic, doc_topic)` is
+    Needs k >= 2, iterations >= 1 and a positive, finite alpha (default
+    50/k) and beta; UsageError if k*alpha, V*beta or the sum of the k
+    sampling weights overflows. `on_iteration(i, word_topic, doc_topic)` is
     called after each sweep with the live count matrices, word-major
     V x k and D x k (read-only use).
     """
-    if k < 2:
-        raise UsageError(f"k must be at least 2, got {k}")
-    if iterations < 1:
-        raise UsageError(f"iterations must be positive, got {iterations}")
     if alpha is None:
         alpha = 50.0 / k
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not (math.isfinite(value) and value > 0):
-            raise UsageError(f"{name} must be positive and finite, got {value}")
     v = len(corpus.vocabulary)
     if k > v:
         raise DataError(f"k={k} exceeds vocabulary size {v}")

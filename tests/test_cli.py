@@ -449,13 +449,6 @@ class TestExitCodes:
         assert f"error: {traffic}: depth {n + 1} exceeds ranking length {n}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--alpha", "-1"), ("--beta", "-0.5"), ("--top-words", "-2")])
-    def test_bad_topic_setting_is_usage_error(self, tmp_path, pipeline, capsys, flag, value):
-        code = run("topics", "--documents", pipeline["documents"], "--k", 2, "--iterations", 1,
-                   flag, value, "--out", tmp_path / "t")
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, value", [("--alpha", "1e308"), ("--beta", "1e307")])
     def test_overflowing_topic_setting_writes_nothing(self, tmp_path, pipeline, capsys, flag, value):
         # k*alpha or V*beta is inf: every weight would be 0 or nan, and phi or theta all 0.0
@@ -465,33 +458,94 @@ class TestExitCodes:
         assert f"error: {flag[2:]}={float(value)} is too large" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--trees", "-2"), ("--rate", "0"), ("--rate", "-1"), ("--depth", "-1"), ("--min-leaf", "-5"),
-        ("--threads", "0"),
+    # (subcommand, a flag, a value its type rejects, a fragment of the message)
+    @pytest.mark.parametrize("sub, flag, value, message", [
+        pytest.param("ingest", "--threads", "0", "is not an integer from 1", id="ingest-threads"),
+        pytest.param("ingest", "--threads", "-3", "is not an integer from 1", id="ingest-threads-negative"),
+        pytest.param("model", "--threads", "0", "is not an integer from 1", id="model-threads"),
+        pytest.param("metrics", "--bins", "0", "is not an integer from 1", id="metrics-bins"),
+        pytest.param("metrics", "--grid", "0", "is not an integer from 1", id="metrics-grid"),
+        pytest.param("features", "--grid", "-1", "is not an integer from 0", id="features-grid"),
+        pytest.param("topics", "--top-words", "0", "is not an integer from 1", id="topics-top-words"),
+        pytest.param("topics", "--top-words", "-2", "is not an integer from 1", id="topics-top-words-negative"),
+        pytest.param("sample", "--n", "0", "is not an integer from 1", id="sample-n"),
+        pytest.param("sample", "--seed", "-1", "is not an integer from 0", id="sample-seed"),
+        pytest.param("overlap", "--pairs", "total:bogus", "'total:bogus' is not", id="overlap-pairs"),
+        pytest.param("overlap", "--pairs", "total:in_se, total:in_se", "'total:in_se' is given twice",
+                     id="overlap-pairs-repeated"),
+        pytest.param("overlap", "--depths", "1,two", "'two' is not", id="overlap-depths"),
+        pytest.param("overlap", "--depths", "1,1_0", "'1_0' is not", id="overlap-depths-underscore"),
+        pytest.param("overlap", "--depths", "0,5", "'0' is not", id="overlap-depths-zero"),
+        pytest.param("overlap", "--depths", "5,2", "is not strictly increasing", id="overlap-depths-decreasing"),
+        pytest.param("overlap", "--depths", "2,2", "'2' is given twice", id="overlap-depths-repeated"),
+        pytest.param("bins", "--bins", "0", "is not an integer from 1", id="bins-bins"),
+        pytest.param("bins", "--topic", "-1", "is not an integer from 0", id="bins-topic"),
+        pytest.param("bins", "--topic", "1_0", "is not an integer from 0", id="bins-topic-underscore"),
+        pytest.param("bins", "--bin-feature", "quadrant", "invalid choice: 'quadrant'", id="bins-bin-feature"),
+        pytest.param("bins", "--target", "article", "invalid choice: 'article'", id="bins-target"),
+        pytest.param("topics", "--k", "1", "is not an integer from 2", id="topics-k"),
+        pytest.param("topics", "--iterations", "0", "is not an integer from 1", id="topics-iterations"),
+        pytest.param("topics", "--alpha", "-1", "is not a positive finite number", id="topics-alpha"),
+        pytest.param("topics", "--alpha", "0", "is not a positive finite number", id="topics-alpha-zero"),
+        pytest.param("topics", "--beta", "-0.5", "is not a positive finite number", id="topics-beta"),
+        pytest.param("topics", "--beta", "nan", "is not a positive finite number", id="topics-beta-nan"),
+        pytest.param("model", "--trees", "-2", "is not an integer from 1", id="model-trees"),
+        pytest.param("model", "--depth", "-1", "is not an integer from 0", id="model-depth"),
+        pytest.param("model", "--rate", "0", "is not a positive finite number", id="model-rate"),
+        pytest.param("model", "--rate", "-1", "is not a positive finite number", id="model-rate-negative"),
+        pytest.param("model", "--rate", "nan", "is not a positive finite number", id="model-rate-nan"),
+        pytest.param("model", "--rate", "inf", "is not a positive finite number", id="model-rate-inf"),
+        pytest.param("model", "--min-leaf", "-5", "is not an integer from 1", id="model-min-leaf"),
+        pytest.param("model", "--folds", "1", "is not an integer from 2", id="model-folds"),
+        pytest.param("model", "--threshold", "1.5", "is not a number from 0 to 1", id="model-threshold"),
+        pytest.param("model", "--task", "views", "invalid choice: 'views'", id="model-task"),
+        pytest.param("model", "--groups", "bogus", "'bogus' is not one of", id="model-groups"),
+        pytest.param("model", "--groups", "topic,topic", "'topic' is given twice", id="model-groups-repeated"),
     ])
-    def test_bad_model_setting_is_usage_error(self, tmp_path, pipeline, capsys, flag, value):
-        code = run("model", "--joined", pipeline["features"] / "joined.tsv", "--trees", 2, "--folds", 2,
-                   "--min-leaf", 2, flag, value, "--out", tmp_path / "m")
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    # (subcommand, its required input flags, a flag, a value its type rejects)
-    @pytest.mark.parametrize("sub, inputs, flag, value", [
-        ("metrics", ["--traffic"], "--bins", "0"),
-        ("metrics", ["--traffic"], "--grid", "0"),
-        ("features", ["--metrics", "--network", "--content"], "--grid", "-1"),
-        ("topics", ["--documents"], "--top-words", "0"),
-        ("sample", ["--traffic"], "--n", "0"),
-        ("sample", ["--traffic"], "--seed", "-1"),
-        ("overlap", ["--traffic"], "--pairs", "total:bogus"),
-        ("overlap", ["--traffic"], "--depths", "1,two"),
-    ], ids=["metrics-bins", "metrics-grid", "features-grid", "topics-top-words", "sample-n", "sample-seed",
-            "overlap-pairs", "overlap-depths"])
-    def test_bad_setting_is_rejected_before_any_read(self, tmp_path, capsys, sub, inputs, flag, value):
+    def test_bad_setting_is_rejected_before_any_read(self, tmp_path, capsys, sub, flag, value, message):
         # no input exists: a check made after the first read would be exit 1, "input file not found"
+        inputs = {"ingest": ["--clickstream"], "metrics": ["--traffic"], "overlap": ["--traffic"],
+                  "features": ["--metrics", "--network", "--content"], "bins": ["--joined"],
+                  "topics": ["--documents"], "model": ["--joined"], "sample": ["--traffic"]}[sub]
         missing = [a for f in inputs for a in (f, tmp_path / "missing.tsv")]
         assert run(sub, *missing, flag, value, "--out", tmp_path / "o") == 2
-        assert f"argument {flag}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: " in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_setting_has_a_checked_type(self):
+        # a flag's declaration checks its value: each flag that takes one has
+        # choices or a type stricter than int, float or str
+        unchecked = [
+            f"{name} {action.option_strings[0]}"
+            for name, parser in subcommand_parsers().items()
+            for action in parser._actions
+            if action.option_strings and action.nargs != 0 and action.choices is None
+            and action.type in (None, int, float, str)
+            and action.dest != "out" and (name, action.dest) != ("report", "inputs")
+        ]
+        assert unchecked == []
+
+    # (subcommand, its flags, the input flag the data error names, a fragment of the message)
+    @pytest.mark.parametrize("sub, flags, source, message", [
+        pytest.param("bins", ["--joined", "joined", "--topic", 99], "joined", "no rows assigned to topic 99",
+                     id="bins-topic"),
+        pytest.param("bins", ["--joined", "joined", "--bins", 100000], "joined", "cannot fill 100000 bins",
+                     id="bins-bins"),
+        pytest.param("sample", ["--traffic", "traffic", "--n", 5000], "traffic", "cannot sample 5000 articles",
+                     id="sample-n"),
+        pytest.param("model", ["--joined", "joined", "--trees", 1, "--folds", 1000], "joined",
+                     "fewer than 1000 folds", id="model-folds"),
+        pytest.param("topics", ["--documents", "documents", "--k", 100000, "--iterations", 1], "documents",
+                     "k=100000 exceeds vocabulary size", id="topics-k"),
+    ])
+    def test_data_error_names_its_input(self, tmp_path, pipeline, capsys, sub, flags, source, message):
+        files = {"joined": pipeline["features"] / "joined.tsv", "traffic": pipeline["ingest"] / "traffic.tsv",
+                 "documents": pipeline["documents"]}
+        argv = [files.get(f, f) for f in flags]
+        assert run(sub, *argv, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[source]}: ") and message in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, flag", [
@@ -619,11 +673,6 @@ class TestOutputs:
     def test_bins_file_name_reflects_features(self, pipeline):
         assert (pipeline["bins"] / "bins_kcore_searchshare.csv").exists()
 
-    def test_bins_missing_topic_is_data_error(self, tmp_path, pipeline):
-        code = main(["bins", "--joined", str(pipeline["features"] / "joined.tsv"),
-                     "--bins", "3", "--topic", "99", "--out", str(tmp_path / "b")])
-        assert code == 1
-
     def test_model_eval_structure(self, pipeline):
         lines = (pipeline["model"] / "eval.csv").read_text().splitlines()
         assert lines[0] == "task,feature_group,fold,auc"
@@ -644,11 +693,6 @@ class TestOutputs:
         assert len(sample) == 11  # header + 10 rows
         assert sample[0] == full[0]
         assert set(sample[1:]) <= set(full[1:])
-
-    def test_sample_too_large_is_data_error(self, tmp_path, pipeline):
-        code = main(["sample", "--traffic", str(pipeline["ingest"] / "traffic.tsv"),
-                     "--n", "5000", "--out", str(tmp_path / "s")])
-        assert code == 1
 
     def test_sample_seed_determinism(self, tmp_path, pipeline):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -364,10 +364,6 @@ class TestGroupMedians:
         t2 = group_medians(make_table(doubled), ["kcore", "age"])
         assert t1.values == t2.values
 
-    def test_unknown_feature(self):
-        with pytest.raises(UsageError):
-            group_medians(make_table([make_row()]), ["pagerank"])
-
     @given(joined_rows())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_row_reference(self, rows):
@@ -621,10 +617,7 @@ class TestFileFormats:
 
 
 class TestFeatureValue:
-    def test_lookup_and_rejection(self):
+    def test_lookup(self):
         table = make_table([make_row(kcore=9)])
         column = feature_column(table, "kcore")
         assert column.dtype == np.float64 and column.tolist() == [9.0]
-        for name in ("article", "quadrant", "topic_id"):
-            with pytest.raises(UsageError):
-                feature_column(table, name)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clickroles.errors import DataError, UsageError
+from clickroles.errors import DataError
 from clickroles.metrics import (
     METRICS,
     QUADRANT_ORDER,
@@ -278,10 +278,6 @@ class TestHistogram:
             with pytest.raises(DataError):
                 histogram([value], bins=2)
 
-    def test_bad_bin_count(self):
-        with pytest.raises(UsageError):
-            histogram([0.5], bins=0)
-
     @given(
         pairs=st.lists(
             st.tuples(
@@ -339,10 +335,6 @@ class TestHeatmap:
         for weighted in (False, True):
             got = grid_of(rows, grid_size=13, weighted=weighted)
             assert np.array_equal(got, naive_grid(rows, 13, weighted))
-
-    def test_bad_grid_size(self):
-        with pytest.raises(UsageError):
-            heatmap_grid(np.array([]), np.array([]), grid_size=0)
 
 
 class TestCorrelations:
