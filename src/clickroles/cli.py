@@ -64,7 +64,6 @@ from .ingest import (
 from .linkgraph import (
     EdgeStats,
     build_graph,
-    edges_from_clickstream,
     graph_from_file,
     network_features,
     read_network_table,
@@ -86,12 +85,11 @@ from .model import (
     FEATURE_GROUPS,
     TASKS,
     GBDTConfig,
-    balance,
     build_instances,
     cross_validate,
+    default_groups,
+    final_model,
     save_model,
-    select_group,
-    train_gbdt,
     write_eval_report,
 )
 from .overlap import RANKING_KEYS, cumulative_overlap, default_ks, rank_articles, write_curve
@@ -363,7 +361,7 @@ def cmd_ingest(args, out: _OutputDir) -> None:
 def cmd_metrics(args, out: _OutputDir) -> None:
     traffic = read_traffic_table(args.traffic)
     if not traffic["total_views"].any():
-        raise DataError(f"no articles with positive inflow in {args.traffic}")
+        raise DataError(f"{args.traffic}: no articles with positive inflow")
     metrics, thresholds = metrics_table(traffic)
     write_metrics_table(out.file("metrics.tsv", "metrics_table"), metrics)
     write_thresholds(out.file("thresholds.txt", "thresholds"), thresholds)
@@ -393,7 +391,7 @@ def cmd_metrics(args, out: _OutputDir) -> None:
 def cmd_overlap(args, out: _OutputDir) -> None:
     traffic = read_traffic_table(args.traffic)
     if not len(traffic):
-        raise DataError(f"no articles to rank in {args.traffic}")
+        raise DataError(f"{args.traffic}: no articles to rank")
     ks = args.depths or default_ks(len(traffic))
     rankings = {key: rank_articles(traffic, key) for key in dict.fromkeys(key for pair in args.pairs for key in pair)}
     with _about(args.traffic):
@@ -408,11 +406,12 @@ def cmd_graph(args, out: _OutputDir) -> None:
         graph = graph_from_file(args.edges, strict=args.strict, stats=stats)
         source, source_path, lines = "edge-list", args.edges, stats.lines
     else:
-        # traveled-link approximation: only transitions at or above the
-        # dump floor appear, so degrees underestimate the true graph
+        # traveled-link approximation: only the dump's internal links at or
+        # above its floor appear, so degrees underestimate the true graph
         parse_stats = ParseStats()
         records = parse_clickstream(iter_lines(args.clickstream), args.strict, parse_stats, args.clickstream)
-        graph = build_graph(edges_from_clickstream(records), stats)
+        links = ((referrer, resource) for referrer, resource, _ in records if referrer is not None)
+        graph = build_graph(links, stats)
         stats.malformed = parse_stats.malformed + parse_stats.unknown_rawtype
         source, source_path, lines = "clickstream-approximation", args.clickstream, parse_stats.lines
     if not graph.node_count:
@@ -519,19 +518,16 @@ def cmd_model(args, out: _OutputDir) -> None:
         seed=args.seed,
     )
     instances, dropped = build_instances(read_joined_table(args.joined), args.task, args.threshold)
-    has_topics = any(n.startswith("topic_") for n in instances.feature_names)
-    groups = args.groups or (list(FEATURE_GROUPS) if has_topics else ["network", "content-edit"])
+    groups = args.groups or default_groups(instances)
     with _about(args.joined):
         reports = [
             cross_validate(instances, group, config, args.folds, task=args.task, threads=args.threads)
             for group in groups
         ]
+        models = [final_model(instances, group, config, args.folds) for group in groups]
     write_eval_report(out.file("eval.csv", "eval_report"), reports)
-    for group in groups:
-        # fold balance seeds are [seed, 0..folds-1]; stay clear of them
-        subset = balance(select_group(instances, group), seed=[args.seed, args.folds])
-        final = train_gbdt(subset.x, subset.y, config, subset.feature_names)
-        save_model(out.file(f"model_{group}.json", "model"), final)
+    for group, model in zip(groups, models):
+        save_model(out.file(f"model_{group}.json", "model"), model)
     write_keyvalues(
         out.file("model_stats.txt"),
         {
@@ -557,7 +553,7 @@ def cmd_report(args, out: _OutputDir) -> None:
     for directory in args.inputs:
         d = Path(directory)
         if not d.is_dir():
-            raise DataError(f"not a directory: {directory}")
+            raise DataError(f"{directory}: not a directory")
         if d.resolve() == out.path.resolve():
             continue  # a rerun's own earlier bundle
         for name, kind in read_manifest(d).outputs.items():

@@ -9,8 +9,9 @@ The metrics, network, content, topic-assignment and joined tables are
 each a ``tableio.ColumnTable``, sorted by title on read, and each is
 declared once as a schema (METRICS, NETWORK, CONTENT, TOPIC_ASSIGNMENT,
 JOINED) that its reader and writer share: counts are int64, ratios,
-``age`` and ``size`` float64, ``quadrant`` the index into
-QUADRANT_ORDER and ``topic_id`` -1 for no topic, an empty cell on disk.
+``age`` and ``size`` float64, ``quadrant`` the index of the article's
+role in ``metrics.ROLES`` and ``topic_id`` -1 for no topic, an empty
+cell on disk.
 Every view works on whole columns; medians and quartiles sort stably,
 so equal values (0.0 and -0.0 among them) keep title order.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .linkgraph import NETWORK
-from .metrics import METRICS, QUADRANT_ORDER
+from .metrics import METRICS, ROLES
 from .tableio import COUNT, REAL, ColumnTable, optional, ratio, read_columns, write_columns, write_rows
 
 CONTENT = {
@@ -42,11 +43,6 @@ OVERALL_COLUMN = "overall"
 
 # the columns a median, bin or target may name
 NUMERIC_FEATURES = ("searchshare", "resistance", "total_views") + DEFAULT_MEDIAN_FEATURES
-
-
-def feature_column(table: ColumnTable, name: str) -> np.ndarray:
-    """Column `name`, one of NUMERIC_FEATURES, as float64."""
-    return table[name].astype(float)
 
 
 @dataclass
@@ -132,8 +128,8 @@ def group_medians(
     features: Sequence[str] = DEFAULT_MEDIAN_FEATURES,
 ) -> GroupMedianTable:
     """Median of each feature per traffic role, plus the overall column."""
-    values_of = {name: feature_column(table, name) for name in features}
-    groups = [(q.value, table["quadrant"] == code) for code, q in enumerate(QUADRANT_ORDER)]
+    values_of = {name: table[name].astype(float) for name in features}
+    groups = [(role, table["quadrant"] == code) for code, role in enumerate(ROLES)]
     columns = tuple(label for label, _ in groups) + (OVERALL_COLUMN,)
     values: dict[str, dict[str, float | None]] = {}
     for name, column in values_of.items():
@@ -177,10 +173,10 @@ def binned_quartiles(
     """
     if len(table) < bins:
         raise DataError(f"{len(table)} articles cannot fill {bins} bins")
-    keys = feature_column(table, bin_feature)
+    keys = table[bin_feature].astype(float)
     order = np.argsort(keys, kind="stable")
     keys = keys[order].tolist()
-    targets = feature_column(table, target)[order]
+    targets = table[target].astype(float)[order]
 
     base, rem = divmod(len(table), bins)
     summaries: list[BinSummary] = []

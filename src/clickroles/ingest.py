@@ -10,18 +10,18 @@ search inflow, navigation inflow and navigation outflow of each, and
 total_views. total_views is definitionally in_se + in_nav: only views
 arriving by search or internal navigation count as page accesses here.
 
-The referrer rule is fixed by the 2016-08 dump: a referrer in
-SEARCH_TOKENS (``other-search``) is a search engine, the other
-RESERVED_TOKENS (``other-empty``, ``other-external``) carry no
+The referrer rule is fixed by the 2016-08 dump and lives here alone: a
+referrer in SEARCH_TOKENS (``other-search``) is a search engine, the
+other RESERVED_TOKENS (``other-empty``, ``other-external``) carry no
 in-counts, and any other referrer is an internal article if the raw
 type is INTERNAL_RAWTYPE (``link``), else it carries no in-counts.
 
 A dump is read in one streaming pass, shared by ``ingest`` and
-``graph --clickstream``: parse_clickstream yields plain ``(referrer,
-resource, rawtype, count)`` tuples, and each referrer is classified by
-set lookups in those constants, so no Python function is called per
-record and memory grows with the number of articles, not with the
-number of lines.
+``graph --clickstream``: parse_clickstream classifies each record by set
+lookups in those constants and yields plain ``(referrer, resource,
+count)`` tuples of search records (referrer None) and internal links
+only, so no Python function is called per record and memory grows with
+the number of articles, not with the number of lines.
 
 Counts are summed as plain Python ints, a commutative integer sum, so
 the result is independent of record order; the columns are built once
@@ -75,9 +75,12 @@ def parse_clickstream(
     strict: bool = False,
     stats: ParseStats | None = None,
     source: str | Path | None = None,
-) -> Iterator[tuple[str, str, str, int]]:
-    """Yield one plain ``(referrer, resource, rawtype, count)`` tuple per
-    well-formed input line, in order.
+) -> Iterator[tuple[str | None, str, int]]:
+    """Yield one plain ``(referrer, resource, count)`` tuple per
+    well-formed search or internal-link line, in order, by the module's
+    referrer rule: the referrer is None for a search record and the
+    referring article for an internal link. A well-formed record of
+    neither kind is counted but not yielded.
 
     Malformed lines (wrong field count, empty resource, or a count that
     is not ASCII digits only or exceeds MAX_COUNT) abort in strict mode
@@ -94,6 +97,9 @@ def parse_clickstream(
         stats = ParseStats()
     is_header = HEADER_PATTERN.match
     known_rawtypes = KNOWN_RAWTYPES
+    search_tokens = SEARCH_TOKENS
+    reserved_tokens = RESERVED_TOKENS
+    internal_rawtype = INTERNAL_RAWTYPE
     lineno = records = malformed = unknown_rawtype = below_min_count = header_lines = 0
     try:
         for lineno, line in enumerate(lines, start=1):
@@ -128,7 +134,11 @@ def parse_clickstream(
             if count < PUBLIC_DUMP_MIN_COUNT:
                 below_min_count += 1
             records += 1
-            yield referrer, resource, rawtype, count
+            if referrer in reserved_tokens:
+                if referrer in search_tokens:
+                    yield None, resource, count
+            elif rawtype == internal_rawtype:
+                yield referrer, resource, count
     finally:
         stats.lines += lineno
         stats.records += records
@@ -139,28 +149,23 @@ def parse_clickstream(
 
 
 def aggregate_traffic(
-    records: Iterable[tuple[str, str, str, int]],
+    records: Iterable[tuple[str | None, str, int]],
     source: str | Path | None = None,
 ) -> ColumnTable:
-    """Aggregate transition records into per-article traffic by the
-    module's referrer rule.
+    """Aggregate parse_clickstream's records into per-article traffic.
 
-    Search-token records add to the resource's in_se; internal-article
-    records add to the resource's in_nav and to the referrer's out_nav.
-    Other records carry no in-counts. Articles with zero inflow (seen
-    only as referrers) fall outside the studied population and are
-    dropped. An article whose inflow or outflow exceeds MAX_COUNT raises
-    DataError, after the path of the `source` file if given.
+    A search record (referrer None) adds to the resource's in_se; an
+    internal link adds to the resource's in_nav and to the referrer's
+    out_nav. Articles with zero inflow (seen only as referrers) fall
+    outside the studied population and are dropped. An article whose
+    inflow or outflow exceeds MAX_COUNT raises DataError, after the path
+    of the `source` file if given.
     """
-    search_tokens = SEARCH_TOKENS
-    reserved_tokens = RESERVED_TOKENS
-    internal_rawtype = INTERNAL_RAWTYPE
     sums: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0, 0])  # in_se, in_nav, out_nav
-    for referrer, resource, rawtype, count in records:
-        if referrer in reserved_tokens:
-            if referrer in search_tokens:
-                sums[resource][0] += count
-        elif rawtype == internal_rawtype:  # an internal article
+    for referrer, resource, count in records:
+        if referrer is None:
+            sums[resource][0] += count
+        else:
             sums[resource][1] += count
             sums[referrer][2] += count
 

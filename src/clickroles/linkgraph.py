@@ -6,9 +6,8 @@ a pair of sorted int32 arrays, 8 bytes per edge. The ids are collected
 in short list batches and kept as C ints, and the int64 pair keys are
 built, sorted and deduplicated in place, so at most one int64 key array
 is alive at a time.
-``graph --clickstream`` takes its edges from the dump's internal
-transitions, read by the same single pass as ``ingest`` and classified
-by the same referrer rule.
+``graph --clickstream`` builds its graph from the internal links that
+``ingest.parse_clickstream``, which owns the dump's referrer rule, yields.
 
 The k-core index is computed on the undirected projection (an edge
 exists if either direction exists) by level-wise frontier peeling over
@@ -29,7 +28,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .ingest import INTERNAL_RAWTYPE, RESERVED_TOKENS
 from .tableio import COUNT, ColumnTable, iter_lines, read_columns, where, write_columns
 
 NETWORK = dict.fromkeys(("in_degree", "out_degree", "degree", "kcore"), COUNT)
@@ -174,22 +172,6 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 def graph_from_file(path: str | Path, strict: bool = False, stats: EdgeStats | None = None) -> LinkGraph:
     return build_graph(parse_edges(iter_lines(path), strict, stats, path), stats)
-
-
-def edges_from_clickstream(records: Iterable[tuple[str, str, str, int]]) -> Iterator[tuple[str, str]]:
-    """Approximate link edges from internal-navigation transitions: the
-    records whose referrer is not one of ingest.RESERVED_TOKENS
-    (``other-search``, ``other-empty``, ``other-external``) and whose raw
-    type is ``link``, the internal-article rule of ingest.aggregate_traffic.
-
-    Underestimates the true link graph (only traveled links at least the
-    dump floor appear); outputs derived from it are labeled accordingly.
-    """
-    reserved_tokens = RESERVED_TOKENS
-    internal_rawtype = INTERNAL_RAWTYPE
-    for referrer, resource, rawtype, _ in records:
-        if rawtype == internal_rawtype and referrer not in reserved_tokens:
-            yield referrer, resource
 
 
 def degrees(graph: LinkGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -48,7 +48,7 @@ def sha256_file(path: str | Path) -> str:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(chunk)
     except FileNotFoundError:
-        raise DataError(f"input file not found: {path}") from None
+        raise DataError(f"{path}: input file not found") from None
     return digest.hexdigest()
 
 

@@ -7,7 +7,7 @@ resistance(a) = 1 - out_nav(a) / (in_se(a) + in_nav(a)), clamped to
 forward onward (1 = traffic sink). Both are defined only for articles
 with positive inflow.
 
-Articles are assigned to one of four roles by comparing against the
+Articles are assigned to one of the four ROLES by comparing against the
 corpus-wide unweighted means of the two metrics. "Above mean" is a
 strict inequality; values exactly at the mean fall on the at-or-below
 side (the convention is fixed here for reproducibility; ties at the
@@ -16,8 +16,8 @@ mean are measure-zero in practice).
 The metrics table is a ``tableio.ColumnTable``: the article titles,
 ascending and unique, and the row-aligned columns of the METRICS
 schema: searchshare and resistance (float64 ratios), total_views (an
-int64 count) and a quadrant code (the int8 index into QUADRANT_ORDER,
-written as its label).
+int64 count) and a quadrant code (the int8 index of the article's role
+in ROLES, written as the role's name).
 Every metric is computed on whole columns of the traffic table. Since
 every count is at most 2**53 (``tableio.MAX_COUNT``), int64 -> float64
 is exact and each column quotient equals the correctly rounded quotient
@@ -26,7 +26,6 @@ of the integers.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -35,35 +34,14 @@ import numpy as np
 from .errors import DataError, UsageError
 from .tableio import COUNT, ColumnTable, labels, ratio, read_columns, write_columns, write_keyvalues, write_rows
 
-class QuadrantLabel(enum.Enum):
-    SEARCH_EXIT = "search-exit"
-    SEARCH_RELAY = "search-relay"
-    NAV_RELAY = "nav-relay"
-    NAV_EXIT = "nav-exit"
-
-
-QUADRANT_ORDER = (
-    QuadrantLabel.SEARCH_EXIT,
-    QuadrantLabel.SEARCH_RELAY,
-    QuadrantLabel.NAV_RELAY,
-    QuadrantLabel.NAV_EXIT,
-)
-
-
-# the label cell written for each quadrant code
-QUADRANT_LABELS = tuple(label.value for label in QUADRANT_ORDER)
-
-
-def quadrant_code(cell: str) -> int:
-    """The quadrant code of a label cell; ValueError on an unknown label."""
-    return QUADRANT_ORDER.index(QuadrantLabel(cell))
-
+# The four roles, each at its quadrant code.
+ROLES = ("search-exit", "search-relay", "nav-relay", "nav-exit")
 
 METRICS = {
     "searchshare": ratio("searchshare"),
     "resistance": ratio("resistance"),
     "total_views": COUNT,
-    "quadrant": labels(quadrant_code, QUADRANT_LABELS),
+    "quadrant": labels("quadrant", ROLES),
 }
 
 
@@ -106,15 +84,15 @@ def corpus_thresholds(searchshare: np.ndarray, resistance: np.ndarray) -> Corpus
 def assign_quadrants(
     searchshare: np.ndarray, resistance: np.ndarray, thresholds: CorpusThresholds
 ) -> np.ndarray:
-    """Quadrant code per row: the index of its role in QUADRANT_ORDER."""
+    """Quadrant code per row: the index of its role in ROLES."""
     above_ss = searchshare > thresholds.mean_searchshare
     above_res = resistance > thresholds.mean_resistance
     # search-exit 0, search-relay 1, nav-relay 2, nav-exit 3
     return np.where(above_ss, 1 - above_res, 2 + above_res).astype(np.int8)
 
 
-def group_shares(metrics: ColumnTable) -> dict[QuadrantLabel, tuple[float, float]]:
-    """Percentage of articles and of received views per role group.
+def group_shares(metrics: ColumnTable) -> dict[str, tuple[float, float]]:
+    """Percentage of articles and of received views per role, by name.
 
     The four groups partition the table, so each percentage column sums
     to 100 up to rounding. View totals are exact Python-int sums.
@@ -122,16 +100,16 @@ def group_shares(metrics: ColumnTable) -> dict[QuadrantLabel, tuple[float, float
     n = len(metrics)
     if not n:
         raise DataError("cannot compute group shares of an empty metrics table")
-    in_group = [metrics["quadrant"] == code for code in range(len(QUADRANT_ORDER))]
+    in_group = [metrics["quadrant"] == code for code in range(len(ROLES))]
     article_counts = [int(np.count_nonzero(rows)) for rows in in_group]
     view_counts = [sum(metrics["total_views"][rows].tolist()) for rows in in_group]
     total_views = sum(view_counts)
     return {
-        label: (
+        role: (
             100.0 * article_counts[code] / n,
             100.0 * view_counts[code] / total_views if total_views else 0.0,
         )
-        for code, label in enumerate(QUADRANT_ORDER)
+        for code, role in enumerate(ROLES)
     }
 
 
@@ -218,10 +196,7 @@ def write_thresholds(path: str | Path, thresholds: CorpusThresholds) -> None:
     write_keyvalues(path, asdict(thresholds))
 
 
-def write_group_shares(path: str | Path, shares: dict[QuadrantLabel, tuple[float, float]]) -> None:
+def write_group_shares(path: str | Path, shares: dict[str, tuple[float, float]]) -> None:
     """Group share table, percentages reported to 0.1."""
-    rows = [
-        (label.value, f"{shares[label][0]:.1f}", f"{shares[label][1]:.1f}")
-        for label in QUADRANT_ORDER
-    ]
+    rows = [(role, f"{shares[role][0]:.1f}", f"{shares[role][1]:.1f}") for role in ROLES]
     write_rows(path, rows, ("group", "article_pct", "view_pct"))

@@ -15,7 +15,8 @@ index and threshold so parallel and sequential searches agree. Leaves
 record each training row's value as they are made, so a stage's step
 needs no second walk of its tree. Evaluation is stratified 10-fold
 cross-validation with the training side of each fold balanced by
-seeded downsampling, scored by rank-statistic ROC AUC.
+seeded downsampling, scored by rank-statistic ROC AUC; the final model
+of a group is trained on every instance, balanced the same way.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ def build_instances(
     for j, name in enumerate(base):
         x[:, j] = table[name][rows]
     x[:, len(base) :] = topic_id[rows, None] == np.array(ids, dtype=np.int64)
-    metric = table["searchshare" if task == "searchshare" else "resistance"]
-    y = binarize_target(metric[rows], task, threshold)
+    y = binarize_target(table[task][rows], task, threshold)
     return InstanceSet(names, x, y), dropped
 
 
@@ -122,6 +122,14 @@ def select_group(instances: InstanceSet, group: str) -> InstanceSet:
         raise UsageError(f"no {group!r} features present in the instance set")
     cols = [instances.feature_names.index(n) for n in wanted]
     return InstanceSet(tuple(wanted), instances.x[:, cols], instances.y)
+
+
+def default_groups(instances: InstanceSet) -> list[str]:
+    """The feature groups evaluated when none are named: every group if
+    the instances have topic columns, else network and content-edit."""
+    if any(name.startswith("topic_") for name in instances.feature_names):
+        return list(FEATURE_GROUPS)
+    return ["network", "content-edit"]
 
 
 def balance(instances: InstanceSet, seed) -> InstanceSet:
@@ -444,9 +452,9 @@ def cross_validate(
 ) -> EvalReport:
     """Stratified k-fold evaluation of one feature group.
 
-    Only the training side of each fold is balanced; the held-out fold
-    keeps its natural class mix. Fold results are merged in fold order,
-    so any thread count reproduces the sequential report.
+    Only the training side of fold f is balanced, by the seed [seed, f];
+    the held-out fold keeps its natural class mix. Fold results are
+    merged in fold order, so any thread count gives the same report.
     """
     subset = select_group(instances, group)
     folds = stratified_folds(subset.y, n_folds, config.seed)
@@ -463,12 +471,16 @@ def cross_validate(
         scores = model.decision_scores(subset.x[test_idx])
         return roc_auc(scores, subset.y[test_idx])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            aucs = tuple(pool.map(run_fold, range(n_folds)))
-    else:
-        aucs = tuple(run_fold(f) for f in range(n_folds))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        aucs = tuple(pool.map(run_fold, range(n_folds)))
     return EvalReport(task, group, aucs)
+
+
+def final_model(instances: InstanceSet, group: str, config: GBDTConfig, n_folds: int) -> GBDTModel:
+    """One feature group's model on every instance, balanced by the seed
+    [seed, n_folds], clear of the folds' [seed, 0..n_folds-1]."""
+    subset = balance(select_group(instances, group), seed=[config.seed, n_folds])
+    return train_gbdt(subset.x, subset.y, config, subset.feature_names)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ optional cells), and that one declaration drives its reader
 constructor :func:`column_table`. The reader takes ROW_BLOCK lines at a
 time: a block is split in one go and each column converted at once by
 its kind, whose scalar parser (:func:`parse_count`, :func:`parse_real`,
-:func:`parse_ratio`, a label code) is the one definition of the cell
+:func:`parse_ratio`, a label's index) is the one definition of the cell
 rule and its message. A block that fails any check is read again row by
 row, so the DataError names its first bad row in file order, with the
 reason the scalar rules give for that row. The writer writes each
@@ -33,6 +33,7 @@ import gzip
 import io
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -50,6 +51,11 @@ MAX_COUNT = 2**53
 
 # Digits of MAX_COUNT: a longer count cell is read by parse_count alone.
 COUNT_DIGITS = len(str(MAX_COUNT))
+
+# Finds a character that float() takes but a real cell may not hold, by
+# the count rule: one outside printable ASCII (non-ASCII digits, and the
+# whitespace float() strips from the ends) or "_".
+_NOT_REAL = re.compile(r"[^!-~]|_").search
 
 # Characters per read of iter_lines: the chunk size of io.TextIOWrapper.
 READ_BLOCK = 8192
@@ -70,7 +76,11 @@ def parse_count(text: str) -> int:
 
 
 def parse_real(text: str) -> float:
-    """A finite float cell; ValueError on NaN, infinities and non-numbers."""
+    """A finite float cell of printable ASCII without "_" (float() alone
+    would also take "1_0", " 2.5 " and non-ASCII digits); ValueError on
+    those, NaN, infinities and non-numbers."""
+    if _NOT_REAL(text):
+        raise ValueError(f"value {text!r} is not a plain ASCII number")
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"value {text!r} is not finite")
@@ -96,7 +106,7 @@ def open_text(path: str | Path, mode: str = "rt") -> IO[str]:
     if not reading:
         make_dir(path.parent)
     elif not path.exists():
-        raise DataError(f"input file not found: {path}")
+        raise DataError(f"{path}: input file not found")
     newline = None if reading else ""
     if path.suffix == ".gz":
         binary = gzip.open(path, mode.replace("t", "") + "b")
@@ -226,6 +236,8 @@ def _counts(cells: list[str]) -> np.ndarray | None:
 
 
 def _reals(cells: list[str]) -> np.ndarray | None:
+    if _NOT_REAL("".join(cells)):
+        return None
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
@@ -255,10 +267,17 @@ def ratio(name: str) -> CellKind:
     return CellKind(lambda cell: parse_ratio(name, cell), convert, np.float64, _reals_text)
 
 
-def labels(parse: Callable[[str], int], names: Sequence[str]) -> CellKind:
-    """The kind of a label cell whose code is its index in `names`;
-    parse(names[i]) must be i, and parse must reject any other cell."""
+def labels(column: str, names: Sequence[str]) -> CellKind:
+    """The kind of the label column `column`: a cell is one of `names`,
+    and its code is its index there; any other cell is ValueError
+    ``column 'cell' is not one of name, name, ...``."""
     codes = {name: code for code, name in enumerate(names)}
+
+    def parse(cell: str) -> int:
+        try:
+            return codes[cell]
+        except KeyError:
+            raise ValueError(f"{column} {cell!r} is not one of {', '.join(names)}") from None
 
     def convert(cells: list[str]) -> np.ndarray | None:
         try:
@@ -266,7 +285,7 @@ def labels(parse: Callable[[str], int], names: Sequence[str]) -> CellKind:
         except KeyError:
             return None
 
-    return CellKind(parse, convert, np.int8, lambda column: list(map(names.__getitem__, column.tolist())))
+    return CellKind(parse, convert, np.int8, lambda values: list(map(names.__getitem__, values.tolist())))
 
 
 def optional(kind: CellKind, missing: object) -> CellKind:
@@ -315,10 +334,10 @@ def read_columns(path: str | Path, schema: Schema, *rules: RowRule) -> ColumnTab
     lines = iter_lines(path)
     first = next(lines, None)
     if first is None:
-        raise DataError(f"empty table: {path}")
+        raise DataError(f"{path}: empty table")
     got = first.split("\t")
     if got != header:
-        raise DataError(f"unexpected header in {path}: got {got!r}, expected {header!r}")
+        raise DataError(f"{path}: unexpected header: got {got!r}, expected {header!r}")
     titles: list[str] = []
     parts = {name: [np.empty(0, kind.dtype)] for name, kind in schema.items()}
     seen: set[str] | None = None  # every title so far, once the titles stop ascending

@@ -11,14 +11,14 @@ import numpy as np
 
 from clickroles.features import JOINED
 from clickroles.ingest import TRAFFIC
-from clickroles.metrics import QUADRANT_ORDER, QuadrantLabel
+from clickroles.metrics import ROLES
 from clickroles.tableio import ColumnTable, column_table, fmt_value
 
 ROW_DEFAULTS = dict(
     searchshare=0.5,
     resistance=0.5,
     total_views=100,
-    quadrant=QuadrantLabel.NAV_RELAY,
+    quadrant="nav-relay",
     in_degree=1,
     out_degree=1,
     degree=2,
@@ -52,7 +52,7 @@ def make_table(rows: Iterable[dict]) -> ColumnTable:
     for name, kind in JOINED.items():
         cells = [r[name] for r in rows]
         if name == "quadrant":
-            cells = [QUADRANT_ORDER.index(QuadrantLabel(q)) for q in cells]
+            cells = [ROLES.index(q) for q in cells]
         elif name == "topic_id":
             cells = [-1 if t is None else t for t in cells]
         columns[name] = np.array(cells, dtype=kind.dtype)
@@ -62,7 +62,7 @@ def make_table(rows: Iterable[dict]) -> ColumnTable:
 def table_rows(table: ColumnTable) -> list[dict]:
     """The rows of a joined table as dicts of Python values."""
     cells = {name: table[name].tolist() for name in JOINED}
-    cells["quadrant"] = [QUADRANT_ORDER[q] for q in cells["quadrant"]]
+    cells["quadrant"] = [ROLES[q] for q in cells["quadrant"]]
     cells["topic_id"] = [None if t < 0 else t for t in cells["topic_id"]]
     return [dict(zip(("article", *JOINED), values)) for values in zip(table.articles, *cells.values())]
 
@@ -72,6 +72,5 @@ def joined_tsv(rows: Iterable[dict]) -> str:
     columns = ("article", *JOINED)
     lines = ["\t".join(columns)]
     for r in rows:
-        values = [QuadrantLabel(r[k]).value if k == "quadrant" else r[k] for k in columns]
-        lines.append("\t".join(fmt_value(v) for v in values))
+        lines.append("\t".join(fmt_value(r[k]) for k in columns))
     return "\n".join(lines) + "\n"

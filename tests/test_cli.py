@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 import re
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 
 from clickroles.cli import build_parser, main
 from clickroles.errors import DataError
+from clickroles.ingest import write_traffic_table
 from clickroles.manifest import build_manifest, read_manifest, write_manifest
 from clickroles.model import load_model
 from clickroles.overlap import RANKING_KEYS
@@ -132,7 +134,7 @@ class TestExitCodes:
         code = main(["ingest", "--clickstream", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "nope.tsv" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {tmp_path / 'nope.tsv'}: input file not found\n"
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -285,10 +287,43 @@ class TestExitCodes:
         ("model", "--joined", "resistance", "-inf"),
         ("features", "--topics", "weight", "abc"),
         ("features", "--topics", "weight", "1.5"),
+        # the forms float() takes and the count rule refuses
+        ("features", "--content", "age", "1_0"),
+        ("features", "--metrics", "resistance", " 0.5 "),
+        ("model", "--joined", "size", "\u0661\u0662"),
     ], ids=["content-age-nan", "content-size-inf", "metrics-nan", "metrics-searchshare-above-1",
-            "metrics-resistance-below-0", "joined-inf", "topics-weight-not-a-number", "topics-weight-above-1"])
+            "metrics-resistance-below-0", "joined-inf", "topics-weight-not-a-number", "topics-weight-above-1",
+            "content-age-underscore", "metrics-resistance-padded", "joined-size-non-ascii"])
     def test_non_finite_cell_is_data_error(self, tmp_path, pipeline, capsys, sub, flag, column, value):
         self.assert_bad_row(tmp_path, pipeline, capsys, sub, flag, column, value)
+
+    # (subcommand, the text of its traffic table, the message after the path)
+    @pytest.mark.parametrize("sub, text, message", [
+        pytest.param("metrics", "article\tin_se\tin_nav\tout_nav\ttotal_views\nA\t0\t0\t5\t0\n",
+                     "no articles with positive inflow", id="metrics-no-inflow"),
+        pytest.param("metrics", "", "empty table", id="empty-table"),
+        pytest.param("sample", "article\tviews\nA\t1\n",
+                     "unexpected header: got ['article', 'views'], "
+                     "expected ['article', 'in_se', 'in_nav', 'out_nav', 'total_views']", id="unexpected-header"),
+    ])
+    def test_data_error_starts_with_its_file(self, tmp_path, capsys, sub, text, message):
+        path = tmp_path / "in.tsv"
+        path.write_text(text)
+        assert run(sub, "--traffic", path, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_input_gone_before_the_manifest_hashes_it(self, tmp_path, pipeline, capsys, monkeypatch):
+        traffic = tmp_path / "traffic.tsv"
+        traffic.write_bytes((pipeline["ingest"] / "traffic.tsv").read_bytes())
+
+        def write_then_remove_input(path, table):
+            write_traffic_table(path, table)
+            traffic.unlink()
+
+        monkeypatch.setattr("clickroles.cli.write_traffic_table", write_then_remove_input)
+        assert run("sample", "--traffic", traffic, "--n", 5, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {traffic}: input file not found\n"
 
     @pytest.mark.parametrize("sub", ["bins", "model"])
     def test_joined_ratio_outside_unit_interval(self, tmp_path, pipeline, capsys, sub):
@@ -330,7 +365,7 @@ class TestExitCodes:
             "--content": pipeline["content"],
             "--topics": pipeline["topics"] / "topics.tsv",
         }
-        lines = inputs[flag].read_text().splitlines()
+        lines = inputs[flag].read_text(encoding="utf-8").splitlines()
         cells = lines[2].split("\t")
         if value is not None:
             cells[lines[0].split("\t").index(column)] = value
@@ -338,7 +373,7 @@ class TestExitCodes:
             cells = cells[: min(5, len(cells) - 1)]
         lines[2] = "\t".join(cells)
         inputs[flag] = tmp_path / f"bad_{flag[2:]}.tsv"
-        inputs[flag].write_text("\n".join(lines) + "\n")
+        inputs[flag].write_text("\n".join(lines) + "\n", encoding="utf-8")
         reads = [f for s, f, _ in self.TABLE_READERS.values() if s == sub] or [flag]
         argv = [sub, *(a for f in reads for a in (f, str(inputs[f]))), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
@@ -438,7 +473,7 @@ class TestExitCodes:
         traffic = tmp_path / "traffic.tsv"
         traffic.write_text("article\tin_se\tin_nav\tout_nav\ttotal_views\n")
         assert run("overlap", "--traffic", traffic, "--out", tmp_path / "o") == 1
-        assert f"error: no articles to rank in {traffic}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {traffic}: no articles to rank\n"
         assert not (tmp_path / "o").exists()
 
     def test_depth_beyond_ranking_names_traffic_file(self, tmp_path, pipeline, capsys):
@@ -489,15 +524,19 @@ class TestExitCodes:
         pytest.param("topics", "--alpha", "0", "is not a positive finite number", id="topics-alpha-zero"),
         pytest.param("topics", "--beta", "-0.5", "is not a positive finite number", id="topics-beta"),
         pytest.param("topics", "--beta", "nan", "is not a positive finite number", id="topics-beta-nan"),
+        pytest.param("topics", "--alpha", "1_0", "is not a positive finite number", id="topics-alpha-underscore"),
+        pytest.param("topics", "--beta", " 0.5 ", "is not a positive finite number", id="topics-beta-padded"),
         pytest.param("model", "--trees", "-2", "is not an integer from 1", id="model-trees"),
         pytest.param("model", "--depth", "-1", "is not an integer from 0", id="model-depth"),
         pytest.param("model", "--rate", "0", "is not a positive finite number", id="model-rate"),
         pytest.param("model", "--rate", "-1", "is not a positive finite number", id="model-rate-negative"),
         pytest.param("model", "--rate", "nan", "is not a positive finite number", id="model-rate-nan"),
         pytest.param("model", "--rate", "inf", "is not a positive finite number", id="model-rate-inf"),
+        pytest.param("model", "--rate", "\u0661", "is not a positive finite number", id="model-rate-non-ascii"),
         pytest.param("model", "--min-leaf", "-5", "is not an integer from 1", id="model-min-leaf"),
         pytest.param("model", "--folds", "1", "is not an integer from 2", id="model-folds"),
         pytest.param("model", "--threshold", "1.5", "is not a number from 0 to 1", id="model-threshold"),
+        pytest.param("model", "--threshold", "0_1", "is not a number from 0 to 1", id="model-threshold-underscore"),
         pytest.param("model", "--task", "views", "invalid choice: 'views'", id="model-task"),
         pytest.param("model", "--groups", "bogus", "'bogus' is not one of", id="model-groups"),
         pytest.param("model", "--groups", "topic,topic", "'topic' is given twice", id="model-groups-repeated"),
@@ -1019,10 +1058,11 @@ class TestReport:
         bundled = {p.name for p in bundle.iterdir()}
         assert bundled == {"overlap_total_in_se.csv", "index.json", "manifest.json"}
 
-    def test_missing_directory_rejected(self, tmp_path):
+    def test_missing_directory_rejected(self, tmp_path, capsys):
         code = main(["report", "--inputs", str(tmp_path / "ghost"),
                      "--out", str(tmp_path / "r")])
         assert code == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'ghost'}: not a directory\n"
 
     def test_rerun_with_own_out_among_inputs(self, tmp_path, pipeline):
         out = tmp_path / "r"
@@ -1069,3 +1109,111 @@ class TestGolden:
         if actual != expected:
             new = "".join(f"{digest}  {name}\n" for name, digest in actual.items())
             pytest.fail(f"pipeline outputs differ from {GOLDEN}; new digests:\n{new}")
+
+
+# ---------------------------------------------------------------------------
+# mutated inputs
+
+# each kind of damage once per input, then this many more of the random kinds
+EXTRA_CASES = 30
+FUZZ_SECONDS = 15.0
+RANDOM_MUTATIONS = ("truncate", "flip", "duplicate", "drop", "extra-tab", "cell")
+MUTATIONS = RANDOM_MUTATIONS + ("header-only", "empty", "crlf", "truncated-gzip")
+BAD_CELLS = [b"nan", b"1e400", b"inf", b"-1", b" 3", b"\xff", b"9" * 20, b""]
+
+
+def mutate(data: bytes, kind: str, rng: random.Random) -> bytes:
+    """`data`, a file of LF-ended lines, damaged by one mutation `kind`;
+    "truncated-gzip" gives the first half of its gzip."""
+    lines = data.split(b"\n")[:-1]
+    row = rng.randrange(len(lines))
+    if kind == "truncate":
+        return data[: rng.randrange(len(data))]
+    if kind == "flip":
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        return bytes(flipped)
+    if kind == "truncated-gzip":
+        packed = gzip.compress(data)
+        return packed[: len(packed) // 2]
+    if kind == "empty":
+        return b""
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "header-only":
+        lines = lines[:1]
+    elif kind == "duplicate":
+        lines.insert(row, lines[row])
+    elif kind == "drop":
+        del lines[row]
+    elif kind == "extra-tab":
+        at = rng.randrange(len(lines[row]) + 1)
+        lines[row] = lines[row][:at] + b"\t" + lines[row][at:]
+    else:  # "cell"
+        cells = lines[row].split(b"\t")
+        cells[rng.randrange(len(cells))] = rng.choice(BAD_CELLS)
+        lines[row] = b"\t".join(cells)
+    return b"".join(line + b"\n" for line in lines)
+
+
+def fuzzed_runs(p: dict[str, Path], edges: Path) -> list[tuple[str, dict[str, Path], str, list]]:
+    """(subcommand, its input files by flag, the flag whose file is mutated,
+    its other flags): every input of every subcommand that reads files."""
+    traffic, joined = p["ingest"] / "traffic.tsv", p["features"] / "joined.tsv"
+    tables = {"--metrics": p["metrics"] / "metrics.tsv", "--network": p["graph"] / "network.tsv",
+              "--content": p["content"], "--topics": p["topics"] / "topics.tsv"}
+    runs = [
+        ("ingest", {"--clickstream": p["clickstream"]}, []),
+        ("metrics", {"--traffic": traffic}, ["--bins", 5, "--grid", 5]),
+        ("overlap", {"--traffic": traffic}, []),
+        ("sample", {"--traffic": traffic}, ["--n", 10]),
+        ("graph", {"--edges": edges}, []),
+        ("graph", {"--clickstream": p["clickstream"]}, []),
+        ("topics", {"--documents": p["documents"]}, ["--k", 2, "--iterations", 2]),
+        ("bins", {"--joined": joined}, ["--bins", 5]),
+        ("model", {"--joined": joined}, ["--trees", 2, "--folds", 3, "--min-leaf", 2]),
+    ]
+    return [(sub, inputs, flag, extra) for sub, inputs, extra in runs for flag in inputs] + [
+        ("features", tables, flag, ["--grid", 5]) for flag in tables
+    ]
+
+
+def test_mutated_inputs_end_in_a_clean_exit(tmp_path, pipeline, capsys):
+    """Each damaged input ends in exit 0, 1 or 2, with no traceback and
+    no --out unless the run succeeds; an exit-1 message names the
+    damaged file first."""
+    rng = random.Random(7)
+    edges = tmp_path / "edges.tsv"
+    links = [line.split("\t")[:2] for line in pipeline["clickstream"].read_text().splitlines()]
+    edges.write_text("".join(f"{a}\t{b}\n" for a, b in links if not a.startswith("other-")))
+    started = time.perf_counter()
+    failures, codes = [], []
+    for sub, inputs, flag, extra in fuzzed_runs(pipeline, edges):
+        kinds = list(MUTATIONS) + [rng.choice(RANDOM_MUTATIONS) for _ in range(EXTRA_CASES)]
+        for kind in kinds:
+            case = tmp_path / f"case{len(codes)}"
+            case.mkdir()
+            source = inputs[flag]
+            damaged = case / (source.name + (".gz" if kind == "truncated-gzip" else ""))
+            damaged.write_bytes(mutate(source.read_bytes(), kind, rng))
+            files = {**inputs, flag: damaged}
+            out = case / "out"
+            argv = [sub, *(a for f, path in files.items() for a in (f, path)), *extra, "--out", out]
+            what = f"{sub} {flag} {kind} ({damaged})"
+            try:
+                code = run(*argv)
+            except Exception as exc:  # noqa: BLE001 - any escape is the failure reported
+                failures.append(f"{what}: raised {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err
+            codes.append(code)
+            if code not in (0, 1, 2) or "Traceback" in err:
+                failures.append(f"{what}: exit {code}: {err}")
+            if code != 0 and out.exists():
+                failures.append(f"{what}: exit {code} left {sorted(p.name for p in out.iterdir())}")
+            if code == 1 and not err.startswith(f"error: {damaged}"):
+                failures.append(f"{what}: the message does not start with the file: {err}")
+    elapsed = time.perf_counter() - started
+    assert not failures, "\n".join(failures)
+    assert len(codes) == len(fuzzed_runs(pipeline, edges)) * (len(MUTATIONS) + EXTRA_CASES)
+    assert elapsed < FUZZ_SECONDS, f"{len(codes)} cases took {elapsed:.1f} s"

@@ -22,6 +22,12 @@ def parse_all(lines, strict=False, stats=None):
     return list(parse_clickstream(lines, strict, stats))
 
 
+def parsed(records, stats=None):
+    """parse_clickstream's records of the dump lines of (referrer,
+    resource, rawtype, count) tuples."""
+    return parse_clickstream(("\t".join(map(str, record)) for record in records), stats=stats)
+
+
 def rows(table):
     """article -> (in_se, in_nav, out_nav, total_views) of a traffic table."""
     return dict(zip(table.articles, zip(*(table[name].tolist() for name in TRAFFIC))))
@@ -40,7 +46,7 @@ def assert_well_formed(table):
 class TestParse:
     def test_well_formed_line(self):
         recs = parse_all(["other-search\tRio_de_Janeiro\texternal\t1000"])
-        assert recs == [("other-search", "Rio_de_Janeiro", "external", 1000)]
+        assert recs == [(None, "Rio_de_Janeiro", 1000)]
 
     def test_three_fields_skipped_lenient(self):
         stats = ParseStats()
@@ -101,11 +107,12 @@ class TestParse:
     def test_input_order_preserved(self):
         lines = [f"other-search\tA{i}\texternal\t{10 + i}" for i in range(5)]
         recs = parse_all(lines)
-        assert [resource for _, resource, _, _ in recs] == [f"A{i}" for i in range(5)]
+        assert [resource for _, resource, _ in recs] == [f"A{i}" for i in range(5)]
 
 
 class TestClassify:
-    """The referrer rule, seen in what one record adds to the table."""
+    """The referrer rule, seen in the record the parser yields for one
+    line and in what that line adds to the table."""
 
     @pytest.mark.parametrize(
         "referrer,rawtype,role",
@@ -126,12 +133,16 @@ class TestClassify:
             "navigation": {"X": (0, 10, 0, 10)},
             "none": {},
         }[role]
-        assert rows(aggregate_traffic([(referrer, "X", rawtype, 10)])) == expected
+        assert rows(aggregate_traffic(parsed([(referrer, "X", rawtype, 10)]))) == expected
+        stats = ParseStats()
+        yielded = {"search": [(None, "X", 10)], "navigation": [(referrer, "X", 10)], "none": []}[role]
+        assert list(parsed([(referrer, "X", rawtype, 10)], stats)) == yielded
+        assert stats == ParseStats(lines=1, records=1)  # checked and counted, yielded or not
 
     def test_reserved_token_beats_rawtype(self):
-        assert rows(aggregate_traffic([("other-search", "X", "link", 10)])) == {"X": (10, 0, 0, 10)}
+        assert rows(aggregate_traffic(parsed([("other-search", "X", "link", 10)]))) == {"X": (10, 0, 0, 10)}
         for token in ("other-empty", "other-external"):
-            assert rows(aggregate_traffic([(token, "X", "link", 10)])) == {}
+            assert rows(aggregate_traffic(parsed([(token, "X", "link", 10)]))) == {}
 
 
 class TestAggregate:
@@ -140,24 +151,24 @@ class TestAggregate:
             ("other-search", "A", "external", 30),
             ("A", "B", "link", 10),
         ]
-        table = aggregate_traffic(records)
+        table = aggregate_traffic(parsed(records))
         assert rows(table) == {"A": (30, 0, 10, 30), "B": (0, 10, 0, 10)}
         assert_well_formed(table)
 
     def test_all_missing_gives_empty_map(self):
         records = [("other-empty", "A", "other", 50)]
-        table = aggregate_traffic(records)
+        table = aggregate_traffic(parsed(records))
         assert len(table) == 0
         assert_well_formed(table)
 
     def test_referrer_only_article_dropped_by_default(self):
         records = [("R", "B", "link", 5)]
-        table = aggregate_traffic(records)
+        table = aggregate_traffic(parsed(records))
         assert rows(table) == {"B": (0, 5, 0, 5)}
 
     def test_other_external_contributes_nothing(self):
         records = [("other-external", "A", "external", 40)]
-        assert len(aggregate_traffic(records)) == 0
+        assert len(aggregate_traffic(parsed(records))) == 0
 
     def test_sum_above_bound_names_source(self):
         records = [
@@ -165,13 +176,13 @@ class TestAggregate:
             ("B", "A", "link", 1),
         ]
         with pytest.raises(DataError, match="^dump.tsv: .*'A'"):
-            aggregate_traffic(records, source="dump.tsv")
+            aggregate_traffic(parsed(records), source="dump.tsv")
         # outflow is bounded too, on an article with little inflow
         records = [("other-search", "R", "external", 1), ("R", "B", "link", MAX_COUNT), ("R", "C", "link", 1)]
         with pytest.raises(DataError, match="'R'"):
-            aggregate_traffic(records)
+            aggregate_traffic(parsed(records))
         records = [("other-search", "A", "external", MAX_COUNT)]
-        assert rows(aggregate_traffic(records))["A"] == (MAX_COUNT, 0, 0, MAX_COUNT)
+        assert rows(aggregate_traffic(parsed(records)))["A"] == (MAX_COUNT, 0, 0, MAX_COUNT)
 
 
 records_strategy = st.lists(
@@ -191,13 +202,13 @@ class TestAggregateProperties:
     def test_order_independence(self, records, seed):
         shuffled = list(records)
         seed.shuffle(shuffled)
-        assert rows(aggregate_traffic(records)) == rows(aggregate_traffic(shuffled))
+        assert rows(aggregate_traffic(parsed(records))) == rows(aggregate_traffic(parsed(shuffled)))
 
     @given(records=records_strategy, extra=records_strategy)
     @settings(max_examples=40)
     def test_monotonicity(self, records, extra):
-        before = rows(aggregate_traffic(records))
-        after = rows(aggregate_traffic(records + extra))
+        before = rows(aggregate_traffic(parsed(records)))
+        after = rows(aggregate_traffic(parsed(records + extra)))
         for article, counts in before.items():
             assert all(grown >= was for grown, was in zip(after[article], counts))
 

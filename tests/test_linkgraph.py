@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError
+from clickroles.ingest import parse_clickstream
 from clickroles.linkgraph import (
     EdgeStats,
     LinkGraph,
     build_graph,
     degrees,
-    edges_from_clickstream,
     graph_from_file,
     kcore_decomposition,
     network_features,
@@ -208,14 +208,16 @@ class TestParseEdges:
 
 class TestClickstreamEdges:
     def test_only_internal_transitions(self):
-        records = [
-            ("A", "B", "link", 15),
-            ("other-search", "B", "external", 90),
-            ("other-empty", "C", "external", 12),
-            ("other-search", "D", "link", 20),
-            ("B", "C", "link", 11),
+        # graph --clickstream's edges: the records with a referring article
+        lines = [
+            "A\tB\tlink\t15",
+            "other-search\tB\texternal\t90",
+            "other-empty\tC\texternal\t12",
+            "other-search\tD\tlink\t20",
+            "B\tC\tlink\t11",
         ]
-        assert list(edges_from_clickstream(records)) == [("A", "B"), ("B", "C")]
+        links = [(referrer, resource) for referrer, resource, _ in parse_clickstream(lines) if referrer is not None]
+        assert links == [("A", "B"), ("B", "C")]
 
 
 class TestDegrees:

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from clickroles.errors import DataError
 from clickroles.metrics import (
     METRICS,
-    QUADRANT_ORDER,
+    ROLES,
     CorpusThresholds,
-    QuadrantLabel,
     assign_quadrants,
     average_ranks,
     correlations,
@@ -65,8 +64,8 @@ def reference_quadrant(ss, res, thresholds):
     above_ss = ss > thresholds.mean_searchshare
     above_res = res > thresholds.mean_resistance
     if above_ss:
-        return QuadrantLabel.SEARCH_EXIT if above_res else QuadrantLabel.SEARCH_RELAY
-    return QuadrantLabel.NAV_EXIT if above_res else QuadrantLabel.NAV_RELAY
+        return "search-exit" if above_res else "search-relay"
+    return "nav-exit" if above_res else "nav-relay"
 
 
 def reference_metrics(rows):
@@ -82,8 +81,8 @@ def reference_metrics(rows):
 
 def reference_group_shares(rows):
     """rows: (searchshare, resistance, total_views, quadrant)."""
-    articles = {label: 0 for label in QUADRANT_ORDER}
-    views = {label: 0 for label in QUADRANT_ORDER}
+    articles = {label: 0 for label in ROLES}
+    views = {label: 0 for label in ROLES}
     total = 0
     for _, _, v, label in rows:
         articles[label] += 1
@@ -91,7 +90,7 @@ def reference_group_shares(rows):
         total += v
     return {
         label: (100.0 * articles[label] / len(rows), 100.0 * views[label] / total if total else 0.0)
-        for label in QUADRANT_ORDER
+        for label in ROLES
     }
 
 
@@ -139,7 +138,7 @@ def make_metrics(rows, thresholds=None):
 
 
 def labels(codes):
-    return [QUADRANT_ORDER[c] for c in np.asarray(codes).tolist()]
+    return [ROLES[c] for c in np.asarray(codes).tolist()]
 
 
 class TestSearchshare:
@@ -225,22 +224,22 @@ class TestQuadrants:
         return label
 
     def test_search_relay(self):
-        assert self.quadrant(0.9, 0.2) is QuadrantLabel.SEARCH_RELAY
+        assert self.quadrant(0.9, 0.2) == "search-relay"
 
     def test_boundary_is_at_or_below(self):
-        assert self.quadrant(0.66, 0.88) is QuadrantLabel.NAV_RELAY
+        assert self.quadrant(0.66, 0.88) == "nav-relay"
 
     @pytest.mark.parametrize(
         "ss,res,expected",
         [
-            (0.9, 0.95, QuadrantLabel.SEARCH_EXIT),
-            (0.9, 0.88, QuadrantLabel.SEARCH_RELAY),
-            (0.5, 0.95, QuadrantLabel.NAV_EXIT),
-            (0.5, 0.5, QuadrantLabel.NAV_RELAY),
+            (0.9, 0.95, "search-exit"),
+            (0.9, 0.88, "search-relay"),
+            (0.5, 0.95, "nav-exit"),
+            (0.5, 0.5, "nav-relay"),
         ],
     )
     def test_all_four_cells(self, ss, res, expected):
-        assert self.quadrant(ss, res) is expected
+        assert self.quadrant(ss, res) == expected
 
     @given(
         rows=st.lists(
@@ -260,7 +259,7 @@ class TestQuadrants:
         assert sum(pct for pct, _ in shares.values()) == pytest.approx(100.0, abs=0.1)
         assert sum(pct for _, pct in shares.values()) == pytest.approx(100.0, abs=0.1)
         assert len(metrics["quadrant"]) == len(rows)
-        assert set(labels(metrics["quadrant"])) <= set(QUADRANT_ORDER)
+        assert set(labels(metrics["quadrant"])) <= set(ROLES)
 
 
 class TestHistogram:
@@ -394,7 +393,7 @@ class TestTableRoundtrip:
         loaded = read_metrics_table(path)
         assert loaded.articles == ("A", "B")
         assert loaded["total_views"].tolist() == [4, 3]
-        assert labels(loaded["quadrant"]) == [QuadrantLabel.SEARCH_EXIT, QuadrantLabel.NAV_EXIT]
+        assert labels(loaded["quadrant"]) == ["search-exit", "nav-exit"]
 
 
 # ---------------------------------------------------------------------------

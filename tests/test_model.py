@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from clickroles.errors import DataError, UsageError
 from clickroles.model import (
     CONTENT_EDIT_FEATURES,
+    FEATURE_GROUPS,
     GBDTConfig,
     GBDTModel,
     InstanceSet,
@@ -22,6 +23,8 @@ from clickroles.model import (
     binarize_target,
     build_instances,
     cross_validate,
+    default_groups,
+    final_model,
     load_model,
     log_loss,
     roc_auc,
@@ -126,6 +129,13 @@ class TestBuildInstances:
         inst, dropped = build_instances(make_table(rows), "resistance")
         assert dropped == 0
         assert all(not n.startswith("topic_") for n in inst.feature_names)
+
+    def test_default_groups_follow_the_topic_columns(self):
+        with_topics, _ = build_instances(make_table([make_row("A", topic_id=2), make_row("B", topic_id=0)]),
+                                         "searchshare")
+        without, _ = build_instances(make_table([make_row("A"), make_row("B")]), "searchshare")
+        assert default_groups(with_topics) == list(FEATURE_GROUPS)
+        assert default_groups(without) == ["network", "content-edit"]
 
     def test_sparse_topic_ids_one_column_each(self):
         # the one-hot spans the ids present, not 0 .. the largest id
@@ -556,6 +566,20 @@ class TestCrossValidate:
         seq = cross_validate(inst, "all", cfg, threads=1)
         par = cross_validate(inst, "all", cfg, threads=4)
         assert seq.fold_aucs == par.fold_aucs
+
+    def test_final_model_is_balanced_beside_the_folds(self):
+        # every instance of the group, balanced by [seed, folds]: no fold's seed [seed, f]
+        x, y = separable_data(300, seed=8)
+        y[:40] = 1  # more positives than negatives, so balancing draws
+        inst = instance_set_from_arrays(x, y)
+        cfg = GBDTConfig(n_trees=4, max_depth=2, min_leaf=5, seed=3)
+        subset = balance(select_group(inst, "all"), seed=[3, 5])
+        expected = train_gbdt(subset.x, subset.y, cfg, subset.feature_names)
+        got = final_model(inst, "all", cfg, 5)
+        assert got.feature_names == expected.feature_names and len(got.trees) == 4
+        assert np.array_equal(got.decision_scores(x), expected.decision_scores(x))
+        other = balance(select_group(inst, "all"), seed=[3, 4])
+        assert not np.array_equal(got.decision_scores(x), train_gbdt(other.x, other.y, cfg).decision_scores(x))
 
     def test_deterministic_report(self):
         x, y = separable_data(250, seed=9)

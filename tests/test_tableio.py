@@ -21,7 +21,7 @@ from clickroles.errors import DataError, UsageError
 from clickroles.features import CONTENT, JOINED, TOPIC_ASSIGNMENT
 from clickroles.ingest import TRAFFIC, read_traffic_table, write_traffic_table
 from clickroles.linkgraph import NETWORK
-from clickroles.metrics import METRICS, QUADRANT_LABELS, quadrant_code
+from clickroles.metrics import METRICS, ROLES
 from clickroles.tableio import iter_lines
 from test_linkgraph import traced_peak
 
@@ -60,6 +60,56 @@ class TestParseRatio:
     def test_message_names_column(self):
         with pytest.raises(ValueError, match=r"^searchshare 1\.5 outside \[0, 1\]$"):
             tableio.parse_ratio("searchshare", "1.5")
+
+
+# a float's text with a character that float() takes but the count rule
+# refuses: "_" between digits, whitespace at an end, a non-ASCII digit
+UNPLAIN = st.one_of(
+    st.sampled_from(["1_0", "2_5.0", "1e1_0", " 2.5 ", "2.5\x0b", "\x1c1", "\u20032", "\u0661\u0662",
+                     "\uff11.5", "\u0665e1"]),
+    st.tuples(st.integers(1, 99), st.integers(0, 99)).map(lambda t: f"{t[0]}_{t[1]}"),
+    st.tuples(st.sampled_from([" ", "  ", "\t", "\x0c", "\x1f", "\xa0"]), st.floats(allow_nan=False).map(repr),
+              st.booleans()).map(lambda t: t[1] + t[0] if t[2] else t[0] + t[1]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    .map(lambda text: text.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                   "\u0665\u0666\u0667\u0668\u0669")))
+    .filter(lambda text: not text.isascii()),
+)
+PLAIN_REALS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+class TestParseReal:
+    @pytest.mark.parametrize("text", ["1_0", " 2.5 ", "2.5\n", "\u0661\u0662", "\uff12.5"],
+                             ids=["underscore", "padded", "newline", "arabic-indic", "fullwidth"])
+    def test_rejects_what_the_count_rule_rejects(self, text):
+        with pytest.raises(ValueError, match=f"^value {re.escape(repr(text))} is not a plain ASCII number$"):
+            tableio.parse_real(text)
+        assert tableio.REAL.convert(["0.5", text]) is None
+
+    @given(cells=st.lists(st.one_of(PLAIN_REALS, UNPLAIN, st.sampled_from(["nan", "inf", "1e400", "x", ""])),
+                          min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_block_path_agrees_with_parse_real(self, cells):
+        """The block path converts a column exactly when parse_real takes
+        every cell, to the same values, and neither takes a cell with a
+        non-ASCII character, "_" or whitespace."""
+        values, fault = scalar_column(tableio.REAL, cells)
+        converted = tableio.REAL.convert(cells)
+        assert (converted is None) == (fault is not None)
+        if converted is not None:
+            assert same(converted.tolist(), values)
+        if not all(cell.isascii() and "_" not in cell and cell == "".join(cell.split()) for cell in cells):
+            assert fault is not None
+
+
+class TestLabels:
+    def test_bad_cell_names_column_and_names(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("article\tsearchshare\tresistance\ttotal_views\tquadrant\nA\t0.5\t0.5\t3\tsearch-exi\n")
+        with pytest.raises(DataError) as exc:
+            tableio.read_columns(path, METRICS)
+        assert str(exc.value) == (f"{path}:2: quadrant 'search-exi' is not one of "
+                                  "search-exit, search-relay, nav-relay, nav-exit")
 
 
 class TestWriters:
@@ -115,7 +165,7 @@ KINDS = {
     "count": tableio.COUNT,
     "real": tableio.REAL,
     "ratio": tableio.ratio("weight"),
-    "quadrant": tableio.labels(quadrant_code, QUADRANT_LABELS),
+    "quadrant": tableio.labels("quadrant", ROLES),
     "optional count": tableio.optional(tableio.COUNT, -1),
 }
 SPECIAL_CELLS = ["1_000", " 5 ", "+1", "٣", "", "nan", "-inf", "1e400", "-0.0", str(2**53), str(2**53 + 1),
@@ -133,7 +183,7 @@ GOOD_CELLS = {
     "count": st.integers(0, 2**53).map(str),
     "real": st.floats(allow_nan=False, allow_infinity=False).map(repr),
     "ratio": st.floats(0, 1).map(repr),
-    "quadrant": st.sampled_from(QUADRANT_LABELS),
+    "quadrant": st.sampled_from(ROLES),
     "optional count": st.one_of(st.just(""), st.integers(0, 2**53).map(str)),
 }
 
@@ -168,7 +218,7 @@ class TestColumnKinds:
         ("count", ["0", "12", str(2**53)]),
         ("real", ["-0.0", "1e308", "0.1"]),
         ("ratio", ["0", "-0.0", "1.0"]),
-        ("quadrant", list(QUADRANT_LABELS)),
+        ("quadrant", list(ROLES)),
         ("optional count", ["", "3", ""]),
     ])
     def test_plain_columns_convert_at_once(self, name, column):
@@ -196,7 +246,7 @@ class TestColumnKinds:
 COUNTS = st.one_of(st.sampled_from([0, 1, 2**53 - 1, 2**53]), st.integers(0, 2**53))
 REALS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308]), st.floats(allow_nan=False, allow_infinity=False))
 RATIOS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0, 1))
-QUADRANT_CODES = st.sampled_from(range(len(QUADRANT_LABELS)))
+QUADRANT_CODES = st.sampled_from(range(len(ROLES)))
 TOPIC_IDS = st.one_of(st.just(-1), COUNTS)  # -1: no topic, written as an empty cell
 VALUES = {"count": COUNTS, "real": REALS, "ratio": RATIOS, "quadrant": QUADRANT_CODES, "optional count": TOPIC_IDS}
 
@@ -222,7 +272,7 @@ class TestCellText:
         ("count", [0, 7, 2**53], ["0", "7", str(2**53)]),
         ("real", [-0.0, 0.1, 1e-20, math.nan], ["-0.0", "0.1", "1e-20", ""]),
         ("ratio", [0.0, -0.0, 1.0, math.nan], ["0.0", "-0.0", "1.0", ""]),
-        ("quadrant", [0, 1, 2, 3], list(QUADRANT_LABELS)),
+        ("quadrant", [0, 1, 2, 3], list(ROLES)),
         ("optional count", [-1, 0, 3, -1, 2**53], ["", "0", "3", "", str(2**53)]),
     ])
     def test_exact_cells(self, name, values, cells):
