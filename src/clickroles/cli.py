@@ -99,10 +99,10 @@ from .tableio import (
 )
 from .topics import (
     DEFAULT_STOP_WORDS,
-    DEFAULT_TOPIC_LABELS,
     corpus_from_file,
     fit_lda,
     read_stop_words,
+    topic_names,
     write_assignments,
     write_phi,
     write_theta,
@@ -403,7 +403,7 @@ def cmd_overlap(args, out: _OutputDir) -> None:
 def cmd_graph(args, out: _OutputDir) -> None:
     stats = EdgeStats()
     if args.edges is not None:
-        graph = graph_from_file(args.edges, strict=args.strict, stats=stats)
+        graph = graph_from_file(args.edges, args.strict, stats)
         source, source_path, lines = "edge-list", args.edges, stats.lines
     else:
         # traveled-link approximation: only the dump's internal links at or
@@ -448,8 +448,7 @@ def cmd_features(args, out: _OutputDir) -> None:
     if topics is not None:
         topic_ids = joined["topic_id"]
         assigned_ids = sorted(set(topic_ids[topic_ids >= 0].tolist()))
-        if labels is None:
-            labels = dict(enumerate(DEFAULT_TOPIC_LABELS)) if assigned_ids == list(range(20)) else {}
+        labels = topic_names(assigned_ids, labels)
         write_topic_stats(out.file("topic_stats.tsv", "topic_statistics"), topic_statistics(joined, labels))
         if args.grid > 0 and assigned_ids:
             columns = [joined[name] for name in ("resistance", "searchshare", "total_views")]
@@ -462,7 +461,7 @@ def cmd_features(args, out: _OutputDir) -> None:
                 write_matrix_csv(
                     out.file(f"ratio_topic_{tid}.csv", "ratio_heatmap"),
                     ratio,
-                    {"topic_id": tid, "label": labels.get(tid, f"topic-{tid}"),
+                    {"topic_id": tid, "label": labels[tid],
                      "rows": "resistance", "cols": "searchshare", "grid": args.grid},
                 )
 
@@ -496,8 +495,7 @@ def cmd_topics(args, out: _OutputDir) -> None:
     write_assignments(out.file("topics.tsv", "topic_assignments"), model)
     write_phi(out.file("phi.csv", "topic_word_matrix"), model)
     write_theta(out.file("theta.csv", "document_topic_matrix"), model)
-    labels = DEFAULT_TOPIC_LABELS if args.k == len(DEFAULT_TOPIC_LABELS) else None
-    write_top_words(out.file("top_words.txt", "top_words"), model, n=args.top_words, labels=labels)
+    write_top_words(out.file("top_words.txt", "top_words"), model, args.top_words, topic_names(range(args.k), None))
     write_keyvalues(
         out.file("corpus_stats.txt"),
         {

@@ -59,7 +59,7 @@ def join_features(
     metrics: ColumnTable,
     network: ColumnTable,
     content: ColumnTable,
-    topics: ColumnTable | None = None,
+    topics: ColumnTable | None,
 ) -> tuple[ColumnTable, JoinStats]:
     """Inner join of the required feature families, keyed by title, in
     title order.
@@ -67,7 +67,8 @@ def join_features(
     A row survives only if metrics, network, and content all cover the
     article; drop counts per family record what fell out. The topic
     assignment is carried when present but never drops a row (shares
-    over the assigned subpopulation are computed downstream). Every
+    over the assigned subpopulation are computed downstream); None means
+    no topic table, and every row's topic_id is then -1. Every
     table is in title order, so each one's rows of the common titles
     line up.
     """
@@ -117,18 +118,15 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class GroupMedianTable:
-    features: tuple[str, ...]
     columns: tuple[str, ...]
-    # feature -> column -> median; None marks an empty group
+    # feature, in DEFAULT_MEDIAN_FEATURES order -> column -> median; None marks an empty group
     values: dict[str, dict[str, float | None]]
 
 
-def group_medians(
-    table: ColumnTable,
-    features: Sequence[str] = DEFAULT_MEDIAN_FEATURES,
-) -> GroupMedianTable:
-    """Median of each feature per traffic role, plus the overall column."""
-    values_of = {name: table[name].astype(float) for name in features}
+def group_medians(table: ColumnTable) -> GroupMedianTable:
+    """Median of each DEFAULT_MEDIAN_FEATURES column per traffic role, plus
+    the overall column."""
+    values_of = {name: table[name].astype(float) for name in DEFAULT_MEDIAN_FEATURES}
     groups = [(role, table["quadrant"] == code) for code, role in enumerate(ROLES)]
     columns = tuple(label for label, _ in groups) + (OVERALL_COLUMN,)
     values: dict[str, dict[str, float | None]] = {}
@@ -138,7 +136,7 @@ def group_medians(
         }
         per_column[OVERALL_COLUMN] = median(column) if len(column) else None
         values[name] = per_column
-    return GroupMedianTable(tuple(features), columns, values)
+    return GroupMedianTable(columns, values)
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def binned_quartiles(
     table: ColumnTable,
     bin_feature: str,
     target: str,
-    bins: int = 25,
+    bins: int,
 ) -> BinnedQuartiles:
     """Quartiles of `target` over `bins` equal-count bins of `bin_feature`.
 
@@ -206,11 +204,9 @@ class TopicStats:
     median_size: float
 
 
-def topic_statistics(
-    table: ColumnTable,
-    labels: Mapping[int, str] | None = None,
-) -> list[TopicStats]:
-    """Per-topic article/view shares and content medians.
+def topic_statistics(table: ColumnTable, labels: Mapping[int, str]) -> list[TopicStats]:
+    """Per-topic article/view shares and content medians, each topic
+    named by its entry in `labels`, which names every assigned id.
 
     Shares are percentages of the topic-assigned subpopulation (rows
     with no topic are outside the denominator). View totals are exact
@@ -231,7 +227,7 @@ def topic_statistics(
         out.append(
             TopicStats(
                 topic_id=tid,
-                label=(labels or {}).get(tid, f"topic-{tid}"),
+                label=labels[tid],
                 articles=count,
                 article_pct=100.0 * count / assigned,
                 views=views,
@@ -301,7 +297,7 @@ def read_joined_table(path: str | Path) -> ColumnTable:
 
 
 def write_group_medians(path: str | Path, table: GroupMedianTable) -> None:
-    rows = ((name, *(table.values[name][col] for col in table.columns)) for name in table.features)
+    rows = ((name, *(per_column[col] for col in table.columns)) for name, per_column in table.values.items())
     write_rows(path, rows, ("feature", *table.columns))
 
 

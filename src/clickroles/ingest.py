@@ -72,9 +72,9 @@ class ParseStats:
 
 def parse_clickstream(
     lines: Iterable[str],
-    strict: bool = False,
-    stats: ParseStats | None = None,
-    source: str | Path | None = None,
+    strict: bool,
+    stats: ParseStats,
+    source: str | Path,
 ) -> Iterator[tuple[str | None, str, int]]:
     """Yield one plain ``(referrer, resource, count)`` tuple per
     well-formed search or internal-link line, in order, by the module's
@@ -84,8 +84,8 @@ def parse_clickstream(
 
     Malformed lines (wrong field count, empty resource, or a count that
     is not ASCII digits only or exceeds MAX_COUNT) abort in strict mode
-    with the 1-based line number, after the path of the `source` file if
-    given, and are tallied and skipped in lenient mode. A raw type
+    as ``path:N``, the `source` file and the 1-based line number, and are
+    tallied and skipped in lenient mode. A raw type
     outside KNOWN_RAWTYPES (``link``, ``external``, ``other``) is treated
     the same way, under its own counter. One leading line matching
     HEADER_PATTERN is skipped as a header.
@@ -93,8 +93,6 @@ def parse_clickstream(
     The counters are added to `stats` when the pass ends, however it
     ends: exhausted, closed early or aborted.
     """
-    if stats is None:
-        stats = ParseStats()
     is_header = HEADER_PATTERN.match
     known_rawtypes = KNOWN_RAWTYPES
     search_tokens = SEARCH_TOKENS
@@ -148,18 +146,15 @@ def parse_clickstream(
         stats.header_lines += header_lines
 
 
-def aggregate_traffic(
-    records: Iterable[tuple[str | None, str, int]],
-    source: str | Path | None = None,
-) -> ColumnTable:
+def aggregate_traffic(records: Iterable[tuple[str | None, str, int]], source: str | Path) -> ColumnTable:
     """Aggregate parse_clickstream's records into per-article traffic.
 
     A search record (referrer None) adds to the resource's in_se; an
     internal link adds to the resource's in_nav and to the referrer's
     out_nav. Articles with zero inflow (seen only as referrers) fall
     outside the studied population and are dropped. An article whose
-    inflow or outflow exceeds MAX_COUNT raises DataError, after the path
-    of the `source` file if given.
+    inflow or outflow exceeds MAX_COUNT raises DataError naming the
+    `source` file.
     """
     sums: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0, 0])  # in_se, in_nav, out_nav
     for referrer, resource, count in records:
@@ -172,12 +167,11 @@ def aggregate_traffic(
     rows = [(a, *c, c[0] + c[1]) for a, c in sums.items() if c[0] + c[1] > 0]
     for article, _, _, out_nav, total_views in rows:
         if max(total_views, out_nav) > MAX_COUNT:
-            prefix = "" if source is None else f"{source}: "
-            raise DataError(f"{prefix}traffic of {article!r} exceeds 2**53 views")
+            raise DataError(f"{source}: traffic of {article!r} exceeds 2**53 views")
     return column_table(rows, TRAFFIC)
 
 
-def read_traffic_file(path: str | Path, strict: bool = False, stats: ParseStats | None = None) -> ColumnTable:
+def read_traffic_file(path: str | Path, strict: bool, stats: ParseStats) -> ColumnTable:
     """Parse + aggregate a clickstream dump file (optionally gzipped) in
     one streaming pass."""
     return aggregate_traffic(parse_clickstream(iter_lines(path), strict, stats, path), path)

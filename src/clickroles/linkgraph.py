@@ -62,15 +62,10 @@ class LinkGraph:
 
 
 def parse_edges(
-    lines: Iterable[str],
-    strict: bool = False,
-    stats: EdgeStats | None = None,
-    source: str | Path | None = None,
+    lines: Iterable[str], strict: bool, stats: EdgeStats, source: str | Path
 ) -> Iterator[tuple[str, str]]:
     """Yield (source, target) title pairs from tab-separated lines; a
-    strict-mode error names the `source` file, if given."""
-    if stats is None:
-        stats = EdgeStats()
+    strict-mode error names ``path:N``, the `source` file and the line."""
     for lineno, line in enumerate(lines, start=1):
         stats.lines += 1
         if not line:
@@ -84,7 +79,7 @@ def parse_edges(
         yield fields[0], fields[1]
 
 
-def build_graph(edges: Iterable[tuple[str, str]], stats: EdgeStats | None = None) -> LinkGraph:
+def build_graph(edges: Iterable[tuple[str, str]], stats: EdgeStats) -> LinkGraph:
     """Build a deduplicated, self-loop-free directed graph.
 
     Node ids are assigned by first appearance in the edge stream (source
@@ -96,8 +91,6 @@ def build_graph(edges: Iterable[tuple[str, str]], stats: EdgeStats | None = None
     2**31 - 1 titles the move raises OverflowError; the title dict alone
     would then outgrow memory.
     """
-    if stats is None:
-        stats = EdgeStats()
     index: dict[str, int] = {}
     get = index.get
     src = array("i")  # C int, 4 bytes: NODE_ID
@@ -170,7 +163,7 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[:size]
 
 
-def graph_from_file(path: str | Path, strict: bool = False, stats: EdgeStats | None = None) -> LinkGraph:
+def graph_from_file(path: str | Path, strict: bool, stats: EdgeStats) -> LinkGraph:
     return build_graph(parse_edges(iter_lines(path), strict, stats, path), stats)
 
 

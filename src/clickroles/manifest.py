@@ -57,7 +57,7 @@ def build_manifest(
     config: Mapping[str, object],
     inputs: Sequence[str | Path],
     outputs: Mapping[str, str | None],
-    seed: int | None = None,
+    seed: int | None,
 ) -> RunManifest:
     return RunManifest(
         subcommand=subcommand,

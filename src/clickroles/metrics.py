@@ -26,6 +26,7 @@ of the integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -123,13 +124,9 @@ def _bins(values: np.ndarray, bins: int) -> np.ndarray:
     return np.minimum((values * bins).astype(np.int64), bins - 1)
 
 
-def histogram(
-    values: np.ndarray,
-    weights: np.ndarray | None = None,
-    bins: int = 100,
-) -> np.ndarray:
-    """Equal-width histogram over [0, 1]; weighted variant sums weights
-    per bin, in input order, instead of counting."""
+def histogram(values: np.ndarray, weights: np.ndarray | None, bins: int) -> np.ndarray:
+    """Equal-width histogram over [0, 1]: article counts per bin, or with
+    `weights` their sums per bin, in input order."""
     if weights is not None and len(weights) != len(values):
         raise UsageError("values and weights must have equal length")
     return np.bincount(_bins(values, bins), weights, minlength=bins).astype(float)
@@ -138,8 +135,8 @@ def histogram(
 def heatmap_grid(
     resistance: np.ndarray,
     searchshare: np.ndarray,
-    weights: np.ndarray | None = None,
-    grid_size: int = 50,
+    weights: np.ndarray | None,
+    grid_size: int,
 ) -> np.ndarray:
     """Bin articles by (resistance, searchshare) into a grid_size x
     grid_size grid; rows index resistance bins, columns searchshare bins,
@@ -168,10 +165,13 @@ def average_ranks(values) -> np.ndarray:
 
 def correlations(metrics: ColumnTable) -> dict[str, float]:
     """Unweighted pearson and spearman correlations between searchshare
-    and resistance over the article population."""
+    and resistance over the article population; both NaN, undefined, when
+    either column holds one distinct value."""
     if len(metrics) < 2:
         raise DataError("need at least two articles for correlations")
     ss, res = metrics["searchshare"], metrics["resistance"]
+    if ss.min() == ss.max() or res.min() == res.max():
+        return {"pearson": math.nan, "spearman": math.nan}
     pearson = float(np.corrcoef(ss, res)[0, 1])
     spearman = float(np.corrcoef(average_ranks(ss), average_ranks(res))[0, 1])
     return {"pearson": pearson, "spearman": spearman}

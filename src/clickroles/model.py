@@ -55,8 +55,9 @@ MODEL_FORMAT_VERSION = 1
 _EPS = 1e-12
 
 
-def binarize_target(values: Sequence[float], task: str, threshold: float | None = None) -> np.ndarray:
-    """0/1 labels for a metric vector.
+def binarize_target(values: Sequence[float], task: str, threshold: float | None) -> np.ndarray:
+    """0/1 labels for a metric vector, at the task's own cut
+    (SEARCHSHARE_THRESHOLD or RESISTANCE_THRESHOLD) if threshold is None.
 
     searchshare: 1 iff value > threshold (strictly above is search
     dominated). resistance: 1 iff value <= threshold (boundary counts as
@@ -83,7 +84,7 @@ class InstanceSet:
 def build_instances(
     table: ColumnTable,
     task: str,
-    threshold: float | None = None,
+    threshold: float | None,
 ) -> tuple[InstanceSet, int]:
     """Labeled instances from a joined feature table.
 
@@ -186,11 +187,11 @@ class Tree:
 
 @dataclass(frozen=True)
 class GBDTConfig:
-    n_trees: int = 200
-    max_depth: int = 4
-    learning_rate: float = 0.1
-    min_leaf: int = 20
-    seed: int = 0
+    n_trees: int
+    max_depth: int
+    learning_rate: float
+    min_leaf: int
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,6 @@ class GBDTModel:
         for tree in self.trees:
             scores += self.learning_rate * tree.leaf_values(x)
         return scores
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_scores(x))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -345,8 +343,8 @@ class _TreeBuilder:
 def train_gbdt(
     x: np.ndarray,
     y: np.ndarray,
-    config: GBDTConfig = GBDTConfig(),
-    feature_names: Sequence[str] | None = None,
+    config: GBDTConfig,
+    feature_names: Sequence[str],
 ) -> GBDTModel:
     """Stagewise fit; deterministic for a given config.
 
@@ -363,9 +361,7 @@ def train_gbdt(
     n_neg = int((y == 0).sum())
     if n_pos < 2 or n_neg < 2:
         raise DataError("need at least 2 instances per class")
-    names = tuple(feature_names) if feature_names is not None else tuple(
-        f"f{j}" for j in range(x.shape[1])
-    )
+    names = tuple(feature_names)
     if len(names) != x.shape[1]:
         raise UsageError("feature_names length does not match x columns")
 
@@ -416,7 +412,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def stratified_folds(y: np.ndarray, n_folds: int = 10, seed=0) -> list[np.ndarray]:
+def stratified_folds(y: np.ndarray, n_folds: int, seed) -> list[np.ndarray]:
     """Seeded stratified partition: per-class shuffle, round-robin deal."""
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(n_folds)]
@@ -445,10 +441,10 @@ class EvalReport:
 def cross_validate(
     instances: InstanceSet,
     group: str,
-    config: GBDTConfig = GBDTConfig(),
-    n_folds: int = 10,
-    task: str = "",
-    threads: int = 1,
+    config: GBDTConfig,
+    n_folds: int,
+    task: str,
+    threads: int,
 ) -> EvalReport:
     """Stratified k-fold evaluation of one feature group.
 

@@ -483,10 +483,9 @@ def read_keyvalues(path: str | Path, key: Callable[[str], object] = str) -> dict
     return out
 
 
-def where(source: str | Path | None, lineno: int) -> str:
-    """Location for an error message: ``path:N`` in a file, ``line N``
-    in lines from nowhere in particular."""
-    return f"line {lineno}" if source is None else f"{source}:{lineno}"
+def where(source: str | Path, lineno: int) -> str:
+    """Location for an error message: ``path:N``, line N of file `source`."""
+    return f"{source}:{lineno}"
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:

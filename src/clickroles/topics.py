@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, truediv
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -65,7 +65,7 @@ DEFAULT_STOP_WORDS = frozenset(
 
 # human labels assigned to one historical 20-topic fit on the full
 # corpus; topic identity depends on the fit, so treat these as display
-# defaults for k=20 runs, not as ground truth
+# names for topic ids 0..19 (see topic_names), not as ground truth
 DEFAULT_TOPIC_LABELS = (
     "Technology, Stubs",
     "Architecture",
@@ -89,10 +89,21 @@ DEFAULT_TOPIC_LABELS = (
     "Awards&Celebrities",
 )
 
+
+def topic_names(ids: Iterable[int], given: Mapping[int, str] | None) -> dict[int, str]:
+    """The display name of each topic id: its entry in `given` (a
+    ``--labels`` file), else, when nothing is given and the ids are
+    exactly 0..19, its DEFAULT_TOPIC_LABELS name, else ``topic-N``."""
+    ids = list(ids)
+    if given is None:
+        given = dict(enumerate(DEFAULT_TOPIC_LABELS)) if ids == list(range(len(DEFAULT_TOPIC_LABELS))) else {}
+    return {i: given.get(i, f"topic-{i}") for i in ids}
+
+
 _WORD_RE = re.compile(r"\w+")
 
 
-def tokenize(text: str, stop_words: Collection[str] = DEFAULT_STOP_WORDS) -> list[str]:
+def tokenize(text: str, stop_words: Collection[str]) -> list[str]:
     """Lowercased alphabetic tokens, stop words and single letters removed."""
     return [
         t
@@ -114,9 +125,10 @@ class Corpus:
         return sum(c for doc in self.documents for _, c in doc)
 
 
-def parse_documents(lines: Iterable[str], source: str | Path | None = None) -> Iterator[tuple[int, str, str]]:
+def parse_documents(lines: Iterable[str], source: str | Path) -> Iterator[tuple[int, str, str]]:
     """Split "article<TAB>text" lines into (line number, article, text);
-    blank lines are skipped. An error names the `source` file, if given."""
+    blank lines are skipped. An error names ``path:N``, the `source` file
+    and the line."""
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
@@ -127,16 +139,14 @@ def parse_documents(lines: Iterable[str], source: str | Path | None = None) -> I
 
 
 def build_numbered_corpus(
-    documents: Iterable[tuple[int, str, str]],
-    stop_words: Collection[str] = DEFAULT_STOP_WORDS,
-    source: str | Path | None = None,
+    documents: Iterable[tuple[int, str, str]], stop_words: Collection[str], source: str | Path
 ) -> Corpus:
     """Bag-of-words corpus with a first-appearance vocabulary order, from
     (line number, article, text) documents.
 
     Documents that tokenize to nothing are kept (zero-length) and
-    flagged in `empty_articles`. A repeated article or an empty corpus
-    raises DataError naming the `source` file, if given.
+    flagged in `empty_articles`. A repeated article (``path:N``) or an
+    empty corpus raises DataError naming the `source` file.
     """
     articles: list[str] = []
     vocab: list[str] = []
@@ -162,11 +172,11 @@ def build_numbered_corpus(
             empty.append(article)
 
     if not articles:
-        raise DataError("empty corpus" if source is None else f"{source}: empty corpus")
+        raise DataError(f"{source}: empty corpus")
     return Corpus(tuple(articles), tuple(vocab), tuple(docs), tuple(empty))
 
 
-def corpus_from_file(path: str | Path, stop_words: Collection[str] = DEFAULT_STOP_WORDS) -> Corpus:
+def corpus_from_file(path: str | Path, stop_words: Collection[str]) -> Corpus:
     return build_numbered_corpus(parse_documents(iter_lines(path), path), stop_words, path)
 
 
@@ -192,17 +202,17 @@ IterationHook = Callable[[int, list[list[int]], list[list[int]]], None]
 
 def fit_lda(
     corpus: Corpus,
-    k: int = 20,
-    alpha: float | None = None,
-    beta: float = 0.01,
-    iterations: int = 1000,
-    seed: int = 0,
+    k: int,
+    alpha: float | None,
+    beta: float,
+    iterations: int,
+    seed: int,
     on_iteration: IterationHook | None = None,
 ) -> TopicModel:
     """Collapsed Gibbs fit; deterministic for a given seed.
 
-    Needs k >= 2, iterations >= 1 and a positive, finite alpha (default
-    50/k) and beta; UsageError if k*alpha, V*beta or the sum of the k
+    Needs k >= 2, iterations >= 1 and a positive, finite alpha (50/k if
+    None) and beta; UsageError if k*alpha, V*beta or the sum of the k
     sampling weights overflows. `on_iteration(i, word_topic, doc_topic)` is
     called after each sweep with the live count matrices, word-major
     V x k and D x k (read-only use).
@@ -349,18 +359,11 @@ def write_theta(path: str | Path, model: TopicModel) -> None:
     write_matrix_csv(path, model.theta, _model_metadata(model))
 
 
-def write_top_words(
-    path: str | Path,
-    model: TopicModel,
-    n: int = 10,
-    labels: Sequence[str] | None = None,
-) -> None:
+def write_top_words(path: str | Path, model: TopicModel, n: int, labels: Mapping[int, str]) -> None:
+    """One line per topic: its id, its name in `labels` (see topic_names)
+    and its n highest-phi words, at most the whole vocabulary."""
     rows = (
-        (
-            topic,
-            labels[topic] if labels and topic < len(labels) else f"topic-{topic}",
-            " ".join(top_words(model, topic, min(n, len(model.vocabulary)))),
-        )
+        (topic, labels[topic], " ".join(top_words(model, topic, min(n, len(model.vocabulary)))))
         for topic in range(model.k)
     )
     write_rows(path, rows)

@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from clickroles.features import binned_quartiles
-from clickroles.ingest import TRAFFIC, read_traffic_file
-from clickroles.linkgraph import build_graph, kcore_decomposition
+from clickroles.ingest import TRAFFIC, ParseStats, read_traffic_file
+from clickroles.linkgraph import EdgeStats, build_graph, kcore_decomposition
 from clickroles.metrics import group_shares, metrics_table
 from clickroles.model import (
     GBDTConfig,
@@ -156,7 +156,7 @@ def test_quadrant_shares_partition_and_sum():
 )
 def test_full_dump_population_and_shares():
     started = time.perf_counter()
-    table = read_traffic_file(os.environ["CLICKROLES_DUMP"])
+    table = read_traffic_file(os.environ["CLICKROLES_DUMP"], False, ParseStats())
     elapsed = time.perf_counter() - started
     metrics, thresholds = metrics_table(table)
     shares = group_shares(metrics)
@@ -279,7 +279,7 @@ def test_kcore_matches_iterative_deletion():
             (titles[rng.randrange(n)], titles[rng.randrange(n)])
             for _ in range(max(1, int(density * n * n)))
         ]
-        graph = build_graph(edges)
+        graph = build_graph(edges, EdgeStats())
         cores = kcore_decomposition(graph)
         expected = iterative_deletion_cores(edges)
         for node, title in enumerate(graph.titles):
@@ -397,24 +397,24 @@ def test_classifier_sanity(tmp_path):
     instances = InstanceSet(("f0", "f1"), x, y)
     config = GBDTConfig(n_trees=30, max_depth=3, learning_rate=0.3, min_leaf=20, seed=0)
 
-    separable = cross_validate(instances, "all", config, n_folds=10).mean_auc
+    separable = cross_validate(instances, "all", config, 10, "", 1).mean_auc
 
     noise_config = GBDTConfig(n_trees=20, max_depth=2, learning_rate=0.3, min_leaf=20, seed=0)
     noise_means = []
     for rep in range(10):
         permuted = np.random.default_rng(100 + rep).permutation(y).astype(np.int8)
         shuffled = InstanceSet(instances.feature_names, x, permuted)
-        noise_means.append(cross_validate(shuffled, "all", noise_config, n_folds=5).mean_auc)
+        noise_means.append(cross_validate(shuffled, "all", noise_config, 5, "", 1).mean_auc)
     noise = sum(noise_means) / len(noise_means)
 
-    model = train_gbdt(x, y, config)
+    model = train_gbdt(x, y, config, instances.feature_names)
     losses = stage_losses(model, x, y)
     monotone = all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    again = cross_validate(instances, "all", config, n_folds=10)
-    threaded = cross_validate(instances, "all", config, n_folds=10, threads=4)
-    save_model(tmp_path / "m1.json", train_gbdt(x, y, config))
-    save_model(tmp_path / "m2.json", train_gbdt(x, y, config))
+    again = cross_validate(instances, "all", config, 10, "", 1)
+    threaded = cross_validate(instances, "all", config, 10, "", 4)
+    save_model(tmp_path / "m1.json", train_gbdt(x, y, config, instances.feature_names))
+    save_model(tmp_path / "m2.json", train_gbdt(x, y, config, instances.feature_names))
     identical = (
         again.fold_aucs == threaded.fold_aucs
         and again.mean_auc == separable
@@ -446,7 +446,7 @@ def test_topic_recovery_on_planted_corpus():
         f"doc{i:03d}\t" + " ".join(rng.choices(vocabularies[topic], k=40))
         for i, topic in enumerate(planted)
     ]
-    corpus = build_numbered_corpus(parse_documents(texts), frozenset())
+    corpus = build_numbered_corpus(parse_documents(texts, "planted.tsv"), frozenset(), "planted.tsv")
     lengths = [sum(c for _, c in doc) for doc in corpus.documents]
     total = corpus.total_tokens
 
@@ -466,7 +466,7 @@ def test_topic_recovery_on_planted_corpus():
                     conservation_failures += 1
 
     started = time.perf_counter()
-    model = fit_lda(corpus, k=2, iterations=150, seed=3, on_iteration=check_counts)
+    model = fit_lda(corpus, 2, None, 0.01, 150, 3, on_iteration=check_counts)
     elapsed = time.perf_counter() - started
 
     dominant = np.argmax(model.theta, axis=1)
@@ -514,12 +514,12 @@ def test_corpus_scale_auc_reference_targets():
     from clickroles.features import read_joined_table
 
     table = read_joined_table(os.environ["CLICKROLES_JOINED"])
-    config = GBDTConfig()
+    config = GBDTConfig(n_trees=200, max_depth=4, learning_rate=0.1, min_leaf=20, seed=0)
     lines = []
     worst = 0.0
     for (task, group), target in REFERENCE_AUCS.items():
-        instances, _ = build_instances(table, task)
-        mean = cross_validate(instances, group, config, n_folds=10, task=task).mean_auc
+        instances, _ = build_instances(table, task, None)
+        mean = cross_validate(instances, group, config, 10, task, 1).mean_auc
         worst = max(worst, abs(mean - target))
         lines.append(f"{task}/{group}={mean:.3f} (target {target:.2f})")
     verdict(10, True, f"reference AUCs (non-gating, +/-0.05): {', '.join(lines)}; "

@@ -6,17 +6,20 @@ manifest completeness, and byte-level determinism of reruns.
 """
 
 import argparse
+import ast
 import gzip
 import hashlib
 import json
 import random
 import re
 import time
+import warnings
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import clickroles
 from clickroles.cli import build_parser, main
 from clickroles.errors import DataError
 from clickroles.ingest import write_traffic_table
@@ -606,6 +609,63 @@ class TestExitCodes:
 
 
 # ---------------------------------------------------------------------------
+# defaults: a setting's default is written once, on its flag
+
+# The library's own defaults: general helpers that callers in src/ set
+# differently, fit_lda's per-sweep hook and the zeroed run counters.
+KEPT_DEFAULTS = {
+    "cli.main": {"argv"},
+    "cli._OutputDir.file": {"kind"},
+    "tableio.open_text": {"mode"},
+    "tableio.write_rows": {"header", "metadata", "sep"},
+    "tableio.read_keyvalues": {"key"},
+    "topics.fit_lda": {"on_iteration"},
+    "ingest.ParseStats": {"lines", "records", "malformed", "unknown_rawtype", "below_min_count", "header_lines"},
+    "linkgraph.EdgeStats": {"lines", "malformed", "self_loops", "duplicates"},
+    "features.JoinStats": {"kept", "dropped"},
+}
+
+
+def library_defaults(package: Path) -> list[str]:
+    """``module.qualname.name`` of every parameter default and dataclass
+    field default in the modules of `package`, in source order."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                args = child.args
+                positional = args.posonlyargs + args.args
+                given = positional[len(positional) - len(args.defaults):]
+                given += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found.extend(f"{name}.{a.arg}" for a in given)
+                visit(child, f"{name}.")
+            elif isinstance(child, ast.ClassDef):
+                name = f"{prefix}{child.name}"
+                if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+                    fields = [s.target.id for s in child.body if isinstance(s, ast.AnnAssign) and s.value is not None]
+                    found.extend(f"{name}.{field}" for field in fields)
+                visit(child, f"{name}.")
+            else:
+                visit(child, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+    return found
+
+
+def test_each_default_lives_on_its_flag():
+    # cli passes every setting, so a default in the library is a second
+    # copy of the flag's, free to drift from it
+    copies = [
+        name for name in library_defaults(Path(clickroles.__file__).parent)
+        if name.rsplit(".", 1)[1] not in KEPT_DEFAULTS.get(name.rsplit(".", 1)[0], ())
+    ]
+    assert copies == []
+
+
+# ---------------------------------------------------------------------------
 # per-subcommand outputs
 
 
@@ -627,6 +687,18 @@ class TestOutputs:
                 "correlations.txt", "histogram_searchshare.tsv",
                 "histogram_resistance.tsv", "heatmap_articles.csv",
                 "heatmap_views.csv", "manifest.json"} == names
+
+    def test_constant_metric_column_leaves_correlations_empty(self, tmp_path, capsys):
+        # pure search inflow: searchshare and resistance are 1.0 for every article
+        traffic = tmp_path / "traffic.tsv"
+        traffic.write_text("article\tin_se\tin_nav\tout_nav\ttotal_views\nA\t10\t0\t0\t10\nB\t20\t0\t0\t20\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("metrics", "--traffic", traffic, "--out", tmp_path / "m")
+        assert [str(w.message) for w in caught] == []
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "m" / "correlations.txt").read_text() == "pearson=\nspearman=\n"
 
     def test_histogram_totals(self, pipeline):
         lines = (pipeline["metrics"] / "histogram_searchshare.tsv").read_text().splitlines()
@@ -722,9 +794,9 @@ class TestOutputs:
 
     def test_saved_models_load_and_predict(self, pipeline):
         model = load_model(pipeline["model"] / "model_network.json")
-        proba = model.predict_proba(np.zeros((4, len(model.feature_names))))
-        assert proba.shape == (4,)
-        assert np.all((proba > 0) & (proba < 1))
+        scores = model.decision_scores(np.zeros((4, len(model.feature_names))))
+        assert scores.shape == (4,)
+        assert np.isfinite(scores).all()
 
     def test_sample_is_subset(self, pipeline):
         full = (pipeline["ingest"] / "traffic.tsv").read_text().splitlines()
@@ -764,7 +836,7 @@ class TestManifests:
 
     def test_missing_input_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            build_manifest("demo", {}, [tmp_path / "absent"], {})
+            build_manifest("demo", {}, [tmp_path / "absent"], {}, None)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
@@ -1012,7 +1084,7 @@ class TestReport:
         clone = tmp_path / "clone"
         clone.mkdir()
         (clone / "metrics.tsv").write_text("article\tdifferent\n")
-        write_manifest(clone, build_manifest("metrics", {}, [], {"metrics.tsv": "metrics_table"}))
+        write_manifest(clone, build_manifest("metrics", {}, [], {"metrics.tsv": "metrics_table"}, None))
         code = main(["report", "--inputs", str(pipeline["metrics"]), str(clone),
                      "--out", str(tmp_path / "r")])
         assert code == 1
@@ -1022,7 +1094,7 @@ class TestReport:
         empty = tmp_path / "empty"  # of deliverables: it holds one run diagnostic
         empty.mkdir()
         (empty / "graph_stats.txt").write_text("nodes=1\n")
-        write_manifest(empty, build_manifest("graph", {}, [], {"graph_stats.txt": None}))
+        write_manifest(empty, build_manifest("graph", {}, [], {"graph_stats.txt": None}, None))
         code = main(["report", "--inputs", str(empty), "--out", str(tmp_path / "r")])
         assert code == 1
         assert "ingest" in capsys.readouterr().err

@@ -222,11 +222,11 @@ class TestAgainstReference:
     @settings(max_examples=200, deadline=None)
     def test_records_and_classes(self, lines):
         expected = list(reference_parse(lines, False, ParseStats()))
-        got = list(parse_clickstream(lines))
+        got = list(parse_clickstream(lines, False, ParseStats(), "d.tsv"))
         assert got == list(reference_yielded(expected))
         assert all(type(record) is tuple for record in got)
         # each yielded record's class, as what it adds to the traffic table alone
-        assert [table_key(outcome(lambda: aggregate_traffic([r]))) for r in got] == [
+        assert [table_key(outcome(lambda: aggregate_traffic([r], "d.tsv"))) for r in got] == [
             table_key(outcome(lambda: reference_aggregate([r]))) for r in expected
             if reference_classify(r) in ("search-engine", "internal-article")
         ]
@@ -234,7 +234,7 @@ class TestAgainstReference:
     def test_stats_written_when_the_pass_is_closed_early(self):
         lines = ["prev\tcurr\ttype\tn", "other-search\tA\texternal\t5", "", "A\tB\tlink\t20", "bad"]
         stats = ParseStats()
-        records = parse_clickstream(lines, stats=stats)
+        records = parse_clickstream(lines, False, stats, "d.tsv")
         next(records)
         records.close()
         assert stats == ParseStats(lines=2, records=1, below_min_count=1, header_lines=1)

@@ -20,7 +20,6 @@ from clickroles.features import (
     CONTENT,
     DEFAULT_MEDIAN_FEATURES,
     JOINED,
-    NUMERIC_FEATURES,
     TOPIC_ASSIGNMENT,
     TopicStats,
     binned_quartiles,
@@ -39,6 +38,7 @@ from clickroles.features import (
 from clickroles.linkgraph import NETWORK, read_network_table
 from clickroles.metrics import METRICS, ROLES, read_metrics_table
 from clickroles.tableio import ColumnTable, fmt_value
+from clickroles.topics import topic_names
 from feature_rows import joined_tsv, make_row, make_table, table_rows
 
 
@@ -195,14 +195,14 @@ def by_title(rows):
 class TestJoin:
     def test_disjoint_keys_empty(self):
         metrics, network, content = make_inputs(["A"], ["B"], ["C"])
-        joined, stats = join_features(metrics, network, content)
+        joined, stats = join_features(metrics, network, content, None)
         assert len(joined) == 0 and joined.articles == ()
         assert stats.kept == 0
         assert stats.dropped == {"metrics": 1, "network": 1, "content": 1}
 
     def test_single_row(self):
         metrics, network, content = make_inputs(["A"], ["A"], ["A"])
-        joined, stats = join_features(metrics, network, content)
+        joined, stats = join_features(metrics, network, content, None)
         assert len(joined) == 1
         assert stats.kept == 1
         (row,) = table_rows(joined)
@@ -246,7 +246,7 @@ class TestJoin:
                     expected.append((article, net, con))
         expected.sort()
 
-        joined, stats = join_features(metrics, network, content)
+        joined, stats = join_features(metrics, network, content, None)
         got = sorted(zip(joined.articles, joined["in_degree"].tolist(), joined["revisions"].tolist()))
         assert got == expected
         assert stats.kept == len(expected)
@@ -259,7 +259,7 @@ class TestJoin:
             + "".join(f"{t}\t0.5\t0.5\t10\tnav-relay\n" for t in "CAB")
         )
         _, network, content = make_inputs([], ["A", "B", "C"], ["B", "C", "A"])
-        joined, _ = join_features(read_metrics_table(path), network, content)
+        joined, _ = join_features(read_metrics_table(path), network, content, None)
         assert joined.articles == ("A", "B", "C")
 
     @given(
@@ -333,7 +333,7 @@ class TestGroupMedians:
             make_row("B", quadrant="search-exit", kcore=20),
             make_row("C", quadrant="nav-relay", kcore=50),
         ]
-        table = group_medians(make_table(rows), ["kcore"])
+        table = group_medians(make_table(rows))
         cell = table.values["kcore"]
         assert cell["search-exit"] == 15.0
         assert cell["nav-relay"] == 50.0
@@ -341,7 +341,7 @@ class TestGroupMedians:
 
     def test_empty_group_absent(self):
         rows = [make_row("A", quadrant="nav-exit")]
-        table = group_medians(make_table(rows), ["age"])
+        table = group_medians(make_table(rows))
         assert table.values["age"]["search-relay"] is None
         assert table.values["age"]["nav-exit"] == 1.0
 
@@ -359,15 +359,15 @@ class TestGroupMedians:
             for i in range(31)
         ]
         doubled = rows + [{**r, "article": r["article"] + "#2"} for r in rows]
-        t1 = group_medians(make_table(rows), ["kcore", "age"])
-        t2 = group_medians(make_table(doubled), ["kcore", "age"])
+        t1 = group_medians(make_table(rows))
+        t2 = group_medians(make_table(doubled))
         assert t1.values == t2.values
 
     @given(joined_rows())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_row_reference(self, rows):
-        table = group_medians(read_back(rows), NUMERIC_FEATURES)
-        assert repr(table.values) == repr(ref_group_medians(by_title(rows), NUMERIC_FEATURES))
+        table = group_medians(read_back(rows))
+        assert repr(table.values) == repr(ref_group_medians(by_title(rows), DEFAULT_MEDIAN_FEATURES))
 
 
 class TestQuartiles:
@@ -475,7 +475,7 @@ class TestBinnedQuartiles:
 class TestTopicStatistics:
     def test_single_topic(self):
         rows = [make_row("A", topic_id=0), make_row("B", topic_id=0)]
-        (stats,) = topic_statistics(make_table(rows))
+        (stats,) = topic_statistics(make_table(rows), {0: "topic-0"})
         assert stats.article_pct == 100.0
         assert stats.view_pct == 100.0
 
@@ -484,7 +484,7 @@ class TestTopicStatistics:
             make_row("A", topic_id=0, total_views=30),
             make_row("B", topic_id=1, total_views=10),
         ]
-        s0, s1 = topic_statistics(make_table(rows))
+        s0, s1 = topic_statistics(make_table(rows), {0: "topic-0", 1: "topic-1"})
         assert (s0.view_pct, s1.view_pct) == (75.0, 25.0)
         assert s0.article_pct == 50.0
 
@@ -493,7 +493,7 @@ class TestTopicStatistics:
             make_row("A", topic_id=0, total_views=30),
             make_row("B", topic_id=None, total_views=1000),
         ]
-        (stats,) = topic_statistics(make_table(rows))
+        (stats,) = topic_statistics(make_table(rows), {0: "topic-0"})
         assert stats.article_pct == 100.0
         assert stats.view_pct == 100.0
 
@@ -502,7 +502,7 @@ class TestTopicStatistics:
             make_row("A", topic_id=2, age=4.0),
             make_row("B", topic_id=2, age=6.0),
         ]
-        (stats,) = topic_statistics(make_table(rows), labels={2: "Sports"})
+        (stats,) = topic_statistics(make_table(rows), {2: "Sports"})
         assert stats.label == "Sports"
         assert stats.median_age == 5.0
 
@@ -516,16 +516,17 @@ class TestTopicStatistics:
             )
             for i in range(100)
         ]
-        stats = topic_statistics(make_table(rows))
+        stats = topic_statistics(make_table(rows), {i: f"topic-{i}" for i in range(5)})
         assert sum(s.article_pct for s in stats) == pytest.approx(100.0, abs=1e-9)
         assert sum(s.view_pct for s in stats) == pytest.approx(100.0, abs=1e-9)
 
     @given(joined_rows())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_row_reference(self, rows):
-        labels = {1: "Sports"}
+        given = {1: "Sports"}
+        labels = topic_names(sorted({r["topic_id"] for r in rows if r["topic_id"] is not None}), given)
         got = topic_statistics(read_back(rows), labels)
-        assert repr(got) == repr(ref_topic_statistics(by_title(rows), labels))
+        assert repr(got) == repr(ref_topic_statistics(by_title(rows), given))
 
 
 class TestRelativeDifference:

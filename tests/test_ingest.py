@@ -17,15 +17,18 @@ from clickroles.ingest import (
 )
 from clickroles.tableio import MAX_COUNT
 
+DUMP = "dump.tsv"  # the source file the parser's errors name
+
 
 def parse_all(lines, strict=False, stats=None):
-    return list(parse_clickstream(lines, strict, stats))
+    return list(parse_clickstream(lines, strict, ParseStats() if stats is None else stats, DUMP))
 
 
 def parsed(records, stats=None):
     """parse_clickstream's records of the dump lines of (referrer,
     resource, rawtype, count) tuples."""
-    return parse_clickstream(("\t".join(map(str, record)) for record in records), stats=stats)
+    lines = ("\t".join(map(str, record)) for record in records)
+    return parse_clickstream(lines, False, ParseStats() if stats is None else stats, DUMP)
 
 
 def rows(table):
@@ -61,7 +64,7 @@ class TestParse:
 
     def test_strict_aborts_with_line_number(self):
         lines = ["a\tb\tlink\t20", "bad line"]
-        with pytest.raises(DataError, match="line 2"):
+        with pytest.raises(DataError, match="^dump.tsv:2: "):
             parse_all(lines, strict=True)
 
     @pytest.mark.parametrize(
@@ -95,7 +98,7 @@ class TestParse:
         stats = ParseStats()
         assert parse_all(["a\tb\tweird\t30"], stats=stats) == []
         assert stats.unknown_rawtype == 1 and stats.malformed == 0
-        with pytest.raises(DataError, match="line 1"):
+        with pytest.raises(DataError, match="^dump.tsv:1: "):
             parse_all(["a\tb\tweird\t30"], strict=True)
 
     def test_header_line_tolerated_once(self):
@@ -133,16 +136,16 @@ class TestClassify:
             "navigation": {"X": (0, 10, 0, 10)},
             "none": {},
         }[role]
-        assert rows(aggregate_traffic(parsed([(referrer, "X", rawtype, 10)]))) == expected
+        assert rows(aggregate_traffic(parsed([(referrer, "X", rawtype, 10)]), DUMP)) == expected
         stats = ParseStats()
         yielded = {"search": [(None, "X", 10)], "navigation": [(referrer, "X", 10)], "none": []}[role]
         assert list(parsed([(referrer, "X", rawtype, 10)], stats)) == yielded
         assert stats == ParseStats(lines=1, records=1)  # checked and counted, yielded or not
 
     def test_reserved_token_beats_rawtype(self):
-        assert rows(aggregate_traffic(parsed([("other-search", "X", "link", 10)]))) == {"X": (10, 0, 0, 10)}
+        assert rows(aggregate_traffic(parsed([("other-search", "X", "link", 10)]), DUMP)) == {"X": (10, 0, 0, 10)}
         for token in ("other-empty", "other-external"):
-            assert rows(aggregate_traffic(parsed([(token, "X", "link", 10)]))) == {}
+            assert rows(aggregate_traffic(parsed([(token, "X", "link", 10)]), DUMP)) == {}
 
 
 class TestAggregate:
@@ -151,24 +154,24 @@ class TestAggregate:
             ("other-search", "A", "external", 30),
             ("A", "B", "link", 10),
         ]
-        table = aggregate_traffic(parsed(records))
+        table = aggregate_traffic(parsed(records), DUMP)
         assert rows(table) == {"A": (30, 0, 10, 30), "B": (0, 10, 0, 10)}
         assert_well_formed(table)
 
     def test_all_missing_gives_empty_map(self):
         records = [("other-empty", "A", "other", 50)]
-        table = aggregate_traffic(parsed(records))
+        table = aggregate_traffic(parsed(records), DUMP)
         assert len(table) == 0
         assert_well_formed(table)
 
     def test_referrer_only_article_dropped_by_default(self):
         records = [("R", "B", "link", 5)]
-        table = aggregate_traffic(parsed(records))
+        table = aggregate_traffic(parsed(records), DUMP)
         assert rows(table) == {"B": (0, 5, 0, 5)}
 
     def test_other_external_contributes_nothing(self):
         records = [("other-external", "A", "external", 40)]
-        assert len(aggregate_traffic(parsed(records))) == 0
+        assert len(aggregate_traffic(parsed(records), DUMP)) == 0
 
     def test_sum_above_bound_names_source(self):
         records = [
@@ -176,13 +179,13 @@ class TestAggregate:
             ("B", "A", "link", 1),
         ]
         with pytest.raises(DataError, match="^dump.tsv: .*'A'"):
-            aggregate_traffic(parsed(records), source="dump.tsv")
+            aggregate_traffic(parsed(records), DUMP)
         # outflow is bounded too, on an article with little inflow
         records = [("other-search", "R", "external", 1), ("R", "B", "link", MAX_COUNT), ("R", "C", "link", 1)]
-        with pytest.raises(DataError, match="'R'"):
-            aggregate_traffic(parsed(records))
+        with pytest.raises(DataError, match="^dump.tsv: .*'R'"):
+            aggregate_traffic(parsed(records), DUMP)
         records = [("other-search", "A", "external", MAX_COUNT)]
-        assert rows(aggregate_traffic(parsed(records)))["A"] == (MAX_COUNT, 0, 0, MAX_COUNT)
+        assert rows(aggregate_traffic(parsed(records), DUMP))["A"] == (MAX_COUNT, 0, 0, MAX_COUNT)
 
 
 records_strategy = st.lists(
@@ -202,13 +205,13 @@ class TestAggregateProperties:
     def test_order_independence(self, records, seed):
         shuffled = list(records)
         seed.shuffle(shuffled)
-        assert rows(aggregate_traffic(parsed(records))) == rows(aggregate_traffic(parsed(shuffled)))
+        assert rows(aggregate_traffic(parsed(records), DUMP)) == rows(aggregate_traffic(parsed(shuffled), DUMP))
 
     @given(records=records_strategy, extra=records_strategy)
     @settings(max_examples=40)
     def test_monotonicity(self, records, extra):
-        before = rows(aggregate_traffic(parsed(records)))
-        after = rows(aggregate_traffic(parsed(records + extra)))
+        before = rows(aggregate_traffic(parsed(records), DUMP))
+        after = rows(aggregate_traffic(parsed(records + extra), DUMP))
         for article, counts in before.items():
             assert all(grown >= was for grown, was in zip(after[article], counts))
 
@@ -223,19 +226,19 @@ class TestStreaming:
         ]
 
     def test_fusion_equals_two_phase(self):
-        streamed = aggregate_traffic(parse_clickstream(iter(self.lines())))
-        materialized = aggregate_traffic(parse_all(self.lines()))
+        streamed = aggregate_traffic(parse_clickstream(iter(self.lines()), False, ParseStats(), DUMP), DUMP)
+        materialized = aggregate_traffic(parse_all(self.lines()), DUMP)
         assert rows(streamed) == rows(materialized)
 
     def test_gzip_roundtrip(self, tmp_path):
         path = tmp_path / "clicks.tsv.gz"
         with gzip.open(path, "wt") as fh:
             fh.write("\n".join(self.lines()) + "\n")
-        table = read_traffic_file(path)
+        table = read_traffic_file(path, False, ParseStats())
         assert rows(table)["A"] == (30, 0, 10, 30)
 
     def test_traffic_table_roundtrip(self, tmp_path):
-        table = aggregate_traffic(parse_all(self.lines()))
+        table = aggregate_traffic(parse_all(self.lines()), DUMP)
         path = tmp_path / "traffic.tsv"
         write_traffic_table(path, table)
         back = read_traffic_table(path)
@@ -284,7 +287,7 @@ class TestRoundTrip:
     def test_parse_aggregate_write_read(self, tmp_path_factory, lines):
         # a real header first, so no later line is taken for one
         text = ["prev\tcurr\ttype\tn"] + [f"{r}\t{a}\t{t}\t{c}" for r, a, t, c in lines]
-        table = aggregate_traffic(parse_clickstream(text))
+        table = aggregate_traffic(parse_clickstream(text, False, ParseStats(), DUMP), DUMP)
         assert_well_formed(table)
         path = tmp_path_factory.mktemp("roundtrip") / "traffic.tsv"
         write_traffic_table(path, table)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError
-from clickroles.ingest import parse_clickstream
+from clickroles.ingest import ParseStats, parse_clickstream
 from clickroles.linkgraph import (
     EdgeStats,
     LinkGraph,
@@ -165,23 +165,23 @@ class TestBuild:
         assert stats.duplicates == 1
 
     def test_empty(self):
-        g = build_graph([])
+        g = build_graph([], EdgeStats())
         assert g.node_count == 0
         assert g.edge_count == 0
         assert kcore_decomposition(g).shape == (0,)
 
     def test_first_appearance_ids(self):
-        g = build_graph([("C", "A"), ("B", "C")])
+        g = build_graph([("C", "A"), ("B", "C")], EdgeStats())
         assert g.titles == ["C", "A", "B"]
         assert node_ids(g) == {"C": 0, "A": 1, "B": 2}
 
     def test_edge_arrays_sorted(self):
-        g = build_graph([("B", "A"), ("A", "B"), ("A", "C")])
+        g = build_graph([("B", "A"), ("A", "B"), ("A", "C")], EdgeStats())
         pairs = list(zip(g.sources.tolist(), g.targets.tolist()))
         assert pairs == sorted(pairs)
 
     def test_counts_consistent_with_arrays(self):
-        g = build_graph([("A", "B"), ("B", "C"), ("C", "A")])
+        g = build_graph([("A", "B"), ("B", "C"), ("C", "A")], EdgeStats())
         assert len(g.sources) == len(g.targets) == g.edge_count
         assert max(g.sources.max(), g.targets.max()) < g.node_count
 
@@ -190,18 +190,18 @@ class TestParseEdges:
     def test_lenient_skips_malformed(self):
         stats = EdgeStats()
         lines = ["A\tB", "bad line", "C\t", "D\tE"]
-        assert list(parse_edges(lines, stats=stats)) == [("A", "B"), ("D", "E")]
+        assert list(parse_edges(lines, False, stats, "edges.tsv")) == [("A", "B"), ("D", "E")]
         assert stats.malformed == 2
 
     def test_strict_raises_with_line_number(self):
-        with pytest.raises(DataError, match="line 2"):
-            list(parse_edges(["A\tB", "oops"], strict=True))
+        with pytest.raises(DataError, match="^edges.tsv:2: "):
+            list(parse_edges(["A\tB", "oops"], True, EdgeStats(), "edges.tsv"))
 
     def test_gzip_file(self, tmp_path):
         path = tmp_path / "edges.tsv.gz"
         with gzip.open(path, "wt", encoding="utf-8") as fh:
             fh.write("A\tB\nB\tC\n")
-        g = graph_from_file(path)
+        g = graph_from_file(path, False, EdgeStats())
         assert g.node_count == 3
         assert g.edge_count == 2
 
@@ -216,20 +216,21 @@ class TestClickstreamEdges:
             "other-search\tD\tlink\t20",
             "B\tC\tlink\t11",
         ]
-        links = [(referrer, resource) for referrer, resource, _ in parse_clickstream(lines) if referrer is not None]
+        records = parse_clickstream(lines, False, ParseStats(), "dump.tsv")
+        links = [(referrer, resource) for referrer, resource, _ in records if referrer is not None]
         assert links == [("A", "B"), ("B", "C")]
 
 
 class TestDegrees:
     def test_cycle(self):
-        g = build_graph([("A", "B"), ("B", "C"), ("C", "A")])
+        g = build_graph([("A", "B"), ("B", "C"), ("C", "A")], EdgeStats())
         in_deg, out_deg, deg = degrees(g)
         assert in_deg.tolist() == [1, 1, 1]
         assert out_deg.tolist() == [1, 1, 1]
         assert deg.tolist() == [2, 2, 2]
 
     def test_star(self):
-        g = build_graph([("Hub", f"Leaf{i}") for i in range(5)])
+        g = build_graph([("Hub", f"Leaf{i}") for i in range(5)], EdgeStats())
         in_deg, out_deg, deg = degrees(g)
         assert out_deg[0] == 5 and in_deg[0] == 0
         assert in_deg[1:].tolist() == [1] * 5
@@ -240,7 +241,7 @@ class TestDegrees:
         rng = np.random.default_rng(seed)
         edges = random_graph(rng, n, p)
         titles = [f"N{i:03d}" for i in range(n)]
-        g = build_graph((titles[s], titles[t]) for s, t in edges)
+        g = build_graph(((titles[s], titles[t]) for s, t in edges), EdgeStats())
         index = node_ids(g)
         ids = [index[t] for t in titles if t in index]
         in_oracle, out_oracle = dense_degree_oracle(n, edges)
@@ -258,7 +259,7 @@ class TestDegrees:
 
 class TestProjection:
     def test_antiparallel_collapse(self):
-        g = build_graph([("A", "B"), ("B", "A"), ("B", "C")])
+        g = build_graph([("A", "B"), ("B", "A"), ("B", "C")], EdgeStats())
         lo, hi = undirected_projection(g)
         assert len(lo) == 2
         assert all(a < b for a, b in zip(lo.tolist(), hi.tolist()))
@@ -266,11 +267,11 @@ class TestProjection:
 
 class TestKCore:
     def test_triangle(self):
-        g = build_graph([("A", "B"), ("B", "C"), ("C", "A")])
+        g = build_graph([("A", "B"), ("B", "C"), ("C", "A")], EdgeStats())
         assert kcore_decomposition(g).tolist() == [2, 2, 2]
 
     def test_star(self):
-        g = build_graph([("Hub", f"Leaf{i}") for i in range(5)])
+        g = build_graph([("Hub", f"Leaf{i}") for i in range(5)], EdgeStats())
         assert kcore_decomposition(g).tolist() == [1, 1, 1, 1, 1, 1]
 
     def test_clique_plus_tail(self):
@@ -278,7 +279,7 @@ class TestKCore:
         clique = ["A", "B", "C", "D"]
         edges = [(a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]]
         edges += [("D", "E"), ("E", "F")]
-        g = build_graph(edges)
+        g = build_graph(edges, EdgeStats())
         core = kcore_decomposition(g)
         expect = {"A": 3, "B": 3, "C": 3, "D": 3, "E": 1, "F": 1}
         for title, k in expect.items():
@@ -293,7 +294,7 @@ class TestKCore:
         if not edges:
             return
         titles = [f"N{i:03d}" for i in range(n)]
-        g = build_graph((titles[s], titles[t]) for s, t in edges)
+        g = build_graph(((titles[s], titles[t]) for s, t in edges), EdgeStats())
         und = {frozenset((s, t)) for s, t in edges}
         # re-index the oracle's node ids to graph ids
         index = node_ids(g)
@@ -310,7 +311,7 @@ class TestKCore:
         rng = np.random.default_rng(7)
         edges = random_graph(rng, 80, 0.06)
         titles = [f"N{i}" for i in range(80)]
-        g = build_graph((titles[s], titles[t]) for s, t in edges)
+        g = build_graph(((titles[s], titles[t]) for s, t in edges), EdgeStats())
         core = kcore_decomposition(g)
         lo, hi = undirected_projection(g)
         for k in range(1, int(core.max()) + 1):
@@ -326,11 +327,11 @@ class TestKCore:
         rng = np.random.default_rng(11)
         edges = random_graph(rng, 50, 0.08)
         titles = [f"N{i}" for i in range(50)]
-        g_full = build_graph((titles[s], titles[t]) for s, t in edges)
+        g_full = build_graph(((titles[s], titles[t]) for s, t in edges), EdgeStats())
         core_full = kcore_decomposition(g_full)
         for drop in rng.choice(len(edges), size=min(5, len(edges)), replace=False):
             kept = [e for i, e in enumerate(edges) if i != drop]
-            g_less = build_graph((titles[s], titles[t]) for s, t in kept)
+            g_less = build_graph(((titles[s], titles[t]) for s, t in kept), EdgeStats())
             core_less = kcore_decomposition(g_less)
             full_ids = node_ids(g_full)
             for v, title in enumerate(g_less.titles):
@@ -347,10 +348,10 @@ class TestKCore:
     )
     def test_stream_order_irrelevant(self, pairs, rnd):
         named = [(f"N{s}", f"N{t}") for s, t in pairs]
-        g1 = build_graph(named)
+        g1 = build_graph(named, EdgeStats())
         shuffled = list(named)
         rnd.shuffle(shuffled)
-        g2 = build_graph(shuffled)
+        g2 = build_graph(shuffled, EdgeStats())
         core1 = kcore_decomposition(g1)
         core2 = kcore_decomposition(g2)
         in1, out1, _ = degrees(g1)
@@ -371,7 +372,7 @@ class TestKCore:
     @settings(max_examples=200, deadline=None)
     @given(edge_streams())
     def test_equals_bucket_peel(self, pairs):
-        g = build_graph(pairs)
+        g = build_graph(pairs, EdgeStats())
         core = kcore_decomposition(g)
         assert core.dtype == np.int64
         assert core.tolist() == reference_kcore(g)
@@ -423,13 +424,13 @@ class TestMemory:
         return [(f"N{a}", f"N{b}") for a, b in zip(s.tolist(), t.tolist())]
 
     def test_build_graph_peak_per_pair(self, pairs):
-        g, peak = traced_peak(build_graph, pairs)
+        g, peak = traced_peak(build_graph, pairs, EdgeStats())
         assert g.edge_count == 161_675
         assert g.sources.dtype == g.targets.dtype == np.int32
         assert peak / len(pairs) < 23
 
     def test_kcore_peak_per_edge(self, pairs):
-        g = build_graph(pairs)
+        g = build_graph(pairs, EdgeStats())
         core, peak = traced_peak(kcore_decomposition, g)
         assert core.tolist() == reference_kcore(g)
         assert peak / g.edge_count < 27
@@ -444,7 +445,7 @@ class TestMemory:
 
 class TestNetworkTable:
     def test_features_and_roundtrip(self, tmp_path):
-        g = build_graph([("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")])
+        g = build_graph([("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")], EdgeStats())
         feats = network_features(g)
         assert feats.articles == ("A", "B", "C", "D")
         assert feats["out_degree"].tolist() == [1, 1, 2, 0]
@@ -457,7 +458,7 @@ class TestNetworkTable:
 
     def test_rows_in_title_order(self):
         # node ids follow first appearance; the table follows the titles
-        feats = network_features(build_graph([("C", "A"), ("B", "C")]))
+        feats = network_features(build_graph([("C", "A"), ("B", "C")], EdgeStats()))
         assert feats.articles == ("A", "B", "C")
         assert feats["in_degree"].tolist() == [1, 0, 1]
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,18 +265,18 @@ class TestQuadrants:
 
 class TestHistogram:
     def test_two_bins(self):
-        assert histogram([0.1, 0.9], bins=2).tolist() == [1.0, 1.0]
+        assert histogram([0.1, 0.9], None, 2).tolist() == [1.0, 1.0]
 
     def test_weighted(self):
-        assert histogram([0.1, 0.9], weights=[10, 30], bins=2).tolist() == [10.0, 30.0]
+        assert histogram([0.1, 0.9], [10, 30], 2).tolist() == [10.0, 30.0]
 
     def test_last_bin_right_closed(self):
-        assert histogram([1.0], bins=4).tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert histogram([1.0], None, 4).tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_out_of_range_rejected(self):
         for value in (1.5, -0.25, math.nan):
             with pytest.raises(DataError):
-                histogram([value], bins=2)
+                histogram([value], None, 2)
 
     @given(
         pairs=st.lists(
@@ -347,6 +348,17 @@ class TestCorrelations:
         out = correlations(make_metrics([(i / 20, (i / 20) ** 8, 1) for i in range(1, 20)]))
         assert out["spearman"] == pytest.approx(1.0)
         assert out["pearson"] < 1.0
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 1.0, 10), (1.0, 1.0, 20)],  # pure search inflow: both columns constant
+        [(0.2, 1.0, 10), (0.7, 1.0, 20), (0.9, 1.0, 5)],  # resistance alone constant
+    ])
+    def test_constant_column_is_nan_without_a_warning(self, rows):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = correlations(make_metrics(rows))
+        assert [str(w.message) for w in caught] == []
+        assert math.isnan(out["pearson"]) and math.isnan(out["spearman"])
 
     def test_average_ranks_ties(self):
         assert average_ranks([10.0, 20.0, 20.0, 30.0]).tolist() == [1.0, 2.5, 2.5, 4.0]

@@ -57,6 +57,10 @@ def separable_data(n: int, seed: int, d_noise: int = 2):
     return x, y
 
 
+def feature_names(x) -> tuple[str, ...]:
+    return tuple(f"f{j}" for j in range(x.shape[1]))
+
+
 def stage_losses(model: GBDTModel, x, y) -> list[float]:
     scores = np.full(len(y), model.initial_score)
     losses = [log_loss(scores, y)]
@@ -85,14 +89,14 @@ def ref_build_instances(rows, task, threshold=None):
 
 class TestBinarize:
     def test_searchshare_above(self):
-        assert binarize_target([0.7], "searchshare").tolist() == [1]
+        assert binarize_target([0.7], "searchshare", None).tolist() == [1]
 
     def test_searchshare_boundary_is_zero(self):
-        assert binarize_target([0.66], "searchshare").tolist() == [0]
+        assert binarize_target([0.66], "searchshare", None).tolist() == [0]
 
     def test_resistance_boundary_is_relay(self):
-        assert binarize_target([0.88], "resistance").tolist() == [1]
-        assert binarize_target([0.89], "resistance").tolist() == [0]
+        assert binarize_target([0.88], "resistance", None).tolist() == [1]
+        assert binarize_target([0.89], "resistance", None).tolist() == [0]
 
     def test_custom_threshold(self):
         assert binarize_target([0.5, 0.2], "searchshare", 0.4).tolist() == [1, 0]
@@ -104,7 +108,7 @@ class TestBuildInstances:
             make_row("A", searchshare=0.9, in_degree=7, revisions=42, topic_id=1),
             make_row("B", searchshare=0.1, topic_id=0),
         ]
-        inst, dropped = build_instances(make_table(rows), "searchshare")
+        inst, dropped = build_instances(make_table(rows), "searchshare", None)
         assert dropped == 0
         assert inst.feature_names[:3] == NETWORK_FEATURES
         assert inst.feature_names[3:11] == CONTENT_EDIT_FEATURES
@@ -118,7 +122,7 @@ class TestBuildInstances:
 
     def test_rows_without_topic_dropped(self):
         rows = [make_row("A", topic_id=0, in_degree=3), make_row("B", topic_id=None, in_degree=5)]
-        inst, dropped = build_instances(make_table(rows), "searchshare")
+        inst, dropped = build_instances(make_table(rows), "searchshare", None)
         assert dropped == 1 and len(inst) == 1
         _, x, y, _ = ref_build_instances(rows[:1], "searchshare")
         assert np.array_equal(inst.x, x) and np.array_equal(inst.y, y)
@@ -126,21 +130,21 @@ class TestBuildInstances:
 
     def test_no_topics_at_all(self):
         rows = [make_row("A"), make_row("B")]
-        inst, dropped = build_instances(make_table(rows), "resistance")
+        inst, dropped = build_instances(make_table(rows), "resistance", None)
         assert dropped == 0
         assert all(not n.startswith("topic_") for n in inst.feature_names)
 
     def test_default_groups_follow_the_topic_columns(self):
         with_topics, _ = build_instances(make_table([make_row("A", topic_id=2), make_row("B", topic_id=0)]),
-                                         "searchshare")
-        without, _ = build_instances(make_table([make_row("A"), make_row("B")]), "searchshare")
+                                         "searchshare", None)
+        without, _ = build_instances(make_table([make_row("A"), make_row("B")]), "searchshare", None)
         assert default_groups(with_topics) == list(FEATURE_GROUPS)
         assert default_groups(without) == ["network", "content-edit"]
 
     def test_sparse_topic_ids_one_column_each(self):
         # the one-hot spans the ids present, not 0 .. the largest id
         rows = [make_row(f"R{i}", topic_id=tid) for i, tid in enumerate([0, 100000, 0, 100000])]
-        inst, _ = build_instances(make_table(rows), "searchshare")
+        inst, _ = build_instances(make_table(rows), "searchshare", None)
         assert inst.feature_names[11:] == ("topic_0", "topic_100000")
         assert inst.x.shape == (4, 13)
         assert inst.x[:, 11:].tolist() == [[1.0, 0.0], [0.0, 1.0]] * 2
@@ -165,7 +169,7 @@ class TestBuildInstances:
             for i, (tid, ratio, count, size) in enumerate(cells)
         ]
         rng.shuffle(rows)
-        inst, dropped = build_instances(make_table(rows), task)
+        inst, dropped = build_instances(make_table(rows), task, None)
         ordered = sorted(rows, key=lambda r: r["article"])
         names, x, y, ref_dropped = ref_build_instances(ordered, task)
         assert (len(inst), inst.feature_names, dropped) == (len(y), names, ref_dropped)
@@ -176,7 +180,7 @@ class TestBuildInstances:
 class TestSelectGroup:
     def make(self):
         rows = [make_row(f"R{i}", topic_id=i % 3) for i in range(6)]
-        inst, _ = build_instances(make_table(rows), "searchshare")
+        inst, _ = build_instances(make_table(rows), "searchshare", None)
         return inst
 
     def test_groups(self):
@@ -188,7 +192,7 @@ class TestSelectGroup:
 
     def test_topic_group_without_topics(self):
         rows = [make_row("A"), make_row("B")]
-        inst, _ = build_instances(make_table(rows), "searchshare")
+        inst, _ = build_instances(make_table(rows), "searchshare", None)
         with pytest.raises(UsageError):
             select_group(inst, "topic")
 
@@ -263,7 +267,8 @@ class TestRocAuc:
 class TestTrainGbdt:
     def test_separable_training_auc(self):
         x, y = separable_data(500, seed=1)
-        model = train_gbdt(x, y, GBDTConfig(n_trees=30, max_depth=3, min_leaf=5))
+        config = GBDTConfig(n_trees=30, max_depth=3, min_leaf=5, learning_rate=0.1, seed=0)
+        model = train_gbdt(x, y, config, feature_names(x))
         auc = roc_auc(model.decision_scores(x), y)
         assert auc >= 0.99
         assert not model.prior_fallback
@@ -271,7 +276,8 @@ class TestTrainGbdt:
     def test_constant_features_prior(self):
         x = np.ones((40, 3))
         y = np.asarray([1] * 10 + [0] * 30, dtype=np.int8)
-        model = train_gbdt(x, y, GBDTConfig(n_trees=5, min_leaf=2))
+        config = GBDTConfig(n_trees=5, min_leaf=2, max_depth=4, learning_rate=0.1, seed=0)
+        model = train_gbdt(x, y, config, feature_names(x))
         assert model.prior_fallback
         expected = np.log(10 / 30)
         assert model.decision_scores(x) == pytest.approx(np.full(40, expected))
@@ -280,7 +286,8 @@ class TestTrainGbdt:
         x = np.asarray([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         y = np.asarray([0, 0, 1, 1], dtype=np.int8)
         rate = 0.5
-        model = train_gbdt(x, y, GBDTConfig(n_trees=1, max_depth=1, min_leaf=1, learning_rate=rate))
+        config = GBDTConfig(n_trees=1, max_depth=1, min_leaf=1, learning_rate=rate, seed=0)
+        model = train_gbdt(x, y, config, feature_names(x))
 
         # oracle: every (feature, midpoint) stump with Newton leaf values,
         # scored by resulting mean logistic loss
@@ -315,16 +322,17 @@ class TestTrainGbdt:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(300, 4))
         y = (x[:, 0] + 0.8 * rng.normal(size=300) > 0).astype(np.int8)
-        model = train_gbdt(x, y, GBDTConfig(n_trees=40, max_depth=3, min_leaf=5))
+        config = GBDTConfig(n_trees=40, max_depth=3, min_leaf=5, learning_rate=0.1, seed=0)
+        model = train_gbdt(x, y, config, feature_names(x))
         losses = stage_losses(model, x, y)
         for a, b in zip(losses, losses[1:]):
             assert b <= a
 
     def test_deterministic(self):
         x, y = separable_data(200, seed=4)
-        cfg = GBDTConfig(n_trees=10, max_depth=3, min_leaf=5)
-        m1 = train_gbdt(x, y, cfg)
-        m2 = train_gbdt(x, y, cfg)
+        cfg = GBDTConfig(n_trees=10, max_depth=3, min_leaf=5, learning_rate=0.1, seed=0)
+        m1 = train_gbdt(x, y, cfg, feature_names(x))
+        m2 = train_gbdt(x, y, cfg, feature_names(x))
         assert np.array_equal(m1.decision_scores(x), m2.decision_scores(x))
         for t1, t2 in zip(m1.trees, m2.trees):
             assert np.array_equal(t1.feature, t2.feature)
@@ -333,15 +341,17 @@ class TestTrainGbdt:
 
     def test_depth_bound_respected(self):
         x, y = separable_data(300, seed=5)
-        model = train_gbdt(x, y, GBDTConfig(n_trees=5, max_depth=2, min_leaf=5))
+        config = GBDTConfig(n_trees=5, max_depth=2, min_leaf=5, learning_rate=0.1, seed=0)
+        model = train_gbdt(x, y, config, feature_names(x))
         for tree in model.trees:
             # depth-2 tree has at most 7 nodes
             assert len(tree.feature) <= 7
 
     def test_min_class_count(self):
         x = np.random.default_rng(0).normal(size=(5, 2))
+        config = GBDTConfig(n_trees=1, max_depth=4, learning_rate=0.1, min_leaf=20, seed=0)
         with pytest.raises(DataError):
-            train_gbdt(x, np.asarray([1, 0, 0, 0, 0]), GBDTConfig(n_trees=1))
+            train_gbdt(x, np.asarray([1, 0, 0, 0, 0]), config, feature_names(x))
 
 
 class ReferenceTreeBuilder:
@@ -465,7 +475,7 @@ def split_problems(draw):
     y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
     y[:2], y[2:4] = 0, 1
     min_leaf = draw(st.sampled_from((1, n // 2, draw(st.integers(1, n // 2)))))
-    config = GBDTConfig(n_trees=3, max_depth=draw(st.integers(1, 4)), learning_rate=0.5, min_leaf=min_leaf)
+    config = GBDTConfig(n_trees=3, max_depth=draw(st.integers(1, 4)), learning_rate=0.5, min_leaf=min_leaf, seed=0)
     return x, y, config
 
 
@@ -475,7 +485,7 @@ class TestSortedOnceSplitSearch:
     def test_trees_match_per_feature_argsort(self, problem):
         x, y, config = problem
         with np.errstate(invalid="ignore"):  # the midpoint of -inf and inf
-            model = train_gbdt(x, y, config)
+            model = train_gbdt(x, y, config, feature_names(x))
             expected = reference_trees(x, y, config)
         if model.prior_fallback:
             assert np.all(x == x[0])
@@ -530,7 +540,7 @@ class TestStratifiedFolds:
 
 def instance_set_from_arrays(x, y) -> InstanceSet:
     return InstanceSet(
-        tuple(f"f{j}" for j in range(x.shape[1])),
+        feature_names(x),
         np.asarray(x, dtype=float),
         np.asarray(y, dtype=np.int8),
     )
@@ -540,9 +550,8 @@ class TestCrossValidate:
     def test_separable_high_auc(self):
         x, y = separable_data(600, seed=6)
         inst = instance_set_from_arrays(x, y)
-        report = cross_validate(
-            inst, "all", GBDTConfig(n_trees=20, max_depth=3, min_leaf=5, seed=0), task="searchshare"
-        )
+        config = GBDTConfig(n_trees=20, max_depth=3, min_leaf=5, seed=0, learning_rate=0.1)
+        report = cross_validate(inst, "all", config, 10, "searchshare", 1)
         assert len(report.fold_aucs) == 10
         assert report.mean_auc >= 0.95
 
@@ -554,7 +563,7 @@ class TestCrossValidate:
             y = rng.permutation(np.asarray([0, 1] * 200, dtype=np.int8))
             inst = instance_set_from_arrays(x, y)
             report = cross_validate(
-                inst, "all", GBDTConfig(n_trees=8, max_depth=2, min_leaf=20, seed=rep)
+                inst, "all", GBDTConfig(n_trees=8, max_depth=2, min_leaf=20, seed=rep, learning_rate=0.1), 10, "", 1
             )
             means.append(report.mean_auc)
         assert 0.45 <= float(np.mean(means)) <= 0.55
@@ -562,9 +571,9 @@ class TestCrossValidate:
     def test_thread_count_invariant(self):
         x, y = separable_data(300, seed=7)
         inst = instance_set_from_arrays(x, y)
-        cfg = GBDTConfig(n_trees=8, max_depth=2, min_leaf=5, seed=3)
-        seq = cross_validate(inst, "all", cfg, threads=1)
-        par = cross_validate(inst, "all", cfg, threads=4)
+        cfg = GBDTConfig(n_trees=8, max_depth=2, min_leaf=5, seed=3, learning_rate=0.1)
+        seq = cross_validate(inst, "all", cfg, 10, "", 1)
+        par = cross_validate(inst, "all", cfg, 10, "", 4)
         assert seq.fold_aucs == par.fold_aucs
 
     def test_final_model_is_balanced_beside_the_folds(self):
@@ -572,28 +581,30 @@ class TestCrossValidate:
         x, y = separable_data(300, seed=8)
         y[:40] = 1  # more positives than negatives, so balancing draws
         inst = instance_set_from_arrays(x, y)
-        cfg = GBDTConfig(n_trees=4, max_depth=2, min_leaf=5, seed=3)
+        cfg = GBDTConfig(n_trees=4, max_depth=2, min_leaf=5, seed=3, learning_rate=0.1)
         subset = balance(select_group(inst, "all"), seed=[3, 5])
         expected = train_gbdt(subset.x, subset.y, cfg, subset.feature_names)
         got = final_model(inst, "all", cfg, 5)
         assert got.feature_names == expected.feature_names and len(got.trees) == 4
         assert np.array_equal(got.decision_scores(x), expected.decision_scores(x))
         other = balance(select_group(inst, "all"), seed=[3, 4])
-        assert not np.array_equal(got.decision_scores(x), train_gbdt(other.x, other.y, cfg).decision_scores(x))
+        unlike = train_gbdt(other.x, other.y, cfg, other.feature_names)
+        assert not np.array_equal(got.decision_scores(x), unlike.decision_scores(x))
 
     def test_deterministic_report(self):
         x, y = separable_data(250, seed=9)
         inst = instance_set_from_arrays(x, y)
-        cfg = GBDTConfig(n_trees=6, max_depth=2, min_leaf=5, seed=4)
-        r1 = cross_validate(inst, "all", cfg)
-        r2 = cross_validate(inst, "all", cfg)
+        cfg = GBDTConfig(n_trees=6, max_depth=2, min_leaf=5, seed=4, learning_rate=0.1)
+        r1 = cross_validate(inst, "all", cfg, 10, "", 1)
+        r2 = cross_validate(inst, "all", cfg, 10, "", 1)
         assert r1 == r2
 
 
 class TestSerialization:
     def test_roundtrip_predictions(self, tmp_path):
         x, y = separable_data(200, seed=10)
-        model = train_gbdt(x, y, GBDTConfig(n_trees=12, max_depth=3, min_leaf=5))
+        config = GBDTConfig(n_trees=12, max_depth=3, min_leaf=5, learning_rate=0.1, seed=0)
+        model = train_gbdt(x, y, config, feature_names(x))
         path = tmp_path / "model.json"
         save_model(path, model)
         back = load_model(path)
@@ -610,8 +621,10 @@ class TestSerialization:
         report = cross_validate(
             instance_set_from_arrays(*separable_data(200, seed=2)),
             "all",
-            GBDTConfig(n_trees=4, max_depth=2, min_leaf=5, seed=1),
-            task="searchshare",
+            GBDTConfig(n_trees=4, max_depth=2, min_leaf=5, seed=1, learning_rate=0.1),
+            10,
+            "searchshare",
+            1,
         )
         path = tmp_path / "eval.csv"
         write_eval_report(path, [report])

@@ -14,6 +14,7 @@ from clickroles.errors import DataError, UsageError
 from clickroles.features import read_topic_assignments
 from clickroles.tableio import read_matrix_csv
 from clickroles.topics import (
+    DEFAULT_TOPIC_LABELS,
     Corpus,
     IterationHook,
     TopicModel,
@@ -22,10 +23,18 @@ from clickroles.topics import (
     parse_documents,
     tokenize,
     top_words,
+    topic_names,
     write_assignments,
     write_phi,
     write_top_words,
 )
+
+
+DOCS = "docs.tsv"  # the source file the corpus builder's errors name
+
+
+def corpus_of(lines, stop_words):
+    return build_numbered_corpus(parse_documents(lines, DOCS), stop_words, DOCS)
 
 
 def planted_corpus(
@@ -49,7 +58,7 @@ def planted_corpus(
             words = rng.choice(vocabs[t], size=tokens_per_doc)
             texts.append(f"doc-{t}-{d}\t" + " ".join(words))
             planted.append(t)
-    corpus = build_numbered_corpus(parse_documents(texts), frozenset())
+    corpus = corpus_of(texts, frozenset())
     return corpus, planted
 
 
@@ -181,7 +190,7 @@ class TestBuildCorpus:
             "B\tbanana cherry",
             "C\tapple apple apple cherry",
         ]
-        corpus = build_numbered_corpus(parse_documents(texts), frozenset())
+        corpus = corpus_of(texts, frozenset())
         assert corpus.vocabulary == ("apple", "banana", "cherry")
         assert corpus.documents[0] == ((0, 2), (1, 1))
         assert corpus.documents[1] == ((1, 1), (2, 1))
@@ -189,39 +198,39 @@ class TestBuildCorpus:
         assert corpus.total_tokens == 9
 
     def test_stop_word_only_document_flagged(self):
-        corpus = build_numbered_corpus(parse_documents(["A\tthe the the", "B\tcat"]), {"the"})
+        corpus = corpus_of(["A\tthe the the", "B\tcat"], {"the"})
         assert corpus.articles == ("A", "B")
         assert corpus.documents[0] == ()
         assert corpus.empty_articles == ("A",)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            build_numbered_corpus([])
+        with pytest.raises(DataError, match="^docs.tsv: empty corpus$"):
+            build_numbered_corpus([], frozenset(), DOCS)
 
     def test_duplicate_article(self):
         with pytest.raises(DataError, match="duplicate"):
-            build_numbered_corpus(parse_documents(["A\tx y", "A\tz w"]), frozenset())
+            corpus_of(["A\tx y", "A\tz w"], frozenset())
 
     def test_vocabulary_first_appearance(self):
-        corpus = build_numbered_corpus(parse_documents(["A\tzebra apple", "B\tapple mango"]), frozenset())
+        corpus = corpus_of(["A\tzebra apple", "B\tapple mango"], frozenset())
         assert corpus.vocabulary == ("zebra", "apple", "mango")
 
     def test_parse_documents(self):
         lines = ["A\tsome text", "", "B\tmore"]
-        assert list(parse_documents(lines)) == [(1, "A", "some text"), (3, "B", "more")]
-        with pytest.raises(DataError, match="line 1"):
-            list(parse_documents(["no tab here"]))
+        assert list(parse_documents(lines, DOCS)) == [(1, "A", "some text"), (3, "B", "more")]
+        with pytest.raises(DataError, match="^docs.tsv:1: "):
+            list(parse_documents(["no tab here"], DOCS))
 
 
 class TestFitLda:
     def test_k_above_vocabulary_is_data_error(self):
-        corpus = build_numbered_corpus(parse_documents(["A\tcat dog bird"]), frozenset())
+        corpus = corpus_of(["A\tcat dog bird"], frozenset())
         with pytest.raises(DataError, match="vocabulary"):
-            fit_lda(corpus, k=10, iterations=5)
+            fit_lda(corpus, k=10, iterations=5, alpha=None, beta=0.01, seed=0)
 
     def test_normalization_and_positivity(self):
         corpus, _ = planted_corpus(docs_per_topic=10, tokens_per_doc=12)
-        model = fit_lda(corpus, k=3, iterations=10, seed=2)
+        model = fit_lda(corpus, k=3, iterations=10, seed=2, alpha=None, beta=0.01)
         assert np.all(model.phi > 0)
         assert np.all(model.theta > 0)
         np.testing.assert_allclose(model.phi.sum(axis=1), 1.0, atol=1e-9)
@@ -229,26 +238,26 @@ class TestFitLda:
 
     def test_same_seed_bit_identical(self):
         corpus, _ = planted_corpus(docs_per_topic=8, tokens_per_doc=10)
-        m1 = fit_lda(corpus, k=2, iterations=15, seed=7)
-        m2 = fit_lda(corpus, k=2, iterations=15, seed=7)
+        m1 = fit_lda(corpus, k=2, iterations=15, seed=7, alpha=None, beta=0.01)
+        m2 = fit_lda(corpus, k=2, iterations=15, seed=7, alpha=None, beta=0.01)
         assert np.array_equal(m1.phi, m2.phi)
         assert np.array_equal(m1.theta, m2.theta)
 
     def test_different_seed_differs(self):
         corpus, _ = planted_corpus(docs_per_topic=8, tokens_per_doc=10)
-        m1 = fit_lda(corpus, k=2, iterations=15, seed=7)
-        m2 = fit_lda(corpus, k=2, iterations=15, seed=8)
+        m1 = fit_lda(corpus, k=2, iterations=15, seed=7, alpha=None, beta=0.01)
+        m2 = fit_lda(corpus, k=2, iterations=15, seed=8, alpha=None, beta=0.01)
         assert not np.array_equal(m1.theta, m2.theta)
 
     def test_overflowing_hyperparameters_rejected(self):
-        corpus = build_numbered_corpus(parse_documents(["A\tcat dog bird cat"]), frozenset())
+        corpus = corpus_of(["A\tcat dog bird cat"], frozenset())
         for hyper, name in (
             ({"alpha": 1e308}, "alpha"),  # k*alpha is inf
             ({"beta": 1e308}, "beta"),  # V*beta is inf
             ({"alpha": 1e200, "beta": 1e200}, "sampling weights overflow"),  # a weight's product is inf
         ):
             with pytest.raises(UsageError, match=name):
-                fit_lda(corpus, k=2, iterations=1, **hyper)
+                fit_lda(corpus, **{"k": 2, "alpha": None, "beta": 0.01, "iterations": 1, "seed": 0, **hyper})
 
     def test_count_conservation_every_iteration(self):
         corpus, _ = planted_corpus(docs_per_topic=6, tokens_per_doc=8)
@@ -263,18 +272,18 @@ class TestFitLda:
             assert sum(map(sum, doc_topic)) == total
             calls.append(it)
 
-        fit_lda(corpus, k=2, iterations=6, seed=0, on_iteration=check)
+        fit_lda(corpus, k=2, alpha=None, beta=0.01, iterations=6, seed=0, on_iteration=check)
         assert calls == list(range(6))
 
     def test_planted_recovery(self):
         corpus, planted = planted_corpus()
-        model = fit_lda(corpus, k=2, iterations=50, seed=11)
+        model = fit_lda(corpus, k=2, iterations=50, seed=11, alpha=None, beta=0.01)
         assigned = model.theta.argmax(axis=1).tolist()
         assert permutation_accuracy(assigned, planted, 2) >= 0.9
 
     def test_empty_document_gets_uniform_theta(self):
-        corpus = build_numbered_corpus(parse_documents(["A\tthe the", "B\tcat dog cat dog mouse"]), {"the"})
-        model = fit_lda(corpus, k=2, iterations=5, seed=0)
+        corpus = corpus_of(["A\tthe the", "B\tcat dog cat dog mouse"], {"the"})
+        model = fit_lda(corpus, k=2, iterations=5, seed=0, alpha=None, beta=0.01)
         np.testing.assert_allclose(model.theta[0], [0.5, 0.5], atol=1e-12)
 
 
@@ -308,11 +317,11 @@ class TestReferenceSweep:
     @given(lda_cases())
     @example((  # a single document; the once-seen words' weights are a few
         # subnormal steps, so u * total often lands exactly on a running total
-        build_numbered_corpus(parse_documents(["A\tcat dog cat bird dog cat mouse"]), frozenset()),
+        corpus_of(["A\tcat dog cat bird dog cat mouse"], frozenset()),
         {"k": 3, "alpha": 0.1, "beta": 5e-324, "iterations": 3, "seed": 0},
     ))
     @example((  # a zero-length document between two others, and tiny beta
-        build_numbered_corpus(parse_documents(["A\tcat dog", "B\tthe", "C\tdog dog bird"]), {"the"}),
+        corpus_of(["A\tcat dog", "B\tthe", "C\tdog dog bird"], {"the"}),
         {"k": 2, "alpha": 0.1, "beta": 1e-300, "iterations": 3, "seed": 1},
     ))
     def test_bit_identical_to_reference(self, case):
@@ -348,7 +357,7 @@ class TestDominant:
 class TestTopWords:
     def test_planted_vocabulary_recovered(self):
         corpus, planted = planted_corpus()
-        model = fit_lda(corpus, k=2, iterations=50, seed=11)
+        model = fit_lda(corpus, k=2, iterations=50, seed=11, alpha=None, beta=0.01)
         # each fitted topic's top-10 should come from one planted vocabulary
         for topic in range(2):
             words = top_words(model, topic, 10)
@@ -358,7 +367,7 @@ class TestTopWords:
 
     def test_delta_phi(self):
         corpus, _ = planted_corpus(docs_per_topic=4, tokens_per_doc=6)
-        model = fit_lda(corpus, k=2, iterations=3, seed=0)
+        model = fit_lda(corpus, k=2, iterations=3, seed=0, alpha=None, beta=0.01)
         row = np.full(len(model.vocabulary), 1e-9)
         row[5] = 1.0
         spiked = TopicsDummy(model, row)
@@ -366,7 +375,7 @@ class TestTopWords:
 
     def test_bounds(self):
         corpus, _ = planted_corpus(docs_per_topic=4, tokens_per_doc=6)
-        model = fit_lda(corpus, k=2, iterations=3, seed=0)
+        model = fit_lda(corpus, k=2, iterations=3, seed=0, alpha=None, beta=0.01)
         with pytest.raises(UsageError):
             top_words(model, 0, len(model.vocabulary) + 1)
         with pytest.raises(UsageError):
@@ -395,7 +404,7 @@ def TopicsDummy(model, row):
 class TestOutputs:
     def test_assignments_file_roundtrip(self, tmp_path):
         corpus, _ = planted_corpus(docs_per_topic=5, tokens_per_doc=8)
-        model = fit_lda(corpus, k=2, iterations=10, seed=4)
+        model = fit_lda(corpus, k=2, iterations=10, seed=4, alpha=None, beta=0.01)
         path = tmp_path / "topics.tsv"
         write_assignments(path, model)
         back = read_topic_assignments(path)
@@ -405,7 +414,7 @@ class TestOutputs:
 
     def test_phi_matrix_roundtrip(self, tmp_path):
         corpus, _ = planted_corpus(docs_per_topic=5, tokens_per_doc=8)
-        model = fit_lda(corpus, k=2, iterations=10, seed=4)
+        model = fit_lda(corpus, k=2, iterations=10, seed=4, alpha=None, beta=0.01)
         path = tmp_path / "phi.csv"
         write_phi(path, model)
         matrix, meta = read_matrix_csv(path)
@@ -415,10 +424,29 @@ class TestOutputs:
 
     def test_top_words_report(self, tmp_path):
         corpus, _ = planted_corpus(docs_per_topic=5, tokens_per_doc=8)
-        model = fit_lda(corpus, k=2, iterations=10, seed=4)
+        model = fit_lda(corpus, k=2, iterations=10, seed=4, alpha=None, beta=0.01)
         path = tmp_path / "words.txt"
-        write_top_words(path, model, n=5, labels=["First", "Second"])
+        write_top_words(path, model, 5, {0: "First", 1: "Second"})
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("0\tFirst\t")
         assert len(lines[1].split("\t")[2].split()) == 5
+
+
+class TestTopicNames:
+    def test_paper_names_for_ids_zero_to_nineteen(self):
+        names = topic_names(range(20), None)
+        assert list(names) == list(range(20))
+        assert list(names.values()) == list(DEFAULT_TOPIC_LABELS)
+        assert (names[1], names[10]) == ("Architecture", "Military")
+
+    def test_other_id_sets_are_numbered(self):
+        assert topic_names([0, 2], None) == {0: "topic-0", 2: "topic-2"}
+        assert topic_names(range(21), None)[1] == "topic-1"
+        assert topic_names([], None) == {}
+
+    def test_given_names_replace_the_paper_names(self):
+        names = topic_names(range(20), {3: "Politics!", 99: "unused"})
+        assert (names[3], names[1]) == ("Politics!", "topic-1")
+        assert set(names) == set(range(20))
+        assert topic_names(range(20), {})[1] == "topic-1"
