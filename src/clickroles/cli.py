@@ -431,6 +431,8 @@ def cmd_graph(args, out: _OutputDir) -> None:
 
 
 def cmd_features(args, out: _OutputDir) -> None:
+    if args.labels is not None and args.topics is None:
+        raise UsageError("argument --labels: needs --topics")
     labels = read_keyvalues(args.labels, parse_count) if args.labels is not None else None
     metrics = read_metrics_table(args.metrics)
     network = read_network_table(args.network)

@@ -12,6 +12,5 @@ class DataError(Exception):
 
 class UsageError(Exception):
     """The invocation is wrong: a flag value its declaration rejects (the
-    CLI parser), a setting the data cannot take (LDA hyperparameters that
-    overflow, a feature group with no columns), or a call that breaks a
-    function's contract (mismatched dimensions)."""
+    CLI parser), or a setting the data cannot take (LDA hyperparameters
+    that overflow, a feature group with no columns)."""

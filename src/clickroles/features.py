@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError
 from .linkgraph import NETWORK
 from .metrics import METRICS, ROLES
 from .tableio import COUNT, REAL, ColumnTable, optional, ratio, read_columns, write_columns, write_rows
@@ -88,22 +88,20 @@ def join_features(
 
 
 def median(values: Sequence[float]) -> float:
-    """Median with the even-size rule: mean of the two central values."""
+    """Median of the non-empty `values` with the even-size rule: mean of
+    the two central values."""
     s = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
     m = len(s)
-    if not m:
-        raise DataError("median of empty sequence")
     if m % 2:
         return s[m // 2]
     return (s[m // 2 - 1] + s[m // 2]) / 2.0
 
 
 def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
-    """(Q1, Q2, Q3) by linear interpolation between order statistics."""
+    """(Q1, Q2, Q3) of the non-empty `values` by linear interpolation
+    between order statistics."""
     s = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
     m = len(s)
-    if not m:
-        raise DataError("quartiles of empty sequence")
 
     def at(q: float) -> float:
         h = q * (m - 1)
@@ -242,7 +240,8 @@ def topic_statistics(table: ColumnTable, labels: Mapping[int, str]) -> list[Topi
 
 
 def relative_difference_heatmap(topic_grid: np.ndarray, overall_grid: np.ndarray) -> np.ndarray:
-    """Cell-wise ratio of the two grids after normalizing each to sum 1.
+    """Cell-wise ratio of the two grids, of one shape, after normalizing
+    each to sum 1.
 
     Cells empty in the overall grid carry no comparison and come back as
     NaN (serialized as empty); a populated overall cell with an empty
@@ -250,10 +249,6 @@ def relative_difference_heatmap(topic_grid: np.ndarray, overall_grid: np.ndarray
     """
     topic_grid = np.asarray(topic_grid, dtype=float)
     overall_grid = np.asarray(overall_grid, dtype=float)
-    if topic_grid.shape != overall_grid.shape:
-        raise UsageError(
-            f"grid shapes differ: {topic_grid.shape} vs {overall_grid.shape}"
-        )
     topic_sum = topic_grid.sum()
     overall_sum = overall_grid.sum()
     if topic_sum <= 0 or overall_sum <= 0:

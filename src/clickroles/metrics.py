@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError
 from .tableio import COUNT, ColumnTable, labels, ratio, read_columns, write_columns, write_keyvalues, write_rows
 
 # The four roles, each at its quadrant code.
@@ -74,8 +74,6 @@ def corpus_thresholds(searchshare: np.ndarray, resistance: np.ndarray) -> Corpus
     """Unweighted arithmetic means over the article population, each a
     sequential sum (np.sum adds pairwise and can differ in the last bit)."""
     n = len(searchshare)
-    if not n:
-        raise DataError("cannot compute thresholds of an empty metrics table")
     return CorpusThresholds(
         mean_searchshare=sum(searchshare.tolist()) / n,
         mean_resistance=sum(resistance.tolist()) / n,
@@ -99,8 +97,6 @@ def group_shares(metrics: ColumnTable) -> dict[str, tuple[float, float]]:
     to 100 up to rounding. View totals are exact Python-int sums.
     """
     n = len(metrics)
-    if not n:
-        raise DataError("cannot compute group shares of an empty metrics table")
     in_group = [metrics["quadrant"] == code for code in range(len(ROLES))]
     article_counts = [int(np.count_nonzero(rows)) for rows in in_group]
     view_counts = [sum(metrics["total_views"][rows].tolist()) for rows in in_group]
@@ -126,9 +122,7 @@ def _bins(values: np.ndarray, bins: int) -> np.ndarray:
 
 def histogram(values: np.ndarray, weights: np.ndarray | None, bins: int) -> np.ndarray:
     """Equal-width histogram over [0, 1]: article counts per bin, or with
-    `weights` their sums per bin, in input order."""
-    if weights is not None and len(weights) != len(values):
-        raise UsageError("values and weights must have equal length")
+    `weights` (as long as `values`) their sums per bin, in input order."""
     return np.bincount(_bins(values, bins), weights, minlength=bins).astype(float)
 
 
@@ -165,10 +159,9 @@ def average_ranks(values) -> np.ndarray:
 
 def correlations(metrics: ColumnTable) -> dict[str, float]:
     """Unweighted pearson and spearman correlations between searchshare
-    and resistance over the article population; both NaN, undefined, when
-    either column holds one distinct value."""
-    if len(metrics) < 2:
-        raise DataError("need at least two articles for correlations")
+    and resistance over the article population, which holds at least two
+    articles; both NaN, undefined, when either column holds one distinct
+    value."""
     ss, res = metrics["searchshare"], metrics["resistance"]
     if ss.min() == ss.max() or res.min() == res.max():
         return {"pearson": math.nan, "spearman": math.nan}

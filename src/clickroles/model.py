@@ -137,13 +137,12 @@ def balance(instances: InstanceSet, seed) -> InstanceSet:
     """Downsample the majority class to the minority size, seeded.
 
     Kept indices are re-sorted, so an already balanced set passes
-    through with membership and order unchanged.
+    through with membership and order unchanged. `instances` holds
+    both classes.
     """
     y = instances.y
     pos = np.nonzero(y == 1)[0]
     neg = np.nonzero(y == 0)[0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise DataError("cannot balance a single-class instance set")
     rng = np.random.default_rng(seed)
     if len(pos) > len(neg):
         pos = rng.choice(pos, size=len(neg), replace=False)
@@ -352,18 +351,17 @@ def train_gbdt(
     if it does not increase training loss; otherwise its leaf values are
     halved until it stops hurting (reaching zero in the limit), so the
     per-stage loss sequence is non-increasing by construction.
+
+    `x` is n x d with one row per label of `y`, and `feature_names`
+    names its d columns, as an InstanceSet holds them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
-    if x.ndim != 2 or len(x) != len(y):
-        raise UsageError("x must be 2-D with one row per label")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos < 2 or n_neg < 2:
         raise DataError("need at least 2 instances per class")
     names = tuple(feature_names)
-    if len(names) != x.shape[1]:
-        raise UsageError("feature_names length does not match x columns")
 
     initial = float(np.log(n_pos / n_neg))
     degenerate = bool(np.all(x == x[0], axis=0).all())
@@ -400,14 +398,12 @@ def train_gbdt(
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Mann-Whitney AUC; tied score pairs count one half."""
+    """Mann-Whitney AUC of 0/1 `labels` that hold both classes; tied
+    score pairs count one half."""
     y = np.asarray(labels)
-    s = list(np.asarray(scores, dtype=float))
     n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("AUC needs both classes present")
-    ranks = np.asarray(average_ranks(s))
+    n_neg = len(y) - n_pos
+    ranks = average_ranks(scores)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError
 from .tableio import ColumnTable, write_rows
 
 RANKING_KEYS = ("total", "in_se", "in_nav", "out_nav")
@@ -73,9 +73,7 @@ def cumulative_overlap(a: Ranking, b: Ranking, ks: list[int]) -> OverlapCurve:
 
 def default_ks(n: int) -> list[int]:
     """Logarithmic depth schedule 1, 2, 5, 10, 20, 50, ... capped at n,
-    with n itself always included."""
-    if n < 1:
-        raise UsageError("ranking must be non-empty")
+    with n itself always included; n is at least 1."""
     ks: list[int] = []
     base = 1
     while base <= n:

@@ -43,7 +43,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError
 
 # Largest count or per-article sum: up to 2**53 every int64 converts to
 # float64 exactly, so column-wise quotients equal the integer ones.
@@ -435,8 +435,6 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, metadata: dict[str, o
     NaN cells are emitted empty (masked values are absent, never numbers).
     """
     mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2:
-        raise UsageError(f"matrix must be 2-D, got {mat.ndim}-D")
     write_rows(path, (row.tolist() for row in mat), metadata=metadata, sep=",")
 
 
@@ -466,8 +464,8 @@ def write_keyvalues(path: str | Path, items: Mapping[str, object]) -> None:
 
 def read_keyvalues(path: str | Path, key: Callable[[str], object] = str) -> dict:
     """The key=value lines of `path`, each key read by `key`; a line
-    without ``=``, or a key that `key` rejects with ValueError, is
-    DataError ``path:N: reason``."""
+    without ``=``, a key that `key` rejects with ValueError, or a key
+    read before is DataError ``path:N: reason``."""
     out: dict = {}
     for lineno, line in enumerate(iter_lines(path), start=1):
         line = line.strip()
@@ -477,9 +475,12 @@ def read_keyvalues(path: str | Path, key: Callable[[str], object] = str) -> dict
             raise DataError(f"{where(path, lineno)}: expected key=value, got {line!r}")
         name, _, value = line.partition("=")
         try:
-            out[key(name.strip())] = value.strip()
+            name = key(name.strip())
         except ValueError as exc:
             raise DataError(f"{where(path, lineno)}: {exc}") from None
+        if name in out:
+            raise DataError(f"{where(path, lineno)}: duplicate key {name!r}")
+        out[name] = value.strip()
     return out
 
 

@@ -230,8 +230,6 @@ def fit_lda(
     ]
     d_count = len(docs)
     total = sum(len(doc) for doc in docs)
-    if total == 0:
-        raise DataError("corpus has no tokens after stop word removal")
 
     rng = np.random.default_rng(seed)
     n_dk = [[0] * k for _ in range(d_count)]
@@ -321,12 +319,9 @@ def fit_lda(
 
 
 def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
-    """The n highest-phi tokens of a topic, ties broken by token id."""
+    """The n highest-phi tokens of a topic, ties broken by token id;
+    `topic` is in range(k) and n in 1..V, the vocabulary size."""
     v = len(model.vocabulary)
-    if not 0 <= topic < model.k:
-        raise UsageError(f"topic {topic} out of range for k={model.k}")
-    if not 1 <= n <= v:
-        raise UsageError(f"n={n} outside 1..{v}, the vocabulary size")
     row = model.phi[topic]
     order = np.lexsort((np.arange(v), -row))
     return [model.vocabulary[i] for i in order[:n]]

@@ -22,6 +22,7 @@ import pytest
 import clickroles
 from clickroles.cli import build_parser, main
 from clickroles.errors import DataError
+from clickroles.features import read_joined_table
 from clickroles.ingest import write_traffic_table
 from clickroles.manifest import build_manifest, read_manifest, write_manifest
 from clickroles.model import load_model
@@ -234,6 +235,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t")]) == 1
         assert f"{docs}: empty corpus" in capsys.readouterr().err
 
+    def test_corpus_of_stop_words_names_file(self, tmp_path, capsys):
+        # no token left means no vocabulary, so k exceeds it
+        docs, stop = tmp_path / "documents.tsv", tmp_path / "stop.txt"
+        docs.write_text("A\tthe cat\nB\tthe dog\n")
+        stop.write_text("the\ncat\ndog\n")
+        assert run("topics", "--documents", docs, "--stopwords", stop, "--k", 2, "--iterations", 1,
+                   "--out", tmp_path / "t") == 1
+        assert capsys.readouterr().err == f"error: {docs}: k=2 exceeds vocabulary size 0\n"
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("sub", ["sample", "topics"])
     def test_negative_seed_is_usage_error(self, tmp_path, pipeline, capsys, sub):
         args = {"sample": ["--traffic", pipeline["ingest"] / "traffic.tsv", "--n", 5],
@@ -258,6 +269,29 @@ class TestExitCodes:
         labels.write_text("# topic names\n0=Sports\nno equals sign\n")
         assert self.features_run(tmp_path, pipeline, "--labels", labels) == 1
         assert f"{labels}:3: " in capsys.readouterr().err
+
+    def test_topic_group_without_topics_is_usage_error(self, tmp_path, pipeline, capsys):
+        assert run(
+            "features", "--metrics", pipeline["metrics"] / "metrics.tsv",
+            "--network", pipeline["graph"] / "network.tsv", "--content", pipeline["content"],
+            "--grid", 0, "--out", tmp_path / "f",
+        ) == 0
+        code = run("model", "--joined", tmp_path / "f" / "joined.tsv", "--groups", "topic",
+                   "--trees", 1, "--folds", 2, "--out", tmp_path / "m")
+        assert code == 2
+        assert "error: no 'topic' features present" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_two_row_class_cannot_train_on_two_folds(self, tmp_path, pipeline, capsys):
+        # a threshold with two rows above it: each fold trains on one of them
+        joined = pipeline["features"] / "joined.tsv"
+        searchshare = sorted(read_joined_table(joined)["searchshare"].tolist())
+        assert searchshare[-3] < searchshare[-2]
+        code = run("model", "--joined", joined, "--threshold", repr(searchshare[-3]),
+                   "--trees", 1, "--folds", 2, "--min-leaf", 1, "--out", tmp_path / "m")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {joined}: need at least 2 instances per class\n"
+        assert not (tmp_path / "m").exists()
 
     # table -> (subcommand reading it, its flag, a numeric column)
     TABLE_READERS = {
@@ -355,6 +389,10 @@ class TestExitCodes:
         assert features("# names\n1_0=Sports\n", out="g") == 1
         assert f"{tmp_path / 'labels.txt'}:2: count '1_0' is not ASCII digits" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+        # 3 and 003 are one id: neither line may silently win
+        assert features("3=Foo\n003=Bar\n", out="h") == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'labels.txt'}:2: duplicate key 3\n"
+        assert not (tmp_path / "h").exists()
 
     def assert_bad_row(self, tmp_path, pipeline, capsys, sub, flag, column, value):
         """Run `sub` with the table of `flag` broken on line 3: its `column`
@@ -543,6 +581,7 @@ class TestExitCodes:
         pytest.param("model", "--task", "views", "invalid choice: 'views'", id="model-task"),
         pytest.param("model", "--groups", "bogus", "'bogus' is not one of", id="model-groups"),
         pytest.param("model", "--groups", "topic,topic", "'topic' is given twice", id="model-groups-repeated"),
+        pytest.param("features", "--labels", "labels.txt", "needs --topics", id="features-labels-without-topics"),
     ])
     def test_bad_setting_is_rejected_before_any_read(self, tmp_path, capsys, sub, flag, value, message):
         # no input exists: a check made after the first read would be exit 1, "input file not found"
@@ -666,6 +705,44 @@ def test_each_default_lives_on_its_flag():
 
 
 # ---------------------------------------------------------------------------
+# usage errors: the parser refuses a flag, or a setting cannot work on the data
+
+# the library functions whose settings can fail on the data alone: a
+# feature group with no columns, LDA hyperparameters that overflow
+USAGE_ERROR_FUNCTIONS = {"model.select_group", "topics.fit_lda"}
+
+
+def usage_error_raises(package: Path) -> list[str]:
+    """``module.qualname:line`` of every ``raise UsageError`` in the
+    modules of `package` but cli, in source order."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "UsageError":
+                    found.append(f"{prefix}:{child.lineno}")
+            visit(child, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "cli":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_usage_error_is_raised_only_where_a_setting_meets_the_data():
+    # each flag's rule is checked once, by the parser; any other UsageError
+    # below it checks a condition that a caller in src/ already rules out
+    sites = usage_error_raises(Path(clickroles.__file__).parent)
+    stray = [site for site in sites if site.partition(":")[0] not in USAGE_ERROR_FUNCTIONS]
+    assert stray == [], "every library raise of UsageError:\n" + "\n".join(sites)
+
+
+# ---------------------------------------------------------------------------
 # per-subcommand outputs
 
 
@@ -699,6 +776,14 @@ class TestOutputs:
         assert code == 0
         assert capsys.readouterr().err == ""
         assert (tmp_path / "m" / "correlations.txt").read_text() == "pearson=\nspearman=\n"
+
+    def test_one_article_has_no_correlations(self, tmp_path, capsys):
+        traffic = tmp_path / "traffic.tsv"
+        traffic.write_text("article\tin_se\tin_nav\tout_nav\ttotal_views\nA\t10\t5\t3\t15\n")
+        assert run("metrics", "--traffic", traffic, "--out", tmp_path / "m") == 0
+        assert capsys.readouterr().err == ""
+        names = {p.name for p in (tmp_path / "m").iterdir()}
+        assert "correlations.txt" not in names and "metrics.tsv" in names
 
     def test_histogram_totals(self, pipeline):
         lines = (pipeline["metrics"] / "histogram_searchshare.tsv").read_text().splitlines()
@@ -753,6 +838,14 @@ class TestOutputs:
         assert stats["edge_source"] == "edge-list"
         assert stats["nodes"] == "3" and stats["edges"] == "3"
 
+    def test_blank_edge_lines_are_skipped(self, tmp_path):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("\nA\tB\n\n\nB\tC\n\n")
+        assert run("graph", "--edges", edges, "--strict", "--out", tmp_path / "s") == 0
+        assert run("graph", "--edges", edges, "--out", tmp_path / "g") == 0
+        stats = read_keyvalues(tmp_path / "g" / "graph_stats.txt")
+        assert (stats["nodes"], stats["edges"], stats["malformed"]) == ("3", "2", "0")
+
     def test_crlf_input_matches_lf(self, tmp_path, pipeline):
         clicks = pipeline["clickstream"].read_bytes()
         edges = b"A\tB\nB\tC\nC\tA\nC\tD\n"
@@ -791,6 +884,19 @@ class TestOutputs:
         assert len(lines) == 1 + 4 * 5
         groups = {line.split(",")[1] for line in lines[1:]}
         assert groups == {"network", "content-edit", "topic", "all"}
+
+    def test_model_resistance_task(self, tmp_path, pipeline):
+        joined = pipeline["features"] / "joined.tsv"
+        out = tmp_path / "m"
+        assert run("model", "--joined", joined, "--task", "resistance", "--groups", "network",
+                   "--trees", 3, "--folds", 3, "--min-leaf", 2, "--out", out) == 0
+        tasks = {line.split(",")[0] for line in (out / "eval.csv").read_text().splitlines()[1:]}
+        assert tasks == {"resistance"}
+        # a relay is at or below the 0.88 cut; every row has a topic, so none is dropped
+        table = read_joined_table(joined)
+        stats = read_keyvalues(out / "model_stats.txt")
+        assert stats["dropped_without_topic"] == "0"
+        assert int(stats["positives"]) == int(np.count_nonzero(table["resistance"] <= 0.88))
 
     def test_saved_models_load_and_predict(self, pipeline):
         model = load_model(pipeline["model"] / "model_network.json")
@@ -1228,9 +1334,11 @@ def mutate(data: bytes, kind: str, rng: random.Random) -> bytes:
     return b"".join(line + b"\n" for line in lines)
 
 
-def fuzzed_runs(p: dict[str, Path], edges: Path) -> list[tuple[str, dict[str, Path], str, list]]:
+def fuzzed_runs(p: dict[str, Path], made: dict[str, Path]) -> list[tuple[str, dict[str, Path], str, list]]:
     """(subcommand, its input files by flag, the flag whose file is mutated,
-    its other flags): every input of every subcommand that reads files."""
+    its other flags): every input of every subcommand that reads files;
+    `made` holds the edge list, labels and stop words the pipeline does
+    not use."""
     traffic, joined = p["ingest"] / "traffic.tsv", p["features"] / "joined.tsv"
     tables = {"--metrics": p["metrics"] / "metrics.tsv", "--network": p["graph"] / "network.tsv",
               "--content": p["content"], "--topics": p["topics"] / "topics.tsv"}
@@ -1239,7 +1347,7 @@ def fuzzed_runs(p: dict[str, Path], edges: Path) -> list[tuple[str, dict[str, Pa
         ("metrics", {"--traffic": traffic}, ["--bins", 5, "--grid", 5]),
         ("overlap", {"--traffic": traffic}, []),
         ("sample", {"--traffic": traffic}, ["--n", 10]),
-        ("graph", {"--edges": edges}, []),
+        ("graph", {"--edges": made["edges.tsv"]}, []),
         ("graph", {"--clickstream": p["clickstream"]}, []),
         ("topics", {"--documents": p["documents"]}, ["--k", 2, "--iterations", 2]),
         ("bins", {"--joined": joined}, ["--bins", 5]),
@@ -1247,6 +1355,10 @@ def fuzzed_runs(p: dict[str, Path], edges: Path) -> list[tuple[str, dict[str, Pa
     ]
     return [(sub, inputs, flag, extra) for sub, inputs, extra in runs for flag in inputs] + [
         ("features", tables, flag, ["--grid", 5]) for flag in tables
+    ] + [
+        ("features", {**tables, "--labels": made["labels.txt"]}, "--labels", ["--grid", 5]),
+        ("topics", {"--documents": p["documents"], "--stopwords": made["stopwords.txt"]}, "--stopwords",
+         ["--k", 2, "--iterations", 2]),
     ]
 
 
@@ -1255,12 +1367,14 @@ def test_mutated_inputs_end_in_a_clean_exit(tmp_path, pipeline, capsys):
     no --out unless the run succeeds; an exit-1 message names the
     damaged file first."""
     rng = random.Random(7)
-    edges = tmp_path / "edges.tsv"
+    made = {name: tmp_path / name for name in ("edges.tsv", "labels.txt", "stopwords.txt")}
     links = [line.split("\t")[:2] for line in pipeline["clickstream"].read_text().splitlines()]
-    edges.write_text("".join(f"{a}\t{b}\n" for a, b in links if not a.startswith("other-")))
+    made["edges.tsv"].write_text("".join(f"{a}\t{b}\n" for a, b in links if not a.startswith("other-")))
+    made["labels.txt"].write_text("# topic names\n0=Sports\n1=Arts\n")
+    made["stopwords.txt"].write_text("the\nalphaaa\nbravobb\n")
     started = time.perf_counter()
     failures, codes = [], []
-    for sub, inputs, flag, extra in fuzzed_runs(pipeline, edges):
+    for sub, inputs, flag, extra in fuzzed_runs(pipeline, made):
         kinds = list(MUTATIONS) + [rng.choice(RANDOM_MUTATIONS) for _ in range(EXTRA_CASES)]
         for kind in kinds:
             case = tmp_path / f"case{len(codes)}"
@@ -1287,5 +1401,5 @@ def test_mutated_inputs_end_in_a_clean_exit(tmp_path, pipeline, capsys):
                 failures.append(f"{what}: the message does not start with the file: {err}")
     elapsed = time.perf_counter() - started
     assert not failures, "\n".join(failures)
-    assert len(codes) == len(fuzzed_runs(pipeline, edges)) * (len(MUTATIONS) + EXTRA_CASES)
+    assert len(codes) == len(fuzzed_runs(pipeline, made)) * (len(MUTATIONS) + EXTRA_CASES)
     assert elapsed < FUZZ_SECONDS, f"{len(codes)} cases took {elapsed:.1f} s"

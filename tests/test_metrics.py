@@ -149,11 +149,8 @@ class TestSearchshare:
     def test_zero_search_boundary(self):
         assert one(in_se=0, in_nav=7)[0] == 0.0
 
-    def test_zero_inflow_is_domain_error(self):
-        # zero inflow never gets a metric: the row is left out, and a
-        # table of nothing else has no thresholds
-        with pytest.raises(DataError):
-            metrics_table(table(("A", 0, 0, 5)))
+    def test_zero_inflow_row_is_dropped(self):
+        # zero inflow never gets a metric: the row is left out
         metrics, _ = metrics_table(table(("A", 0, 0, 5), ("B", 1, 0, 0)))
         assert metrics.articles == ("B",)
 
@@ -165,9 +162,10 @@ class TestResistance:
     def test_clamped_to_zero(self):
         assert one(in_se=60, in_nav=40, out_nav=150)[1] == 0.0
 
-    def test_zero_inflow_is_domain_error(self):
-        with pytest.raises(DataError):
-            metrics_table(table(("A", 0, 0, 0)))
+    def test_zero_inflow_row_is_dropped(self):
+        metrics, _ = metrics_table(table(("A", 0, 0, 0), ("B", 2, 2, 1)))
+        assert metrics.articles == ("B",)
+        assert metrics["resistance"].tolist() == [0.75]
 
 
 counts = st.tuples(
@@ -205,10 +203,6 @@ class TestThresholds:
     def test_single_article_identity(self):
         t = corpus_thresholds(np.array([0.3]), np.array([0.9]))
         assert t.mean_searchshare == 0.3 and t.mean_resistance == 0.9
-
-    def test_empty_table_is_domain_error(self):
-        with pytest.raises(DataError):
-            corpus_thresholds(np.array([]), np.array([]))
 
     def test_sequential_sum(self):
         # np.sum adds pairwise; the means are left-to-right sums

@@ -221,10 +221,6 @@ class TestBalance:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
         assert np.array_equal(a.y, inst.y[a.x[:, 0].astype(int)])
 
-    def test_single_class_rejected(self):
-        with pytest.raises(DataError):
-            balance(self.make(10, 0), seed=0)
-
 
 class TestRocAuc:
     def test_perfect(self):
@@ -232,10 +228,6 @@ class TestRocAuc:
 
     def test_all_tied(self):
         assert roc_auc([0.5] * 6, [0, 1, 0, 1, 0, 1]) == 0.5
-
-    def test_single_class(self):
-        with pytest.raises(DataError):
-            roc_auc([0.1, 0.2], [1, 1])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_pair_counting(self, seed):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles import tableio
-from clickroles.errors import DataError, UsageError
+from clickroles.errors import DataError
 from clickroles.features import CONTENT, JOINED, TOPIC_ASSIGNMENT
 from clickroles.ingest import TRAFFIC, read_traffic_table, write_traffic_table
 from clickroles.linkgraph import NETWORK
@@ -136,11 +136,6 @@ class TestWriters:
         write(path)
         data = path.read_bytes()
         assert (gzip.decompress(data) if suffix == ".gz" else data) == expected
-
-    def test_matrix_must_be_2d(self, tmp_path):
-        with pytest.raises(UsageError, match="matrix must be 2-D, got 1-D"):
-            tableio.write_matrix_csv(tmp_path / "m.csv", np.zeros(3), {})
-        assert not (tmp_path / "m.csv").exists()
 
     def test_uncreatable_directory_is_data_error(self, tmp_path):
         blocker = tmp_path / "file"

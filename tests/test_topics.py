@@ -373,15 +373,14 @@ class TestTopWords:
         spiked = TopicsDummy(model, row)
         assert top_words(spiked, 0, 3)[0] == model.vocabulary[5]
 
-    def test_bounds(self):
+    def test_report_caps_n_at_the_vocabulary(self, tmp_path):
+        # --top-words may exceed V; the report lists each topic's whole vocabulary
         corpus, _ = planted_corpus(docs_per_topic=4, tokens_per_doc=6)
         model = fit_lda(corpus, k=2, iterations=3, seed=0, alpha=None, beta=0.01)
-        with pytest.raises(UsageError):
-            top_words(model, 0, len(model.vocabulary) + 1)
-        with pytest.raises(UsageError):
-            top_words(model, 0, 0)
-        with pytest.raises(UsageError):
-            top_words(model, 5, 2)
+        path = tmp_path / "words.txt"
+        write_top_words(path, model, len(model.vocabulary) + 1, {0: "First", 1: "Second"})
+        words = [line.split("\t")[2].split() for line in path.read_text().splitlines()]
+        assert words == [top_words(model, topic, len(model.vocabulary)) for topic in range(2)]
 
 
 def TopicsDummy(model, row):
