@@ -339,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -396,8 +399,8 @@ def cmd_overlap(args, out: _OutputDir) -> None:
     rankings = {key: rank_articles(traffic, key) for key in dict.fromkeys(key for pair in args.pairs for key in pair)}
     with _about(args.traffic):
         curves = [cumulative_overlap(rankings[a], rankings[b], ks) for a, b in args.pairs]
-    for curve in curves:
-        write_curve(out.file(f"overlap_{curve.ranking_a}_{curve.ranking_b}.csv", "overlap_curve"), curve)
+    for (a, b), points in zip(args.pairs, curves):
+        write_curve(out.file(f"overlap_{a}_{b}.csv", "overlap_curve"), a, b, points)
 
 
 def cmd_graph(args, out: _OutputDir) -> None:
@@ -440,6 +443,12 @@ def cmd_features(args, out: _OutputDir) -> None:
     topics = read_topic_assignments(args.topics) if args.topics is not None else None
 
     joined, jstats = join_features(metrics, network, content, topics)
+    if not jstats.kept:
+        tables = ((args.metrics, metrics), (args.network, network), (args.content, content))
+        empty = [path for path, table in tables if not len(table)]
+        if empty:
+            raise DataError(f"{empty[0]}: no articles to join")
+        raise DataError(f"{args.metrics}: no article is also in both {args.network} and {args.content}")
     write_joined_table(out.file("joined.tsv", "joined_table"), joined)
     write_group_medians(out.file("medians.tsv", "median_table"), group_medians(joined))
     write_keyvalues(
@@ -478,26 +487,28 @@ def cmd_bins(args, out: _OutputDir) -> None:
             suffix = f"_topic{args.topic}"
             if not len(table):
                 raise DataError(f"no rows assigned to topic {args.topic}")
-        result = binned_quartiles(table, args.bin_feature, args.target, args.bins)
-    write_bin_table(out.file(f"bins_{args.bin_feature}_{args.target}{suffix}.csv", "binned_quartiles"), result)
+        summaries = binned_quartiles(table, args.bin_feature, args.target, args.bins)
+    path = out.file(f"bins_{args.bin_feature}_{args.target}{suffix}.csv", "binned_quartiles")
+    write_bin_table(path, args.bin_feature, args.target, summaries)
 
 
 def cmd_topics(args, out: _OutputDir) -> None:
     stop_words = read_stop_words(args.stopwords) if args.stopwords is not None else DEFAULT_STOP_WORDS
     corpus = corpus_from_file(args.documents, stop_words)
+    settings = {
+        "k": args.k,
+        "alpha": 50.0 / args.k if args.alpha is None else args.alpha,
+        "beta": args.beta,
+        "iterations": args.iterations,
+        "seed": args.seed,
+    }
     with _about(args.documents):
-        model = fit_lda(
-            corpus,
-            k=args.k,
-            alpha=args.alpha,
-            beta=args.beta,
-            iterations=args.iterations,
-            seed=args.seed,
-        )
-    write_assignments(out.file("topics.tsv", "topic_assignments"), model)
-    write_phi(out.file("phi.csv", "topic_word_matrix"), model)
-    write_theta(out.file("theta.csv", "document_topic_matrix"), model)
-    write_top_words(out.file("top_words.txt", "top_words"), model, args.top_words, topic_names(range(args.k), None))
+        phi, theta = fit_lda(corpus, **settings)
+    write_assignments(out.file("topics.tsv", "topic_assignments"), corpus.articles, theta)
+    write_phi(out.file("phi.csv", "topic_word_matrix"), phi, settings)
+    write_theta(out.file("theta.csv", "document_topic_matrix"), theta, settings)
+    labels = topic_names(range(args.k), None)
+    write_top_words(out.file("top_words.txt", "top_words"), phi, corpus.vocabulary, args.top_words, labels)
     write_keyvalues(
         out.file("corpus_stats.txt"),
         {
@@ -520,12 +531,9 @@ def cmd_model(args, out: _OutputDir) -> None:
     instances, dropped = build_instances(read_joined_table(args.joined), args.task, args.threshold)
     groups = args.groups or default_groups(instances)
     with _about(args.joined):
-        reports = [
-            cross_validate(instances, group, config, args.folds, task=args.task, threads=args.threads)
-            for group in groups
-        ]
+        aucs = {group: cross_validate(instances, group, config, args.folds, threads=args.threads) for group in groups}
         models = [final_model(instances, group, config, args.folds) for group in groups]
-    write_eval_report(out.file("eval.csv", "eval_report"), reports)
+    write_eval_report(out.file("eval.csv", "eval_report"), args.task, aucs)
     for group, model in zip(groups, models):
         save_model(out.file(f"model_{group}.json", "model"), model)
     write_keyvalues(

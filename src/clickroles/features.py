@@ -39,7 +39,6 @@ JOINED = {**METRICS, **NETWORK, **CONTENT, "topic_id": optional(COUNT, -1)}
 
 # bin/median features in reporting order: network block, then content/edit
 DEFAULT_MEDIAN_FEATURES = (*NETWORK, *CONTENT)
-OVERALL_COLUMN = "overall"
 
 # the columns a median, bin or target may name
 NUMERIC_FEATURES = ("searchshare", "resistance", "total_views") + DEFAULT_MEDIAN_FEATURES
@@ -114,27 +113,15 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
-@dataclass(frozen=True)
-class GroupMedianTable:
-    columns: tuple[str, ...]
-    # feature, in DEFAULT_MEDIAN_FEATURES order -> column -> median; None marks an empty group
-    values: dict[str, dict[str, float | None]]
-
-
-def group_medians(table: ColumnTable) -> GroupMedianTable:
-    """Median of each DEFAULT_MEDIAN_FEATURES column per traffic role, plus
-    the overall column."""
-    values_of = {name: table[name].astype(float) for name in DEFAULT_MEDIAN_FEATURES}
-    groups = [(role, table["quadrant"] == code) for code, role in enumerate(ROLES)]
-    columns = tuple(label for label, _ in groups) + (OVERALL_COLUMN,)
-    values: dict[str, dict[str, float | None]] = {}
-    for name, column in values_of.items():
-        per_column = {
-            label: median(column[rows]) if rows.any() else None for label, rows in groups
-        }
-        per_column[OVERALL_COLUMN] = median(column) if len(column) else None
-        values[name] = per_column
-    return GroupMedianTable(columns, values)
+def group_medians(table: ColumnTable) -> dict[str, list[float | None]]:
+    """Each DEFAULT_MEDIAN_FEATURES column's medians: one per traffic role,
+    in ROLES order, then the overall one; None marks an empty group."""
+    groups = [table["quadrant"] == code for code in range(len(ROLES))] + [np.ones(len(table), dtype=bool)]
+    medians = {}
+    for name in DEFAULT_MEDIAN_FEATURES:
+        column = table[name].astype(float)
+        medians[name] = [median(column[rows]) if rows.any() else None for rows in groups]
+    return medians
 
 
 @dataclass(frozen=True)
@@ -148,19 +135,12 @@ class BinSummary:
     q3: float
 
 
-@dataclass(frozen=True)
-class BinnedQuartiles:
-    bin_feature: str
-    target: str
-    bins: tuple[BinSummary, ...]
-
-
 def binned_quartiles(
     table: ColumnTable,
     bin_feature: str,
     target: str,
     bins: int,
-) -> BinnedQuartiles:
+) -> list[BinSummary]:
     """Quartiles of `target` over `bins` equal-count bins of `bin_feature`.
 
     Rows are ordered by (feature value, title) so ties split
@@ -185,7 +165,7 @@ def binned_quartiles(
             BinSummary(index, size, keys[start], keys[stop - 1], q1, q2, q3)
         )
         start = stop
-    return BinnedQuartiles(bin_feature, target, tuple(summaries))
+    return summaries
 
 
 @dataclass(frozen=True)
@@ -291,16 +271,17 @@ def read_joined_table(path: str | Path) -> ColumnTable:
     return read_columns(path, JOINED)
 
 
-def write_group_medians(path: str | Path, table: GroupMedianTable) -> None:
-    rows = ((name, *(per_column[col] for col in table.columns)) for name, per_column in table.values.items())
-    write_rows(path, rows, ("feature", *table.columns))
+def write_group_medians(path: str | Path, medians: Mapping[str, Sequence[float | None]]) -> None:
+    """One row per feature: its median per traffic role, then overall."""
+    write_rows(path, ((name, *values) for name, values in medians.items()), ("feature", *ROLES, "overall"))
 
 
-def write_bin_table(path: str | Path, result: BinnedQuartiles) -> None:
-    """Quartile curve as CSV with "#" metadata lines."""
+def write_bin_table(path: str | Path, bin_feature: str, target: str, bins: Sequence[BinSummary]) -> None:
+    """Quartile curve of `target` over bins of `bin_feature`, as CSV with
+    "#" metadata lines."""
     header = ("bin", "count", "feature_low", "feature_high", "q1", "q2", "q3")
-    metadata = {"bin_feature": result.bin_feature, "target": result.target, "bins": len(result.bins)}
-    write_rows(path, map(astuple, result.bins), header, metadata, sep=",")
+    metadata = {"bin_feature": bin_feature, "target": target, "bins": len(bins)}
+    write_rows(path, map(astuple, bins), header, metadata, sep=",")
 
 
 def write_topic_stats(path: str | Path, stats: Sequence[TopicStats]) -> None:

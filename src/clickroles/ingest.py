@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DataError
-from .tableio import COUNT, MAX_COUNT, ColumnTable, column_table, iter_lines, read_columns, where, write_columns
+from .tableio import COUNT, MAX_COUNT, ColumnTable, column_table, iter_lines, read_columns, write_columns
 
 TRAFFIC = dict.fromkeys(("in_se", "in_nav", "out_nav", "total_views"), COUNT)
 
@@ -109,7 +109,7 @@ def parse_clickstream(
                 if not line:
                     continue
                 if strict:
-                    raise DataError(f"{where(source, lineno)}: expected 4 tab-separated fields, got {len(fields)}")
+                    raise DataError(f"{source}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
                 malformed += 1
                 continue
             referrer, resource, rawtype, count_text = fields
@@ -121,12 +121,12 @@ def parse_clickstream(
                 count = -1
             if count < 0 or count > MAX_COUNT or not resource:
                 if strict:
-                    raise DataError(f"{where(source, lineno)}: malformed record {line!r}")
+                    raise DataError(f"{source}:{lineno}: malformed record {line!r}")
                 malformed += 1
                 continue
             if rawtype not in known_rawtypes:
                 if strict:
-                    raise DataError(f"{where(source, lineno)}: unknown type token {rawtype!r}")
+                    raise DataError(f"{source}:{lineno}: unknown type token {rawtype!r}")
                 unknown_rawtype += 1
                 continue
             if count < PUBLIC_DUMP_MIN_COUNT:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .tableio import COUNT, ColumnTable, iter_lines, read_columns, where, write_columns
+from .tableio import COUNT, ColumnTable, iter_lines, read_columns, write_columns
 
 NETWORK = dict.fromkeys(("in_degree", "out_degree", "degree", "kcore"), COUNT)
 NODE_ID = np.int32  # node id dtype, from the edge stream to the last k-core round
@@ -73,7 +73,7 @@ def parse_edges(
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0] or not fields[1]:
             if strict:
-                raise DataError(f"{where(source, lineno)}: expected 2 tab-separated titles")
+                raise DataError(f"{source}:{lineno}: expected 2 tab-separated titles")
             stats.malformed += 1
             continue
         yield fields[0], fields[1]

@@ -15,8 +15,10 @@ index and threshold so parallel and sequential searches agree. Leaves
 record each training row's value as they are made, so a stage's step
 needs no second walk of its tree. Evaluation is stratified 10-fold
 cross-validation with the training side of each fold balanced by
-seeded downsampling, scored by rank-statistic ROC AUC; the final model
-of a group is trained on every instance, balanced the same way.
+seeded downsampling, scored by rank-statistic ROC AUC: cross_validate
+returns one feature group's fold AUCs, and write_eval_report writes them
+and their mean under the task its caller names. The final model of a
+group is trained on every instance, balanced the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -423,30 +425,19 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed) -> list[np.ndarray]:
     return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    task: str
-    feature_group: str
-    fold_aucs: tuple[float, ...]
-
-    @property
-    def mean_auc(self) -> float:
-        return sum(self.fold_aucs) / len(self.fold_aucs)
-
-
 def cross_validate(
     instances: InstanceSet,
     group: str,
     config: GBDTConfig,
     n_folds: int,
-    task: str,
     threads: int,
-) -> EvalReport:
-    """Stratified k-fold evaluation of one feature group.
+) -> tuple[float, ...]:
+    """Stratified k-fold evaluation of one feature group: the held-out
+    AUC of each fold, in fold order.
 
     Only the training side of fold f is balanced, by the seed [seed, f];
     the held-out fold keeps its natural class mix. Fold results are
-    merged in fold order, so any thread count gives the same report.
+    merged in fold order, so any thread count gives the same AUCs.
     """
     subset = select_group(instances, group)
     folds = stratified_folds(subset.y, n_folds, config.seed)
@@ -464,8 +455,7 @@ def cross_validate(
         return roc_auc(scores, subset.y[test_idx])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        aucs = tuple(pool.map(run_fold, range(n_folds)))
-    return EvalReport(task, group, aucs)
+        return tuple(pool.map(run_fold, range(n_folds)))
 
 
 def final_model(instances: InstanceSet, group: str, config: GBDTConfig, n_folds: int) -> GBDTModel:
@@ -526,11 +516,11 @@ def load_model(path: str | Path) -> GBDTModel:
     )
 
 
-def write_eval_report(path: str | Path, reports: Sequence[EvalReport]) -> None:
-    """CSV with one row per fold and a summary row per report."""
+def write_eval_report(path: str | Path, task: str, aucs_by_group: Mapping[str, Sequence[float]]) -> None:
+    """CSV with one row per fold and a mean row per feature group."""
     rows = (
-        (r.task, r.feature_group, fold, auc)
-        for r in reports
-        for fold, auc in (*enumerate(r.fold_aucs), ("mean", r.mean_auc))
+        (task, group, fold, auc)
+        for group, aucs in aucs_by_group.items()
+        for fold, auc in (*enumerate(aucs), ("mean", sum(aucs) / len(aucs)))
     )
     write_rows(path, rows, ("task", "feature_group", "fold", "auc"), sep=",")

@@ -8,6 +8,8 @@ value break by ascending article title so every curve is reproducible.
 A ranking is the row order of one stable argsort of a negated int64
 column of the traffic table (counts at most 2**53, so negation cannot
 overflow); the table is in title order, so ties keep title order.
+rank_articles returns that row order and cumulative_overlap the list of
+(k, overlap) points; the caller names the two rankings to write_curve.
 
 A row is in both top-k sets exactly when the later of its two rank
 positions is below k, so with pos_a and pos_b the 0-based positions of
@@ -19,7 +21,6 @@ quotient of two ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,45 +31,27 @@ from .tableio import ColumnTable, write_rows
 RANKING_KEYS = ("total", "in_se", "in_nav", "out_nav")
 
 
-@dataclass(frozen=True, eq=False)
-class Ranking:
-    """The rows of one table, best first by `key`."""
-
-    key: str
-    order: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.order)
+def rank_articles(traffic: ColumnTable, key: str) -> np.ndarray:
+    """The row order of all rows descending by the traffic key, ties
+    broken by ascending title. Zero-valued articles stay in, at the tail."""
+    return np.argsort(-traffic["total_views" if key == "total" else key], kind="stable")
 
 
-@dataclass(frozen=True)
-class OverlapCurve:
-    ranking_a: str
-    ranking_b: str
-    points: tuple[tuple[int, float], ...]
-
-
-def rank_articles(traffic: ColumnTable, key: str) -> Ranking:
-    """Rank all rows descending by the traffic key, ties broken by
-    ascending title. Zero-valued articles stay in, at the tail."""
-    return Ranking(key, np.argsort(-traffic["total_views" if key == "total" else key], kind="stable"))
-
-
-def cumulative_overlap(a: Ranking, b: Ranking, ks: list[int]) -> OverlapCurve:
-    """Overlap |top_k(a) n top_k(b)| / k at each depth of `ks`, a
-    non-empty, strictly increasing list of positive depths, for two
-    rankings of the rows of one table (see the module docstring)."""
+def cumulative_overlap(a: np.ndarray, b: np.ndarray, ks: list[int]) -> list[tuple[int, float]]:
+    """The (k, overlap) points, overlap = |top_k(a) n top_k(b)| / k, at
+    each depth of `ks`, a non-empty, strictly increasing list of positive
+    depths, for two row orders of one table (see the module docstring)."""
     limit = min(len(a), len(b))
     if ks[-1] > limit:
         raise DataError(f"depth {ks[-1]} exceeds ranking length {limit}")
 
     positions = []
-    for ranking in (a, b):
-        position = np.empty(len(ranking), dtype=np.int64)
-        position[ranking.order] = np.arange(len(ranking))
+    for order in (a, b):
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
         positions.append(position)
     common = np.cumsum(np.bincount(np.maximum(*positions))).tolist()
-    return OverlapCurve(a.key, b.key, tuple((k, common[k - 1] / k) for k in ks))
+    return [(k, common[k - 1] / k) for k in ks]
 
 
 def default_ks(n: int) -> list[int]:
@@ -88,6 +71,7 @@ def default_ks(n: int) -> list[int]:
     return ks
 
 
-def write_curve(path: str | Path, curve: OverlapCurve) -> None:
-    metadata = {"ranking_a": curve.ranking_a, "ranking_b": curve.ranking_b}
-    write_rows(path, curve.points, ("k", "overlap"), metadata, sep=",")
+def write_curve(path: str | Path, ranking_a: str, ranking_b: str, points: list[tuple[int, float]]) -> None:
+    """The (k, overlap) points of the rankings named `ranking_a` and
+    `ranking_b`, as CSV with "#" metadata lines."""
+    write_rows(path, points, ("k", "overlap"), {"ranking_a": ranking_a, "ranking_b": ranking_b}, sep=",")

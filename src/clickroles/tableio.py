@@ -408,7 +408,7 @@ def _block_error(
                 raise ValueError(f"duplicate article {title!r}")
             _convert_block([line], schema, rules)
         except ValueError as exc:
-            return DataError(f"{where(path, lineno)}: {exc}")
+            return DataError(f"{path}:{lineno}: {exc}")
         seen.add(title)
     raise AssertionError(f"{path}: the block from line {start} was rejected, but none of its rows is bad")
 
@@ -472,21 +472,16 @@ def read_keyvalues(path: str | Path, key: Callable[[str], object] = str) -> dict
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"{where(path, lineno)}: expected key=value, got {line!r}")
+            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
         name, _, value = line.partition("=")
         try:
             name = key(name.strip())
         except ValueError as exc:
-            raise DataError(f"{where(path, lineno)}: {exc}") from None
+            raise DataError(f"{path}:{lineno}: {exc}") from None
         if name in out:
-            raise DataError(f"{where(path, lineno)}: duplicate key {name!r}")
+            raise DataError(f"{path}:{lineno}: duplicate key {name!r}")
         out[name] = value.strip()
     return out
-
-
-def where(source: str | Path, lineno: int) -> str:
-    """Location for an error message: ``path:N``, line N of file `source`."""
-    return f"{source}:{lineno}"
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:
@@ -514,4 +509,4 @@ def iter_lines(path: str | Path) -> Iterator[str]:
             if last := "".join(head):
                 yield last
     except (EOFError, UnicodeDecodeError, OSError) as exc:
-        raise DataError(f"{where(path, lineno)}: {exc}") from exc
+        raise DataError(f"{path}:{lineno}: {exc}") from exc

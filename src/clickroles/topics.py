@@ -6,10 +6,12 @@ the full conditional
 
     p(z = k) ∝ (n_dk + alpha) * (n_kw + beta) / (n_k + V*beta)
 
-with all counts excluding the token being resampled. phi and theta are
-point estimates from the final counts with Dirichlet smoothing. The
-sampler is sequential by design; all randomness comes from one seeded
-generator, so a run is reproducible bit for bit.
+with all counts excluding the token being resampled. fit_lda returns
+phi and theta, point estimates from the final counts with Dirichlet
+smoothing; its caller, which holds the settings, passes them to
+write_phi and write_theta as metadata. The sampler is sequential by
+design; all randomness comes from one seeded generator, so a run is
+reproducible bit for bit.
 
 The sweep keeps the integer counts as plain lists, topic-word stored
 word-major (n_wk[w] is one token's row of k counts), and three float
@@ -42,13 +44,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, truediv
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, UsageError
 from .features import TOPIC_ASSIGNMENT
-from .tableio import column_table, iter_lines, where, write_columns, write_matrix_csv, write_rows
+from .tableio import column_table, iter_lines, write_columns, write_matrix_csv, write_rows
 
 # minimal English function-word list; callers with real corpora should
 # supply their own via the stop word file
@@ -134,7 +136,7 @@ def parse_documents(lines: Iterable[str], source: str | Path) -> Iterator[tuple[
             continue
         article, sep, text = line.partition("\t")
         if not sep or not article:
-            raise DataError(f"{where(source, lineno)}: expected article<TAB>text")
+            raise DataError(f"{source}:{lineno}: expected article<TAB>text")
         yield lineno, article, text
 
 
@@ -157,7 +159,7 @@ def build_numbered_corpus(
 
     for lineno, article, text in documents:
         if article in seen:
-            raise DataError(f"{where(source, lineno)}: duplicate article {article!r}")
+            raise DataError(f"{source}:{lineno}: duplicate article {article!r}")
         seen.add(article)
         counts: dict[int, int] = {}
         for token in tokenize(text, stop_words):
@@ -184,41 +186,27 @@ def read_stop_words(path: str | Path) -> frozenset[str]:
     return frozenset(w.strip().lower() for w in iter_lines(path) if w.strip())
 
 
-@dataclass(frozen=True)
-class TopicModel:
-    k: int
-    alpha: float
-    beta: float
-    iterations: int
-    seed: int
-    articles: tuple[str, ...]
-    vocabulary: tuple[str, ...]
-    phi: np.ndarray  # k x V, rows sum to 1
-    theta: np.ndarray  # D x k, rows sum to 1
-
-
 IterationHook = Callable[[int, list[list[int]], list[list[int]]], None]
 
 
 def fit_lda(
     corpus: Corpus,
     k: int,
-    alpha: float | None,
+    alpha: float,
     beta: float,
     iterations: int,
     seed: int,
     on_iteration: IterationHook | None = None,
-) -> TopicModel:
-    """Collapsed Gibbs fit; deterministic for a given seed.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed Gibbs fit; deterministic for a given seed. Returns phi,
+    k x V, and theta, D x k in corpus order, each row summing to 1.
 
-    Needs k >= 2, iterations >= 1 and a positive, finite alpha (50/k if
-    None) and beta; UsageError if k*alpha, V*beta or the sum of the k
-    sampling weights overflows. `on_iteration(i, word_topic, doc_topic)` is
-    called after each sweep with the live count matrices, word-major
-    V x k and D x k (read-only use).
+    Needs k >= 2, iterations >= 1 and a positive, finite alpha and beta;
+    UsageError if k*alpha, V*beta or the sum of the k sampling weights
+    overflows. `on_iteration(i, word_topic, doc_topic)` is called after
+    each sweep with the live count matrices, word-major V x k and D x k
+    (read-only use).
     """
-    if alpha is None:
-        alpha = 50.0 / k
     v = len(corpus.vocabulary)
     if k > v:
         raise DataError(f"k={k} exceeds vocabulary size {v}")
@@ -313,52 +301,40 @@ def fit_lda(
     )
     doc_len = np.asarray([len(doc) for doc in docs], dtype=float)
     theta = (np.asarray(n_dk, dtype=float) + alpha) / (doc_len[:, None] + k * alpha)
-    return TopicModel(
-        k, alpha, beta, iterations, seed, corpus.articles, corpus.vocabulary, phi, theta
-    )
+    return phi, theta
 
 
-def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
+def top_words(phi: np.ndarray, vocabulary: Sequence[str], topic: int, n: int) -> list[str]:
     """The n highest-phi tokens of a topic, ties broken by token id;
     `topic` is in range(k) and n in 1..V, the vocabulary size."""
-    v = len(model.vocabulary)
-    row = model.phi[topic]
-    order = np.lexsort((np.arange(v), -row))
-    return [model.vocabulary[i] for i in order[:n]]
+    order = np.lexsort((np.arange(len(vocabulary)), -phi[topic]))
+    return [vocabulary[i] for i in order[:n]]
 
 
-def write_assignments(path: str | Path, model: TopicModel) -> None:
+def write_assignments(path: str | Path, articles: Sequence[str], theta: np.ndarray) -> None:
     """Each article's dominant topic (ties to the lowest id) and that
     topic's theta weight, in title order."""
-    topic = model.theta.argmax(axis=1)
-    weight = np.take_along_axis(model.theta, topic[:, None], axis=1)[:, 0]
-    rows = zip(model.articles, topic.tolist(), weight.tolist())
+    topic = theta.argmax(axis=1)
+    weight = np.take_along_axis(theta, topic[:, None], axis=1)[:, 0]
+    rows = zip(articles, topic.tolist(), weight.tolist())
     write_columns(path, TOPIC_ASSIGNMENT, column_table(rows, TOPIC_ASSIGNMENT))
 
 
-def _model_metadata(model: TopicModel) -> dict[str, object]:
-    return {
-        "k": model.k,
-        "alpha": model.alpha,
-        "beta": model.beta,
-        "iterations": model.iterations,
-        "seed": model.seed,
-    }
+def write_phi(path: str | Path, phi: np.ndarray, metadata: dict[str, object]) -> None:
+    write_matrix_csv(path, phi, metadata)
 
 
-def write_phi(path: str | Path, model: TopicModel) -> None:
-    write_matrix_csv(path, model.phi, _model_metadata(model))
+def write_theta(path: str | Path, theta: np.ndarray, metadata: dict[str, object]) -> None:
+    write_matrix_csv(path, theta, metadata)
 
 
-def write_theta(path: str | Path, model: TopicModel) -> None:
-    write_matrix_csv(path, model.theta, _model_metadata(model))
-
-
-def write_top_words(path: str | Path, model: TopicModel, n: int, labels: Mapping[int, str]) -> None:
-    """One line per topic: its id, its name in `labels` (see topic_names)
-    and its n highest-phi words, at most the whole vocabulary."""
+def write_top_words(
+    path: str | Path, phi: np.ndarray, vocabulary: Sequence[str], n: int, labels: Mapping[int, str]
+) -> None:
+    """One line per topic of `phi`: its id, its name in `labels` (see
+    topic_names) and its n highest-phi words, at most the whole vocabulary."""
     rows = (
-        (topic, labels[topic], " ".join(top_words(model, topic, min(n, len(model.vocabulary)))))
-        for topic in range(model.k)
+        (topic, labels[topic], " ".join(top_words(phi, vocabulary, topic, min(n, len(vocabulary)))))
+        for topic in range(len(phi))
     )
     write_rows(path, rows)

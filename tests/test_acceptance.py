@@ -37,8 +37,9 @@ from clickroles.model import (
     roc_auc,
     save_model,
     train_gbdt,
+    write_eval_report,
 )
-from clickroles.overlap import Ranking, cumulative_overlap
+from clickroles.overlap import cumulative_overlap
 from clickroles.tableio import ColumnTable
 from clickroles.topics import build_numbered_corpus, fit_lda, parse_documents
 from feature_rows import make_row, make_table, traffic_of
@@ -210,18 +211,18 @@ def test_overlap_matches_set_intersection_everywhere():
     for pair_index in range(100):
         a = tuple(rng.sample(rows, len(rows)))
         b = tuple(rng.sample(rows, len(rows)))
-        curve = cumulative_overlap(Ranking("a", np.array(a)), Ranking("b", np.array(b)), ks)
+        points = cumulative_overlap(np.array(a), np.array(b), ks)
 
         pos_a = {t: i for i, t in enumerate(a)}
         pos_b = {t: i for i, t in enumerate(b)}
         pa = np.array([pos_a[t] for t in rows], dtype=np.int64)
         pb = np.array([pos_b[t] for t in rows], dtype=np.int64)
-        for k, value in curve.points:
+        for k, value in points:
             count = int(np.count_nonzero((pa < k) & (pb < k)))
             if value != count / k:
                 mismatches += 1
         if pair_index < 2:  # literal set rebuild, quadratic, on a couple of pairs
-            for k, value in curve.points:
+            for k, value in points:
                 if value != len(set(a[:k]) & set(b[:k])) / k:
                     mismatches += 1
         pairs += 1
@@ -317,13 +318,13 @@ def test_binned_quartiles_match_naive_quantiles():
         for i in range(10_000)
     ]
     bins = 25
-    result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins)
+    summaries = binned_quartiles(make_table(rows), "kcore", "searchshare", bins)
 
     ordered = sorted(rows, key=lambda r: (r["kcore"], r["article"]))
     base, extra = divmod(len(ordered), bins)
     worst = 0.0
     start = 0
-    for index, summary in enumerate(result.bins):
+    for index, summary in enumerate(summaries):
         size = base + (1 if index < extra else 0)
         chunk = sorted(r["searchshare"] for r in ordered[start : start + size])
         start += size
@@ -389,6 +390,12 @@ def stage_losses(model, x: np.ndarray, y: np.ndarray) -> list[float]:
     return losses
 
 
+def report_mean(path, task: str, aucs) -> float:
+    """The AUC of the mean row that write_eval_report writes for `aucs`."""
+    write_eval_report(path, task, {"all": aucs})
+    return float(path.read_text().splitlines()[-1].split(",")[3])
+
+
 def test_classifier_sanity(tmp_path):
     rng = np.random.default_rng(8)
     n = 10_000
@@ -397,27 +404,28 @@ def test_classifier_sanity(tmp_path):
     instances = InstanceSet(("f0", "f1"), x, y)
     config = GBDTConfig(n_trees=30, max_depth=3, learning_rate=0.3, min_leaf=20, seed=0)
 
-    separable = cross_validate(instances, "all", config, 10, "", 1).mean_auc
+    separable = report_mean(tmp_path / "eval.csv", "", cross_validate(instances, "all", config, 10, 1))
 
     noise_config = GBDTConfig(n_trees=20, max_depth=2, learning_rate=0.3, min_leaf=20, seed=0)
     noise_means = []
     for rep in range(10):
         permuted = np.random.default_rng(100 + rep).permutation(y).astype(np.int8)
         shuffled = InstanceSet(instances.feature_names, x, permuted)
-        noise_means.append(cross_validate(shuffled, "all", noise_config, 5, "", 1).mean_auc)
+        aucs = cross_validate(shuffled, "all", noise_config, 5, 1)
+        noise_means.append(report_mean(tmp_path / f"noise{rep}.csv", "", aucs))
     noise = sum(noise_means) / len(noise_means)
 
     model = train_gbdt(x, y, config, instances.feature_names)
     losses = stage_losses(model, x, y)
     monotone = all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    again = cross_validate(instances, "all", config, 10, "", 1)
-    threaded = cross_validate(instances, "all", config, 10, "", 4)
+    again = cross_validate(instances, "all", config, 10, 1)
+    threaded = cross_validate(instances, "all", config, 10, 4)
     save_model(tmp_path / "m1.json", train_gbdt(x, y, config, instances.feature_names))
     save_model(tmp_path / "m2.json", train_gbdt(x, y, config, instances.feature_names))
     identical = (
-        again.fold_aucs == threaded.fold_aucs
-        and again.mean_auc == separable
+        again == threaded
+        and report_mean(tmp_path / "again.csv", "", again) == separable
         and (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
     )
 
@@ -466,16 +474,16 @@ def test_topic_recovery_on_planted_corpus():
                     conservation_failures += 1
 
     started = time.perf_counter()
-    model = fit_lda(corpus, 2, None, 0.01, 150, 3, on_iteration=check_counts)
+    phi, theta = fit_lda(corpus, 2, 50.0 / 2, 0.01, 150, 3, on_iteration=check_counts)
     elapsed = time.perf_counter() - started
 
-    dominant = np.argmax(model.theta, axis=1)
+    dominant = np.argmax(theta, axis=1)
     accuracy = max(
         float(np.mean(dominant == np.array(planted))),
         float(np.mean(dominant == 1 - np.array(planted))),
     )
-    phi_err = float(np.abs(model.phi.sum(axis=1) - 1.0).max())
-    theta_err = float(np.abs(model.theta.sum(axis=1) - 1.0).max())
+    phi_err = float(np.abs(phi.sum(axis=1) - 1.0).max())
+    theta_err = float(np.abs(theta.sum(axis=1) - 1.0).max())
 
     verdict(
         9,
@@ -510,7 +518,7 @@ REFERENCE_AUCS = {
     "for the resistance task, each +/- 0.05; informational only, small "
     "fixtures cannot reproduce them",
 )
-def test_corpus_scale_auc_reference_targets():
+def test_corpus_scale_auc_reference_targets(tmp_path):
     from clickroles.features import read_joined_table
 
     table = read_joined_table(os.environ["CLICKROLES_JOINED"])
@@ -519,7 +527,7 @@ def test_corpus_scale_auc_reference_targets():
     worst = 0.0
     for (task, group), target in REFERENCE_AUCS.items():
         instances, _ = build_instances(table, task, None)
-        mean = cross_validate(instances, group, config, 10, task, 1).mean_auc
+        mean = report_mean(tmp_path / f"{task}_{group}.csv", task, cross_validate(instances, group, config, 10, 1))
         worst = max(worst, abs(mean - target))
         lines.append(f"{task}/{group}={mean:.3f} (target {target:.2f})")
     verdict(10, True, f"reference AUCs (non-gating, +/-0.05): {', '.join(lines)}; "

@@ -517,6 +517,42 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {traffic}: no articles to rank\n"
         assert not (tmp_path / "o").exists()
 
+    def test_features_on_disjoint_tables_is_data_error(self, tmp_path, pipeline, capsys):
+        # one row each, of three different articles: no article to join
+        sources = {"--metrics": pipeline["metrics"] / "metrics.tsv", "--network": pipeline["graph"] / "network.tsv",
+                   "--content": pipeline["content"]}
+        files, used = {}, set()
+        for flag, source in sources.items():
+            header, *rows = source.read_text().splitlines()
+            row = next(r for r in rows if r.split("\t")[0] not in used)
+            used.add(row.split("\t")[0])
+            files[flag] = tmp_path / source.name
+            files[flag].write_text(f"{header}\n{row}\n")
+        assert run("features", *(a for flag, path in files.items() for a in (flag, path)), "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {files['--metrics']}: no article is also in both {files['--network']} and {files['--content']}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_features_on_header_only_network_is_data_error(self, tmp_path, pipeline, capsys):
+        network = tmp_path / "network.tsv"
+        network.write_text((pipeline["graph"] / "network.tsv").read_text().splitlines()[0] + "\n")
+        code = run("features", "--metrics", pipeline["metrics"] / "metrics.tsv", "--network", network,
+                   "--content", pipeline["content"], "--out", tmp_path / "o")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {network}: no articles to join\n"
+        assert not (tmp_path / "o").exists()
+
+    # each asks for 32 or 64 PiB, beyond any 64-bit address space, so the
+    # allocation fails at once whatever the machine's overcommit setting
+    @pytest.mark.parametrize("flag, value", [("--grid", 67108864), ("--bins", 9007199254740992)])
+    def test_setting_too_large_to_allocate_is_data_error(self, tmp_path, pipeline, capsys, flag, value):
+        out = tmp_path / "m"
+        assert run("metrics", "--traffic", pipeline["ingest"] / "traffic.tsv", flag, value, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_depth_beyond_ranking_names_traffic_file(self, tmp_path, pipeline, capsys):
         traffic = pipeline["ingest"] / "traffic.tsv"
         n = len(traffic.read_text().splitlines()) - 1

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from clickroles.errors import DataError
 from clickroles.ingest import PUBLIC_DUMP_MIN_COUNT, ParseStats, aggregate_traffic, parse_clickstream
 from clickroles.linkgraph import EdgeStats, LinkGraph, build_graph
-from clickroles.tableio import MAX_COUNT, parse_count, where
+from clickroles.tableio import MAX_COUNT, parse_count
 from feature_rows import traffic_of
 
 
@@ -54,7 +54,7 @@ def reference_parse(lines, strict, stats, source=None):
             continue
         if len(fields) != 4:
             if strict:
-                raise DataError(f"{where(source, lineno)}: expected 4 tab-separated fields, got {len(fields)}")
+                raise DataError(f"{source}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
             stats.malformed += 1
             continue
         referrer, resource, rawtype, count_text = fields
@@ -64,12 +64,12 @@ def reference_parse(lines, strict, stats, source=None):
             count = -1
         if count < 0 or not resource:
             if strict:
-                raise DataError(f"{where(source, lineno)}: malformed record {line!r}")
+                raise DataError(f"{source}:{lineno}: malformed record {line!r}")
             stats.malformed += 1
             continue
         if rawtype not in KNOWN_RAWTYPES:
             if strict:
-                raise DataError(f"{where(source, lineno)}: unknown type token {rawtype!r}")
+                raise DataError(f"{source}:{lineno}: unknown type token {rawtype!r}")
             stats.unknown_rawtype += 1
             continue
         if count < PUBLIC_DUMP_MIN_COUNT:

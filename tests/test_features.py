@@ -101,11 +101,11 @@ def ref_group_medians(rows, features):
         by_group[row["quadrant"]].append(row)
     values = {}
     for name in features:
-        per_column = {
-            group: ref_median([float(r[name]) for r in members]) if members else None
-            for group, members in by_group.items()
-        }
-        per_column["overall"] = ref_median([float(r[name]) for r in rows]) if rows else None
+        per_column = [
+            ref_median([float(r[name]) for r in members]) if members else None
+            for members in by_group.values()
+        ]
+        per_column.append(ref_median([float(r[name]) for r in rows]) if rows else None)
         values[name] = per_column
     return values
 
@@ -329,17 +329,16 @@ class TestGroupMedians:
             make_row("B", quadrant="search-exit", kcore=20),
             make_row("C", quadrant="nav-relay", kcore=50),
         ]
-        table = group_medians(make_table(rows))
-        cell = table.values["kcore"]
+        cell = dict(zip((*ROLES, "overall"), group_medians(make_table(rows))["kcore"]))
         assert cell["search-exit"] == 15.0
         assert cell["nav-relay"] == 50.0
         assert cell["overall"] == 20.0
 
     def test_empty_group_absent(self):
         rows = [make_row("A", quadrant="nav-exit")]
-        table = group_medians(make_table(rows))
-        assert table.values["age"]["search-relay"] is None
-        assert table.values["age"]["nav-exit"] == 1.0
+        cell = dict(zip((*ROLES, "overall"), group_medians(make_table(rows))["age"]))
+        assert cell["search-relay"] is None
+        assert cell["nav-exit"] == 1.0
 
     def test_duplicated_rows_leave_medians_unchanged(self):
         rng = np.random.default_rng(3)
@@ -357,13 +356,13 @@ class TestGroupMedians:
         doubled = rows + [{**r, "article": r["article"] + "#2"} for r in rows]
         t1 = group_medians(make_table(rows))
         t2 = group_medians(make_table(doubled))
-        assert t1.values == t2.values
+        assert t1 == t2
 
     @given(joined_rows())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_row_reference(self, rows):
-        table = group_medians(read_back(rows))
-        assert repr(table.values) == repr(ref_group_medians(by_title(rows), DEFAULT_MEDIAN_FEATURES))
+        medians = group_medians(read_back(rows))
+        assert repr(medians) == repr(ref_group_medians(by_title(rows), DEFAULT_MEDIAN_FEATURES))
 
 
 class TestQuartiles:
@@ -388,21 +387,21 @@ class TestQuartiles:
 class TestBinnedQuartiles:
     def test_four_articles_two_bins(self):
         rows = [make_row(f"A{i}", kcore=i, searchshare=i / 10) for i in range(4)]
-        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=2)
-        assert [b.count for b in result.bins] == [2, 2]
-        assert result.bins[0].feature_low == 0.0
-        assert result.bins[1].feature_high == 3.0
+        summaries = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=2)
+        assert [b.count for b in summaries] == [2, 2]
+        assert summaries[0].feature_low == 0.0
+        assert summaries[1].feature_high == 3.0
 
     def test_constant_target(self):
         rows = [make_row(f"A{i}", kcore=i) for i in range(10)]
-        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=5)
-        for b in result.bins:
+        summaries = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=5)
+        for b in summaries:
             assert b.q1 == b.q2 == b.q3 == 0.5
 
     def test_remainder_goes_to_first_bins(self):
         rows = [make_row(f"A{i}", kcore=i) for i in range(10)]
-        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=3)
-        assert [b.count for b in result.bins] == [4, 3, 3]
+        summaries = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=3)
+        assert [b.count for b in summaries] == [4, 3, 3]
 
     def test_too_few_articles(self):
         with pytest.raises(DataError):
@@ -411,9 +410,9 @@ class TestBinnedQuartiles:
     def test_tie_break_by_title(self):
         # equal kcore everywhere: bin membership decided by title order
         rows = [make_row(f"A{i}", kcore=7, searchshare=i / 10) for i in range(4)]
-        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=2)
-        assert result.bins[0].q2 == pytest.approx(0.05)
-        assert result.bins[1].q2 == pytest.approx(0.25)
+        summaries = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=2)
+        assert summaries[0].q2 == pytest.approx(0.05)
+        assert summaries[1].q2 == pytest.approx(0.25)
 
     @pytest.mark.parametrize("seed,n,bins", [(0, 251, 25), (1, 400, 25), (2, 97, 10)])
     def test_against_numpy_percentile(self, seed, n, bins):
@@ -426,11 +425,11 @@ class TestBinnedQuartiles:
             )
             for i in range(n)
         ]
-        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=bins)
+        summaries = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=bins)
         ordered = sorted(rows, key=lambda r: (r["kcore"], r["article"]))
         base, rem = divmod(n, bins)
         start = 0
-        for b in result.bins:
+        for b in summaries:
             size = base + (1 if b.index < rem else 0)
             chunk = [r["searchshare"] for r in ordered[start : start + size]]
             assert b.count == size
@@ -446,11 +445,11 @@ class TestBinnedQuartiles:
     @settings(max_examples=50, deadline=None)
     def test_partition_properties(self, data, bins):
         rows = [make_row(f"A{i:03d}", kcore=k, searchshare=s) for i, (k, s) in enumerate(data)]
-        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=bins)
-        counts = [b.count for b in result.bins]
+        summaries = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=bins)
+        counts = [b.count for b in summaries]
         assert sum(counts) == len(rows)
         assert max(counts) - min(counts) <= 1
-        for b in result.bins:
+        for b in summaries:
             assert b.q1 <= b.q2 <= b.q3
             assert b.feature_low <= b.feature_high
 
@@ -463,8 +462,8 @@ class TestBinnedQuartiles:
     @settings(max_examples=80, deadline=None)
     def test_matches_per_row_reference(self, rows, bin_feature, target, bins):
         bins = min(bins, len(rows))
-        result = binned_quartiles(read_back(rows), bin_feature, target, bins)
-        got = [(b.index, b.count, b.feature_low, b.feature_high, b.q1, b.q2, b.q3) for b in result.bins]
+        summaries = binned_quartiles(read_back(rows), bin_feature, target, bins)
+        got = [(b.index, b.count, b.feature_low, b.feature_high, b.q1, b.q2, b.q3) for b in summaries]
         assert repr(got) == repr(ref_binned_quartiles(by_title(rows), bin_feature, target, bins))
 
 
@@ -599,9 +598,9 @@ class TestFileFormats:
 
     def test_bin_table_format(self, tmp_path):
         rows = [make_row(f"A{i}", kcore=i, searchshare=i / 10) for i in range(4)]
-        result = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=2)
+        summaries = binned_quartiles(make_table(rows), "kcore", "searchshare", bins=2)
         path = tmp_path / "bins.csv"
-        write_bin_table(path, result)
+        write_bin_table(path, "kcore", "searchshare", summaries)
         text = path.read_text().splitlines()
         assert text[0] == "# bin_feature=kcore"
         assert text[3] == "bin,count,feature_low,feature_high,q1,q2,q3"
@@ -611,6 +610,6 @@ class TestFileFormats:
 class TestFeatureValue:
     def test_lookup(self):
         # a count column is binned and summarised as float64
-        (summary,) = binned_quartiles(make_table([make_row(kcore=9)]), "kcore", "kcore", bins=1).bins
+        (summary,) = binned_quartiles(make_table([make_row(kcore=9)]), "kcore", "kcore", bins=1)
         values = (summary.feature_low, summary.feature_high, summary.q1, summary.q2, summary.q3)
         assert [(type(v), v) for v in values] == [(float, 9.0)] * 5

@@ -538,35 +538,43 @@ def instance_set_from_arrays(x, y) -> InstanceSet:
     )
 
 
+def report_mean(path, aucs) -> float:
+    """The AUC of the mean row that write_eval_report writes for `aucs`."""
+    write_eval_report(path, "searchshare", {"all": aucs})
+    task, group, fold, auc = path.read_text().splitlines()[-1].split(",")
+    assert (task, group, fold) == ("searchshare", "all", "mean")
+    return float(auc)
+
+
 class TestCrossValidate:
-    def test_separable_high_auc(self):
+    def test_separable_high_auc(self, tmp_path):
         x, y = separable_data(600, seed=6)
         inst = instance_set_from_arrays(x, y)
         config = GBDTConfig(n_trees=20, max_depth=3, min_leaf=5, seed=0, learning_rate=0.1)
-        report = cross_validate(inst, "all", config, 10, "searchshare", 1)
-        assert len(report.fold_aucs) == 10
-        assert report.mean_auc >= 0.95
+        aucs = cross_validate(inst, "all", config, 10, 1)
+        assert len(aucs) == 10
+        assert report_mean(tmp_path / "eval.csv", aucs) >= 0.95
 
-    def test_shuffled_labels_near_half(self):
+    def test_shuffled_labels_near_half(self, tmp_path):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(400, 3))
         means = []
         for rep in range(10):
             y = rng.permutation(np.asarray([0, 1] * 200, dtype=np.int8))
             inst = instance_set_from_arrays(x, y)
-            report = cross_validate(
-                inst, "all", GBDTConfig(n_trees=8, max_depth=2, min_leaf=20, seed=rep, learning_rate=0.1), 10, "", 1
+            aucs = cross_validate(
+                inst, "all", GBDTConfig(n_trees=8, max_depth=2, min_leaf=20, seed=rep, learning_rate=0.1), 10, 1
             )
-            means.append(report.mean_auc)
+            means.append(report_mean(tmp_path / f"eval{rep}.csv", aucs))
         assert 0.45 <= float(np.mean(means)) <= 0.55
 
     def test_thread_count_invariant(self):
         x, y = separable_data(300, seed=7)
         inst = instance_set_from_arrays(x, y)
         cfg = GBDTConfig(n_trees=8, max_depth=2, min_leaf=5, seed=3, learning_rate=0.1)
-        seq = cross_validate(inst, "all", cfg, 10, "", 1)
-        par = cross_validate(inst, "all", cfg, 10, "", 4)
-        assert seq.fold_aucs == par.fold_aucs
+        seq = cross_validate(inst, "all", cfg, 10, 1)
+        par = cross_validate(inst, "all", cfg, 10, 4)
+        assert seq == par
 
     def test_final_model_is_balanced_beside_the_folds(self):
         # every instance of the group, balanced by [seed, folds]: no fold's seed [seed, f]
@@ -587,8 +595,8 @@ class TestCrossValidate:
         x, y = separable_data(250, seed=9)
         inst = instance_set_from_arrays(x, y)
         cfg = GBDTConfig(n_trees=6, max_depth=2, min_leaf=5, seed=4, learning_rate=0.1)
-        r1 = cross_validate(inst, "all", cfg, 10, "", 1)
-        r2 = cross_validate(inst, "all", cfg, 10, "", 1)
+        r1 = cross_validate(inst, "all", cfg, 10, 1)
+        r2 = cross_validate(inst, "all", cfg, 10, 1)
         assert r1 == r2
 
 
@@ -610,16 +618,15 @@ class TestSerialization:
             load_model(path)
 
     def test_report_csv(self, tmp_path):
-        report = cross_validate(
+        aucs = cross_validate(
             instance_set_from_arrays(*separable_data(200, seed=2)),
             "all",
             GBDTConfig(n_trees=4, max_depth=2, min_leaf=5, seed=1, learning_rate=0.1),
             10,
-            "searchshare",
             1,
         )
         path = tmp_path / "eval.csv"
-        write_eval_report(path, [report])
+        write_eval_report(path, "searchshare", {"all": aucs})
         lines = path.read_text().splitlines()
         assert lines[0] == "task,feature_group,fold,auc"
         assert len(lines) == 12

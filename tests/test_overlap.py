@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError
-from clickroles.overlap import Ranking, cumulative_overlap, default_ks, rank_articles
+from clickroles.overlap import cumulative_overlap, default_ks, rank_articles
 from feature_rows import traffic_of
 
 
@@ -21,7 +21,7 @@ def traffic(*rows):
 
 def ranked(table, key):
     """The titles of `table` in the order rank_articles gives by `key`."""
-    return tuple(table.articles[i] for i in rank_articles(table, key).order.tolist())
+    return tuple(table.articles[i] for i in rank_articles(table, key).tolist())
 
 
 def reference_ranking(rows, key):
@@ -62,11 +62,11 @@ def reference_cumulative_overlap(a, b, ks):
             next_k = next(want, None)
             if next_k is None:
                 break
-    return tuple(points)
+    return points
 
 
-def ranking(key, order):
-    return Ranking(key, np.array(order, dtype=np.int64))
+def ranking(order):
+    return np.array(order, dtype=np.int64)
 
 
 class TestRanking:
@@ -80,7 +80,7 @@ class TestRanking:
         items = [(f"A{i}", i % 3, 0, 0) for i in range(10)]
         forward = rank_articles(traffic(*items), "total")
         backward = rank_articles(traffic(*reversed(items)), "total")
-        assert forward.order.tolist() == backward.order.tolist()
+        assert forward.tolist() == backward.tolist()
 
     def test_zero_valued_articles_at_tail(self):
         assert ranked(traffic(("A", 0, 0, 0), ("B", 3, 0, 0)), "total") == ("B", "A")
@@ -109,25 +109,24 @@ def brute_force_overlap(a, b, k):
 
 class TestCumulativeOverlap:
     def test_identical_rankings(self):
-        r = ranking("total", range(6))
-        curve = cumulative_overlap(r, r, [1, 3, 6])
-        assert [v for _, v in curve.points] == [1.0, 1.0, 1.0]
+        r = ranking(range(6))
+        points = cumulative_overlap(r, r, [1, 3, 6])
+        assert [v for _, v in points] == [1.0, 1.0, 1.0]
 
     def test_disjoint_rankings(self):
-        a = ranking("total", [0, 1, 2, 3, 4, 5])
-        b = ranking("in_se", [3, 4, 5, 0, 1, 2])
-        curve = cumulative_overlap(a, b, [1, 2, 3])
-        assert [v for _, v in curve.points] == [0.0, 0.0, 0.0]
+        a = ranking([0, 1, 2, 3, 4, 5])
+        b = ranking([3, 4, 5, 0, 1, 2])
+        points = cumulative_overlap(a, b, [1, 2, 3])
+        assert [v for _, v in points] == [0.0, 0.0, 0.0]
 
     def test_hand_example(self):
         # rows a, b, c, d: a ranks a b c d, b ranks b a d c
-        a = ranking("total", [0, 1, 2, 3])
-        b = ranking("in_se", [1, 0, 3, 2])
-        curve = cumulative_overlap(a, b, [3])
-        assert curve.points == ((3, 2 / 3),)
+        a = ranking([0, 1, 2, 3])
+        b = ranking([1, 0, 3, 2])
+        assert cumulative_overlap(a, b, [3]) == [(3, 2 / 3)]
 
     def test_k_beyond_length_is_domain_error(self):
-        a = ranking("total", [0, 1])
+        a = ranking([0, 1])
         with pytest.raises(DataError, match="^depth 3 exceeds ranking length 2$"):
             cumulative_overlap(a, a, [3])
 
@@ -139,8 +138,7 @@ class TestCumulativeOverlap:
             a = tuple(rng.sample(rows, len(rows)))
             b = tuple(rng.sample(rows, len(rows)))
             ks = sorted(rng.sample(range(1, n + 1), min(n, 12)))
-            curve = cumulative_overlap(ranking("total", a), ranking("in_nav", b), ks)
-            for k, value in curve.points:
+            for k, value in cumulative_overlap(ranking(a), ranking(b), ks):
                 assert value == brute_force_overlap(a, b, k)
 
     @given(data=st.data())
@@ -152,14 +150,14 @@ class TestCumulativeOverlap:
         a = tuple(rng.sample(rows, len(rows)))
         b = tuple(rng.sample(rows, len(rows)))
         ks = list(range(1, n + 1))
-        ab = cumulative_overlap(ranking("total", a), ranking("in_se", b), ks)
-        ba = cumulative_overlap(ranking("in_se", b), ranking("total", a), ks)
-        assert [v for _, v in ab.points] == [v for _, v in ba.points]
-        for _, v in ab.points:
+        ab = cumulative_overlap(ranking(a), ranking(b), ks)
+        ba = cumulative_overlap(ranking(b), ranking(a), ks)
+        assert [v for _, v in ab] == [v for _, v in ba]
+        for _, v in ab:
             assert 0.0 <= v <= 1.0
         # full-depth sanity: overlap(n) is the plain set overlap
         full = len(set(a[:n]) & set(b[:n])) / n
-        assert ab.points[-1][1] == full
+        assert ab[-1][1] == full
 
     @given(
         counts=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60),
@@ -171,9 +169,9 @@ class TestCumulativeOverlap:
     def test_matches_reference_walk_on_tied_rankings(self, counts, keys, data):
         table = traffic(*((f"T{i:02d}", *c) for i, c in enumerate(counts)))
         ks = sorted(data.draw(st.sets(st.integers(1, len(counts)), min_size=1)))
-        curve = cumulative_overlap(rank_articles(table, keys[0]), rank_articles(table, keys[1]), ks)
-        assert curve.points == reference_cumulative_overlap(ranked(table, keys[0]), ranked(table, keys[1]), ks)
-        assert all(type(v) is float for _, v in curve.points)
+        points = cumulative_overlap(rank_articles(table, keys[0]), rank_articles(table, keys[1]), ks)
+        assert points == reference_cumulative_overlap(ranked(table, keys[0]), ranked(table, keys[1]), ks)
+        assert all(type(v) is float for _, v in points)
 
 
 class TestDefaultKs:

@@ -17,7 +17,6 @@ from clickroles.topics import (
     DEFAULT_TOPIC_LABELS,
     Corpus,
     IterationHook,
-    TopicModel,
     build_numbered_corpus,
     fit_lda,
     parse_documents,
@@ -78,9 +77,10 @@ def reference_fit_lda(
     iterations: int = 1000,
     seed: int = 0,
     on_iteration: IterationHook | None = None,
-) -> TopicModel:
+) -> tuple[np.ndarray, np.ndarray]:
     """The scalar collapsed Gibbs sweep fit_lda replaced, kept as its oracle:
-    every weight and running sum is formed one at a time in a Python loop.
+    every weight and running sum is formed one at a time in a Python loop;
+    returns (phi, theta).
 
     alpha defaults to 50/k; alpha and beta must be positive and finite.
     `on_iteration(i, topic_word, doc_topic)` is called after each sweep
@@ -166,9 +166,7 @@ def reference_fit_lda(
     )
     doc_len = np.asarray([len(doc) for doc in docs], dtype=float)
     theta = (np.asarray(n_dk, dtype=float) + alpha) / (doc_len[:, None] + k * alpha)
-    return TopicModel(
-        k, alpha, beta, iterations, seed, corpus.articles, corpus.vocabulary, phi, theta
-    )
+    return phi, theta
 
 
 class TestTokenize:
@@ -226,28 +224,28 @@ class TestFitLda:
     def test_k_above_vocabulary_is_data_error(self):
         corpus = corpus_of(["A\tcat dog bird"], frozenset())
         with pytest.raises(DataError, match="vocabulary"):
-            fit_lda(corpus, k=10, iterations=5, alpha=None, beta=0.01, seed=0)
+            fit_lda(corpus, k=10, iterations=5, alpha=50.0 / 10, beta=0.01, seed=0)
 
     def test_normalization_and_positivity(self):
         corpus, _ = planted_corpus(docs_per_topic=10, tokens_per_doc=12)
-        model = fit_lda(corpus, k=3, iterations=10, seed=2, alpha=None, beta=0.01)
-        assert np.all(model.phi > 0)
-        assert np.all(model.theta > 0)
-        np.testing.assert_allclose(model.phi.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(model.theta.sum(axis=1), 1.0, atol=1e-9)
+        phi, theta = fit_lda(corpus, k=3, iterations=10, seed=2, alpha=50.0 / 3, beta=0.01)
+        assert np.all(phi > 0)
+        assert np.all(theta > 0)
+        np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-9)
 
     def test_same_seed_bit_identical(self):
         corpus, _ = planted_corpus(docs_per_topic=8, tokens_per_doc=10)
-        m1 = fit_lda(corpus, k=2, iterations=15, seed=7, alpha=None, beta=0.01)
-        m2 = fit_lda(corpus, k=2, iterations=15, seed=7, alpha=None, beta=0.01)
-        assert np.array_equal(m1.phi, m2.phi)
-        assert np.array_equal(m1.theta, m2.theta)
+        phi1, theta1 = fit_lda(corpus, k=2, iterations=15, seed=7, alpha=50.0 / 2, beta=0.01)
+        phi2, theta2 = fit_lda(corpus, k=2, iterations=15, seed=7, alpha=50.0 / 2, beta=0.01)
+        assert np.array_equal(phi1, phi2)
+        assert np.array_equal(theta1, theta2)
 
     def test_different_seed_differs(self):
         corpus, _ = planted_corpus(docs_per_topic=8, tokens_per_doc=10)
-        m1 = fit_lda(corpus, k=2, iterations=15, seed=7, alpha=None, beta=0.01)
-        m2 = fit_lda(corpus, k=2, iterations=15, seed=8, alpha=None, beta=0.01)
-        assert not np.array_equal(m1.theta, m2.theta)
+        _, theta1 = fit_lda(corpus, k=2, iterations=15, seed=7, alpha=50.0 / 2, beta=0.01)
+        _, theta2 = fit_lda(corpus, k=2, iterations=15, seed=8, alpha=50.0 / 2, beta=0.01)
+        assert not np.array_equal(theta1, theta2)
 
     def test_overflowing_hyperparameters_rejected(self):
         corpus = corpus_of(["A\tcat dog bird cat"], frozenset())
@@ -257,7 +255,7 @@ class TestFitLda:
             ({"alpha": 1e200, "beta": 1e200}, "sampling weights overflow"),  # a weight's product is inf
         ):
             with pytest.raises(UsageError, match=name):
-                fit_lda(corpus, **{"k": 2, "alpha": None, "beta": 0.01, "iterations": 1, "seed": 0, **hyper})
+                fit_lda(corpus, **{"k": 2, "alpha": 50.0 / 2, "beta": 0.01, "iterations": 1, "seed": 0, **hyper})
 
     def test_count_conservation_every_iteration(self):
         corpus, _ = planted_corpus(docs_per_topic=6, tokens_per_doc=8)
@@ -272,19 +270,19 @@ class TestFitLda:
             assert sum(map(sum, doc_topic)) == total
             calls.append(it)
 
-        fit_lda(corpus, k=2, alpha=None, beta=0.01, iterations=6, seed=0, on_iteration=check)
+        fit_lda(corpus, k=2, alpha=50.0 / 2, beta=0.01, iterations=6, seed=0, on_iteration=check)
         assert calls == list(range(6))
 
     def test_planted_recovery(self):
         corpus, planted = planted_corpus()
-        model = fit_lda(corpus, k=2, iterations=50, seed=11, alpha=None, beta=0.01)
-        assigned = model.theta.argmax(axis=1).tolist()
+        phi, theta = fit_lda(corpus, k=2, iterations=50, seed=11, alpha=50.0 / 2, beta=0.01)
+        assigned = theta.argmax(axis=1).tolist()
         assert permutation_accuracy(assigned, planted, 2) >= 0.9
 
     def test_empty_document_gets_uniform_theta(self):
         corpus = corpus_of(["A\tthe the", "B\tcat dog cat dog mouse"], {"the"})
-        model = fit_lda(corpus, k=2, iterations=5, seed=0, alpha=None, beta=0.01)
-        np.testing.assert_allclose(model.theta[0], [0.5, 0.5], atol=1e-12)
+        phi, theta = fit_lda(corpus, k=2, iterations=5, seed=0, alpha=50.0 / 2, beta=0.01)
+        np.testing.assert_allclose(theta[0], [0.5, 0.5], atol=1e-12)
 
 
 @st.composite
@@ -300,9 +298,10 @@ def lda_cases(draw):
         tuple(tuple(sorted(doc.items())) for doc in documents),
         tuple(f"doc{d}" for d, doc in enumerate(documents) if not doc),
     )
+    k = draw(st.integers(2, v))
     setting = {
-        "k": draw(st.integers(2, v)),
-        "alpha": draw(st.sampled_from([None, 0.1])),
+        "k": k,
+        "alpha": draw(st.sampled_from([50.0 / k, 0.1])),
         # a tiny beta makes weights that vanish beside the running sum, and
         # the smallest subnormal makes weights (even every weight) exactly 0
         "beta": draw(st.sampled_from([5e-324, 1e-300, 1e-20]) | st.floats(1e-300, 10.0)),
@@ -327,23 +326,21 @@ class TestReferenceSweep:
     def test_bit_identical_to_reference(self, case):
         corpus, setting = case
         ours, theirs = [], []
-        model = fit_lda(corpus, **setting, on_iteration=lambda i, wt, dt: ours.append(
+        phi, theta = fit_lda(corpus, **setting, on_iteration=lambda i, wt, dt: ours.append(
             ([list(col) for col in zip(*wt)], [row[:] for row in dt])))
-        expected = reference_fit_lda(corpus, **setting, on_iteration=lambda i, tw, dt: theirs.append(
+        expected_phi, expected_theta = reference_fit_lda(corpus, **setting, on_iteration=lambda i, tw, dt: theirs.append(
             ([row[:] for row in tw], [row[:] for row in dt])))
         assert ours == theirs
-        assert np.array_equal(model.phi, expected.phi)
-        assert np.array_equal(model.theta, expected.theta)
+        assert np.array_equal(phi, expected_phi)
+        assert np.array_equal(theta, expected_theta)
 
 
 class TestDominant:
     """The topic write_assignments gives each article, from its theta row."""
 
     def assigned(self, tmp_path, theta: list[list[float]]) -> list[int]:
-        k = len(theta[0])
         articles = tuple(f"doc{d}" for d in range(len(theta)))
-        model = TopicModel(k, 0.1, 0.01, 1, 0, articles, ("w",), np.ones((k, 1)), np.array(theta))
-        write_assignments(tmp_path / "topics.tsv", model)
+        write_assignments(tmp_path / "topics.tsv", articles, np.array(theta))
         return read_topic_assignments(tmp_path / "topics.tsv")["topic_id"].tolist()
 
     def test_argmax(self, tmp_path):
@@ -357,75 +354,58 @@ class TestDominant:
 class TestTopWords:
     def test_planted_vocabulary_recovered(self):
         corpus, planted = planted_corpus()
-        model = fit_lda(corpus, k=2, iterations=50, seed=11, alpha=None, beta=0.01)
+        phi, theta = fit_lda(corpus, k=2, iterations=50, seed=11, alpha=50.0 / 2, beta=0.01)
         # each fitted topic's top-10 should come from one planted vocabulary
         for topic in range(2):
-            words = top_words(model, topic, 10)
+            words = top_words(phi, corpus.vocabulary, topic, 10)
             assert len(words) == 10
             prefixes = {w[:2] for w in words}
             assert len(prefixes) == 1
 
     def test_delta_phi(self):
         corpus, _ = planted_corpus(docs_per_topic=4, tokens_per_doc=6)
-        model = fit_lda(corpus, k=2, iterations=3, seed=0, alpha=None, beta=0.01)
-        row = np.full(len(model.vocabulary), 1e-9)
-        row[5] = 1.0
-        spiked = TopicsDummy(model, row)
-        assert top_words(spiked, 0, 3)[0] == model.vocabulary[5]
+        phi, theta = fit_lda(corpus, k=2, iterations=3, seed=0, alpha=50.0 / 2, beta=0.01)
+        phi[0] = np.full(len(corpus.vocabulary), 1e-9)
+        phi[0, 5] = 1.0
+        assert top_words(phi, corpus.vocabulary, 0, 3)[0] == corpus.vocabulary[5]
 
     def test_report_caps_n_at_the_vocabulary(self, tmp_path):
         # --top-words may exceed V; the report lists each topic's whole vocabulary
         corpus, _ = planted_corpus(docs_per_topic=4, tokens_per_doc=6)
-        model = fit_lda(corpus, k=2, iterations=3, seed=0, alpha=None, beta=0.01)
+        phi, theta = fit_lda(corpus, k=2, iterations=3, seed=0, alpha=50.0 / 2, beta=0.01)
         path = tmp_path / "words.txt"
-        write_top_words(path, model, len(model.vocabulary) + 1, {0: "First", 1: "Second"})
+        write_top_words(path, phi, corpus.vocabulary, len(corpus.vocabulary) + 1, {0: "First", 1: "Second"})
         words = [line.split("\t")[2].split() for line in path.read_text().splitlines()]
-        assert words == [top_words(model, topic, len(model.vocabulary)) for topic in range(2)]
-
-
-def TopicsDummy(model, row):
-    """Clone of a fitted model with topic 0's phi row replaced."""
-    phi = model.phi.copy()
-    phi[0] = row
-    return type(model)(
-        model.k,
-        model.alpha,
-        model.beta,
-        model.iterations,
-        model.seed,
-        model.articles,
-        model.vocabulary,
-        phi,
-        model.theta,
-    )
+        assert words == [top_words(phi, corpus.vocabulary, topic, len(corpus.vocabulary)) for topic in range(2)]
 
 
 class TestOutputs:
     def test_assignments_file_roundtrip(self, tmp_path):
         corpus, _ = planted_corpus(docs_per_topic=5, tokens_per_doc=8)
-        model = fit_lda(corpus, k=2, iterations=10, seed=4, alpha=None, beta=0.01)
+        phi, theta = fit_lda(corpus, k=2, iterations=10, seed=4, alpha=50.0 / 2, beta=0.01)
         path = tmp_path / "topics.tsv"
-        write_assignments(path, model)
+        write_assignments(path, corpus.articles, theta)
         back = read_topic_assignments(path)
         assert back.articles == tuple(sorted(corpus.articles))
-        row = model.theta[model.articles.index("doc-0-0")]
+        row = theta[corpus.articles.index("doc-0-0")]
         assert back["topic_id"][back.articles.index("doc-0-0")] == row.argmax()
 
     def test_phi_matrix_roundtrip(self, tmp_path):
         corpus, _ = planted_corpus(docs_per_topic=5, tokens_per_doc=8)
-        model = fit_lda(corpus, k=2, iterations=10, seed=4, alpha=None, beta=0.01)
+        settings = {"k": 2, "alpha": 50.0 / 2, "beta": 0.01, "iterations": 10, "seed": 4}
+        phi, _ = fit_lda(corpus, **settings)
         path = tmp_path / "phi.csv"
-        write_phi(path, model)
+        write_phi(path, phi, settings)
         matrix, meta = read_matrix_csv(path)
-        np.testing.assert_array_equal(matrix, model.phi)
+        np.testing.assert_array_equal(matrix, phi)
         assert meta["k"] == "2"
         assert meta["seed"] == "4"
 
     def test_top_words_report(self, tmp_path):
         corpus, _ = planted_corpus(docs_per_topic=5, tokens_per_doc=8)
-        model = fit_lda(corpus, k=2, iterations=10, seed=4, alpha=None, beta=0.01)
+        phi, theta = fit_lda(corpus, k=2, iterations=10, seed=4, alpha=50.0 / 2, beta=0.01)
         path = tmp_path / "words.txt"
-        write_top_words(path, model, 5, {0: "First", 1: "Second"})
+        write_top_words(path, phi, corpus.vocabulary, 5, {0: "First", 1: "Second"})
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("0\tFirst\t")
