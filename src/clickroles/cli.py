@@ -46,7 +46,6 @@ from .features import (
     join_features,
     read_content_table,
     read_joined_table,
-    read_topic_assignments,
     relative_difference_heatmap,
     topic_statistics,
     write_bin_table,
@@ -102,6 +101,7 @@ from .topics import (
     corpus_from_file,
     fit_lda,
     read_stop_words,
+    read_topic_assignments,
     topic_names,
     write_assignments,
     write_phi,
@@ -514,8 +514,8 @@ def cmd_topics(args, out: _OutputDir) -> None:
         {
             "documents": len(corpus.articles),
             "vocabulary": len(corpus.vocabulary),
-            "tokens": corpus.total_tokens,
-            "empty_documents": len(corpus.empty_articles),
+            "tokens": sum(map(len, corpus.documents)),
+            "empty_documents": sum(not doc for doc in corpus.documents),
         },
     )
 

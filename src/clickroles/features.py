@@ -7,11 +7,11 @@ curves over equal-count feature bins, and per-topic share statistics.
 
 The metrics, network, content, topic-assignment and joined tables are
 each a ``tableio.ColumnTable``, sorted by title on read, and each is
-declared once as a schema (METRICS, NETWORK, CONTENT, TOPIC_ASSIGNMENT,
-JOINED) that its reader and writer share: counts are int64, ratios,
-``age`` and ``size`` float64, ``quadrant`` the index of the article's
-role in ``metrics.ROLES`` and ``topic_id`` -1 for no topic, an empty
-cell on disk.
+declared once as a schema (METRICS, NETWORK, CONTENT,
+topics.TOPIC_ASSIGNMENT, JOINED) that its reader and writer share:
+counts are int64, ratios, ``age`` and ``size`` float64, ``quadrant``
+the index of the article's role in ``metrics.ROLES`` and ``topic_id``
+-1 for no topic, an empty cell on disk.
 Every view works on whole columns; medians and quartiles sort stably,
 so equal values (0.0 and -0.0 among them) keep title order.
 """
@@ -27,14 +27,13 @@ import numpy as np
 from .errors import DataError
 from .linkgraph import NETWORK
 from .metrics import METRICS, ROLES
-from .tableio import COUNT, REAL, ColumnTable, optional, ratio, read_columns, write_columns, write_rows
+from .tableio import COUNT, REAL, ColumnTable, optional, read_columns, write_columns, write_rows
 
 CONTENT = {
     **dict.fromkeys(("sections", "figures", "lists", "tables", "revisions", "editors"), COUNT),
     "age": REAL,
     "size": REAL,
 }
-TOPIC_ASSIGNMENT = {"topic_id": COUNT, "weight": ratio("weight")}
 JOINED = {**METRICS, **NETWORK, **CONTENT, "topic_id": optional(COUNT, -1)}
 
 # bin/median features in reporting order: network block, then content/edit
@@ -252,12 +251,6 @@ def read_content_table(path: str | Path) -> ColumnTable:
         CONTENT,
         (lambda c: (c["age"] < 0) | (c["size"] < 0), lambda title: f"negative content feature for {title!r}"),
     )
-
-
-def read_topic_assignments(path: str | Path) -> ColumnTable:
-    """A topic assignment table: the topic_id column and the weight, a
-    theta entry in [0, 1]."""
-    return read_columns(path, TOPIC_ASSIGNMENT)
 
 
 def write_joined_table(path: str | Path, table: ColumnTable) -> None:

@@ -13,6 +13,14 @@ write_phi and write_theta as metadata. The sampler is sequential by
 design; all randomness comes from one seeded generator, so a run is
 reproducible bit for bit.
 
+A Corpus holds each document once, in the form the sweep reads: its
+token ids, one per token instance, in ascending id order (ids number the
+vocabulary by first appearance in the file). The sweep visits the tokens
+in that order and draws one uniform per token, so the order is part of
+the output: text order would give other draws and other bytes. The
+topic assignment table this module writes is declared here too, as
+TOPIC_ASSIGNMENT, with its writer and its reader.
+
 The sweep keeps the integer counts as plain lists, topic-word stored
 word-major (n_wk[w] is one token's row of k counts), and three float
 factor caches beside them, each cell reset from its count whenever that
@@ -44,13 +52,14 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, truediv
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .features import TOPIC_ASSIGNMENT
-from .tableio import column_table, iter_lines, write_columns, write_matrix_csv, write_rows
+from .tableio import (
+    COUNT, ColumnTable, column_table, iter_lines, ratio, read_columns, write_columns, write_matrix_csv, write_rows,
+)
 
 # minimal English function-word list; callers with real corpora should
 # supply their own via the stop word file
@@ -64,6 +73,10 @@ DEFAULT_STOP_WORDS = frozenset(
     very was we were what when where which while who whom why will with you
     your""".split()
 )
+
+# the topic assignment table: each article's dominant topic and its theta
+# weight, written by write_assignments and read back by `features --topics`
+TOPIC_ASSIGNMENT = {"topic_id": COUNT, "weight": ratio("weight")}
 
 # human labels assigned to one historical 20-topic fit on the full
 # corpus; topic identity depends on the fit, so treat these as display
@@ -118,68 +131,37 @@ def tokenize(text: str, stop_words: Collection[str]) -> list[str]:
 class Corpus:
     articles: tuple[str, ...]
     vocabulary: tuple[str, ...]
-    # per document: (token id, count), sorted by token id
-    documents: tuple[tuple[tuple[int, int], ...], ...]
-    empty_articles: tuple[str, ...]
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(c for doc in self.documents for _, c in doc)
+    # per document: its token ids, one per token instance, in ascending id
+    # order (the sequence fit_lda samples); empty if nothing survives tokenize
+    documents: tuple[list[int], ...]
 
 
-def parse_documents(lines: Iterable[str], source: str | Path) -> Iterator[tuple[int, str, str]]:
-    """Split "article<TAB>text" lines into (line number, article, text);
-    blank lines are skipped. An error names ``path:N``, the `source` file
-    and the line."""
-    for lineno, line in enumerate(lines, start=1):
+def corpus_from_file(path: str | Path, stop_words: Collection[str]) -> Corpus:
+    """The corpus of an "article<TAB>text" file, with a first-appearance
+    vocabulary order; blank lines are skipped and documents that tokenize
+    to nothing are kept, empty.
+
+    A line without the tab or the article (``path:N``), a repeated article
+    (``path:N``) or a file with no documents raises DataError.
+    """
+    articles: list[str] = []
+    seen: set[str] = set()
+    token_ids: dict[str, int] = {}
+    docs: list[list[int]] = []
+    for lineno, line in enumerate(iter_lines(path), start=1):
         if not line:
             continue
         article, sep, text = line.partition("\t")
         if not sep or not article:
-            raise DataError(f"{source}:{lineno}: expected article<TAB>text")
-        yield lineno, article, text
-
-
-def build_numbered_corpus(
-    documents: Iterable[tuple[int, str, str]], stop_words: Collection[str], source: str | Path
-) -> Corpus:
-    """Bag-of-words corpus with a first-appearance vocabulary order, from
-    (line number, article, text) documents.
-
-    Documents that tokenize to nothing are kept (zero-length) and
-    flagged in `empty_articles`. A repeated article (``path:N``) or an
-    empty corpus raises DataError naming the `source` file.
-    """
-    articles: list[str] = []
-    vocab: list[str] = []
-    token_ids: dict[str, int] = {}
-    docs: list[tuple[tuple[int, int], ...]] = []
-    empty: list[str] = []
-    seen: set[str] = set()
-
-    for lineno, article, text in documents:
+            raise DataError(f"{path}:{lineno}: expected article<TAB>text")
         if article in seen:
-            raise DataError(f"{source}:{lineno}: duplicate article {article!r}")
+            raise DataError(f"{path}:{lineno}: duplicate article {article!r}")
         seen.add(article)
-        counts: dict[int, int] = {}
-        for token in tokenize(text, stop_words):
-            tid = token_ids.get(token)
-            if tid is None:
-                tid = token_ids[token] = len(vocab)
-                vocab.append(token)
-            counts[tid] = counts.get(tid, 0) + 1
         articles.append(article)
-        docs.append(tuple(sorted(counts.items())))
-        if not counts:
-            empty.append(article)
-
+        docs.append(sorted(token_ids.setdefault(t, len(token_ids)) for t in tokenize(text, stop_words)))
     if not articles:
-        raise DataError(f"{source}: empty corpus")
-    return Corpus(tuple(articles), tuple(vocab), tuple(docs), tuple(empty))
-
-
-def corpus_from_file(path: str | Path, stop_words: Collection[str]) -> Corpus:
-    return build_numbered_corpus(parse_documents(iter_lines(path), path), stop_words, path)
+        raise DataError(f"{path}: empty corpus")
+    return Corpus(tuple(articles), tuple(token_ids), tuple(docs))
 
 
 def read_stop_words(path: str | Path) -> frozenset[str]:
@@ -211,11 +193,8 @@ def fit_lda(
     if k > v:
         raise DataError(f"k={k} exceeds vocabulary size {v}")
 
-    # flatten to token instances; the count matrices live as plain lists
-    # (the sweep is a tight scalar loop)
-    docs: list[list[int]] = [
-        [tid for tid, cnt in doc for _ in range(cnt)] for doc in corpus.documents
-    ]
+    # the count matrices live as plain lists (the sweep is a tight scalar loop)
+    docs = corpus.documents
     d_count = len(docs)
     total = sum(len(doc) for doc in docs)
 
@@ -318,6 +297,12 @@ def write_assignments(path: str | Path, articles: Sequence[str], theta: np.ndarr
     weight = np.take_along_axis(theta, topic[:, None], axis=1)[:, 0]
     rows = zip(articles, topic.tolist(), weight.tolist())
     write_columns(path, TOPIC_ASSIGNMENT, column_table(rows, TOPIC_ASSIGNMENT))
+
+
+def read_topic_assignments(path: str | Path) -> ColumnTable:
+    """A topic assignment table: the topic_id column and the weight, a
+    theta entry in [0, 1]."""
+    return read_columns(path, TOPIC_ASSIGNMENT)
 
 
 def write_phi(path: str | Path, phi: np.ndarray, metadata: dict[str, object]) -> None:

@@ -41,7 +41,7 @@ from clickroles.model import (
 )
 from clickroles.overlap import cumulative_overlap
 from clickroles.tableio import ColumnTable
-from clickroles.topics import build_numbered_corpus, fit_lda, parse_documents
+from clickroles.topics import corpus_from_file, fit_lda
 from feature_rows import make_row, make_table, traffic_of
 
 
@@ -442,7 +442,7 @@ def test_classifier_sanity(tmp_path):
 # 9. topic recovery on a planted two-topic corpus
 
 
-def test_topic_recovery_on_planted_corpus():
+def test_topic_recovery_on_planted_corpus(tmp_path):
     rng = random.Random(17)
     suffixes = ["".join(p) for p in itertools.product("abcdefghij", repeat=2)]
     vocabularies = (
@@ -454,9 +454,11 @@ def test_topic_recovery_on_planted_corpus():
         f"doc{i:03d}\t" + " ".join(rng.choices(vocabularies[topic], k=40))
         for i, topic in enumerate(planted)
     ]
-    corpus = build_numbered_corpus(parse_documents(texts, "planted.tsv"), frozenset(), "planted.tsv")
-    lengths = [sum(c for _, c in doc) for doc in corpus.documents]
-    total = corpus.total_tokens
+    path = tmp_path / "planted.tsv"
+    path.write_text("".join(f"{text}\n" for text in texts))
+    corpus = corpus_from_file(path, frozenset())
+    lengths = [len(doc) for doc in corpus.documents]
+    total = sum(lengths)
 
     conservation_failures = 0
 

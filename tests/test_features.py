@@ -20,7 +20,6 @@ from clickroles.features import (
     CONTENT,
     DEFAULT_MEDIAN_FEATURES,
     JOINED,
-    TOPIC_ASSIGNMENT,
     TopicStats,
     binned_quartiles,
     group_medians,
@@ -29,7 +28,6 @@ from clickroles.features import (
     quartiles,
     read_content_table,
     read_joined_table,
-    read_topic_assignments,
     relative_difference_heatmap,
     topic_statistics,
     write_bin_table,
@@ -38,7 +36,7 @@ from clickroles.features import (
 from clickroles.linkgraph import NETWORK, read_network_table
 from clickroles.metrics import METRICS, ROLES, read_metrics_table
 from clickroles.tableio import ColumnTable, fmt_value
-from clickroles.topics import topic_names
+from clickroles.topics import TOPIC_ASSIGNMENT, read_topic_assignments, topic_names
 from feature_rows import joined_tsv, make_row, make_table, table_rows
 
 

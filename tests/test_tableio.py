@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from clickroles import tableio
 from clickroles.errors import DataError
-from clickroles.features import CONTENT, JOINED, TOPIC_ASSIGNMENT
+from clickroles.features import CONTENT, JOINED
 from clickroles.ingest import TRAFFIC, read_traffic_table, write_traffic_table
 from clickroles.linkgraph import NETWORK
 from clickroles.metrics import METRICS, ROLES
 from clickroles.tableio import iter_lines
+from clickroles.topics import TOPIC_ASSIGNMENT
 from test_linkgraph import traced_peak
 
 # "\u2028" and "\x85" end lines for str.splitlines but not for files
