@@ -28,6 +28,7 @@ the other manifests record a null seed.
 from __future__ import annotations
 
 import argparse
+import filecmp
 import shutil
 import sys
 from contextlib import contextmanager
@@ -570,8 +571,12 @@ def cmd_report(args, out: _OutputDir) -> None:
                 raise DataError(f"{src}: listed in {d / MANIFEST_NAME} but missing")
             if kind is None:
                 continue
+            if name in (MANIFEST_NAME, "index.json"):
+                raise DataError(f"{d / MANIFEST_NAME}: lists {name!r}, a file report writes itself")
             if name in found:
-                if src.read_bytes() != found[name][0].read_bytes():
+                with oserror_as_data(f"cannot compare {src} with {found[name][0]}"):
+                    same = filecmp.cmp(src, found[name][0], shallow=False)
+                if not same:
                     raise DataError(
                         f"conflicting files named {name!r} in {found[name][2]} and {directory}"
                     )

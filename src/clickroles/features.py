@@ -4,6 +4,9 @@ Brings the per-article tables together (traffic metrics, link-network
 degrees, content/edit counts, topic assignment) and computes the three
 descriptive views used downstream: medians per traffic role, quartile
 curves over equal-count feature bins, and per-topic share statistics.
+Roles and topics are summarized by the same two rules over their row
+masks: ``metrics.shares`` for article and view shares and ``medians``
+for content medians.
 
 The metrics, network, content, topic-assignment and joined tables are
 each a ``tableio.ColumnTable``, sorted by title on read, and each is
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import DataError
 from .linkgraph import NETWORK
-from .metrics import METRICS, ROLES
+from .metrics import METRICS, ROLES, role_masks, shares
 from .tableio import COUNT, REAL, ColumnTable, optional, read_columns, write_columns, write_rows
 
 CONTENT = {
@@ -112,20 +115,21 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
+def medians(table: ColumnTable, names: Sequence[str], groups: Sequence[np.ndarray]) -> dict[str, list[float | None]]:
+    """Each named column's median over each row group, a mask over
+    `table`, in group order; None marks an empty group."""
+    return {name: [median(table[name][rows]) if rows.any() else None for rows in groups] for name in names}
+
+
 def group_medians(table: ColumnTable) -> dict[str, list[float | None]]:
     """Each DEFAULT_MEDIAN_FEATURES column's medians: one per traffic role,
     in ROLES order, then the overall one; None marks an empty group."""
-    groups = [table["quadrant"] == code for code in range(len(ROLES))] + [np.ones(len(table), dtype=bool)]
-    medians = {}
-    for name in DEFAULT_MEDIAN_FEATURES:
-        column = table[name].astype(float)
-        medians[name] = [median(column[rows]) if rows.any() else None for rows in groups]
-    return medians
+    return medians(table, DEFAULT_MEDIAN_FEATURES, [*role_masks(table), np.ones(len(table), dtype=bool)])
 
 
 @dataclass(frozen=True)
 class BinSummary:
-    index: int
+    bin: int
     count: int
     feature_low: float
     feature_high: float
@@ -186,36 +190,16 @@ def topic_statistics(table: ColumnTable, labels: Mapping[int, str]) -> list[Topi
     named by its entry in `labels`, which names every assigned id.
 
     Shares are percentages of the topic-assigned subpopulation (rows
-    with no topic are outside the denominator). View totals are exact
-    Python-int sums.
+    with no topic are outside the denominator).
     """
-    topic_id = table["topic_id"]
-    has_topic = topic_id >= 0
-    assigned = int(np.count_nonzero(has_topic))
-    if not assigned:
-        return []
-    total_views = sum(table["total_views"][has_topic].tolist())
-
-    out: list[TopicStats] = []
-    for tid in sorted(set(topic_id[has_topic].tolist())):
-        members = topic_id == tid
-        count = int(np.count_nonzero(members))
-        views = sum(table["total_views"][members].tolist())
-        out.append(
-            TopicStats(
-                topic_id=tid,
-                label=labels[tid],
-                articles=count,
-                article_pct=100.0 * count / assigned,
-                views=views,
-                view_pct=100.0 * views / total_views if total_views else 0.0,
-                median_age=median(table["age"][members]),
-                median_editors=median(table["editors"][members]),
-                median_revisions=median(table["revisions"][members]),
-                median_size=median(table["size"][members]),
-            )
-        )
-    return out
+    assigned = table.take(np.flatnonzero(table["topic_id"] >= 0))
+    ids = sorted(set(assigned["topic_id"].tolist()))
+    groups = [assigned["topic_id"] == tid for tid in ids]
+    per_topic = zip(*medians(assigned, ("age", "editors", "revisions", "size"), groups).values())
+    return [
+        TopicStats(tid, labels[tid], *share, *topic_medians)
+        for tid, share, topic_medians in zip(ids, shares(assigned["total_views"], groups), per_topic)
+    ]
 
 
 def relative_difference_heatmap(topic_grid: np.ndarray, overall_grid: np.ndarray) -> np.ndarray:
@@ -272,9 +256,8 @@ def write_group_medians(path: str | Path, medians: Mapping[str, Sequence[float |
 def write_bin_table(path: str | Path, bin_feature: str, target: str, bins: Sequence[BinSummary]) -> None:
     """Quartile curve of `target` over bins of `bin_feature`, as CSV with
     "#" metadata lines."""
-    header = ("bin", "count", "feature_low", "feature_high", "q1", "q2", "q3")
     metadata = {"bin_feature": bin_feature, "target": target, "bins": len(bins)}
-    write_rows(path, map(astuple, bins), header, metadata, sep=",")
+    write_rows(path, map(astuple, bins), [f.name for f in fields(BinSummary)], metadata, sep=",")
 
 
 def write_topic_stats(path: str | Path, stats: Sequence[TopicStats]) -> None:

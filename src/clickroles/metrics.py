@@ -11,7 +11,9 @@ Articles are assigned to one of the four ROLES by comparing against the
 corpus-wide unweighted means of the two metrics. "Above mean" is a
 strict inequality; values exactly at the mean fall on the at-or-below
 side (the convention is fixed here for reproducibility; ties at the
-mean are measure-zero in practice).
+mean are measure-zero in practice). ``shares`` is the one share rule:
+each row group's article and view counts and percentages, for the role
+masks here and for the topic masks in ``features.topic_statistics``.
 
 The metrics table is a ``tableio.ColumnTable``: the article titles,
 ascending and unique, and the row-aligned columns of the METRICS
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -90,24 +93,34 @@ def assign_quadrants(
     return np.where(above_ss, 1 - above_res, 2 + above_res).astype(np.int8)
 
 
+def role_masks(table: ColumnTable) -> list[np.ndarray]:
+    """Row mask of each role, in ROLES order, from the quadrant column."""
+    return [table["quadrant"] == code for code in range(len(ROLES))]
+
+
+def shares(views: np.ndarray, groups: Sequence[np.ndarray]) -> list[tuple[int, float, int, float]]:
+    """(articles, article percentage, views, view percentage) of each row
+    group, a mask over `views`, whose rows are the whole population.
+
+    View sums are exact Python ints; a population with no views gives
+    every group a view percentage of 0.0.
+    """
+    total_views = sum(views.tolist())
+    counts = [(int(np.count_nonzero(rows)), sum(views[rows].tolist())) for rows in groups]
+    return [
+        (articles, 100.0 * articles / len(views), group_views, 100.0 * group_views / total_views if total_views else 0.0)
+        for articles, group_views in counts
+    ]
+
+
 def group_shares(metrics: ColumnTable) -> dict[str, tuple[float, float]]:
     """Percentage of articles and of received views per role, by name.
 
     The four groups partition the table, so each percentage column sums
-    to 100 up to rounding. View totals are exact Python-int sums.
+    to 100 up to rounding.
     """
-    n = len(metrics)
-    in_group = [metrics["quadrant"] == code for code in range(len(ROLES))]
-    article_counts = [int(np.count_nonzero(rows)) for rows in in_group]
-    view_counts = [sum(metrics["total_views"][rows].tolist()) for rows in in_group]
-    total_views = sum(view_counts)
-    return {
-        role: (
-            100.0 * article_counts[code] / n,
-            100.0 * view_counts[code] / total_views if total_views else 0.0,
-        )
-        for code, role in enumerate(ROLES)
-    }
+    per_role = shares(metrics["total_views"], role_masks(metrics))
+    return {role: (article_pct, view_pct) for role, (_, article_pct, _, view_pct) in zip(ROLES, per_role)}
 
 
 def _bins(values: np.ndarray, bins: int) -> np.ndarray:

@@ -13,7 +13,9 @@ stably into its children, and scores all features' candidate
 thresholds in one vectorized pass, tie-broken toward the lowest feature
 index and threshold so parallel and sequential searches agree. Leaves
 record each training row's value as they are made, so a stage's step
-needs no second walk of its tree. Evaluation is stratified 10-fold
+needs no second walk of its tree. A tree is five flat node arrays,
+named with their dtypes once in TREE_ARRAYS, which the builder and the
+model file's writer and reader follow. Evaluation is stratified 10-fold
 cross-validation with the training side of each fold balanced by
 seeded downsampling, scored by rank-statistic ROC AUC: cross_validate
 returns one feature group's fold AUCs, and write_eval_report writes them
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -39,6 +41,11 @@ SEARCHSHARE_THRESHOLD = 0.66
 RESISTANCE_THRESHOLD = 0.88
 TASKS = ("searchshare", "resistance")
 
+# The model's own feature lists: NETWORK_FEATURES leaves out linkgraph's
+# degree, the sum of its two degrees, and CONTENT_EDIT_FEATURES holds
+# features.CONTENT in an order of its own. The order fixes the instance
+# columns, and split ties go to the lowest feature index, so changing it
+# changes the model_*.json bytes.
 NETWORK_FEATURES = ("in_degree", "out_degree", "kcore")
 CONTENT_EDIT_FEATURES = (
     "revisions",
@@ -158,6 +165,10 @@ def balance(instances: InstanceSet, seed) -> InstanceSet:
 # boosted trees
 
 
+# The node arrays of a Tree, in field order, each with its dtype.
+TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64, "value": np.float64}
+
+
 @dataclass(frozen=True)
 class Tree:
     """Flat node arrays; feature -1 marks a leaf carrying `value`."""
@@ -183,7 +194,12 @@ class Tree:
             idx = np.where(internal, nxt, idx)
 
     def scale_values(self, factor: float) -> "Tree":
-        return Tree(self.feature, self.threshold, self.left, self.right, self.value * factor)
+        return replace(self, value=self.value * factor)
+
+
+def _tree(arrays: Mapping[str, Sequence]) -> Tree:
+    """A Tree of the TREE_ARRAYS named in `arrays`, each at its dtype."""
+    return Tree(**{name: np.asarray(arrays[name], dtype=dtype) for name, dtype in TREE_ARRAYS.items()})
 
 
 @dataclass(frozen=True)
@@ -262,13 +278,7 @@ class _TreeBuilder:
 
     def build(self) -> Tree:
         self._grow(np.arange(len(self.g)), self.order, 0)
-        return Tree(
-            np.asarray(self.feature, dtype=np.int64),
-            np.asarray(self.threshold, dtype=float),
-            np.asarray(self.left, dtype=np.int64),
-            np.asarray(self.right, dtype=np.int64),
-            np.asarray(self.value, dtype=float),
-        )
+        return _tree(vars(self))  # the node lists are attributes named as the arrays
 
     def _new_node(self) -> int:
         self.feature.append(-1)
@@ -477,16 +487,7 @@ def save_model(path: str | Path, model: GBDTModel) -> None:
         "learning_rate": model.learning_rate,
         "feature_names": list(model.feature_names),
         "prior_fallback": model.prior_fallback,
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in model.trees
-        ],
+        "trees": [{name: getattr(t, name).tolist() for name in TREE_ARRAYS} for t in model.trees],
     }
     write_json(path, doc)
 
@@ -497,21 +498,11 @@ def load_model(path: str | Path) -> GBDTModel:
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version: {version!r}")
-    trees = tuple(
-        Tree(
-            np.asarray(t["feature"], dtype=np.int64),
-            np.asarray(t["threshold"], dtype=float),
-            np.asarray(t["left"], dtype=np.int64),
-            np.asarray(t["right"], dtype=np.int64),
-            np.asarray(t["value"], dtype=float),
-        )
-        for t in doc["trees"]
-    )
     return GBDTModel(
         float(doc["initial_score"]),
         float(doc["learning_rate"]),
         tuple(doc["feature_names"]),
-        trees,
+        tuple(map(_tree, doc["trees"])),
         bool(doc["prior_fallback"]),
     )
 

@@ -7,11 +7,14 @@ manifest completeness, and byte-level determinism of reruns.
 
 import argparse
 import ast
+import errno
+import filecmp
 import gzip
 import hashlib
 import json
 import random
 import re
+import shutil
 import time
 import warnings
 from itertools import combinations
@@ -1271,6 +1274,33 @@ class TestReport:
         assert run("report", "--inputs", out, "--out", bundle) == 0
         bundled = {p.name for p in bundle.iterdir()}
         assert bundled == {"overlap_total_in_se.csv", "index.json", "manifest.json"}
+
+    @pytest.mark.parametrize("name", ["manifest.json", "index.json"])
+    def test_bundled_name_report_writes_rejected(self, tmp_path, pipeline, capsys, name):
+        edited = tmp_path / "edited"
+        shutil.copytree(pipeline["ingest"], edited)
+        (edited / "index.json").write_text("{}\n")
+        manifest = json.loads((edited / "manifest.json").read_text())
+        manifest["outputs"][name] = "bundle"
+        (edited / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["report", "--inputs", str(edited), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {edited / 'manifest.json'}: lists {name!r}, a file report writes itself\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_unreadable_duplicate_rejected(self, tmp_path, pipeline, capsys, monkeypatch):
+        copy = tmp_path / "copy"
+        shutil.copytree(pipeline["metrics"], copy)
+
+        def unreadable(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(filecmp, "open", unreadable, raising=False)
+        code = main(["report", "--inputs", str(pipeline["metrics"]), str(copy), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot compare {copy}/") and err.endswith(": Permission denied\n")
+        assert not (tmp_path / "r").exists()
 
     def test_missing_directory_rejected(self, tmp_path, capsys):
         code = main(["report", "--inputs", str(tmp_path / "ghost"),

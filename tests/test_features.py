@@ -428,7 +428,7 @@ class TestBinnedQuartiles:
         base, rem = divmod(n, bins)
         start = 0
         for b in summaries:
-            size = base + (1 if b.index < rem else 0)
+            size = base + (1 if b.bin < rem else 0)
             chunk = [r["searchshare"] for r in ordered[start : start + size]]
             assert b.count == size
             assert b.q1 == pytest.approx(np.percentile(chunk, 25), abs=1e-12)
@@ -461,7 +461,7 @@ class TestBinnedQuartiles:
     def test_matches_per_row_reference(self, rows, bin_feature, target, bins):
         bins = min(bins, len(rows))
         summaries = binned_quartiles(read_back(rows), bin_feature, target, bins)
-        got = [(b.index, b.count, b.feature_low, b.feature_high, b.q1, b.q2, b.q3) for b in summaries]
+        got = [(b.bin, b.count, b.feature_low, b.feature_high, b.q1, b.q2, b.q3) for b in summaries]
         assert repr(got) == repr(ref_binned_quartiles(by_title(rows), bin_feature, target, bins))
 
 
@@ -512,6 +512,16 @@ class TestTopicStatistics:
         stats = topic_statistics(make_table(rows), {i: f"topic-{i}" for i in range(5)})
         assert sum(s.article_pct for s in stats) == pytest.approx(100.0, abs=1e-9)
         assert sum(s.view_pct for s in stats) == pytest.approx(100.0, abs=1e-9)
+
+    @given(joined_rows(min_size=1))
+    @settings(max_examples=50, deadline=None)
+    def test_one_topic_is_the_whole_table(self, rows):
+        table = read_back([{**r, "topic_id": 0, "total_views": r["total_views"] + 1} for r in rows])
+        (stats,) = topic_statistics(table, {0: "topic-0"})
+        assert (stats.article_pct, stats.view_pct) == (100.0, 100.0)
+        overall = group_medians(table)
+        got = (stats.median_age, stats.median_editors, stats.median_revisions, stats.median_size)
+        assert repr(got) == repr(tuple(overall[name][-1] for name in ("age", "editors", "revisions", "size")))
 
     @given(joined_rows())
     @settings(max_examples=80, deadline=None)

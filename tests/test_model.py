@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickroles.errors import DataError, UsageError
+from clickroles.features import CONTENT
+from clickroles.linkgraph import NETWORK
 from clickroles.model import (
     CONTENT_EDIT_FEATURES,
     FEATURE_GROUPS,
@@ -16,6 +18,7 @@ from clickroles.model import (
     InstanceSet,
     NETWORK_FEATURES,
     TASKS,
+    TREE_ARRAYS,
     Tree,
     _sigmoid,
     _TreeBuilder,
@@ -103,6 +106,11 @@ class TestBinarize:
 
 
 class TestBuildInstances:
+    def test_feature_lists_name_joined_columns(self):
+        # the model keeps its own feature order, which sets the model bytes
+        assert set(NETWORK_FEATURES) <= set(NETWORK)
+        assert set(CONTENT_EDIT_FEATURES) == set(CONTENT)
+
     def test_vector_layout(self):
         rows = [
             make_row("A", searchshare=0.9, in_degree=7, revisions=42, topic_id=1),
@@ -605,11 +613,16 @@ class TestSerialization:
         x, y = separable_data(200, seed=10)
         config = GBDTConfig(n_trees=12, max_depth=3, min_leaf=5, learning_rate=0.1, seed=0)
         model = train_gbdt(x, y, config, feature_names(x))
-        path = tmp_path / "model.json"
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
         save_model(path, model)
         back = load_model(path)
         assert back.feature_names == model.feature_names
         assert np.array_equal(back.decision_scores(x), model.decision_scores(x))
+        save_model(again, back)
+        assert again.read_bytes() == path.read_bytes()
+        assert back.trees
+        for tree in back.trees:
+            assert {name: getattr(tree, name).dtype for name in TREE_ARRAYS} == TREE_ARRAYS
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
