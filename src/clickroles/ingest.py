@@ -3,7 +3,8 @@
 The input is the public aggregated transition log: tab-separated lines of
 ``referrer<TAB>resource<TAB>type<TAB>count``, where the referrer is either
 another article title or a reserved token (``other-search``,
-``other-empty``, ...). Aggregation produces the traffic table, a
+``other-empty``, ...); a line with an empty referrer or resource is
+malformed. Aggregation produces the traffic table, a
 ``tableio.ColumnTable``: the article titles, ascending and unique, and
 the int64 count columns of the TRAFFIC schema aligned with them: the
 search inflow, navigation inflow and navigation outflow of each, and
@@ -25,10 +26,11 @@ the number of articles, not with the number of lines.
 
 Counts are summed as plain Python ints, a commutative integer sum, so
 the result is independent of record order; the columns are built once
-at the end. Every count and every per-article sum is at most 2**53
-(``tableio.MAX_COUNT``), so each converts to float64 exactly: a larger
-dump count is a malformed line, a larger sum a DataError naming the
-file.
+at the end, in first-appearance order, and ``ColumnTable.in_title_order``
+puts them in title order. Every count and every per-article sum is at
+most 2**53 (``tableio.MAX_COUNT``), so each converts to float64 exactly:
+a larger dump count is a malformed line, a larger sum a DataError naming
+the file.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import DataError
-from .tableio import COUNT, MAX_COUNT, ColumnTable, column_table, iter_lines, read_columns, write_columns
+from .tableio import COUNT, MAX_COUNT, ColumnTable, iter_lines, read_columns, write_columns
 
 TRAFFIC = dict.fromkeys(("in_se", "in_nav", "out_nav", "total_views"), COUNT)
 
@@ -82,10 +86,10 @@ def parse_clickstream(
     referring article for an internal link. A well-formed record of
     neither kind is counted but not yielded.
 
-    Malformed lines (wrong field count, empty resource, or a count that
-    is not ASCII digits only or exceeds MAX_COUNT) abort in strict mode
-    as ``path:N``, the `source` file and the 1-based line number, and are
-    tallied and skipped in lenient mode. A raw type
+    Malformed lines (wrong field count, empty referrer or resource, or a
+    count that is not ASCII digits only or exceeds MAX_COUNT) abort in
+    strict mode as ``path:N``, the `source` file and the 1-based line
+    number, and are tallied and skipped in lenient mode. A raw type
     outside KNOWN_RAWTYPES (``link``, ``external``, ``other``) is treated
     the same way, under its own counter. One leading line matching
     HEADER_PATTERN is skipped as a header.
@@ -119,7 +123,7 @@ def parse_clickstream(
                 count = int(count_text) if count_text.isascii() and count_text.isdigit() else -1
             except ValueError:
                 count = -1
-            if count < 0 or count > MAX_COUNT or not resource:
+            if count < 0 or count > MAX_COUNT or not referrer or not resource:
                 if strict:
                     raise DataError(f"{source}:{lineno}: malformed record {line!r}")
                 malformed += 1
@@ -164,11 +168,12 @@ def aggregate_traffic(records: Iterable[tuple[str | None, str, int]], source: st
             sums[resource][1] += count
             sums[referrer][2] += count
 
-    rows = [(a, *c, c[0] + c[1]) for a, c in sums.items() if c[0] + c[1] > 0]
-    for article, _, _, out_nav, total_views in rows:
-        if max(total_views, out_nav) > MAX_COUNT:
+    kept = {article: c for article, c in sums.items() if c[0] + c[1] > 0}
+    for article, (in_se, in_nav, out_nav) in kept.items():
+        if max(in_se + in_nav, out_nav) > MAX_COUNT:
             raise DataError(f"{source}: traffic of {article!r} exceeds 2**53 views")
-    return column_table(rows, TRAFFIC)
+    in_se, in_nav, out_nav = np.array(list(kept.values()), dtype=np.int64).reshape(-1, 3).T
+    return ColumnTable.in_title_order(tuple(kept), dict(zip(TRAFFIC, (in_se, in_nav, out_nav, in_se + in_nav))))
 
 
 def read_traffic_file(path: str | Path, strict: bool, stats: ParseStats) -> ColumnTable:

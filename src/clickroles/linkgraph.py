@@ -249,13 +249,10 @@ def kcore_decomposition(graph: LinkGraph) -> np.ndarray:
 
 
 def network_features(graph: LinkGraph) -> ColumnTable:
-    """Degrees and core number per article, in title order."""
-    in_deg, out_deg, deg = degrees(graph)
-    core = kcore_decomposition(graph)
-    titles = graph.titles
-    order = np.array(sorted(range(len(titles)), key=titles.__getitem__), dtype=np.int64)
-    columns = dict(zip(NETWORK, (in_deg, out_deg, deg, core)))
-    return ColumnTable(tuple(titles[i] for i in order.tolist()), {k: v[order] for k, v in columns.items()})
+    """Degrees and core number per article, in node id order until
+    ColumnTable.in_title_order puts them in title order."""
+    columns = dict(zip(NETWORK, (*degrees(graph), kcore_decomposition(graph))))
+    return ColumnTable.in_title_order(graph.titles, columns)
 
 
 def write_network_table(path: str | Path, features: ColumnTable) -> None:

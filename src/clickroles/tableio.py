@@ -15,16 +15,19 @@ caller; JSON keys are sorted; and no timestamps appear in any data file.
 Every per-article table is declared once, as a Schema mapping each
 column after ``article`` to its CellKind (counts, reals, ratios, labels,
 optional cells), and that one declaration drives its reader
-:func:`read_columns`, its writer :func:`write_columns` and its row
-constructor :func:`column_table`. The reader takes ROW_BLOCK lines at a
+:func:`read_columns` and its writer :func:`write_columns`. Every table
+is put in title order by :meth:`ColumnTable.in_title_order`, the one
+place rows are sorted by title. The reader takes ROW_BLOCK lines at a
 time: a block is split in one go and each column converted at once by
 its kind, whose scalar parser (:func:`parse_count`, :func:`parse_real`,
 :func:`parse_ratio`, a label's index) is the one definition of the cell
-rule and its message. A block that fails any check is read again row by
-row, so the DataError names its first bad row in file order, with the
-reason the scalar rules give for that row. The writer writes each
-column as its kind's text gives it: the cells :func:`fmt_value` would
-write, a label as its name and a missing value as an empty cell.
+rule and its message. A block that fails any check, or a title that
+repeats, sends the file to one rescan that reads it again row by row
+from its first data line, so the DataError names its first bad row in
+file order, with the reason the scalar rules give for that row. The
+writer writes each column as its kind's text gives it: the cells
+:func:`fmt_value` would write, a label as its name and a missing value
+as an empty cell.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import itemgetter, lt
+from operator import lt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -183,6 +186,17 @@ class ColumnTable:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
 
+    @classmethod
+    def in_title_order(cls, articles: Sequence[str], columns: dict[str, np.ndarray]) -> ColumnTable:
+        """The table of the distinct titles `articles` and their row-aligned
+        `columns`: as given if the titles ascend, else sorted by title."""
+        articles = tuple(articles)
+        if _ascending(articles):
+            return cls(articles, columns)
+        order = sorted(range(len(articles)), key=articles.__getitem__)
+        rows = np.array(order, dtype=np.intp)
+        return cls(tuple(map(articles.__getitem__, order)), {name: values[rows] for name, values in columns.items()})
+
     def take(self, rows: np.ndarray) -> ColumnTable:
         """The rows at ascending indices `rows`, so titles stay sorted."""
         return ColumnTable(
@@ -210,18 +224,6 @@ class CellKind:
 # A table's declaration: its columns after "article", in file order,
 # each with the kind of its cells.
 Schema = Mapping[str, CellKind]
-
-
-def column_table(rows: Iterable[tuple], schema: Schema) -> ColumnTable:
-    """The ColumnTable of (title, *cells) rows with unique titles, in any
-    order: sorted by title, one column of its kind's dtype per `schema`
-    entry."""
-    rows = sorted(rows, key=itemgetter(0))
-    articles, *cells = zip(*rows) if rows else [()] * (1 + len(schema))
-    return ColumnTable(
-        articles,
-        {name: np.array(column, dtype=kind.dtype) for (name, kind), column in zip(schema.items(), cells)},
-    )
 
 
 def _counts(cells: list[str]) -> np.ndarray | None:
@@ -324,11 +326,9 @@ def read_columns(path: str | Path, schema: Schema, *rules: RowRule) -> ColumnTab
 
     Data lines are read ROW_BLOCK at a time, empty lines skipped, and a
     block is split in one go and converted a column at a time (see
-    CellKind). A block that fails a check is read again row by row, and
-    its first bad row in file order raises DataError as ``path:N:
-    reason``; the reason is a wrong number of cells, a repeated title,
-    the first cell its kind's parse rejects, or the first rule broken.
-    Titles are sorted only if they do not already ascend.
+    CellKind); the table is then put in title order. A block that fails
+    a check, or titles that repeat, send the file to _first_bad_row,
+    whose DataError names the first bad row in file order.
     """
     header = ["article", *schema]
     lines = iter_lines(path)
@@ -338,37 +338,26 @@ def read_columns(path: str | Path, schema: Schema, *rules: RowRule) -> ColumnTab
     got = first.split("\t")
     if got != header:
         raise DataError(f"{path}: unexpected header: got {got!r}, expected {header!r}")
+    rows = filter(None, lines)
     titles: list[str] = []
     parts = {name: [np.empty(0, kind.dtype)] for name, kind in schema.items()}
-    seen: set[str] | None = None  # every title so far, once the titles stop ascending
-    lineno = 1
-    while block := list(islice(lines, ROW_BLOCK)):
-        start, lineno = lineno + 1, lineno + len(block)
-        if not (rows := list(filter(None, block))):
-            continue
+    while block := list(islice(rows, ROW_BLOCK)):
         try:
-            new, columns = _convert_block(rows, schema, rules)
+            new, columns = _convert_block(block, schema, rules)
         except ValueError:
-            raise _block_error(path, block, start, schema, rules, set(titles)) from None
-        if seen is None and not _ascending(titles[-1:] + new):
-            seen = set(titles)
-        if seen is not None:
-            seen.update(new)
-            if len(seen) < len(titles) + len(new):
-                raise _block_error(path, block, start, schema, rules, set(titles))
+            raise _first_bad_row(path, schema, rules) from None
         titles += new
         for name, values in columns.items():
             parts[name].append(values)
-    columns = {name: np.concatenate(part) for name, part in parts.items()}
-    if seen is not None:
-        order = sorted(range(len(titles)), key=titles.__getitem__)
-        titles = list(map(titles.__getitem__, order))
-        rows = np.array(order, dtype=np.intp)
-        columns = {name: values[rows] for name, values in columns.items()}
-    return ColumnTable(tuple(titles), columns)
+    articles = tuple(titles)
+    table = ColumnTable.in_title_order(articles, {name: np.concatenate(part) for name, part in parts.items()})
+    # titles given back as they are ascend strictly; sorted ones that do not hold a repeat
+    if table.articles is not articles and not _ascending(table.articles):
+        raise _first_bad_row(path, schema, rules)
+    return table
 
 
-def _ascending(titles: list[str]) -> bool:
+def _ascending(titles: Sequence[str]) -> bool:
     return all(map(lt, titles, islice(titles, 1, None)))
 
 
@@ -393,13 +382,14 @@ def _convert_block(rows: list[str], schema: Schema, rules: Sequence[RowRule]) ->
     return titles, columns
 
 
-def _block_error(
-    path: str | Path, block: list[str], start: int, schema: Schema, rules: Sequence[RowRule], seen: set[str]
-) -> DataError:
-    """The DataError of the first bad row of `block`, whose lines are
-    numbered from `start` and follow rows with the titles `seen`: each
-    row is converted alone, after the check for a repeated title."""
-    for lineno, line in enumerate(block, start):
+def _first_bad_row(path: str | Path, schema: Schema, rules: Sequence[RowRule]) -> DataError:
+    """The DataError ``path:N: reason`` of the first bad row of the table
+    at `path` in file order: each data line, from line 2, is converted
+    alone, after the check for a title an earlier row holds."""
+    lines = iter_lines(path)
+    next(lines)  # the header, which read_columns has checked
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
         title = line.split("\t", 1)[0]
@@ -410,7 +400,7 @@ def _block_error(
         except ValueError as exc:
             return DataError(f"{path}:{lineno}: {exc}")
         seen.add(title)
-    raise AssertionError(f"{path}: the block from line {start} was rejected, but none of its rows is bad")
+    raise AssertionError(f"{path}: the table was rejected, but none of its rows is bad")
 
 
 def write_columns(path: str | Path, schema: Schema, table: ColumnTable) -> None:
@@ -464,8 +454,9 @@ def write_keyvalues(path: str | Path, items: Mapping[str, object]) -> None:
 
 def read_keyvalues(path: str | Path, key: Callable[[str], object] = str) -> dict:
     """The key=value lines of `path`, each key read by `key`; a line
-    without ``=``, a key that `key` rejects with ValueError, or a key
-    read before is DataError ``path:N: reason``."""
+    without ``=``, a key that `key` rejects with ValueError, a key read
+    before, or a value holding a tab (a cell of a written table) is
+    DataError ``path:N: reason``."""
     out: dict = {}
     for lineno, line in enumerate(iter_lines(path), start=1):
         line = line.strip()
@@ -480,7 +471,9 @@ def read_keyvalues(path: str | Path, key: Callable[[str], object] = str) -> dict
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if name in out:
             raise DataError(f"{path}:{lineno}: duplicate key {name!r}")
-        out[name] = value.strip()
+        if "\t" in (value := value.strip()):
+            raise DataError(f"{path}:{lineno}: value {value!r} holds a tab")
+        out[name] = value
     return out
 
 

@@ -57,9 +57,7 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, UsageError
-from .tableio import (
-    COUNT, ColumnTable, column_table, iter_lines, ratio, read_columns, write_columns, write_matrix_csv, write_rows,
-)
+from .tableio import COUNT, ColumnTable, iter_lines, ratio, read_columns, write_columns, write_matrix_csv, write_rows
 
 # minimal English function-word list; callers with real corpora should
 # supply their own via the stop word file
@@ -295,8 +293,8 @@ def write_assignments(path: str | Path, articles: Sequence[str], theta: np.ndarr
     topic's theta weight, in title order."""
     topic = theta.argmax(axis=1)
     weight = np.take_along_axis(theta, topic[:, None], axis=1)[:, 0]
-    rows = zip(articles, topic.tolist(), weight.tolist())
-    write_columns(path, TOPIC_ASSIGNMENT, column_table(rows, TOPIC_ASSIGNMENT))
+    table = ColumnTable.in_title_order(articles, dict(zip(TOPIC_ASSIGNMENT, (topic, weight))))
+    write_columns(path, TOPIC_ASSIGNMENT, table)
 
 
 def read_topic_assignments(path: str | Path) -> ColumnTable:

@@ -12,7 +12,7 @@ import numpy as np
 from clickroles.features import JOINED
 from clickroles.ingest import TRAFFIC
 from clickroles.metrics import ROLES
-from clickroles.tableio import ColumnTable, column_table, fmt_value
+from clickroles.tableio import ColumnTable, fmt_value
 
 ROW_DEFAULTS = dict(
     searchshare=0.5,
@@ -38,7 +38,10 @@ ROW_DEFAULTS = dict(
 def traffic_of(rows: Iterable[tuple[str, int, int, int]]) -> ColumnTable:
     """The traffic table of (article, in_se, in_nav, out_nav) rows with
     unique titles, in any order; total_views is in_se + in_nav."""
-    return column_table(((a, se, nav, out, se + nav) for a, se, nav, out in rows), TRAFFIC)
+    rows = list(rows)
+    in_se, in_nav, out_nav = np.array([counts for _, *counts in rows], dtype=np.int64).reshape(-1, 3).T
+    articles = [article for article, *_ in rows]
+    return ColumnTable.in_title_order(articles, dict(zip(TRAFFIC, (in_se, in_nav, out_nav, in_se + in_nav))))
 
 
 def make_row(article: str = "A", **overrides) -> dict:

@@ -26,7 +26,8 @@ import clickroles
 from clickroles.cli import build_parser, main
 from clickroles.errors import DataError
 from clickroles.features import read_joined_table
-from clickroles.ingest import write_traffic_table
+from clickroles.ingest import read_traffic_table, write_traffic_table
+from clickroles.linkgraph import read_network_table
 from clickroles.manifest import build_manifest, read_manifest, write_manifest
 from clickroles.model import load_model
 from clickroles.overlap import RANKING_KEYS
@@ -273,6 +274,14 @@ class TestExitCodes:
         assert self.features_run(tmp_path, pipeline, "--labels", labels) == 1
         assert f"{labels}:3: " in capsys.readouterr().err
 
+    def test_label_holding_a_tab_names_file_and_line(self, tmp_path, pipeline, capsys):
+        # the tab would split the label's cell of topic_stats.tsv in two
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1=Sports\n0=Arch\titecture\n")
+        assert self.features_run(tmp_path, pipeline, "--labels", labels) == 1
+        assert capsys.readouterr().err == f"error: {labels}:2: value 'Arch\\titecture' holds a tab\n"
+        assert not (tmp_path / "f").exists()
+
     def test_topic_group_without_topics_is_usage_error(self, tmp_path, pipeline, capsys):
         assert run(
             "features", "--metrics", pipeline["metrics"] / "metrics.tsv",
@@ -432,6 +441,18 @@ class TestExitCodes:
         # lenient: the line is malformed, skipped and counted
         assert main(["ingest", "--clickstream", str(dump), "--out", str(tmp_path / "ok")]) == 0
         assert read_keyvalues(tmp_path / "ok" / "ingest_stats.txt")["malformed"] == "1"
+
+    def test_empty_referrer_is_malformed(self, tmp_path, capsys):
+        dump = tmp_path / "clicks.tsv"
+        dump.write_text("other-search\tA\texternal\t30\nA\tB\tlink\t15\n\tB\tlink\t20\nB\tC\tlink\t12\n")
+        assert f"{dump}:3: malformed record '\\tB\\tlink\\t20'" in self.ingest_error(tmp_path, capsys, dump, "--strict")
+        # lenient: skipped and counted, so no empty title gains or gives traffic
+        assert main(["ingest", "--clickstream", str(dump), "--out", str(tmp_path / "ok")]) == 0
+        assert read_keyvalues(tmp_path / "ok" / "ingest_stats.txt")["malformed"] == "1"
+        traffic = read_traffic_table(tmp_path / "ok" / "traffic.tsv")
+        assert traffic.articles == ("A", "B", "C") and traffic["in_nav"].tolist() == [0, 15, 12]
+        assert main(["graph", "--clickstream", str(dump), "--out", str(tmp_path / "g")]) == 0
+        assert read_network_table(tmp_path / "g" / "network.tsv").articles == ("A", "B", "C")
 
     def test_sum_above_bound_in_dump(self, tmp_path, capsys):
         dump = tmp_path / "clicks.tsv"

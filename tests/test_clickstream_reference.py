@@ -62,7 +62,7 @@ def reference_parse(lines, strict, stats, source=None):
             count = parse_count(count_text)
         except ValueError:
             count = -1
-        if count < 0 or not resource:
+        if count < 0 or not referrer or not resource:
             if strict:
                 raise DataError(f"{source}:{lineno}: malformed record {line!r}")
             stats.malformed += 1
@@ -183,7 +183,7 @@ counts = st.one_of(
 records = st.builds(
     "\t".join,
     st.tuples(
-        st.sampled_from(TOKENS + TITLES),
+        st.sampled_from(TOKENS + TITLES + [""]),
         st.sampled_from(TITLES + [""]),
         st.sampled_from(["link", "external", "other", "weird"]),
         counts,

@@ -88,6 +88,13 @@ class TestParse:
         assert parse_all(["a\t\tlink\t20"], stats=stats) == []
         assert stats.malformed == 1
 
+    def test_empty_referrer_malformed(self):
+        stats = ParseStats()
+        assert parse_all(["\tb\tlink\t20"], stats=stats) == []
+        assert stats.malformed == 1 and stats.records == 0
+        with pytest.raises(DataError, match=r"^dump.tsv:1: malformed record '\\tb\\tlink\\t20'$"):
+            parse_all(["\tb\tlink\t20"], strict=True)
+
     def test_below_dump_floor_kept_but_counted(self):
         stats = ParseStats()
         recs = parse_all(["a\tb\tlink\t3"], stats=stats)

@@ -1,7 +1,8 @@
 """Rules over the repository's own files: no unused name in the program,
-and README's flag table matches the parser.
+README's flag table matches the parser, and every name README's library
+layout gives exists.
 
-Both read files by paths relative to the repository root, so each test
+All read files by paths relative to the repository root, so each test
 runs from there.
 """
 
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
+import inspect
 import pathlib
 import re
 
@@ -122,4 +125,43 @@ def test_readme_flags_and_defaults_match_the_parser():
         given = text.split()[0].strip("`,;:")
         if given != str(default):
             bad.append(f"README gives {name} {flag} the default {given}, the parser {default}")
+    assert not bad, "\n".join(bad)
+
+
+def test_readme_library_names_exist():
+    """Each backticked identifier or dotted name in a `clickroles.X` row of
+    README's library layout resolves: as an attribute path from
+    clickroles.X, from another clickroles module (``Y.name`` from
+    clickroles.Y), or as a parameter of a function defined in
+    clickroles.X."""
+    readme = pathlib.Path("README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    names = sorted(p.stem for p in pathlib.Path("src/clickroles").glob("*.py") if p.stem != "__init__")
+    modules = {name: importlib.import_module(f"clickroles.{name}") for name in names}
+
+    def resolves(root: object, path: str) -> bool:
+        for part in path.split("."):
+            if not hasattr(root, part):
+                return False
+            root = getattr(root, part)
+        return True
+
+    bad, rows = [], 0
+    for line in section.splitlines():
+        row = re.match(r"\| `clickroles\.(\w+)` \| (.*) \|$", line)
+        if not row:
+            continue
+        rows += 1
+        home = modules.get(row.group(1))
+        if home is None:
+            bad.append(f"README row for unknown module clickroles.{row.group(1)}")
+            continue
+        params = {p for f in vars(home).values() if inspect.isfunction(f) and f.__module__ == home.__name__
+                  for p in inspect.signature(f).parameters}
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", row.group(2)):
+            first, _, rest = name.partition(".")
+            if not (resolves(home, name) or any(resolves(m, name) for m in modules.values())
+                    or (first in modules and resolves(modules[first], rest)) or name in params):
+                bad.append(f"README row for clickroles.{row.group(1)} names `{name}`, which does not exist")
+    assert rows, "README's library layout has no clickroles.X rows"
     assert not bad, "\n".join(bad)

@@ -22,7 +22,7 @@ from clickroles.features import CONTENT, JOINED
 from clickroles.ingest import TRAFFIC, read_traffic_table, write_traffic_table
 from clickroles.linkgraph import NETWORK
 from clickroles.metrics import METRICS, ROLES
-from clickroles.tableio import iter_lines
+from clickroles.tableio import MAX_COUNT, iter_lines
 from clickroles.topics import TOPIC_ASSIGNMENT
 from test_linkgraph import traced_peak
 
@@ -326,6 +326,30 @@ class TestSchemas:
             assert same(back[column].tolist(), table[column].tolist())
 
 
+class TestInTitleOrder:
+    @given(rows=st.dictionaries(TITLES, st.integers(0, MAX_COUNT), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_rows_sorted_by_title(self, rows):
+        """Distinct titles in any order come back sorted, each row's cells
+        beside its title."""
+        counts = list(rows.values())
+        columns = {"count": np.array(counts, np.int64), "half": np.array(counts, np.float64) / 2}
+        table = tableio.ColumnTable.in_title_order(list(rows), columns)
+        expected = sorted(rows.items())
+        assert table.articles == tuple(title for title, _ in expected)
+        assert table["count"].tolist() == [count for _, count in expected]
+        assert table["half"].tolist() == [count / 2 for _, count in expected]
+
+    @given(titles=st.sets(TITLES, max_size=12))
+    @settings(max_examples=50, deadline=None)
+    def test_ascending_titles_keep_their_columns(self, titles):
+        articles = tuple(sorted(titles))
+        columns = {"row": np.arange(len(articles)), "zero": np.zeros(len(articles))}
+        table = tableio.ColumnTable.in_title_order(articles, columns)
+        assert table.articles == articles
+        assert all(table[name] is column for name, column in columns.items())
+
+
 TRAFFIC_HEADER = "\t".join(("article", *TRAFFIC))
 TRAFFIC_ROWS = [f"A{i}\t{i}\t1\t0\t{i + 1}" for i in range(8)]
 
@@ -336,7 +360,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 100])
     @pytest.mark.parametrize("row, fault, reason", [
-        # in blocks of 3, rows 2 and 5 (lines 5 and 8) open a block
+        # in blocks of 3 non-empty rows, rows 2 and 5 (lines 5 and 8) end a block and row 6 opens one
         (2, "A2\tx\t1\t0\t3", "count 'x' is not ASCII digits"),
         (2, "A0\t2\t1\t0\t3", "duplicate article 'A0'"),
         (2, "A2\t2\t1\t0", "expected 5 tab-separated cells, got 4"),
@@ -353,6 +377,20 @@ class TestBlocks:
         with mock.patch.object(tableio, "ROW_BLOCK", block), pytest.raises(DataError) as exc:
             read_traffic_table(path)
         assert str(exc.value) == f"{path}:{row + 3}: {reason}"
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 100])
+    def test_repeat_in_unsorted_rows_before_a_bad_cell(self, tmp_path, block):
+        # descending titles; row 2 repeats row 0's, and row 6 (a later
+        # block for blocks of at most 4) holds a bad cell
+        rows = TRAFFIC_ROWS[::-1]
+        rows[2] = "A7\t7\t1\t0\t8"
+        rows[6] = "A1\tx\t1\t0\t2"
+        rows.insert(1, "")  # row i >= 1 is on line i + 3
+        path = tmp_path / "traffic.tsv"
+        path.write_text(TRAFFIC_HEADER + "\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(tableio, "ROW_BLOCK", block), pytest.raises(DataError) as exc:
+            read_traffic_table(path)
+        assert str(exc.value) == f"{path}:5: duplicate article 'A7'"
 
     @pytest.mark.parametrize("block", [2, 100])
     def test_rows_that_realign_in_a_block_are_caught(self, tmp_path, block):
@@ -385,9 +423,10 @@ def test_traffic_table_read_peak_per_row(tmp_path):
     rng = np.random.default_rng(0)
     n = 40_000
     in_se, in_nav, out_nav = rng.integers(0, 10**6, (3, n))
-    rows = ((f"Article_{i:06d}", a, b, c, a + b) for i, (a, b, c) in enumerate(zip(in_se, in_nav, out_nav)))
+    articles = [f"Article_{i:06d}" for i in range(n)]
     path = tmp_path / "traffic.tsv"
-    write_traffic_table(path, tableio.column_table(rows, TRAFFIC))
+    columns = dict(zip(TRAFFIC, (in_se, in_nav, out_nav, in_se + in_nav)))
+    write_traffic_table(path, tableio.ColumnTable.in_title_order(articles, columns))
     table, peak = traced_peak(read_traffic_table, path)
     assert len(table) == n and table["total_views"].tolist() == (in_se + in_nav).tolist()
     assert peak / n <= 200
