@@ -443,8 +443,8 @@ def cmd_features(args, out: _OutputDir) -> None:
     content = read_content_table(args.content)
     topics = read_topic_assignments(args.topics) if args.topics is not None else None
 
-    joined, jstats = join_features(metrics, network, content, topics)
-    if not jstats.kept:
+    joined = join_features(metrics, network, content, topics)
+    if not len(joined):
         tables = ((args.metrics, metrics), (args.network, network), (args.content, content))
         empty = [path for path, table in tables if not len(table)]
         if empty:
@@ -454,7 +454,11 @@ def cmd_features(args, out: _OutputDir) -> None:
     write_group_medians(out.file("medians.tsv", "median_table"), group_medians(joined))
     write_keyvalues(
         out.file("join_stats.txt"),
-        {"kept": jstats.kept, **{f"dropped_{k}": v for k, v in sorted(jstats.dropped.items())}},
+        {
+            "kept": len(joined),
+            **{f"dropped_{name}": len(table) - len(joined)
+               for name, table in (("content", content), ("metrics", metrics), ("network", network))},
+        },
     )
 
     if topics is not None:
@@ -529,7 +533,8 @@ def cmd_model(args, out: _OutputDir) -> None:
         min_leaf=args.min_leaf,
         seed=args.seed,
     )
-    instances, dropped = build_instances(read_joined_table(args.joined), args.task, args.threshold)
+    table = read_joined_table(args.joined)
+    instances = build_instances(table, args.task, args.threshold)
     groups = args.groups or default_groups(instances)
     with _about(args.joined):
         aucs = {group: cross_validate(instances, group, config, args.folds, threads=args.threads) for group in groups}
@@ -541,7 +546,7 @@ def cmd_model(args, out: _OutputDir) -> None:
         out.file("model_stats.txt"),
         {
             "instances": len(instances),
-            "dropped_without_topic": dropped,
+            "dropped_without_topic": len(table) - len(instances),
             "positives": int(instances.y.sum()),
             "negatives": int(len(instances) - instances.y.sum()),
         },

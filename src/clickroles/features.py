@@ -21,7 +21,7 @@ so equal values (0.0 and -0.0 among them) keep title order.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -46,12 +46,6 @@ DEFAULT_MEDIAN_FEATURES = (*NETWORK, *CONTENT)
 NUMERIC_FEATURES = ("searchshare", "resistance", "total_views") + DEFAULT_MEDIAN_FEATURES
 
 
-@dataclass
-class JoinStats:
-    kept: int = 0
-    dropped: dict[str, int] = field(default_factory=dict)
-
-
 def _member(articles: Sequence[str], titles: set[str]) -> np.ndarray:
     return np.fromiter((a in titles for a in articles), dtype=bool, count=len(articles))
 
@@ -61,31 +55,28 @@ def join_features(
     network: ColumnTable,
     content: ColumnTable,
     topics: ColumnTable | None,
-) -> tuple[ColumnTable, JoinStats]:
+) -> ColumnTable:
     """Inner join of the required feature families, keyed by title, in
     title order.
 
     A row survives only if metrics, network, and content all cover the
-    article; drop counts per family record what fell out. The topic
-    assignment is carried when present but never drops a row (shares
-    over the assigned subpopulation are computed downstream); None means
-    no topic table, and every row's topic_id is then -1. Every
-    table is in title order, so each one's rows of the common titles
-    line up.
+    article. The topic assignment is carried when present but never
+    drops a row (shares over the assigned subpopulation are computed
+    downstream); None means no topic table, and every row's topic_id is
+    then -1. Every table is in title order, so each one's rows of the
+    common titles line up.
     """
     common = set(metrics.articles).intersection(network.articles, content.articles)
-    stats = JoinStats(kept=len(common))
     articles = tuple(sorted(common))
     columns = {}
-    for family, table in (("metrics", metrics), ("network", network), ("content", content)):
-        stats.dropped[family] = len(table) - len(common)
+    for table in (metrics, network, content):
         rows = _member(table.articles, common)
         columns.update((name, column[rows]) for name, column in table.columns.items())
     topic_id = np.full(len(articles), -1, dtype=np.int64)
     if topics is not None:
         topic_id[_member(articles, set(topics.articles))] = topics["topic_id"][_member(topics.articles, common)]
     columns["topic_id"] = topic_id
-    return ColumnTable(articles, {name: columns[name] for name in JOINED}), stats
+    return ColumnTable(articles, {name: columns[name] for name in JOINED})
 
 
 def median(values: Sequence[float]) -> float:

@@ -97,16 +97,11 @@ def parse_clickstream(
     The counters are added to `stats` when the pass ends, however it
     ends: exhausted, closed early or aborted.
     """
-    is_header = HEADER_PATTERN.match
-    known_rawtypes = KNOWN_RAWTYPES
-    search_tokens = SEARCH_TOKENS
-    reserved_tokens = RESERVED_TOKENS
-    internal_rawtype = INTERNAL_RAWTYPE
     lineno = records = malformed = unknown_rawtype = below_min_count = header_lines = 0
     try:
         for lineno, line in enumerate(lines, start=1):
             fields = line.split("\t")
-            if lineno == 1 and line and is_header(fields[0]):
+            if lineno == 1 and line and HEADER_PATTERN.match(fields[0]):
                 header_lines += 1
                 continue
             if len(fields) != 4:
@@ -128,7 +123,7 @@ def parse_clickstream(
                     raise DataError(f"{source}:{lineno}: malformed record {line!r}")
                 malformed += 1
                 continue
-            if rawtype not in known_rawtypes:
+            if rawtype not in KNOWN_RAWTYPES:
                 if strict:
                     raise DataError(f"{source}:{lineno}: unknown type token {rawtype!r}")
                 unknown_rawtype += 1
@@ -136,10 +131,10 @@ def parse_clickstream(
             if count < PUBLIC_DUMP_MIN_COUNT:
                 below_min_count += 1
             records += 1
-            if referrer in reserved_tokens:
-                if referrer in search_tokens:
+            if referrer in RESERVED_TOKENS:
+                if referrer in SEARCH_TOKENS:
                     yield None, resource, count
-            elif rawtype == internal_rawtype:
+            elif rawtype == INTERNAL_RAWTYPE:
                 yield referrer, resource, count
     finally:
         stats.lines += lineno

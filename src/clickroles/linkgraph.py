@@ -2,10 +2,10 @@
 
 Nodes get dense int32 ids (NODE_ID) in order of first appearance; edges
 are deduplicated and stripped of self-loops at build time, then held as
-a pair of sorted int32 arrays, 8 bytes per edge. The ids are collected
-in short list batches and kept as C ints, and the int64 pair keys are
-built, sorted and deduplicated in place, so at most one int64 key array
-is alive at a time.
+a pair of sorted int32 arrays, 8 bytes per edge. Each id is appended
+straight to a C int array, and the int64 pair keys are built, sorted
+and deduplicated in place, so at most one int64 key array is alive at
+a time.
 ``graph --clickstream`` builds its graph from the internal links that
 ``ingest.parse_clickstream``, which owns the dump's referrer rule, yields.
 
@@ -20,7 +20,6 @@ round costs the frontier's edges, not the node count.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, islice
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -33,9 +32,6 @@ from .tableio import COUNT, ColumnTable, iter_lines, read_columns, write_columns
 NETWORK = dict.fromkeys(("in_degree", "out_degree", "degree", "kcore"), COUNT)
 NODE_ID = np.int32  # node id dtype, from the edge stream to the last k-core round
 _PACK_BLOCK = 1 << 16  # values moved per step by sorted_unique's in-place pack
-# Edge pairs whose ids build_graph holds in lists at once: from 1 << 10
-# up, the lists' reuse raised graph --clickstream's peak RSS by 0.3 MB.
-ID_BATCH = 1 << 8
 
 
 @dataclass
@@ -84,45 +80,36 @@ def build_graph(edges: Iterable[tuple[str, str]], stats: EdgeStats) -> LinkGraph
 
     Node ids are assigned by first appearance in the edge stream (source
     before target within a pair), so the id assignment is deterministic
-    for a given stream. Ids are collected ID_BATCH pairs at a time in
-    lists (whose append is the fast one) and moved into C int arrays, 4
-    bytes a pair end, and the pair keys are built, sorted and
+    for a given stream. Each pair's ids are appended to two C int
+    arrays, 4 bytes a pair end, and the pair keys are built, sorted and
     deduplicated in one int64 array once the stream has ended. Past
-    2**31 - 1 titles the move raises OverflowError; the title dict alone
-    would then outgrow memory.
+    2**31 - 1 titles the append raises OverflowError; the title dict
+    alone would then outgrow memory.
     """
     index: dict[str, int] = {}
     get = index.get
     src = array("i")  # C int, 4 bytes: NODE_ID
     dst = array("i")
-    batch_src: list[int] = []
-    batch_dst: list[int] = []
-    add_src = batch_src.append
-    add_dst = batch_dst.append
-    edges = iter(edges)
-    for first in edges:  # one batch a round: `first`, then up to ID_BATCH - 1 more
-        for source, target in chain((first,), islice(edges, ID_BATCH - 1)):
-            s = get(source)
-            if s is None:
-                s = index[source] = len(index)
-            t = get(target)
-            if t is None:
-                t = index[target] = len(index)
-            if s == t:
-                stats.self_loops += 1
-                continue
-            add_src(s)
-            add_dst(t)
-        src.fromlist(batch_src)
-        dst.fromlist(batch_dst)
-        batch_src.clear()
-        batch_dst.clear()
+    add_src = src.append
+    add_dst = dst.append
+    for source, target in edges:
+        s = get(source)
+        if s is None:
+            s = index[source] = len(index)
+        t = get(target)
+        if t is None:
+            t = index[target] = len(index)
+        if s == t:
+            stats.self_loops += 1
+            continue
+        add_src(s)
+        add_dst(t)
 
     titles = list(index)  # insertion order is id order
     n = len(titles)
     pairs = len(src)
     keys = _pair_keys(np.frombuffer(src, NODE_ID), np.frombuffer(dst, NODE_ID), n)
-    del src, dst
+    del src, dst, add_src, add_dst  # the bound appends hold the arrays too
     keys = sorted_unique(keys)
     stats.duplicates += pairs - len(keys)
     return LinkGraph(titles, *_split_keys(keys, n))

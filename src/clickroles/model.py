@@ -94,19 +94,17 @@ def build_instances(
     table: ColumnTable,
     task: str,
     threshold: float | None,
-) -> tuple[InstanceSet, int]:
+) -> InstanceSet:
     """Labeled instances from a joined feature table.
 
     The vector is network + content/edit features plus a one-hot of the
     dominant topic, one column ``topic_<id>`` per distinct id present,
-    ascending. Rows without a topic assignment are excluded (the count
-    comes back alongside); with no topics anywhere the vector simply has
-    no topic block.
+    ascending. Rows without a topic assignment are excluded; with no
+    topics anywhere the vector simply has no topic block.
     """
     topic_id = table["topic_id"]
     ids = sorted(set(topic_id[topic_id >= 0].tolist()))
     rows = np.flatnonzero(topic_id >= 0) if ids else np.arange(len(table))
-    dropped = len(table) - len(rows)
 
     base = NETWORK_FEATURES + CONTENT_EDIT_FEATURES
     names = base + tuple(f"topic_{i}" for i in ids)
@@ -115,7 +113,7 @@ def build_instances(
         x[:, j] = table[name][rows]
     x[:, len(base) :] = topic_id[rows, None] == np.array(ids, dtype=np.int64)
     y = binarize_target(table[task][rows], task, threshold)
-    return InstanceSet(names, x, y), dropped
+    return InstanceSet(names, x, y)
 
 
 def select_group(instances: InstanceSet, group: str) -> InstanceSet:
@@ -268,7 +266,6 @@ class _TreeBuilder:
         self.h = h
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.in_left = np.zeros(len(g), dtype=bool)
         self.row_value = np.empty(len(g))
         self.feature: list[int] = []
         self.threshold: list[float] = []
@@ -304,12 +301,10 @@ class _TreeBuilder:
         self.feature[node] = j
         self.threshold[node] = thr
         # the rows with x[:, j] <= thr are the first n_left of feature j's order
-        left_rows = order[j, :n_left]
-        in_left = self.in_left
-        in_left[left_rows] = True
+        in_left = np.zeros(len(self.g), dtype=bool)
+        in_left[order[j, :n_left]] = True
         go_left = in_left[order]
         idx_left = in_left[idx]
-        in_left[left_rows] = False
         d = len(order)
         left_order = order[go_left].reshape(d, n_left)
         right_order = order[~go_left].reshape(d, len(idx) - n_left)

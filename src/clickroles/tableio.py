@@ -321,8 +321,8 @@ RowRule = tuple[Callable[[Mapping[str, np.ndarray]], np.ndarray], Callable[[str]
 def read_columns(path: str | Path, schema: Schema, *rules: RowRule) -> ColumnTable:
     """The ColumnTable of a headered TSV table of `schema`: the header is
     ``article`` and the schema's column names, the first column holds
-    unique article titles, every other column cells of its kind, and
-    every row keeps every rule.
+    unique, non-empty article titles, every other column cells of its
+    kind, and every row keeps every rule.
 
     Data lines are read ROW_BLOCK at a time, empty lines skipped, and a
     block is split in one go and converted a column at a time (see
@@ -364,13 +364,15 @@ def _ascending(titles: Sequence[str]) -> bool:
 def _convert_block(rows: list[str], schema: Schema, rules: Sequence[RowRule]) -> tuple[list[str], dict[str, np.ndarray]]:
     """The titles and the columns, by name, of the non-empty lines `rows`.
     A row that breaks a check raises ValueError; for one row, its message
-    is the reason: a wrong number of cells, else the first cell its
-    kind's parse rejects, else the first rule broken."""
+    is the reason: a wrong number of cells, else an empty title, else the
+    first cell its kind's parse rejects, else the first rule broken."""
     width = 1 + len(schema)
     if (tabs := set(map(str.count, rows, repeat("\t")))) != {width - 1}:
         raise ValueError(f"expected {width} tab-separated cells, got {min(tabs - {width - 1}) + 1}")
     cells = "\t".join(rows).split("\t")
     titles = cells[::width]
+    if "" in titles:
+        raise ValueError("empty article title")
     columns = {}
     for i, (name, kind) in enumerate(schema.items(), start=1):
         column = cells[i::width]

@@ -362,6 +362,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_empty_article_title_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "traffic.tsv"
+        path.write_text("article\tin_se\tin_nav\tout_nav\ttotal_views\nA\t1\t1\t0\t2\n\t5\t5\t0\t10\n")
+        assert run("metrics", "--traffic", path, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {path}:3: empty article title\n"
+        assert not (tmp_path / "o").exists()
+
     def test_input_gone_before_the_manifest_hashes_it(self, tmp_path, pipeline, capsys, monkeypatch):
         traffic = tmp_path / "traffic.tsv"
         traffic.write_bytes((pipeline["ingest"] / "traffic.tsv").read_bytes())
@@ -721,7 +728,6 @@ KEPT_DEFAULTS = {
     "topics.fit_lda": {"on_iteration"},
     "ingest.ParseStats": {"lines", "records", "malformed", "unknown_rawtype", "below_min_count", "header_lines"},
     "linkgraph.EdgeStats": {"lines", "malformed", "self_loops", "duplicates"},
-    "features.JoinStats": {"kept", "dropped"},
 }
 
 

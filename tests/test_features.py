@@ -80,8 +80,7 @@ def ref_quartiles(values):
 
 
 def ref_join(metrics, network, content, topics):
-    """Per-row inner join of title -> cells dicts, in title order, and
-    the drop counts per family."""
+    """Per-row inner join of title -> cells dicts, in title order."""
     common = metrics.keys() & network.keys() & content.keys()
     joined = []
     for article in sorted(metrics):
@@ -89,8 +88,7 @@ def ref_join(metrics, network, content, topics):
             topic_id = None if topics is None else topics.get(article)
             cells = (article, *metrics[article], *network[article], *content[article], topic_id)
             joined.append(dict(zip(("article", *JOINED), cells)))
-    dropped = {"metrics": len(metrics), "network": len(network), "content": len(content)}
-    return joined, {k: v - len(common) for k, v in dropped.items()}
+    return joined
 
 
 def ref_group_medians(rows, features):
@@ -193,16 +191,13 @@ def by_title(rows):
 class TestJoin:
     def test_disjoint_keys_empty(self):
         metrics, network, content = make_inputs(["A"], ["B"], ["C"])
-        joined, stats = join_features(metrics, network, content, None)
+        joined = join_features(metrics, network, content, None)
         assert len(joined) == 0 and joined.articles == ()
-        assert stats.kept == 0
-        assert stats.dropped == {"metrics": 1, "network": 1, "content": 1}
 
     def test_single_row(self):
         metrics, network, content = make_inputs(["A"], ["A"], ["A"])
-        joined, stats = join_features(metrics, network, content, None)
+        joined = join_features(metrics, network, content, None)
         assert len(joined) == 1
-        assert stats.kept == 1
         (row,) = table_rows(joined)
         assert (row["article"], row["in_degree"], row["revisions"]) == ("A", 1, 5)
         assert row["topic_id"] is None
@@ -214,7 +209,7 @@ class TestJoin:
     def test_topic_carried_but_optional(self):
         metrics, network, content = make_inputs(["A", "B"], ["A", "B"], ["A", "B"])
         topics = ColumnTable(("A",), {"topic_id": np.array([3])})
-        joined, _ = join_features(metrics, network, content, topics)
+        joined = join_features(metrics, network, content, topics)
         assert joined["topic_id"].tolist() == [3, -1]
 
     def test_duplicate_metric_key(self, tmp_path):
@@ -244,11 +239,9 @@ class TestJoin:
                     expected.append((article, net, con))
         expected.sort()
 
-        joined, stats = join_features(metrics, network, content, None)
+        joined = join_features(metrics, network, content, None)
         got = sorted(zip(joined.articles, joined["in_degree"].tolist(), joined["revisions"].tolist()))
         assert got == expected
-        assert stats.kept == len(expected)
-        assert stats.dropped["metrics"] == len(titles_m) - len(expected)
 
     def test_output_sorted_by_title(self, tmp_path):
         path = tmp_path / "metrics.tsv"
@@ -257,7 +250,7 @@ class TestJoin:
             + "".join(f"{t}\t0.5\t0.5\t10\tnav-relay\n" for t in "CAB")
         )
         _, network, content = make_inputs([], ["A", "B", "C"], ["B", "C", "A"])
-        joined, _ = join_features(read_metrics_table(path), network, content, None)
+        joined = join_features(read_metrics_table(path), network, content, None)
         assert joined.articles == ("A", "B", "C")
 
     @given(
@@ -288,15 +281,13 @@ class TestJoin:
                 )
                 paths[name] = Path(tmp) / f"{name}.tsv"
                 paths[name].write_text("\t".join(("article", *schema)) + "\n" + text, encoding="utf-8")
-            joined, stats = join_features(
+            joined = join_features(
                 read_metrics_table(paths["metrics"]),
                 read_network_table(paths["network"]),
                 read_content_table(paths["content"]),
                 None if topics is None else read_topic_assignments(paths["topics"]),
             )
-        expected, dropped = ref_join(metrics, network, content, topics)
-        assert repr(table_rows(joined)) == repr(expected)
-        assert (stats.kept, stats.dropped) == (len(expected), dropped)
+        assert repr(table_rows(joined)) == repr(ref_join(metrics, network, content, topics))
 
 
 class TestMedian:

@@ -87,7 +87,7 @@ def ref_build_instances(rows, task, threshold=None):
         if ids:
             x[i, len(base) + ids.index(r["topic_id"])] = 1.0
     y = binarize_target([r[task] for r in kept], task, threshold)
-    return names, x, y, len(rows) - len(kept)
+    return names, x, y
 
 
 class TestBinarize:
@@ -116,8 +116,8 @@ class TestBuildInstances:
             make_row("A", searchshare=0.9, in_degree=7, revisions=42, topic_id=1),
             make_row("B", searchshare=0.1, topic_id=0),
         ]
-        inst, dropped = build_instances(make_table(rows), "searchshare", None)
-        assert dropped == 0
+        inst = build_instances(make_table(rows), "searchshare", None)
+        assert len(inst) == 2
         assert inst.feature_names[:3] == NETWORK_FEATURES
         assert inst.feature_names[3:11] == CONTENT_EDIT_FEATURES
         assert inst.feature_names[11:] == ("topic_0", "topic_1")
@@ -130,29 +130,29 @@ class TestBuildInstances:
 
     def test_rows_without_topic_dropped(self):
         rows = [make_row("A", topic_id=0, in_degree=3), make_row("B", topic_id=None, in_degree=5)]
-        inst, dropped = build_instances(make_table(rows), "searchshare", None)
-        assert dropped == 1 and len(inst) == 1
-        _, x, y, _ = ref_build_instances(rows[:1], "searchshare")
+        inst = build_instances(make_table(rows), "searchshare", None)
+        assert len(inst) == 1
+        _, x, y = ref_build_instances(rows[:1], "searchshare")
         assert np.array_equal(inst.x, x) and np.array_equal(inst.y, y)
         assert inst.x[0, inst.feature_names.index("in_degree")] == 3
 
     def test_no_topics_at_all(self):
         rows = [make_row("A"), make_row("B")]
-        inst, dropped = build_instances(make_table(rows), "resistance", None)
-        assert dropped == 0
+        inst = build_instances(make_table(rows), "resistance", None)
+        assert len(inst) == 2
         assert all(not n.startswith("topic_") for n in inst.feature_names)
 
     def test_default_groups_follow_the_topic_columns(self):
-        with_topics, _ = build_instances(make_table([make_row("A", topic_id=2), make_row("B", topic_id=0)]),
-                                         "searchshare", None)
-        without, _ = build_instances(make_table([make_row("A"), make_row("B")]), "searchshare", None)
+        with_topics = build_instances(make_table([make_row("A", topic_id=2), make_row("B", topic_id=0)]),
+                                      "searchshare", None)
+        without = build_instances(make_table([make_row("A"), make_row("B")]), "searchshare", None)
         assert default_groups(with_topics) == list(FEATURE_GROUPS)
         assert default_groups(without) == ["network", "content-edit"]
 
     def test_sparse_topic_ids_one_column_each(self):
         # the one-hot spans the ids present, not 0 .. the largest id
         rows = [make_row(f"R{i}", topic_id=tid) for i, tid in enumerate([0, 100000, 0, 100000])]
-        inst, _ = build_instances(make_table(rows), "searchshare", None)
+        inst = build_instances(make_table(rows), "searchshare", None)
         assert inst.feature_names[11:] == ("topic_0", "topic_100000")
         assert inst.x.shape == (4, 13)
         assert inst.x[:, 11:].tolist() == [[1.0, 0.0], [0.0, 1.0]] * 2
@@ -177,10 +177,10 @@ class TestBuildInstances:
             for i, (tid, ratio, count, size) in enumerate(cells)
         ]
         rng.shuffle(rows)
-        inst, dropped = build_instances(make_table(rows), task, None)
+        inst = build_instances(make_table(rows), task, None)
         ordered = sorted(rows, key=lambda r: r["article"])
-        names, x, y, ref_dropped = ref_build_instances(ordered, task)
-        assert (len(inst), inst.feature_names, dropped) == (len(y), names, ref_dropped)
+        names, x, y = ref_build_instances(ordered, task)
+        assert (len(inst), inst.feature_names) == (len(y), names)
         assert inst.x.dtype == np.float64 and inst.x.shape == x.shape
         assert np.array_equal(inst.x, x) and np.array_equal(inst.y, y)
 
@@ -188,7 +188,7 @@ class TestBuildInstances:
 class TestSelectGroup:
     def make(self):
         rows = [make_row(f"R{i}", topic_id=i % 3) for i in range(6)]
-        inst, _ = build_instances(make_table(rows), "searchshare", None)
+        inst = build_instances(make_table(rows), "searchshare", None)
         return inst
 
     def test_groups(self):
@@ -200,7 +200,7 @@ class TestSelectGroup:
 
     def test_topic_group_without_topics(self):
         rows = [make_row("A"), make_row("B")]
-        inst, _ = build_instances(make_table(rows), "searchshare", None)
+        inst = build_instances(make_table(rows), "searchshare", None)
         with pytest.raises(UsageError):
             select_group(inst, "topic")
 

@@ -2,8 +2,8 @@
 the ratio cell rule, the exact bytes of the two output writers, the
 column kinds (their column conversion and their cell text against their
 scalar cell parsers), every table schema's write-then-read round trip,
-and the block-wise table reader: its line numbers across block
-boundaries and its peak memory."""
+each table reader's refusal of an empty title, and the block-wise table
+reader: its line numbers across block boundaries and its peak memory."""
 
 import gzip
 import io
@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from clickroles import tableio
 from clickroles.errors import DataError
-from clickroles.features import CONTENT, JOINED
+from clickroles.features import CONTENT, JOINED, read_content_table, read_joined_table
 from clickroles.ingest import TRAFFIC, read_traffic_table, write_traffic_table
-from clickroles.linkgraph import NETWORK
-from clickroles.metrics import METRICS, ROLES
+from clickroles.linkgraph import NETWORK, read_network_table
+from clickroles.metrics import METRICS, ROLES, read_metrics_table
 from clickroles.tableio import MAX_COUNT, iter_lines
-from clickroles.topics import TOPIC_ASSIGNMENT
+from clickroles.topics import TOPIC_ASSIGNMENT, read_topic_assignments
 from test_linkgraph import traced_peak
 
 # "\u2028" and "\x85" end lines for str.splitlines but not for files
@@ -324,6 +324,34 @@ class TestSchemas:
         for column in schema:
             assert back[column].dtype == table[column].dtype
             assert same(back[column].tolist(), table[column].tolist())
+
+
+# each schema's reader, and the cells after the title of a row it accepts
+READERS = {
+    "traffic": (read_traffic_table, "1\t1\t0\t2"),
+    "metrics": (read_metrics_table, "0.5\t0.5\t10\tnav-relay"),
+    "network": (read_network_table, "1\t1\t2\t1"),
+    "content": (read_content_table, "1\t1\t1\t1\t1\t1\t1.0\t1.0"),
+    "topic assignment": (read_topic_assignments, "0\t0.5"),
+    "joined": (read_joined_table, "0.5\t0.5\t10\tnav-relay\t1\t1\t2\t1\t1\t1\t1\t1\t1\t1\t1.0\t1.0\t"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_empty_title_is_named_at_its_line(tmp_path, name):
+    read, cells = READERS[name]
+    header = "\t".join(("article", *SCHEMAS[name]))
+    rows = [f"A{i:04d}\t{cells}" for i in range(tableio.ROW_BLOCK + 8)]
+    path = tmp_path / "table.tsv"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    assert len(read(path)) == len(rows)
+    for row in (1, tableio.ROW_BLOCK + 5):  # line 3, and a line of the second block
+        faulty = rows.copy()
+        faulty[row] = "\t" + cells
+        path.write_text(header + "\n" + "\n".join(faulty) + "\n")
+        with pytest.raises(DataError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:{row + 2}: empty article title"
 
 
 class TestInTitleOrder:
