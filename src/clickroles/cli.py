@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import math
 import shutil
 import sys
 from contextlib import contextmanager
@@ -94,8 +95,8 @@ from .model import (
 )
 from .overlap import RANKING_KEYS, cumulative_overlap, default_ks, rank_articles, write_curve
 from .tableio import (
-    iter_lines, make_dir, oserror_as_data, parse_count, parse_real, read_keyvalues, write_json, write_keyvalues,
-    write_matrix_csv, write_rows,
+    MAX_COUNT, iter_lines, make_dir, oserror_as_data, parse_count, parse_real, read_keyvalues, write_json,
+    write_keyvalues, write_matrix_csv, write_rows,
 )
 from .topics import (
     DEFAULT_STOP_WORDS,
@@ -187,10 +188,11 @@ def _checked(parse, accept, what: str):
     return convert
 
 
-def _count(low: int):
+def _count(low: int, high: int = MAX_COUNT):
     """The type of a flag whose value is a count (the tableio.parse_count
-    rule) of at least `low`."""
-    return _checked(parse_count, lambda value: value >= low, f"an integer from {low} to 2**53")
+    rule) from `low` to `high`."""
+    top = "2**53" if high == MAX_COUNT else high
+    return _checked(parse_count, lambda value: low <= value <= high, f"an integer from {low} to {top}")
 
 
 def _comma_list(item):
@@ -242,7 +244,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("metrics", parents=[common], help="per-article metrics and role shares")
     p.add_argument("--traffic", required=True, type=_Input, help="traffic table from ingest")
     p.add_argument("--bins", type=_count(1), default=50, help="histogram bin count")
-    p.add_argument("--grid", type=_count(1), default=50, help="heatmap grid size")
+    # a grid's cell count, its size squared, is a count too
+    p.add_argument("--grid", type=_count(1, math.isqrt(MAX_COUNT)), default=50, help="heatmap grid size")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("overlap", parents=[common], help="rank-overlap curves")
@@ -275,7 +278,7 @@ def build_parser() -> _Parser:
     p.add_argument("--content", required=True, type=_Input)
     p.add_argument("--topics", type=_Input, help="topic assignment table (optional)")
     p.add_argument("--labels", type=_Input, help="id=label file for topic display names")
-    p.add_argument("--grid", type=_count(0), default=50, help="ratio-grid size; 0 disables")
+    p.add_argument("--grid", type=_count(0, math.isqrt(MAX_COUNT)), default=50, help="ratio-grid size; 0 disables")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("bins", parents=[common], help="quartiles over equal-count feature bins")
@@ -308,7 +311,8 @@ def build_parser() -> _Parser:
         help="comma list from: " + groups,
     )
     p.add_argument("--trees", type=_count(1), default=200)
-    p.add_argument("--depth", type=_count(0), default=4)
+    # each tree level is one frame of _TreeBuilder._grow's recursion, well under Python's limit of 1000
+    p.add_argument("--depth", type=_count(0, 256), default=4)
     p.add_argument("--rate", type=positive, default=0.1)
     p.add_argument("--min-leaf", type=_count(1), default=20)
     p.add_argument("--folds", type=_count(2), default=10)

@@ -140,14 +140,10 @@ def default_groups(instances: InstanceSet) -> list[str]:
     return ["network", "content-edit"]
 
 
-def balance(instances: InstanceSet, seed) -> InstanceSet:
-    """Downsample the majority class to the minority size, seeded.
-
-    Kept indices are re-sorted, so an already balanced set passes
-    through with membership and order unchanged. `instances` holds
-    both classes.
-    """
-    y = instances.y
+def balance(y: np.ndarray, seed) -> np.ndarray:
+    """The rows of labels `y` (both classes present) kept when the
+    majority class is downsampled, seeded, to the minority's size, in
+    ascending order: an already balanced `y` keeps every row."""
     pos = np.nonzero(y == 1)[0]
     neg = np.nonzero(y == 0)[0]
     rng = np.random.default_rng(seed)
@@ -155,8 +151,7 @@ def balance(instances: InstanceSet, seed) -> InstanceSet:
         pos = rng.choice(pos, size=len(neg), replace=False)
     elif len(neg) > len(pos):
         neg = rng.choice(neg, size=len(pos), replace=False)
-    keep = np.sort(np.concatenate([pos, neg]))
-    return InstanceSet(instances.feature_names, instances.x[keep], instances.y[keep])
+    return np.sort(np.concatenate([pos, neg]))
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +411,17 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 
 def stratified_folds(y: np.ndarray, n_folds: int, seed) -> list[np.ndarray]:
-    """Seeded stratified partition: per-class shuffle, round-robin deal."""
-    rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
-    for cls in (0, 1):
-        idx = np.nonzero(y == cls)[0]
+    """Seeded stratified partition: per-class shuffle, round-robin deal.
+    Both classes are checked to fill n_folds before any fold is made."""
+    by_class = [np.nonzero(y == cls)[0] for cls in (0, 1)]
+    for cls, idx in enumerate(by_class):
         if len(idx) < n_folds:
             raise DataError(
                 f"class {cls} has {len(idx)} instances, fewer than {n_folds} folds"
             )
+    rng = np.random.default_rng(seed)
+    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    for idx in by_class:
         for i, v in enumerate(rng.permutation(idx)):
             folds[i % n_folds].append(int(v))
     return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
@@ -445,19 +442,15 @@ def cross_validate(
     merged in fold order, so any thread count gives the same AUCs.
     """
     subset = select_group(instances, group)
-    folds = stratified_folds(subset.y, n_folds, config.seed)
-    all_idx = np.arange(len(subset.y))
+    x, y = subset.x, subset.y
+    folds = stratified_folds(y, n_folds, config.seed)
 
     def run_fold(f: int) -> float:
         test_idx = folds[f]
-        train_mask = np.ones(len(subset.y), dtype=bool)
-        train_mask[test_idx] = False
-        train_idx = all_idx[train_mask]
-        train = InstanceSet(subset.feature_names, subset.x[train_idx], subset.y[train_idx])
-        train = balance(train, seed=[config.seed, f])
-        model = train_gbdt(train.x, train.y, config, subset.feature_names)
-        scores = model.decision_scores(subset.x[test_idx])
-        return roc_auc(scores, subset.y[test_idx])
+        train_idx = np.delete(np.arange(len(y)), test_idx)
+        rows = train_idx[balance(y[train_idx], [config.seed, f])]
+        model = train_gbdt(x[rows], y[rows], config, subset.feature_names)
+        return roc_auc(model.decision_scores(x[test_idx]), y[test_idx])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return tuple(pool.map(run_fold, range(n_folds)))
@@ -466,8 +459,9 @@ def cross_validate(
 def final_model(instances: InstanceSet, group: str, config: GBDTConfig, n_folds: int) -> GBDTModel:
     """One feature group's model on every instance, balanced by the seed
     [seed, n_folds], clear of the folds' [seed, 0..n_folds-1]."""
-    subset = balance(select_group(instances, group), seed=[config.seed, n_folds])
-    return train_gbdt(subset.x, subset.y, config, subset.feature_names)
+    subset = select_group(instances, group)
+    rows = balance(subset.y, [config.seed, n_folds])
+    return train_gbdt(subset.x[rows], subset.y[rows], config, subset.feature_names)
 
 
 # ---------------------------------------------------------------------------

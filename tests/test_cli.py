@@ -32,6 +32,7 @@ from clickroles.manifest import build_manifest, read_manifest, write_manifest
 from clickroles.model import load_model
 from clickroles.overlap import RANKING_KEYS
 from clickroles.tableio import read_keyvalues
+from feature_rows import joined_tsv, make_row
 
 import numpy as np
 
@@ -608,7 +609,12 @@ class TestExitCodes:
         pytest.param("model", "--threads", "0", "is not an integer from 1", id="model-threads"),
         pytest.param("metrics", "--bins", "0", "is not an integer from 1", id="metrics-bins"),
         pytest.param("metrics", "--grid", "0", "is not an integer from 1", id="metrics-grid"),
+        # a grid's cell count, the square of its size, obeys the count rule
+        pytest.param("metrics", "--grid", "94906266", "is not an integer from 1 to 94906265",
+                     id="metrics-grid-cells"),
         pytest.param("features", "--grid", "-1", "is not an integer from 0", id="features-grid"),
+        pytest.param("features", "--grid", "4294967296", "is not an integer from 0 to 94906265",
+                     id="features-grid-cells"),
         pytest.param("topics", "--top-words", "0", "is not an integer from 1", id="topics-top-words"),
         pytest.param("topics", "--top-words", "-2", "is not an integer from 1", id="topics-top-words-negative"),
         pytest.param("sample", "--n", "0", "is not an integer from 1", id="sample-n"),
@@ -636,6 +642,7 @@ class TestExitCodes:
         pytest.param("topics", "--beta", " 0.5 ", "is not a positive finite number", id="topics-beta-padded"),
         pytest.param("model", "--trees", "-2", "is not an integer from 1", id="model-trees"),
         pytest.param("model", "--depth", "-1", "is not an integer from 0", id="model-depth"),
+        pytest.param("model", "--depth", "257", "is not an integer from 0 to 256", id="model-depth-deep"),
         pytest.param("model", "--rate", "0", "is not a positive finite number", id="model-rate"),
         pytest.param("model", "--rate", "-1", "is not a positive finite number", id="model-rate-negative"),
         pytest.param("model", "--rate", "nan", "is not a positive finite number", id="model-rate-nan"),
@@ -696,6 +703,48 @@ class TestExitCodes:
         assert err.startswith(f"error: {files[source]}: ") and message in err
         assert not (tmp_path / "o").exists()
 
+    # (subcommand, a count flag); each is given the largest count, 2**53
+    @pytest.mark.parametrize("sub, flag", [
+        ("metrics", "--bins"), ("metrics", "--grid"), ("overlap", "--depths"), ("features", "--grid"),
+        ("bins", "--bins"), ("bins", "--topic"), ("topics", "--k"), ("topics", "--top-words"),
+        ("topics", "--seed"), ("model", "--folds"), ("model", "--depth"), ("model", "--min-leaf"),
+        ("model", "--seed"), ("sample", "--n"), ("model", "--threads"),
+    ], ids=lambda value: value.lstrip("-"))
+    def test_count_flag_maximum_ends_in_an_exit_code(self, tmp_path, pipeline, sub, flag):
+        # the count rule admits 2**53; a run may refuse it (exit 1 or 2) but not
+        # with a traceback. --trees and --iterations at 2**53 only take time.
+        p = pipeline
+        traffic = ["--traffic", p["ingest"] / "traffic.tsv"]
+        argv = {
+            "metrics": traffic,
+            "overlap": traffic,
+            "features": ["--metrics", p["metrics"] / "metrics.tsv", "--network", p["graph"] / "network.tsv",
+                         "--content", p["content"], "--topics", p["topics"] / "topics.tsv"],
+            "bins": ["--joined", p["features"] / "joined.tsv"],
+            "topics": ["--documents", p["documents"], "--k", 2, "--iterations", 1],
+            "model": ["--joined", p["features"] / "joined.tsv", "--trees", 1, "--folds", 3, "--min-leaf", 2],
+            "sample": traffic,
+        }[sub]
+        # the flag comes last, so it overrides a setting given above
+        assert run(sub, *argv, flag, 2**53, "--out", tmp_path / "o") in (0, 1, 2)
+
+    def test_depth_stays_under_the_recursion_limit(self, tmp_path, capsys):
+        # in_degree is the row number and the labels alternate, so the tree
+        # splits off a row or two per level and grows as deep as --depth allows
+        rows = [make_row(f"A{i:04d}", in_degree=i, searchshare=0.1 if i % 2 else 0.9) for i in range(3000)]
+        joined = tmp_path / "joined.tsv"
+        joined.write_text(joined_tsv(rows), encoding="utf-8")
+        argv = ["model", "--joined", joined, "--groups", "network", "--trees", 1, "--min-leaf", 1, "--folds", 2]
+        assert run(*argv, "--depth", 256, "--out", tmp_path / "deep") == 0
+        tree = load_model(tmp_path / "deep" / "model_network.json").trees[0]
+        depth = [0] * len(tree.feature)
+        for node in np.flatnonzero(tree.feature >= 0):  # a child comes after its parent
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+        assert max(depth) == 256
+        assert run(*argv, "--depth", 257, "--out", tmp_path / "deeper") == 2
+        assert "argument --depth: '257' is not an integer from 0 to 256" in capsys.readouterr().err
+        assert not (tmp_path / "deeper").exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["metrics", "--traffic", "t.tsv", "--seed", "1"], "--seed"),
         (["model", "--joined", "j.tsv", "--strict"], "--strict"),
@@ -722,6 +771,7 @@ class TestExitCodes:
 KEPT_DEFAULTS = {
     "cli.main": {"argv"},
     "cli._OutputDir.file": {"kind"},
+    "cli._count": {"high"},  # a flag type's upper end, the count rule's 2**53 unless a flag needs less
     "tableio.open_text": {"mode"},
     "tableio.write_rows": {"header", "metadata", "sep"},
     "tableio.read_keyvalues": {"key"},
