@@ -13,7 +13,7 @@ write_phi and write_theta as metadata. The sampler is sequential by
 design; all randomness comes from one seeded generator, so a run is
 reproducible bit for bit.
 
-A Corpus holds each document once, in the form the sweep reads: its
+A Corpus holds each document once, in the order the sweep reads it: its
 token ids, one per token instance, in ascending id order (ids number the
 vocabulary by first appearance in the file). The sweep visits the tokens
 in that order and draws one uniform per token, so the order is part of
@@ -21,36 +21,33 @@ the output: text order would give other draws and other bytes. The
 topic assignment table this module writes is declared here too, as
 TOPIC_ASSIGNMENT, with its writer and its reader.
 
-The sweep keeps the integer counts as plain lists, topic-word stored
-word-major (n_wk[w] is one token's row of k counts), and three float
-factor caches beside them, each cell reset from its count whenever that
-count changes: a_d[k] = n_dk + alpha (built once per document visit),
-b_wk[w][k] = n_kw + beta and den[k] = n_k + V*beta. a and b come from
-tables indexed by count, so equal counts share one float. A token's
-draw is then C-level iteration over the caches:
-
-    weights = accumulate(map(truediv, map(mul, a_d, b_w), den))
-    t = bisect_left(weights, u * weights[-1])
-
-and gives the same topic, bit for bit, as a scalar loop over k that
-adds each weight to a running total and walks to the first total at
-or above u * total:
-  - each weight is ((n_dk+alpha) * (n_kw+beta)) / (n_k+V*beta) on the
-    same operands in the same operation order;
-  - accumulate starts from the first weight, and 0.0 + w0 == w0;
-  - the running totals never decrease, so bisect_left returns the first
-    index whose total is >= u * total, as the walk does, weights that
-    underflow to 0 (equal neighbouring totals) included.
+The sweep itself is lda_sweep in _sweep.c, which clickroles.native
+compiles and loads inside the first fit, never at import. It keeps the
+counts as int64 arrays, n_dk D x k, n_wk V x k (word-major: n_wk[w] is
+one token's row of k counts) and n_k, reads the corpus as flat int32
+token ids with int64 document offsets, and updates the int32
+assignments z in place. Python draws each sweep's uniforms, one
+rng.random(total) per sweep, and passes them in, so the draw order does
+not depend on the sweep. Per token the C loop:
+  - removes the token from its counts;
+  - forms each weight as ((n_dk+alpha) * (n_kw+beta)) / (n_k+V*beta),
+    in that operation order;
+  - sums the weights left to right, the running total starting from
+    the first weight;
+  - takes the first topic whose running total is >= u * total (a
+    binary search: the totals never decrease), weights that underflow
+    to 0 (equal neighbouring totals) included;
+  - adds the token to its new topic's counts.
+Without a C compiler, native.python_lda_sweep does the same operations
+in the same order, so the output bytes do not depend on which sweep ran.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul, truediv
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -166,7 +163,7 @@ def read_stop_words(path: str | Path) -> frozenset[str]:
     return frozenset(w.strip().lower() for w in iter_lines(path) if w.strip())
 
 
-IterationHook = Callable[[int, list[list[int]], list[list[int]]], None]
+IterationHook = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 def fit_lda(
@@ -184,41 +181,35 @@ def fit_lda(
     Needs k >= 2, iterations >= 1 and a positive, finite alpha and beta;
     UsageError if k*alpha, V*beta or the sum of the k sampling weights
     overflows. `on_iteration(i, word_topic, doc_topic)` is called after
-    each sweep with the live count matrices, word-major V x k and D x k
-    (read-only use).
+    each sweep with the live int64 count arrays, word-major V x k and
+    D x k, read-only.
     """
     v = len(corpus.vocabulary)
     if k > v:
         raise DataError(f"k={k} exceeds vocabulary size {v}")
 
-    # the count matrices live as plain lists (the sweep is a tight scalar loop)
+    # the corpus as the sweep reads it: every token id in corpus order,
+    # and where each document starts and ends in it
     docs = corpus.documents
-    d_count = len(docs)
-    total = sum(len(doc) for doc in docs)
+    lengths = np.fromiter(map(len, docs), np.int64, len(docs))
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    total = int(offsets[-1])
+    tokens = np.fromiter(chain.from_iterable(docs), np.int32, total)
+    # the compiled sweep indexes n_wk by these ids unchecked
+    if total and not 0 <= tokens.min() <= tokens.max() < v:
+        raise ValueError(f"a token id lies outside the vocabulary of {v} words")
 
     rng = np.random.default_rng(seed)
-    n_dk = [[0] * k for _ in range(d_count)]
-    n_wk = [[0] * k for _ in range(v)]
-    n_k = [0] * k
-    z: list[list[int]] = []
+    z = (rng.random(total) * k).astype(np.int32)
+    np.minimum(z, k - 1, out=z)
+    n_dk = np.zeros((len(docs), k), np.int64)
+    np.add.at(n_dk, (np.repeat(np.arange(len(docs)), lengths), z), 1)
+    n_wk = np.zeros((v, k), np.int64)
+    np.add.at(n_wk, (tokens, z), 1)
+    n_k = n_wk.sum(axis=0)
 
-    init_u = rng.random(total).tolist()
-    pos = 0
-    for d, doc in enumerate(docs):
-        zd = []
-        nd = n_dk[d]
-        for w in doc:
-            t = min(int(init_u[pos] * k), k - 1)
-            pos += 1
-            zd.append(t)
-            nd[t] += 1
-            n_wk[w][t] += 1
-            n_k[t] += 1
-        z.append(zd)
-    del init_u
-
-    max_len = max(map(len, docs))
-    max_freq = max(map(sum, n_wk))
+    max_len = int(lengths.max())
+    max_freq = int(n_wk.sum(axis=1).max())
     # n_kw <= n_k, so a weight is at most n_dk + alpha and the k weights
     # sum to at most max_len + k*alpha (doubled for rounding); the product
     # (n_dk+alpha)*(n_kw+beta) is formed before the division
@@ -230,54 +221,21 @@ def fit_lda(
     if not math.isfinite((max_len + alpha) * (max_freq + beta)):
         raise UsageError(f"alpha={alpha} and beta={beta} are too large: the sampling weights overflow")
 
-    # float factor caches, each cell reset from its int count when that
-    # count changes; cells with equal counts share one float of a_of/b_of
-    a_of = [c + alpha for c in range(max_len + 1)]
-    b_of = [c + beta for c in range(max_freq + 1)]
-    b_wk = [[b_of[c] for c in row] for row in n_wk]
-    den = [c + vbeta for c in n_k]
+    from . import native  # here, not at the top: every subcommand imports this module
+
+    lib = native.load()
+    sweep = native.python_lda_sweep if lib is None else lib.lda_sweep
+    cum = np.empty(k)  # the sweep's running totals
+    word_topic, doc_topic = n_wk.view(), n_dk.view()
+    word_topic.flags.writeable = doc_topic.flags.writeable = False
     for it in range(iterations):
-        u_iter = iter(rng.random(total).tolist())
-        for d, doc in enumerate(docs):
-            nd = n_dk[d]
-            a_d = [a_of[c] for c in nd]
-            zd = z[d]
-            for i, (w, u) in enumerate(zip(doc, u_iter)):
-                t = zd[i]
-                nw = n_wk[w]
-                b_w = b_wk[w]
-                c = nd[t] - 1
-                nd[t] = c
-                a_d[t] = a_of[c]
-                c = nw[t] - 1
-                nw[t] = c
-                b_w[t] = b_of[c]
-                c = n_k[t] - 1
-                n_k[t] = c
-                den[t] = c + vbeta
-
-                weights = list(accumulate(map(truediv, map(mul, a_d, b_w), den)))
-                t = bisect_left(weights, u * weights[-1])
-
-                zd[i] = t
-                c = nd[t] + 1
-                nd[t] = c
-                a_d[t] = a_of[c]
-                c = nw[t] + 1
-                nw[t] = c
-                b_w[t] = b_of[c]
-                c = n_k[t] + 1
-                n_k[t] = c
-                den[t] = c + vbeta
-        del u_iter  # free this sweep's uniforms before the next sweep draws
+        # each sweep's uniforms are drawn as it starts and freed as it ends
+        sweep(len(docs), offsets, tokens, z, k, n_dk, n_wk, n_k, rng.random(total), alpha, beta, vbeta, cum)
         if on_iteration is not None:
-            on_iteration(it, n_wk, n_dk)
+            on_iteration(it, word_topic, doc_topic)
 
-    phi = (np.asarray(n_wk, dtype=float).T + beta) / (
-        np.asarray(n_k, dtype=float)[:, None] + vbeta
-    )
-    doc_len = np.asarray([len(doc) for doc in docs], dtype=float)
-    theta = (np.asarray(n_dk, dtype=float) + alpha) / (doc_len[:, None] + k * alpha)
+    phi = (n_wk.T + beta) / (n_k[:, None] + vbeta)
+    theta = (n_dk + alpha) / (lengths[:, None] + k * alpha)
     return phi, theta
 
 

@@ -3,6 +3,8 @@
 import importlib
 import warnings
 
+import pytest
+
 # A failing hypothesis test's report imports hypothesis.extra._patching,
 # which imports libcst, and libcst's use of mypy_extensions.TypedDict
 # raises DeprecationWarning. Under `python -W error` that warning becomes
@@ -15,3 +17,12 @@ with warnings.catch_warnings():
         importlib.import_module("hypothesis.extra._patching")
     except ImportError:  # libcst is optional; without it no report imports it
         pass
+
+
+@pytest.fixture(scope="session", autouse=True)
+def compiled_cache(tmp_path_factory):
+    """Builds the compiled sweep into the session's temporary directory
+    rather than the user's cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield

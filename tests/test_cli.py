@@ -1251,6 +1251,21 @@ class TestDeterminism:
         assert tree_bytes(a) == tree_bytes(b)
         assert read_manifest(a).config["groups"] == ["network"]
 
+    def test_no_c_compiler_gives_the_same_bytes(self, tmp_path, pipeline, capsys, monkeypatch):
+        # a fresh cache each, so the second run finds no library and no cc
+        # to build one, and runs the Python sweep
+        argv = ("topics", "--documents", pipeline["documents"], "--k", 2, "--iterations", 40)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        assert run(*argv, "--out", tmp_path / "compiled") == 0
+        assert list((tmp_path / "cache" / "clickroles").glob("_sweep-*.so"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        monkeypatch.setenv("PATH", "")
+        assert run(*argv, "--out", tmp_path / "python") == 0
+        assert capsys.readouterr().err == ""
+        assert not (tmp_path / "empty").exists()
+        assert tree_bytes(tmp_path / "python") == tree_bytes(tmp_path / "compiled")
+        assert manifest_without_timestamp(tmp_path / "python") == manifest_without_timestamp(tmp_path / "compiled")
+
     def test_thread_count_does_not_change_outputs(self, tmp_path, pipeline):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("ingest", "--clickstream", pipeline["clickstream"],

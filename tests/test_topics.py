@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clickroles import native
 from clickroles.errors import DataError, UsageError
 from clickroles.tableio import read_matrix_csv
 from clickroles.topics import (
@@ -243,6 +244,13 @@ class TestFitLda:
         with pytest.raises(DataError, match="vocabulary"):
             fit_lda(corpus, k=10, iterations=5, alpha=50.0 / 10, beta=0.01, seed=0)
 
+    @pytest.mark.parametrize("ids", [[0, 2], [-1, 1]])
+    def test_token_id_outside_vocabulary_is_refused(self, ids):
+        # before the compiled sweep indexes the counts with it
+        corpus = Corpus(("a",), ("w0", "w1"), (ids,))
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            fit_lda(corpus, k=2, iterations=1, alpha=0.1, beta=0.01, seed=0)
+
     def test_normalization_and_positivity(self):
         corpus, _ = planted_corpus(docs_per_topic=10, tokens_per_doc=12)
         phi, theta = fit_lda(corpus, k=3, iterations=10, seed=2, alpha=50.0 / 3, beta=0.01)
@@ -327,6 +335,19 @@ def lda_cases(draw):
     return corpus, setting
 
 
+@pytest.fixture(scope="class", params=["compiled", "python"])
+def sweep(request):
+    """Runs a test class on the compiled sweep, then again with the
+    loader disabled, on the Python sweep."""
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "python":
+            patch.setattr(native, "load", lambda: None)
+        elif native.load() is None:
+            pytest.skip("no C compiler: the compiled sweep does not load")
+        yield request.param
+
+
+@pytest.mark.usefixtures("sweep")
 class TestReferenceSweep:
     @settings(max_examples=150, deadline=None)
     @given(lda_cases())
@@ -343,7 +364,7 @@ class TestReferenceSweep:
         corpus, setting = case
         ours, theirs = [], []
         phi, theta = fit_lda(corpus, **setting, on_iteration=lambda i, wt, dt: ours.append(
-            ([list(col) for col in zip(*wt)], [row[:] for row in dt])))
+            ([list(col) for col in zip(*wt)], dt.tolist())))
         expected_phi, expected_theta = reference_fit_lda(corpus, **setting, on_iteration=lambda i, tw, dt: theirs.append(
             ([row[:] for row in tw], [row[:] for row in dt])))
         assert ours == theirs
