@@ -302,9 +302,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("model", parents=[common, seeded], help="cross-validated role classifiers")
     p.add_argument("--joined", required=True, type=_Input)
     p.add_argument("--task", choices=TASKS, default="searchshare")
-    p.add_argument(
-        "--threshold", type=_checked(parse_real, lambda value: 0 <= value <= 1, "a number from 0 to 1"), default=None,
-    )
     groups = ", ".join(FEATURE_GROUPS)
     p.add_argument(
         "--groups", type=_comma_list(_checked(str, FEATURE_GROUPS.__contains__, "one of " + groups)), default=None,
@@ -371,29 +368,28 @@ def cmd_metrics(args, out: _OutputDir) -> None:
     if not traffic["total_views"].any():
         raise DataError(f"{args.traffic}: no articles with positive inflow")
     metrics, thresholds = metrics_table(traffic)
+    # the first write clears --out, so every large result is made before it
+    views = metrics["total_views"]
+    histograms = {
+        name: (histogram(metrics[name], None, args.bins), histogram(metrics[name], views, args.bins))
+        for name in ("searchshare", "resistance")
+    }
+    grids = {
+        weighted: heatmap_grid(metrics["resistance"], metrics["searchshare"], weights, args.grid)
+        for weighted, weights in (("articles", None), ("views", views))
+    }
     write_metrics_table(out.file("metrics.tsv", "metrics_table"), metrics)
     write_thresholds(out.file("thresholds.txt", "thresholds"), thresholds)
     write_group_shares(out.file("group_shares.tsv", "group_shares"), group_shares(metrics))
     if len(metrics) >= 2:
         write_keyvalues(out.file("correlations.txt", "correlations"), correlations(metrics))
-
-    for name in ("searchshare", "resistance"):
-        by_articles = histogram(metrics[name], None, args.bins).tolist()
-        by_views = histogram(metrics[name], metrics["total_views"], args.bins).tolist()
-        rows = (
-            (i, i / args.bins, (i + 1) / args.bins, int(by_articles[i]), by_views[i]) for i in range(args.bins)
-        )
+    for name, (by_articles, by_views) in histograms.items():
+        cells = enumerate(zip(by_articles.tolist(), by_views.tolist()))
+        rows = ((i, i / args.bins, (i + 1) / args.bins, int(articles), v) for i, (articles, v) in cells)
         write_rows(out.file(f"histogram_{name}.tsv", "histogram"), rows, ("bin", "low", "high", "articles", "views"))
-
-    for weighted, name in ((False, "heatmap_articles.csv"), (True, "heatmap_views.csv")):
-        weights = metrics["total_views"] if weighted else None
-        grid = heatmap_grid(metrics["resistance"], metrics["searchshare"], weights, args.grid)
-        write_matrix_csv(
-            out.file(name, "heatmap"),
-            grid,
-            {"rows": "resistance", "cols": "searchshare", "grid": args.grid,
-             "weighted": "views" if weighted else "articles"},
-        )
+    for weighted, grid in grids.items():
+        metadata = {"rows": "resistance", "cols": "searchshare", "grid": args.grid, "weighted": weighted}
+        write_matrix_csv(out.file(f"heatmap_{weighted}.csv", "heatmap"), grid, metadata)
 
 
 def cmd_overlap(args, out: _OutputDir) -> None:
@@ -538,7 +534,7 @@ def cmd_model(args, out: _OutputDir) -> None:
         seed=args.seed,
     )
     table = read_joined_table(args.joined)
-    instances = build_instances(table, args.task, args.threshold)
+    instances = build_instances(table, args.task)
     groups = args.groups or default_groups(instances)
     with _about(args.joined):
         aucs = {group: cross_validate(instances, group, config, args.folds, threads=args.threads) for group in groups}

@@ -72,6 +72,8 @@ class ParseStats:
     unknown_rawtype: int = 0
     below_min_count: int = 0
     header_lines: int = 0
+    blank: int = 0
+    unused: int = 0
 
 
 def parse_clickstream(
@@ -84,7 +86,8 @@ def parse_clickstream(
     well-formed search or internal-link line, in order, by the module's
     referrer rule: the referrer is None for a search record and the
     referring article for an internal link. A well-formed record of
-    neither kind is counted but not yielded.
+    neither kind is counted in `records` and `unused` but not yielded;
+    an empty line is counted as `blank` and skipped.
 
     Malformed lines (wrong field count, empty referrer or resource, or a
     count that is not ASCII digits only or exceeds MAX_COUNT) abort in
@@ -97,7 +100,7 @@ def parse_clickstream(
     The counters are added to `stats` when the pass ends, however it
     ends: exhausted, closed early or aborted.
     """
-    lineno = records = malformed = unknown_rawtype = below_min_count = header_lines = 0
+    lineno = records = malformed = unknown_rawtype = below_min_count = header_lines = blank = unused = 0
     try:
         for lineno, line in enumerate(lines, start=1):
             fields = line.split("\t")
@@ -106,6 +109,7 @@ def parse_clickstream(
                 continue
             if len(fields) != 4:
                 if not line:
+                    blank += 1
                     continue
                 if strict:
                     raise DataError(f"{source}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
@@ -134,8 +138,12 @@ def parse_clickstream(
             if referrer in RESERVED_TOKENS:
                 if referrer in SEARCH_TOKENS:
                     yield None, resource, count
+                else:
+                    unused += 1
             elif rawtype == INTERNAL_RAWTYPE:
                 yield referrer, resource, count
+            else:
+                unused += 1
     finally:
         stats.lines += lineno
         stats.records += records
@@ -143,6 +151,8 @@ def parse_clickstream(
         stats.unknown_rawtype += unknown_rawtype
         stats.below_min_count += below_min_count
         stats.header_lines += header_lines
+        stats.blank += blank
+        stats.unused += unused
 
 
 def aggregate_traffic(records: Iterable[tuple[str | None, str, int]], source: str | Path) -> ColumnTable:

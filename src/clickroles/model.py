@@ -1,11 +1,13 @@
 """Gradient-boosted tree classification of traffic roles.
 
 An instance set stacks the joined table's feature columns, plus a
-one-hot of the topic ids present. Binary targets come from thresholding
-searchshare (above = search dominated) or resistance (at or below =
-relay). The classifier is a stagewise ensemble of axis-aligned
-regression trees fit to logistic-loss gradients with Newton leaf
-values. Split search is exact greedy over sorted unique feature values
+one-hot of the topic ids present. Binary targets are the roles that
+``metrics`` assigned at the corpus means, read from the joined table's
+quadrant column: a task's positives are the roles TASKS names for it,
+the search-dominated ones (searchshare strictly above its mean) or the
+relays (resistance at or below its mean). The classifier is a
+stagewise ensemble of axis-aligned regression trees fit to
+logistic-loss gradients with Newton leaf values. Split search is exact greedy over sorted unique feature values
 on columns sorted once per training set
 (the pre-sorted column blocks of XGBoost, Chen & Guestrin 2016, §4.1):
 every node keeps its rows in each feature's order, splits that order
@@ -34,12 +36,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, UsageError
-from .metrics import average_ranks
+from .metrics import ROLES, average_ranks
 from .tableio import ColumnTable, open_text, write_json, write_rows
 
-SEARCHSHARE_THRESHOLD = 0.66
-RESISTANCE_THRESHOLD = 0.88
-TASKS = ("searchshare", "resistance")
+# Each task's positive roles, by name from metrics.ROLES.
+TASKS = {"searchshare": ("search-exit", "search-relay"), "resistance": ("search-relay", "nav-relay")}
 
 # The model's own feature lists: NETWORK_FEATURES leaves out linkgraph's
 # degree, the sum of its two degrees, and CONTENT_EDIT_FEATURES holds
@@ -64,22 +65,6 @@ MODEL_FORMAT_VERSION = 1
 _EPS = 1e-12
 
 
-def binarize_target(values: Sequence[float], task: str, threshold: float | None) -> np.ndarray:
-    """0/1 labels for a metric vector, at the task's own cut
-    (SEARCHSHARE_THRESHOLD or RESISTANCE_THRESHOLD) if threshold is None.
-
-    searchshare: 1 iff value > threshold (strictly above is search
-    dominated). resistance: 1 iff value <= threshold (boundary counts as
-    relay).
-    """
-    if threshold is None:
-        threshold = SEARCHSHARE_THRESHOLD if task == "searchshare" else RESISTANCE_THRESHOLD
-    arr = np.asarray(values, dtype=float)
-    if task == "searchshare":
-        return (arr > threshold).astype(np.int8)
-    return (arr <= threshold).astype(np.int8)
-
-
 @dataclass(frozen=True)
 class InstanceSet:
     feature_names: tuple[str, ...]
@@ -90,12 +75,9 @@ class InstanceSet:
         return len(self.y)
 
 
-def build_instances(
-    table: ColumnTable,
-    task: str,
-    threshold: float | None,
-) -> InstanceSet:
-    """Labeled instances from a joined feature table.
+def build_instances(table: ColumnTable, task: str) -> InstanceSet:
+    """Labeled instances from a joined feature table, each labeled 1 iff
+    its role is one of the task's positive roles in TASKS.
 
     The vector is network + content/edit features plus a one-hot of the
     dominant topic, one column ``topic_<id>`` per distinct id present,
@@ -112,7 +94,8 @@ def build_instances(
     for j, name in enumerate(base):
         x[:, j] = table[name][rows]
     x[:, len(base) :] = topic_id[rows, None] == np.array(ids, dtype=np.int64)
-    y = binarize_target(table[task][rows], task, threshold)
+    positive = [ROLES.index(role) for role in TASKS[task]]
+    y = np.isin(table["quadrant"][rows], positive).astype(np.int8)
     return InstanceSet(names, x, y)
 
 

@@ -528,7 +528,7 @@ def test_corpus_scale_auc_reference_targets(tmp_path):
     lines = []
     worst = 0.0
     for (task, group), target in REFERENCE_AUCS.items():
-        instances = build_instances(table, task, None)
+        instances = build_instances(table, task)
         mean = report_mean(tmp_path / f"{task}_{group}.csv", task, cross_validate(instances, group, config, 10, 1))
         worst = max(worst, abs(mean - target))
         lines.append(f"{task}/{group}={mean:.3f} (target {target:.2f})")

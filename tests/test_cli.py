@@ -32,7 +32,7 @@ from clickroles.manifest import build_manifest, read_manifest, write_manifest
 from clickroles.model import load_model
 from clickroles.overlap import RANKING_KEYS
 from clickroles.tableio import read_keyvalues
-from feature_rows import joined_tsv, make_row
+from feature_rows import joined_tsv, make_row, table_rows
 
 import numpy as np
 
@@ -296,12 +296,14 @@ class TestExitCodes:
         assert not (tmp_path / "m").exists()
 
     def test_two_row_class_cannot_train_on_two_folds(self, tmp_path, pipeline, capsys):
-        # a threshold with two rows above it: each fold trains on one of them
-        joined = pipeline["features"] / "joined.tsv"
-        searchshare = sorted(read_joined_table(joined)["searchshare"].tolist())
-        assert searchshare[-3] < searchshare[-2]
-        code = run("model", "--joined", joined, "--threshold", repr(searchshare[-3]),
-                   "--trees", 1, "--folds", 2, "--min-leaf", 1, "--out", tmp_path / "m")
+        # two search-dominated rows: each fold trains on one of them
+        rows = table_rows(read_joined_table(pipeline["features"] / "joined.tsv"))
+        assert all(row["topic_id"] is not None for row in rows)
+        for i, row in enumerate(rows):
+            row["quadrant"] = ("search-exit", "search-relay", "nav-exit")[min(i, 2)]
+        joined = tmp_path / "joined.tsv"
+        joined.write_text(joined_tsv(rows))
+        code = run("model", "--joined", joined, "--trees", 1, "--folds", 2, "--min-leaf", 1, "--out", tmp_path / "m")
         assert code == 1
         assert capsys.readouterr().err == f"error: {joined}: need at least 2 instances per class\n"
         assert not (tmp_path / "m").exists()
@@ -583,7 +585,14 @@ class TestExitCodes:
         assert run("metrics", "--traffic", pipeline["ingest"] / "traffic.tsv", flag, value, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and "Traceback" not in err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+        # nor does it touch a good earlier run's --out
+        shutil.copytree(pipeline["metrics"], out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "manifest.json" in before
+        assert run("metrics", "--traffic", pipeline["ingest"] / "traffic.tsv", flag, value, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_depth_beyond_ranking_names_traffic_file(self, tmp_path, pipeline, capsys):
         traffic = pipeline["ingest"] / "traffic.tsv"
@@ -650,8 +659,6 @@ class TestExitCodes:
         pytest.param("model", "--rate", "\u0661", "is not a positive finite number", id="model-rate-non-ascii"),
         pytest.param("model", "--min-leaf", "-5", "is not an integer from 1", id="model-min-leaf"),
         pytest.param("model", "--folds", "1", "is not an integer from 2", id="model-folds"),
-        pytest.param("model", "--threshold", "1.5", "is not a number from 0 to 1", id="model-threshold"),
-        pytest.param("model", "--threshold", "0_1", "is not a number from 0 to 1", id="model-threshold-underscore"),
         pytest.param("model", "--task", "views", "invalid choice: 'views'", id="model-task"),
         pytest.param("model", "--groups", "bogus", "'bogus' is not one of", id="model-groups"),
         pytest.param("model", "--groups", "topic,topic", "'topic' is given twice", id="model-groups-repeated"),
@@ -731,7 +738,7 @@ class TestExitCodes:
     def test_depth_stays_under_the_recursion_limit(self, tmp_path, capsys):
         # in_degree is the row number and the labels alternate, so the tree
         # splits off a row or two per level and grows as deep as --depth allows
-        rows = [make_row(f"A{i:04d}", in_degree=i, searchshare=0.1 if i % 2 else 0.9) for i in range(3000)]
+        rows = [make_row(f"A{i:04d}", in_degree=i, quadrant=("search-exit", "nav-exit")[i % 2]) for i in range(3000)]
         joined = tmp_path / "joined.tsv"
         joined.write_text(joined_tsv(rows), encoding="utf-8")
         argv = ["model", "--joined", joined, "--groups", "network", "--trees", 1, "--min-leaf", 1, "--folds", 2]
@@ -776,7 +783,9 @@ KEPT_DEFAULTS = {
     "tableio.write_rows": {"header", "metadata", "sep"},
     "tableio.read_keyvalues": {"key"},
     "topics.fit_lda": {"on_iteration"},
-    "ingest.ParseStats": {"lines", "records", "malformed", "unknown_rawtype", "below_min_count", "header_lines"},
+    "ingest.ParseStats": {
+        "lines", "records", "malformed", "unknown_rawtype", "below_min_count", "header_lines", "blank", "unused",
+    },
     "linkgraph.EdgeStats": {"lines", "malformed", "self_loops", "duplicates"},
 }
 
@@ -862,6 +871,12 @@ def test_usage_error_is_raised_only_where_a_setting_meets_the_data():
 # per-subcommand outputs
 
 
+def lines_accounted_for(stats: dict[str, str]) -> bool:
+    """Whether an ingest_stats.txt's counters account for every line."""
+    parts = ("records", "malformed", "unknown_rawtype", "header_lines", "blank")
+    return int(stats["lines"]) == sum(int(stats[k]) for k in parts)
+
+
 class TestOutputs:
     def test_ingest_files(self, pipeline):
         names = {p.name for p in pipeline["ingest"].iterdir()}
@@ -873,6 +888,36 @@ class TestOutputs:
         assert stats["lines"] == "400"  # 2 per article + 300 link rows
         assert stats["records"] == "400"
         assert stats["malformed"] == "0"
+        assert stats["unused"] == "50"  # the other-empty rows
+        assert lines_accounted_for(stats)
+
+    def test_ingest_stats_count_blank_lines(self, tmp_path):
+        dump = tmp_path / "clicks.tsv"
+        dump.write_text("\nprev\tcurr\ttype\tn\nother-search\tA\texternal\t30\n\n\nA\tB\tlink\t15\n"
+                        "A\tC\texternal\t12\nbad\nA\tB\tnope\t3\n\n")
+        assert run("ingest", "--clickstream", dump, "--out", tmp_path / "o") == 0
+        stats = read_keyvalues(tmp_path / "o" / "ingest_stats.txt")
+        # the header is not on line 1, so it is a malformed line
+        assert {k: stats[k] for k in ("lines", "records", "malformed", "unknown_rawtype", "blank", "unused")} == {
+            "lines": "10", "records": "3", "malformed": "2", "unknown_rawtype": "1", "blank": "4", "unused": "1",
+        }
+        assert lines_accounted_for(stats)
+
+    @pytest.mark.parametrize("task", ["searchshare", "resistance"])
+    def test_model_positives_are_the_metrics_roles(self, tmp_path, pipeline, task):
+        assert run("metrics", "--traffic", pipeline["ingest"] / "traffic.tsv", "--out", tmp_path / "m") == 0
+        assert run("features", "--metrics", tmp_path / "m" / "metrics.tsv", "--network",
+                   pipeline["graph"] / "network.tsv", "--content", pipeline["content"], "--out", tmp_path / "f") == 0
+        assert run("model", "--joined", tmp_path / "f" / "joined.tsv", "--task", task, "--groups", "network",
+                   "--trees", 2, "--folds", 2, "--min-leaf", 2, "--out", tmp_path / "o") == 0
+        means = {k: float(v) for k, v in read_keyvalues(tmp_path / "m" / "thresholds.txt").items()}
+        joined = read_joined_table(tmp_path / "f" / "joined.tsv")
+        if task == "searchshare":
+            positives = joined["searchshare"] > means["mean_searchshare"]
+        else:
+            positives = joined["resistance"] <= means["mean_resistance"]
+        stats = read_keyvalues(tmp_path / "o" / "model_stats.txt")
+        assert (stats["positives"], stats["negatives"]) == (str(positives.sum()), str((~positives).sum()))
 
     def test_metrics_files(self, pipeline):
         names = {p.name for p in pipeline["metrics"].iterdir()}
@@ -1008,11 +1053,8 @@ class TestOutputs:
                    "--trees", 3, "--folds", 3, "--min-leaf", 2, "--out", out) == 0
         tasks = {line.split(",")[0] for line in (out / "eval.csv").read_text().splitlines()[1:]}
         assert tasks == {"resistance"}
-        # a relay is at or below the 0.88 cut; every row has a topic, so none is dropped
-        table = read_joined_table(joined)
-        stats = read_keyvalues(out / "model_stats.txt")
-        assert stats["dropped_without_topic"] == "0"
-        assert int(stats["positives"]) == int(np.count_nonzero(table["resistance"] <= 0.88))
+        # every row has a topic, so none is dropped
+        assert read_keyvalues(out / "model_stats.txt")["dropped_without_topic"] == "0"
 
     def test_saved_models_load_and_predict(self, pipeline):
         model = load_model(pipeline["model"] / "model_network.json")
@@ -1557,6 +1599,8 @@ def test_mutated_inputs_end_in_a_clean_exit(tmp_path, pipeline, capsys):
                 failures.append(f"{what}: exit {code} left {sorted(p.name for p in out.iterdir())}")
             if code == 1 and not err.startswith(f"error: {damaged}"):
                 failures.append(f"{what}: the message does not start with the file: {err}")
+            if sub == "ingest" and code == 0 and not lines_accounted_for(read_keyvalues(out / "ingest_stats.txt")):
+                failures.append(f"{what}: ingest_stats.txt does not account for every line")
     elapsed = time.perf_counter() - started
     assert not failures, "\n".join(failures)
     assert len(codes) == len(fuzzed_runs(pipeline, made)) * (len(MUTATIONS) + EXTRA_CASES)

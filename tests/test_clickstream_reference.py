@@ -47,6 +47,7 @@ def reference_parse(lines, strict, stats, source=None):
     for lineno, line in enumerate(lines, start=1):
         stats.lines += 1
         if not line:
+            stats.blank += 1
             continue
         fields = line.split("\t")
         if lineno == 1 and HEADER.match(fields[0]):
@@ -75,7 +76,10 @@ def reference_parse(lines, strict, stats, source=None):
         if count < PUBLIC_DUMP_MIN_COUNT:
             stats.below_min_count += 1
         stats.records += 1
-        yield Record(referrer, resource, rawtype, count)
+        record = Record(referrer, resource, rawtype, count)
+        if reference_classify(record) not in ("search-engine", "internal-article"):
+            stats.unused += 1
+        yield record
 
 
 def reference_classify(record):

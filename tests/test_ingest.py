@@ -147,7 +147,8 @@ class TestClassify:
         stats = ParseStats()
         yielded = {"search": [(None, "X", 10)], "navigation": [(referrer, "X", 10)], "none": []}[role]
         assert list(parsed([(referrer, "X", rawtype, 10)], stats)) == yielded
-        assert stats == ParseStats(lines=1, records=1)  # checked and counted, yielded or not
+        # checked and counted, yielded or not; a record not yielded is unused
+        assert stats == ParseStats(lines=1, records=1, unused=int(role == "none"))
 
     def test_reserved_token_beats_rawtype(self):
         assert rows(aggregate_traffic(parsed([("other-search", "X", "link", 10)]), DUMP)) == {"X": (10, 0, 0, 10)}

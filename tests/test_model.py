@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from clickroles.errors import DataError, UsageError
 from clickroles.features import CONTENT
 from clickroles.linkgraph import NETWORK
+from clickroles.metrics import ROLES, assign_quadrants, corpus_thresholds
 from clickroles.model import (
     CONTENT_EDIT_FEATURES,
     FEATURE_GROUPS,
@@ -23,7 +24,6 @@ from clickroles.model import (
     _sigmoid,
     _TreeBuilder,
     balance,
-    binarize_target,
     build_instances,
     cross_validate,
     default_groups,
@@ -73,9 +73,10 @@ def stage_losses(model: GBDTModel, x, y) -> list[float]:
     return losses
 
 
-def ref_build_instances(rows, task, threshold=None):
+def ref_build_instances(rows, task):
     """Per-row reference: rows with a topic (all rows when none has
-    one), each cell filled in turn, one-hot over the distinct ids."""
+    one), each cell filled in turn, one-hot over the distinct ids, each
+    labeled by whether its role is one of the task's."""
     ids = sorted({r["topic_id"] for r in rows if r["topic_id"] is not None})
     kept = [r for r in rows if r["topic_id"] is not None] if ids else list(rows)
     base = NETWORK_FEATURES + CONTENT_EDIT_FEATURES
@@ -86,23 +87,8 @@ def ref_build_instances(rows, task, threshold=None):
             x[i, j] = float(r[name])
         if ids:
             x[i, len(base) + ids.index(r["topic_id"])] = 1.0
-    y = binarize_target([r[task] for r in kept], task, threshold)
+    y = np.array([r["quadrant"] in TASKS[task] for r in kept], dtype=np.int8)
     return names, x, y
-
-
-class TestBinarize:
-    def test_searchshare_above(self):
-        assert binarize_target([0.7], "searchshare", None).tolist() == [1]
-
-    def test_searchshare_boundary_is_zero(self):
-        assert binarize_target([0.66], "searchshare", None).tolist() == [0]
-
-    def test_resistance_boundary_is_relay(self):
-        assert binarize_target([0.88], "resistance", None).tolist() == [1]
-        assert binarize_target([0.89], "resistance", None).tolist() == [0]
-
-    def test_custom_threshold(self):
-        assert binarize_target([0.5, 0.2], "searchshare", 0.4).tolist() == [1, 0]
 
 
 class TestBuildInstances:
@@ -113,10 +99,10 @@ class TestBuildInstances:
 
     def test_vector_layout(self):
         rows = [
-            make_row("A", searchshare=0.9, in_degree=7, revisions=42, topic_id=1),
-            make_row("B", searchshare=0.1, topic_id=0),
+            make_row("A", quadrant="search-exit", in_degree=7, revisions=42, topic_id=1),
+            make_row("B", quadrant="nav-relay", topic_id=0),
         ]
-        inst = build_instances(make_table(rows), "searchshare", None)
+        inst = build_instances(make_table(rows), "searchshare")
         assert len(inst) == 2
         assert inst.feature_names[:3] == NETWORK_FEATURES
         assert inst.feature_names[3:11] == CONTENT_EDIT_FEATURES
@@ -130,7 +116,7 @@ class TestBuildInstances:
 
     def test_rows_without_topic_dropped(self):
         rows = [make_row("A", topic_id=0, in_degree=3), make_row("B", topic_id=None, in_degree=5)]
-        inst = build_instances(make_table(rows), "searchshare", None)
+        inst = build_instances(make_table(rows), "searchshare")
         assert len(inst) == 1
         _, x, y = ref_build_instances(rows[:1], "searchshare")
         assert np.array_equal(inst.x, x) and np.array_equal(inst.y, y)
@@ -138,21 +124,21 @@ class TestBuildInstances:
 
     def test_no_topics_at_all(self):
         rows = [make_row("A"), make_row("B")]
-        inst = build_instances(make_table(rows), "resistance", None)
+        inst = build_instances(make_table(rows), "resistance")
         assert len(inst) == 2
         assert all(not n.startswith("topic_") for n in inst.feature_names)
 
     def test_default_groups_follow_the_topic_columns(self):
         with_topics = build_instances(make_table([make_row("A", topic_id=2), make_row("B", topic_id=0)]),
-                                      "searchshare", None)
-        without = build_instances(make_table([make_row("A"), make_row("B")]), "searchshare", None)
+                                      "searchshare")
+        without = build_instances(make_table([make_row("A"), make_row("B")]), "searchshare")
         assert default_groups(with_topics) == list(FEATURE_GROUPS)
         assert default_groups(without) == ["network", "content-edit"]
 
     def test_sparse_topic_ids_one_column_each(self):
         # the one-hot spans the ids present, not 0 .. the largest id
         rows = [make_row(f"R{i}", topic_id=tid) for i, tid in enumerate([0, 100000, 0, 100000])]
-        inst = build_instances(make_table(rows), "searchshare", None)
+        inst = build_instances(make_table(rows), "searchshare")
         assert inst.feature_names[11:] == ("topic_0", "topic_100000")
         assert inst.x.shape == (4, 13)
         assert inst.x[:, 11:].tolist() == [[1.0, 0.0], [0.0, 1.0]] * 2
@@ -161,34 +147,50 @@ class TestBuildInstances:
         st.lists(
             st.tuples(
                 st.none() | st.sampled_from([0, 3, 7, 2**53]),
-                st.floats(0, 1),
+                st.sampled_from(ROLES),
                 st.integers(0, 2**53),
                 st.floats(0, 1e6),
             ),
             max_size=30,
         ),
-        st.sampled_from(TASKS),
+        st.sampled_from(list(TASKS)),
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_per_row_fill(self, cells, task, rng):
         rows = [
-            make_row(f"R{i:02d}", topic_id=tid, searchshare=ratio, resistance=ratio, kcore=count, size=size)
-            for i, (tid, ratio, count, size) in enumerate(cells)
+            make_row(f"R{i:02d}", topic_id=tid, quadrant=role, kcore=count, size=size)
+            for i, (tid, role, count, size) in enumerate(cells)
         ]
         rng.shuffle(rows)
-        inst = build_instances(make_table(rows), task, None)
+        inst = build_instances(make_table(rows), task)
         ordered = sorted(rows, key=lambda r: r["article"])
         names, x, y = ref_build_instances(ordered, task)
         assert (len(inst), inst.feature_names) == (len(y), names)
         assert inst.x.dtype == np.float64 and inst.x.shape == x.shape
         assert np.array_equal(inst.x, x) and np.array_equal(inst.y, y)
 
+    @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=30), st.sampled_from(list(TASKS)))
+    @settings(max_examples=100, deadline=None)
+    def test_positives_are_the_task_roles_at_the_corpus_means(self, values, task):
+        # metrics' rule: search strictly above the mean searchshare, relay at or below the mean resistance
+        ss, res = (np.array(column) for column in zip(*values))
+        thresholds = corpus_thresholds(ss, res)
+        quadrants = assign_quadrants(ss, res, thresholds)
+        rows = [make_row(f"R{i:02d}", quadrant=ROLES[q]) for i, q in enumerate(quadrants)]
+        inst = build_instances(make_table(rows), task)
+        if task == "searchshare":
+            want = ss > thresholds.mean_searchshare
+        else:
+            want = res <= thresholds.mean_resistance
+        assert inst.y.tolist() == want.astype(int).tolist()
+        assert inst.y.tolist() == [int(ROLES[q] in TASKS[task]) for q in quadrants]
+
 
 class TestSelectGroup:
     def make(self):
         rows = [make_row(f"R{i}", topic_id=i % 3) for i in range(6)]
-        inst = build_instances(make_table(rows), "searchshare", None)
+        inst = build_instances(make_table(rows), "searchshare")
         return inst
 
     def test_groups(self):
@@ -200,7 +202,7 @@ class TestSelectGroup:
 
     def test_topic_group_without_topics(self):
         rows = [make_row("A"), make_row("B")]
-        inst = build_instances(make_table(rows), "searchshare", None)
+        inst = build_instances(make_table(rows), "searchshare")
         with pytest.raises(UsageError):
             select_group(inst, "topic")
 
