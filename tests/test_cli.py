@@ -295,6 +295,12 @@ class TestExitCodes:
         assert "error: no 'topic' features present" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    def test_threshold_is_not_a_model_flag(self, tmp_path, capsys):
+        # the labels come from joined.tsv's roles; there is no cut to set
+        assert run("model", "--joined", tmp_path / "missing.tsv", "--threshold", "0.5", "--out", tmp_path / "o") == 2
+        assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_two_row_class_cannot_train_on_two_folds(self, tmp_path, pipeline, capsys):
         # two search-dominated rows: each fold trains on one of them
         rows = table_rows(read_joined_table(pipeline["features"] / "joined.tsv"))

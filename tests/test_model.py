@@ -170,6 +170,20 @@ class TestBuildInstances:
         assert inst.x.dtype == np.float64 and inst.x.shape == x.shape
         assert np.array_equal(inst.x, x) and np.array_equal(inst.y, y)
 
+    def roles_at_the_mean(self, ss, res, task):
+        """Labels of rows whose roles metrics assigns from these values."""
+        ss, res = np.array(ss), np.array(res)
+        quadrants = assign_quadrants(ss, res, corpus_thresholds(ss, res))
+        rows = [make_row(f"R{i}", quadrant=ROLES[q]) for i, q in enumerate(quadrants)]
+        return build_instances(make_table(rows), task).y.tolist()
+
+    def test_searchshare_at_the_mean_is_not_search(self):
+        # the mean of 0.25, 0.5 and 0.75 is 0.5 exactly
+        assert self.roles_at_the_mean([0.25, 0.5, 0.75], [0.5] * 3, "searchshare") == [0, 0, 1]
+
+    def test_resistance_at_the_mean_is_relay(self):
+        assert self.roles_at_the_mean([0.5] * 3, [0.25, 0.5, 0.75], "resistance") == [1, 1, 0]
+
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=30), st.sampled_from(list(TASKS)))
     @settings(max_examples=100, deadline=None)
     def test_positives_are_the_task_roles_at_the_corpus_means(self, values, task):
