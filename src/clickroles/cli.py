@@ -308,8 +308,7 @@ def build_parser() -> _Parser:
         help="comma list from: " + groups,
     )
     p.add_argument("--trees", type=_count(1), default=200)
-    # each tree level is one frame of _TreeBuilder._grow's recursion, well under Python's limit of 1000
-    p.add_argument("--depth", type=_count(0, 256), default=4)
+    p.add_argument("--depth", type=_count(0), default=4)
     p.add_argument("--rate", type=positive, default=0.1)
     p.add_argument("--min-leaf", type=_count(1), default=20)
     p.add_argument("--folds", type=_count(2), default=10)
@@ -450,6 +449,17 @@ def cmd_features(args, out: _OutputDir) -> None:
         if empty:
             raise DataError(f"{empty[0]}: no articles to join")
         raise DataError(f"{args.metrics}: no article is also in both {args.network} and {args.content}")
+    ratios = {}
+    if topics is not None:
+        topic_ids = joined["topic_id"]
+        assigned_ids = sorted(set(topic_ids[topic_ids >= 0].tolist()))
+        labels = topic_names(assigned_ids, labels)
+        if args.grid > 0 and assigned_ids:
+            # the first write clears --out, so every grid is made before it
+            columns = [joined[name] for name in ("resistance", "searchshare", "total_views")]
+            overall = heatmap_grid(*columns, args.grid)
+            grids = ((tid, heatmap_grid(*(c[topic_ids == tid] for c in columns), args.grid)) for tid in assigned_ids)
+            ratios = {tid: relative_difference_heatmap(grid, overall) for tid, grid in grids}
     write_joined_table(out.file("joined.tsv", "joined_table"), joined)
     write_group_medians(out.file("medians.tsv", "median_table"), group_medians(joined))
     write_keyvalues(
@@ -460,26 +470,14 @@ def cmd_features(args, out: _OutputDir) -> None:
                for name, table in (("content", content), ("metrics", metrics), ("network", network))},
         },
     )
-
     if topics is not None:
-        topic_ids = joined["topic_id"]
-        assigned_ids = sorted(set(topic_ids[topic_ids >= 0].tolist()))
-        labels = topic_names(assigned_ids, labels)
         write_topic_stats(out.file("topic_stats.tsv", "topic_statistics"), topic_statistics(joined, labels))
-        if args.grid > 0 and assigned_ids:
-            columns = [joined[name] for name in ("resistance", "searchshare", "total_views")]
-            overall = heatmap_grid(*columns, args.grid)
-            for tid in assigned_ids:
-                members = topic_ids == tid
-                ratio = relative_difference_heatmap(
-                    heatmap_grid(*(c[members] for c in columns), args.grid), overall
-                )
-                write_matrix_csv(
-                    out.file(f"ratio_topic_{tid}.csv", "ratio_heatmap"),
-                    ratio,
-                    {"topic_id": tid, "label": labels[tid],
-                     "rows": "resistance", "cols": "searchshare", "grid": args.grid},
-                )
+    for tid, ratio in ratios.items():
+        write_matrix_csv(
+            out.file(f"ratio_topic_{tid}.csv", "ratio_heatmap"),
+            ratio,
+            {"topic_id": tid, "label": labels[tid], "rows": "resistance", "cols": "searchshare", "grid": args.grid},
+        )
 
 
 def cmd_bins(args, out: _OutputDir) -> None:
@@ -519,8 +517,8 @@ def cmd_topics(args, out: _OutputDir) -> None:
         {
             "documents": len(corpus.articles),
             "vocabulary": len(corpus.vocabulary),
-            "tokens": sum(map(len, corpus.documents)),
-            "empty_documents": sum(not doc for doc in corpus.documents),
+            "tokens": len(corpus.tokens),
+            "empty_documents": int(np.count_nonzero(np.diff(corpus.offsets) == 0)),
         },
     )
 

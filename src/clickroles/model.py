@@ -7,16 +7,19 @@ quadrant column: a task's positives are the roles TASKS names for it,
 the search-dominated ones (searchshare strictly above its mean) or the
 relays (resistance at or below its mean). The classifier is a
 stagewise ensemble of axis-aligned regression trees fit to
-logistic-loss gradients with Newton leaf values. Split search is exact greedy over sorted unique feature values
-on columns sorted once per training set
-(the pre-sorted column blocks of XGBoost, Chen & Guestrin 2016, §4.1):
-every node keeps its rows in each feature's order, splits that order
-stably into its children, and scores all features' candidate
+logistic-loss gradients with Newton leaf values. Split search is exact
+greedy over sorted unique feature values on columns sorted once per
+training set (the pre-sorted column blocks of XGBoost, Chen & Guestrin
+2016, §4.1): every node keeps its rows in each feature's order, splits
+that order stably into its children, and scores all features' candidate
 thresholds in one vectorized pass, tie-broken toward the lowest feature
-index and threshold so parallel and sequential searches agree. Leaves
+index and threshold, so the vectorized scan picks the split a search of
+one feature at a time would. A tree grows in one loop over a work list
+of nodes, depth first with the left child before its sibling, so node
+ids are in pre-order and the depth has no bound but the rows. Leaves
 record each training row's value as they are made, so a stage's step
 needs no second walk of its tree. A tree is five flat node arrays,
-named with their dtypes once in TREE_ARRAYS, which the builder and the
+named with their dtypes once in TREE_ARRAYS, which the grower and the
 model file's writer and reader follow. Evaluation is stratified 10-fold
 cross-validation with the training side of each fold balanced by
 seeded downsampling, scored by rank-statistic ROC AUC: cross_validate
@@ -219,109 +222,89 @@ def log_loss(scores: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -margin)))
 
 
-class _TreeBuilder:
-    """Grows one regression tree on gradient/hessian targets.
+def _grow_tree(
+    x_by_feature: np.ndarray, order: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: int, min_leaf: int
+) -> tuple[Tree, np.ndarray]:
+    """One regression tree on gradient/hessian targets, and each training
+    row's leaf value, recorded as the leaves are made.
 
     `order` holds, per feature, the training rows in stable ascending
     order of that feature (d x n). Each node carries its own rows the
     same way (d x m) and hands each child its stable part, so no column
-    is sorted again below the root. `row_value` receives each row's leaf
-    value as the leaves are made.
+    is sorted again below the root. Nodes come off a work list depth
+    first, a left child before its sibling, so their ids are in pre-order:
+    a left child is its parent's id + 1, and a right child's id is linked
+    into its parent when it is popped.
     """
-
-    def __init__(
-        self,
-        x_by_feature: np.ndarray,
-        order: np.ndarray,
-        g: np.ndarray,
-        h: np.ndarray,
-        max_depth: int,
-        min_leaf: int,
-    ):
-        self.x_by_feature = x_by_feature
-        self.order = order
-        self.g = g
-        self.h = h
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.row_value = np.empty(len(g))
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def build(self) -> Tree:
-        self._grow(np.arange(len(self.g)), self.order, 0)
-        return _tree(vars(self))  # the node lists are attributes named as the arrays
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def _grow(self, idx: np.ndarray, order: np.ndarray, depth: int) -> int:
-        """`idx` is the node's rows ascending, so its sums add in the order
-        they always have; `order` is the same rows in each feature's order."""
-        node = self._new_node()
+    row_value = np.empty(len(g))
+    nodes: dict[str, list] = {name: [] for name in TREE_ARRAYS}
+    # (parent of a right child or -1, the node's rows ascending, the same
+    # rows in each feature's order, depth); ascending rows keep every sum
+    # adding in the order it always has
+    work = [(-1, np.arange(len(g)), order, 0)]
+    while work:
+        parent, idx, order, depth = work.pop()
+        node = len(nodes["feature"])
+        if parent >= 0:
+            nodes["right"][parent] = node
         split = None
-        if depth < self.max_depth and len(idx) >= 2 * self.min_leaf:
-            split = self._best_split(idx, order)
+        if depth < max_depth and len(idx) >= 2 * min_leaf:
+            split = _best_split(x_by_feature, g, h, min_leaf, idx, order)
         if split is None:
-            value = float(self.g[idx].sum() / (self.h[idx].sum() + _EPS))
-            self.value[node] = value
-            self.row_value[idx] = value
-            return node
-        j, thr, n_left = split
-        self.feature[node] = j
-        self.threshold[node] = thr
-        # the rows with x[:, j] <= thr are the first n_left of feature j's order
-        in_left = np.zeros(len(self.g), dtype=bool)
-        in_left[order[j, :n_left]] = True
-        go_left = in_left[order]
-        idx_left = in_left[idx]
-        d = len(order)
-        left_order = order[go_left].reshape(d, n_left)
-        right_order = order[~go_left].reshape(d, len(idx) - n_left)
-        self.left[node] = self._grow(idx[idx_left], left_order, depth + 1)
-        self.right[node] = self._grow(idx[~idx_left], right_order, depth + 1)
-        return node
+            value = float(g[idx].sum() / (h[idx].sum() + _EPS))
+            row_value[idx] = value
+            fields = (-1, 0.0, -1, -1, value)
+        else:
+            j, thr, n_left = split
+            fields = (j, thr, node + 1, -1, 0.0)
+            # the rows with x[:, j] <= thr are the first n_left of feature j's order
+            in_left = np.zeros(len(g), dtype=bool)
+            in_left[order[j, :n_left]] = True
+            go_left = in_left[order]
+            idx_left = in_left[idx]
+            d = len(order)
+            work.append((node, idx[~idx_left], order[~go_left].reshape(d, len(idx) - n_left), depth + 1))
+            work.append((-1, idx[idx_left], order[go_left].reshape(d, n_left), depth + 1))
+        for name, field in zip(TREE_ARRAYS, fields):
+            nodes[name].append(field)
+    return _tree(nodes), row_value
 
-    def _best_split(self, idx: np.ndarray, order: np.ndarray) -> tuple[int, float, int] | None:
-        """(feature, threshold, rows going left) of the best gain over all
-        features, or None when no split improves by more than _EPS.
 
-        Position k of a row of `order` is the split after its k+1 smallest
-        rows; only positions leaving min_leaf rows on both sides are scored.
-        Ties go to the lowest feature, then the lowest threshold.
-        """
-        lo, hi = self.min_leaf - 1, len(idx) - self.min_leaf
-        xv = np.take_along_axis(self.x_by_feature, order, axis=1)
-        boundary = xv[:, lo:hi] < xv[:, lo + 1 : hi + 1]
-        if not boundary.any():
-            return None
-        g_total, h_total = self.g[idx].sum(), self.h[idx].sum()
-        parent = g_total * g_total / (h_total + _EPS)
-        head = order[:, :hi]
-        # candidates in row-major order: lowest feature, then lowest threshold
-        gl = np.cumsum(self.g[head], axis=1)[:, lo:][boundary]
-        hl = np.cumsum(self.h[head], axis=1)[:, lo:][boundary]
-        gr = g_total - gl
-        hr = h_total - hl
-        gain = gl * gl / (hl + _EPS) + gr * gr / (hr + _EPS) - parent
-        c = int(np.argmax(gain))  # first max
-        if not gain[c] > _EPS:  # require a strictly positive improvement
-            return None
-        j, k = divmod(int(np.flatnonzero(boundary)[c]), hi - lo)
-        k += lo
-        thr = float((xv[j, k] + xv[j, k + 1]) / 2.0)
-        # x <= thr holds on a prefix of the sorted column; it is k + 1 long
-        # unless the midpoint rounds up to the next value or is not finite
-        n_left = int(np.count_nonzero(xv[j] <= thr))
-        return j, thr, n_left
+def _best_split(
+    x_by_feature: np.ndarray, g: np.ndarray, h: np.ndarray, min_leaf: int, idx: np.ndarray, order: np.ndarray
+) -> tuple[int, float, int] | None:
+    """(feature, threshold, rows going left) of the best gain over all
+    features for a node of _grow_tree, or None when no split improves by
+    more than _EPS.
+
+    Position k of a row of `order` is the split after its k+1 smallest
+    rows; only positions leaving min_leaf rows on both sides are scored.
+    Ties go to the lowest feature, then the lowest threshold.
+    """
+    lo, hi = min_leaf - 1, len(idx) - min_leaf
+    xv = np.take_along_axis(x_by_feature, order, axis=1)
+    boundary = xv[:, lo:hi] < xv[:, lo + 1 : hi + 1]
+    if not boundary.any():
+        return None
+    g_total, h_total = g[idx].sum(), h[idx].sum()
+    parent = g_total * g_total / (h_total + _EPS)
+    head = order[:, :hi]
+    # candidates in row-major order: lowest feature, then lowest threshold
+    gl = np.cumsum(g[head], axis=1)[:, lo:][boundary]
+    hl = np.cumsum(h[head], axis=1)[:, lo:][boundary]
+    gr = g_total - gl
+    hr = h_total - hl
+    gain = gl * gl / (hl + _EPS) + gr * gr / (hr + _EPS) - parent
+    c = int(np.argmax(gain))  # first max
+    if not gain[c] > _EPS:  # require a strictly positive improvement
+        return None
+    j, k = divmod(int(np.flatnonzero(boundary)[c]), hi - lo)
+    k += lo
+    thr = float((xv[j, k] + xv[j, k + 1]) / 2.0)
+    # x <= thr holds on a prefix of the sorted column; it is k + 1 long
+    # unless the midpoint rounds up to the next value or is not finite
+    n_left = int(np.count_nonzero(xv[j] <= thr))
+    return j, thr, n_left
 
 
 def train_gbdt(
@@ -362,9 +345,8 @@ def train_gbdt(
         p = _sigmoid(scores)
         g = y - p
         h = p * (1.0 - p)
-        builder = _TreeBuilder(x_by_feature, order, g, h, config.max_depth, config.min_leaf)
-        tree = builder.build()
-        step = builder.row_value * config.learning_rate
+        tree, row_value = _grow_tree(x_by_feature, order, g, h, config.max_depth, config.min_leaf)
+        step = row_value * config.learning_rate
         new_loss = log_loss(scores + step, y)
         halvings = 0
         while new_loss > loss and halvings < 60:

@@ -13,22 +13,23 @@ write_phi and write_theta as metadata. The sampler is sequential by
 design; all randomness comes from one seeded generator, so a run is
 reproducible bit for bit.
 
-A Corpus holds each document once, in the order the sweep reads it: its
-token ids, one per token instance, in ascending id order (ids number the
-vocabulary by first appearance in the file). The sweep visits the tokens
-in that order and draws one uniform per token, so the order is part of
-the output: text order would give other draws and other bytes. The
-topic assignment table this module writes is declared here too, as
-TOPIC_ASSIGNMENT, with its writer and its reader.
+A Corpus holds its documents as the sweep reads them: one flat int32
+array of token ids, document after document, each document's ids (one
+per token instance) ascending (ids number the vocabulary by first
+appearance in the file), and int64 offsets where each document starts
+and ends in it. The sweep visits the tokens in that order and draws one
+uniform per token, so the order is part of the output: text order would
+give other draws and other bytes. The topic assignment table this module
+writes is declared here too, as TOPIC_ASSIGNMENT, with its writer and
+its reader.
 
 The sweep itself is lda_sweep in _sweep.c, which clickroles.native
 compiles and loads inside the first fit, never at import. It keeps the
 counts as int64 arrays, n_dk D x k, n_wk V x k (word-major: n_wk[w] is
-one token's row of k counts) and n_k, reads the corpus as flat int32
-token ids with int64 document offsets, and updates the int32
-assignments z in place. Python draws each sweep's uniforms, one
-rng.random(total) per sweep, and passes them in, so the draw order does
-not depend on the sweep. Per token the C loop:
+one token's row of k counts) and n_k, reads the corpus's two arrays as
+they are, and updates the int32 assignments z in place. Python draws
+each sweep's uniforms, one rng.random(total) per sweep, and passes them
+in, so the draw order does not depend on the sweep. Per token the C loop:
   - removes the token from its counts;
   - forms each weight as ((n_dk+alpha) * (n_kw+beta)) / (n_k+V*beta),
     in that operation order;
@@ -46,8 +47,8 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -126,9 +127,12 @@ def tokenize(text: str, stop_words: Collection[str]) -> list[str]:
 class Corpus:
     articles: tuple[str, ...]
     vocabulary: tuple[str, ...]
-    # per document: its token ids, one per token instance, in ascending id
-    # order (the sequence fit_lda samples); empty if nothing survives tokenize
-    documents: tuple[list[int], ...]
+    # every token id, one per token instance, document after document and
+    # ascending within each (the sequence fit_lda samples), int32
+    tokens: np.ndarray
+    # document d's ids are tokens[offsets[d]:offsets[d + 1]], empty if
+    # nothing survives tokenize; int64, one more than the documents
+    offsets: np.ndarray
 
 
 def corpus_from_file(path: str | Path, stop_words: Collection[str]) -> Corpus:
@@ -142,7 +146,7 @@ def corpus_from_file(path: str | Path, stop_words: Collection[str]) -> Corpus:
     articles: list[str] = []
     seen: set[str] = set()
     token_ids: dict[str, int] = {}
-    docs: list[list[int]] = []
+    tokens, offsets = array("i"), array("q", [0])
     for lineno, line in enumerate(iter_lines(path), start=1):
         if not line:
             continue
@@ -153,10 +157,11 @@ def corpus_from_file(path: str | Path, stop_words: Collection[str]) -> Corpus:
             raise DataError(f"{path}:{lineno}: duplicate article {article!r}")
         seen.add(article)
         articles.append(article)
-        docs.append(sorted(token_ids.setdefault(t, len(token_ids)) for t in tokenize(text, stop_words)))
+        tokens.fromlist(sorted(token_ids.setdefault(t, len(token_ids)) for t in tokenize(text, stop_words)))
+        offsets.append(len(tokens))
     if not articles:
         raise DataError(f"{path}: empty corpus")
-    return Corpus(tuple(articles), tuple(token_ids), tuple(docs))
+    return Corpus(tuple(articles), tuple(token_ids), np.frombuffer(tokens, np.int32), np.frombuffer(offsets, np.int64))
 
 
 def read_stop_words(path: str | Path) -> frozenset[str]:
@@ -188,22 +193,20 @@ def fit_lda(
     if k > v:
         raise DataError(f"k={k} exceeds vocabulary size {v}")
 
-    # the corpus as the sweep reads it: every token id in corpus order,
-    # and where each document starts and ends in it
-    docs = corpus.documents
-    lengths = np.fromiter(map(len, docs), np.int64, len(docs))
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    total = int(offsets[-1])
-    tokens = np.fromiter(chain.from_iterable(docs), np.int32, total)
-    # the compiled sweep indexes n_wk by these ids unchecked
+    tokens, offsets = corpus.tokens, corpus.offsets
+    n_docs, total = len(offsets) - 1, len(tokens)
+    lengths = np.diff(offsets)
+    # the compiled sweep indexes tokens by these offsets and n_wk by these ids unchecked
+    if offsets[0] != 0 or offsets[-1] != total or (lengths < 0).any():
+        raise ValueError(f"the document offsets do not split the {total} tokens")
     if total and not 0 <= tokens.min() <= tokens.max() < v:
         raise ValueError(f"a token id lies outside the vocabulary of {v} words")
 
     rng = np.random.default_rng(seed)
     z = (rng.random(total) * k).astype(np.int32)
     np.minimum(z, k - 1, out=z)
-    n_dk = np.zeros((len(docs), k), np.int64)
-    np.add.at(n_dk, (np.repeat(np.arange(len(docs)), lengths), z), 1)
+    n_dk = np.zeros((n_docs, k), np.int64)
+    np.add.at(n_dk, (np.repeat(np.arange(n_docs), lengths), z), 1)
     n_wk = np.zeros((v, k), np.int64)
     np.add.at(n_wk, (tokens, z), 1)
     n_k = n_wk.sum(axis=0)
@@ -230,7 +233,7 @@ def fit_lda(
     word_topic.flags.writeable = doc_topic.flags.writeable = False
     for it in range(iterations):
         # each sweep's uniforms are drawn as it starts and freed as it ends
-        sweep(len(docs), offsets, tokens, z, k, n_dk, n_wk, n_k, rng.random(total), alpha, beta, vbeta, cum)
+        sweep(n_docs, offsets, tokens, z, k, n_dk, n_wk, n_k, rng.random(total), alpha, beta, vbeta, cum)
         if on_iteration is not None:
             on_iteration(it, word_topic, doc_topic)
 

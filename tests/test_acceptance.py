@@ -457,8 +457,8 @@ def test_topic_recovery_on_planted_corpus(tmp_path):
     path = tmp_path / "planted.tsv"
     path.write_text("".join(f"{text}\n" for text in texts))
     corpus = corpus_from_file(path, frozenset())
-    lengths = [len(doc) for doc in corpus.documents]
-    total = sum(lengths)
+    lengths = np.diff(corpus.offsets).tolist()
+    total = len(corpus.tokens)
 
     conservation_failures = 0
 

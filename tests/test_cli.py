@@ -585,18 +585,28 @@ class TestExitCodes:
 
     # each asks for 32 or 64 PiB, beyond any 64-bit address space, so the
     # allocation fails at once whatever the machine's overcommit setting
-    @pytest.mark.parametrize("flag, value", [("--grid", 67108864), ("--bins", 9007199254740992)])
-    def test_setting_too_large_to_allocate_is_data_error(self, tmp_path, pipeline, capsys, flag, value):
-        out = tmp_path / "m"
-        assert run("metrics", "--traffic", pipeline["ingest"] / "traffic.tsv", flag, value, "--out", out) == 1
+    @pytest.mark.parametrize("sub, flag, value", [
+        pytest.param("metrics", "--grid", 67108864, id="--grid-67108864"),
+        pytest.param("metrics", "--bins", 9007199254740992, id="--bins-9007199254740992"),
+        pytest.param("features", "--grid", 67108864, id="features---grid-67108864"),
+    ])
+    def test_setting_too_large_to_allocate_is_data_error(self, tmp_path, pipeline, capsys, sub, flag, value):
+        inputs = {
+            "metrics": ["--traffic", pipeline["ingest"] / "traffic.tsv"],
+            "features": ["--metrics", pipeline["metrics"] / "metrics.tsv",
+                         "--network", pipeline["graph"] / "network.tsv", "--content", pipeline["content"],
+                         "--topics", pipeline["topics"] / "topics.tsv"],
+        }[sub]
+        out = tmp_path / "o"
+        assert run(sub, *inputs, flag, value, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and "Traceback" not in err
         assert not out.exists()
         # nor does it touch a good earlier run's --out
-        shutil.copytree(pipeline["metrics"], out)
+        shutil.copytree(pipeline[sub], out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert "manifest.json" in before
-        assert run("metrics", "--traffic", pipeline["ingest"] / "traffic.tsv", flag, value, "--out", out) == 1
+        assert run(sub, *inputs, flag, value, "--out", out) == 1
         assert capsys.readouterr().err.startswith("error: out of memory: ")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -657,7 +667,6 @@ class TestExitCodes:
         pytest.param("topics", "--beta", " 0.5 ", "is not a positive finite number", id="topics-beta-padded"),
         pytest.param("model", "--trees", "-2", "is not an integer from 1", id="model-trees"),
         pytest.param("model", "--depth", "-1", "is not an integer from 0", id="model-depth"),
-        pytest.param("model", "--depth", "257", "is not an integer from 0 to 256", id="model-depth-deep"),
         pytest.param("model", "--rate", "0", "is not a positive finite number", id="model-rate"),
         pytest.param("model", "--rate", "-1", "is not a positive finite number", id="model-rate-negative"),
         pytest.param("model", "--rate", "nan", "is not a positive finite number", id="model-rate-nan"),
@@ -741,22 +750,20 @@ class TestExitCodes:
         # the flag comes last, so it overrides a setting given above
         assert run(sub, *argv, flag, 2**53, "--out", tmp_path / "o") in (0, 1, 2)
 
-    def test_depth_stays_under_the_recursion_limit(self, tmp_path, capsys):
+    def test_depth_goes_past_the_interpreter_recursion_limit(self, tmp_path):
         # in_degree is the row number and the labels alternate, so the tree
-        # splits off a row or two per level and grows as deep as --depth allows
+        # splits off a row or two per level and grows as deep as --depth
+        # allows, here past Python's recursion limit of 1000
         rows = [make_row(f"A{i:04d}", in_degree=i, quadrant=("search-exit", "nav-exit")[i % 2]) for i in range(3000)]
         joined = tmp_path / "joined.tsv"
         joined.write_text(joined_tsv(rows), encoding="utf-8")
         argv = ["model", "--joined", joined, "--groups", "network", "--trees", 1, "--min-leaf", 1, "--folds", 2]
-        assert run(*argv, "--depth", 256, "--out", tmp_path / "deep") == 0
+        assert run(*argv, "--depth", 1500, "--out", tmp_path / "deep") == 0
         tree = load_model(tmp_path / "deep" / "model_network.json").trees[0]
         depth = [0] * len(tree.feature)
         for node in np.flatnonzero(tree.feature >= 0):  # a child comes after its parent
             depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
-        assert max(depth) == 256
-        assert run(*argv, "--depth", 257, "--out", tmp_path / "deeper") == 2
-        assert "argument --depth: '257' is not an integer from 0 to 256" in capsys.readouterr().err
-        assert not (tmp_path / "deeper").exists()
+        assert max(depth) == 1500
 
     @pytest.mark.parametrize("argv, flag", [
         (["metrics", "--traffic", "t.tsv", "--seed", "1"], "--seed"),

@@ -21,8 +21,8 @@ from clickroles.model import (
     TASKS,
     TREE_ARRAYS,
     Tree,
+    _grow_tree,
     _sigmoid,
-    _TreeBuilder,
     balance,
     build_instances,
     cross_validate,
@@ -515,13 +515,12 @@ class TestSortedOnceSplitSearch:
         x_by_feature = np.ascontiguousarray(x.T)
         order = np.argsort(x_by_feature, axis=1, kind="stable")
         with np.errstate(invalid="ignore"):
-            builder = _TreeBuilder(x_by_feature, order, g, h, config.max_depth, config.min_leaf)
-            tree = builder.build()
+            tree, row_value = _grow_tree(x_by_feature, order, g, h, config.max_depth, config.min_leaf)
             want = ReferenceTreeBuilder(x, g, h, config.max_depth, config.min_leaf).build()
         assert np.array_equal(tree.feature, want.feature)
         assert np.array_equal(tree.threshold, want.threshold, equal_nan=True)
         assert np.array_equal(tree.value, want.value)
-        assert np.array_equal(builder.row_value, tree.leaf_values(x))
+        assert np.array_equal(row_value, tree.leaf_values(x))
 
 
 class TestStratifiedFolds:

@@ -5,12 +5,16 @@ from __future__ import annotations
 import hashlib
 import shutil
 
+import numpy as np
 import pytest
 
 from clickroles import native
 from clickroles.topics import Corpus, fit_lda
 
-CORPUS = Corpus(("a", "b"), ("w0", "w1", "w2"), ([0, 0, 1, 2], [1, 2, 2]))
+# documents a = [0, 0, 1, 2] and b = [1, 2, 2]
+CORPUS = Corpus(
+    ("a", "b"), ("w0", "w1", "w2"), np.array([0, 0, 1, 2, 1, 2, 2], np.int32), np.array([0, 4, 7], np.int64)
+)
 SETTING = {"k": 2, "alpha": 0.5, "beta": 0.01, "iterations": 3, "seed": 0}
 
 

@@ -1,6 +1,6 @@
 """Rules over the repository's own files: no unused name in the program,
-README's flag table matches the parser, and every name README's library
-layout gives exists.
+no function in it that calls itself, README's flag table matches the
+parser, and every name README's library layout gives exists.
 
 All read files by paths relative to the repository root, so each test
 runs from there.
@@ -94,6 +94,27 @@ def test_no_unused_imports_names_or_parameters():
                 loaded.update(params[:1])
             bad += [f"{path}:{node.lineno}: parameter {name} of {getattr(node, 'name', 'lambda')} never read"
                     for name in params if name not in loaded and not name.startswith("_")]
+    assert not bad, "\n".join(bad)
+
+
+def test_no_function_calls_itself():
+    """No function or method in src/ calls itself, by its name or as
+    self.<name>: a recursion over the data's depth ends in RecursionError
+    past Python's frame limit, so data-sized walks are loops."""
+    bad = []
+    for path in sorted(pathlib.Path("src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == node.name) or (
+                    isinstance(f, ast.Attribute) and f.attr == node.name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"
+                ):
+                    bad.append(f"{path}:{call.lineno}: {node.name} calls itself")
     assert not bad, "\n".join(bad)
 
 

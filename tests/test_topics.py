@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,22 @@ def corpus_of(lines, stop_words):
         path = Path(tmp, "docs.tsv")
         path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
         return corpus_from_file(path, stop_words)
+
+
+def hand_corpus(documents: list[list[int]], v: int) -> Corpus:
+    """The Corpus of `documents`, each its token ids ascending, named
+    doc0, doc1, ... over the words w0 .. w{v-1}."""
+    return Corpus(
+        tuple(f"doc{d}" for d in range(len(documents))),
+        tuple(f"w{i}" for i in range(v)),
+        np.array([w for doc in documents for w in doc], np.int32),
+        np.cumsum([0, *map(len, documents)], dtype=np.int64),
+    )
+
+
+def documents_of(corpus: Corpus) -> list[list[int]]:
+    """Each document's token ids, in corpus order."""
+    return [corpus.tokens[a:b].tolist() for a, b in itertools.pairwise(corpus.offsets)]
 
 
 def planted_corpus(
@@ -105,7 +122,7 @@ def reference_fit_lda(
 
     # each document is its token instances; the count matrices live as
     # plain lists (the sweep is a tight scalar loop)
-    docs = corpus.documents
+    docs = documents_of(corpus)
     d_count = len(docs)
     total = sum(len(doc) for doc in docs)
     if total == 0:
@@ -193,12 +210,14 @@ class TestBuildCorpus:
         corpus = corpus_of(texts, frozenset())
         assert corpus.vocabulary == ("apple", "banana", "cherry")
         # ascending ids, not text order: the sweep draws in this order
-        assert corpus.documents == ([0, 0, 1], [1, 2], [0, 0, 0, 2])
+        assert corpus.tokens.tolist() == [0, 0, 1, 1, 2, 0, 0, 0, 2]
+        assert corpus.offsets.tolist() == [0, 3, 5, 9]
+        assert (corpus.tokens.dtype, corpus.offsets.dtype) == (np.int32, np.int64)
 
     def test_stop_word_only_document_kept_empty(self):
         corpus = corpus_of(["A\tthe the the", "B\tcat"], {"the"})
         assert corpus.articles == ("A", "B")
-        assert corpus.documents == ([], [0])
+        assert documents_of(corpus) == [[], [0]]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError, match=r"docs\.tsv: empty corpus$"):
@@ -222,8 +241,8 @@ class TestBuildCorpus:
 class TestMemory:
     """Peak bytes per token of corpus_from_file on a seeded file of 4,000
     documents of 40 tokens (160k tokens) over a 1,000-word vocabulary.
-    The (token id, count) pair form took 67.4 B per token, the token id
-    lists take 13.1."""
+    The (token id, count) pair form took 67.4 B per token, per-document
+    token id lists 13.1, the flat int32 ids 7.7."""
 
     def test_corpus_peak_per_token(self, tmp_path):
         words = ["".join(p) for p in itertools.product("abcdefghij", repeat=3)]
@@ -234,8 +253,8 @@ class TestMemory:
             for d, row in enumerate(rng.integers(0, len(words), (4000, 40)).tolist())
         ))
         corpus, peak = traced_peak(corpus_from_file, path, frozenset())
-        assert peak / 160_000 <= 24
-        assert sum(map(len, corpus.documents)) == 160_000
+        assert peak / 160_000 <= 10
+        assert len(corpus.tokens) == 160_000
 
 
 class TestFitLda:
@@ -247,8 +266,14 @@ class TestFitLda:
     @pytest.mark.parametrize("ids", [[0, 2], [-1, 1]])
     def test_token_id_outside_vocabulary_is_refused(self, ids):
         # before the compiled sweep indexes the counts with it
-        corpus = Corpus(("a",), ("w0", "w1"), (ids,))
         with pytest.raises(ValueError, match="outside the vocabulary"):
+            fit_lda(hand_corpus([ids], 2), k=2, iterations=1, alpha=0.1, beta=0.01, seed=0)
+
+    @pytest.mark.parametrize("offsets", [[1, 2], [0, 1], [0, 3], [0, 2, 1, 2]])
+    def test_offsets_that_do_not_split_the_tokens_are_refused(self, offsets):
+        # before the compiled sweep reads the tokens through them
+        corpus = replace(hand_corpus([[0, 1]], 2), offsets=np.array(offsets, np.int64))
+        with pytest.raises(ValueError, match="offsets do not split the 2 tokens"):
             fit_lda(corpus, k=2, iterations=1, alpha=0.1, beta=0.01, seed=0)
 
     def test_normalization_and_positivity(self):
@@ -284,7 +309,7 @@ class TestFitLda:
 
     def test_count_conservation_every_iteration(self):
         corpus, _ = planted_corpus(docs_per_topic=6, tokens_per_doc=8)
-        total = sum(map(len, corpus.documents))
+        total = len(corpus.tokens)
         calls = []
 
         def check(it, word_topic, doc_topic):
@@ -317,11 +342,7 @@ def lda_cases(draw):
     documents = draw(st.lists(
         st.lists(st.integers(0, v - 1), max_size=4 * v).map(sorted), min_size=1, max_size=5,
     ).filter(any))
-    corpus = Corpus(
-        tuple(f"doc{d}" for d in range(len(documents))),
-        tuple(f"w{i}" for i in range(v)),
-        tuple(documents),
-    )
+    corpus = hand_corpus(documents, v)
     k = draw(st.integers(2, v))
     setting = {
         "k": k,
