@@ -14,15 +14,18 @@ One command, ten subcommands, wiring the pipeline end to end:
     sample    traffic table -> seeded uniform article sample
     report    earlier output dirs -> one plot-ready bundle with an index
 
-Every subcommand takes --out and writes its files there; `main` then
-writes the manifest, which hashes the files its input-file flags name
-(the flags of type _Input). Each flag's declaration checks its value,
-by its type or its choices, as the command line is parsed: a bad value
-is a usage error before any input is read, and the library takes the
-settings it is given as valid. The manifest records exactly the flags a
-subcommand declares. Exit codes: 0 success, 1 bad data, 2 bad usage. All
-randomness comes from --seed, which only topics, model and sample take;
-the other manifests record a null seed.
+Every subcommand takes --out and writes its files there. The first
+`out.file()` clears an earlier run's outputs, so each subcommand makes
+all of its results before it: a run that fails while computing leaves
+an earlier --out as it was. `main` then writes the manifest, which
+hashes the files its input-file flags name (the flags of type _Input).
+Each flag's declaration checks its value, by its type or its choices,
+as the command line is parsed: a bad value is a usage error before any
+input is read, and the library takes the settings it is given as valid.
+The manifest records exactly the flags a subcommand declares. Exit
+codes: 0 success, 1 bad data, 2 bad usage. All randomness comes from
+--seed, which only topics, model and sample take; the other manifests
+record a null seed.
 """
 
 from __future__ import annotations
@@ -367,7 +370,6 @@ def cmd_metrics(args, out: _OutputDir) -> None:
     if not traffic["total_views"].any():
         raise DataError(f"{args.traffic}: no articles with positive inflow")
     metrics, thresholds = metrics_table(traffic)
-    # the first write clears --out, so every large result is made before it
     views = metrics["total_views"]
     histograms = {
         name: (histogram(metrics[name], None, args.bins), histogram(metrics[name], views, args.bins))
@@ -377,11 +379,13 @@ def cmd_metrics(args, out: _OutputDir) -> None:
         weighted: heatmap_grid(metrics["resistance"], metrics["searchshare"], weights, args.grid)
         for weighted, weights in (("articles", None), ("views", views))
     }
+    shares = group_shares(metrics)
+    coefficients = correlations(metrics) if len(metrics) >= 2 else None
     write_metrics_table(out.file("metrics.tsv", "metrics_table"), metrics)
     write_thresholds(out.file("thresholds.txt", "thresholds"), thresholds)
-    write_group_shares(out.file("group_shares.tsv", "group_shares"), group_shares(metrics))
-    if len(metrics) >= 2:
-        write_keyvalues(out.file("correlations.txt", "correlations"), correlations(metrics))
+    write_group_shares(out.file("group_shares.tsv", "group_shares"), shares)
+    if coefficients is not None:
+        write_keyvalues(out.file("correlations.txt", "correlations"), coefficients)
     for name, (by_articles, by_views) in histograms.items():
         cells = enumerate(zip(by_articles.tolist(), by_views.tolist()))
         rows = ((i, i / args.bins, (i + 1) / args.bins, int(articles), v) for i, (articles, v) in cells)
@@ -419,7 +423,8 @@ def cmd_graph(args, out: _OutputDir) -> None:
         source, source_path, lines = "clickstream-approximation", args.clickstream, parse_stats.lines
     if not graph.node_count:
         raise DataError(f"{source_path}: no edges in {lines} lines")
-    write_network_table(out.file("network.tsv", "network_table"), network_features(graph))
+    network = network_features(graph)
+    write_network_table(out.file("network.tsv", "network_table"), network)
     write_keyvalues(
         out.file("graph_stats.txt"),
         {
@@ -455,13 +460,14 @@ def cmd_features(args, out: _OutputDir) -> None:
         assigned_ids = sorted(set(topic_ids[topic_ids >= 0].tolist()))
         labels = topic_names(assigned_ids, labels)
         if args.grid > 0 and assigned_ids:
-            # the first write clears --out, so every grid is made before it
             columns = [joined[name] for name in ("resistance", "searchshare", "total_views")]
             overall = heatmap_grid(*columns, args.grid)
             grids = ((tid, heatmap_grid(*(c[topic_ids == tid] for c in columns), args.grid)) for tid in assigned_ids)
             ratios = {tid: relative_difference_heatmap(grid, overall) for tid, grid in grids}
+    medians = group_medians(joined)
+    topic_stats = topic_statistics(joined, labels) if topics is not None else None
     write_joined_table(out.file("joined.tsv", "joined_table"), joined)
-    write_group_medians(out.file("medians.tsv", "median_table"), group_medians(joined))
+    write_group_medians(out.file("medians.tsv", "median_table"), medians)
     write_keyvalues(
         out.file("join_stats.txt"),
         {
@@ -470,8 +476,8 @@ def cmd_features(args, out: _OutputDir) -> None:
                for name, table in (("content", content), ("metrics", metrics), ("network", network))},
         },
     )
-    if topics is not None:
-        write_topic_stats(out.file("topic_stats.tsv", "topic_statistics"), topic_statistics(joined, labels))
+    if topic_stats is not None:
+        write_topic_stats(out.file("topic_stats.tsv", "topic_statistics"), topic_stats)
     for tid, ratio in ratios.items():
         write_matrix_csv(
             out.file(f"ratio_topic_{tid}.csv", "ratio_heatmap"),
@@ -507,10 +513,10 @@ def cmd_topics(args, out: _OutputDir) -> None:
     }
     with _about(args.documents):
         phi, theta = fit_lda(corpus, **settings)
+    labels = topic_names(range(args.k), None)
     write_assignments(out.file("topics.tsv", "topic_assignments"), corpus.articles, theta)
     write_phi(out.file("phi.csv", "topic_word_matrix"), phi, settings)
     write_theta(out.file("theta.csv", "document_topic_matrix"), theta, settings)
-    labels = topic_names(range(args.k), None)
     write_top_words(out.file("top_words.txt", "top_words"), phi, corpus.vocabulary, args.top_words, labels)
     write_keyvalues(
         out.file("corpus_stats.txt"),
@@ -556,8 +562,8 @@ def cmd_sample(args, out: _OutputDir) -> None:
     if args.n > len(table):
         raise DataError(f"{args.traffic}: cannot sample {args.n} articles from {len(table)}")
     rng = np.random.default_rng(args.seed)
-    chosen = rng.choice(len(table), size=args.n, replace=False)
-    write_traffic_table(out.file("traffic_sample.tsv", "traffic_table"), table.take(np.sort(chosen)))
+    sample = table.take(np.sort(rng.choice(len(table), size=args.n, replace=False)))
+    write_traffic_table(out.file("traffic_sample.tsv", "traffic_table"), sample)
 
 
 def cmd_report(args, out: _OutputDir) -> None:

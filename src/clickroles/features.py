@@ -148,18 +148,10 @@ def binned_quartiles(
     keys = keys[order].tolist()
     targets = table[target].astype(float)[order]
 
-    base, rem = divmod(len(table), bins)
-    summaries: list[BinSummary] = []
-    start = 0
-    for index in range(bins):
-        size = base + (1 if index < rem else 0)
-        stop = start + size
-        q1, q2, q3 = quartiles(targets[start:stop])
-        summaries.append(
-            BinSummary(index, size, keys[start], keys[stop - 1], q1, q2, q3)
-        )
-        start = stop
-    return summaries
+    return [
+        BinSummary(index, len(rows), keys[rows[0]], keys[rows[-1]], *quartiles(targets[rows]))
+        for index, rows in enumerate(np.array_split(np.arange(len(table)), bins))
+    ]
 
 
 @dataclass(frozen=True)

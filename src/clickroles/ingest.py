@@ -17,12 +17,12 @@ other RESERVED_TOKENS (``other-empty``, ``other-external``) carry no
 in-counts, and any other referrer is an internal article if the raw
 type is INTERNAL_RAWTYPE (``link``), else it carries no in-counts.
 
-A dump is read in one streaming pass, shared by ``ingest`` and
-``graph --clickstream``: parse_clickstream classifies each record by set
-lookups in those constants and yields plain ``(referrer, resource,
-count)`` tuples of search records (referrer None) and internal links
-only, so no Python function is called per record and memory grows with
-the number of articles, not with the number of lines.
+``ingest`` and ``graph --clickstream`` share the parser, but each reads
+the dump in its own streaming pass: parse_clickstream classifies each
+record by set lookups in those constants and yields plain ``(referrer,
+resource, count)`` tuples of search records (referrer None) and
+internal links only, so no Python function is called per record and
+memory grows with the number of articles, not with the number of lines.
 
 Counts are summed as plain Python ints, a commutative integer sum, so
 the result is independent of record order; the columns are built once

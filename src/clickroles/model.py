@@ -385,11 +385,8 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed) -> list[np.ndarray]:
                 f"class {cls} has {len(idx)} instances, fewer than {n_folds} folds"
             )
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
-    for idx in by_class:
-        for i, v in enumerate(rng.permutation(idx)):
-            folds[i % n_folds].append(int(v))
-    return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
+    dealt = [rng.permutation(idx) for idx in by_class]
+    return [np.sort(np.concatenate([perm[f::n_folds] for perm in dealt])) for f in range(n_folds)]
 
 
 def cross_validate(

@@ -143,8 +143,7 @@ def corpus_from_file(path: str | Path, stop_words: Collection[str]) -> Corpus:
     A line without the tab or the article (``path:N``), a repeated article
     (``path:N``) or a file with no documents raises DataError.
     """
-    articles: list[str] = []
-    seen: set[str] = set()
+    articles: dict[str, None] = {}  # insertion-ordered
     token_ids: dict[str, int] = {}
     tokens, offsets = array("i"), array("q", [0])
     for lineno, line in enumerate(iter_lines(path), start=1):
@@ -153,10 +152,9 @@ def corpus_from_file(path: str | Path, stop_words: Collection[str]) -> Corpus:
         article, sep, text = line.partition("\t")
         if not sep or not article:
             raise DataError(f"{path}:{lineno}: expected article<TAB>text")
-        if article in seen:
+        if article in articles:
             raise DataError(f"{path}:{lineno}: duplicate article {article!r}")
-        seen.add(article)
-        articles.append(article)
+        articles[article] = None
         tokens.fromlist(sorted(token_ids.setdefault(t, len(token_ids)) for t in tokenize(text, stop_words)))
         offsets.append(len(tokens))
     if not articles:

@@ -610,6 +610,38 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: out of memory: ")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    # the first out.file() clears --out, so each result is made before it
+    @pytest.mark.parametrize("sub, target", [
+        ("graph", "clickroles.cli.network_features"),
+        ("metrics", "clickroles.cli.group_shares"),
+        ("metrics", "clickroles.cli.correlations"),
+        ("features", "clickroles.cli.group_medians"),
+        ("features", "clickroles.cli.topic_statistics"),
+        ("sample", "clickroles.tableio.ColumnTable.take"),
+    ])
+    def test_out_of_memory_leaves_earlier_out(self, tmp_path, pipeline, capsys, monkeypatch, sub, target):
+        traffic = pipeline["ingest"] / "traffic.tsv"
+        inputs = {
+            "graph": ["--clickstream", pipeline["clickstream"]],
+            "metrics": ["--traffic", traffic],
+            "features": ["--metrics", pipeline["metrics"] / "metrics.tsv",
+                         "--network", pipeline["graph"] / "network.tsv", "--content", pipeline["content"],
+                         "--topics", pipeline["topics"] / "topics.tsv", "--grid", 10],
+            "sample": ["--traffic", traffic, "--n", 10],
+        }[sub]
+        out = tmp_path / "o"
+        shutil.copytree(pipeline[sub], out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "manifest.json" in before
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("patched")
+
+        monkeypatch.setattr(target, exhausted)
+        assert run(sub, *inputs, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_depth_beyond_ranking_names_traffic_file(self, tmp_path, pipeline, capsys):
         traffic = pipeline["ingest"] / "traffic.tsv"
         n = len(traffic.read_text().splitlines()) - 1

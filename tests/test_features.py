@@ -20,6 +20,7 @@ from clickroles.features import (
     CONTENT,
     DEFAULT_MEDIAN_FEATURES,
     JOINED,
+    BinSummary,
     TopicStats,
     binned_quartiles,
     group_medians,
@@ -118,6 +119,24 @@ def ref_binned_quartiles(rows, bin_feature, target, bins):
         out.append((index, stop - start, low, high, q1, q2, q3))
         start = stop
     return out
+
+
+def walked_binned_quartiles(table, bin_feature, target, bins):
+    """Reference bins over the table's stable key order, walked with
+    start/stop counters: the first len % bins bins hold one extra row."""
+    keys = table[bin_feature].astype(float)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order].tolist()
+    targets = table[target].astype(float)[order]
+    base, rem = divmod(len(table), bins)
+    summaries, start = [], 0
+    for index in range(bins):
+        size = base + (1 if index < rem else 0)
+        stop = start + size
+        q1, q2, q3 = quartiles(targets[start:stop])
+        summaries.append(BinSummary(index, size, keys[start], keys[stop - 1], q1, q2, q3))
+        start = stop
+    return summaries
 
 
 def ref_topic_statistics(rows, labels=None):
@@ -441,6 +460,20 @@ class TestBinnedQuartiles:
         for b in summaries:
             assert b.q1 <= b.q2 <= b.q3
             assert b.feature_low <= b.feature_high
+
+    @given(
+        # few distinct keys, so most rows tie
+        st.lists(st.tuples(st.integers(0, 3), st.floats(0, 1)), min_size=1, max_size=80),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_start_stop_walk(self, data, draw):
+        table = make_table([make_row(f"A{i:03d}", kcore=k, searchshare=s) for i, (k, s) in enumerate(data)])
+        bins = draw.draw(st.just(len(table)) | st.integers(1, len(table)))
+        got = binned_quartiles(table, "kcore", "searchshare", bins)
+        want = walked_binned_quartiles(table, "kcore", "searchshare", bins)
+        assert got == want
+        assert repr(got) == repr(want)
 
     @given(
         joined_rows(min_size=1),

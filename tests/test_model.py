@@ -523,7 +523,30 @@ class TestSortedOnceSplitSearch:
         assert np.array_equal(row_value, tree.leaf_values(x))
 
 
+def dealt_folds(y, n_folds, seed) -> list[np.ndarray]:
+    """Reference deal, one row at a time: each class's permutation, in
+    class order, goes round-robin over the folds, which are then sorted."""
+    rng = np.random.default_rng(seed)
+    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    for cls in (0, 1):
+        for i, v in enumerate(rng.permutation(np.nonzero(y == cls)[0])):
+            folds[i % n_folds].append(int(v))
+    return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
+
+
 class TestStratifiedFolds:
+    @given(st.integers(2, 7), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_row_deal(self, n_folds, data):
+        pos, neg = data.draw(st.integers(n_folds, 60)), data.draw(st.integers(n_folds, 60))
+        y = np.array(data.draw(st.permutations([1] * pos + [0] * neg)), dtype=np.int8)
+        seed = data.draw(st.integers(0, 2**32) | st.lists(st.integers(0, 2**32), min_size=2, max_size=2))
+        got, want = stratified_folds(y, n_folds, seed), dealt_folds(y, n_folds, seed)
+        assert len(got) == n_folds
+        for fold, expected in zip(got, want):
+            assert fold.dtype == np.int64
+            assert np.array_equal(fold, expected)
+
     def test_partition_and_balance(self):
         rng = np.random.default_rng(8)
         y = (rng.random(137) < 0.3).astype(np.int8)
