@@ -31,7 +31,6 @@ record a null seed.
 from __future__ import annotations
 
 import argparse
-import filecmp
 import math
 import shutil
 import sys
@@ -73,7 +72,7 @@ from .linkgraph import (
     read_network_table,
     write_network_table,
 )
-from .manifest import MANIFEST_NAME, build_manifest, read_manifest, write_manifest
+from .manifest import MANIFEST_NAME, build_manifest, read_manifest, sha256_file, write_manifest
 from .metrics import (
     correlations,
     group_shares,
@@ -312,7 +311,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--trees", type=_count(1), default=200)
     p.add_argument("--depth", type=_count(0), default=4)
-    p.add_argument("--rate", type=positive, default=0.1)
+    p.add_argument("--rate", type=_checked(parse_real, lambda rate: 0 < rate <= 1, "a number in (0, 1]"), default=0.1)
     p.add_argument("--min-leaf", type=_count(1), default=20)
     p.add_argument("--folds", type=_count(2), default=10)
     p.set_defaults(func=cmd_model)
@@ -567,14 +566,16 @@ def cmd_sample(args, out: _OutputDir) -> None:
 
 
 def cmd_report(args, out: _OutputDir) -> None:
-    found: dict[str, tuple[Path, str, str]] = {}  # name -> (source path, kind, source dir)
+    found: dict[str, tuple[Path, str, str, str]] = {}  # name -> (source path, kind, source dir, sha256)
+    manifests = {}  # manifest path -> manifest
     for directory in args.inputs:
         d = Path(directory)
         if not d.is_dir():
             raise DataError(f"{directory}: not a directory")
         if d.resolve() == out.path.resolve():
             continue  # a rerun's own earlier bundle
-        for name, kind in read_manifest(d).outputs.items():
+        manifest = manifests[d / MANIFEST_NAME] = read_manifest(d)
+        for name, kind in manifest.outputs.items():
             src = d / name
             if not src.is_file():
                 raise DataError(f"{src}: listed in {d / MANIFEST_NAME} but missing")
@@ -582,26 +583,31 @@ def cmd_report(args, out: _OutputDir) -> None:
                 continue
             if name in (MANIFEST_NAME, "index.json"):
                 raise DataError(f"{d / MANIFEST_NAME}: lists {name!r}, a file report writes itself")
-            if name in found:
-                with oserror_as_data(f"cannot compare {src} with {found[name][0]}"):
-                    same = filecmp.cmp(src, found[name][0], shallow=False)
-                if not same:
-                    raise DataError(
-                        f"conflicting files named {name!r} in {found[name][2]} and {directory}"
-                    )
-                continue
-            found[name] = (src, kind, directory)
+            with oserror_as_data(f"cannot read {src}"):
+                digest = sha256_file(src)
+            if name not in found:
+                found[name] = (src, kind, directory, digest)
+            elif digest != found[name][3]:
+                raise DataError(f"conflicting files named {name!r} in {found[name][2]} and {directory}")
     if not found:
         raise DataError(
             "no pipeline outputs found under the given directories; "
             "run ingest/metrics/overlap/graph/features/bins/topics/model first"
         )
+    # each input a stage read under a bundled file's name must be that file
+    for path, manifest in manifests.items():
+        for given, digest in manifest.inputs.items():
+            name = Path(given).name
+            if name in found and digest != found[name][3]:
+                raise DataError(
+                    f"{path}: {manifest.subcommand} read {name} sha256 {digest}, bundle has {found[name][3]}"
+                )
 
     out.inputs = [str(found[name][0]) for name in sorted(found)]
     make_dir(out.path)
     index = []
     for name in sorted(found):
-        src, kind, source_dir = found[name]
+        src, kind, source_dir, _ = found[name]
         dest = out.file(name, kind)
         with oserror_as_data(f"cannot copy {src} to {dest}"):
             shutil.copyfile(src, dest)

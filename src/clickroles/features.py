@@ -63,11 +63,11 @@ def join_features(
     article. The topic assignment is carried when present but never
     drops a row (shares over the assigned subpopulation are computed
     downstream); None means no topic table, and every row's topic_id is
-    then -1. Every table is in title order, so each one's rows of the
-    common titles line up.
+    then -1. Every table is in title order, so the common titles, taken
+    in metrics' order, and each table's rows of them line up.
     """
     common = set(metrics.articles).intersection(network.articles, content.articles)
-    articles = tuple(sorted(common))
+    articles = tuple(a for a in metrics.articles if a in common)
     columns = {}
     for table in (metrics, network, content):
         rows = _member(table.articles, common)

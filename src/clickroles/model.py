@@ -1,7 +1,8 @@
 """Gradient-boosted tree classification of traffic roles.
 
 An instance set stacks the joined table's feature columns, plus a
-one-hot of the topic ids present. Binary targets are the roles that
+one-hot of the topic ids present; a feature group is the columns whose
+names pass its test in FEATURE_GROUPS. Binary targets are the roles that
 ``metrics`` assigned at the corpus means, read from the joined table's
 quadrant column: a task's positives are the roles TASKS names for it,
 the search-dominated ones (searchshare strictly above its mean) or the
@@ -61,7 +62,12 @@ CONTENT_EDIT_FEATURES = (
     "sections",
     "age",
 )
-FEATURE_GROUPS = ("network", "content-edit", "topic", "all")
+FEATURE_GROUPS = {
+    "network": NETWORK_FEATURES.__contains__,
+    "content-edit": CONTENT_EDIT_FEATURES.__contains__,
+    "topic": lambda name: name.startswith("topic_"),
+    "all": lambda _: True,
+}
 
 MODEL_FORMAT_VERSION = 1
 
@@ -103,25 +109,17 @@ def build_instances(table: ColumnTable, task: str) -> InstanceSet:
 
 
 def select_group(instances: InstanceSet, group: str) -> InstanceSet:
-    """Column subset for one of the named feature groups."""
-    if group == "network":
-        wanted = [n for n in instances.feature_names if n in NETWORK_FEATURES]
-    elif group == "content-edit":
-        wanted = [n for n in instances.feature_names if n in CONTENT_EDIT_FEATURES]
-    elif group == "topic":
-        wanted = [n for n in instances.feature_names if n.startswith("topic_")]
-    else:
-        wanted = list(instances.feature_names)
-    if not wanted:
+    """The columns of `instances` that pass `group`'s test in FEATURE_GROUPS."""
+    cols = [j for j, name in enumerate(instances.feature_names) if FEATURE_GROUPS[group](name)]
+    if not cols:
         raise UsageError(f"no {group!r} features present in the instance set")
-    cols = [instances.feature_names.index(n) for n in wanted]
-    return InstanceSet(tuple(wanted), instances.x[:, cols], instances.y)
+    return InstanceSet(tuple(instances.feature_names[j] for j in cols), instances.x[:, cols], instances.y)
 
 
 def default_groups(instances: InstanceSet) -> list[str]:
     """The feature groups evaluated when none are named: every group if
     the instances have topic columns, else network and content-edit."""
-    if any(name.startswith("topic_") for name in instances.feature_names):
+    if any(map(FEATURE_GROUPS["topic"], instances.feature_names)):
         return list(FEATURE_GROUPS)
     return ["network", "content-edit"]
 
@@ -171,9 +169,6 @@ class Tree:
             go_left = fx <= self.threshold[idx]
             nxt = np.where(go_left, self.left[idx], self.right[idx])
             idx = np.where(internal, nxt, idx)
-
-    def scale_values(self, factor: float) -> "Tree":
-        return replace(self, value=self.value * factor)
 
 
 def _tree(arrays: Mapping[str, Sequence]) -> Tree:
@@ -315,10 +310,9 @@ def train_gbdt(
 ) -> GBDTModel:
     """Stagewise fit; deterministic for a given config.
 
-    Each stage fits a tree to the current gradients and is accepted only
-    if it does not increase training loss; otherwise its leaf values are
-    halved until it stops hurting (reaching zero in the limit), so the
-    per-stage loss sequence is non-increasing by construction.
+    Each stage fits a tree to the current gradients and scales its leaf
+    values by the first of 1, 2**-1, ..., 2**-60 that does not raise the
+    training loss, or by 0 if none does, so the loss never increases.
 
     `x` is n x d with one row per label of `y`, and `feature_names`
     names its d columns, as an InstanceSet holds them.
@@ -347,19 +341,12 @@ def train_gbdt(
         h = p * (1.0 - p)
         tree, row_value = _grow_tree(x_by_feature, order, g, h, config.max_depth, config.min_leaf)
         step = row_value * config.learning_rate
-        new_loss = log_loss(scores + step, y)
-        halvings = 0
-        while new_loss > loss and halvings < 60:
-            tree = tree.scale_values(0.5)
-            step *= 0.5
-            new_loss = log_loss(scores + step, y)
-            halvings += 1
-        if new_loss > loss:
-            tree = tree.scale_values(0.0)
-            step *= 0.0
-            new_loss = loss
-        trees.append(tree)
-        scores = scores + step
+        scale = 1.0
+        # at scale 0 the loss is the current one, which ends the loop
+        while (new_loss := log_loss(scores + scale * step, y)) > loss:
+            scale = scale / 2 if scale > 2.0**-60 else 0.0
+        trees.append(replace(tree, value=tree.value * scale))
+        scores = scores + scale * step
         loss = new_loss
     return GBDTModel(initial, config.learning_rate, names, tuple(trees), False)
 

@@ -8,7 +8,6 @@ manifest completeness, and byte-level determinism of reruns.
 import argparse
 import ast
 import errno
-import filecmp
 import gzip
 import hashlib
 import json
@@ -699,11 +698,13 @@ class TestExitCodes:
         pytest.param("topics", "--beta", " 0.5 ", "is not a positive finite number", id="topics-beta-padded"),
         pytest.param("model", "--trees", "-2", "is not an integer from 1", id="model-trees"),
         pytest.param("model", "--depth", "-1", "is not an integer from 0", id="model-depth"),
-        pytest.param("model", "--rate", "0", "is not a positive finite number", id="model-rate"),
-        pytest.param("model", "--rate", "-1", "is not a positive finite number", id="model-rate-negative"),
-        pytest.param("model", "--rate", "nan", "is not a positive finite number", id="model-rate-nan"),
-        pytest.param("model", "--rate", "inf", "is not a positive finite number", id="model-rate-inf"),
-        pytest.param("model", "--rate", "\u0661", "is not a positive finite number", id="model-rate-non-ascii"),
+        pytest.param("model", "--rate", "0", "'0' is not a number in (0, 1]", id="model-rate"),
+        pytest.param("model", "--rate", "-1", "'-1' is not a number in (0, 1]", id="model-rate-negative"),
+        pytest.param("model", "--rate", "nan", "'nan' is not a number in (0, 1]", id="model-rate-nan"),
+        pytest.param("model", "--rate", "inf", "'inf' is not a number in (0, 1]", id="model-rate-inf"),
+        pytest.param("model", "--rate", "\u0661", "is not a number in (0, 1]", id="model-rate-non-ascii"),
+        pytest.param("model", "--rate", "1.5", "'1.5' is not a number in (0, 1]", id="model-rate-above-one"),
+        pytest.param("model", "--rate", "1e308", "'1e308' is not a number in (0, 1]", id="model-rate-huge"),
         pytest.param("model", "--min-leaf", "-5", "is not an integer from 1", id="model-min-leaf"),
         pytest.param("model", "--folds", "1", "is not an integer from 2", id="model-folds"),
         pytest.param("model", "--task", "views", "invalid choice: 'views'", id="model-task"),
@@ -781,6 +782,14 @@ class TestExitCodes:
         }[sub]
         # the flag comes last, so it overrides a setting given above
         assert run(sub, *argv, flag, 2**53, "--out", tmp_path / "o") in (0, 1, 2)
+
+    def test_rate_one_is_accepted(self, tmp_path, pipeline):
+        # the largest shrinkage: every model file is strict JSON
+        argv = ["--joined", pipeline["features"] / "joined.tsv", "--trees", 3, "--folds", 3, "--min-leaf", 2]
+        assert run("model", *argv, "--rate", 1, "--out", tmp_path / "o") == 0
+        for path in (tmp_path / "o").glob("model_*.json"):
+            doc = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"{path}: {name}"))
+            assert doc["learning_rate"] == 1.0
 
     def test_depth_goes_past_the_interpreter_recursion_limit(self, tmp_path):
         # in_degree is the row number and the labels alternate, so the tree
@@ -1471,14 +1480,36 @@ class TestReport:
         copy = tmp_path / "copy"
         shutil.copytree(pipeline["metrics"], copy)
 
-        def unreadable(path, *args, **kwargs):
-            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        def unreadable_copy(path, *args, **kwargs):
+            if Path(path).parent == copy:
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(filecmp, "open", unreadable, raising=False)
+        monkeypatch.setattr("clickroles.manifest.open", unreadable_copy, raising=False)
         code = main(["report", "--inputs", str(pipeline["metrics"]), str(copy), "--out", str(tmp_path / "r")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot compare {copy}/") and err.endswith(": Permission denied\n")
+        assert err.startswith(f"error: cannot read {copy}/") and err.endswith(": Permission denied\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_stale_input_rejected(self, tmp_path, pipeline, capsys):
+        # ingest and metrics rerun on part of the dump: features' joined
+        # table was made from the earlier metrics.tsv, not the bundled one
+        part = tmp_path / "part.tsv"
+        part.write_text("".join(pipeline["clickstream"].read_text().splitlines(keepends=True)[:200]))
+        rerun = {name: tmp_path / name for name in ("ingest", "metrics")}
+        assert run("ingest", "--clickstream", part, "--out", rerun["ingest"]) == 0
+        assert run("metrics", "--traffic", rerun["ingest"] / "traffic.tsv", "--out", rerun["metrics"]) == 0
+        read, bundled = (hashlib.sha256((d / "metrics.tsv").read_bytes()).hexdigest()
+                         for d in (pipeline["metrics"], rerun["metrics"]))
+        assert read != bundled
+        code = main(["report", "--inputs", str(rerun["ingest"]), str(rerun["metrics"]), str(pipeline["features"]),
+                     "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {pipeline['features'] / 'manifest.json'}: features read metrics.tsv sha256 {read}, "
+            f"bundle has {bundled}\n"
+        )
         assert not (tmp_path / "r").exists()
 
     def test_missing_directory_rejected(self, tmp_path, capsys):

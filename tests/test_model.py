@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,22 @@ class TestBuildInstances:
         assert inst.y.tolist() == [int(ROLES[q] in TASKS[task]) for q in quadrants]
 
 
+def if_chain_select_group(instances: InstanceSet, group: str) -> InstanceSet:
+    """Reference column subset: one branch per feature group."""
+    if group == "network":
+        wanted = [n for n in instances.feature_names if n in NETWORK_FEATURES]
+    elif group == "content-edit":
+        wanted = [n for n in instances.feature_names if n in CONTENT_EDIT_FEATURES]
+    elif group == "topic":
+        wanted = [n for n in instances.feature_names if n.startswith("topic_")]
+    else:
+        wanted = list(instances.feature_names)
+    if not wanted:
+        raise UsageError(f"no {group!r} features present in the instance set")
+    cols = [instances.feature_names.index(n) for n in wanted]
+    return InstanceSet(tuple(wanted), instances.x[:, cols], instances.y)
+
+
 class TestSelectGroup:
     def make(self):
         rows = [make_row(f"R{i}", topic_id=i % 3) for i in range(6)]
@@ -219,6 +237,24 @@ class TestSelectGroup:
         inst = build_instances(make_table(rows), "searchshare")
         with pytest.raises(UsageError):
             select_group(inst, "topic")
+
+    @given(st.lists(st.none() | st.sampled_from([0, 1, 5, 2**53]), min_size=1, max_size=12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_if_chain(self, topic_ids, data):
+        rows = [make_row(f"R{i:02d}", topic_id=tid, kcore=i, age=float(data.draw(st.integers(0, 9))))
+                for i, tid in enumerate(topic_ids)]
+        inst = build_instances(make_table(rows), "searchshare")
+        for group in FEATURE_GROUPS:
+            if group == "topic" and all(tid is None for tid in topic_ids):
+                with pytest.raises(UsageError, match="no 'topic' features"):
+                    select_group(inst, group)
+                with pytest.raises(UsageError, match="no 'topic' features"):
+                    if_chain_select_group(inst, group)
+                continue
+            got, want = select_group(inst, group), if_chain_select_group(inst, group)
+            assert got.feature_names == want.feature_names
+            assert got.x.dtype == want.x.dtype and np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y, want.y)
 
 
 class TestBalance:
@@ -431,8 +467,10 @@ class ReferenceTreeBuilder:
         return best
 
 
-def reference_trees(x, y, config: GBDTConfig) -> list[Tree]:
-    """train_gbdt's stagewise loop around the reference builder."""
+def reference_trees(x, y, config: GBDTConfig, zeroed: list | None = None) -> list[Tree]:
+    """train_gbdt's stagewise loop around the reference builder, halving a
+    stage that raises the loss at most 60 times, then zeroing it; the
+    index of each zeroed stage is appended to `zeroed`."""
     scores = np.full(len(y), np.log((y == 1).sum() / (y == 0).sum()))
     loss = log_loss(scores, y)
     trees = []
@@ -443,14 +481,16 @@ def reference_trees(x, y, config: GBDTConfig) -> list[Tree]:
         new_loss = log_loss(scores + step, y)
         halvings = 0
         while new_loss > loss and halvings < 60:
-            tree = tree.scale_values(0.5)
+            tree = replace(tree, value=tree.value * 0.5)
             step *= 0.5
             new_loss = log_loss(scores + step, y)
             halvings += 1
         if new_loss > loss:
-            tree = tree.scale_values(0.0)
+            tree = replace(tree, value=tree.value * 0.0)
             step *= 0.0
             new_loss = loss
+            if zeroed is not None:
+                zeroed.append(len(trees))
         trees.append(tree)
         scores = scores + step
         loss = new_loss
@@ -505,6 +545,46 @@ class TestSortedOnceSplitSearch:
         for got, want in zip(model.trees, expected):
             for field in ("feature", "threshold", "left", "right", "value"):
                 assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+
+    def test_stage_scale_matches_halving_loop(self):
+        # large rates make stages that raise the loss even at 2**-60, which
+        # the reference then zeroes; at least one drawn case must do so
+        zeroed = []
+        # rates near 2**60 put the first scale that lowers the loss near the cap
+        rates = st.sampled_from((0.1, 1.0, 1e6, 1e15, 1e20)) | st.floats(55, 66).map(lambda e: 2.0**e)
+
+        @given(split_problems(), rates, st.integers(1, 6))
+        @settings(max_examples=150, deadline=None)
+        def check(problem, rate, n_trees):
+            x, y, config = problem
+            config = replace(config, learning_rate=rate, n_trees=n_trees)
+            with np.errstate(invalid="ignore"):  # the midpoint of -inf and inf
+                model = train_gbdt(x, y, config, feature_names(x))
+                if model.prior_fallback:
+                    assert np.all(x == x[0]) and not model.trees
+                    return
+                expected = reference_trees(x, y, config, zeroed)
+            assert len(model.trees) == len(expected)
+            for got, want in zip(model.trees, expected):
+                for field in TREE_ARRAYS:
+                    assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+                assert np.array_equal(np.signbit(got.value), np.signbit(want.value))
+
+        check()
+        assert zeroed
+
+    # one split whose leaves each hold a row of the other class: at a rate
+    # of 2**61 the stage first stops raising the loss at scale 2**-60, and
+    # at 1.5 * 2**61 it still raises it there, so the stage is zeroed
+    @pytest.mark.parametrize("rate, zeroed", [(2.0**61, []), (1.5 * 2.0**61, [0])])
+    def test_stage_scale_at_the_cap(self, rate, zeroed):
+        x, y = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]]), np.array([0, 0, 1, 1, 1, 0], dtype=np.int8)
+        config = GBDTConfig(n_trees=1, max_depth=1, learning_rate=rate, min_leaf=1, seed=0)
+        stages = []
+        (got,) = train_gbdt(x, y, config, feature_names(x)).trees
+        (want,) = reference_trees(x, y, config, stages)
+        assert stages == zeroed and np.array_equal(got.value, want.value)
+        assert got.value.any() == (not zeroed)
 
     @given(split_problems(), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
