@@ -2,9 +2,9 @@
    clickroles.native, which declares each function's argument types.
 
    Build with -ffp-contract=off and never -ffast-math: each function
-   performs the float operations of its Python twin (python_<name> in
-   clickroles.native) on the same operands in the same order, so its
-   results are equal bit for bit. */
+   performs the float operations of its test oracle (lda_sweep: the loop
+   of reference_fit_lda in tests/test_topics.py) on the same operands in
+   the same order, so its results are equal bit for bit. */
 
 #include <stdint.h>
 

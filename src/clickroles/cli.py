@@ -23,9 +23,9 @@ Each flag's declaration checks its value, by its type or its choices,
 as the command line is parsed: a bad value is a usage error before any
 input is read, and the library takes the settings it is given as valid.
 The manifest records exactly the flags a subcommand declares. Exit
-codes: 0 success, 1 bad data, 2 bad usage. All randomness comes from
---seed, which only topics, model and sample take; the other manifests
-record a null seed.
+codes: 0 success, 1 bad data (or no C compiler for topics' sampler), 2
+bad usage. All randomness comes from --seed, which only topics, model
+and sample take; the other manifests record a null seed.
 """
 
 from __future__ import annotations
@@ -142,8 +142,9 @@ class _OutputDir:
     def __init__(self, args):
         self.path = Path(args.out)
         self.kinds: dict[str, str | None] = {}
-        # the input-file flags' values in flag order; report sets its bundled files
-        self.inputs: list[str] = [v for v in vars(args).values() if isinstance(v, _Input)]
+        # the input-file flags' values in flag order, each to its SHA-256 or
+        # None for the manifest to take; report sets its bundled files' digests
+        self.inputs: dict[str, str | None] = dict.fromkeys(v for v in vars(args).values() if isinstance(v, _Input))
 
     def file(self, name: str, kind: str | None = None) -> Path:
         """The path to write output `name` to; `kind` names what it holds
@@ -501,6 +502,9 @@ def cmd_bins(args, out: _OutputDir) -> None:
 
 
 def cmd_topics(args, out: _OutputDir) -> None:
+    from . import native  # here, not at the top: no other subcommand runs a compiled loop
+
+    native.load()  # outside _about below: a compiler's error does not concern the documents
     stop_words = read_stop_words(args.stopwords) if args.stopwords is not None else DEFAULT_STOP_WORDS
     corpus = corpus_from_file(args.documents, stop_words)
     settings = {
@@ -603,7 +607,7 @@ def cmd_report(args, out: _OutputDir) -> None:
                     f"{path}: {manifest.subcommand} read {name} sha256 {digest}, bundle has {found[name][3]}"
                 )
 
-    out.inputs = [str(found[name][0]) for name in sorted(found)]
+    out.inputs = {str(found[name][0]): found[name][3] for name in sorted(found)}
     make_dir(out.path)
     index = []
     for name in sorted(found):

@@ -1,13 +1,14 @@
 """Exception types shared across the toolkit.
 
-DataError maps to CLI exit code 1 (bad or missing input data),
-UsageError to exit code 2 (bad invocation).
+DataError maps to CLI exit code 1 (bad or missing input data, or no C
+compiler for topics), UsageError to exit code 2 (bad invocation).
 """
 
 
 class DataError(Exception):
     """Input data violates a precondition (malformed line, empty table,
-    duplicate key, missing file, ...)."""
+    duplicate key, missing file, ...), or the compiled loops cannot be
+    built or loaded."""
 
 
 class UsageError(Exception):

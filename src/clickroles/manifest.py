@@ -21,7 +21,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import __version__
 from .errors import DataError
@@ -55,7 +55,7 @@ def sha256_file(path: str | Path) -> str:
 def build_manifest(
     subcommand: str,
     config: Mapping[str, object],
-    inputs: Sequence[str | Path],
+    inputs: Mapping[str, str | None],
     outputs: Mapping[str, str | None],
     seed: int | None,
 ) -> RunManifest:
@@ -64,7 +64,7 @@ def build_manifest(
         version=__version__,
         seed=seed,
         config=dict(config),
-        inputs={str(p): sha256_file(p) for p in inputs},
+        inputs={str(p): digest or sha256_file(p) for p, digest in inputs.items()},
         outputs=dict(sorted(outputs.items())),
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

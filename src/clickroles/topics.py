@@ -39,8 +39,8 @@ in, so the draw order does not depend on the sweep. Per token the C loop:
     binary search: the totals never decrease), weights that underflow
     to 0 (equal neighbouring totals) included;
   - adds the token to its new topic's counts.
-Without a C compiler, native.python_lda_sweep does the same operations
-in the same order, so the output bytes do not depend on which sweep ran.
+Without a C compiler, or when the build or the load fails, fit_lda
+raises DataError (exit 1) and fits nothing.
 """
 
 from __future__ import annotations
@@ -183,9 +183,10 @@ def fit_lda(
 
     Needs k >= 2, iterations >= 1 and a positive, finite alpha and beta;
     UsageError if k*alpha, V*beta or the sum of the k sampling weights
-    overflows. `on_iteration(i, word_topic, doc_topic)` is called after
-    each sweep with the live int64 count arrays, word-major V x k and
-    D x k, read-only.
+    overflows, DataError if the compiled sweep does not load.
+    `on_iteration(i, word_topic, doc_topic)` is called after each sweep
+    with the live int64 count arrays, word-major V x k and D x k,
+    read-only.
     """
     v = len(corpus.vocabulary)
     if k > v:
@@ -224,8 +225,7 @@ def fit_lda(
 
     from . import native  # here, not at the top: every subcommand imports this module
 
-    lib = native.load()
-    sweep = native.python_lda_sweep if lib is None else lib.lda_sweep
+    sweep = native.load().lda_sweep
     cum = np.empty(k)  # the sweep's running totals
     word_topic, doc_topic = n_wk.view(), n_dk.view()
     word_topic.flags.writeable = doc_topic.flags.writeable = False

@@ -1143,7 +1143,7 @@ class TestManifests:
         source = tmp_path / "in.tsv"
         source.write_text("x\n")
         outputs = {"b_stats.txt": None, "a.tsv": "demo_table"}
-        manifest = build_manifest("demo", {"bins": 3}, [source], outputs, seed=5)
+        manifest = build_manifest("demo", {"bins": 3}, {str(source): None}, outputs, seed=5)
         write_manifest(tmp_path, manifest)
         back = read_manifest(tmp_path)
         assert back == manifest
@@ -1154,7 +1154,7 @@ class TestManifests:
 
     def test_missing_input_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            build_manifest("demo", {}, [tmp_path / "absent"], {}, None)
+            build_manifest("demo", {}, {str(tmp_path / "absent"): None}, {}, None)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
@@ -1347,20 +1347,21 @@ class TestDeterminism:
         assert tree_bytes(a) == tree_bytes(b)
         assert read_manifest(a).config["groups"] == ["network"]
 
-    def test_no_c_compiler_gives_the_same_bytes(self, tmp_path, pipeline, capsys, monkeypatch):
-        # a fresh cache each, so the second run finds no library and no cc
-        # to build one, and runs the Python sweep
-        argv = ("topics", "--documents", pipeline["documents"], "--k", 2, "--iterations", 40)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        assert run(*argv, "--out", tmp_path / "compiled") == 0
-        assert list((tmp_path / "cache" / "clickroles").glob("_sweep-*.so"))
+    def test_no_c_compiler_exits_1(self, tmp_path, pipeline, capsys, monkeypatch):
+        # an earlier run's --out, then a rerun with an empty cache and no cc
+        # on PATH to build the sweep: exit 1, and the earlier --out is kept
+        argv = ("topics", "--documents", pipeline["documents"], "--k", 2, "--iterations", 40, "--out", tmp_path / "out")
+        assert run(*argv) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        capsys.readouterr()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
         monkeypatch.setenv("PATH", "")
-        assert run(*argv, "--out", tmp_path / "python") == 0
-        assert capsys.readouterr().err == ""
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no C compiler: cc is not on PATH to build ")
+        assert err.endswith(f" into {tmp_path / 'empty' / 'clickroles'}\n")
         assert not (tmp_path / "empty").exists()
-        assert tree_bytes(tmp_path / "python") == tree_bytes(tmp_path / "compiled")
-        assert manifest_without_timestamp(tmp_path / "python") == manifest_without_timestamp(tmp_path / "compiled")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
 
     def test_thread_count_does_not_change_outputs(self, tmp_path, pipeline):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1403,6 +1404,24 @@ class TestReport:
         assert "join_stats.txt" not in bundled
         assert "topic_stats.tsv" in bundled  # a deliverable, not run diagnostics
 
+    def test_each_bundled_file_is_hashed_once(self, tmp_path, pipeline, monkeypatch):
+        # the duplicate and lineage checks and the manifest share one digest per file
+        hashed = []
+        real = clickroles.manifest.sha256_file
+
+        def spy(path):
+            hashed.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(clickroles.manifest, "sha256_file", spy)
+        monkeypatch.setattr(clickroles.cli, "sha256_file", spy)
+        out = tmp_path / "r"
+        assert run("report", "--inputs", pipeline["ingest"], pipeline["metrics"], pipeline["graph"], "--out", out) == 0
+        bundled = [str(Path(e["source"]) / e["file"]) for e in json.loads((out / "index.json").read_text())["files"]]
+        assert len(bundled) > 3
+        assert sorted(hashed) == sorted(bundled)
+        assert read_manifest(out).inputs == {path: real(path) for path in bundled}
+
     def test_copies_are_faithful(self, pipeline):
         original = (pipeline["metrics"] / "metrics.tsv").read_bytes()
         assert (pipeline["report"] / "metrics.tsv").read_bytes() == original
@@ -1417,7 +1436,7 @@ class TestReport:
         clone = tmp_path / "clone"
         clone.mkdir()
         (clone / "metrics.tsv").write_text("article\tdifferent\n")
-        write_manifest(clone, build_manifest("metrics", {}, [], {"metrics.tsv": "metrics_table"}, None))
+        write_manifest(clone, build_manifest("metrics", {}, {}, {"metrics.tsv": "metrics_table"}, None))
         code = main(["report", "--inputs", str(pipeline["metrics"]), str(clone),
                      "--out", str(tmp_path / "r")])
         assert code == 1
@@ -1427,7 +1446,7 @@ class TestReport:
         empty = tmp_path / "empty"  # of deliverables: it holds one run diagnostic
         empty.mkdir()
         (empty / "graph_stats.txt").write_text("nodes=1\n")
-        write_manifest(empty, build_manifest("graph", {}, [], {"graph_stats.txt": None}, None))
+        write_manifest(empty, build_manifest("graph", {}, {}, {"graph_stats.txt": None}, None))
         code = main(["report", "--inputs", str(empty), "--out", str(tmp_path / "r")])
         assert code == 1
         assert "ingest" in capsys.readouterr().err

@@ -1,14 +1,16 @@
-"""The loader of the compiled inner loops: its cache and its fallbacks."""
+"""The loader of the compiled inner loops: its cache and its errors."""
 
 from __future__ import annotations
 
 import hashlib
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from clickroles import native
+from clickroles.errors import DataError
 from clickroles.topics import Corpus, fit_lda
 
 # documents a = [0, 0, 1, 2] and b = [1, 2, 2]
@@ -50,26 +52,49 @@ def test_unwritable_cache_compiles_for_the_process(tmp_path, compiles, monkeypat
     # a file where the cache directory should be: no directory can be made there
     (tmp_path / "cache").write_text("")
     lib = native.load()
-    assert lib is not None and lib.lda_sweep.argtypes
+    assert lib.lda_sweep.argtypes
     assert (tmp_path / "cache").read_text() == ""
     # built in a private directory outside the cache, removed once loaded
     assert len(compiles) == 1 and not compiles[0].is_relative_to(tmp_path)
     assert not compiles[0].parent.exists()
-    # and the fit it serves is the one the Python sweep gives
-    compiled = fit_lda(CORPUS, **SETTING)
-    monkeypatch.setattr(native, "load", lambda: None)
-    python = fit_lda(CORPUS, **SETTING)
-    assert all((a == b).all() for a, b in zip(compiled, python))
+    # and the fit it serves is the one a library from a writable cache gives
+    private = fit_lda(CORPUS, **SETTING)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "writable"))
+    cached = fit_lda(CORPUS, **SETTING)
+    assert len(compiles) == 3 and compiles[2].is_relative_to(tmp_path / "writable")
+    assert all((a == b).all() for a, b in zip(private, cached))
 
 
-
-def test_failed_build_runs_the_python_sweep(tmp_path, compiles, monkeypatch):
+def test_failed_build_raises_the_compiler_message(tmp_path, compiles, monkeypatch):
     flags = native.CC_FLAGS
     monkeypatch.setattr(native, "CC_FLAGS", ("-no-such-flag",))
-    python = fit_lda(CORPUS, **SETTING)
+    with pytest.raises(DataError, match=r"cc failed to build .*_sweep\.c \(exit \d+\): .*-no-such-flag"):
+        fit_lda(CORPUS, **SETTING)
     # the build failed and left nothing in the cache
     assert len(compiles) == 1 and not list((tmp_path / "cache" / "clickroles").iterdir())
     monkeypatch.setattr(native, "CC_FLAGS", flags)
-    compiled = fit_lda(CORPUS, **SETTING)
+    assert native.load().lda_sweep.argtypes
     assert len(compiles) == 2
-    assert all((a == b).all() for a, b in zip(compiled, python))
+
+
+def test_unloadable_library_is_named(tmp_path, monkeypatch):
+    # a file under the library's cache name that is no library at all
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    name = f"_sweep-{hashlib.sha256(native.SOURCE.read_bytes()).hexdigest()}.so"
+    (tmp_path / "clickroles").mkdir()
+    (tmp_path / "clickroles" / name).write_bytes(b"")
+    with pytest.raises(DataError, match=f"^cannot load {re.escape(str(tmp_path / 'clickroles' / name))}: "):
+        native.load()
+
+
+def test_compiler_that_cannot_run_is_named(tmp_path, monkeypatch):
+    # an empty executable file named cc: the system cannot run it
+    (tmp_path / "bin").mkdir()
+    cc = tmp_path / "bin" / "cc"
+    cc.write_bytes(b"")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with pytest.raises(DataError, match=f"^cannot run {re.escape(str(cc))}: "):
+        native.load()
+    assert not list((tmp_path / "cache" / "clickroles").iterdir())

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clickroles import native
 from clickroles.errors import DataError, UsageError
 from clickroles.tableio import read_matrix_csv
 from clickroles.topics import (
@@ -356,19 +355,6 @@ def lda_cases(draw):
     return corpus, setting
 
 
-@pytest.fixture(scope="class", params=["compiled", "python"])
-def sweep(request):
-    """Runs a test class on the compiled sweep, then again with the
-    loader disabled, on the Python sweep."""
-    with pytest.MonkeyPatch.context() as patch:
-        if request.param == "python":
-            patch.setattr(native, "load", lambda: None)
-        elif native.load() is None:
-            pytest.skip("no C compiler: the compiled sweep does not load")
-        yield request.param
-
-
-@pytest.mark.usefixtures("sweep")
 class TestReferenceSweep:
     @settings(max_examples=150, deadline=None)
     @given(lda_cases())
